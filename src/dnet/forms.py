@@ -27,6 +27,8 @@ in the lexicographic basis ``e_a ^ e_b``, ``a < b``; see
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .grid import Grid
@@ -45,9 +47,12 @@ def lam2_dim(d: int) -> int:
     return d * (d - 1) // 2
 
 
+@cache
 def lam2_pairs(d: int):
-    """Index pairs (a, b), a < b, in lexicographic order."""
+    """Index pairs (a, b), a < b, in lexicographic order (shared, read-only)."""
     a, b = np.triu_indices(d, k=1)
+    a.setflags(write=False)
+    b.setflags(write=False)
     return a, b
 
 

@@ -52,7 +52,7 @@ class IsothermicNet:
     def __init__(self, grid: Grid, signature: Signature, mu):
         self.grid = grid
         self.signature = signature
-        self.mu = np.asarray(mu, float)
+        self.mu = np.array(mu, float)
         if self.mu.shape != (grid.nverts, signature.dim):
             raise ValueError("mu must be (nverts, dim)")
         self.mu.setflags(write=False)
@@ -83,58 +83,40 @@ class IsothermicNet:
 
     def validate(self, tol_null: float = 1e-10, tol_moutard: float = 1e-10,
                  tol_labels: float = 1e-9, margin: float = 1e-6) -> dict:
-        """Residuals of the full isothermic invariant suite."""
-        g, sig = self.grid, self.signature
-        out = {}
-        scale2 = np.maximum(np.sum(self.mu * self.mu, axis=1), 1e-300)
-        out["nullity"] = float(np.abs(sig.norm2(self.mu) / scale2).max())
+        """Residuals of the full isothermic invariant suite.
 
-        qv = g.quad_vertices
-        moutard, label_rel, opp_margin, diag = 0.0, 0.0, np.inf, np.inf
-        worst_quad = None
-        ip = sig.inner
-        for n in range(g.nquads):
-            i, j, k, l = qv[n]
-            d1, d2 = self.mu[k] - self.mu[i], self.mu[l] - self.mu[j]
-            w = wedge_vec(d1, d2)
-            s = max(np.linalg.norm(d1) * np.linalg.norm(d2), 1e-300)
-            res = float(np.linalg.norm(w) / s)
-            if res > moutard:
-                moutard, worst_quad = res, n
-            ips = {
-                "ij": ip(self.mu[i], self.mu[j]), "kl": ip(self.mu[k], self.mu[l]),
-                "il": ip(self.mu[i], self.mu[l]), "jk": ip(self.mu[j], self.mu[k]),
-            }
-            s0 = max(abs(ips["ij"]), abs(ips["kl"]), abs(ips["il"]),
-                     abs(ips["jk"]), 1e-300)
-            label_rel = max(label_rel,
-                            abs(ips["ij"] - ips["kl"]) / s0,
-                            abs(ips["il"] - ips["jk"]) / s0)
-            opp_margin = min(opp_margin, abs(ips["ij"] - ips["il"]) / s0)
-            ni = np.linalg.norm
-            diag = min(diag,
-                       abs(ip(self.mu[i], self.mu[k])) / max(ni(self.mu[i]) * ni(self.mu[k]), 1e-300),
-                       abs(ip(self.mu[j], self.mu[l])) / max(ni(self.mu[j]) * ni(self.mu[l]), 1e-300))
-        out["moutard"] = moutard
-        out["worst_quad"] = None if worst_quad is None else g.locate_quad(worst_quad)
-        out["label_relations"] = label_rel
-        out["opposite_label_margin"] = 0.0 if g.nquads == 0 else float(opp_margin)
-        out["diagonal_margin"] = 0.0 if g.nquads == 0 else float(diag)
-        out["passed"] = bool(
-            out["nullity"] <= tol_null and moutard <= tol_moutard
-            and label_rel <= tol_labels
-            and (g.nquads == 0 or (opp_margin >= margin and diag >= margin)))
-        return out
-
-
-def _evolve_quad(sig: Signature, mi, mj, ml, locate, min_diag: float = 1e-12):
-    denom = float(sig.inner(ml, mj))
-    scale = float(np.linalg.norm(ml) * np.linalg.norm(mj))
-    if abs(denom) <= min_diag * max(scale, 1e-300):
-        raise EvolutionError("isotropic diagonal: Moutard evolution degenerate",
-                             where=locate, residual=abs(denom))
-    c = float(sig.inner(mi, ml - mj)) / denom
-    return mi + c * (ml - mj)
+        Per-quad residuals are arrays over ``quad_vertices``; a non-finite
+        residual propagates into its reported value, and ``worst_quad``
+        then names the first non-finite quad.
+        """
+        g, sig, mu = self.grid, self.signature, self.mu
+        scale2 = np.maximum(np.sum(mu * mu, axis=1), 1e-300)
+        nullity = float(np.abs(sig.norm2(mu) / scale2).max())
+        mq = mu[g.quad_vertices]                    # (nquads, 4, dim): i, j, k, l
+        d1, d2 = mq[:, 2] - mq[:, 0], mq[:, 3] - mq[:, 1]
+        res = np.linalg.norm(wedge_vec(d1, d2), axis=1) / np.maximum(
+            np.linalg.norm(d1, axis=1) * np.linalg.norm(d2, axis=1), 1e-300)
+        moutard = float(res.max(initial=0.0))
+        bad = ~np.isfinite(res)
+        worst = int(np.argmax(bad if bad.any() else res)) if moutard != 0 else None
+        ips = self.edge_ip[g.quad_edges]            # ij, jk, lk, il
+        s0 = np.maximum(np.abs(ips).max(axis=1), 1e-300)
+        label_rel = float((np.maximum(np.abs(ips[:, 0] - ips[:, 2]),
+                                      np.abs(ips[:, 3] - ips[:, 1])) / s0).max(initial=0.0))
+        opp_margin = float((np.abs(ips[:, 0] - ips[:, 3]) / s0).min(initial=np.inf))
+        n = np.linalg.norm(mu, axis=1)[g.quad_vertices]
+        diag = float((np.abs(sig.inner(mq[:, :2], mq[:, 2:]))     # (i, k), (j, l)
+                      / np.maximum(n[:, :2] * n[:, 2:], 1e-300)).min(initial=np.inf))
+        return {
+            "nullity": nullity, "moutard": moutard,
+            "worst_quad": None if worst is None else g.locate_quad(worst),
+            "label_relations": label_rel,
+            "opposite_label_margin": 0.0 if g.nquads == 0 else opp_margin,
+            "diagonal_margin": 0.0 if g.nquads == 0 else diag,
+            "passed": bool(nullity <= tol_null and moutard <= tol_moutard
+                           and label_rel <= tol_labels
+                           and (g.nquads == 0 or (opp_margin >= margin and diag >= margin))),
+        }
 
 
 def moutard_evolve(grid: Grid, signature: Signature, line0, line1,
@@ -144,8 +126,10 @@ def moutard_evolve(grid: Grid, signature: Signature, line0, line1,
     ``line0[a]`` is the lift at (a, 0) and ``line1[b]`` at (0, b); the
     shared corner must agree.  Interior vertices are forced by the light
     cone: the Moutard factor is the unique nonzero root of the nullity
-    quadratic.  When a frame is given, lifts are re-projected onto the
-    light cone after each step to stop drift.
+    quadratic.  Each quad needs only its three earlier vertices, so the
+    grid fills one anti-diagonal ``a + b = s`` at a time.  When a frame
+    is given, lifts are re-projected onto the light cone after each
+    diagonal to stop drift.
     """
     if grid.ndim != 2:
         raise ValueError("Cauchy evolution expects a 2D grid")
@@ -156,24 +140,28 @@ def moutard_evolve(grid: Grid, signature: Signature, line0, line1,
         raise ValueError("Cauchy data sizes do not match the grid")
     if np.linalg.norm(line0[0] - line1[0]) > 1e-12 * np.linalg.norm(line0[0]):
         raise ValueError("Cauchy lines must agree at the corner")
-    bad = ~signature.is_null(np.concatenate([line0, line1]))
-    if np.any(bad):
+    if not np.all(signature.is_null(np.concatenate([line0, line1]))):
         raise ValueError("Cauchy data must be null")
-    mu = np.zeros((grid.nverts, signature.dim))
-    for a in range(d0):
-        mu[grid.vertex_index((a, 0))] = line0[a]
-    for b in range(d1):
-        mu[grid.vertex_index((0, b))] = line1[b]
-    for a in range(1, d0):
-        for b in range(1, d1):
-            vi = grid.vertex_index((a - 1, b - 1))
-            vj = grid.vertex_index((a, b - 1))
-            vl = grid.vertex_index((a - 1, b))
-            vk = grid.vertex_index((a, b))
-            new = _evolve_quad(signature, mu[vi], mu[vj], mu[vl],
-                               {"kind": "quad", "corner": (a - 1, b - 1)})
-            mu[vk] = renull(new, frame) if frame is not None else new
-    return IsothermicNet(grid, signature, mu)
+    ip = signature.inner
+    mu = np.zeros((d0, d1, signature.dim))      # row-major, as the grid
+    mu[:, 0] = line0
+    mu[0, :] = line1
+    for s in range(2, d0 + d1 - 1):
+        a = np.arange(max(1, s - d1 + 1), min(d0, s))
+        b = s - a
+        mi, mj, ml = mu[a - 1, b - 1], mu[a, b - 1], mu[a - 1, b]
+        denom = ip(ml, mj)
+        scale = np.linalg.norm(ml, axis=1) * np.linalg.norm(mj, axis=1)
+        degenerate = np.abs(denom) <= 1e-12 * np.maximum(scale, 1e-300)
+        if np.any(degenerate):
+            n = int(np.argmax(degenerate))
+            raise EvolutionError("isotropic diagonal: Moutard evolution degenerate",
+                                 where={"kind": "quad", "corner": (int(a[n]) - 1, int(b[n]) - 1)},
+                                 residual=abs(float(denom[n])))
+        diff = ml - mj
+        new = mi + (ip(mi, diff) / denom)[:, None] * diff
+        mu[a, b] = new if frame is None else renull(new, frame)
+    return IsothermicNet(grid, signature, mu.reshape(grid.nverts, signature.dim))
 
 
 def random_cauchy(grid: Grid, signature: Signature, rng,
@@ -264,28 +252,22 @@ def flat_connection(net: IsothermicNet, t: float, tol: float = 1e-8) -> np.ndarr
     avoid all finite labels.  Entry ``e`` maps the fiber at the tail of
     canonical edge ``e`` to the fiber at its head.
     """
-    g, sig = net.grid, net.signature
-    if t != 0.0:
-        finite = net.labels[~net.is_infinite]
-        if finite.size and np.min(np.abs(finite - t)) <= tol * max(1.0, abs(t)):
-            e = int(np.nonzero(~net.is_infinite)[0][
-                int(np.argmin(np.abs(finite - t)))])
-            raise SpectralCollisionError(
-                f"t = {t} collides with edge label {net.labels[e]}",
-                where=g.locate_edge(e))
-    d = sig.dim
+    g, sig, d = net.grid, net.signature, net.signature.dim
+    inf = net.is_infinite
+    fin = np.flatnonzero(~inf)
+    gap = np.abs(net.labels[fin] - t)
+    if t != 0.0 and fin.size and gap.min() <= tol * max(1.0, abs(t)):
+        e = int(fin[np.argmin(gap)])
+        raise SpectralCollisionError(f"t = {t} collides with edge label {net.labels[e]}",
+                                     where=g.locate_edge(e))
     out = np.empty((g.nedges, d, d))
-    eye = np.eye(d)
-    for e in range(g.nedges):
-        tail, head = int(g.edge_tail[e]), int(g.edge_head[e])
-        if net.is_infinite[e]:
-            C = unpack_bivector(net.eta[e], d)
-            out[e] = eye + t * action_matrix(C, sig)
-        elif t == 0.0:
-            out[e] = eye
-        else:
-            lam = 1.0 - t / float(net.labels[e])
-            out[e] = gamma_lambda(net.mu[tail], net.mu[head], lam, sig)
+    out[inf] = np.eye(d) + t * action_matrix(unpack_bivector(net.eta[inf], d), sig)
+    try:
+        out[fin] = np.eye(d) if t == 0.0 else gamma_lambda(
+            net.mu[g.edge_tail[fin]], net.mu[g.edge_head[fin]], 1.0 - t / net.labels[fin], sig)
+    except DegeneracyError as err:
+        err.where = g.locate_edge(int(fin[err.where]))
+        raise
     return out
 
 

@@ -229,31 +229,42 @@ def isotropic_exp(biv, t: float, signature: Signature,
     return np.eye(signature.dim) + t * act
 
 
-def gamma_lambda(s_i, s_j, lam: float, signature: Signature,
+def gamma_lambda(s_i, s_j, lam, signature: Signature,
                  tol: float = 1e-10) -> np.ndarray:
     """Orthogonal map scaling ``s_j`` by ``lam``, ``s_i`` by ``1/lam`` and
-    fixing ``(s_i + s_j)^perp`` pointwise.
+    fixing ``(s_i + s_j)^perp`` pointwise (batched over leading axes).
 
     ``s_i``, ``s_j`` are representatives of non-orthogonal null lines.
+    On the first offending pair a :class:`DegeneracyError` carries its
+    flat batch index as ``where``.
     """
-    if lam == 0:
+    if np.any(np.asarray(lam) == 0):
         raise ValueError("lambda must be nonzero")
     si = np.asarray(s_i, float)
     sj = np.asarray(s_j, float)
     ip = signature.inner
-    g = float(ip(si, sj))
-    norm = float(np.linalg.norm(si) * np.linalg.norm(sj))
-    if abs(g) <= tol * max(norm, 1e-300):
-        raise DegeneracyError("null lines are orthogonal: eigen transport undefined")
-    for v in (si, sj):
-        if abs(ip(v, v)) > 1e-8 * np.dot(v, v):
-            raise ValueError("gamma_lambda expects null line representatives")
-    gsi = si * signature.signs
-    gsj = sj * signature.signs
-    d = signature.dim
-    return (np.eye(d)
-            + ((lam - 1.0) / g) * np.outer(sj, gsi)
-            + ((1.0 / lam - 1.0) / g) * np.outer(si, gsj))
+    g = ip(si, sj)
+    norm = np.linalg.norm(si, axis=-1) * np.linalg.norm(sj, axis=-1)
+    orth = np.abs(g) <= tol * np.maximum(norm, 1e-300)
+    nonnull = [np.abs(ip(v, v)) > 1e-8 * np.sum(v * v, axis=-1) for v in (si, sj)]
+    bad = orth | nonnull[0] | nonnull[1]
+    if np.any(bad):
+        n = int(np.argmax(bad))
+        if orth.flat[n]:
+            raise DegeneracyError("null lines are orthogonal: eigen transport undefined",
+                                  where=n, residual=float(np.abs(g).flat[n]))
+        raise ValueError("gamma_lambda expects null line representatives")
+    gsi, gsj = si * signature.signs, sj * signature.signs
+    c1, c2 = ((lam - 1.0) / g)[..., None], ((1.0 / lam - 1.0) / g)[..., None]
+    out = np.empty(np.shape(g) + (signature.dim,) * 2)
+    # row by row, so that no second (..., d, d) array is needed
+    for a, unit in enumerate(np.eye(signature.dim)):
+        row = out[..., a, :]
+        np.multiply(sj[..., a, None], gsi, out=row)
+        row *= c1
+        row += unit
+        row += c2 * (si[..., a, None] * gsj)
+    return out
 
 
 # -- light cone charts -------------------------------------------------

@@ -41,7 +41,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """All checks passed, and at least one ran: nothing checked is no pass."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def to_text(self) -> str:
         lines = ["check                                    residual      tol          status"]

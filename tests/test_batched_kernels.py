@@ -1,0 +1,119 @@
+"""The batched isothermic kernels against their per-cell references."""
+
+import numpy as np
+import pytest
+
+from dnet.errors import DegeneracyError, EvolutionError
+from dnet.forms import lam2_pairs
+from dnet.grid import Grid
+from dnet.isothermic import (IsothermicNet, darboux_transform, flat_connection,
+                             moutard_evolve, random_cauchy, random_isothermic,
+                             stack_pair)
+from dnet.pseudo_euclidean import Signature, gamma_lambda
+from tests import isothermic_reference as ref
+
+SIGNATURES = [(4, 2), (4, 1), (3, 1)]
+CASES = ([(dims, pq) for dims in ((6, 6), (10, 10)) for pq in SIGNATURES]
+         + [(dims, (4, 2)) for dims in ((1, 5), (5, 1), (2, 2))])
+RESIDUALS = ("nullity", "moutard", "label_relations", "opposite_label_margin",
+             "diagonal_margin")
+
+
+def _cauchy(dims, pq, seed):
+    grid, sig = Grid(dims), Signature(*pq)
+    frame = sig.standard_frame()
+    line0, line1 = random_cauchy(grid, sig, np.random.default_rng(seed), frame=frame)
+    return grid, sig, frame, line0, line1
+
+
+def _assert_same_validation(net):
+    new, old = net.validate(), ref.validate(net)
+    for key in RESIDUALS:
+        a, b = new[key], old[key]
+        assert abs(a - b) <= 4 * np.spacing(max(abs(a), abs(b))), (key, a, b)
+    assert new["passed"] == old["passed"]
+    assert new["worst_quad"] == old["worst_quad"]
+
+
+@pytest.mark.parametrize("dims, pq", CASES, ids=[f"{d[0]}x{d[1]}-{p[0]}{p[1]}" for d, p in CASES])
+def test_kernels_match_per_cell_reference(dims, pq):
+    grid, sig, frame, line0, line1 = _cauchy(dims, pq, seed=sum(dims) + pq[1])
+    for fr in (None, frame):
+        net = moutard_evolve(grid, sig, line0, line1, frame=fr)
+        assert np.array_equal(net.mu, ref.moutard_evolve_mu(grid, sig, line0, line1, fr))
+    _assert_same_validation(net)
+    for t in (-1.0, 0.0, 0.3, 2.0):
+        assert np.array_equal(flat_connection(net, t), ref.flat_connection(net, t))
+
+
+def test_kernels_match_reference_with_isotropic_edges():
+    net = random_isothermic(Grid([5, 5]), Signature(4, 2), np.random.default_rng(7))
+    pair = stack_pair(net, darboux_transform(net, np.inf, rng=np.random.default_rng(1)))
+    assert pair.is_infinite.any() and not pair.is_infinite.all()
+    _assert_same_validation(pair)
+    for t in (0.0, 0.3, -1.5):
+        assert np.array_equal(flat_connection(pair, t), ref.flat_connection(pair, t))
+
+
+def test_validate_propagates_nan():
+    grid, sig, frame, line0, line1 = _cauchy((6, 6), (4, 2), seed=4)
+    mu = np.array(moutard_evolve(grid, sig, line0, line1, frame=frame).mu)
+    mu[grid.vertex_index((3, 2))] = np.nan
+    rep = IsothermicNet(grid, sig, mu).validate()
+    for key in RESIDUALS:
+        assert np.isnan(rep[key]), key
+    assert not rep["passed"]
+    assert rep["worst_quad"]["corner"] == (2, 1)
+
+
+def test_constructor_copies_and_pairs_are_read_only():
+    grid, sig, frame, line0, line1 = _cauchy((4, 4), (4, 2), seed=5)
+    mu = np.array(moutard_evolve(grid, sig, line0, line1, frame=frame).mu)
+    net = IsothermicNet(grid, sig, mu)
+    assert mu.flags.writeable
+    mu[0] = 0.0
+    assert not np.array_equal(net.mu[0], mu[0])
+    with pytest.raises(ValueError):
+        net.mu[0, 0] = 1.0
+    a, b = lam2_pairs(6)
+    assert lam2_pairs(6)[0] is a
+    for arr in (a, b):
+        with pytest.raises(ValueError):
+            arr[0] = 3
+
+
+def test_evolution_error_names_degenerate_quad():
+    sig = Signature(4, 2)
+    e = np.eye(6)
+    base = e[0] + e[4]
+    line0 = [base, e[1] + e[5]]
+    line1 = [base, e[2] + e[4]]          # orthogonal to line0[1]
+    with pytest.raises(EvolutionError) as info:
+        moutard_evolve(Grid([2, 2]), sig, line0, line1)
+    assert info.value.where == {"kind": "quad", "corner": (0, 0)}
+
+
+def test_gamma_lambda_batch_locates_orthogonal_pair():
+    sig = Signature(4, 2)
+    e = np.eye(6)
+    si = np.stack([e[0] + e[4], e[1] + e[5], e[1] + e[5]])
+    sj = np.stack([e[0] - e[4], e[1] - e[5], e[2] + e[4]])   # last pair orthogonal
+    with pytest.raises(DegeneracyError) as info:
+        gamma_lambda(si, sj, 2.0, sig)
+    assert info.value.where == 2
+    one = gamma_lambda(si[:2], sj[:2], np.array([2.0, 0.5]), sig)
+    assert np.array_equal(one[1], ref.gamma_lambda(si[1], sj[1], 0.5, sig))
+
+
+def test_flat_connection_error_names_orthogonal_edge():
+    sig = Signature(4, 2)
+    e = np.eye(6)
+    grid = Grid([2, 1])
+    net = IsothermicNet(grid, sig, [e[0] + e[4], e[1] + e[5]])
+    assert net.is_infinite.all()
+    # an orthogonal pair mislabelled as finite reaches the eigen transport
+    net.is_infinite = np.zeros(grid.nedges, bool)
+    net.labels = np.ones(grid.nedges)
+    with pytest.raises(DegeneracyError) as info:
+        flat_connection(net, 0.5)
+    assert info.value.where == grid.locate_edge(0)

@@ -222,3 +222,31 @@ def test_tolerance_overrides(tmp_path):
 def test_usage_errors(tmp_path):
     assert run("gen", "isothermic", "--dims", "bogus", "-o", tmp_path / "x") == 2
     assert run("verify", "-i", tmp_path / "missing.json") == 2
+
+
+def test_verify_fails_on_nan_vertex(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    assert run("gen", "isothermic", "--dims", "6x6", "--seed", 7, "-o", path) == 0
+    doc = json.loads(path.read_text())
+    doc["fields"]["vertex"]["mu"][14][0] = "nan"
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "-i", bad) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("isothermic.moutard", "isothermic.label_relations",
+                 "isothermic.diagonal_margin"):
+        line = next(ln for ln in lines if ln.startswith(name + " "))
+        assert "FAIL" in line, line
+    # vertex 14 = (2, 2); quad (1, 1) is the first quad that touches it
+    moutard = next(ln for ln in lines if ln.startswith("isothermic.moutard "))
+    assert "'corner': (1, 1)" in moutard
+
+
+def test_verify_with_no_checks_fails(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"format": "dnet-net/1", "signature": [4, 2],
+                                "dims": [3, 3]}))
+    capsys.readouterr()
+    assert run("verify", "-i", path) == 1
+    assert "overall: FAIL (0 checks, 3 skipped)" in capsys.readouterr().out

@@ -42,8 +42,7 @@ def test_vanishing_coefficient_quad():
             break
     assert abs(sig.inner(ml, ml)) <= 1e-10
     assert abs(sig.inner(mi, v)) <= 1e-10 * np.linalg.norm(mi) * np.linalg.norm(v)
-    from dnet.isothermic import _evolve_quad
-    mk = _evolve_quad(sig, mi, mj, ml, None)
+    mk = moutard_evolve(Grid([2, 2]), sig, [mi, mj], [mi, ml]).mu[3]
     assert np.abs(mk - mi).max() <= 1e-9 * np.abs(mi).max()
 
 
@@ -60,8 +59,7 @@ def test_evolution_matches_quadratic_root_oracle():
     coeffs = [sig.inner(diff, diff), 2 * sig.inner(mi, diff), 0.0]
     roots = np.roots(coeffs)
     nontrivial = roots[np.argmax(np.abs(roots))]
-    from dnet.isothermic import _evolve_quad
-    mk = _evolve_quad(sig, mi, mj, ml, None)
+    mk = moutard_evolve(Grid([2, 2]), sig, line0, line1).mu[3]
     assert np.abs(mk - (mi + nontrivial * diff)).max() <= 1e-10 * np.abs(mk).max()
 
 
@@ -85,7 +83,7 @@ def test_cross_ratio_identity():
 
 def test_fill_order_independence():
     # column-major refill reproduces the row-major interior exactly
-    from dnet.isothermic import _evolve_quad
+    from tests.isothermic_reference import evolve_quad
     rng = np.random.default_rng(30)
     g = Grid([5, 5])
     net = random_isothermic(g, SIG42, rng)
@@ -96,7 +94,7 @@ def test_fill_order_independence():
             vj = g.vertex_index((a, b - 1))
             vl = g.vertex_index((a - 1, b))
             vk = g.vertex_index((a, b))
-            mu[vk] = _evolve_quad(SIG42, mu[vi], mu[vj], mu[vl], None)
+            mu[vk] = evolve_quad(SIG42, mu[vi], mu[vj], mu[vl])
     assert np.abs(mu - net.mu).max() <= 1e-11 * np.abs(net.mu).max()
 
 
