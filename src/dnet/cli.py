@@ -352,10 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once per process: parsing leaves the parser unchanged
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

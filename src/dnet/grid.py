@@ -116,10 +116,10 @@ class Grid:
         self.edge_axis = np.concatenate(axes) if axes else np.zeros(0, int)
         self.edge_head = self.edge_tail + strides[self.edge_axis]
         self.nedges = len(self.edge_tail)
-        self._edge_slot = {
-            (int(t), int(a)): e
-            for e, (t, a) in enumerate(zip(self.edge_tail, self.edge_axis))
-        }
+        # edge_slots[v, a] is the slot of edge (v, a), -1 where v + e_a
+        # leaves the box
+        self.edge_slots = np.full((self.nverts, self.ndim), -1, dtype=int)
+        self.edge_slots[self.edge_tail, self.edge_axis] = np.arange(self.nedges)
 
         # Canonical quads, grouped by axis pair (a, b), a < b.
         corners, qaxes = [], []
@@ -146,19 +146,14 @@ class Grid:
         # Boundary edges in canonical slots: bottom (i,a), right (j,b),
         # top (l,a), left (i,b).  The oriented boundary of (i,j,k,l) is
         # bottom + right - top - left.
-        self.quad_edges = np.zeros((self.nquads, 4), dtype=int)
-        for n in range(self.nquads):
-            a, b = self.quad_axes[n]
-            vi, vj, _, vl = self.quad_vertices[n]
-            self.quad_edges[n] = (
-                self._edge_slot[(int(vi), int(a))],
-                self._edge_slot[(int(vj), int(b))],
-                self._edge_slot[(int(vl), int(a))],
-                self._edge_slot[(int(vi), int(b))],
-            )
+        qa, qb = self.quad_axes[:, 0], self.quad_axes[:, 1]
+        qv = self.quad_vertices
+        self.quad_edges = self.edge_slots[
+            np.stack([qv[:, 0], qv[:, 1], qv[:, 3], qv[:, 0]], axis=1),
+            np.stack([qa, qb, qa, qb], axis=1)]
         for arr in (self.edge_tail, self.edge_head, self.edge_axis,
-                    self.quad_corner, self.quad_axes, self.quad_vertices,
-                    self.quad_edges):
+                    self.edge_slots, self.quad_corner, self.quad_axes,
+                    self.quad_vertices, self.quad_edges):
             arr.setflags(write=False)
 
         self._trees: dict = {}
@@ -181,17 +176,25 @@ class Grid:
     def coords(self, vertex: int):
         return tuple(int(c) for c in self.vertex_coords[vertex])
 
+    def _slot(self, tail, axis) -> int:
+        """Slot of edge ``(tail, axis)``; KeyError ``(tail, axis)`` if absent."""
+        slot = (self.edge_slots[tail, axis]
+                if 0 <= tail < self.nverts and 0 <= axis < self.ndim else -1)
+        if slot < 0:
+            raise KeyError((tail, axis))
+        return int(slot)
+
     def edge_slot(self, tail: int, axis: int) -> int:
-        return self._edge_slot[(int(tail), int(axis))]
+        return self._slot(int(tail), int(axis))
 
     def oriented_edge(self, tail: int, head: int) -> OrientedEdge:
         """The oriented edge from ``tail`` to ``head`` (must be adjacent)."""
         diff = head - tail
         for a in range(self.ndim):
             if diff == self.strides[a]:
-                return OrientedEdge(tail, head, a, self._edge_slot[(tail, a)], 1)
+                return OrientedEdge(tail, head, a, self._slot(tail, a), 1)
             if diff == -self.strides[a]:
-                return OrientedEdge(tail, head, a, self._edge_slot[(head, a)], -1)
+                return OrientedEdge(tail, head, a, self._slot(head, a), -1)
         raise ValueError(f"vertices {tail}, {head} are not adjacent")
 
     def edges(self):
@@ -261,11 +264,11 @@ class Grid:
             a = max(ax for ax in range(self.ndim) if vc[ax] != bc[ax])
             if vc[a] > bc[a]:
                 parent = v - int(self.strides[a])
-                slot = self._edge_slot[(parent, a)]
+                slot = int(self.edge_slots[parent, a])
                 steps.append((v, parent, slot, 1))
             else:
                 parent = v + int(self.strides[a])
-                slot = self._edge_slot[(v, a)]
+                slot = int(self.edge_slots[v, a])
                 steps.append((v, parent, slot, -1))
         self._trees[base] = tuple(steps)
         return self._trees[base]

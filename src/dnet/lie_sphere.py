@@ -425,42 +425,60 @@ def omega_edge_labels(omega_or_cong, signature: Signature | None = None,
         if signature is None:
             raise ValueError("a signature is required for a bare congruence")
         sig = signature
-    from .koenigs import _span_of_bivector, _plane_intersection
     from .forms import lam2_pairs
     g = cong.grid
+    eta = cong.eta
     ia, ib = lam2_pairs(cong.dim)
     sign_prod = sig.signs[ia] * sig.signs[ib]
-    labels = np.empty(g.nedges)
-    for e in range(g.nedges):
-        tl, hd = int(g.edge_tail[e]), int(g.edge_head[e])
-        span = _span_of_bivector(unpack_bivector(cong.eta[e], cong.dim))
-        s_t = _plane_intersection(span, cong.plane_basis(tl))
-        s_h = _plane_intersection(span, cong.plane_basis(hd))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the bivector's 2-plane (the batched koenigs._span_of_bivector)
+        U, sv, _ = np.linalg.svd(unpack_bivector(eta, cong.dim))
+        span = U[:, :, :2]
+        planes, _ = np.linalg.qr(np.stack([cong.sigma1, cong.sigma2], axis=2))
+
+        def meet(ends):
+            """Unit vectors spanning span cap f_v (batched
+            koenigs._plane_intersection); also their norms before scaling."""
+            _, _, Vt = np.linalg.svd(np.concatenate([span, -planes[ends]], axis=2))
+            v = (span @ Vt[:, -1, :2, None])[..., 0]
+            n = np.linalg.norm(v, axis=1)
+            return v / n[:, None], n
+
+        s_t, n_t = meet(g.edge_tail)
+        s_h, n_h = meet(g.edge_head)
         w = wedge_vec(s_h, s_t)
-        ww = float(w @ w)
-        if ww <= 1e-300:
-            raise DegeneracyError("factorization degenerate",
-                                  where=g.locate_edge(e))
-        coef = float(cong.eta[e] @ w) / ww
-        resid = np.linalg.norm(cong.eta[e] - coef * w)
-        if resid > tol * max(np.linalg.norm(cong.eta[e]), 1e-300):
-            raise DegeneracyError("eta is not decomposable on the edge planes",
-                                  where=g.locate_edge(e), residual=float(resid))
-        ip_est = coef * float(sig.inner(s_t, s_h))
-        # the magnitude is far better conditioned through the invariant
-        # trace identity: for eta = s_j ^ s_i with action A,
-        # tr(A^2) = 2 (s_i, s_j)^2 = -2 sum_{a<b} eta_ab^2 G_a G_b.
-        # The sum cancels to a value far below ||eta||^2, so it is taken
-        # in extended precision.
-        row = cong.eta[e].astype(np.longdouble)
-        ip_sq = -float(np.sum(row * row * sign_prod.astype(np.longdouble)))
-        scale2 = float(cong.eta[e] @ cong.eta[e])
-        if ip_sq <= 1e-24 * scale2:
-            labels[e] = np.inf
-            continue
-        ip = np.copysign(np.sqrt(ip_sq), ip_est)
-        labels[e] = 1.0 / ip
-    return labels
+        ww = np.einsum("ij,ij->i", w, w)
+        coef = np.einsum("ij,ij->i", eta, w) / ww
+        resid = np.linalg.norm(eta - coef[:, None] * w, axis=1)
+    # in the order a per-edge computation meets them
+    failures = [
+        (sv[:, 1] <= 1e-8 * np.maximum(sv[:, 0], 1e-300), "bivector has rank < 2"),
+        (np.any(sv[:, 2:3] > 100 * 1e-8 * sv[:, :1], axis=1),
+         "bivector is not decomposable"),
+        (n_t <= 1e-8, "planes do not intersect transversally"),
+        (n_h <= 1e-8, "planes do not intersect transversally"),
+        (ww <= 1e-300, "factorization degenerate"),
+        (resid > tol * np.maximum(np.linalg.norm(eta, axis=1), 1e-300),
+         "eta is not decomposable on the edge planes"),
+    ]
+    bad = np.any([mask for mask, _ in failures], axis=0)
+    if bad.any():
+        e = int(np.argmax(bad))
+        k = next(k for k, (mask, _) in enumerate(failures) if mask[e])
+        raise DegeneracyError(
+            failures[k][1], where=g.locate_edge(e),
+            residual=float(resid[e]) if k == len(failures) - 1 else None)
+    ip_est = coef * sig.inner(s_t, s_h)
+    # the magnitude is far better conditioned through the invariant
+    # trace identity: for eta = s_j ^ s_i with action A,
+    # tr(A^2) = 2 (s_i, s_j)^2 = -2 sum_{a<b} eta_ab^2 G_a G_b.
+    # The sum cancels to a value far below ||eta||^2, so it is taken
+    # in extended precision.
+    rows = eta.astype(np.longdouble)
+    ip_sq = -(rows * rows * sign_prod.astype(np.longdouble)).sum(axis=1).astype(float)
+    isotropic = ip_sq <= 1e-24 * np.einsum("ij,ij->i", eta, eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(isotropic, np.inf, 1.0 / np.copysign(np.sqrt(ip_sq), ip_est))
 
 
 def eisenhart_general(pn: PrincipalNet, x_dual, n_dual, labels,

@@ -1,17 +1,36 @@
 """Self-describing net files and the verification engine over them.
 
-A net file is a single JSON document holding the ambient signature,
-grid dimensions, frame vectors, named vertex / edge / 1-form fields and
-generator metadata.  Floats are serialized with Python's shortest
-round-trip decimal representation, so save / load is lossless bit for
-bit; infinite edge labels are encoded as the strings "inf" / "-inf".
-Writes go through a temporary file and an atomic rename.
+A net file (format ``dnet-net/1``) is one JSON document holding the
+ambient signature, grid dimensions, frame vectors, named vertex / edge /
+1-form fields and generator metadata.  Its text is exactly what
+``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)``
+writes for the document with every array as nested lists, plus a final
+newline:
+
+* keys are sorted, each nesting level indents by one space, and every
+  array entry sits on its own line;
+* floats are written in Python's shortest round-trip form
+  (``float.__repr__``), so save / load is lossless bit for bit and
+  ``-0.0`` keeps its sign;
+* non-finite values are written as the strings ``"inf"``, ``"-inf"`` and
+  ``"nan"``.
+
+Fixed inputs give byte-identical files.  Writes go through a temporary
+file and an atomic rename.
+
+:meth:`NetFile.load` reads array entries that are numbers, booleans
+(as 0 / 1) or strings that Python's ``float`` accepts (``"inf"``,
+``"nan"``, ``"Infinity"``, ``"1.5"``).  It raises :class:`FormatError`
+for malformed JSON, another ``format``, a missing or non-integer
+``signature`` or ``dims``, a section that is not a JSON object, a
+``null``, dict or other non-numeric entry, ragged nesting, a bare number
+where an array belongs and, when validating, field row counts that do
+not match the grid.  A ``null`` never reads as NaN.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -31,27 +50,96 @@ EDGE_FIELDS = ("m", "kappa")
 FORM1_FIELDS = ("eta",)
 
 
-def _encode_array(arr) -> list:
-    def enc(v):
-        if isinstance(v, (list, tuple, np.ndarray)):
-            return [enc(w) for w in v]
-        v = float(v)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return v
-    return enc(np.asarray(arr, float).tolist())
+def _json_text(value, depth: int) -> str:
+    """``value`` in the file layout, nested ``depth`` levels deep.
+
+    JSON text holds no raw newline inside a string, so indenting every
+    line break re-indents the whole value.
+    """
+    text = json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)
+    return text.replace("\n", "\n" + " " * depth)
 
 
-def _decode_array(data) -> np.ndarray:
-    def dec(v):
-        if isinstance(v, list):
-            return [dec(w) for w in v]
-        if isinstance(v, str):
-            return float(v)
-        return float(v)
-    return np.asarray(dec(data), float)
+def _array_text(arr: np.ndarray, depth: int) -> str:
+    """``_json_text`` of the nested lists of ``arr``, with non-finite values
+    as strings, rendered in one pass over the flat values."""
+    if arr.size == 0:
+        return _json_text(arr.tolist(), depth)
+    flat = arr.ravel()
+    tokens = list(map(float.__repr__, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        tokens[i] = f'"{tokens[i]}"'          # "inf", "-inf", "nan"
+    nd = arr.ndim
+    if nd == 0:
+        return tokens[0]
+    pad = ["\n" + " " * (depth + k) for k in range(nd + 1)]
+
+    def sep(j):
+        """What follows a value that ends its ``j`` innermost lists."""
+        return ("".join(pad[nd - k] + "]" for k in range(1, j + 1)) + ","
+                + "".join(pad[nd - k] + "[" for k in range(j, 0, -1)) + pad[nd])
+
+    seps = [sep(0)] * (arr.size - 1)
+    block = 1
+    for j in range(1, nd):
+        block *= arr.shape[nd - j]
+        seps[block - 1::block] = [sep(j)] * ((arr.size - 1) // block)
+    parts = [""] * (2 * arr.size - 1)
+    parts[0::2] = tokens
+    parts[1::2] = seps
+    head = "[" + "".join(pad[k] + "[" for k in range(1, nd)) + pad[nd]
+    tail = "".join(pad[k] + "]" for k in range(nd - 1, -1, -1))
+    return head + "".join(parts) + tail
+
+
+def _has_array(value) -> bool:
+    return isinstance(value, np.ndarray) or (
+        isinstance(value, dict) and any(map(_has_array, value.values())))
+
+
+def _document_text(value, depth: int = 0) -> str:
+    """``_json_text`` of a document whose arrays are ndarrays; objects that
+    hold arrays must have string keys."""
+    if isinstance(value, np.ndarray):
+        return _array_text(value, depth)
+    if not _has_array(value):
+        return _json_text(value, depth)
+    inner = "\n" + " " * (depth + 1)
+    items = (f"{json.dumps(k)}: {_document_text(v, depth + 1)}"
+             for k, v in sorted(value.items()))
+    return "{" + inner + ("," + inner).join(items) + "\n" + " " * depth + "}"
+
+
+def _decode_array(value, what: str) -> np.ndarray:
+    """A float array from its JSON value (see the module docstring)."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise FormatError(f"{what} is not a numeric array: {err}") from None
+    if arr.ndim == 0:
+        raise FormatError(f"{what} must be an array, got {value!r}")
+    nan = np.isnan(arr)
+    # numpy reads None as NaN; only NaN that came from a number or a
+    # string is data
+    if nan.any() and (np.array(value, dtype=object)[nan] == None).any():  # noqa: E711
+        raise FormatError(f"{what} has a null entry")
+    return arr
+
+
+def _section(doc: dict, key: str, where: str = "document") -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise FormatError(f"{where} {key!r} must be a JSON object")
+    return value
+
+
+def _int_list(doc: dict, key: str) -> tuple:
+    if key not in doc:
+        raise FormatError(f"missing {key!r}")
+    value = doc[key]
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise FormatError(f"{key!r} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -81,37 +169,33 @@ class NetFile:
         basis3 = self.frame.get("basis3")
         if basis3 is None:
             return None
-        return LieFrame(fr, _decode_array(basis3))
+        return LieFrame(fr, np.asarray(basis3, float))
 
     def the_frame(self) -> Frame | None:
         if not self.frame:
             return None
         p = self.frame.get("p")
-        return Frame(self.sig(), _decode_array(self.frame["o"]),
-                     _decode_array(self.frame["q"]),
-                     None if p is None else _decode_array(p))
+        return Frame(self.sig(), np.asarray(self.frame["o"], float),
+                     np.asarray(self.frame["q"], float),
+                     None if p is None else np.asarray(p, float))
 
-    def to_document(self) -> dict:
+    def save(self, path: str):
+        def arrays(fields):
+            return {k: np.asarray(v, float) for k, v in fields.items()}
         doc = {
             "format": FORMAT,
             "float_encoding": FLOAT_ENCODING,
             "signature": list(self.signature),
             "dims": list(self.dims),
             "stacked": self.stacked,
-            "frame": {k: (_encode_array(v) if k != "p" or v is not None else None)
+            "frame": {k: (None if k == "p" and v is None else np.asarray(v, float))
                       for k, v in self.frame.items()},
-            "fields": {
-                "vertex": {k: _encode_array(v) for k, v in self.vertex_fields.items()},
-                "edge": {k: _encode_array(v) for k, v in self.edge_fields.items()},
-                "form1": {k: _encode_array(v) for k, v in self.form1_fields.items()},
-            },
+            "fields": {"vertex": arrays(self.vertex_fields),
+                       "edge": arrays(self.edge_fields),
+                       "form1": arrays(self.form1_fields)},
             "metadata": self.metadata,
         }
-        return doc
-
-    def save(self, path: str):
-        doc = self.to_document()
-        text = json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+        text = _document_text(doc)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -121,29 +205,44 @@ class NetFile:
     @classmethod
     def load(cls, path: str, validate: bool = True) -> "NetFile":
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != FORMAT:
-            raise FormatError(f"unsupported format {doc.get('format')!r}")
-        fields = doc.get("fields", {})
+            try:
+                doc = json.load(fh)
+            except ValueError as err:     # JSONDecodeError, UnicodeDecodeError
+                raise FormatError(f"{path} is not a JSON document: {err}") from None
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        if fmt != FORMAT:
+            raise FormatError(f"unsupported format {fmt!r}")
+        signature = _int_list(doc, "signature")
+        try:
+            Signature(*signature)
+        except (TypeError, ValueError) as err:
+            raise FormatError(f"bad signature {list(signature)}: {err}") from None
+        fields = _section(doc, "fields")
+
+        def arrays(kind, what):
+            return {k: _decode_array(v, f"{what} {k!r}")
+                    for k, v in _section(fields, kind, "fields").items()}
         nf = cls(
-            signature=tuple(doc["signature"]),
-            dims=tuple(doc["dims"]),
+            signature=signature,
+            dims=_int_list(doc, "dims"),
             stacked=bool(doc.get("stacked", False)),
-            frame={k: v for k, v in doc.get("frame", {}).items()},
-            vertex_fields={k: _decode_array(v)
-                           for k, v in fields.get("vertex", {}).items()},
-            edge_fields={k: _decode_array(v)
-                         for k, v in fields.get("edge", {}).items()},
-            form1_fields={k: _decode_array(v)
-                          for k, v in fields.get("form1", {}).items()},
-            metadata=doc.get("metadata", {}),
+            frame={k: (None if k == "p" and v is None
+                       else _decode_array(v, f"frame vector {k!r}"))
+                   for k, v in _section(doc, "frame").items()},
+            vertex_fields=arrays("vertex", "vertex field"),
+            edge_fields=arrays("edge", "edge field"),
+            form1_fields=arrays("form1", "one-form field"),
+            metadata=_section(doc, "metadata"),
         )
         if validate:
             nf.check_shapes()
         return nf
 
     def check_shapes(self):
-        g = self.grid()
+        try:
+            g = self.grid()
+        except ValueError as err:
+            raise FormatError(f"bad dims {list(self.dims)}: {err}") from None
         for name, arr in self.vertex_fields.items():
             if len(arr) != g.nverts:
                 raise FormatError(f"vertex field {name!r} has {len(arr)} rows, "
@@ -281,7 +380,6 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
                 "guichard.associate",
                 check_guichard(pn, vf["xdual"])["associate"], tols["associate"]))
             if omega is not None:
-                labels = omega_edge_labels(omega)
                 eis = eisenhart_guichard(pn, vf["xdual"], labels)
                 rep.add(Check.from_residual("guichard.eisenhart",
                                             eis["eisenhart"], tols["eisenhart"]))

@@ -250,3 +250,26 @@ def test_verify_with_no_checks_fails(tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "-i", path) == 1
     assert "overall: FAIL (0 checks, 3 skipped)" in capsys.readouterr().out
+
+
+def test_guichard_checks_compute_labels_once(tmp_path, monkeypatch):
+    from dnet import lie_sphere
+    path = tmp_path / "g.json"
+    assert run("gen", "guichard", "--dims", "5x5", "--seed", 1, "-o", path) == 0
+    calls = []
+    real = lie_sphere.omega_edge_labels
+    monkeypatch.setattr(lie_sphere, "omega_edge_labels",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    rep = run_checks(NetFile.load(str(path)))
+    assert rep.passed
+    assert {"omega.eisenhart", "guichard.eisenhart"} <= {c.name for c in rep.checks}
+    assert len(calls) == 1
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    from dnet.cli import build_parser
+    texts = []
+    for _ in range(2):
+        assert run("--help") == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == build_parser().format_help()
