@@ -60,24 +60,39 @@ def _trivector(C: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _span_of_bivector(C: np.ndarray, tol: float = 1e-8):
-    """Orthonormal basis of the 2-plane of a decomposable bivector."""
+    """Orthonormal bases of the 2-planes of decomposable bivectors,
+    batched over leading axes.
+
+    Returns the bases and the ``(mask, message)`` degeneracies, in the
+    order they are tested; see :func:`_raise_first`.
+    """
     U, sv, _ = np.linalg.svd(C)
-    if sv[1] <= tol * max(sv[0], 1e-300):
-        raise DegeneracyError("bivector has rank < 2")
-    if len(sv) > 2 and sv[2] > 100 * tol * sv[0]:
-        raise DegeneracyError("bivector is not decomposable")
-    return U[:, :2]
+    failures = [
+        (sv[..., 1] <= tol * np.maximum(sv[..., 0], 1e-300),
+         "bivector has rank < 2"),
+        (np.any(sv[..., 2:3] > 100 * tol * sv[..., :1], axis=-1),
+         "bivector is not decomposable"),
+    ]
+    return U[..., :2], failures
 
 
 def _plane_intersection(B1: np.ndarray, B2: np.ndarray, tol: float = 1e-8):
-    """A vector spanning the intersection of two 2-planes (d x 2 bases)."""
-    M = np.concatenate([B1, -B2], axis=1)
-    _, sv, Vt = np.linalg.svd(M)
-    coef = Vt[-1]
-    v = B1 @ coef[:2]
-    if np.linalg.norm(v) <= tol:
-        raise DegeneracyError("planes do not intersect transversally")
-    return v / np.linalg.norm(v)
+    """Unit vectors spanning the intersection of two 2-planes (``d x 2``
+    bases), batched over leading axes, with their degeneracy."""
+    _, _, Vt = np.linalg.svd(np.concatenate([B1, -B2], axis=-1))
+    v = (B1 @ Vt[..., -1, :2, None])[..., 0]
+    # one dot per vector, the sum np.linalg.norm takes for a single vector
+    n = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = v / n[..., None]
+    return v, [(n <= tol, "planes do not intersect transversally")]
+
+
+def _raise_first(failures) -> None:
+    """Raise the first degeneracy of an unbatched helper result."""
+    for mask, message in failures:
+        if mask:
+            raise DegeneracyError(message)
 
 
 # -- nets ---------------------------------------------------------------
@@ -407,9 +422,10 @@ def g_map(cong: LineCongruence, from_v: int, to_v: int, point) -> np.ndarray:
         raise ValueError("(tau, r) must not both vanish")
     eta_val = cong.eta_on(to_v, from_v)      # eta on the edge to_v -> from_v
     W = r_coef * eta_val + t_coef * cong.lam2_lift(from_v)
-    span = _span_of_bivector(unpack_bivector(W, cong.dim))
-    f_to = cong.plane_basis(to_v)
-    v = _plane_intersection(span, f_to)
+    span, failures = _span_of_bivector(unpack_bivector(W, cong.dim))
+    _raise_first(failures)
+    v, failures = _plane_intersection(span, cong.plane_basis(to_v))
+    _raise_first(failures)
     coords, *_ = np.linalg.lstsq(
         np.stack([cong.sigma1[to_v], cong.sigma2[to_v]], axis=1), v, rcond=None)
     return coords

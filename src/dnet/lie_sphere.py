@@ -29,7 +29,8 @@ from .grid import Grid, integrate_one_form, stack
 from .isothermic import (ConservedQuantity, IsothermicNet, calapso_transform,
                          darboux_transform, flat_connection, moutard_evolve,
                          stack_pair)
-from .koenigs import LineCongruence, extract_pair, km_pair_check
+from .koenigs import (LineCongruence, _plane_intersection, _span_of_bivector,
+                      extract_pair, km_pair_check)
 from .pseudo_euclidean import Frame, Signature, action_matrix
 
 __all__ = [
@@ -430,33 +431,17 @@ def omega_edge_labels(omega_or_cong, signature: Signature | None = None,
     eta = cong.eta
     ia, ib = lam2_pairs(cong.dim)
     sign_prod = sig.signs[ia] * sig.signs[ib]
+    span, span_failures = _span_of_bivector(unpack_bivector(eta, cong.dim))
+    planes, _ = np.linalg.qr(np.stack([cong.sigma1, cong.sigma2], axis=2))
+    s_t, tail_failures = _plane_intersection(span, planes[g.edge_tail])
+    s_h, head_failures = _plane_intersection(span, planes[g.edge_head])
+    w = wedge_vec(s_h, s_t)
+    ww = np.einsum("ij,ij->i", w, w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the bivector's 2-plane (the batched koenigs._span_of_bivector)
-        U, sv, _ = np.linalg.svd(unpack_bivector(eta, cong.dim))
-        span = U[:, :, :2]
-        planes, _ = np.linalg.qr(np.stack([cong.sigma1, cong.sigma2], axis=2))
-
-        def meet(ends):
-            """Unit vectors spanning span cap f_v (batched
-            koenigs._plane_intersection); also their norms before scaling."""
-            _, _, Vt = np.linalg.svd(np.concatenate([span, -planes[ends]], axis=2))
-            v = (span @ Vt[:, -1, :2, None])[..., 0]
-            n = np.linalg.norm(v, axis=1)
-            return v / n[:, None], n
-
-        s_t, n_t = meet(g.edge_tail)
-        s_h, n_h = meet(g.edge_head)
-        w = wedge_vec(s_h, s_t)
-        ww = np.einsum("ij,ij->i", w, w)
         coef = np.einsum("ij,ij->i", eta, w) / ww
         resid = np.linalg.norm(eta - coef[:, None] * w, axis=1)
     # in the order a per-edge computation meets them
-    failures = [
-        (sv[:, 1] <= 1e-8 * np.maximum(sv[:, 0], 1e-300), "bivector has rank < 2"),
-        (np.any(sv[:, 2:3] > 100 * 1e-8 * sv[:, :1], axis=1),
-         "bivector is not decomposable"),
-        (n_t <= 1e-8, "planes do not intersect transversally"),
-        (n_h <= 1e-8, "planes do not intersect transversally"),
+    failures = span_failures + tail_failures + head_failures + [
         (ww <= 1e-300, "factorization degenerate"),
         (resid > tol * np.maximum(np.linalg.norm(eta, axis=1), 1e-300),
          "eta is not decomposable on the edge planes"),

@@ -4,7 +4,8 @@ edges and the Omega-net edge labels.
 These are the formulas the library used before they were written as
 array code: the codec encodes and decodes one value at a time, the
 grid looks up each quad's boundary edges in a ``(tail, axis) -> slot``
-dict, and the labels factor the applicability form one edge at a time.
+dict, and the labels factor the applicability form one edge at a time
+with the unbatched plane helpers that ``koenigs.g_map`` also used.
 The equivalence tests in ``test_codec.py`` compare the library against
 them.
 """
@@ -17,7 +18,6 @@ import numpy as np
 from dnet.errors import DegeneracyError
 from dnet.forms import lam2_pairs, unpack_bivector, wedge_vec
 from dnet.grid import OrientedEdge
-from dnet.koenigs import _plane_intersection, _span_of_bivector
 from dnet.lie_sphere import OmegaNet
 
 
@@ -104,6 +104,27 @@ def oriented_edge(grid, tail, head) -> OrientedEdge:
 
 # -- Omega-net edge labels ------------------------------------------------
 
+def span_of_bivector(C, tol=1e-8):
+    """Orthonormal basis of the 2-plane of a decomposable bivector."""
+    U, sv, _ = np.linalg.svd(C)
+    if sv[1] <= tol * max(sv[0], 1e-300):
+        raise DegeneracyError("bivector has rank < 2")
+    if len(sv) > 2 and sv[2] > 100 * tol * sv[0]:
+        raise DegeneracyError("bivector is not decomposable")
+    return U[:, :2]
+
+
+def plane_intersection(B1, B2, tol=1e-8):
+    """A vector spanning the intersection of two 2-planes (d x 2 bases)."""
+    M = np.concatenate([B1, -B2], axis=1)
+    _, sv, Vt = np.linalg.svd(M)
+    coef = Vt[-1]
+    v = B1 @ coef[:2]
+    if np.linalg.norm(v) <= tol:
+        raise DegeneracyError("planes do not intersect transversally")
+    return v / np.linalg.norm(v)
+
+
 def omega_edge_labels(omega_or_cong, signature=None, tol=1e-8) -> np.ndarray:
     """Labels edge by edge.  A degeneracy raised by a plane helper, which
     names no element, is given the edge it was raised on."""
@@ -119,9 +140,9 @@ def omega_edge_labels(omega_or_cong, signature=None, tol=1e-8) -> np.ndarray:
     for e in range(g.nedges):
         tl, hd = int(g.edge_tail[e]), int(g.edge_head[e])
         try:
-            span = _span_of_bivector(unpack_bivector(cong.eta[e], cong.dim))
-            s_t = _plane_intersection(span, cong.plane_basis(tl))
-            s_h = _plane_intersection(span, cong.plane_basis(hd))
+            span = span_of_bivector(unpack_bivector(cong.eta[e], cong.dim))
+            s_t = plane_intersection(span, cong.plane_basis(tl))
+            s_h = plane_intersection(span, cong.plane_basis(hd))
         except DegeneracyError as err:
             err.where = g.locate_edge(e)
             raise

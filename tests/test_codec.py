@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from dnet import koenigs
 from dnet import lie_sphere as lie
 from dnet.cli import main
 from dnet.errors import DegeneracyError, FormatError
-from dnet.forms import wedge_vec
+from dnet.forms import unpack_bivector, wedge_vec
 from dnet.grid import Grid
 from dnet.isothermic import random_isothermic
 from dnet.koenigs import LineCongruence
@@ -339,3 +340,42 @@ def test_label_degeneracies_match_reference(omega_net):
     got = _label_error(lie.omega_edge_labels, cong, tol=0.0)
     assert got == _label_error(ref.omega_edge_labels, cong, tol=0.0)
     assert got[0] == "eta is not decomposable on the edge planes"
+
+
+def test_plane_helpers_match_reference_on_one_element(omega_net):
+    # g_map calls the batched helpers on a batch of one
+    cong = omega_net.congruence()
+    g = cong.grid
+    for e in range(g.nedges):
+        C = unpack_bivector(cong.eta[e], cong.dim)
+        span, failures = koenigs._span_of_bivector(C)
+        koenigs._raise_first(failures)
+        assert np.array_equal(span, ref.span_of_bivector(C))
+        for v in (int(g.edge_tail[e]), int(g.edge_head[e])):
+            B = cong.plane_basis(v)
+            got, failures = koenigs._plane_intersection(span, B)
+            koenigs._raise_first(failures)
+            assert np.array_equal(got, ref.plane_intersection(span, B))
+
+
+def _helper_error(fn, *args):
+    with pytest.raises(DegeneracyError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_plane_helper_degeneracies_match_reference_on_one_element():
+    E = np.eye(6)
+
+    def span(C):
+        koenigs._raise_first(koenigs._span_of_bivector(C)[1])
+
+    def meet(B1, B2):
+        koenigs._raise_first(koenigs._plane_intersection(B1, B2)[1])
+
+    for C in (np.zeros((6, 6)),
+              unpack_bivector(wedge_vec(E[0], E[1]) + wedge_vec(E[2], E[3]), 6)):
+        assert _helper_error(span, C) == _helper_error(ref.span_of_bivector, C)
+    B1, B2 = E[:, :2], E[:, 2:4]
+    assert (_helper_error(meet, B1, B2)
+            == _helper_error(ref.plane_intersection, B1, B2))
