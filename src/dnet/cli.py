@@ -31,9 +31,37 @@ def _parse_dims(text: str):
         dims = tuple(int(p) for p in text.lower().split("x"))
     except ValueError:
         raise FormatError(f"bad dims {text!r}; expected like 6x6")
-    if not dims or any(d < 1 for d in dims):
-        raise FormatError(f"bad dims {text!r}")
+    if len(dims) != 2 or any(d < 1 for d in dims):
+        raise FormatError(f"bad dims {text!r}; every generator builds a 2D grid, "
+                          f"expected like 6x6")
     return dims
+
+
+def _parse_signature(text: str):
+    """``p,q`` of a signature with a null frame, and its standard frame."""
+    try:
+        p, q = (int(v) for v in text.split(","))
+        sig = Signature(p, q)
+        return (p, q), sig, sig.standard_frame()
+    except ValueError:
+        raise FormatError(f"bad --signature {text!r}; expected p,q with p, q >= 1, "
+                          f"like 4,2")
+
+
+def _parse_number(option: str, text, default=None) -> float:
+    """A float option of a transform (``inf`` allowed), required unless
+    it has a default."""
+    if text is None:
+        if default is None:
+            raise FormatError(f"{option} is required for this transform")
+        return default
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormatError(f"bad {option} {text!r}; expected a number")
+    if np.isnan(value):
+        raise FormatError(f"bad {option} {text!r}; expected a number")
+    return value
 
 
 def _parse_params(items):
@@ -81,26 +109,22 @@ def cmd_generate(args) -> int:
                        for k, v in params.items()}}
 
     if args.kind == "isothermic":
-        p, q = (int(v) for v in args.signature.split(","))
-        sig = Signature(p, q)
-        frame = sig.standard_frame()
+        pq, sig, frame = _parse_signature(args.signature)
         net = iso.random_isothermic(Grid(dims), sig, rng,
                                     magnitude=params.get("magnitude", 0.3),
                                     frame=frame)
-        nf = NetFile(signature=(p, q), dims=dims,
+        nf = NetFile(signature=pq, dims=dims,
                      frame=_plain_frame_dict(frame),
                      vertex_fields={"mu": net.mu},
                      edge_fields={"m": net.labels}, metadata=meta)
     elif args.kind == "darboux-pair":
-        p, q = (int(v) for v in args.signature.split(","))
-        sig = Signature(p, q)
-        frame = sig.standard_frame()
+        pq, sig, frame = _parse_signature(args.signature)
         net = iso.random_isothermic(Grid(dims), sig, rng, frame=frame)
         m = params.get("m", 0.5)
         m = np.inf if m in ("inf", np.inf) else float(m)
         hat = iso.darboux_transform(net, m, rng=rng)
         stacked = iso.stack_pair(net, hat)
-        nf = NetFile(signature=(p, q), dims=stacked.grid.dims, stacked=True,
+        nf = NetFile(signature=pq, dims=stacked.grid.dims, stacked=True,
                      frame=_plain_frame_dict(frame),
                      vertex_fields={"mu": stacked.mu},
                      edge_fields={"m": stacked.labels}, metadata=meta)
@@ -213,7 +237,7 @@ def cmd_transform(args) -> int:
         net = iso.IsothermicNet(g, sig, nf.vertex_fields["mu"])
         frame = nf.the_frame() or sig.standard_frame()
         if args.op == "darboux":
-            m = np.inf if args.m == "inf" else float(args.m)
+            m = _parse_number("--m", args.m)
             meta["m"] = "inf" if np.isinf(m) else m
             hat = iso.darboux_transform(net, m, rng=rng)
             stacked = iso.stack_pair(net, hat)
@@ -222,7 +246,7 @@ def cmd_transform(args) -> int:
                           vertex_fields={"mu": stacked.mu},
                           edge_fields={"m": stacked.labels}, metadata=meta)
         elif args.op == "calapso":
-            t = float(args.t)
+            t = _parse_number("--t", args.t)
             meta["t"] = t
             moved, _ = iso.calapso_transform(net, t)
             out = NetFile(signature=nf.signature, dims=nf.dims,
@@ -257,7 +281,7 @@ def cmd_transform(args) -> int:
                           edge_fields={"kappa": pn.kappa}, metadata=meta)
         else:
             a = lie.associates(om)
-            c = float(args.c or 0.0)
+            c = _parse_number("--c", args.c, default=0.0)
             xd = a.x_dual + c * a.n
             nd = a.n_dual - c * a.x
             vfields = dict(nf.vertex_fields)

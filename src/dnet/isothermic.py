@@ -164,6 +164,57 @@ def moutard_evolve(grid: Grid, signature: Signature, line0, line1,
     return IsothermicNet(grid, signature, mu.reshape(grid.nverts, signature.dim))
 
 
+class _CandidateRows:
+    """Candidate rows of ``rng`` for a run of rejection-sampled steps.
+
+    A per-candidate loop reads one ``rng.standard_normal(d)`` row per
+    try; this reads the same rows ``tries`` at a time.  Leaving the
+    ``with`` block, also by the ``DegeneracyError(failure)`` of a step
+    that rejects ``tries`` candidates, gives back the rows not used: it
+    restores the state saved before the last block and reads again only
+    the rows used, so ``rng`` ends where the loop leaves it.
+    ``transform`` maps a block of raw rows to candidates and must act on
+    each row alone.
+    """
+
+    tries = 64
+
+    def __init__(self, rng, d: int, transform, failure: str):
+        self.rng, self.d, self.transform, self.failure = rng, d, transform, failure
+        self.rows = np.empty((0, d))
+        self.pos = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pos < len(self.rows):
+            self.rng.bit_generator.state = self.state
+            self.rng.standard_normal((self.pos, self.d))
+
+    def step(self, first, *args):
+        """Run one step and return its result.
+
+        ``first(rows, *args)`` gets the step's next untried candidates in
+        draw order and returns ``(k, result)`` for the first accepted row
+        ``k``, or None.
+        """
+        left = self.tries
+        while left:
+            if self.pos == len(self.rows):
+                self.state = self.rng.bit_generator.state
+                self.rows = self.transform(self.rng.standard_normal((self.tries, self.d)))
+                self.pos = 0
+            rows = self.rows[self.pos:self.pos + left]
+            hit = first(rows, *args)
+            if hit is not None:
+                self.pos += hit[0] + 1
+                return hit[1]
+            self.pos += len(rows)
+            left -= len(rows)
+        raise DegeneracyError(self.failure)
+
+
 def random_cauchy(grid: Grid, signature: Signature, rng,
                   magnitude: float = 0.3, frame: Frame | None = None,
                   timelike_factor: float = 0.35):
@@ -175,27 +226,39 @@ def random_cauchy(grid: Grid, signature: Signature, rng,
     the step component along the point sphere complex is damped by
     ``timelike_factor``, which keeps the edge inner products (and so the
     labels) bounded away from the isotropic case.
+
+    ``rng`` must be a ``numpy.random.Generator``.  Draw order: one
+    ``standard_normal(d)`` row for the base point, then one row per
+    candidate step, the steps of axis 0 before those of axis 1, and a
+    rejected candidate uses up exactly its row.  A step gives up after
+    64 candidates with :class:`DegeneracyError`, leaving ``rng`` just
+    past the rows used.  The rows are drawn in blocks, but every seed
+    gives the same lines and the same final ``rng`` state as one draw
+    per candidate.
     """
     frame = signature.standard_frame() if frame is None else frame
     ip = signature.inner
     d = signature.dim
 
-    def null_step(prev):
-        for _ in range(64):
-            delta = magnitude * rng.standard_normal(d)
-            delta = frame.pi(delta)
-            if frame.p is not None:
-                comp = -float(ip(delta, frame.p))
-                delta = delta + (timelike_factor - 1.0) * comp * frame.p
+    def candidate_steps(rows):
+        delta = frame.pi(magnitude * rows)
+        if frame.p is not None:
+            comp = -ip(delta, frame.p)
+            delta = delta + ((timelike_factor - 1.0) * comp)[:, None] * frame.p
+        return delta
+
+    def first_regular(deltas, prev):
+        prev_norm = np.linalg.norm(prev)
+        for k, delta in enumerate(deltas):
             w = prev + delta
             wq = float(ip(w, frame.q))
             if abs(wq) < 1e-6:
                 continue
             lam = -0.5 * float(ip(w, w)) / wq
             cand = w + lam * frame.q
-            if abs(ip(cand, prev)) > 1e-8 * np.linalg.norm(cand) * np.linalg.norm(prev):
-                return cand
-        raise DegeneracyError("could not draw a regular Cauchy step")
+            if abs(ip(cand, prev)) > 1e-8 * np.linalg.norm(cand) * prev_norm:
+                return k, cand
+        return None
 
     x0 = frame.pi(rng.standard_normal(d))
     base = frame.o + x0 + 0.5 * float(ip(x0, x0)) * frame.q
@@ -203,10 +266,10 @@ def random_cauchy(grid: Grid, signature: Signature, rng,
     line0 = np.zeros((d0, d))
     line1 = np.zeros((d1, d))
     line0[0] = line1[0] = base
-    for a in range(1, d0):
-        line0[a] = null_step(line0[a - 1])
-    for b in range(1, d1):
-        line1[b] = null_step(line1[b - 1])
+    with _CandidateRows(rng, d, candidate_steps, "could not draw a regular Cauchy step") as draws:
+        for line in (line0, line1):
+            for a in range(1, len(line)):
+                line[a] = draws.step(first_regular, line[a - 1])
     return line0, line1
 
 

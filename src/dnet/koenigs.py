@@ -52,11 +52,18 @@ def pluecker_residual(packed: np.ndarray, d: int) -> np.ndarray:
 
 
 def _trivector(C: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Components (a<b<c) of ``C ^ v`` for an antisymmetric matrix C."""
-    d = len(v)
-    comps = [C[a, b] * v[c] + C[b, c] * v[a] + C[c, a] * v[b]
+    """Components (a<b<c) of ``C ^ v`` for antisymmetric matrices C,
+    batched over leading axes."""
+    d = v.shape[-1]
+    comps = [C[..., a, b] * v[..., c] + C[..., b, c] * v[..., a] + C[..., c, a] * v[..., b]
              for a in range(d) for b in range(a + 1, d) for c in range(b + 1, d)]
-    return np.array(comps)
+    return np.stack(comps, axis=-1)
+
+
+def _dot_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each taken as one dot, the
+    sum ``np.linalg.norm`` takes for a single vector."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def _span_of_bivector(C: np.ndarray, tol: float = 1e-8):
@@ -81,11 +88,21 @@ def _plane_intersection(B1: np.ndarray, B2: np.ndarray, tol: float = 1e-8):
     bases), batched over leading axes, with their degeneracy."""
     _, _, Vt = np.linalg.svd(np.concatenate([B1, -B2], axis=-1))
     v = (B1 @ Vt[..., -1, :2, None])[..., 0]
-    # one dot per vector, the sum np.linalg.norm takes for a single vector
-    n = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    n = _dot_norm(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = v / n[..., None]
     return v, [(n <= tol, "planes do not intersect transversally")]
+
+
+def _first_failure(failures):
+    """``(element, test)`` of the first degenerate element of a batched
+    helper result and its first failed test, in the order a per-element
+    loop meets them; None when every element passes."""
+    bad = np.any([mask for mask, _ in failures], axis=0)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return k, next(n for n, (mask, _) in enumerate(failures) if mask[k])
 
 
 def _raise_first(failures) -> None:
@@ -332,24 +349,38 @@ class LineCongruence:
         e = self.grid.oriented_edge(tail, head)
         return e.sign * self.eta[e.index]
 
+    def _edge_spans(self, edges, tol: float = 1e-6):
+        """Stacked svd of the ``(d, 4)`` spans of ``f_tail + f_head`` on
+        ``edges`` and the intersection lines ``s_ij``, with the
+        degeneracies of :meth:`intersection_line` in the order it tests
+        them."""
+        g = self.grid
+        t, h = g.edge_tail[edges], g.edge_head[edges]
+        # rows, transposed per edge: the memory layout a single edge's
+        # M.T has, so the intersection line comes out bit for bit
+        M = np.stack([self.sigma1[t], self.sigma2[t], self.sigma1[h], self.sigma2[h]],
+                     axis=-2).swapaxes(-1, -2)
+        U, sv, _ = np.linalg.svd(M, full_matrices=False)
+        s, ((meet, _),) = _plane_intersection(M[..., :2], M[..., 2:], tol)
+        failures = [(sv[..., 2] <= tol * sv[..., 0],
+                     "first-order regularity fails: dim f_ij < 3"),
+                    (meet, "intersection line degenerate")]
+        return U, sv, s, failures
+
+    def _raise_first_edge(self, edges, failures) -> None:
+        """Raise the first degeneracy of :meth:`_edge_spans` on ``edges``."""
+        first = _first_failure(failures)
+        if first is not None:
+            k, n = first
+            raise DegeneracyError(failures[n][1],
+                                  where=self.grid.locate_edge(int(edges[k])))
+
     def intersection_line(self, e: int, tol: float = 1e-6) -> np.ndarray:
         """Representative of ``s_ij = f_i cap f_j`` on canonical edge e."""
-        t, h = int(self.grid.edge_tail[e]), int(self.grid.edge_head[e])
-        M = np.stack([self.sigma1[t], self.sigma2[t],
-                      self.sigma1[h], self.sigma2[h]])
-        _, sv, Vt = np.linalg.svd(M.T, full_matrices=False)
-        if sv[2] <= tol * sv[0]:
-            raise DegeneracyError("first-order regularity fails: dim f_ij < 3",
-                                  where=self.grid.locate_edge(e))
-        A = np.concatenate([M[:2].T, -M[2:].T], axis=1)
-        _, _, Vt4 = np.linalg.svd(A)
-        c = Vt4[-1]
-        v = M[:2].T @ c[:2]
-        n = np.linalg.norm(v)
-        if n <= tol:
-            raise DegeneracyError("intersection line degenerate",
-                                  where=self.grid.locate_edge(e))
-        return v / n
+        edges = np.array([e])
+        _, _, s, failures = self._edge_spans(edges, tol)
+        self._raise_first_edge(edges, failures)
+        return s[0]
 
     def validate(self, tol: float = 1e-8, margin: float = 1e-6) -> dict:
         """Applicability and regularity residuals.
@@ -364,37 +395,27 @@ class LineCongruence:
         out["eta_closed"], _ = closedness_residual(g, self.eta)
         out["eta_decomposable"] = float(
             pluecker_residual(self.eta, self.dim).max(initial=0.0))
-        membership, nondeg, first_order = 0.0, np.inf, np.inf
-        s_lines = np.zeros((g.nedges, self.dim))
-        for e in range(g.nedges):
-            t, h = int(g.edge_tail[e]), int(g.edge_head[e])
-            M = np.stack([self.sigma1[t], self.sigma2[t],
-                          self.sigma1[h], self.sigma2[h]])
-            _, sv, _ = np.linalg.svd(M.T, full_matrices=False)
-            first_order = min(first_order, float(sv[2] / max(sv[0], 1e-300)))
-            B = np.linalg.svd(M.T, full_matrices=False)[0][:, :3]
-            basis = [wedge_vec(B[:, a], B[:, b]) for a, b in ((0, 1), (0, 2), (1, 2))]
-            basis = np.stack(basis, axis=1)
-            coef, res, *_ = np.linalg.lstsq(basis, self.eta[e], rcond=None)
-            rec = basis @ coef
-            membership = max(membership, float(
-                np.linalg.norm(self.eta[e] - rec)
-                / max(np.linalg.norm(self.eta[e]), 1e-300)))
-            s = self.intersection_line(e)
-            s_lines[e] = s
-            tri = _trivector(unpack_bivector(self.eta[e], self.dim), s)
-            nondeg = min(nondeg, float(
-                np.linalg.norm(tri) / max(np.linalg.norm(self.eta[e]), 1e-300)))
-        out["eta_in_lam2_f"] = membership
-        out["nondegeneracy_margin"] = 0.0 if g.nedges == 0 else float(nondeg)
-        out["first_order_margin"] = 0.0 if g.nedges == 0 else float(first_order)
-        second = np.inf
-        for n in range(g.nquads):
-            qe = g.quad_edges[n]
-            M = np.stack([s_lines[e] for e in qe])
-            sv = np.linalg.svd(M, compute_uv=False)
-            second = min(second, float(sv[3] / max(sv[0], 1e-300)))
-        out["second_order_margin"] = 0.0 if g.nquads == 0 else float(second)
+        edges = np.arange(g.nedges)
+        U, sv, s_lines, failures = self._edge_spans(edges)
+        self._raise_first_edge(edges, failures)
+        eta_norm = np.maximum(_dot_norm(self.eta), 1e-300)
+        # the wedges of an orthonormal basis of the 3-space f_i + f_j
+        # are an orthonormal basis of its Lambda^2
+        B = U[..., :3]
+        basis = np.stack([wedge_vec(B[..., a], B[..., b])
+                          for a, b in ((0, 1), (0, 2), (1, 2))], axis=-1)
+        coef = (self.eta[:, None, :] @ basis)[:, 0]
+        rec = (basis @ coef[..., None])[..., 0]
+        membership = _dot_norm(self.eta - rec) / eta_norm
+        tri = _trivector(unpack_bivector(self.eta, self.dim), s_lines)
+        nondeg = _dot_norm(tri) / eta_norm
+        first_order = sv[:, 2] / np.maximum(sv[:, 0], 1e-300)
+        out["eta_in_lam2_f"] = float(membership.max(initial=0.0))
+        out["nondegeneracy_margin"] = float(nondeg.min()) if g.nedges else 0.0
+        out["first_order_margin"] = float(first_order.min()) if g.nedges else 0.0
+        sv4 = np.linalg.svd(s_lines[g.quad_edges], compute_uv=False)
+        second = sv4[:, 3] / np.maximum(sv4[:, 0], 1e-300)
+        out["second_order_margin"] = float(second.min()) if g.nquads else 0.0
         out["passed"] = bool(
             out["eta_closed"] <= tol
             and out["eta_decomposable"] <= max(tol, 1e-9)

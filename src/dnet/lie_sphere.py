@@ -26,11 +26,11 @@ from .errors import (DegeneracyError, FrameError, GaugeError,
 from .forms import (Form0, Form1, curly_wedge, exterior_derivative,
                     mixed_area, unpack_bivector, wedge, wedge_vec, BilinearRule)
 from .grid import Grid, integrate_one_form, stack
-from .isothermic import (ConservedQuantity, IsothermicNet, calapso_transform,
-                         darboux_transform, flat_connection, moutard_evolve,
-                         stack_pair)
-from .koenigs import (LineCongruence, _plane_intersection, _span_of_bivector,
-                      extract_pair, km_pair_check)
+from .isothermic import (ConservedQuantity, IsothermicNet, _CandidateRows,
+                         calapso_transform, darboux_transform, flat_connection,
+                         moutard_evolve, stack_pair)
+from .koenigs import (LineCongruence, _first_failure, _plane_intersection,
+                      _span_of_bivector, extract_pair, km_pair_check)
 from .pseudo_euclidean import Frame, Signature, action_matrix
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 SIG42 = Signature(4, 2)
+
+# relative slack of the batched candidate screen in guichard_generate
+_SCREEN_SLACK = 1e-12
 
 
 class LieFrame:
@@ -446,10 +449,9 @@ def omega_edge_labels(omega_or_cong, signature: Signature | None = None,
         (resid > tol * np.maximum(np.linalg.norm(eta, axis=1), 1e-300),
          "eta is not decomposable on the edge planes"),
     ]
-    bad = np.any([mask for mask, _ in failures], axis=0)
-    if bad.any():
-        e = int(np.argmax(bad))
-        k = next(k for k, (mask, _) in enumerate(failures) if mask[e])
+    first = _first_failure(failures)
+    if first is not None:
+        e, k = first
         raise DegeneracyError(
             failures[k][1], where=g.locate_edge(e),
             residual=float(resid[e]) if k == len(failures) - 1 else None)
@@ -599,6 +601,15 @@ def guichard_generate(dims, seed: int = 0, magnitude: float = 0.25,
     ``skip_constraint_at`` deliberately skips the rescaling at one
     Cauchy step (fault injection for the verification path); the
     resulting diagnostics then localize the violation.
+
+    Draw order: every attempt reads, from one ``numpy.random.Generator``
+    made by ``numpy.random.default_rng(seed)``, a ``standard_normal(d)`` row for
+    the base point, the rows of the seed search for ``xi``, then one row
+    per candidate Cauchy step, the steps of axis 0 before those of axis
+    1; a rejected candidate uses up exactly its row, and a step gives up
+    after 64 candidates, leaving the stream just past the rows used.
+    The candidates are drawn and screened in blocks, but each seed gives
+    the same net as one draw and one test per candidate.
     """
     frame = standard_lie_frame() if frame is None else frame
     sig = frame.signature
@@ -643,45 +654,69 @@ def _guichard_attempt(g: Grid, frame: LieFrame, rng, magnitude,
     kernel = _kernel_of(sig, [frame.p, mu0])
     xi0 = _null_solve(sig, particular, kernel, rng)
 
-    def cauchy_step(mu_prev, xi_prev, index):
+    def exact_step(mu_prev, prev_norm, xi_prev, delta, skip):
+        """The step from one candidate row, or None if it is rejected."""
+        w = mu_prev / prev_norm + delta
+        wq = float(ip(w, frame.q))
+        if abs(wq) < 1e-6:
+            return None
+        w = w + (-0.5 * float(ip(w, w)) / wq) * frame.q
+        wp = float(ip(w, frame.p))
+        wm = float(ip(mu_prev, w))
+        if abs(wp) < 0.02 or abs(wm) < 1e-6:
+            return None
+        if skip:
+            alpha = 1.0 / np.linalg.norm(w)   # fault injection: skip rescale
+        else:
+            alpha = -float(ip(xi_prev, w)) / (wp * wm)
+        mu_next = alpha * w
+        # keep lift scales bounded so absolute rounding stays small
+        nn = np.linalg.norm(mu_next)
+        if not (0.25 * prev_norm < nn < 4.0 * prev_norm) or not 0.1 < nn < 10.0:
+            return None
+        xi_next = (xi_prev + float(ip(mu_next, frame.p)) * mu_prev
+                   - float(ip(mu_prev, frame.p)) * mu_next)
+        return mu_next, xi_next
+
+    def first_step(deltas, mu_prev, xi_prev, index):
+        """Screen a block of candidates at once, then take the first one
+        that passes the exact test of :func:`exact_step`.  The screen
+        only skips rows that test rejects: its thresholds are loosened
+        past the ulps by which a batched norm can differ from a single
+        one."""
         prev_norm = np.linalg.norm(mu_prev)
-        for _ in range(64):
-            delta = frame.frame.pi(magnitude * rng.standard_normal(d))
-            w = mu_prev / prev_norm + delta
-            wq = float(ip(w, frame.q))
-            if abs(wq) < 1e-6:
-                continue
-            w = w + (-0.5 * float(ip(w, w)) / wq) * frame.q
-            wp = float(ip(w, frame.p))
-            wm = float(ip(mu_prev, w))
-            if abs(wp) < 0.02 or abs(wm) < 1e-6:
-                continue
-            if skip_constraint_at is not None and index == skip_constraint_at:
-                alpha = 1.0 / np.linalg.norm(w)   # fault injection: skip rescale
-            else:
-                alpha = -float(ip(xi_prev, w)) / (wp * wm)
-            mu_next = alpha * w
-            # keep lift scales bounded so absolute rounding stays small
-            nn = np.linalg.norm(mu_next)
-            if not (0.25 * prev_norm < nn < 4.0 * prev_norm) or not 0.1 < nn < 10.0:
-                continue
-            xi_next = (xi_prev + float(ip(mu_next, frame.p)) * mu_prev
-                       - float(ip(mu_prev, frame.p)) * mu_next)
-            return mu_next, xi_next
-        raise DegeneracyError("Cauchy step failed")
+        skip = skip_constraint_at is not None and index == skip_constraint_at
+        lo, hi = 1.0 - _SCREEN_SLACK, 1.0 + _SCREEN_SLACK
+        w = mu_prev / prev_norm + deltas
+        wq = ip(w, frame.q)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = w + (-0.5 * ip(w, w) / wq)[:, None] * frame.q
+            wp = ip(w, frame.p)
+            wm = ip(mu_prev, w)
+            wn = np.linalg.norm(w, axis=1)
+            alpha = 1.0 / wn if skip else -ip(xi_prev, w) / (wp * wm)
+            nn = np.abs(alpha) * wn
+        keep = ((np.abs(wq) >= 1e-6 * lo) & (np.abs(wp) >= 0.02 * lo)
+                & (np.abs(wm) >= 1e-6 * lo)
+                & (nn > max(0.25 * prev_norm, 0.1) * lo)
+                & (nn < min(4.0 * prev_norm, 10.0) * hi))
+        for k in np.flatnonzero(keep):
+            out = exact_step(mu_prev, prev_norm, xi_prev, deltas[k], skip)
+            if out is not None:
+                return k, out
+        return None
 
     line0 = np.zeros((d0, d))
     line1 = np.zeros((d1, d))
     line0[0] = line1[0] = mu0
-    xi_prev = xi0
     index = 0
-    for a in range(1, d0):
-        index += 1
-        line0[a], xi_prev = cauchy_step(line0[a - 1], xi_prev, index)
-    xi_prev = xi0
-    for b in range(1, d1):
-        index += 1
-        line1[b], xi_prev = cauchy_step(line1[b - 1], xi_prev, index)
+    with _CandidateRows(rng, d, lambda rows: frame.frame.pi(magnitude * rows),
+                        "Cauchy step failed") as draws:
+        for line in (line0, line1):
+            xi_prev = xi0
+            for a in range(1, len(line)):
+                index += 1
+                line[a], xi_prev = draws.step(first_step, line[a - 1], xi_prev, index)
 
     net = moutard_evolve(g, sig, line0, line1, frame=frame.frame)
     rep = net.validate(margin=1e-5)

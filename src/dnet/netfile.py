@@ -320,7 +320,9 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
         if "m" in nf.edge_fields:
             stored = nf.edge_fields["m"]
             both_inf = np.isinf(stored) & np.isinf(net.labels)
-            num = np.where(both_inf, 0.0, np.abs(stored - net.labels))
+            # subtract only where defined: inf - inf would warn
+            num = np.abs(np.subtract(stored, net.labels, out=np.zeros(net.labels.shape),
+                                     where=~both_inf))
             den = np.where(both_inf, 1.0, np.maximum(np.abs(stored), 1e-300))
             rep.add(Check.from_residual("isothermic.stored_labels",
                                         float((num / den).max(initial=0.0)), 1e-9))

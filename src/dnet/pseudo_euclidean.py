@@ -53,17 +53,20 @@ class Signature:
         return self.p + self.q
 
     def inner(self, u, v) -> np.ndarray:
-        """Indefinite inner product, batched over leading axes."""
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        return np.sum(u * self.signs * v, axis=-1)
+        """Indefinite inner product, batched over leading axes.
+
+        One ufunc chain: the products go through the float ``signs``, so
+        array-likes need no conversion, and ``np.add.reduce`` is the sum
+        ``np.sum`` makes, without its dispatch.
+        """
+        return np.add.reduce(u * self.signs * v, axis=-1)
 
     def norm2(self, v) -> np.ndarray:
         return self.inner(v, v)
 
     def is_null(self, v, tol: float = 1e-10) -> np.ndarray:
         v = np.asarray(v, float)
-        scale = np.maximum(np.sum(v * v, axis=-1), 1e-300)
+        scale = np.maximum(np.add.reduce(v * v, axis=-1), 1e-300)
         return np.abs(self.norm2(v)) <= tol * scale
 
     def standard_frame(self) -> "Frame":

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from dnet.cli import main
 from dnet.netfile import NetFile, run_checks
@@ -273,3 +274,55 @@ def test_help_is_the_same_on_every_call(capsys):
         assert run("--help") == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] == build_parser().format_help()
+
+
+def test_verify_infinite_label_pair_is_quiet(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    assert run("gen", "darboux-pair", "--dims", "4x4", "--seed", 1,
+               "--param", "m=inf", "-o", path) == 0
+    capsys.readouterr()
+    assert run("verify", "-i", path) == 0
+    assert capsys.readouterr().err == ""
+
+
+EXIT_CODES = [
+    (["gen", "isothermic", "--dims", "4x4", "--seed", "1", "-o", "{out}"], 0),
+    (["verify", "-i", "{net}"], 0),
+    (["transform", "calapso", "-i", "{net}", "--t", "0.4", "-o", "{out}"], 0),
+    (["verify", "-i", "{net}", "--tol", "moutard=1e-18"], 1),
+    (["verify", "-i", "{bare}"], 1),
+    (["transform", "darboux", "-i", "{net}", "-o", "{out}"], 2),
+    (["transform", "darboux", "-i", "{net}", "--m", "abc", "-o", "{out}"], 2),
+    (["transform", "darboux", "-i", "{net}", "--m", "nan", "-o", "{out}"], 2),
+    (["transform", "calapso", "-i", "{net}", "--t", "abc", "-o", "{out}"], 2),
+    (["transform", "calapso", "-i", "{net}", "-o", "{out}"], 2),
+    (["transform", "associates", "-i", "{net}", "--c", "abc", "-o", "{out}"], 2),
+    (["gen", "isothermic", "--dims", "6x6", "--signature", "4", "-o", "{out}"], 2),
+    (["gen", "isothermic", "--dims", "6x6", "--signature", "3,0", "-o", "{out}"], 2),
+    (["gen", "isothermic", "--dims", "6x6x6", "-o", "{out}"], 2),
+    (["gen", "guichard", "--dims", "6", "-o", "{out}"], 2),
+    (["gen", "isothermic", "--dims", "bogus", "-o", "{out}"], 2),
+    (["verify", "-i", "{missing}"], 2),
+    (["gen", "guichard", "--dims", "5x5", "--seed", "1", "--param", "fault=3",
+      "-o", "{out}"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES,
+                         ids=[f"{i}-{a[0]}-{a[1]}-exit{c}"
+                              for i, (a, c) in enumerate(EXIT_CODES)])
+def test_exit_codes(tmp_path, capsys, argv, code):
+    net = tmp_path / "net.json"
+    assert run("gen", "isothermic", "--dims", "4x4", "--seed", 2, "-o", net) == 0
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"format": "dnet-net/1", "signature": [4, 2],
+                                "dims": [3, 3]}))
+    names = {"net": net, "bare": bare, "out": tmp_path / "out.json",
+             "missing": tmp_path / "missing.json"}
+    capsys.readouterr()
+    assert run(*(a.format(**names) for a in argv)) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: "), err
+    elif code == 0:
+        assert err == ""
