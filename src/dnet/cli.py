@@ -102,6 +102,11 @@ def cmd_generate(args) -> int:
     from . import lie_sphere as lie
 
     dims = _parse_dims(args.dims)
+    if args.kind in ("isothermic", "darboux-pair"):
+        pq, sig, frame = _parse_signature("4,2" if args.signature is None else args.signature)
+    elif args.signature is not None and _parse_signature(args.signature)[0] != (4, 2):
+        raise FormatError(f"bad --signature {args.signature!r}; gen {args.kind} "
+                          f"writes signature 4,2 files")
     params = _parse_params(args.param)
     rng = np.random.default_rng(args.seed)
     meta = {"generator": args.kind, "seed": args.seed,
@@ -109,7 +114,6 @@ def cmd_generate(args) -> int:
                        for k, v in params.items()}}
 
     if args.kind == "isothermic":
-        pq, sig, frame = _parse_signature(args.signature)
         net = iso.random_isothermic(Grid(dims), sig, rng,
                                     magnitude=params.get("magnitude", 0.3),
                                     frame=frame)
@@ -118,7 +122,6 @@ def cmd_generate(args) -> int:
                      vertex_fields={"mu": net.mu},
                      edge_fields={"m": net.labels}, metadata=meta)
     elif args.kind == "darboux-pair":
-        pq, sig, frame = _parse_signature(args.signature)
         net = iso.random_isothermic(Grid(dims), sig, rng, frame=frame)
         m = params.get("m", 0.5)
         m = np.inf if m in ("inf", np.inf) else float(m)
@@ -346,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("kind", choices=GEN_KINDS)
     gen.add_argument("--dims", required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--signature", default="4,2")
+    gen.add_argument("--signature", help="p,q (default 4,2); the kinds other than "
+                     "isothermic and darboux-pair accept only 4,2")
     gen.add_argument("--param", action="append")
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)

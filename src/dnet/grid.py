@@ -281,13 +281,6 @@ def stack(grid: Grid) -> Grid:
     return Grid((2,) + grid.dims, stacked=True)
 
 
-def stack_vertex(grid: Grid, stacked: Grid, level: int, vertex: int) -> int:
-    """Index in the stacked grid of ``vertex`` on the given level."""
-    if level not in (0, 1):
-        raise ValueError("level must be 0 or 1")
-    return level * int(stacked.strides[0]) + vertex
-
-
 def _d_one_form(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Quad sums of an edge array on canonical orientations."""
     qe = grid.quad_edges

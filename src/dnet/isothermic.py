@@ -17,6 +17,7 @@ transformations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +40,15 @@ INFINITE = np.inf
 # |(mu_i, mu_j)| below this relative threshold classifies the edge label
 # as infinite.
 INF_LABEL_THRESHOLD = 1e-10
+
+# Draws random_isothermic reads, evolves and screens together: 16 was
+# faster at 12x12 but slower at 6x6.
+_BLOCK = 8
+# Relative slack of the batched screens here and in guichard_generate: a
+# batched norm can differ by an ulp from the 1-D norm of the exact tests,
+# so a screen decides only the cases clear of their threshold by more
+# than this.
+_SCREEN_SLACK = 1e-12
 
 
 class IsothermicNet:
@@ -70,10 +80,6 @@ class IsothermicNet:
     @property
     def dim(self) -> int:
         return self.signature.dim
-
-    def label_on(self, tail: int, head: int) -> float:
-        e = self.grid.oriented_edge(tail, head)
-        return float(self.labels[e.index])
 
     def finite_labels(self) -> np.ndarray:
         return self.labels[~self.is_infinite]
@@ -119,6 +125,44 @@ class IsothermicNet:
         }
 
 
+def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray,
+            frame: Frame | None):
+    """Moutard evolution of a batch of Cauchy data, one anti-diagonal per
+    step over a leading draw axis.
+
+    ``line0`` is ``(n, d0, d)`` and ``line1`` ``(n, d1, d)``.  Returns the
+    lifts ``(n, d0, d1, d)`` and, per draw, None or the ``(corner,
+    residual)`` of its first isotropic diagonal; the later lifts of such
+    a draw mean nothing.  The loop stops once every draw has one.
+    """
+    ip = signature.inner
+    n, d0, d = line0.shape
+    d1 = line1.shape[1]
+    mu = np.zeros((n, d0, d1, d))
+    mu[:, :, 0] = line0
+    mu[:, 0, :] = line1
+    failures = [None] * n
+    left = n
+    for s in range(2, d0 + d1 - 1):
+        a = np.arange(max(1, s - d1 + 1), min(d0, s))
+        b = s - a
+        mi, mj, ml = mu[:, a - 1, b - 1], mu[:, a, b - 1], mu[:, a - 1, b]
+        denom = ip(ml, mj)
+        scale = np.linalg.norm(ml, axis=-1) * np.linalg.norm(mj, axis=-1)
+        degenerate = np.abs(denom) <= 1e-12 * np.maximum(scale, 1e-300)
+        for k in np.flatnonzero(degenerate.any(axis=1)):
+            if failures[k] is None:
+                c = int(np.argmax(degenerate[k]))
+                failures[k] = ((int(a[c]) - 1, int(b[c]) - 1), abs(float(denom[k, c])))
+                left -= 1
+        if not left:
+            break
+        diff = ml - mj
+        new = mi + (ip(mi, diff) / denom)[..., None] * diff
+        mu[:, a, b] = new if frame is None else renull(new, frame)
+    return mu, failures
+
+
 def moutard_evolve(grid: Grid, signature: Signature, line0, line1,
                    frame: Frame | None = None) -> IsothermicNet:
     """Fill a 2D grid from null Cauchy data on the two initial lines.
@@ -129,7 +173,8 @@ def moutard_evolve(grid: Grid, signature: Signature, line0, line1,
     quadratic.  Each quad needs only its three earlier vertices, so the
     grid fills one anti-diagonal ``a + b = s`` at a time.  When a frame
     is given, lifts are re-projected onto the light cone after each
-    diagonal to stop drift.
+    diagonal to stop drift.  This is the batch of one of the evolution
+    :func:`random_isothermic` runs on a block of draws.
     """
     if grid.ndim != 2:
         raise ValueError("Cauchy evolution expects a 2D grid")
@@ -142,26 +187,18 @@ def moutard_evolve(grid: Grid, signature: Signature, line0, line1,
         raise ValueError("Cauchy lines must agree at the corner")
     if not np.all(signature.is_null(np.concatenate([line0, line1]))):
         raise ValueError("Cauchy data must be null")
-    ip = signature.inner
-    mu = np.zeros((d0, d1, signature.dim))      # row-major, as the grid
-    mu[:, 0] = line0
-    mu[0, :] = line1
-    for s in range(2, d0 + d1 - 1):
-        a = np.arange(max(1, s - d1 + 1), min(d0, s))
-        b = s - a
-        mi, mj, ml = mu[a - 1, b - 1], mu[a, b - 1], mu[a - 1, b]
-        denom = ip(ml, mj)
-        scale = np.linalg.norm(ml, axis=1) * np.linalg.norm(mj, axis=1)
-        degenerate = np.abs(denom) <= 1e-12 * np.maximum(scale, 1e-300)
-        if np.any(degenerate):
-            n = int(np.argmax(degenerate))
-            raise EvolutionError("isotropic diagonal: Moutard evolution degenerate",
-                                 where={"kind": "quad", "corner": (int(a[n]) - 1, int(b[n]) - 1)},
-                                 residual=abs(float(denom[n])))
-        diff = ml - mj
-        new = mi + (ip(mi, diff) / denom)[:, None] * diff
-        mu[a, b] = new if frame is None else renull(new, frame)
-    return IsothermicNet(grid, signature, mu.reshape(grid.nverts, signature.dim))
+    mu, failures = _evolve(signature, line0[None], line1[None], frame)
+    if failures[0] is not None:
+        corner, residual = failures[0]
+        raise EvolutionError("isotropic diagonal: Moutard evolution degenerate",
+                             where={"kind": "quad", "corner": corner}, residual=residual)
+    return IsothermicNet(grid, signature, mu[0].reshape(grid.nverts, signature.dim))
+
+
+def _reread(rng, state, rows: int, d: int) -> None:
+    """Put ``rng`` ``rows`` rows of ``d`` normals past ``state``."""
+    rng.bit_generator.state = state
+    rng.standard_normal((rows, d))
 
 
 class _CandidateRows:
@@ -189,8 +226,7 @@ class _CandidateRows:
 
     def __exit__(self, *exc):
         if self.pos < len(self.rows):
-            self.rng.bit_generator.state = self.state
-            self.rng.standard_normal((self.pos, self.d))
+            _reread(self.rng, self.state, self.pos, self.d)
 
     def step(self, first, *args):
         """Run one step and return its result.
@@ -215,37 +251,22 @@ class _CandidateRows:
         raise DegeneracyError(self.failure)
 
 
-def random_cauchy(grid: Grid, signature: Signature, rng,
-                  magnitude: float = 0.3, frame: Frame | None = None,
-                  timelike_factor: float = 0.35):
-    """Random null Cauchy data for :func:`moutard_evolve`.
+def _candidate_steps(signature: Signature, frame: Frame, magnitude: float,
+                     timelike_factor: float, rows: np.ndarray) -> np.ndarray:
+    """Cauchy step candidates from raw rows, each row alone: scaled,
+    projected into the q-complement and damped along ``p``."""
+    delta = frame.pi(magnitude * rows)
+    if frame.p is not None:
+        comp = -signature.inner(delta, frame.p)
+        delta = delta + ((timelike_factor - 1.0) * comp)[..., None] * frame.p
+    return delta
 
-    Each step perturbs the previous lift inside the q-complement and
-    solves the nullity constraint for the q-coefficient; the base point
-    is the lift of a random point of R^{p,q}.  In indefinite signature
-    the step component along the point sphere complex is damped by
-    ``timelike_factor``, which keeps the edge inner products (and so the
-    labels) bounded away from the isotropic case.
 
-    ``rng`` must be a ``numpy.random.Generator``.  Draw order: one
-    ``standard_normal(d)`` row for the base point, then one row per
-    candidate step, the steps of axis 0 before those of axis 1, and a
-    rejected candidate uses up exactly its row.  A step gives up after
-    64 candidates with :class:`DegeneracyError`, leaving ``rng`` just
-    past the rows used.  The rows are drawn in blocks, but every seed
-    gives the same lines and the same final ``rng`` state as one draw
-    per candidate.
-    """
-    frame = signature.standard_frame() if frame is None else frame
+def _cauchy_per_candidate(grid: Grid, signature: Signature, rng, magnitude: float,
+                          frame: Frame, timelike_factor: float):
+    """:func:`random_cauchy` with every candidate step through its tests."""
     ip = signature.inner
     d = signature.dim
-
-    def candidate_steps(rows):
-        delta = frame.pi(magnitude * rows)
-        if frame.p is not None:
-            comp = -ip(delta, frame.p)
-            delta = delta + ((timelike_factor - 1.0) * comp)[:, None] * frame.p
-        return delta
 
     def first_regular(deltas, prev):
         prev_norm = np.linalg.norm(prev)
@@ -266,11 +287,137 @@ def random_cauchy(grid: Grid, signature: Signature, rng,
     line0 = np.zeros((d0, d))
     line1 = np.zeros((d1, d))
     line0[0] = line1[0] = base
-    with _CandidateRows(rng, d, candidate_steps, "could not draw a regular Cauchy step") as draws:
+    steps = partial(_candidate_steps, signature, frame, magnitude, timelike_factor)
+    with _CandidateRows(rng, d, steps, "could not draw a regular Cauchy step") as draws:
         for line in (line0, line1):
             for a in range(1, len(line)):
                 line[a] = draws.step(first_regular, line[a - 1])
     return line0, line1
+
+
+def _cauchy_block(grid: Grid, signature: Signature, rng, n: int, magnitude: float,
+                  frame: Frame, timelike_factor: float = 0.35):
+    """Cauchy data of ``n`` draws, read as if no step rejects its first
+    candidate.
+
+    One ``standard_normal((n, d0 + d1 - 1, d))`` call holds, per draw,
+    the base row and one row per step; the step recurrence of both lines
+    runs once, batched over the draws.  Returns the lines ``(n, d0, d)``
+    and ``(n, d1, d)`` and a mask of the draws whose every first candidate
+    clears the per-candidate tests by ``_SCREEN_SLACK``: those lines are
+    exactly what :func:`_cauchy_per_candidate` gives.
+    """
+    ip, d = signature.inner, signature.dim
+    d0, d1 = grid.dims
+    rows = rng.standard_normal((n, d0 + d1 - 1, d))
+    x0 = frame.pi(rows[:, 0])
+    base = frame.o + x0 + (0.5 * ip(x0, x0))[:, None] * frame.q
+    deltas = _candidate_steps(signature, frame, magnitude, timelike_factor, rows[:, 1:])
+    line0, line1 = np.empty((n, d0, d)), np.empty((n, d1, d))
+    wq = np.empty((n, d0 + d1 - 2))
+    step = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for line in (line0, line1):
+            line[:, 0] = base
+            for a in range(1, line.shape[1]):
+                w = line[:, a - 1] + deltas[:, step]
+                wq[:, step] = ip(w, frame.q)
+                line[:, a] = w + (-0.5 * ip(w, w) / wq[:, step])[:, None] * frame.q
+                step += 1
+        prev = np.concatenate([line0[:, :-1], line1[:, :-1]], axis=1)
+        cand = np.concatenate([line0[:, 1:], line1[:, 1:]], axis=1)
+        high = 1.0 + _SCREEN_SLACK
+        clear = ((np.abs(wq) >= high * 1e-6)
+                 & (np.abs(ip(cand, prev)) > high * 1e-8 * np.linalg.norm(cand, axis=-1)
+                    * np.linalg.norm(prev, axis=-1))).all(axis=1)
+    return line0, line1, clear
+
+
+def random_cauchy(grid: Grid, signature: Signature, rng,
+                  magnitude: float = 0.3, frame: Frame | None = None,
+                  timelike_factor: float = 0.35):
+    """Random null Cauchy data for :func:`moutard_evolve`.
+
+    Each step perturbs the previous lift inside the q-complement and
+    solves the nullity constraint for the q-coefficient; the base point
+    is the lift of a random point of R^{p,q}.  In indefinite signature
+    the step component along the point sphere complex is damped by
+    ``timelike_factor``, which keeps the edge inner products (and so the
+    labels) bounded away from the isotropic case.
+
+    ``rng`` must be a ``numpy.random.Generator``.  Draw order: one
+    ``standard_normal(d)`` row for the base point, then one row per
+    candidate step, the steps of axis 0 before those of axis 1, and a
+    rejected candidate uses up exactly its row.  A step gives up after
+    64 candidates with :class:`DegeneracyError`, leaving ``rng`` just
+    past the rows used.  This is the block of one of the draws
+    :func:`random_isothermic` makes: it reads the ``d0 + d1 - 1`` rows of
+    a draw whose steps all take their first candidate in one call, and
+    when a step may not, it restores ``rng`` and reads the candidates
+    again in blocks of 64, giving back the rows not used.  Every seed
+    gives the same lines and the same final ``rng`` state as one draw
+    per candidate.
+    """
+    frame = signature.standard_frame() if frame is None else frame
+    state = rng.bit_generator.state
+    line0, line1, clear = _cauchy_block(grid, signature, rng, 1, magnitude, frame,
+                                        timelike_factor)
+    if clear[0]:
+        return line0[0], line1[0]
+    rng.bit_generator.state = state
+    return _cauchy_per_candidate(grid, signature, rng, magnitude, frame, timelike_factor)
+
+
+def _accepted(net: IsothermicNet, rep: dict, margin: float, edge_margin: float) -> bool:
+    """The acceptance test of :func:`random_isothermic` on one net."""
+    t, h = net.grid.edge_tail, net.grid.edge_head
+    scale = np.linalg.norm(net.mu[t], axis=1) * np.linalg.norm(net.mu[h], axis=1)
+    edge_rel = np.abs(net.edge_ip) / np.maximum(scale, 1e-300)
+    return (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
+            and rep["diagonal_margin"] >= margin
+            and rep["opposite_label_margin"] >= margin
+            and float(edge_rel.min(initial=np.inf)) >= edge_margin)
+
+
+def _margin_rejects(grid: Grid, signature: Signature, mu: np.ndarray,
+                    margin: float, edge_margin: float) -> np.ndarray:
+    """Draws of a block of lifts ``(n, nverts, d)`` that :func:`_accepted`
+    surely rejects on the edge, diagonal or opposite-label margin.
+
+    Batched norms can differ by an ulp from those of the exact test, so
+    a margin must fall short by more than ``_SCREEN_SLACK`` relative; a
+    non-finite margin is left to the exact test.
+    """
+    ip = signature.inner
+    t, h = grid.edge_tail, grid.edge_head
+    norms = np.linalg.norm(mu, axis=-1)
+    edge_ip = ip(mu[:, t], mu[:, h])
+    edge = np.abs(edge_ip) / np.maximum(norms[:, t] * norms[:, h], 1e-300)
+    out = edge.min(axis=1, initial=np.inf) < edge_margin - _SCREEN_SLACK * abs(edge_margin)
+    if grid.nquads == 0:            # validate reports both quad margins as 0
+        worst = np.zeros(len(mu))
+    else:
+        qv = grid.quad_vertices
+        mq, nq = mu[:, qv], norms[:, qv]
+        diag = np.abs(ip(mq[:, :, :2], mq[:, :, 2:])) / np.maximum(
+            nq[:, :, :2] * nq[:, :, 2:], 1e-300)
+        ips = edge_ip[:, grid.quad_edges]
+        opp = np.abs(ips[..., 0] - ips[..., 3]) / np.maximum(np.abs(ips).max(axis=2), 1e-300)
+        worst = np.minimum(diag.min(axis=(1, 2)), opp.min(axis=1))
+    return out | (worst < margin - _SCREEN_SLACK * abs(margin))
+
+
+def _draw_once(grid: Grid, signature: Signature, rng, magnitude: float, margin: float,
+               edge_margin: float, frame: Frame):
+    """One draw of :func:`random_isothermic` on its own: the net or None,
+    and the draw's error or ``validate`` report."""
+    try:
+        line0, line1 = random_cauchy(grid, signature, rng, magnitude, frame)
+        net = moutard_evolve(grid, signature, line0, line1, frame=frame)
+    except (EvolutionError, DegeneracyError) as err:
+        return None, err
+    rep = net.validate(margin=margin)
+    return (net if _accepted(net, rep, margin, edge_margin) else None), rep
 
 
 def random_isothermic(grid: Grid, signature: Signature, rng,
@@ -283,26 +430,55 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
     isotropic diagonal or edge; draws are retried until the quad margins
     clear ``margin`` and every edge stays at least ``edge_margin`` away
     from the isotropic (infinite label) case.
+
+    Each draw reads the stream as :func:`random_cauchy` does, and every
+    seed gives the same net and the same final ``rng`` state as one draw
+    at a time.  The draws are made in blocks of 8: one
+    ``standard_normal((8, d0 + d1 - 1, d))`` call reads them as if no
+    Cauchy step rejects its first candidate, the block is evolved in one
+    wavefront and its margins are screened in one pass, and the draws
+    the screen leaves go, in order, through the exact acceptance test.
+    At the first draw whose steps may reject a candidate, the rows of it
+    and of later draws are given back (the state saved before the block
+    is restored and the rows used are read again) and that draw is made
+    alone.  After the accepted draw, the rows of later draws are given
+    back the same way.  The last of the ``retries`` draws is always made
+    alone, so the :class:`DegeneracyError` names its exact error or
+    ``validate`` report.
     """
     frame = signature.standard_frame() if frame is None else frame
+    d0, d1 = grid.dims
+    rows, d = d0 + d1 - 1, signature.dim
+    draw = 0
+    while draw < retries - 1:
+        n = min(_BLOCK, retries - 1 - draw)
+        state = rng.bit_generator.state
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            line0, line1, clear = _cauchy_block(grid, signature, rng, n, magnitude, frame)
+            clear &= (signature.is_null(line0).all(axis=1)
+                      & signature.is_null(line1).all(axis=1))
+            k = n if clear.all() else int(np.argmin(clear))
+            mu, failures = _evolve(signature, line0[:k], line1[:k], frame)
+            mu = mu.reshape(k, grid.nverts, d)
+            rejected = _margin_rejects(grid, signature, mu, margin, edge_margin)
+        for j in range(k):
+            if failures[j] is None and not rejected[j]:
+                net = IsothermicNet(grid, signature, mu[j])
+                if _accepted(net, net.validate(margin=margin), margin, edge_margin):
+                    _reread(rng, state, (j + 1) * rows, d)
+                    return net
+        draw += k
+        if k < n:
+            _reread(rng, state, k * rows, d)
+            net, _ = _draw_once(grid, signature, rng, magnitude, margin, edge_margin, frame)
+            if net is not None:
+                return net
+            draw += 1
     last = None
-    for _ in range(retries):
-        try:
-            line0, line1 = random_cauchy(grid, signature, rng, magnitude, frame)
-            net = moutard_evolve(grid, signature, line0, line1, frame=frame)
-        except (EvolutionError, DegeneracyError) as err:
-            last = err
-            continue
-        rep = net.validate(margin=margin)
-        t, h = grid.edge_tail, grid.edge_head
-        scale = np.linalg.norm(net.mu[t], axis=1) * np.linalg.norm(net.mu[h], axis=1)
-        edge_rel = np.abs(net.edge_ip) / np.maximum(scale, 1e-300)
-        if (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
-                and rep["diagonal_margin"] >= margin
-                and rep["opposite_label_margin"] >= margin
-                and float(edge_rel.min(initial=np.inf)) >= edge_margin):
+    if draw < retries:
+        net, last = _draw_once(grid, signature, rng, magnitude, margin, edge_margin, frame)
+        if net is not None:
             return net
-        last = rep
     raise DegeneracyError(f"no well-conditioned net after {retries} draws: {last}")
 
 

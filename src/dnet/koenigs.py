@@ -140,20 +140,6 @@ class ProjectiveNet:
         e = self.grid.oriented_edge(tail, head)
         return e.sign * self.eta[e.index]
 
-    def regularity_report(self, margin: float = 1e-6):
-        """Smallest pairwise line distance and span margin over quads."""
-        g = self.grid
-        worst_pair, worst_span = np.inf, np.inf
-        for n in range(g.nquads):
-            vs = self.lifts[g.quad_vertices[n]]
-            for aa in range(4):
-                for bb in range(aa + 1, 4):
-                    worst_pair = min(worst_pair, line_distance(vs[aa], vs[bb]))
-            sv = np.linalg.svd(vs.T, compute_uv=False)
-            worst_span = min(worst_span, float(sv[2] / max(sv[0], 1e-300)))
-        ok = worst_pair >= margin and worst_span >= margin
-        return ok, {"pairwise_distinct": worst_pair, "span_margin": worst_span}
-
 
 def random_moutard_net(grid: Grid, dim: int, rng, scale: float = 0.4):
     """Random projective Moutard net on a 2D grid.

@@ -26,7 +26,7 @@ from .errors import (DegeneracyError, FrameError, GaugeError,
 from .forms import (Form0, Form1, curly_wedge, exterior_derivative,
                     mixed_area, unpack_bivector, wedge, wedge_vec, BilinearRule)
 from .grid import Grid, integrate_one_form, stack
-from .isothermic import (ConservedQuantity, IsothermicNet, _CandidateRows,
+from .isothermic import (_SCREEN_SLACK, ConservedQuantity, IsothermicNet, _CandidateRows,
                          calapso_transform, darboux_transform, flat_connection,
                          moutard_evolve, stack_pair)
 from .koenigs import (LineCongruence, _first_failure, _plane_intersection,
@@ -45,9 +45,6 @@ __all__ = [
 ]
 
 SIG42 = Signature(4, 2)
-
-# relative slack of the batched candidate screen in guichard_generate
-_SCREEN_SLACK = 1e-12
 
 
 class LieFrame:

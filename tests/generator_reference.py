@@ -3,13 +3,14 @@ the per-edge line congruence validation.
 
 These are the loops the library used before the generators drew their
 candidate rows in blocks: one ``rng.standard_normal(d)`` row and one
-scalar test per candidate, and three ``svd`` calls per edge.  The
-equivalence tests compare the library against them.
+scalar test per candidate, one whole net per ``random_isothermic`` draw,
+and three ``svd`` calls per edge.  The equivalence tests compare the
+library against them.
 """
 
 import numpy as np
 
-from dnet.errors import DegeneracyError
+from dnet.errors import DegeneracyError, EvolutionError
 from dnet.forms import unpack_bivector, wedge_vec
 from dnet.grid import closedness_residual, integrate_one_form
 from dnet.isothermic import moutard_evolve
@@ -52,6 +53,31 @@ def random_cauchy(grid, signature, rng, magnitude=0.3, frame=None,
     for b in range(1, d1):
         line1[b] = null_step(line1[b - 1])
     return line0, line1
+
+
+def random_isothermic(grid, signature, rng, magnitude=0.3, margin=1e-5,
+                      edge_margin=1e-4, retries=64, frame=None):
+    """Whole nets drawn, evolved and tested one draw at a time."""
+    frame = signature.standard_frame() if frame is None else frame
+    last = None
+    for _ in range(retries):
+        try:
+            line0, line1 = random_cauchy(grid, signature, rng, magnitude, frame)
+            net = moutard_evolve(grid, signature, line0, line1, frame=frame)
+        except (EvolutionError, DegeneracyError) as err:
+            last = err
+            continue
+        rep = net.validate(margin=margin)
+        t, h = grid.edge_tail, grid.edge_head
+        scale = np.linalg.norm(net.mu[t], axis=1) * np.linalg.norm(net.mu[h], axis=1)
+        edge_rel = np.abs(net.edge_ip) / np.maximum(scale, 1e-300)
+        if (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
+                and rep["diagonal_margin"] >= margin
+                and rep["opposite_label_margin"] >= margin
+                and float(edge_rel.min(initial=np.inf)) >= edge_margin):
+            return net
+        last = rep
+    raise DegeneracyError(f"no well-conditioned net after {retries} draws: {last}")
 
 
 def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):

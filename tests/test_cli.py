@@ -305,6 +305,12 @@ EXIT_CODES = [
     (["verify", "-i", "{missing}"], 2),
     (["gen", "guichard", "--dims", "5x5", "--seed", "1", "--param", "fault=3",
       "-o", "{out}"], 3),
+    (["gen", "omega", "--dims", "4x4", "--signature", "4", "-o", "{out}"], 2),
+    (["gen", "minimal", "--dims", "4x4", "--signature", "9,9,9", "-o", "{out}"], 2),
+    (["gen", "guichard", "--dims", "4x4", "--signature", "3,1", "-o", "{out}"], 2),
+    (["gen", "weingarten", "--dims", "4x4", "--signature", "4,1", "-o", "{out}"], 2),
+    (["gen", "weingarten", "--dims", "4x4", "--signature", "4,2", "-o", "{out}"], 0),
+    (["gen", "darboux-pair", "--dims", "4x4", "--signature", "3,1", "-o", "{out}"], 0),
 ]
 
 

@@ -1,8 +1,9 @@
 """The block-drawn generators against their per-step references.
 
-Every seed must give the same Cauchy data, the same final ``rng`` state
-and so the same files as one ``standard_normal(d)`` draw per candidate;
-the stacked line congruence validation must give the same margins and
+Every seed must give the same Cauchy data, the same nets, the same final
+``rng`` state and so the same files as one ``standard_normal(d)`` draw
+per candidate and one whole net per ``random_isothermic`` draw; the
+stacked line congruence validation must give the same margins and
 verdicts as the edge-by-edge loop.
 """
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import generator_reference as ref
-from dnet import Grid, Signature, lie_sphere, omega_from_darboux_pair, random_isothermic
+from dnet import (Grid, Signature, cli, isothermic, lie_sphere, omega_from_darboux_pair,
+                  random_isothermic)
 from dnet.errors import DegeneracyError, GeometryError
 from dnet.isothermic import _CandidateRows, random_cauchy
 from dnet.koenigs import LineCongruence
@@ -169,3 +171,142 @@ def test_stacked_congruence_validate_degenerate_edges():
     # no edges, no quads
     point = LineCongruence(Grid([1, 1]), [e0], [e1], np.zeros((0, 15)))
     assert point.validate() == ref.line_congruence_validate(point)
+
+
+class _ScriptedStream:
+    """Normal rows read in order from a table, with the part of a
+    ``numpy.random.Generator`` the generators use: ``standard_normal``
+    and a settable ``bit_generator.state`` (here the read position).
+    Editing the table scripts what a draw sees."""
+
+    def __init__(self, table):
+        self.table = np.array(table, float)
+        self.pos = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.pos
+
+    @state.setter
+    def state(self, pos):
+        self.pos = pos
+
+    def standard_normal(self, shape):
+        size = int(np.prod(shape))
+        assert self.pos + size <= self.table.size, "script too short"
+        out = self.table.flat[self.pos:self.pos + size].reshape(shape).copy()
+        self.pos += size
+        return out
+
+
+def _script(seed, d, edits=()):
+    """A script of normal rows with rows ``dst`` set to ``src`` (an index
+    or None for a zero row)."""
+    rows = np.random.default_rng(seed).standard_normal((4000, d))
+    for dst, src in edits:
+        rows[dst] = 0.0 if src is None else rows[src]
+    return rows
+
+
+def _isothermic(gen, grid, sig, rng, **kw):
+    try:
+        out = gen(grid, sig, rng, **kw).mu
+    except GeometryError as err:
+        out = f"{type(err).__name__}: {err}"
+    return out, rng.bit_generator.state
+
+
+def _assert_same_draws(grid, sig, make_rng, **kw):
+    new, state = _isothermic(random_isothermic, grid, sig, make_rng(), **kw)
+    old, state_ref = _isothermic(ref.random_isothermic, grid, sig, make_rng(), **kw)
+    if isinstance(old, str) or isinstance(new, str):
+        assert new == old
+    else:
+        assert np.array_equal(new, old)
+    assert state == state_ref
+    return new
+
+
+@pytest.mark.parametrize("dims", DIMS)
+@pytest.mark.parametrize("pq", SIGNATURES)
+def test_random_isothermic_matches_per_draw_reference(pq, dims):
+    sig, grid = Signature(*pq), Grid(list(dims))
+    for seed in range(5):
+        _assert_same_draws(grid, sig, lambda: np.random.default_rng(seed))
+
+
+def _rows_per_draw(grid):
+    return sum(grid.dims) - 1
+
+
+def _evolution_degenerate(grid, draw):
+    """Edits that give ``draw`` the same first step on both lines, so its
+    first quad has an isotropic diagonal."""
+    first = draw * _rows_per_draw(grid) + 1
+    return [(first + grid.dims[0] - 1, first)]
+
+
+@pytest.mark.parametrize("retries", [5, 9])
+@pytest.mark.parametrize("last", ["margin", "evolution", "cauchy"])
+def test_exhaustion_reports_the_last_draw_as_before(last, retries):
+    sig, grid = Signature(4, 2), Grid([6, 6])
+    if last == "margin":
+        text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4),
+                                  retries=retries, margin=0.3)
+        assert "'diagonal_margin'" in text
+    elif last == "cauchy":
+        text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4),
+                                  retries=retries, magnitude=0.0)
+        assert text.endswith("could not draw a regular Cauchy step")
+    else:
+        rows = _script(4, sig.dim, _evolution_degenerate(grid, retries - 1))
+        text = _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows),
+                                  retries=retries, margin=0.3)
+        assert text.endswith("isotropic diagonal: Moutard evolution degenerate")
+    assert text.startswith(f"DegeneracyError: no well-conditioned net after {retries} draws")
+
+
+@pytest.mark.parametrize("retries", [12, 64])
+def test_step_rejection_mid_block_takes_that_draw_alone(monkeypatch, retries):
+    """Draws 0-2 are degenerate and draw 3 rejects the first candidate of
+    a step, which shifts the rows of every later draw by one."""
+    sig, grid = Signature(4, 1), Grid([6, 6])
+    edits = [e for draw in range(3) for e in _evolution_degenerate(grid, draw)]
+    edits.append((3 * _rows_per_draw(grid) + 4, None))
+    rows = _script(9, sig.dim, edits)
+    alone = []
+    real = isothermic._cauchy_per_candidate
+    monkeypatch.setattr(isothermic, "_cauchy_per_candidate",
+                        lambda *a: alone.append(a) or real(*a))
+    net = _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows), retries=retries)
+    assert not isinstance(net, str) and len(alone) == 1
+    # with every net rejected, the blocks after the shift stay aligned
+    alone.clear()
+    text = _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows),
+                              retries=retries, margin=0.3)
+    assert isinstance(text, str) and len(alone) == 1
+
+
+def _gen_bytes(tmp_path, name, kind, *args):
+    path = tmp_path / name
+    assert cli.main(["gen", kind, "--dims", "6x6", "-o", str(path), *args]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("darboux-pair", ["--param", "m=0.5"]),
+    ("darboux-pair", ["--param", "m=inf"]),
+    ("darboux-pair", ["--param", "m=0.5", "--signature", "3,1"]),
+    ("omega", []),
+])
+def test_generated_files_match_per_draw_reference(tmp_path, monkeypatch, kind, args):
+    """The Darboux seed and the Omega partner read the stream the accepted
+    draw leaves, so the give-back shows in these files."""
+    for seed in range(1, 5):
+        argv = [kind, "--seed", str(seed), *args]
+        new = _gen_bytes(tmp_path, "new.json", *argv)
+        with monkeypatch.context() as m:
+            m.setattr(isothermic, "random_isothermic", ref.random_isothermic)
+            old = _gen_bytes(tmp_path, "old.json", *argv)
+        assert new == old
