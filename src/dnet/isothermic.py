@@ -109,20 +109,43 @@ class IsothermicNet:
         s0 = np.maximum(np.abs(ips).max(axis=1), 1e-300)
         label_rel = float((np.maximum(np.abs(ips[:, 0] - ips[:, 2]),
                                       np.abs(ips[:, 3] - ips[:, 1])) / s0).max(initial=0.0))
-        opp_margin = float((np.abs(ips[:, 0] - ips[:, 3]) / s0).min(initial=np.inf))
-        n = np.linalg.norm(mu, axis=1)[g.quad_vertices]
-        diag = float((np.abs(sig.inner(mq[:, :2], mq[:, 2:]))     # (i, k), (j, l)
-                      / np.maximum(n[:, :2] * n[:, 2:], 1e-300)).min(initial=np.inf))
+        _, diag, opp_margin = (float(m[0]) for m in _margins(g, sig, mu[None]))
         return {
             "nullity": nullity, "moutard": moutard,
             "worst_quad": None if worst is None else g.locate_quad(worst),
             "label_relations": label_rel,
-            "opposite_label_margin": 0.0 if g.nquads == 0 else opp_margin,
-            "diagonal_margin": 0.0 if g.nquads == 0 else diag,
+            "opposite_label_margin": opp_margin,
+            "diagonal_margin": diag,
             "passed": bool(nullity <= tol_null and moutard <= tol_moutard
                            and label_rel <= tol_labels
                            and (g.nquads == 0 or (opp_margin >= margin and diag >= margin))),
         }
+
+
+def _margins(grid: Grid, signature: Signature, mu: np.ndarray):
+    """Edge, diagonal and opposite-label margins of a batch of lifts
+    ``(n, nverts, d)``, each an ``(n,)`` array.
+
+    Per draw: the least ``|(mu_i, mu_j)| / (|mu_i| |mu_j|)`` over the
+    edges and over the quad diagonals ``(i, k)``, ``(j, l)``, and the
+    least ``|(mu_i, mu_j) - (mu_i, mu_l)|`` over the largest edge inner
+    product of its quad.  Both quad margins are 0 on a grid without quads.
+    """
+    ip = signature.inner
+    t, h = grid.edge_tail, grid.edge_head
+    norms = np.linalg.norm(mu, axis=-1)
+    edge_ip = ip(mu[:, t], mu[:, h])
+    edge = (np.abs(edge_ip) / np.maximum(norms[:, t] * norms[:, h], 1e-300)).min(
+        axis=1, initial=np.inf)
+    if grid.nquads == 0:
+        return edge, np.zeros(len(mu)), np.zeros(len(mu))
+    mq, nq = mu[:, grid.quad_vertices], norms[:, grid.quad_vertices]
+    diag = (np.abs(ip(mq[:, :, :2], mq[:, :, 2:]))                # (i, k), (j, l)
+            / np.maximum(nq[:, :, :2] * nq[:, :, 2:], 1e-300)).min(axis=(1, 2))
+    ips = edge_ip[:, grid.quad_edges]                             # ij, jk, lk, il
+    opp = (np.abs(ips[..., 0] - ips[..., 3])
+           / np.maximum(np.abs(ips).max(axis=2), 1e-300)).min(axis=1)
+    return edge, diag, opp
 
 
 def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray,
@@ -262,9 +285,30 @@ def _candidate_steps(signature: Signature, frame: Frame, magnitude: float,
     return delta
 
 
-def _cauchy_per_candidate(grid: Grid, signature: Signature, rng, magnitude: float,
-                          frame: Frame, timelike_factor: float):
-    """:func:`random_cauchy` with every candidate step through its tests."""
+def random_cauchy(grid: Grid, signature: Signature, rng,
+                  magnitude: float = 0.3, frame: Frame | None = None,
+                  timelike_factor: float = 0.35):
+    """Random null Cauchy data for :func:`moutard_evolve`.
+
+    Each step perturbs the previous lift inside the q-complement and
+    solves the nullity constraint for the q-coefficient; the base point
+    is the lift of a random point of R^{p,q}.  In indefinite signature
+    the step component along the point sphere complex is damped by
+    ``timelike_factor``, which keeps the edge inner products (and so the
+    labels) bounded away from the isotropic case.
+
+    ``rng`` must be a ``numpy.random.Generator``.  Draw order: one
+    ``standard_normal(d)`` row for the base point, then one row per
+    candidate step, the steps of axis 0 before those of axis 1, and a
+    rejected candidate uses up exactly its row.  A step gives up after
+    64 candidates with :class:`DegeneracyError`.  The candidate rows are
+    read 64 at a time and the rows not used are given back (``rng`` is
+    restored and only the rows used are read again), so every seed
+    leaves ``rng`` just past the rows used, as one draw per candidate
+    does.  :func:`random_isothermic` reads the rows of a block of draws
+    in this same order.
+    """
+    frame = signature.standard_frame() if frame is None else frame
     ip = signature.inner
     d = signature.dim
 
@@ -297,15 +341,17 @@ def _cauchy_per_candidate(grid: Grid, signature: Signature, rng, magnitude: floa
 
 def _cauchy_block(grid: Grid, signature: Signature, rng, n: int, magnitude: float,
                   frame: Frame, timelike_factor: float = 0.35):
-    """Cauchy data of ``n`` draws, read as if no step rejects its first
-    candidate.
+    """Cauchy data of ``n`` draws of :func:`random_isothermic`, read as if
+    no step rejects its first candidate.
 
     One ``standard_normal((n, d0 + d1 - 1, d))`` call holds, per draw,
     the base row and one row per step; the step recurrence of both lines
     runs once, batched over the draws.  Returns the lines ``(n, d0, d)``
     and ``(n, d1, d)`` and a mask of the draws whose every first candidate
-    clears the per-candidate tests by ``_SCREEN_SLACK``: those lines are
-    exactly what :func:`_cauchy_per_candidate` gives.
+    clears the tests of :func:`random_cauchy` by ``_SCREEN_SLACK`` (its
+    1-D norms can differ by an ulp from these): those lines are exactly
+    what :func:`random_cauchy` gives.  Degenerate draws divide by zero,
+    so run it under ``np.errstate``.
     """
     ip, d = signature.inner, signature.dim
     d0, d1 = grid.dims
@@ -316,95 +362,29 @@ def _cauchy_block(grid: Grid, signature: Signature, rng, n: int, magnitude: floa
     line0, line1 = np.empty((n, d0, d)), np.empty((n, d1, d))
     wq = np.empty((n, d0 + d1 - 2))
     step = 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for line in (line0, line1):
-            line[:, 0] = base
-            for a in range(1, line.shape[1]):
-                w = line[:, a - 1] + deltas[:, step]
-                wq[:, step] = ip(w, frame.q)
-                line[:, a] = w + (-0.5 * ip(w, w) / wq[:, step])[:, None] * frame.q
-                step += 1
-        prev = np.concatenate([line0[:, :-1], line1[:, :-1]], axis=1)
-        cand = np.concatenate([line0[:, 1:], line1[:, 1:]], axis=1)
-        high = 1.0 + _SCREEN_SLACK
-        clear = ((np.abs(wq) >= high * 1e-6)
-                 & (np.abs(ip(cand, prev)) > high * 1e-8 * np.linalg.norm(cand, axis=-1)
-                    * np.linalg.norm(prev, axis=-1))).all(axis=1)
+    for line in (line0, line1):
+        line[:, 0] = base
+        for a in range(1, line.shape[1]):
+            w = line[:, a - 1] + deltas[:, step]
+            wq[:, step] = ip(w, frame.q)
+            line[:, a] = w + (-0.5 * ip(w, w) / wq[:, step])[:, None] * frame.q
+            step += 1
+    prev = np.concatenate([line0[:, :-1], line1[:, :-1]], axis=1)
+    cand = np.concatenate([line0[:, 1:], line1[:, 1:]], axis=1)
+    high = 1.0 + _SCREEN_SLACK
+    clear = ((np.abs(wq) >= high * 1e-6)
+             & (np.abs(ip(cand, prev)) > high * 1e-8 * np.linalg.norm(cand, axis=-1)
+                * np.linalg.norm(prev, axis=-1))).all(axis=1)
     return line0, line1, clear
 
 
-def random_cauchy(grid: Grid, signature: Signature, rng,
-                  magnitude: float = 0.3, frame: Frame | None = None,
-                  timelike_factor: float = 0.35):
-    """Random null Cauchy data for :func:`moutard_evolve`.
-
-    Each step perturbs the previous lift inside the q-complement and
-    solves the nullity constraint for the q-coefficient; the base point
-    is the lift of a random point of R^{p,q}.  In indefinite signature
-    the step component along the point sphere complex is damped by
-    ``timelike_factor``, which keeps the edge inner products (and so the
-    labels) bounded away from the isotropic case.
-
-    ``rng`` must be a ``numpy.random.Generator``.  Draw order: one
-    ``standard_normal(d)`` row for the base point, then one row per
-    candidate step, the steps of axis 0 before those of axis 1, and a
-    rejected candidate uses up exactly its row.  A step gives up after
-    64 candidates with :class:`DegeneracyError`, leaving ``rng`` just
-    past the rows used.  This is the block of one of the draws
-    :func:`random_isothermic` makes: it reads the ``d0 + d1 - 1`` rows of
-    a draw whose steps all take their first candidate in one call, and
-    when a step may not, it restores ``rng`` and reads the candidates
-    again in blocks of 64, giving back the rows not used.  Every seed
-    gives the same lines and the same final ``rng`` state as one draw
-    per candidate.
-    """
-    frame = signature.standard_frame() if frame is None else frame
-    state = rng.bit_generator.state
-    line0, line1, clear = _cauchy_block(grid, signature, rng, 1, magnitude, frame,
-                                        timelike_factor)
-    if clear[0]:
-        return line0[0], line1[0]
-    rng.bit_generator.state = state
-    return _cauchy_per_candidate(grid, signature, rng, magnitude, frame, timelike_factor)
-
-
-def _accepted(net: IsothermicNet, rep: dict, margin: float, edge_margin: float) -> bool:
-    """The acceptance test of :func:`random_isothermic` on one net."""
-    t, h = net.grid.edge_tail, net.grid.edge_head
-    scale = np.linalg.norm(net.mu[t], axis=1) * np.linalg.norm(net.mu[h], axis=1)
-    edge_rel = np.abs(net.edge_ip) / np.maximum(scale, 1e-300)
+def _accepted(rep: dict, edge: float, margin: float, edge_margin: float) -> bool:
+    """The acceptance test of :func:`random_isothermic` on a draw's
+    ``validate`` report and its least edge margin."""
     return (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
             and rep["diagonal_margin"] >= margin
             and rep["opposite_label_margin"] >= margin
-            and float(edge_rel.min(initial=np.inf)) >= edge_margin)
-
-
-def _margin_rejects(grid: Grid, signature: Signature, mu: np.ndarray,
-                    margin: float, edge_margin: float) -> np.ndarray:
-    """Draws of a block of lifts ``(n, nverts, d)`` that :func:`_accepted`
-    surely rejects on the edge, diagonal or opposite-label margin.
-
-    Batched norms can differ by an ulp from those of the exact test, so
-    a margin must fall short by more than ``_SCREEN_SLACK`` relative; a
-    non-finite margin is left to the exact test.
-    """
-    ip = signature.inner
-    t, h = grid.edge_tail, grid.edge_head
-    norms = np.linalg.norm(mu, axis=-1)
-    edge_ip = ip(mu[:, t], mu[:, h])
-    edge = np.abs(edge_ip) / np.maximum(norms[:, t] * norms[:, h], 1e-300)
-    out = edge.min(axis=1, initial=np.inf) < edge_margin - _SCREEN_SLACK * abs(edge_margin)
-    if grid.nquads == 0:            # validate reports both quad margins as 0
-        worst = np.zeros(len(mu))
-    else:
-        qv = grid.quad_vertices
-        mq, nq = mu[:, qv], norms[:, qv]
-        diag = np.abs(ip(mq[:, :, :2], mq[:, :, 2:])) / np.maximum(
-            nq[:, :, :2] * nq[:, :, 2:], 1e-300)
-        ips = edge_ip[:, grid.quad_edges]
-        opp = np.abs(ips[..., 0] - ips[..., 3]) / np.maximum(np.abs(ips).max(axis=2), 1e-300)
-        worst = np.minimum(diag.min(axis=(1, 2)), opp.min(axis=1))
-    return out | (worst < margin - _SCREEN_SLACK * abs(margin))
+            and edge >= edge_margin)
 
 
 def _draw_once(grid: Grid, signature: Signature, rng, magnitude: float, margin: float,
@@ -417,7 +397,8 @@ def _draw_once(grid: Grid, signature: Signature, rng, magnitude: float, margin: 
     except (EvolutionError, DegeneracyError) as err:
         return None, err
     rep = net.validate(margin=margin)
-    return (net if _accepted(net, rep, margin, edge_margin) else None), rep
+    edge = _margins(grid, signature, net.mu[None])[0][0]
+    return (net if _accepted(rep, edge, margin, edge_margin) else None), rep
 
 
 def random_isothermic(grid: Grid, signature: Signature, rng,
@@ -436,15 +417,15 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
     at a time.  The draws are made in blocks of 8: one
     ``standard_normal((8, d0 + d1 - 1, d))`` call reads them as if no
     Cauchy step rejects its first candidate, the block is evolved in one
-    wavefront and its margins are screened in one pass, and the draws
-    the screen leaves go, in order, through the exact acceptance test.
-    At the first draw whose steps may reject a candidate, the rows of it
-    and of later draws are given back (the state saved before the block
-    is restored and the rows used are read again) and that draw is made
-    alone.  After the accepted draw, the rows of later draws are given
-    back the same way.  The last of the ``retries`` draws is always made
-    alone, so the :class:`DegeneracyError` names its exact error or
-    ``validate`` report.
+    wavefront and its margins are computed in one pass, and the draws
+    whose margins clear go, in order, through the rest of the acceptance
+    test.  At the first draw whose steps may reject a candidate, the
+    rows of it and of later draws are given back (the state saved before
+    the block is restored and the rows used are read again) and that
+    draw is made alone.  After the accepted draw, the rows of later
+    draws are given back the same way.  The last of the ``retries``
+    draws is always made alone, so the :class:`DegeneracyError` names its
+    exact error or ``validate`` report.
     """
     frame = signature.standard_frame() if frame is None else frame
     d0, d1 = grid.dims
@@ -460,11 +441,12 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
             k = n if clear.all() else int(np.argmin(clear))
             mu, failures = _evolve(signature, line0[:k], line1[:k], frame)
             mu = mu.reshape(k, grid.nverts, d)
-            rejected = _margin_rejects(grid, signature, mu, margin, edge_margin)
+            edge, diag, opp = _margins(grid, signature, mu)
+        clears = (edge >= edge_margin) & (diag >= margin) & (opp >= margin)
         for j in range(k):
-            if failures[j] is None and not rejected[j]:
+            if failures[j] is None and clears[j]:
                 net = IsothermicNet(grid, signature, mu[j])
-                if _accepted(net, net.validate(margin=margin), margin, edge_margin):
+                if _accepted(net.validate(margin=margin), edge[j], margin, edge_margin):
                     _reread(rng, state, (j + 1) * rows, d)
                     return net
         draw += k
