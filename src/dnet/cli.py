@@ -319,11 +319,7 @@ def cmd_export(args) -> int:
         lines = [f"# dnet export: field {args.field}, dims {list(nf.dims)}"]
         for row in field:
             lines.append("v " + " ".join(f"{v:.17g}" for v in row))
-        d0, d1 = nf.dims
-        for a in range(d0 - 1):
-            for b in range(d1 - 1):
-                i = a * d1 + b + 1
-                lines.append(f"f {i} {i + d1} {i + d1 + 1} {i + 1}")
+        lines += [f"f {i} {j} {k} {l}" for i, j, k, l in g.quad_vertices + 1]
         text = "\n".join(lines) + "\n"
     else:
         cols = ",".join(f"{args.field}_{k}" for k in range(field.shape[1]))

@@ -144,17 +144,6 @@ class BilinearRule:
         return cls(wedge_vec, dim, dim, lam2_dim(dim), "antisymmetric",
                    name="wedge")
 
-    @classmethod
-    def from_tensor(cls, tensor, symmetry=None, name="tensor"):
-        """Structure constants ``T[o, l, r]``."""
-        tensor = np.asarray(tensor, float)
-        do, dl, dr = tensor.shape
-
-        def fn(u, v):
-            return np.einsum("olr,nl,nr->no", tensor, u, v)
-
-        return cls(fn, dl, dr, do, symmetry, name=name)
-
 
 # -- forms -------------------------------------------------------------
 

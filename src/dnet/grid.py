@@ -156,8 +156,6 @@ class Grid:
                     self.quad_vertices, self.quad_edges):
             arr.setflags(write=False)
 
-        self._trees: dict = {}
-
     # -- bookkeeping -------------------------------------------------
 
     def __repr__(self):
@@ -236,42 +234,30 @@ class Grid:
     # -- staircase spanning tree -------------------------------------
 
     def staircase_tree(self, base: int = 0):
-        """Steps ``(vertex, parent, edge_slot, step_sign)`` of the canonical tree.
+        """The canonical spanning tree rooted at ``base``, level by level.
 
-        The tree is the lexicographic staircase rooted at ``base``: the
-        parent of ``v`` differs in the largest axis where ``v`` and the
-        base disagree, one step toward the base.  ``step_sign`` is +1
-        when the walk parent -> vertex runs along the canonical edge
-        orientation.  Parents always precede children.
+        The parent of ``v`` differs from it in the largest axis where ``v``
+        and the base disagree, one step toward the base.  A level holds the
+        ``(child, parent, slot, sign)`` index arrays of the children at one
+        distance along one axis, in tree order (by distances to the base,
+        last axis first); parents lie in earlier levels, and there are at
+        most ``sum(dims)`` levels.  ``sign`` is +1 where parent -> child
+        runs along the canonical edge orientation.
         """
-        if base in self._trees:
-            return self._trees[base]
         if not 0 <= base < self.nverts:
             raise ValueError(f"base vertex {base} out of range")
-        bc = self.vertex_coords[base]
-        order = sorted(
-            range(self.nverts),
-            key=lambda v: tuple(
-                abs(int(self.vertex_coords[v][a]) - int(bc[a]))
-                for a in range(self.ndim - 1, -1, -1)
-            ),
-        )
-        steps = []
-        for v in order:
-            if v == base:
-                continue
-            vc = self.vertex_coords[v]
-            a = max(ax for ax in range(self.ndim) if vc[ax] != bc[ax])
-            if vc[a] > bc[a]:
-                parent = v - int(self.strides[a])
-                slot = int(self.edge_slots[parent, a])
-                steps.append((v, parent, slot, 1))
-            else:
-                parent = v + int(self.strides[a])
-                slot = int(self.edge_slots[v, a])
-                steps.append((v, parent, slot, -1))
-        self._trees[base] = tuple(steps)
-        return self._trees[base]
+        delta = self.vertex_coords - self.vertex_coords[base]
+        dist = np.abs(delta)
+        child = np.lexsort(dist.T)[1:]        # stable, and the base sorts first
+        if not len(child):
+            return []
+        axis = self.ndim - 1 - np.argmax(dist[child, ::-1] > 0, axis=1)
+        sign = np.where(delta[child, axis] > 0, 1, -1)
+        parent = child - sign * self.strides[axis]
+        slot = self.edge_slots[np.where(sign > 0, parent, child), axis]
+        step = dist[child, axis]
+        cuts = np.flatnonzero((np.diff(axis) != 0) | (np.diff(step) != 0)) + 1
+        return list(zip(*(np.split(a, cuts) for a in (child, parent, slot, sign))))
 
 
 def stack(grid: Grid) -> Grid:
@@ -330,8 +316,8 @@ def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
     dim = values.shape[1]
     out = np.zeros((grid.nverts, dim))
     out[base] = 0.0 if seed is None else np.asarray(seed, float)
-    for v, parent, slot, sign in grid.staircase_tree(base):
-        out[v] = out[parent] + sign * values[slot]
+    for child, parent, slot, sign in grid.staircase_tree(base):
+        out[child] = out[parent] + sign[:, None] * values[slot]
     return Form0(grid, out)
 
 
@@ -364,11 +350,11 @@ def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
     Tinv = np.empty_like(T)
     T[base] = np.eye(k)
     Tinv[base] = np.eye(k)
-    for v, parent, slot, sign in grid.staircase_tree(base):
-        if sign > 0:
-            step = gamma[slot]              # Gamma_{v, parent}
-        else:
-            step = np.linalg.inv(gamma[slot])
-        T[v] = T[parent] @ np.linalg.inv(step)
-        Tinv[v] = step @ Tinv[parent]
+    for child, parent, slot, sign in grid.staircase_tree(base):
+        step = gamma[slot]                  # Gamma_{child, parent}
+        back = sign < 0
+        if back.any():
+            step[back] = np.linalg.inv(step[back])
+        T[child] = T[parent] @ np.linalg.inv(step)
+        Tinv[child] = step @ Tinv[parent]
     return T, Tinv

@@ -44,10 +44,11 @@ INF_LABEL_THRESHOLD = 1e-10
 # Draws random_isothermic reads, evolves and screens together: 16 was
 # faster at 12x12 but slower at 6x6.
 _BLOCK = 8
-# Relative slack of the batched screens here and in guichard_generate: a
-# batched norm can differ by an ulp from the 1-D norm of the exact tests,
-# so a screen decides only the cases clear of their threshold by more
-# than this.
+# Auto seeds darboux_transform draws and propagates together.
+_SEEDS = 4
+# Relative slack of the batched Cauchy-step screen: a batched norm can
+# differ by an ulp from the 1-D norm of the exact test, so the screen
+# decides only the cases clear of their threshold by more than this.
 _SCREEN_SLACK = 1e-12
 
 
@@ -378,12 +379,13 @@ def _cauchy_block(grid: Grid, signature: Signature, rng, n: int, magnitude: floa
     return line0, line1, clear
 
 
-def _accepted(rep: dict, edge: float, margin: float, edge_margin: float) -> bool:
+def _accepted(grid: Grid, rep: dict, edge: float, margin: float, edge_margin: float) -> bool:
     """The acceptance test of :func:`random_isothermic` on a draw's
-    ``validate`` report and its least edge margin."""
+    ``validate`` report and its least edge margin; a grid without quads
+    has no quad margins to test."""
     return (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
-            and rep["diagonal_margin"] >= margin
-            and rep["opposite_label_margin"] >= margin
+            and (grid.nquads == 0 or (rep["diagonal_margin"] >= margin
+                                      and rep["opposite_label_margin"] >= margin))
             and edge >= edge_margin)
 
 
@@ -398,7 +400,7 @@ def _draw_once(grid: Grid, signature: Signature, rng, magnitude: float, margin: 
         return None, err
     rep = net.validate(margin=margin)
     edge = _margins(grid, signature, net.mu[None])[0][0]
-    return (net if _accepted(rep, edge, margin, edge_margin) else None), rep
+    return (net if _accepted(grid, rep, edge, margin, edge_margin) else None), rep
 
 
 def random_isothermic(grid: Grid, signature: Signature, rng,
@@ -442,11 +444,11 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
             mu, failures = _evolve(signature, line0[:k], line1[:k], frame)
             mu = mu.reshape(k, grid.nverts, d)
             edge, diag, opp = _margins(grid, signature, mu)
-        clears = (edge >= edge_margin) & (diag >= margin) & (opp >= margin)
+        clears = (edge >= edge_margin) & ((diag >= margin) & (opp >= margin) | (grid.nquads == 0))
         for j in range(k):
             if failures[j] is None and clears[j]:
                 net = IsothermicNet(grid, signature, mu[j])
-                if _accepted(net.validate(margin=margin), edge[j], margin, edge_margin):
+                if _accepted(grid, net.validate(margin=margin), edge[j], margin, edge_margin):
                     _reread(rng, state, (j + 1) * rows, d)
                     return net
         draw += k
@@ -551,71 +553,108 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
     null vector at the base vertex: non-orthogonal to the net there for
     finite ``m``, orthogonal for ``m = inf``.  Auto-drawn seeds are
     retried while the transformed net comes too close to a regularity
-    violation.
+    violation: they are drawn from ``rng`` one at a time, in blocks of 4
+    propagated together one tree level at a time, and the first seed in
+    draw order that passes is returned, so an auto-seeded call may leave
+    ``rng`` past the accepted seed.  An explicit ``seed`` is a block of one.
     """
-    if seed is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        last = None
-        for _ in range(retries):
-            auto = (_seed_orthogonal_null(net, base, rng) if np.isinf(m)
-                    else _finite_darboux_seed(net, base, rng))
-            try:
-                hat = darboux_transform(net, m, seed=auto, base=base,
-                                        min_denom=min_denom)
-            except (PropagationError, DegeneracyError) as err:
-                last = err
-                continue
-            rep = _pair_quality(net, hat, margin)
-            if (rep["diagonal_margin"] >= margin
-                    and rep["moutard"] <= 1e-10
-                    and rep["nullity"] <= 1e-11):
-                return hat
-            last = rep
-        raise DegeneracyError(f"no admissible Darboux seed after {retries} draws: {last}")
-
     g, sig = net.grid, net.signature
-    ip = sig.inner
-    infinite = np.isinf(m)
-    if not infinite:
+    if not np.isinf(m):
         finite = net.labels[~net.is_infinite]
         if finite.size and np.min(np.abs(finite - m)) <= 1e-8 * max(1.0, abs(m)):
             raise SpectralCollisionError(f"m = {m} collides with an edge label")
+    if seed is not None:
+        hat, failures = _darboux_march(net, m, _darboux_start(net, m, seed, base, min_denom)[None],
+                                       base, min_denom)
+        if failures[0] is not None:
+            raise failures[0]
+        return IsothermicNet(g, sig, hat[0])
+    rng = np.random.default_rng(0) if rng is None else rng
+    draw = _seed_orthogonal_null if np.isinf(m) else _finite_darboux_seed
+    last, tried = None, 0
+    while tried < retries:
+        starts, stop = [], None
+        try:
+            while len(starts) < min(_SEEDS, retries - tried):
+                starts.append(_darboux_start(net, m, draw(net, base, rng), base, min_denom))
+        except (DegeneracyError, ValueError) as err:
+            stop = err
+        hat, failures = _darboux_march(net, m, np.reshape(starts, (-1, sig.dim)), base, min_denom)
+        for k in range(len(starts)):
+            if failures[k] is not None:
+                last = failures[k]
+                continue
+            out = IsothermicNet(g, sig, hat[k])
+            rep = _pair_quality(net, out, margin)
+            if (rep["diagonal_margin"] >= margin and rep["moutard"] <= 1e-10
+                    and rep["nullity"] <= 1e-11):
+                return out
+            last = rep
+        if stop is not None:
+            raise stop
+        tried += len(starts)
+    raise DegeneracyError(f"no admissible Darboux seed after {retries} draws: {last}")
+
+
+def _darboux_start(net: IsothermicNet, m: float, seed, base: int, min_denom: float):
+    """The transformed lift at the base vertex from a seed."""
+    sig = net.signature
     seed = np.asarray(seed, float)
     if not sig.is_null(seed):
         raise ValueError("Darboux seed must be null")
-    s0 = float(ip(seed, net.mu[base]))
-    if infinite:
+    s0 = float(sig.inner(seed, net.mu[base]))
+    if np.isinf(m):
         if abs(s0) > 1e-8 * np.linalg.norm(seed) * np.linalg.norm(net.mu[base]):
             raise ValueError("isotropic Darboux seed must be orthogonal to the net")
-        hat0 = seed
-    else:
-        if abs(s0) < min_denom:
-            raise ValueError("Darboux seed orthogonal to the net at the base")
-        hat0 = seed / (m * s0)
+        return seed
+    if abs(s0) < min_denom:
+        raise ValueError("Darboux seed orthogonal to the net at the base")
+    return seed / (m * s0)
 
-    hat = np.zeros_like(net.mu)
-    hat[base] = hat0
-    for v, parent, slot, sign in g.staircase_tree(base):
-        mi, mj = net.mu[parent], net.mu[v]
-        denom = float(ip(hat[parent], mj))
-        if abs(denom) <= min_denom * max(np.linalg.norm(hat[parent]) * np.linalg.norm(mj), 1e-300):
-            raise PropagationError("Darboux propagation degenerate",
-                                   where=g.locate_edge(slot))
-        c = float(ip(mi, hat[parent] - mj)) / denom
-        val = mi + c * (hat[parent] - mj)
-        if not infinite:
-            cur = float(ip(net.mu[v], val))
-            if abs(cur) <= min_denom:
-                raise PropagationError("Darboux normalization degenerate",
-                                       where=g.locate_edge(slot))
-            val = val / (m * cur)
-        hat[v] = val
-    return IsothermicNet(g, sig, hat)
+
+def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
+                   min_denom: float):
+    """Propagate the base lifts ``hat0`` ``(n, d)`` over the staircase
+    tree, one level at a time over a leading seed axis.
+
+    Returns the lifts ``(n, nverts, d)`` and, per seed, None or the
+    :class:`PropagationError` of its first degenerate step in tree order;
+    the later lifts of such a seed mean nothing.
+    """
+    g, ip = net.grid, net.signature.inner
+    mu = net.mu
+    hat = np.zeros((len(hat0),) + mu.shape)
+    hat[:, base] = hat0
+    failures = [None] * len(hat0)
+    alive = np.arange(len(hat0))
+    for child, parent, slot, _ in g.staircase_tree(base):
+        hp, mi, mj = hat[alive[:, None], parent], mu[parent], mu[child]
+        denom = ip(hp, mj)
+        bad = [np.abs(denom) <= min_denom * np.maximum(
+            np.linalg.norm(hp, axis=-1) * np.linalg.norm(mj, axis=-1), 1e-300)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            val = mi + (ip(mi, hp - mj) / denom)[..., None] * (hp - mj)
+            if not np.isinf(m):
+                cur = ip(mj, val)
+                bad.append(np.abs(cur) <= min_denom)
+                val = val / (m * cur)[..., None]
+        hat[alive[:, None], child] = val
+        failed = np.logical_or.reduce(bad)
+        for k in np.flatnonzero(failed.any(axis=1)):
+            c = int(np.argmax(failed[k]))
+            what = "propagation" if bad[0][k, c] else "normalization"
+            failures[alive[k]] = PropagationError(f"Darboux {what} degenerate",
+                                                  where=g.locate_edge(int(slot[c])))
+        alive = alive[~failed.any(axis=1)]
+        if not len(alive):
+            break
+    return hat, failures
 
 
 def _pair_quality(net: IsothermicNet, hat: IsothermicNet, margin: float) -> dict:
     """Quality report of a Darboux pair without building the stack (the
-    grid may itself already be stacked)."""
+    grid may itself already be stacked); a grid without quads has only
+    the vertical diagonal margins."""
     rep = hat.validate(margin=margin)
     g, ip = net.grid, net.signature.inner
     t, h = g.edge_tail, g.edge_head
@@ -633,7 +672,7 @@ def _pair_quality(net: IsothermicNet, hat: IsothermicNet, margin: float) -> dict
         "nullity": max(rep["nullity"], float(np.abs(
             net.signature.norm2(hat.mu) / np.maximum(hnorms ** 2, 1e-300)).max())),
         "moutard": max(rep["moutard"], vert),
-        "diagonal_margin": min(rep["diagonal_margin"], vert_diag),
+        "diagonal_margin": min(rep["diagonal_margin"] if g.nquads else np.inf, vert_diag),
     }
 
 

@@ -66,6 +66,18 @@ def _dot_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean inner products over the last axis, each row summed as
+    ``np.add.reduce`` sums one vector, whatever the layout."""
+    return np.add.reduce(np.multiply(u, v, order="C"), axis=-1)
+
+
+def _line_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``|sin angle|`` between the lines spanned by u and v, batched."""
+    return np.linalg.norm(wedge_vec(u, v), axis=-1) / (
+        np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
+
+
 def _span_of_bivector(C: np.ndarray, tol: float = 1e-8):
     """Orthonormal bases of the 2-planes of decomposable bivectors,
     batched over leading axes.
@@ -152,23 +164,17 @@ def random_moutard_net(grid: Grid, dim: int, rng, scale: float = 0.4):
     if grid.ndim != 2:
         raise ValueError("random Moutard nets are generated on 2D grids")
     d0, d1 = grid.dims
-    mu = np.zeros((grid.nverts, dim))
     base = rng.standard_normal(dim)
     base /= np.linalg.norm(base)
-    mu[grid.vertex_index((0, 0))] = base
-    for a in range(1, d0):
-        prev = mu[grid.vertex_index((a - 1, 0))]
-        mu[grid.vertex_index((a, 0))] = prev + scale * rng.standard_normal(dim)
-    for b in range(1, d1):
-        prev = mu[grid.vertex_index((0, b - 1))]
-        mu[grid.vertex_index((0, b))] = prev + scale * rng.standard_normal(dim)
-    for a in range(1, d0):
-        for b in range(1, d1):
-            vi = mu[grid.vertex_index((a - 1, b - 1))]
-            vj = mu[grid.vertex_index((a, b - 1))]
-            vl = mu[grid.vertex_index((a - 1, b))]
-            c = 0.5 + rng.random()
-            mu[grid.vertex_index((a, b))] = vi + c * (vl - vj)
+    mu = np.zeros((d0, d1, dim))
+    mu[:, 0] = np.cumsum([base, *scale * rng.standard_normal((d0 - 1, dim))], axis=0)
+    mu[0, :] = np.cumsum([base, *scale * rng.standard_normal((d1 - 1, dim))], axis=0)
+    c = 0.5 + rng.random((d0 - 1, d1 - 1, 1))
+    for s in range(2, d0 + d1 - 1):            # one anti-diagonal a + b = s at a time
+        a = np.arange(max(1, s - d1 + 1), min(d0, s))
+        b = s - a
+        mu[a, b] = mu[a - 1, b - 1] + c[a - 1, b - 1] * (mu[a - 1, b] - mu[a, b - 1])
+    mu = mu.reshape(grid.nverts, dim)
     eta = wedge_vec(mu[grid.edge_head], mu[grid.edge_tail])
     return ProjectiveNet(grid, mu, eta), mu
 
@@ -191,20 +197,25 @@ def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0,
         raise ValueError("seed must span the net line at the base vertex")
     mu = np.zeros_like(net.lifts)
     mu[base] = seed
-    for v, parent, slot, sign in g.staircase_tree(base):
-        eta_vp = sign * net.eta[slot]          # eta on edge parent -> v
-        w = wedge_vec(net.lifts[v], mu[parent])
-        ww = float(w @ w)
-        if ww <= 1e-300:
-            raise DegeneracyError("coincident lines on an edge",
-                                  where=g.locate_edge(slot))
-        coef = float(eta_vp @ w) / ww
-        resid = np.linalg.norm(eta_vp - coef * w)
-        if resid > tol * max(np.linalg.norm(eta_vp), 1e-300):
-            raise NotKoenigsError(
-                "eta is not supported on the edge line pair",
-                where=g.locate_edge(slot), residual=float(resid))
-        mu[v] = coef * net.lifts[v]
+    for child, parent, slot, sign in g.staircase_tree(base):
+        eta_vp = sign[:, None] * net.eta[slot]          # eta on the edges parent -> child
+        w = wedge_vec(net.lifts[child], mu[parent])
+        ww = _row_dot(w, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = _row_dot(eta_vp, w) / ww
+            rest = eta_vp - coef[:, None] * w
+            resid = np.sqrt(_row_dot(rest, rest))
+        failures = [(ww <= 1e-300, "coincident lines on an edge"),
+                    (resid > tol * np.maximum(np.sqrt(_row_dot(eta_vp, eta_vp)), 1e-300),
+                     "eta is not supported on the edge line pair")]
+        first = _first_failure(failures)
+        if first is not None:
+            k, n = first
+            where = g.locate_edge(int(slot[k]))
+            if n == 0:
+                raise DegeneracyError(failures[0][1], where=where)
+            raise NotKoenigsError(failures[1][1], where=where, residual=float(resid[k]))
+        mu[child] = coef[:, None] * net.lifts[child]
     # consistency on all edges (fails iff the net is not Koenigs)
     rec = wedge_vec(mu[g.edge_head], mu[g.edge_tail])
     num = np.linalg.norm(rec - net.eta, axis=1)
@@ -272,12 +283,9 @@ def km_pair_check(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray,
     vertical = np.linalg.norm(w, axis=1) / scale
     vert_worst = float(vertical.max(initial=0.0))
 
-    span_margin = np.inf
-    for e in range(grid.nedges):
-        stackm = np.stack([mu_plus[t[e]], mu_plus[h[e]],
-                           mu_minus[h[e]], mu_minus[t[e]]])
-        sv = np.linalg.svd(stackm, compute_uv=False)
-        span_margin = min(span_margin, float(sv[2] / max(sv[0], 1e-300)))
+    sv = np.linalg.svd(np.stack([mu_plus[t], mu_plus[h], mu_minus[h], mu_minus[t]], axis=1),
+                       compute_uv=False)
+    span_margin = float((sv[:, 2] / np.maximum(sv[:, 0], 1e-300)).min(initial=np.inf))
     if grid.nedges and span_margin < 1e-10:
         raise DegeneracyError(
             f"stacked regularity violated: span margin {span_margin:.3e}")
@@ -424,56 +432,77 @@ def g_map(cong: LineCongruence, from_v: int, to_v: int, point) -> np.ndarray:
     spanning lifts at ``to_v``.  ``eta`` is taken on the edge oriented
     from ``to_v`` to ``from_v``, matching ``g_ij([tau_j, r])``.
     """
-    t_coef, r_coef = float(point[0]), float(point[1])
-    if t_coef == 0.0 and r_coef == 0.0:
-        raise ValueError("(tau, r) must not both vanish")
-    eta_val = cong.eta_on(to_v, from_v)      # eta on the edge to_v -> from_v
-    W = r_coef * eta_val + t_coef * cong.lam2_lift(from_v)
+    coords, failures = _g_maps(cong, cong.eta_on(to_v, from_v)[None], np.array([from_v]),
+                               np.array([to_v]), np.asarray(point, float)[None])
+    _raise_g_map(failures)
+    return coords[0]
+
+
+def _g_maps(cong: LineCongruence, eta_val, from_v, to_v, points):
+    """:func:`g_map` on a batch of edges, with ``eta_val`` on each edge
+    oriented ``to_v -> from_v``: the coordinates and the ``(mask,
+    message)`` degeneracies in the order :func:`_raise_g_map` tests them."""
+    t_coef, r_coef = points[:, :1], points[:, 1:]
+    W = r_coef * eta_val + t_coef * wedge_vec(cong.sigma1[from_v], cong.sigma2[from_v])
     span, failures = _span_of_bivector(unpack_bivector(W, cong.dim))
-    _raise_first(failures)
-    v, failures = _plane_intersection(span, cong.plane_basis(to_v))
-    _raise_first(failures)
-    coords, *_ = np.linalg.lstsq(
-        np.stack([cong.sigma1[to_v], cong.sigma2[to_v]], axis=1), v, rcond=None)
-    return coords
+    M = np.stack([cong.sigma1[to_v], cong.sigma2[to_v]], axis=-1)
+    v, meet = _plane_intersection(span, np.linalg.qr(M)[0])
+    coords = (np.linalg.pinv(M) @ v[..., None])[..., 0]
+    zero = ((t_coef == 0.0) & (r_coef == 0.0))[:, 0]
+    return coords, [(zero, "(tau, r) must not both vanish")] + failures + meet
+
+
+def _raise_g_map(failures) -> None:
+    """Raise the first degeneracy of :func:`_g_maps` on a batch."""
+    first = _first_failure(failures)
+    if first is not None:
+        raise (ValueError if first[1] == 0 else DegeneracyError)(failures[first[1]][1])
 
 
 def g_map_inverse(cong: LineCongruence, from_v: int, to_v: int,
                   line_coords) -> np.ndarray:
     """Inverse edge map: line in ``f_from`` to ``(t, r)`` at ``to_v``."""
-    a, b = float(line_coords[0]), float(line_coords[1])
-    v = a * cong.sigma1[from_v] + b * cong.sigma2[from_v]
-    eta_val = cong.eta_on(from_v, to_v)      # eta_{to,from}
+    return _g_map_inverses(cong, cong.eta_on(from_v, to_v)[None], np.array([from_v]),
+                           np.array([to_v]), np.asarray(line_coords, float)[None])[0]
+
+
+def _g_map_inverses(cong: LineCongruence, eta_val, from_v, to_v, points):
+    """:func:`g_map_inverse` on a batch of edges, with ``eta_val`` on each
+    edge oriented ``from_v -> to_v``."""
+    v = points[:, :1] * cong.sigma1[from_v] + points[:, 1:] * cong.sigma2[from_v]
     col_r = _trivector(unpack_bivector(eta_val, cong.dim), v)
-    col_t = _trivector(unpack_bivector(cong.lam2_lift(to_v), cong.dim), v)
-    M = np.stack([col_r, col_t], axis=1)
-    _, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    r_coef, t_coef = Vt[-1]
-    return np.array([t_coef, r_coef])
+    lam2 = wedge_vec(cong.sigma1[to_v], cong.sigma2[to_v])
+    col_t = _trivector(unpack_bivector(lam2, cong.dim), v)
+    _, _, Vt = np.linalg.svd(np.stack([col_r, col_t], axis=-1), full_matrices=False)
+    return Vt[:, -1, ::-1]                      # (t, r)
 
 
-def _vertex_color(grid: Grid, v: int) -> int:
-    """0 on the even (black) class of the bipartite 2-coloring."""
-    return int(grid.vertex_coords[v].sum()) % 2
-
-
-def _transport(cong: LineCongruence, colors, bundle_black: bool,
-               from_v: int, to_v: int, value: np.ndarray) -> np.ndarray:
-    """One step of the flat connection on X^b (or X^w)."""
-    line_at = 0 if bundle_black else 1
-    if colors[to_v] == line_at:
-        return g_map(cong, from_v, to_v, value)
-    return g_map_inverse(cong, from_v, to_v, value)
+def _colors(grid: Grid) -> np.ndarray:
+    """0 on the even (black) class of the bipartite 2-coloring, 1 on the
+    odd (white) one."""
+    return grid.vertex_coords.sum(axis=1) % 2
 
 
 def _parallel_section(cong: LineCongruence, colors, bundle_black: bool,
                       base: int, seed2: np.ndarray) -> np.ndarray:
-    """Transport a fiber point over the whole grid along the staircase."""
+    """Transport a fiber point over the whole grid along the staircase,
+    one level at a time: :func:`g_map` onto the vertices whose color
+    carries the line, :func:`g_map_inverse` onto the others."""
     g = cong.grid
+    onto_line = colors == (0 if bundle_black else 1)
     out = np.zeros((g.nverts, 2))
     out[base] = seed2
-    for v, parent, _, _ in g.staircase_tree(base):
-        out[v] = _transport(cong, colors, bundle_black, parent, v, out[parent])
+    for child, parent, slot, sign in g.staircase_tree(base):
+        eta = sign[:, None] * cong.eta[slot]        # on the edges parent -> child
+        fw, bw = onto_line[child], ~onto_line[child]
+        val = np.empty((len(child), 2))
+        if fw.any():
+            val[fw], failures = _g_maps(cong, -eta[fw], parent[fw], child[fw],
+                                        out[parent[fw]])
+            _raise_g_map(failures)
+        if bw.any():
+            val[bw] = _g_map_inverses(cong, eta[bw], parent[bw], child[bw], out[parent[bw]])
+        out[child] = val
     return out
 
 
@@ -481,14 +510,14 @@ def quad_holonomy_residual(cong: LineCongruence, bundle_black: bool,
                            quad: int, points, rng=None) -> float:
     """Projective distance after transporting fiber points around a quad."""
     g = cong.grid
-    colors = [_vertex_color(g, v) for v in range(g.nverts)]
+    onto_line = _colors(g) == (0 if bundle_black else 1)
     i, j, k, l = (int(v) for v in g.quad_vertices[quad])
     worst = 0.0
     for p in points:
         val = np.asarray(p, float)
         out = val
         for a, b in ((i, j), (j, k), (k, l), (l, i)):
-            out = _transport(cong, colors, bundle_black, a, b, out)
+            out = (g_map if onto_line[b] else g_map_inverse)(cong, a, b, out)
         num = abs(val[0] * out[1] - val[1] * out[0])
         den = np.linalg.norm(val) * np.linalg.norm(out)
         worst = max(worst, float(num / max(den, 1e-300)))
@@ -512,27 +541,25 @@ def _section_to_net(cong: LineCongruence, colors, xb: np.ndarray,
                     xw: np.ndarray, margin: float):
     """Build (s, tau) from parallel sections of X^b and X^w."""
     g = cong.grid
-    lifts = np.zeros_like(cong.sigma1)
-    tau = np.zeros((g.nverts, cong.eta.shape[1]))
-    for v in range(g.nverts):
-        line2 = xb[v] if colors[v] == 0 else xw[v]
-        wpt = xw[v] if colors[v] == 0 else xb[v]
-        lifts[v] = line2[0] * cong.sigma1[v] + line2[1] * cong.sigma2[v]
-        n = np.linalg.norm(lifts[v])
-        if n < 1e-12:
-            raise SeedDegeneracyError("section degenerated to zero", where=v)
-        lifts[v] /= n
-        t_coef, r_coef = wpt
-        if abs(r_coef) <= margin * max(abs(t_coef), 1e-300):
-            raise SeedDegeneracyError(
-                "tau became infinite: section met an intersection line", where=v)
-        tau[v] = (t_coef / r_coef) * cong.lam2_lift(v)
+    black = (colors == 0)[:, None]
+    line2, (t_coef, r_coef) = np.where(black, xb, xw), np.where(black, xw, xb).T
+    lifts = line2[:, :1] * cong.sigma1 + line2[:, 1:] * cong.sigma2
+    n = np.linalg.norm(lifts, axis=1)
+    failures = [(n < 1e-12, "section degenerated to zero"),
+                (np.abs(r_coef) <= margin * np.maximum(np.abs(t_coef), 1e-300),
+                 "tau became infinite: section met an intersection line")]
+    first = _first_failure(failures)
+    if first is not None:
+        raise SeedDegeneracyError(failures[first[1]][1], where=first[0])
+    lifts /= n[:, None]
+    tau = (t_coef / r_coef)[:, None] * wedge_vec(cong.sigma1, cong.sigma2)
     # margin against the intersection lines of incident edges
-    worst = np.inf
-    for e in range(g.nedges):
-        s_line = cong.intersection_line(e)
-        for v in (int(g.edge_tail[e]), int(g.edge_head[e])):
-            worst = min(worst, line_distance(lifts[v], s_line))
+    edges = np.arange(g.nedges)
+    _, _, s_lines, failures = cong._edge_spans(edges)
+    cong._raise_first_edge(edges, failures)
+    ends = np.concatenate([g.edge_tail, g.edge_head])
+    worst = float(_line_distances(lifts[ends], np.concatenate([s_lines, s_lines])).min(
+        initial=np.inf))
     if g.nedges and worst < margin:
         raise SeedDegeneracyError(
             f"section passes within {worst:.2e} of an intersection line")
@@ -554,7 +581,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     non-orthogonal (the denominators of later transforms).
     """
     g = cong.grid
-    colors = [_vertex_color(g, v) for v in range(g.nverts)]
+    colors = _colors(g)
     base_b = next(v for v in range(g.nverts) if colors[v] == 0)
     base_w = next(v for v in range(g.nverts) if colors[v] == 1)
     rng = np.random.default_rng(seed)
@@ -584,7 +611,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     def pair_margin(lp, lm):
         # vertical diagonals of the stacked pair: the denominators of
         # every later Moutard propagation through the pair
-        dist = min(line_distance(lp[v], lm[v]) for v in range(g.nverts))
+        dist = float(_line_distances(lp, lm).min())
         if signature is None:
             return dist
         ln = np.linalg.norm
@@ -598,8 +625,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     for attempt in range(retries):
         lifts_p, tau_p, margin_p = one_net(seeds_plus, "plus")
         lifts_m, tau_m, margin_m = one_net(seeds_minus, "minus")
-        dists = [line_distance(lifts_p[v], lifts_m[v]) for v in range(g.nverts)]
-        if min(dists) < margin:
+        if _line_distances(lifts_p, lifts_m).min() < margin:
             if not auto:
                 raise SeedDegeneracyError(
                     "the two sections are not pointwise distinct")
@@ -626,18 +652,14 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     mu_p = moutard_lift_from_eta(net_p, lifts_p[base_b], base=base_b, tol=tol)
     # match the minus lift through tau = tau_minus - tau_plus = mu- ^ mu+
     tau = tau_m - tau_p
-    mu_m = np.zeros_like(mu_p)
-    tau_res = 0.0
-    for v in range(g.nverts):
-        w = wedge_vec(lifts_m[v], mu_p[v])
-        ww = float(w @ w)
-        if ww <= 1e-300:
-            raise DegeneracyError("tau matching degenerate", where=v)
-        coef = float(tau[v] @ w) / ww
-        mu_m[v] = coef * lifts_m[v]
-        tau_res = max(tau_res, float(
-            np.linalg.norm(tau[v] - coef * w)
-            / max(np.linalg.norm(tau[v]), 1e-300)))
+    w = wedge_vec(lifts_m, mu_p)
+    ww = _row_dot(w, w)
+    if (ww <= 1e-300).any():
+        raise DegeneracyError("tau matching degenerate", where=int(np.argmax(ww <= 1e-300)))
+    coef = (_row_dot(tau, w) / ww)[:, None]
+    mu_m = coef * lifts_m
+    tau_res = float((np.linalg.norm(tau - coef * w, axis=1) / np.maximum(
+        np.linalg.norm(tau, axis=1), 1e-300)).max(initial=0.0))
     rec = wedge_vec(mu_m[h], mu_m[t])
     minus_res = float(np.abs(rec - eta_m).max(initial=0.0)) / max(
         float(np.abs(eta_m).max(initial=0.0)), 1e-300)
@@ -645,8 +667,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     # balance the lift scales: the alternating rescale c^{±1} (opposite
     # exponents on the two nets) keeps norms even across the coloring
     # while leaving eta± and tau± exactly invariant
-    parity = np.array([1.0 if _vertex_color(g, v) == 0 else -1.0
-                       for v in range(g.nverts)])
+    parity = 1.0 - 2.0 * _colors(g)
     np_even = np.median(np.linalg.norm(mu_p[parity > 0], axis=1))
     np_odd = np.median(np.linalg.norm(mu_p[parity < 0], axis=1))
     c = np.sqrt(max(np_odd, 1e-300) / max(np_even, 1e-300))
@@ -715,18 +736,14 @@ def factor_edge_ratios(grid: Grid, lam: np.ndarray):
     """
     lam = np.asarray(lam, float)
     t, h = grid.edge_tail, grid.edge_head
-    quad_res = 0.0
-    for n in range(grid.nquads):
-        eb, er, et, el = grid.quad_edges[n]
-        quad_res = max(quad_res, abs(lam[eb] * lam[et] / (lam[er] * lam[el]) - 1.0))
+    eb, er, et, el = grid.quad_edges.T
+    quad_res = float(np.fmax.reduce(np.abs(lam[eb] * lam[et] / (lam[er] * lam[el]) - 1.0),
+                                    initial=0.0))
+    levels = grid.staircase_tree(0)
     r = np.zeros(grid.nverts)
-    tree = grid.staircase_tree(0)
-    if tree:
-        r[0] = np.sqrt(abs(lam[tree[0][2]]))
-    else:
-        r[0] = 1.0
-    for v, parent, slot, _ in tree:
-        r[v] = lam[slot] / r[parent]
+    r[0] = np.sqrt(abs(lam[levels[0][2][0]])) if levels else 1.0
+    for child, parent, slot, _ in levels:
+        r[child] = lam[slot] / r[parent]
     fact = np.abs(r[t] * r[h] - lam) / np.maximum(np.abs(lam), 1e-300)
     worst_fact = float(fact.max(initial=0.0))
     worst_edge = int(np.argmax(fact)) if len(fact) else 0

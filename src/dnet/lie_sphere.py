@@ -25,10 +25,9 @@ from .errors import (DegeneracyError, FrameError, GaugeError,
                      GenerationError)
 from .forms import (Form0, Form1, curly_wedge, exterior_derivative,
                     mixed_area, unpack_bivector, wedge, wedge_vec, BilinearRule)
-from .grid import Grid, integrate_one_form, stack
-from .isothermic import (_SCREEN_SLACK, ConservedQuantity, IsothermicNet, _CandidateRows,
-                         calapso_transform, darboux_transform, flat_connection,
-                         moutard_evolve, stack_pair)
+from .grid import Grid, _d_one_form, integrate_one_form, stack
+from .isothermic import (ConservedQuantity, IsothermicNet, _evolve, calapso_transform,
+                         darboux_transform, flat_connection, stack_pair)
 from .koenigs import (LineCongruence, _first_failure, _plane_intersection,
                       _span_of_bivector, extract_pair, km_pair_check)
 from .pseudo_euclidean import Frame, Signature, action_matrix
@@ -84,9 +83,6 @@ class LieFrame:
     def coords3(self, v) -> np.ndarray:
         return self.signature.inner(np.asarray(v, float)[..., None, :],
                                     self.basis3)
-
-    def p_coord(self, v) -> np.ndarray:
-        return -self.signature.inner(v, self.p)
 
     def lift_point(self, x) -> np.ndarray:
         x = np.asarray(x, float)
@@ -160,11 +156,8 @@ class PrincipalNet:
                            np.abs(self.kappa) * np.linalg.norm(dx, axis=1))
         out["curvature_relation"] = float(
             (np.linalg.norm(res, axis=1) / np.maximum(scale, 1.0)).max(initial=0.0))
-        y = frame.lift_point(self.x)
-        worst = 0.0
-        for nq in range(self.grid.nquads):
-            sv = np.linalg.svd(y[self.grid.quad_vertices[nq]], compute_uv=False)
-            worst = max(worst, float(sv[3] / max(sv[0], 1e-300)))
+        sv = np.linalg.svd(frame.lift_point(self.x)[self.grid.quad_vertices], compute_uv=False)
+        worst = float((sv[:, 3] / np.maximum(sv[:, 0], 1e-300)).max(initial=0.0))
         out["circularity"] = worst
         out["passed"] = bool(out["unit_normal"] <= 1e-9
                              and out["curvature_relation"] <= max(tol, 1e-9)
@@ -555,31 +548,16 @@ class GuichardNet:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _null_solve(sig: Signature, particular, kernel, rng, retries: int = 64):
-    """Null vector of the form particular + kernel @ a (random search)."""
-    for _ in range(retries):
-        k = kernel @ rng.standard_normal(kernel.shape[1])
-        a = float(sig.inner(k, k))
-        b = 2.0 * float(sig.inner(particular, k))
-        c = float(sig.inner(particular, particular))
-        if abs(a) < 1e-14:
-            continue
-        disc = b * b - 4 * a * c
-        if disc <= 0:
-            continue
-        root = (-b + np.sqrt(disc)) / (2 * a)
-        v = particular + root * k
-        if np.linalg.norm(v) > 1e-8:
-            return v
-    raise GenerationError("null slice not found")
-
-
-def _kernel_of(sig: Signature, constraints) -> np.ndarray:
-    """Orthonormal basis of the simultaneous kernel of (v, c_k) = 0."""
-    A = np.stack([c * sig.signs for c in constraints])
-    _, sv, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * sv[0]))
-    return Vt[rank:].T
+# Candidates each search for ``xi`` at the base and each Cauchy step of a
+# Guichard attempt tries before it gives up.
+_TRIES = 64
+# Candidates of a Cauchy step tested before the rest.
+_FIRST = 4
+# Guichard attempts made together, the last size repeated: a small first
+# block keeps a call that succeeds at once cheap.
+_ATTEMPT_BLOCKS = (4, 16)
+_REJECTIONS = ("base point", "Cauchy step", "evolution", "net invalid",
+               "orthogonality", "coefficient_dev")
 
 
 def guichard_generate(dims, seed: int = 0, magnitude: float = 0.25,
@@ -593,151 +571,172 @@ def guichard_generate(dims, seed: int = 0, magnitude: float = 0.25,
     (with ``d xi = eta p``) stays orthogonal to the net; the interior is
     filled by the Moutard evolution and the conditions are verified at
     interior vertices.  Returns a :class:`GuichardNet` on success and
-    raises :class:`GenerationError` after exhausting retries.
+    raises :class:`GenerationError` after exhausting retries, with one
+    line that counts the attempts rejected at each stage and gives the
+    best orthogonality and ``coefficient_dev`` reached.
 
     ``skip_constraint_at`` deliberately skips the rescaling at one
     Cauchy step (fault injection for the verification path); the
-    resulting diagnostics then localize the violation.
+    diagnostics of the first attempt that completes then localize the
+    violation.
 
-    Draw order: every attempt reads, from one ``numpy.random.Generator``
-    made by ``numpy.random.default_rng(seed)``, a ``standard_normal(d)`` row for
-    the base point, the rows of the seed search for ``xi``, then one row
-    per candidate Cauchy step, the steps of axis 0 before those of axis
-    1; a rejected candidate uses up exactly its row, and a step gives up
-    after 64 candidates, leaving the stream just past the rows used.
-    The candidates are drawn and screened in blocks, but each seed gives
-    the same net as one draw and one test per candidate.
+    Draw order: attempt ``i`` reads only ``numpy.random.default_rng([seed,
+    i])``: a ``standard_normal(d)`` row for the base point, 64 rows of
+    ``d - 2`` normals for the search for ``xi`` there, then 64 candidate
+    rows of ``d`` normals per Cauchy step, the steps of axis 0 before
+    those of axis 1.  The search and every step take their first passing
+    candidate.  Attempts are made in blocks, stage by stage over the
+    block, and the first attempt in order that passes is returned, so the
+    result does not depend on the block size.
     """
     frame = standard_lie_frame() if frame is None else frame
-    sig = frame.signature
-    ip = sig.inner
     g = Grid(dims)
     if g.ndim != 2:
         raise ValueError("Guichard generation expects a 2D grid")
-    rng = np.random.default_rng(seed)
+    counts = dict.fromkeys(_REJECTIONS, 0)
+    best_orth = best_dev = np.inf
+    start, blocks = 0, list(_ATTEMPT_BLOCKS)
+    while start < retries:
+        size = blocks.pop(0) if len(blocks) > 1 else blocks[0]
+        attempts = range(start, min(start + size, retries))
+        start = attempts.stop
+        for out in _guichard_attempts(g, frame, seed, attempts, magnitude,
+                                      skip_constraint_at):
+            if isinstance(out, str):
+                counts[out] += 1
+                continue
+            net, xi, diag = out
+            if skip_constraint_at is not None:
+                return _guichard_report_failure(net, xi, diag)
+            failed = [name for name, ok in (
+                ("net invalid", diag["net_valid"]),
+                ("orthogonality", diag["orthogonality"] <= tol),
+                ("coefficient_dev", diag["coefficient_dev"] <= 1e-10)) if not ok]
+            if not failed:
+                return _guichard_package(net, xi, frame, diag)
+            counts[failed[0]] += 1
+            best_orth = min(best_orth, diag["orthogonality"])
+            best_dev = min(best_dev, diag["coefficient_dev"])
+    raise GenerationError(
+        f"Guichard generation failed after {retries} attempts: rejected at "
+        + ", ".join(f"{name} {n}" for name, n in counts.items())
+        + f"; best orthogonality {best_orth:.3e}, best coefficient_dev {best_dev:.3e}")
 
-    last_err = None
-    for attempt in range(retries):
-        try:
-            data = _guichard_attempt(g, frame, rng, magnitude, skip_constraint_at)
-        except (DegeneracyError, GenerationError) as err:
-            last_err = err
-            continue
-        net, xi, diag = data
-        if skip_constraint_at is not None:
-            return _guichard_report_failure(net, xi, diag)
-        if (diag["orthogonality"] <= tol and diag["net_valid"]
-                and diag["coefficient_dev"] <= 1e-10):
-            return _guichard_package(net, xi, frame, diag)
-        last_err = diag
-    raise GenerationError(f"Guichard generation failed after {retries} tries: {last_err}")
 
-
-def _guichard_attempt(g: Grid, frame: LieFrame, rng, magnitude,
-                      skip_constraint_at):
-    sig = frame.signature
-    ip = sig.inner
-    d = sig.dim
-    d0, d1 = g.dims
+def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, magnitude,
+                       skip_constraint_at):
+    """Make the Guichard ``attempts`` together, each stage batched over a
+    leading attempt axis; yields, per attempt in order, the stage that
+    rejected it (see ``_REJECTIONS``) or its ``(net, xi, diag)``.  The
+    net is validated when its turn comes."""
+    sig, ff = frame.signature, frame.frame
+    ip, d, (d0, d1) = sig.inner, sig.dim, g.dims
+    n, nsteps = len(attempts), d0 + d1 - 2
+    rows = np.array([np.random.default_rng([seed, i]).standard_normal(
+        d + _TRIES * (d - 2 + nsteps * d)) for i in attempts])
+    reason = np.full(n, -1)
 
     # base: mu null with (mu, p) != 0; xi null, (xi, p) = -1, (xi, mu) = 0
-    x0 = frame.frame.pi(rng.standard_normal(d))
-    mu0 = frame.frame.o + x0 + 0.5 * float(ip(x0, x0)) * frame.q
-    if abs(ip(mu0, frame.p)) < 0.05:
-        raise DegeneracyError("base point sphere nearly flat")
-    # particular solution of (v, p) = -1, (v, mu0) = 0
-    A = np.stack([frame.p * sig.signs, mu0 * sig.signs])
-    particular, *_ = np.linalg.lstsq(A, np.array([-1.0, 0.0]), rcond=None)
-    kernel = _kernel_of(sig, [frame.p, mu0])
-    xi0 = _null_solve(sig, particular, kernel, rng)
+    x0 = ff.pi(rows[:, :d])
+    mu0 = ff.o + x0 + (0.5 * ip(x0, x0))[:, None] * frame.q
+    reason[np.abs(ip(mu0, frame.p)) < 0.05] = 0
+    # least-norm solution of (v, p) = -1, (v, mu0) = 0, and the kernel
+    a1, a2 = frame.p * sig.signs, mu0 * sig.signs
+    g11, g12, g22 = (np.add.reduce(u * v, axis=-1) for u, v in ((a1, a1), (a2, a1), (a2, a2)))
+    particular = (g12[:, None] * a2 - g22[:, None] * a1) / (g11 * g22 - g12 * g12)[:, None]
+    kernel = np.linalg.svd(np.stack([np.broadcast_to(a1, a2.shape), a2], axis=1))[2][:, 2:]
+    k = rows[:, d:d + _TRIES * (d - 2)].reshape(n, _TRIES, d - 2) @ kernel
+    qa, qb = ip(k, k), 2.0 * ip(particular[:, None], k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = qb * qb - 4 * qa * ip(particular, particular)[:, None]
+        v = particular[:, None] + ((-qb + np.sqrt(disc)) / (2 * qa))[..., None] * k
+        found = (np.abs(qa) >= 1e-14) & (disc > 0) & (np.linalg.norm(v, axis=-1) > 1e-8)
+    reason[(reason < 0) & ~found.any(axis=1)] = 0
+    xi0 = v[np.arange(n), np.argmax(found, axis=1)]
+    xi_prev = np.repeat(xi0[:, None], 2, axis=1)
 
-    def exact_step(mu_prev, prev_norm, xi_prev, delta, skip):
-        """The step from one candidate row, or None if it is rejected."""
-        w = mu_prev / prev_norm + delta
-        wq = float(ip(w, frame.q))
-        if abs(wq) < 1e-6:
-            return None
-        w = w + (-0.5 * float(ip(w, w)) / wq) * frame.q
-        wp = float(ip(w, frame.p))
-        wm = float(ip(mu_prev, w))
-        if abs(wp) < 0.02 or abs(wm) < 1e-6:
-            return None
-        if skip:
-            alpha = 1.0 / np.linalg.norm(w)   # fault injection: skip rescale
-        else:
-            alpha = -float(ip(xi_prev, w)) / (wp * wm)
-        mu_next = alpha * w
-        # keep lift scales bounded so absolute rounding stays small
-        nn = np.linalg.norm(mu_next)
-        if not (0.25 * prev_norm < nn < 4.0 * prev_norm) or not 0.1 < nn < 10.0:
-            return None
-        xi_next = (xi_prev + float(ip(mu_next, frame.p)) * mu_prev
-                   - float(ip(mu_prev, frame.p)) * mu_next)
-        return mu_next, xi_next
+    # Cauchy steps of both lines, each the first passing candidate; most
+    # steps take one of their first few, so those are tried first
+    steps = magnitude * rows[:, d + _TRIES * (d - 2):].reshape(n, nsteps, _TRIES, d)
+    lines = np.zeros((n, 2, max(d0, d1), d))
+    lines[:, :, 0] = mu0[:, None]
+    for s in range(1, max(d0, d1)):
+        kk, ll = np.nonzero((reason < 0)[:, None] & (np.array([d0, d1]) > s))
+        index = np.where(ll == 0, s, d0 - 1 + s)
+        mu_prev, xp, skip = lines[kk, ll, s - 1], xi_prev[kk, ll], index == skip_constraint_at
+        cand = steps[kk, index - 1]
+        ok, mu_next = _cauchy_candidates(frame, mu_prev, xp, skip, ff.pi(cand[:, :_FIRST]))
+        found, mu_next = ok.any(axis=1), mu_next[np.arange(len(kk)), np.argmax(ok, axis=1)]
+        rest = np.flatnonzero(~found)
+        if len(rest):
+            ok, more = _cauchy_candidates(frame, mu_prev[rest], xp[rest], skip[rest],
+                                          ff.pi(cand[rest, _FIRST:]))
+            found[rest] = ok.any(axis=1)
+            mu_next[rest] = more[np.arange(len(rest)), np.argmax(ok, axis=1)]
+        reason[kk[~found]] = 1
+        lines[kk, ll, s] = mu_next
+        xi_prev[kk, ll] = (xp + ip(mu_next, frame.p)[:, None] * mu_prev
+                           - ip(mu_prev, frame.p)[:, None] * mu_next)
 
-    def first_step(deltas, mu_prev, xi_prev, index):
-        """Screen a block of candidates at once, then take the first one
-        that passes the exact test of :func:`exact_step`.  The screen
-        only skips rows that test rejects: its thresholds are loosened
-        past the ulps by which a batched norm can differ from a single
-        one."""
-        prev_norm = np.linalg.norm(mu_prev)
-        skip = skip_constraint_at is not None and index == skip_constraint_at
-        lo, hi = 1.0 - _SCREEN_SLACK, 1.0 + _SCREEN_SLACK
-        w = mu_prev / prev_norm + deltas
-        wq = ip(w, frame.q)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = w + (-0.5 * ip(w, w) / wq)[:, None] * frame.q
-            wp = ip(w, frame.p)
-            wm = ip(mu_prev, w)
-            wn = np.linalg.norm(w, axis=1)
-            alpha = 1.0 / wn if skip else -ip(xi_prev, w) / (wp * wm)
-            nn = np.abs(alpha) * wn
-        keep = ((np.abs(wq) >= 1e-6 * lo) & (np.abs(wp) >= 0.02 * lo)
-                & (np.abs(wm) >= 1e-6 * lo)
-                & (nn > max(0.25 * prev_norm, 0.1) * lo)
-                & (nn < min(4.0 * prev_norm, 10.0) * hi))
-        for k in np.flatnonzero(keep):
-            out = exact_step(mu_prev, prev_norm, xi_prev, deltas[k], skip)
-            if out is not None:
-                return k, out
-        return None
+    live = np.flatnonzero(reason < 0)
+    mu, failures = _evolve(sig, lines[live, 0, :d0], lines[live, 1, :d1], ff)
+    reason[live[[f is not None for f in failures]]] = 2
+    done = np.flatnonzero(reason < 0)
+    mu = mu[reason[live] < 0].reshape(len(done), g.nverts, d)
 
-    line0 = np.zeros((d0, d))
-    line1 = np.zeros((d1, d))
-    line0[0] = line1[0] = mu0
-    index = 0
-    with _CandidateRows(rng, d, lambda rows: frame.frame.pi(magnitude * rows),
-                        "Cauchy step failed") as draws:
-        for line in (line0, line1):
-            xi_prev = xi0
-            for a in range(1, len(line)):
-                index += 1
-                line[a], xi_prev = draws.step(first_step, line[a - 1], xi_prev, index)
-
-    net = moutard_evolve(g, sig, line0, line1, frame=frame.frame)
-    rep = net.validate(margin=1e-5)
-    # xi everywhere from d xi = eta p
+    # xi everywhere from d xi = eta p, all attempts in one integration; an
+    # attempt whose form fails the closedness test of integrate_one_form
+    # has an invalid net
     t, h = g.edge_tail, g.edge_head
-    etap = (ip(net.mu[h], frame.p)[:, None] * net.mu[t]
-            - ip(net.mu[t], frame.p)[:, None] * net.mu[h])
-    xi = integrate_one_form(g, etap, base=0, seed=xi0, check_closed=True,
-                            tol=1e-8).values
-    orth = np.abs(ip(xi, net.mu)) / np.maximum(
-        np.linalg.norm(xi, axis=1) * np.linalg.norm(net.mu, axis=1), 1e-300)
-    coeffs = np.stack([np.full(g.nverts, -1.0), 2.0 * ip(frame.p, xi),
-                       ip(xi, xi)], axis=1)
-    diag = {
-        "orthogonality": float(orth.max(initial=0.0)),
-        "orthogonality_map": orth,
-        "xi_null": float(np.abs(ip(xi, xi)).max(initial=0.0)),
-        "xi_p": float(np.abs(ip(xi, frame.p) + 1.0).max(initial=0.0)),
-        "coefficient_dev": float(
-            np.abs(coeffs - np.array([-1.0, -2.0, 0.0])).max(initial=0.0)),
-        "net_valid": bool(rep["passed"]),
-        "net_report": rep,
-    }
-    return net, xi, diag
+    etap = (ip(mu[:, h], frame.p)[..., None] * mu[:, t]
+            - ip(mu[:, t], frame.p)[..., None] * mu[:, h]).transpose(1, 0, 2)
+    res = np.linalg.norm(_d_one_form(g, etap), axis=-1) / np.maximum(
+        np.abs(etap).max(axis=(0, 2), initial=0.0), 1.0)
+    reason[done[(res > 1e-8).any(axis=0)]] = 3
+    xi = integrate_one_form(g, etap.reshape(g.nedges, -1), base=0, seed=xi0[done].reshape(-1),
+                            check_closed=False).values
+    xi = xi.reshape(g.nverts, len(done), d).transpose(1, 0, 2)
+    orth = np.abs(ip(xi, mu)) / np.maximum(
+        np.linalg.norm(xi, axis=-1) * np.linalg.norm(mu, axis=-1), 1e-300)
+    coeffs = np.stack([np.full(orth.shape, -1.0), 2.0 * ip(frame.p, xi), ip(xi, xi)], axis=-1)
+    dev = np.abs(coeffs - np.array([-1.0, -2.0, 0.0])).max(axis=(1, 2), initial=0.0)
+    for k in range(n):
+        if reason[k] >= 0:
+            yield _REJECTIONS[reason[k]]
+            continue
+        j = int(np.searchsorted(done, k))
+        net = IsothermicNet(g, sig, mu[j])
+        rep = net.validate(margin=1e-5)
+        yield net, xi[j], {
+            "orthogonality": float(orth[j].max(initial=0.0)),
+            "orthogonality_map": orth[j],
+            "xi_null": float(np.abs(ip(xi[j], xi[j])).max(initial=0.0)),
+            "xi_p": float(np.abs(ip(xi[j], frame.p) + 1.0).max(initial=0.0)),
+            "coefficient_dev": float(dev[j]),
+            "net_valid": bool(rep["passed"]),
+            "net_report": rep,
+        }
+
+
+def _cauchy_candidates(frame: LieFrame, mu_prev, xi_prev, skip, deltas):
+    """Guichard Cauchy steps after the lifts ``mu_prev`` ``(P, d)`` from
+    the candidate rows ``deltas`` ``(P, c, d)``: each candidate's lift is
+    null and keeps ``xi`` orthogonal, or skips that rescaling where
+    ``skip``.  Returns which candidates pass and their lifts."""
+    ip = frame.signature.inner
+    prev_norm = np.linalg.norm(mu_prev, axis=-1)[:, None]
+    w = (mu_prev / prev_norm)[:, None] + deltas
+    wq = ip(w, frame.q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = w + ((-0.5 * ip(w, w)) / wq)[..., None] * frame.q
+        wp, wm = ip(w, frame.p), ip(mu_prev[:, None], w)
+        alpha = np.where(skip[:, None], 1.0 / np.linalg.norm(w, axis=-1),
+                         -ip(xi_prev[:, None], w) / (wp * wm))
+        mu_next = alpha[..., None] * w
+        nn = np.linalg.norm(mu_next, axis=-1)
+        ok = ((np.abs(wq) >= 1e-6) & ~(np.abs(wp) < 0.02) & ~(np.abs(wm) < 1e-6)
+              & (0.25 * prev_norm < nn) & (nn < 4.0 * prev_norm) & (0.1 < nn) & (nn < 10.0))
+    return ok, mu_next
 
 
 def _guichard_report_failure(net, xi, diag):
@@ -974,17 +973,11 @@ def gauge_identity_residual(omega: OmegaNet, t: float) -> float:
     tau = wedge_vec(omega.mu_minus, omega.mu_plus)
     gp = flat_connection(plus, t)
     gm = flat_connection(minus, t)
-    g = omega.grid
-    worst = 0.0
-    eye = np.eye(sig.dim)
-    for e in range(g.nedges):
-        tl, hd = int(g.edge_tail[e]), int(g.edge_head[e])
-        Eh = eye + t * action_matrix(unpack_bivector(tau[hd], sig.dim), sig)
-        Et_inv = eye - t * action_matrix(unpack_bivector(tau[tl], sig.dim), sig)
-        lhs = Eh @ gp[e] @ Et_inv
-        worst = max(worst, float(np.abs(lhs - gm[e]).max()
-                                 / max(np.abs(gm[e]).max(), 1e-300)))
-    return worst
+    g, eye = omega.grid, np.eye(sig.dim)
+    act = t * action_matrix(unpack_bivector(tau, sig.dim), sig)
+    lhs = (eye + act[g.edge_head]) @ gp @ (eye - act[g.edge_tail])
+    return float((np.abs(lhs - gm).max(axis=(1, 2), initial=0.0)
+                  / np.maximum(np.abs(gm).max(axis=(1, 2), initial=0.0), 1e-300)).max(initial=0.0))
 
 
 def dual_legendre(omega: OmegaNet, base: int = 0) -> OmegaNet:
@@ -1044,17 +1037,11 @@ def sphere_lattice(dims, radius: float = 1.5, center=(0.0, 0.0, 0.0),
     g = Grid(dims)
     if g.ndim != 2:
         raise ValueError("sphere lattice expects a 2D grid")
-    d0, d1 = dims
-    thetas = np.linspace(*theta_range, d0)
-    phis = np.linspace(*phi_range, d1)
+    th, ph = np.meshgrid(np.linspace(*theta_range, g.dims[0]),
+                         np.linspace(*phi_range, g.dims[1]), indexing="ij")
     center = np.asarray(center, float)
-    x = np.zeros((g.nverts, 3))
-    for a in range(d0):
-        for b in range(d1):
-            th, ph = thetas[a], phis[b]
-            pnt = radius * np.array([np.sin(th) * np.cos(ph),
-                                     np.sin(th) * np.sin(ph), np.cos(th)])
-            x[g.vertex_index((a, b))] = center + pnt
+    x = center + radius * np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                                    np.cos(th)], axis=-1).reshape(g.nverts, 3)
     n = -(x - center) / radius
     return PrincipalNet(g, x, n)
 

@@ -301,8 +301,11 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
                                     tols["moutard"], worst=v["worst_quad"]))
         rep.add(Check.from_residual("isothermic.label_relations",
                                     v["label_relations"], tols["label_relations"]))
-        rep.add(Check.from_margin("isothermic.diagonal_margin",
-                                  v["diagonal_margin"], tols["regularity_margin"]))
+        if g.nquads:
+            rep.add(Check.from_margin("isothermic.diagonal_margin",
+                                      v["diagonal_margin"], tols["regularity_margin"]))
+        else:
+            rep.skip("isothermic.diagonal_margin", "no quads")
         finite = net.finite_labels()
         for t in (-1.0, 0.3, 2.0):
             if finite.size and np.min(np.abs(finite - t)) < 1e-6:

@@ -67,26 +67,20 @@ class ParallelFamily:
         norms = np.linalg.norm(diffs, axis=2)
         scale = norms.max(initial=0.0)
         active = norms > floor * max(scale, 1.0)
-        worst = 0.0
-        for e in range(self.grid.nedges):
-            live = [a for a in range(self.size) if active[a, e]]
-            if len(live) < 2:
-                continue
-            ref = diffs[live[0], e]
-            for a in live[1:]:
-                w = wedge_vec(diffs[a, e], ref)
-                worst = max(worst, float(
-                    np.linalg.norm(w)
-                    / (np.linalg.norm(diffs[a, e]) * np.linalg.norm(ref))))
+        # every later active member against the first active one
+        first = np.argmax(active, axis=0)
+        a, e = np.nonzero(active & (np.arange(self.size)[:, None] > first))
+        ref = diffs[first[e], e]
+        worst = float((np.linalg.norm(wedge_vec(diffs[a, e], ref), axis=-1)
+                       / (np.linalg.norm(diffs[a, e], axis=-1)
+                          * np.linalg.norm(ref, axis=-1))).max(initial=0.0))
         # decomposability of dPhi through its 2x2 minors
         t, h = self.grid.edge_tail, self.grid.edge_head
         phi = self.phi()
         dphi = phi[h] - phi[t]
-        minor = 0.0
-        for e in range(self.grid.nedges):
-            sv = np.linalg.svd(dphi[e], compute_uv=False)
-            if sv[0] > floor:
-                minor = max(minor, float(sv[1] / sv[0]))
+        sv = np.linalg.svd(dphi, compute_uv=False)
+        live = sv[:, 0] > floor
+        minor = float((sv[live, 1] / sv[live, 0]).max(initial=0.0))
         dead = int(np.sum(~active))
         return {
             "edge_parallel": worst,
@@ -121,12 +115,8 @@ def check_combescure(grid: Grid, x, x_star, signature: Signature,
         vals = np.zeros((grid.nverts, big.dim))
         vals[:, :signature.p] = values[:, :signature.p]
         vals[:, signature.p + 1:big.dim - 1] = values[:, signature.p:]
-        lifts = stereo_lift(vals, frame)
-        worst = 0.0
-        for n in range(grid.nquads):
-            sv = np.linalg.svd(lifts[grid.quad_vertices[n]], compute_uv=False)
-            worst = max(worst, float(sv[3] / max(sv[0], 1e-300)))
-        return worst
+        sv = np.linalg.svd(stereo_lift(vals, frame)[grid.quad_vertices], compute_uv=False)
+        return float((sv[:, 3] / np.maximum(sv[:, 0], 1e-300)).max(initial=0.0))
 
     out = {
         "pairing": res,
@@ -149,18 +139,14 @@ def dual_family(fam: ParallelFamily) -> tuple:
     phi = fam.phi()                           # (nv, d, N)
     duals = [phi[:, m, :] for m in range(fam.signature.dim)]
     t, h = fam.grid.edge_tail, fam.grid.edge_head
-    worst = 0.0
-    for e in range(fam.grid.nedges):
-        dvs = [y[h[e]] - y[t[e]] for y in duals]
-        norms = [np.linalg.norm(v) for v in dvs]
-        if max(norms, default=0.0) <= 1e-14:
-            continue
-        ref = dvs[int(np.argmax(norms))]
-        for v, nv in zip(dvs, norms):
-            if nv <= 1e-12 * max(norms):
-                continue
-            w = wedge_vec(v, ref)
-            worst = max(worst, float(np.linalg.norm(w) / (nv * np.linalg.norm(ref))))
+    # every dual's edge against the longest one, edges where one is live
+    dvs = phi[h] - phi[t]                     # (nedges, d, N): dual m is row m
+    norms = np.linalg.norm(dvs, axis=-1)
+    longest = norms.max(axis=1, initial=0.0)
+    e, m = np.nonzero((longest > 1e-14)[:, None] & (norms > 1e-12 * longest[:, None]))
+    ref = dvs[e, np.argmax(norms, axis=1)[e]]
+    worst = float((np.linalg.norm(wedge_vec(dvs[e, m], ref), axis=-1)
+                   / (norms[e, m] * np.linalg.norm(ref, axis=-1))).max(initial=0.0))
     reassembled = np.stack(duals, axis=1)
     exact = bool(np.array_equal(reassembled, phi))
     return duals, {"dual_edge_parallel": worst, "reassembly_exact": exact,

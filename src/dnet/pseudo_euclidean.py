@@ -161,10 +161,6 @@ class Bivector:
         y = np.asarray(y, float)
         return cls(np.outer(x, y) - np.outer(y, x), signature)
 
-    @classmethod
-    def from_packed(cls, packed, signature: Signature) -> "Bivector":
-        return cls(unpack_bivector(packed, signature.dim), signature)
-
     @property
     def packed(self) -> np.ndarray:
         return pack_bivector(self.matrix)

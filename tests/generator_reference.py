@@ -10,12 +10,12 @@ library against them.
 
 import numpy as np
 
-from dnet.errors import DegeneracyError, EvolutionError
+from dnet.errors import ClosednessError, DegeneracyError, EvolutionError, GenerationError
 from dnet.forms import unpack_bivector, wedge_vec
-from dnet.grid import closedness_residual, integrate_one_form
+from dnet.grid import Grid, closedness_residual, integrate_one_form
 from dnet.isothermic import moutard_evolve
 from dnet.koenigs import _trivector, pluecker_residual
-from dnet.lie_sphere import _kernel_of, _null_solve
+from dnet.lie_sphere import _guichard_package, _guichard_report_failure, standard_lie_frame
 
 
 def random_cauchy(grid, signature, rng, magnitude=0.3, frame=None,
@@ -57,7 +57,8 @@ def random_cauchy(grid, signature, rng, magnitude=0.3, frame=None,
 
 def random_isothermic(grid, signature, rng, magnitude=0.3, margin=1e-5,
                       edge_margin=1e-4, retries=64, frame=None):
-    """Whole nets drawn, evolved and tested one draw at a time."""
+    """Whole nets drawn, evolved and tested one draw at a time; a grid
+    without quads has no quad margins to test."""
     frame = signature.standard_frame() if frame is None else frame
     last = None
     for _ in range(retries):
@@ -72,8 +73,8 @@ def random_isothermic(grid, signature, rng, magnitude=0.3, margin=1e-5,
         scale = np.linalg.norm(net.mu[t], axis=1) * np.linalg.norm(net.mu[h], axis=1)
         edge_rel = np.abs(net.edge_ip) / np.maximum(scale, 1e-300)
         if (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
-                and rep["diagonal_margin"] >= margin
-                and rep["opposite_label_margin"] >= margin
+                and (grid.nquads == 0 or (rep["diagonal_margin"] >= margin
+                                          and rep["opposite_label_margin"] >= margin))
                 and float(edge_rel.min(initial=np.inf)) >= edge_margin):
             return net
         last = rep
@@ -81,26 +82,51 @@ def random_isothermic(grid, signature, rng, magnitude=0.3, margin=1e-5,
 
 
 def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):
-    """One Guichard attempt with Cauchy steps scored one candidate at a
-    time; a drop-in for ``dnet.lie_sphere._guichard_attempt``."""
+    """One Guichard attempt from its own generator ``rng``, with the base
+    search and every Cauchy step scored one candidate at a time.
+
+    The rows are read as ``dnet.lie_sphere.guichard_generate`` reads
+    them: the base row, 64 rows for the search for ``xi``, then 64
+    candidate rows per Cauchy step.
+    """
     sig = frame.signature
     ip = sig.inner
     d = sig.dim
     d0, d1 = g.dims
+    base_row = rng.standard_normal(d)
+    null_rows = rng.standard_normal((64, d - 2))
+    step_rows = rng.standard_normal((d0 + d1 - 2, 64, d))
 
-    x0 = frame.frame.pi(rng.standard_normal(d))
+    x0 = frame.frame.pi(base_row)
     mu0 = frame.frame.o + x0 + 0.5 * float(ip(x0, x0)) * frame.q
     if abs(ip(mu0, frame.p)) < 0.05:
         raise DegeneracyError("base point sphere nearly flat")
-    A = np.stack([frame.p * sig.signs, mu0 * sig.signs])
-    particular, *_ = np.linalg.lstsq(A, np.array([-1.0, 0.0]), rcond=None)
-    kernel = _kernel_of(sig, [frame.p, mu0])
-    xi0 = _null_solve(sig, particular, kernel, rng)
+    # least-norm solution of (v, p) = -1, (v, mu0) = 0 from the Gram matrix
+    a1, a2 = frame.p * sig.signs, mu0 * sig.signs
+    g11, g12, g22 = np.add.reduce(a1 * a1), np.add.reduce(a2 * a1), np.add.reduce(a2 * a2)
+    particular = (g12 * a2 - g22 * a1) / (g11 * g22 - g12 * g12)
+    kernel = np.linalg.svd(np.stack([a1, a2]))[2][2:]
+    xi0 = None
+    for k in null_rows @ kernel:
+        a = float(ip(k, k))
+        b = 2.0 * float(ip(particular, k))
+        c = float(ip(particular, particular))
+        if abs(a) < 1e-14:
+            continue
+        disc = b * b - 4 * a * c
+        if disc <= 0:
+            continue
+        v = particular + ((-b + np.sqrt(disc)) / (2 * a)) * k
+        if np.linalg.norm(v, axis=-1) > 1e-8:
+            xi0 = v
+            break
+    if xi0 is None:
+        raise GenerationError("null slice not found")
 
     def cauchy_step(mu_prev, xi_prev, index):
-        prev_norm = np.linalg.norm(mu_prev)
-        for _ in range(64):
-            delta = frame.frame.pi(magnitude * rng.standard_normal(d))
+        prev_norm = np.linalg.norm(mu_prev, axis=-1)
+        for row in step_rows[index - 1]:
+            delta = frame.frame.pi(magnitude * row)
             w = mu_prev / prev_norm + delta
             wq = float(ip(w, frame.q))
             if abs(wq) < 1e-6:
@@ -111,11 +137,11 @@ def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):
             if abs(wp) < 0.02 or abs(wm) < 1e-6:
                 continue
             if skip_constraint_at is not None and index == skip_constraint_at:
-                alpha = 1.0 / np.linalg.norm(w)
+                alpha = 1.0 / np.linalg.norm(w, axis=-1)
             else:
                 alpha = -float(ip(xi_prev, w)) / (wp * wm)
             mu_next = alpha * w
-            nn = np.linalg.norm(mu_next)
+            nn = np.linalg.norm(mu_next, axis=-1)
             if not (0.25 * prev_norm < nn < 4.0 * prev_norm) or not 0.1 < nn < 10.0:
                 continue
             xi_next = (xi_prev + float(ip(mu_next, frame.p)) * mu_prev
@@ -158,6 +184,28 @@ def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):
         "net_report": rep,
     }
     return net, xi, diag
+
+
+def guichard_generate(dims, seed=0, magnitude=0.25, retries=48, tol=1e-8, frame=None,
+                      skip_constraint_at=None):
+    """Guichard attempts one at a time, attempt ``i`` from its own
+    ``numpy.random.default_rng([seed, i])``; the result or the first
+    completed attempt's fault report, or None after ``retries``.  An
+    attempt whose ``eta p`` is not closed is rejected."""
+    frame = standard_lie_frame() if frame is None else frame
+    g = Grid(dims)
+    for i in range(retries):
+        try:
+            net, xi, diag = guichard_attempt(g, frame, np.random.default_rng([seed, i]),
+                                             magnitude, skip_constraint_at)
+        except (ClosednessError, DegeneracyError, GenerationError):
+            continue
+        if skip_constraint_at is not None:
+            return _guichard_report_failure(net, xi, diag)
+        if (diag["orthogonality"] <= tol and diag["net_valid"]
+                and diag["coefficient_dev"] <= 1e-10):
+            return _guichard_package(net, xi, frame, diag)
+    return None
 
 
 def intersection_line(cong, e, tol=1e-6):

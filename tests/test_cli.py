@@ -332,3 +332,24 @@ def test_exit_codes(tmp_path, capsys, argv, code):
         assert len(err.splitlines()) == 1 and err.startswith("usage error: "), err
     elif code == 0:
         assert err == ""
+
+
+@pytest.mark.parametrize("dims", ["1x5", "5x1"])
+def test_isothermic_line_without_quads(tmp_path, capsys, dims):
+    path = tmp_path / "line.json"
+    assert run("gen", "isothermic", "--dims", dims, "--seed", 1, "-o", path) == 0
+    capsys.readouterr()
+    assert run("verify", "-i", path) == 0
+    out = capsys.readouterr().out
+    assert "isothermic.diagonal_margin" in out and "no quads" in out
+    assert "overall: PASS" in out
+
+
+def test_guichard_exhaustion_is_one_line(tmp_path, capsys):
+    assert run("gen", "guichard", "--dims", "16x16", "--seed", 1,
+               "-o", tmp_path / "g.json") == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("construction degeneracy: Guichard generation failed after 48 "
+                          "attempts: rejected at base point ")
+    assert "array" not in err and "best orthogonality" in err

@@ -100,38 +100,85 @@ def _generate(dims, seed, **kw):
         return f"{type(err).__name__}: {err}"
 
 
-def _guichard_pair(monkeypatch, dims, seed, **kw):
-    new = _generate(dims, seed, **kw)
-    with monkeypatch.context() as m:
-        m.setattr(lie_sphere, "_guichard_attempt", ref.guichard_attempt)
-        old = _generate(dims, seed, **kw)
-    return new, old
+def _same_guichard(new, old):
+    for a, b in ((new.net.mu, old.net.mu), (new.xi, old.xi), (new.x_dual, old.x_dual),
+                 (new.omega.eta, old.omega.eta), (new.pn.x, old.pn.x)):
+        assert np.array_equal(a, b)
+    assert new.diagnostics["orthogonality"] == old.diagnostics["orthogonality"]
 
 
 @pytest.mark.parametrize("dims", [(6, 6), (8, 8)])
-def test_guichard_generate_matches_per_step_attempts(monkeypatch, dims):
+def test_guichard_generate_matches_per_step_attempts(dims):
+    """Each attempt against the per-candidate reference fed the same
+    ``default_rng([seed, i])``."""
     for seed in range(21):
-        new, old = _guichard_pair(monkeypatch, dims, seed)
-        if isinstance(old, str):
-            assert new == old
+        new, old = _generate(dims, seed), ref.guichard_generate(dims, seed)
+        if old is None:
+            assert new.startswith("GenerationError: Guichard generation failed after 48"), new
             continue
         assert not isinstance(new, str), new
-        for a, b in ((new.net.mu, old.net.mu), (new.xi, old.xi),
-                     (new.x_dual, old.x_dual), (new.omega.eta, old.omega.eta),
-                     (new.pn.x, old.pn.x)):
-            assert np.array_equal(a, b)
-        assert new.diagnostics["orthogonality"] == old.diagnostics["orthogonality"]
+        _same_guichard(new, old)
 
 
 @pytest.mark.parametrize("fault", [1, 3, 7])
-def test_guichard_fault_report_is_unchanged(monkeypatch, fault):
-    new, old = _guichard_pair(monkeypatch, (6, 6), 2, skip_constraint_at=fault)
+def test_guichard_fault_report_is_unchanged(fault):
+    new = _generate((6, 6), 2, skip_constraint_at=fault)
+    old = ref.guichard_generate((6, 6), 2, skip_constraint_at=fault)
     assert isinstance(new, dict) and set(new) == set(old)
     for key, value in old.items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(new[key], value), key
         else:
             assert new[key] == value, key
+
+
+def test_guichard_generate_is_deterministic():
+    for dims, seed in (((6, 6), 3), ((9, 7), 4), ((12, 12), 2)):
+        first, again = _generate(dims, seed), _generate(dims, seed)
+        if isinstance(first, str):
+            assert first == again
+        else:
+            _same_guichard(first, again)
+
+
+@pytest.mark.parametrize("blocks", [(1,), (2,), (8,)])
+def test_guichard_generate_does_not_depend_on_block_size(monkeypatch, blocks):
+    default = {(dims, seed): _generate(dims, seed)
+               for dims in ((5, 5), (8, 8)) for seed in range(6)}
+    default[(6, 6), 2] = _generate((6, 6), 2, skip_constraint_at=3)
+    monkeypatch.setattr(lie_sphere, "_ATTEMPT_BLOCKS", blocks)
+    for (dims, seed), old in default.items():
+        kw = {"skip_constraint_at": 3} if isinstance(old, dict) else {}
+        new = _generate(dims, seed, **kw)
+        if isinstance(old, (str, dict)):
+            assert type(new) is type(old)
+            assert new == old if isinstance(old, str) else new["worst_vertex"] == old["worst_vertex"]
+        else:
+            _same_guichard(new, old)
+
+
+def test_every_accepted_guichard_net_passes_the_acceptance_test():
+    accepted = 0
+    for dims in ((4, 4), (6, 6), (7, 9), (10, 10)):
+        for seed in range(8):
+            out = _generate(dims, seed)
+            if isinstance(out, str):
+                continue
+            accepted += 1
+            diag = out.diagnostics
+            assert diag["orthogonality"] <= 1e-8 and diag["coefficient_dev"] <= 1e-10
+            assert out.net.validate(margin=1e-5)["passed"]
+    assert accepted >= 16
+
+
+def test_guichard_exhaustion_is_one_line():
+    err = _generate((12, 12), 0, retries=3)
+    assert err.startswith("GenerationError: Guichard generation failed after 3 attempts")
+    assert "\n" not in err and "array" not in err
+    counts = [int(part.rsplit(" ", 1)[1]) for part in
+              err.split("rejected at ", 1)[1].split(";")[0].split(", ")]
+    assert len(counts) == 6 and sum(counts) == 3
+    assert "best orthogonality" in err and "best coefficient_dev" in err
 
 
 def _congruences():

@@ -54,8 +54,8 @@ def test_non_circular_quad_fails_jointly():
     x = x[[0, 3, 1, 2]]   # row-major order (0,0),(0,1),(1,0),(1,1)
     lam = np.array([1.3, -0.4, 0.8, 2.0])
     xs = np.zeros_like(x)
-    for v, parent, slot, sign in g.staircase_tree(0):
-        xs[v] = xs[parent] + lam[slot] * (x[v] - x[parent])
+    for child, parent, slot, _ in g.staircase_tree(0):
+        xs[child] = xs[parent] + lam[slot][:, None] * (x[child] - x[parent])
     rep = check_combescure(g, x, xs, SIG3)
     assert rep["pairing"] > 1e-6
     assert rep["circular_x"] > 1e-6
