@@ -256,8 +256,9 @@ class Grid:
         parent = child - sign * self.strides[axis]
         slot = self.edge_slots[np.where(sign > 0, parent, child), axis]
         step = dist[child, axis]
-        cuts = np.flatnonzero((np.diff(axis) != 0) | (np.diff(step) != 0)) + 1
-        return list(zip(*(np.split(a, cuts) for a in (child, parent, slot, sign))))
+        cuts = [0, *(np.flatnonzero((np.diff(axis) != 0) | (np.diff(step) != 0)) + 1).tolist(),
+                len(child)]
+        return [(child[a:b], parent[a:b], slot[a:b], sign[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def stack(grid: Grid) -> Grid:

@@ -598,8 +598,7 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
 
 def _darboux_start(net: IsothermicNet, m: float, seed, base: int, min_denom: float):
     """The transformed lift at the base vertex from a seed."""
-    sig = net.signature
-    seed = np.asarray(seed, float)
+    sig, seed = net.signature, np.asarray(seed, float)
     if not sig.is_null(seed):
         raise ValueError("Darboux seed must be null")
     s0 = float(sig.inner(seed, net.mu[base]))

@@ -632,8 +632,9 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, magnitude,
     sig, ff = frame.signature, frame.frame
     ip, d, (d0, d1) = sig.inner, sig.dim, g.dims
     n, nsteps = len(attempts), d0 + d1 - 2
-    rows = np.array([np.random.default_rng([seed, i]).standard_normal(
-        d + _TRIES * (d - 2 + nsteps * d)) for i in attempts])
+    rows = np.empty((n, d + _TRIES * (d - 2 + nsteps * d)))
+    for row, i in zip(rows, attempts):
+        np.random.default_rng([seed, i]).standard_normal(out=row)
     reason = np.full(n, -1)
 
     # base: mu null with (mu, p) != 0; xi null, (xi, p) = -1, (xi, mu) = 0
@@ -657,14 +658,14 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, magnitude,
 
     # Cauchy steps of both lines, each the first passing candidate; most
     # steps take one of their first few, so those are tried first
-    steps = magnitude * rows[:, d + _TRIES * (d - 2):].reshape(n, nsteps, _TRIES, d)
+    steps = rows[:, d + _TRIES * (d - 2):].reshape(n, nsteps, _TRIES, d)
     lines = np.zeros((n, 2, max(d0, d1), d))
     lines[:, :, 0] = mu0[:, None]
     for s in range(1, max(d0, d1)):
         kk, ll = np.nonzero((reason < 0)[:, None] & (np.array([d0, d1]) > s))
         index = np.where(ll == 0, s, d0 - 1 + s)
         mu_prev, xp, skip = lines[kk, ll, s - 1], xi_prev[kk, ll], index == skip_constraint_at
-        cand = steps[kk, index - 1]
+        cand = magnitude * steps[kk, index - 1]
         ok, mu_next = _cauchy_candidates(frame, mu_prev, xp, skip, ff.pi(cand[:, :_FIRST]))
         found, mu_next = ok.any(axis=1), mu_next[np.arange(len(kk)), np.argmax(ok, axis=1)]
         rest = np.flatnonzero(~found)
