@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from dnet import Grid, Signature, christoffel_dual, omega_from_darboux_pair, random_isothermic
+from dnet import Grid, Signature, christoffel_dual, random_isothermic
 from dnet.errors import SeedDegeneracyError
 from dnet.koenigs import _colors, _parallel_section, _section_to_net, km_pair_check
 from dnet.lie_sphere import gauge_identity_residual, sphere_lattice, standard_lie_frame

@@ -15,13 +15,13 @@ from dnet import (Grid, Signature, darboux_transform, moutard_lift_from_eta,
                   omega_from_darboux_pair, random_isothermic)
 from dnet.errors import GeometryError
 from dnet.forms import wedge_vec
-from dnet.grid import integrate_one_form, stack, trivialize_connection
+from dnet.grid import integrate_one_form, trivialize_connection
 from dnet.isothermic import (IsothermicNet, _seed_orthogonal_null, flat_connection,
                              moutard_evolve, random_cauchy, stack_pair)
 from dnet.koenigs import ProjectiveNet, _colors, _parallel_section, factor_edge_ratios
 
 SIG = Signature(4, 2)
-# grid name -> (grid, interior base vertex)
+# the grids every walk is checked on; _net builds a net on each
 GRIDS = ["1x5", "5x1", "2x2", "3x4x5", "stacked 2x6x6", "64x64"]
 
 
