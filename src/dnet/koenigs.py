@@ -335,10 +335,6 @@ class LineCongruence:
         Q, _ = np.linalg.qr(M)
         return Q
 
-    def lam2_lift(self, v: int) -> np.ndarray:
-        """Packed generator of Lambda^2 f_v."""
-        return wedge_vec(self.sigma1[v], self.sigma2[v])
-
     def eta_on(self, tail: int, head: int) -> np.ndarray:
         e = self.grid.oriented_edge(tail, head)
         return e.sign * self.eta[e.index]
