@@ -4,8 +4,8 @@ the per-edge line congruence validation.
 These are the loops the library used before the generators drew their
 candidate rows in blocks: one ``rng.standard_normal(d)`` row and one
 scalar test per candidate, one whole net per ``random_isothermic`` draw,
-and three ``svd`` calls per edge.  The equivalence tests compare the
-library against them.
+one Guichard attempt at a time, and three ``svd`` calls per edge.  The
+equivalence tests compare the library against them.
 """
 
 import numpy as np

@@ -343,6 +343,10 @@ def test_isothermic_line_without_quads(tmp_path, capsys, dims):
     out = capsys.readouterr().out
     assert "isothermic.diagonal_margin" in out and "no quads" in out
     assert "overall: PASS" in out
+    # its Darboux pair is stacked, so it has quads, but the line has none
+    pair = tmp_path / "pair.json"
+    assert run("gen", "darboux-pair", "--dims", dims, "--seed", 1, "-o", pair) == 0
+    assert run("verify", "-i", pair) == 0
 
 
 def test_guichard_exhaustion_is_one_line(tmp_path, capsys):

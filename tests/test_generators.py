@@ -2,9 +2,11 @@
 
 Every seed must give the same Cauchy data, the same nets, the same final
 ``rng`` state and so the same files as one ``standard_normal(d)`` draw
-per candidate and one whole net per ``random_isothermic`` draw; the
-stacked line congruence validation must give the same margins and
-verdicts as the edge-by-edge loop.
+per candidate and one whole net per ``random_isothermic`` draw; every
+Guichard attempt made in a block must equal the same attempt made alone
+from its own ``default_rng([seed, i])``; the stacked line congruence
+validation must give the same margins and verdicts as the edge-by-edge
+loop.
 """
 
 import numpy as np
@@ -13,10 +15,11 @@ import pytest
 import generator_reference as ref
 from dnet import (Grid, Signature, cli, isothermic, lie_sphere, omega_from_darboux_pair,
                   random_isothermic)
-from dnet.errors import DegeneracyError, GeometryError
+from dnet.errors import (ClosednessError, DegeneracyError, EvolutionError, GenerationError,
+                         GeometryError)
 from dnet.isothermic import _CandidateRows, random_cauchy
 from dnet.koenigs import LineCongruence
-from dnet.lie_sphere import guichard_generate
+from dnet.lie_sphere import guichard_generate, standard_lie_frame
 
 SIGNATURES = [(4, 2), (4, 1), (3, 1)]
 DIMS = [(1, 5), (5, 1), (2, 2), (6, 6), (12, 12)]
@@ -171,14 +174,41 @@ def test_every_accepted_guichard_net_passes_the_acceptance_test():
     assert accepted >= 16
 
 
-def test_guichard_exhaustion_is_one_line():
-    err = _generate((12, 12), 0, retries=3)
-    assert err.startswith("GenerationError: Guichard generation failed after 3 attempts")
+def _reference_exhaustion(dims, seed, retries):
+    """The exhaustion line the per-attempt reference's attempts call for."""
+    frame, g = standard_lie_frame(), Grid(list(dims))
+    counts = dict.fromkeys(lie_sphere._REJECTIONS, 0)
+    best_orth = best_dev = np.inf
+    for i in range(retries):
+        try:
+            _, _, diag = ref.guichard_attempt(g, frame, np.random.default_rng([seed, i]),
+                                              0.25, None)
+        except EvolutionError:
+            counts["evolution"] += 1
+            continue
+        except ClosednessError:
+            counts["net invalid"] += 1
+            continue
+        except (DegeneracyError, GenerationError) as err:
+            counts["Cauchy step" if str(err) == "Cauchy step failed" else "base point"] += 1
+            continue
+        failed = [name for name, ok in (("net invalid", diag["net_valid"]),
+                                        ("orthogonality", diag["orthogonality"] <= 1e-8),
+                                        ("coefficient_dev", diag["coefficient_dev"] <= 1e-10))
+                  if not ok]
+        counts[failed[0]] += 1
+        best_orth = min(best_orth, diag["orthogonality"])
+        best_dev = min(best_dev, diag["coefficient_dev"])
+    return (f"GenerationError: Guichard generation failed after {retries} attempts: "
+            "rejected at " + ", ".join(f"{name} {n}" for name, n in counts.items())
+            + f"; best orthogonality {best_orth:.3e}, best coefficient_dev {best_dev:.3e}")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_guichard_exhaustion_is_one_line(seed):
+    err = _generate((12, 12), seed, retries=16)
     assert "\n" not in err and "array" not in err
-    counts = [int(part.rsplit(" ", 1)[1]) for part in
-              err.split("rejected at ", 1)[1].split(";")[0].split(", ")]
-    assert len(counts) == 6 and sum(counts) == 3
-    assert "best orthogonality" in err and "best coefficient_dev" in err
+    assert err == _reference_exhaustion((12, 12), seed, 16)
 
 
 def _congruences():

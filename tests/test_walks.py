@@ -134,8 +134,8 @@ def test_darboux_march_matches_walk(name, base, m):
 
 @pytest.mark.parametrize("name, base", [("64x64", 0), ("stacked 2x6x6", 0), ("3x4x5", 27)])
 def test_darboux_degenerate_step_names_the_same_edge(name, base):
-    """A lift orthogonal to its parent's transformed lift, on a child in
-    the middle of a level, stops the march there."""
+    """Lifts orthogonal to their parents' transformed lifts, on two
+    children of one level, stop the march at the first of them."""
     net = _net(name)
     seed = _darboux_seed(net, 0.5, base)
     hat = _march_ref(net, 0.5, seed, base)
@@ -143,11 +143,26 @@ def test_darboux_degenerate_step_names_the_same_edge(name, base):
     child, parent, slot, _ = levels[len(levels) // 2 + 1]
     k = len(child) // 2
     mu = net.mu.copy()
-    mu[child[k]] = 2.0 * hat[parent[k]]        # a label m / 2, not m
+    for j in (k, len(child) - 1):
+        mu[child[j]] = 2.0 * hat[parent[j]]    # a label m / 2, not m
     bad = IsothermicNet(net.grid, SIG, mu)
     got = _outcome(_march, bad, 0.5, seed, base)
     assert got == _outcome(_march_ref, bad, 0.5, seed, base)
     assert got[0] == "PropagationError" and got[2] == net.grid.locate_edge(int(slot[k]))
+
+
+@pytest.mark.parametrize("min_denom, scale, what", [(1e-12, 1.0, "normalization"),
+                                                     (1e3, 1e4, "propagation")])
+def test_darboux_normalization_failure_names_the_same_edge(min_denom, scale, what):
+    """With m = 1e13 the normalization (mu, mu_hat) = 1/m falls below
+    ``min_denom`` at the first step; a larger ``min_denom`` fails the
+    denominator test there too, and that test comes first."""
+    net, m = _net("3x4x5"), 1e13
+    seed = scale * _darboux_seed(net, 0.5, 27)
+    got = _outcome(darboux_transform, net, m, seed=seed, base=27, min_denom=min_denom)
+    hat0 = seed / (m * float(SIG.inner(seed, net.mu[27])))
+    assert got == _outcome(ref.darboux_march, net, m, hat0, 27, min_denom)
+    assert got[1] == f"Darboux {what} degenerate"
 
 
 def _projective(name):
