@@ -25,7 +25,7 @@ from .errors import (DegeneracyError, FrameError, GaugeError,
                      GenerationError)
 from .forms import (Form0, Form1, curly_wedge, exterior_derivative,
                     mixed_area, unpack_bivector, wedge, wedge_vec, BilinearRule)
-from .grid import Grid, _d_one_form, integrate_one_form, stack
+from .grid import Grid, integrate_one_form, stack
 from .isothermic import (ConservedQuantity, IsothermicNet, _evolve, calapso_transform,
                          darboux_transform, flat_connection, stack_pair)
 from .koenigs import (LineCongruence, _first_failure, _plane_intersection,
@@ -551,8 +551,6 @@ class GuichardNet:
 # Candidates each search for ``xi`` at the base and each Cauchy step of a
 # Guichard attempt tries before it gives up.
 _TRIES = 64
-# Candidates of a Cauchy step tested before the rest.
-_FIRST = 4
 # Guichard attempts made together, the last size repeated: a small first
 # block keeps a call that succeeds at once cheap.
 _ATTEMPT_BLOCKS = (4, 16)
@@ -656,8 +654,7 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, magnitude,
     xi0 = v[np.arange(n), np.argmax(found, axis=1)]
     xi_prev = np.repeat(xi0[:, None], 2, axis=1)
 
-    # Cauchy steps of both lines, each the first passing candidate; most
-    # steps take one of their first few, so those are tried first
+    # Cauchy steps of both lines, each the first passing candidate
     steps = rows[:, d + _TRIES * (d - 2):].reshape(n, nsteps, _TRIES, d)
     lines = np.zeros((n, 2, max(d0, d1), d))
     lines[:, :, 0] = mu0[:, None]
@@ -666,34 +663,31 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, magnitude,
         index = np.where(ll == 0, s, d0 - 1 + s)
         mu_prev, xp, skip = lines[kk, ll, s - 1], xi_prev[kk, ll], index == skip_constraint_at
         cand = magnitude * steps[kk, index - 1]
-        ok, mu_next = _cauchy_candidates(frame, mu_prev, xp, skip, ff.pi(cand[:, :_FIRST]))
-        found, mu_next = ok.any(axis=1), mu_next[np.arange(len(kk)), np.argmax(ok, axis=1)]
-        rest = np.flatnonzero(~found)
-        if len(rest):
-            ok, more = _cauchy_candidates(frame, mu_prev[rest], xp[rest], skip[rest],
-                                          ff.pi(cand[rest, _FIRST:]))
-            found[rest] = ok.any(axis=1)
-            mu_next[rest] = more[np.arange(len(rest)), np.argmax(ok, axis=1)]
-        reason[kk[~found]] = 1
+        ok, mu_next = _cauchy_candidates(frame, mu_prev, xp, skip, ff.pi(cand))
+        mu_next = mu_next[np.arange(len(kk)), np.argmax(ok, axis=1)]
+        reason[kk[~ok.any(axis=1)]] = 1
         lines[kk, ll, s] = mu_next
-        xi_prev[kk, ll] = (xp + ip(mu_next, frame.p)[:, None] * mu_prev
-                           - ip(mu_prev, frame.p)[:, None] * mu_next)
+        # a step without a passing candidate ends its attempt; its unused
+        # first candidate may not be finite
+        with np.errstate(invalid="ignore", over="ignore"):
+            xi_prev[kk, ll] = (xp + ip(mu_next, frame.p)[:, None] * mu_prev
+                               - ip(mu_prev, frame.p)[:, None] * mu_next)
 
+    # an attempt with a degenerate diagonal is evolved on, dividing by its
+    # near-zero denominators, while others in the block are live
     live = np.flatnonzero(reason < 0)
-    mu, failures = _evolve(sig, lines[live, 0, :d0], lines[live, 1, :d1], ff)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu, failures = _evolve(sig, lines[live, 0, :d0], lines[live, 1, :d1], ff)
     reason[live[[f is not None for f in failures]]] = 2
     done = np.flatnonzero(reason < 0)
     mu = mu[reason[live] < 0].reshape(len(done), g.nverts, d)
 
-    # xi everywhere from d xi = eta p, all attempts in one integration; an
-    # attempt whose form fails the closedness test of integrate_one_form
-    # has an invalid net
+    # xi everywhere from d xi = eta p, all attempts in one integration;
+    # d(eta p) on a quad is p put into (mu_k - mu_i) ^ (mu_l - mu_j), the
+    # Moutard residual of validate, so closedness is left to validate
     t, h = g.edge_tail, g.edge_head
     etap = (ip(mu[:, h], frame.p)[..., None] * mu[:, t]
             - ip(mu[:, t], frame.p)[..., None] * mu[:, h]).transpose(1, 0, 2)
-    res = np.linalg.norm(_d_one_form(g, etap), axis=-1) / np.maximum(
-        np.abs(etap).max(axis=(0, 2), initial=0.0), 1.0)
-    reason[done[(res > 1e-8).any(axis=0)]] = 3
     xi = integrate_one_form(g, etap.reshape(g.nedges, -1), base=0, seed=xi0[done].reshape(-1),
                             check_closed=False).values
     xi = xi.reshape(g.nverts, len(done), d).transpose(1, 0, 2)

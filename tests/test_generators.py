@@ -15,8 +15,7 @@ import pytest
 import generator_reference as ref
 from dnet import (Grid, Signature, cli, isothermic, lie_sphere, omega_from_darboux_pair,
                   random_isothermic)
-from dnet.errors import (ClosednessError, DegeneracyError, EvolutionError, GenerationError,
-                         GeometryError)
+from dnet.errors import DegeneracyError, EvolutionError, GenerationError, GeometryError
 from dnet.isothermic import _CandidateRows, random_cauchy
 from dnet.koenigs import LineCongruence
 from dnet.lie_sphere import guichard_generate, standard_lie_frame
@@ -185,9 +184,6 @@ def _reference_exhaustion(dims, seed, retries):
                                               0.25, None)
         except EvolutionError:
             counts["evolution"] += 1
-            continue
-        except ClosednessError:
-            counts["net invalid"] += 1
             continue
         except (DegeneracyError, GenerationError) as err:
             counts["Cauchy step" if str(err) == "Cauchy step failed" else "base point"] += 1

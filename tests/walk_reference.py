@@ -4,13 +4,22 @@ These are the walks the library ran before its spanning tree came in
 levels: the tree as one ordered list of steps, built with ``sorted``,
 and one Python step per vertex.  The level-by-level walks must give the
 same arrays bit for bit and fail on the same edge.
+
+Two Koenigs walks also changed their arithmetic when they were batched:
+``moutard_lift_from_eta`` sums its inner products with ``np.add.reduce``
+where it took BLAS dots, and ``g_map`` solves its last 2-column system
+with ``pinv`` where it called ``lstsq``.  Their references keep the old
+arithmetic (``g_map``, ``g_map_inverse`` and the default ``dot`` below),
+to be met within a stated bound; given the library's arithmetic
+(``dot=row_dot``, the library's maps) they isolate the batching, to be
+met bit for bit.
 """
 
 import numpy as np
 
 from dnet.errors import DegeneracyError, NotKoenigsError, PropagationError
-from dnet.forms import wedge_vec
-from dnet.koenigs import g_map, g_map_inverse
+from dnet.forms import unpack_bivector, wedge_vec
+from dnet.koenigs import _plane_intersection, _raise_first, _span_of_bivector, _trivector
 
 
 def staircase_steps(grid, base=0):
@@ -76,34 +85,70 @@ def darboux_march(net, m, hat0, base=0, min_denom=1e-12):
     return hat
 
 
-def moutard_lift_from_eta(net, seed, base=0, tol=1e-8):
+def row_dot(u, v):
+    """The inner product as the level walk of ``moutard_lift_from_eta``
+    takes it, one ``np.add.reduce`` sum."""
+    return np.add.reduce(u * v)
+
+
+def moutard_lift_from_eta(net, seed, base=0, tol=1e-8, dot=np.dot):
     """The tree walk of ``moutard_lift_from_eta``, without the check on
-    the edges off the tree; its inner products are ``np.add.reduce``
-    sums, as the level walk takes them."""
+    the edges off the tree; ``dot`` takes its inner products."""
     g = net.grid
     mu = np.zeros_like(net.lifts)
     mu[base] = seed
     for v, parent, slot, sign in staircase_steps(g, base):
         eta_vp = sign * net.eta[slot]
         w = wedge_vec(net.lifts[v], mu[parent])
-        ww = float(np.add.reduce(w * w))
+        ww = float(dot(w, w))
         if ww <= 1e-300:
             raise DegeneracyError("coincident lines on an edge", where=g.locate_edge(slot))
-        coef = float(np.add.reduce(eta_vp * w)) / ww
-        resid = np.sqrt(np.add.reduce((eta_vp - coef * w) ** 2))
-        if resid > tol * max(np.sqrt(np.add.reduce(eta_vp * eta_vp)), 1e-300):
+        coef = float(dot(eta_vp, w)) / ww
+        rest = eta_vp - coef * w
+        resid = np.sqrt(dot(rest, rest))
+        if resid > tol * max(np.sqrt(dot(eta_vp, eta_vp)), 1e-300):
             raise NotKoenigsError("eta is not supported on the edge line pair",
                                   where=g.locate_edge(slot), residual=float(resid))
         mu[v] = coef * net.lifts[v]
     return mu
 
 
-def parallel_section(cong, colors, bundle_black, base, seed2):
+def g_map(cong, from_v, to_v, point):
+    """The edge map ``g`` with its final system solved by ``lstsq``."""
+    t_coef, r_coef = float(point[0]), float(point[1])
+    if t_coef == 0.0 and r_coef == 0.0:
+        raise ValueError("(tau, r) must not both vanish")
+    eta_val = cong.eta_on(to_v, from_v)
+    W = r_coef * eta_val + t_coef * wedge_vec(cong.sigma1[from_v], cong.sigma2[from_v])
+    span, failures = _span_of_bivector(unpack_bivector(W, cong.dim))
+    _raise_first(failures)
+    v, failures = _plane_intersection(span, cong.plane_basis(to_v))
+    _raise_first(failures)
+    coords, *_ = np.linalg.lstsq(
+        np.stack([cong.sigma1[to_v], cong.sigma2[to_v]], axis=1), v, rcond=None)
+    return coords
+
+
+def g_map_inverse(cong, from_v, to_v, line_coords):
+    """The inverse edge map, one ``svd`` per edge."""
+    a, b = float(line_coords[0]), float(line_coords[1])
+    v = a * cong.sigma1[from_v] + b * cong.sigma2[from_v]
+    eta_val = cong.eta_on(from_v, to_v)
+    col_r = _trivector(unpack_bivector(eta_val, cong.dim), v)
+    col_t = _trivector(unpack_bivector(wedge_vec(cong.sigma1[to_v], cong.sigma2[to_v]),
+                                       cong.dim), v)
+    _, _, Vt = np.linalg.svd(np.stack([col_r, col_t], axis=1), full_matrices=False)
+    r_coef, t_coef = Vt[-1]
+    return np.array([t_coef, r_coef])
+
+
+def parallel_section(cong, colors, bundle_black, base, seed2, maps=(g_map, g_map_inverse)):
+    """The walk of ``_parallel_section`` with the edge maps ``maps``."""
     out = np.zeros((cong.grid.nverts, 2))
     out[base] = seed2
     line_at = 0 if bundle_black else 1
     for v, parent, _, _ in staircase_steps(cong.grid, base):
-        step = g_map if colors[v] == line_at else g_map_inverse
+        step = maps[0] if colors[v] == line_at else maps[1]
         out[v] = step(cong, parent, v, out[parent])
     return out
 
