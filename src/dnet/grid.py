@@ -66,20 +66,6 @@ class OrientedQuad:
         i, j, k, l = self.vertices
         return OrientedQuad((i, l, k, j), self.axes, self.index, -self.sign)
 
-    def rotated(self, steps: int = 1) -> "OrientedQuad":
-        v = self.vertices
-        s = steps % 4
-        return OrientedQuad(v[s:] + v[:s], self.axes, self.index, self.sign)
-
-    def same_oriented(self, other: "OrientedQuad") -> bool:
-        """True when the two quads agree up to cyclic rotation."""
-        if set(self.vertices) != set(other.vertices):
-            return False
-        for s in range(4):
-            if self.rotated(s).vertices == other.vertices:
-                return True
-        return False
-
 
 class Grid:
     """Axis-aligned box domain in Z^N."""
@@ -211,9 +197,6 @@ class Grid:
                          tuple(int(a) for a in self.quad_axes[n]), n, 1)
             for n in range(self.nquads)
         ]
-
-    def counts(self):
-        return self.nverts, self.nedges, self.nquads
 
     def locate_edge(self, e: int) -> dict:
         return {

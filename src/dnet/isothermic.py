@@ -17,7 +17,6 @@ transformations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -46,10 +45,15 @@ INF_LABEL_THRESHOLD = 1e-10
 _BLOCK = 8
 # Auto seeds darboux_transform draws and propagates together.
 _SEEDS = 4
-# Relative slack of the batched Cauchy-step screen: a batched norm can
-# differ by an ulp from the 1-D norm of the exact test, so the screen
-# decides only the cases clear of their threshold by more than this.
-_SCREEN_SLACK = 1e-12
+# Damping of a Cauchy step's component along the point sphere complex
+# in indefinite signature: it keeps the edge inner products (and so the
+# labels) away from the isotropic case.
+_TIMELIKE_FACTOR = 0.35
+# Rejection reasons of random_isothermic draws and of darboux_transform
+# auto seeds, in the order their tests run.
+_DRAW_REJECTIONS = ("irregular Cauchy step", "isotropic diagonal", "margin screen", "validate")
+_SEED_REJECTIONS = ("seed draw", "propagation", "normalization", "diagonal margin",
+                    "Moutard", "nullity")
 
 
 class IsothermicNet:
@@ -219,147 +223,27 @@ def moutard_evolve(grid: Grid, signature: Signature, line0, line1,
     return IsothermicNet(grid, signature, mu[0].reshape(grid.nverts, signature.dim))
 
 
-def _reread(rng, state, rows: int, d: int) -> None:
-    """Put ``rng`` ``rows`` rows of ``d`` normals past ``state``."""
-    rng.bit_generator.state = state
-    rng.standard_normal((rows, d))
-
-
-class _CandidateRows:
-    """Candidate rows of ``rng`` for a run of rejection-sampled steps.
-
-    A per-candidate loop reads one ``rng.standard_normal(d)`` row per
-    try; this reads the same rows ``tries`` at a time.  Leaving the
-    ``with`` block, also by the ``DegeneracyError(failure)`` of a step
-    that rejects ``tries`` candidates, gives back the rows not used: it
-    restores the state saved before the last block and reads again only
-    the rows used, so ``rng`` ends where the loop leaves it.
-    ``transform`` maps a block of raw rows to candidates and must act on
-    each row alone.
-    """
-
-    tries = 64
-
-    def __init__(self, rng, d: int, transform, failure: str):
-        self.rng, self.d, self.transform, self.failure = rng, d, transform, failure
-        self.rows = np.empty((0, d))
-        self.pos = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pos < len(self.rows):
-            _reread(self.rng, self.state, self.pos, self.d)
-
-    def step(self, first, *args):
-        """Run one step and return its result.
-
-        ``first(rows, *args)`` gets the step's next untried candidates in
-        draw order and returns ``(k, result)`` for the first accepted row
-        ``k``, or None.
-        """
-        left = self.tries
-        while left:
-            if self.pos == len(self.rows):
-                self.state = self.rng.bit_generator.state
-                self.rows = self.transform(self.rng.standard_normal((self.tries, self.d)))
-                self.pos = 0
-            rows = self.rows[self.pos:self.pos + left]
-            hit = first(rows, *args)
-            if hit is not None:
-                self.pos += hit[0] + 1
-                return hit[1]
-            self.pos += len(rows)
-            left -= len(rows)
-        raise DegeneracyError(self.failure)
-
-
-def _candidate_steps(signature: Signature, frame: Frame, magnitude: float,
-                     timelike_factor: float, rows: np.ndarray) -> np.ndarray:
-    """Cauchy step candidates from raw rows, each row alone: scaled,
-    projected into the q-complement and damped along ``p``."""
-    delta = frame.pi(magnitude * rows)
-    if frame.p is not None:
-        comp = -signature.inner(delta, frame.p)
-        delta = delta + ((timelike_factor - 1.0) * comp)[..., None] * frame.p
-    return delta
-
-
-def random_cauchy(grid: Grid, signature: Signature, rng,
-                  magnitude: float = 0.3, frame: Frame | None = None,
-                  timelike_factor: float = 0.35):
-    """Random null Cauchy data for :func:`moutard_evolve`.
-
-    Each step perturbs the previous lift inside the q-complement and
-    solves the nullity constraint for the q-coefficient; the base point
-    is the lift of a random point of R^{p,q}.  In indefinite signature
-    the step component along the point sphere complex is damped by
-    ``timelike_factor``, which keeps the edge inner products (and so the
-    labels) bounded away from the isotropic case.
-
-    ``rng`` must be a ``numpy.random.Generator``.  Draw order: one
-    ``standard_normal(d)`` row for the base point, then one row per
-    candidate step, the steps of axis 0 before those of axis 1, and a
-    rejected candidate uses up exactly its row.  A step gives up after
-    64 candidates with :class:`DegeneracyError`.  The candidate rows are
-    read 64 at a time and the rows not used are given back (``rng`` is
-    restored and only the rows used are read again), so every seed
-    leaves ``rng`` just past the rows used, as one draw per candidate
-    does.  :func:`random_isothermic` reads the rows of a block of draws
-    in this same order.
-    """
-    frame = signature.standard_frame() if frame is None else frame
-    ip = signature.inner
-    d = signature.dim
-
-    def first_regular(deltas, prev):
-        prev_norm = np.linalg.norm(prev)
-        for k, delta in enumerate(deltas):
-            w = prev + delta
-            wq = float(ip(w, frame.q))
-            if abs(wq) < 1e-6:
-                continue
-            lam = -0.5 * float(ip(w, w)) / wq
-            cand = w + lam * frame.q
-            if abs(ip(cand, prev)) > 1e-8 * np.linalg.norm(cand) * prev_norm:
-                return k, cand
-        return None
-
-    x0 = frame.pi(rng.standard_normal(d))
-    base = frame.o + x0 + 0.5 * float(ip(x0, x0)) * frame.q
-    d0, d1 = grid.dims
-    line0 = np.zeros((d0, d))
-    line1 = np.zeros((d1, d))
-    line0[0] = line1[0] = base
-    steps = partial(_candidate_steps, signature, frame, magnitude, timelike_factor)
-    with _CandidateRows(rng, d, steps, "could not draw a regular Cauchy step") as draws:
-        for line in (line0, line1):
-            for a in range(1, len(line)):
-                line[a] = draws.step(first_regular, line[a - 1])
-    return line0, line1
-
-
-def _cauchy_block(grid: Grid, signature: Signature, rng, n: int, magnitude: float,
-                  frame: Frame, timelike_factor: float = 0.35):
-    """Cauchy data of ``n`` draws of :func:`random_isothermic`, read as if
-    no step rejects its first candidate.
+def _cauchy_lines(grid: Grid, signature: Signature, rng, n: int, magnitude: float,
+                  frame: Frame):
+    """The Cauchy data of ``n`` draws of :func:`random_cauchy`, batched
+    over the draws.
 
     One ``standard_normal((n, d0 + d1 - 1, d))`` call holds, per draw,
-    the base row and one row per step; the step recurrence of both lines
-    runs once, batched over the draws.  Returns the lines ``(n, d0, d)``
-    and ``(n, d1, d)`` and a mask of the draws whose every first candidate
-    clears the tests of :func:`random_cauchy` by ``_SCREEN_SLACK`` (its
-    1-D norms can differ by an ulp from these): those lines are exactly
-    what :func:`random_cauchy` gives.  Degenerate draws divide by zero,
-    so run it under ``np.errstate``.
+    the base row and then one row per step, the steps of axis 0 first.
+    Returns the lines ``(n, d0, d)`` and ``(n, d1, d)`` and a mask of the
+    regular draws: those whose every step has ``|(w, q)| >= 1e-6`` and a
+    lift not orthogonal to the previous one at 1e-8.  Irregular draws
+    divide by zero, so run it under ``np.errstate``.
     """
     ip, d = signature.inner, signature.dim
     d0, d1 = grid.dims
     rows = rng.standard_normal((n, d0 + d1 - 1, d))
     x0 = frame.pi(rows[:, 0])
     base = frame.o + x0 + (0.5 * ip(x0, x0))[:, None] * frame.q
-    deltas = _candidate_steps(signature, frame, magnitude, timelike_factor, rows[:, 1:])
+    deltas = frame.pi(magnitude * rows[:, 1:])
+    if frame.p is not None:
+        comp = -ip(deltas, frame.p)
+        deltas = deltas + ((_TIMELIKE_FACTOR - 1.0) * comp)[..., None] * frame.p
     line0, line1 = np.empty((n, d0, d)), np.empty((n, d1, d))
     wq = np.empty((n, d0 + d1 - 2))
     step = 0
@@ -372,35 +256,42 @@ def _cauchy_block(grid: Grid, signature: Signature, rng, n: int, magnitude: floa
             step += 1
     prev = np.concatenate([line0[:, :-1], line1[:, :-1]], axis=1)
     cand = np.concatenate([line0[:, 1:], line1[:, 1:]], axis=1)
-    high = 1.0 + _SCREEN_SLACK
-    clear = ((np.abs(wq) >= high * 1e-6)
-             & (np.abs(ip(cand, prev)) > high * 1e-8 * np.linalg.norm(cand, axis=-1)
-                * np.linalg.norm(prev, axis=-1))).all(axis=1)
-    return line0, line1, clear
+    regular = ((np.abs(wq) >= 1e-6)
+               & (np.abs(ip(cand, prev)) > 1e-8 * np.linalg.norm(cand, axis=-1)
+                  * np.linalg.norm(prev, axis=-1))).all(axis=1)
+    return line0, line1, regular
 
 
-def _accepted(grid: Grid, rep: dict, edge: float, margin: float, edge_margin: float) -> bool:
-    """The acceptance test of :func:`random_isothermic` on a draw's
-    ``validate`` report and its least edge margin; a grid without quads
-    has no quad margins to test."""
-    return (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
-            and (grid.nquads == 0 or (rep["diagonal_margin"] >= margin
-                                      and rep["opposite_label_margin"] >= margin))
-            and edge >= edge_margin)
+def random_cauchy(grid: Grid, signature: Signature, rng,
+                  magnitude: float = 0.3, frame: Frame | None = None):
+    """Random null Cauchy data for :func:`moutard_evolve`.
+
+    Each step perturbs the previous lift inside the q-complement and
+    solves the nullity constraint for the q-coefficient; the base point
+    is the lift of a random point of R^{p,q}.  In indefinite signature
+    the step component along the point sphere complex is damped, which
+    keeps the edge inner products (and so the labels) bounded away from
+    the isotropic case.
+
+    ``rng`` must be a ``numpy.random.Generator``.  A call reads one run
+    of ``d0 + d1 - 1`` rows of ``standard_normal(d)``: the base row, then
+    one row per step, the steps of axis 0 before those of axis 1.  A step
+    with ``|(w, q)| < 1e-6``, or whose lift is orthogonal to the previous
+    one, raises :class:`DegeneracyError`; ``rng`` ends past the run all
+    the same.  This is the batch of one of the draws
+    :func:`random_isothermic` reads.
+    """
+    frame = signature.standard_frame() if frame is None else frame
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        line0, line1, regular = _cauchy_lines(grid, signature, rng, 1, magnitude, frame)
+    if not regular[0]:
+        raise DegeneracyError("could not draw a regular Cauchy step")
+    return line0[0], line1[0]
 
 
-def _draw_once(grid: Grid, signature: Signature, rng, magnitude: float, margin: float,
-               edge_margin: float, frame: Frame):
-    """One draw of :func:`random_isothermic` on its own: the net or None,
-    and the draw's error or ``validate`` report."""
-    try:
-        line0, line1 = random_cauchy(grid, signature, rng, magnitude, frame)
-        net = moutard_evolve(grid, signature, line0, line1, frame=frame)
-    except (EvolutionError, DegeneracyError) as err:
-        return None, err
-    rep = net.validate(margin=margin)
-    edge = _margins(grid, signature, net.mu[None])[0][0]
-    return (net if _accepted(grid, rep, edge, margin, edge_margin) else None), rep
+def _rejected_at(counts: dict) -> str:
+    """``"rejected at a 1, b 0"``: the count per rejection reason."""
+    return "rejected at " + ", ".join(f"{name} {n}" for name, n in counts.items())
 
 
 def random_isothermic(grid: Grid, signature: Signature, rng,
@@ -414,56 +305,55 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
     clear ``margin`` and every edge stays at least ``edge_margin`` away
     from the isotropic (infinite label) case.
 
-    Each draw reads the stream as :func:`random_cauchy` does, and every
-    seed gives the same net and the same final ``rng`` state as one draw
-    at a time.  The draws are made in blocks of 8: one
-    ``standard_normal((8, d0 + d1 - 1, d))`` call reads them as if no
-    Cauchy step rejects its first candidate, the block is evolved in one
-    wavefront and its margins are computed in one pass, and the draws
-    whose margins clear go, in order, through the rest of the acceptance
-    test.  At the first draw whose steps may reject a candidate, the
-    rows of it and of later draws are given back (the state saved before
-    the block is restored and the rows used are read again) and that
-    draw is made alone.  After the accepted draw, the rows of later
-    draws are given back the same way.  The last of the ``retries``
-    draws is always made alone, so the :class:`DegeneracyError` names its
-    exact error or ``validate`` report.
+    Draw ``i`` reads the ``i``-th run of ``d0 + d1 - 1`` rows of
+    ``standard_normal(d)``, laid out as :func:`random_cauchy` reads them,
+    and a draw with an irregular Cauchy step is rejected whole.  The
+    draws are made in blocks of 8: one ``standard_normal((8, d0 + d1 - 1,
+    d))`` call, one evolution wavefront and one pass of margins per
+    block; the draws that clear the margins go, in order, through
+    ``validate`` and the rest of the acceptance test.  The first draw
+    that passes is returned and ``rng`` ends just past its rows.  After
+    ``retries`` draws, :class:`DegeneracyError` gives in one line the
+    count of draws rejected for each reason and the best diagonal margin
+    reached.
     """
     frame = signature.standard_frame() if frame is None else frame
-    d0, d1 = grid.dims
-    rows, d = d0 + d1 - 1, signature.dim
-    draw = 0
-    while draw < retries - 1:
-        n = min(_BLOCK, retries - 1 - draw)
+    rows, d = sum(grid.dims) - 1, signature.dim
+    counts = dict.fromkeys(_DRAW_REJECTIONS, 0)
+    best = -np.inf
+    for start in range(0, retries, _BLOCK):
+        n = min(_BLOCK, retries - start)
         state = rng.bit_generator.state
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            line0, line1, clear = _cauchy_block(grid, signature, rng, n, magnitude, frame)
-            clear &= (signature.is_null(line0).all(axis=1)
-                      & signature.is_null(line1).all(axis=1))
-            k = n if clear.all() else int(np.argmin(clear))
-            mu, failures = _evolve(signature, line0[:k], line1[:k], frame)
-            mu = mu.reshape(k, grid.nverts, d)
+            line0, line1, regular = _cauchy_lines(grid, signature, rng, n, magnitude, frame)
+            mu, failures = _evolve(signature, line0, line1, frame)
+            mu = mu.reshape(n, grid.nverts, d)
             edge, diag, opp = _margins(grid, signature, mu)
         clears = (edge >= edge_margin) & ((diag >= margin) & (opp >= margin) | (grid.nquads == 0))
-        for j in range(k):
-            if failures[j] is None and clears[j]:
-                net = IsothermicNet(grid, signature, mu[j])
-                if _accepted(grid, net.validate(margin=margin), edge[j], margin, edge_margin):
-                    _reread(rng, state, (j + 1) * rows, d)
-                    return net
-        draw += k
-        if k < n:
-            _reread(rng, state, k * rows, d)
-            net, _ = _draw_once(grid, signature, rng, magnitude, margin, edge_margin, frame)
-            if net is not None:
+        for j in range(n):
+            if not regular[j]:
+                counts["irregular Cauchy step"] += 1
+                continue
+            if failures[j] is not None:
+                counts["isotropic diagonal"] += 1
+                continue
+            best = max(best, float(diag[j]))
+            if not clears[j]:
+                counts["margin screen"] += 1
+                continue
+            # the screen has tested the edge margin; a grid without quads
+            # has no quad margins to test
+            net = IsothermicNet(grid, signature, mu[j])
+            rep = net.validate(margin=margin)
+            if (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
+                    and (grid.nquads == 0 or (rep["diagonal_margin"] >= margin
+                                              and rep["opposite_label_margin"] >= margin))):
+                rng.bit_generator.state = state
+                rng.standard_normal(((j + 1) * rows, d))
                 return net
-            draw += 1
-    last = None
-    if draw < retries:
-        net, last = _draw_once(grid, signature, rng, magnitude, margin, edge_margin, frame)
-        if net is not None:
-            return net
-    raise DegeneracyError(f"no well-conditioned net after {retries} draws: {last}")
+            counts["validate"] += 1
+    raise DegeneracyError(f"no well-conditioned net after {retries} draws: "
+                          f"{_rejected_at(counts)}; best diagonal margin {best:.3e}")
 
 
 def flat_connection(net: IsothermicNet, t: float, tol: float = 1e-8) -> np.ndarray:
@@ -556,7 +446,10 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
     violation: they are drawn from ``rng`` one at a time, in blocks of 4
     propagated together one tree level at a time, and the first seed in
     draw order that passes is returned, so an auto-seeded call may leave
-    ``rng`` past the accepted seed.  An explicit ``seed`` is a block of one.
+    ``rng`` past the accepted seed.  After ``retries`` auto seeds,
+    :class:`DegeneracyError` gives in one line the count of seeds
+    rejected for each reason and the best diagonal margin reached.  An
+    explicit ``seed`` is a block of one.
     """
     g, sig = net.grid, net.signature
     if not np.isinf(m):
@@ -567,33 +460,36 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
         hat, failures = _darboux_march(net, m, _darboux_start(net, m, seed, base, min_denom)[None],
                                        base, min_denom)
         if failures[0] is not None:
-            raise failures[0]
+            what, e = failures[0]
+            raise PropagationError(f"Darboux {what} degenerate", where=g.locate_edge(e))
         return IsothermicNet(g, sig, hat[0])
     rng = np.random.default_rng(0) if rng is None else rng
     draw = _seed_orthogonal_null if np.isinf(m) else _finite_darboux_seed
-    last, tried = None, 0
-    while tried < retries:
-        starts, stop = [], None
-        try:
-            while len(starts) < min(_SEEDS, retries - tried):
+    counts = dict.fromkeys(_SEED_REJECTIONS, 0)
+    best = -np.inf
+    for start in range(0, retries, _SEEDS):
+        starts = []
+        for _ in range(min(_SEEDS, retries - start)):
+            try:
                 starts.append(_darboux_start(net, m, draw(net, base, rng), base, min_denom))
-        except (DegeneracyError, ValueError) as err:
-            stop = err
+            except (DegeneracyError, ValueError):
+                counts["seed draw"] += 1
         hat, failures = _darboux_march(net, m, np.reshape(starts, (-1, sig.dim)), base, min_denom)
         for k in range(len(starts)):
             if failures[k] is not None:
-                last = failures[k]
+                counts[failures[k][0]] += 1
                 continue
             out = IsothermicNet(g, sig, hat[k])
             rep = _pair_quality(net, out, margin)
-            if (rep["diagonal_margin"] >= margin and rep["moutard"] <= 1e-10
-                    and rep["nullity"] <= 1e-11):
+            best = max(best, rep["diagonal_margin"])
+            failed = [name for name, ok in (("diagonal margin", rep["diagonal_margin"] >= margin),
+                                            ("Moutard", rep["moutard"] <= 1e-10),
+                                            ("nullity", rep["nullity"] <= 1e-11)) if not ok]
+            if not failed:
                 return out
-            last = rep
-        if stop is not None:
-            raise stop
-        tried += len(starts)
-    raise DegeneracyError(f"no admissible Darboux seed after {retries} draws: {last}")
+            counts[failed[0]] += 1
+    raise DegeneracyError(f"no admissible Darboux seed after {retries} draws: "
+                          f"{_rejected_at(counts)}; best diagonal margin {best:.3e}")
 
 
 def _darboux_start(net: IsothermicNet, m: float, seed, base: int, min_denom: float):
@@ -617,8 +513,9 @@ def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
     tree, one level at a time over a leading seed axis.
 
     Returns the lifts ``(n, nverts, d)`` and, per seed, None or the
-    :class:`PropagationError` of its first degenerate step in tree order;
-    the later lifts of such a seed mean nothing.
+    ``(reason, edge)`` of its first degenerate step in tree order, the
+    reason ``"propagation"`` or ``"normalization"``; the later lifts of
+    such a seed mean nothing.
     """
     g, ip = net.grid, net.signature.inner
     mu = net.mu
@@ -641,9 +538,8 @@ def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
         failed = np.logical_or.reduce(bad)
         for k in np.flatnonzero(failed.any(axis=1)):
             c = int(np.argmax(failed[k]))
-            what = "propagation" if bad[0][k, c] else "normalization"
-            failures[alive[k]] = PropagationError(f"Darboux {what} degenerate",
-                                                  where=g.locate_edge(int(slot[c])))
+            failures[alive[k]] = ("propagation" if bad[0][k, c] else "normalization",
+                                  int(slot[c]))
         alive = alive[~failed.any(axis=1)]
         if not len(alive):
             break

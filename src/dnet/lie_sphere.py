@@ -26,8 +26,8 @@ from .errors import (DegeneracyError, FrameError, GaugeError,
 from .forms import (Form0, Form1, curly_wedge, exterior_derivative,
                     mixed_area, unpack_bivector, wedge, wedge_vec, BilinearRule)
 from .grid import Grid, integrate_one_form, stack
-from .isothermic import (ConservedQuantity, IsothermicNet, _evolve, calapso_transform,
-                         darboux_transform, flat_connection, stack_pair)
+from .isothermic import (ConservedQuantity, IsothermicNet, _evolve, _rejected_at,
+                         calapso_transform, darboux_transform, flat_connection, stack_pair)
 from .koenigs import (LineCongruence, _first_failure, _plane_intersection,
                       _span_of_bivector, extract_pair, km_pair_check)
 from .pseudo_euclidean import Frame, Signature, action_matrix
@@ -616,9 +616,8 @@ def guichard_generate(dims, seed: int = 0, magnitude: float = 0.25,
             best_orth = min(best_orth, diag["orthogonality"])
             best_dev = min(best_dev, diag["coefficient_dev"])
     raise GenerationError(
-        f"Guichard generation failed after {retries} attempts: rejected at "
-        + ", ".join(f"{name} {n}" for name, n in counts.items())
-        + f"; best orthogonality {best_orth:.3e}, best coefficient_dev {best_dev:.3e}")
+        f"Guichard generation failed after {retries} attempts: {_rejected_at(counts)}"
+        f"; best orthogonality {best_orth:.3e}, best coefficient_dev {best_dev:.3e}")
 
 
 def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, magnitude,

@@ -1,11 +1,11 @@
 """Per-step reference versions of the batched Cauchy-data generators and
 the per-edge line congruence validation.
 
-These are the loops the library used before the generators drew their
-candidate rows in blocks: one ``rng.standard_normal(d)`` row and one
-scalar test per candidate, one whole net per ``random_isothermic`` draw,
-one Guichard attempt at a time, and three ``svd`` calls per edge.  The
-equivalence tests compare the library against them.
+These read and test one thing at a time where the library works in
+blocks: one ``rng.standard_normal(d)`` row and one scalar test per
+Cauchy step, one whole net per ``random_isothermic`` draw, one Guichard
+attempt at a time, and three ``svd`` calls per edge.  The equivalence
+tests compare the library against them.
 """
 
 import numpy as np
@@ -18,33 +18,39 @@ from dnet.koenigs import _trivector, pluecker_residual
 from dnet.lie_sphere import _guichard_package, _guichard_report_failure, standard_lie_frame
 
 
-def random_cauchy(grid, signature, rng, magnitude=0.3, frame=None,
-                  timelike_factor=0.35):
-    """Cauchy lines drawn one candidate row at a time."""
+def random_cauchy(grid, signature, rng, magnitude=0.3, frame=None):
+    """Cauchy lines read one row per step: the base row, then the steps
+    of axis 0 and of axis 1.  The first irregular step raises, after the
+    rest of the draw's ``d0 + d1 - 1`` rows are read."""
     frame = signature.standard_frame() if frame is None else frame
     ip = signature.inner
     d = signature.dim
+    d0, d1 = grid.dims
+    left = d0 + d1 - 1
+
+    def row():
+        nonlocal left
+        left -= 1
+        return rng.standard_normal(d)
 
     def null_step(prev):
-        for _ in range(64):
-            delta = magnitude * rng.standard_normal(d)
-            delta = frame.pi(delta)
-            if frame.p is not None:
-                comp = -float(ip(delta, frame.p))
-                delta = delta + (timelike_factor - 1.0) * comp * frame.p
-            w = prev + delta
-            wq = float(ip(w, frame.q))
-            if abs(wq) < 1e-6:
-                continue
+        delta = magnitude * row()
+        delta = frame.pi(delta)
+        if frame.p is not None:
+            comp = -float(ip(delta, frame.p))
+            delta = delta + (0.35 - 1.0) * comp * frame.p
+        w = prev + delta
+        wq = float(ip(w, frame.q))
+        if abs(wq) >= 1e-6:
             lam = -0.5 * float(ip(w, w)) / wq
             cand = w + lam * frame.q
             if abs(ip(cand, prev)) > 1e-8 * np.linalg.norm(cand) * np.linalg.norm(prev):
                 return cand
+        rng.standard_normal((left, d))
         raise DegeneracyError("could not draw a regular Cauchy step")
 
-    x0 = frame.pi(rng.standard_normal(d))
+    x0 = frame.pi(row())
     base = frame.o + x0 + 0.5 * float(ip(x0, x0)) * frame.q
-    d0, d1 = grid.dims
     line0 = np.zeros((d0, d))
     line1 = np.zeros((d1, d))
     line0[0] = line1[0] = base
@@ -58,27 +64,39 @@ def random_cauchy(grid, signature, rng, magnitude=0.3, frame=None,
 def random_isothermic(grid, signature, rng, magnitude=0.3, margin=1e-5,
                       edge_margin=1e-4, retries=64, frame=None):
     """Whole nets drawn, evolved and tested one draw at a time; a grid
-    without quads has no quad margins to test."""
+    without quads has no quad margins to test.  Exhaustion counts the
+    draws rejected for each reason."""
     frame = signature.standard_frame() if frame is None else frame
-    last = None
+    counts = dict.fromkeys(("irregular Cauchy step", "isotropic diagonal",
+                            "margin screen", "validate"), 0)
+    best = -np.inf
     for _ in range(retries):
         try:
             line0, line1 = random_cauchy(grid, signature, rng, magnitude, frame)
+        except DegeneracyError:
+            counts["irregular Cauchy step"] += 1
+            continue
+        try:
             net = moutard_evolve(grid, signature, line0, line1, frame=frame)
-        except (EvolutionError, DegeneracyError) as err:
-            last = err
+        except EvolutionError:
+            counts["isotropic diagonal"] += 1
             continue
         rep = net.validate(margin=margin)
+        best = max(best, rep["diagonal_margin"])
         t, h = grid.edge_tail, grid.edge_head
         scale = np.linalg.norm(net.mu[t], axis=1) * np.linalg.norm(net.mu[h], axis=1)
         edge_rel = np.abs(net.edge_ip) / np.maximum(scale, 1e-300)
-        if (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
-                and (grid.nquads == 0 or (rep["diagonal_margin"] >= margin
-                                          and rep["opposite_label_margin"] >= margin))
+        if not ((grid.nquads == 0 or (rep["diagonal_margin"] >= margin
+                                      and rep["opposite_label_margin"] >= margin))
                 and float(edge_rel.min(initial=np.inf)) >= edge_margin):
+            counts["margin screen"] += 1
+        elif not (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11):
+            counts["validate"] += 1
+        else:
             return net
-        last = rep
-    raise DegeneracyError(f"no well-conditioned net after {retries} draws: {last}")
+    raise DegeneracyError(f"no well-conditioned net after {retries} draws: rejected at "
+                          + ", ".join(f"{name} {n}" for name, n in counts.items())
+                          + f"; best diagonal margin {best:.3e}")
 
 
 def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):

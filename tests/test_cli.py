@@ -357,3 +357,13 @@ def test_guichard_exhaustion_is_one_line(tmp_path, capsys):
     assert err.startswith("construction degeneracy: Guichard generation failed after 48 "
                           "attempts: rejected at base point ")
     assert "array" not in err and "best orthogonality" in err
+
+
+def test_isothermic_exhaustion_is_one_line(tmp_path, capsys):
+    assert run("gen", "isothermic", "--dims", "32x32", "--seed", 1,
+               "-o", tmp_path / "i.json") == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("construction degeneracy: no well-conditioned net after 64 "
+                          "draws: rejected at irregular Cauchy step ")
+    assert "float64" not in err and "best diagonal margin" in err

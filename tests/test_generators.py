@@ -1,13 +1,15 @@
 """The block-drawn generators against their per-step references.
 
 Every seed must give the same Cauchy data, the same nets, the same final
-``rng`` state and so the same files as one ``standard_normal(d)`` draw
-per candidate and one whole net per ``random_isothermic`` draw; every
-Guichard attempt made in a block must equal the same attempt made alone
-from its own ``default_rng([seed, i])``; the stacked line congruence
-validation must give the same margins and verdicts as the edge-by-edge
-loop.
+``rng`` state and so the same files as one ``standard_normal(d)`` row
+per Cauchy step and one whole net per ``random_isothermic`` draw, draw
+``i`` reading the ``i``-th run of rows; every Guichard attempt made in a
+block must equal the same attempt made alone from its own
+``default_rng([seed, i])``; the stacked line congruence validation must
+give the same margins and verdicts as the edge-by-edge loop.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import generator_reference as ref
 from dnet import (Grid, Signature, cli, isothermic, lie_sphere, omega_from_darboux_pair,
                   random_isothermic)
 from dnet.errors import DegeneracyError, EvolutionError, GenerationError, GeometryError
-from dnet.isothermic import _CandidateRows, random_cauchy
+from dnet.isothermic import moutard_evolve, random_cauchy
 from dnet.koenigs import LineCongruence
 from dnet.lie_sphere import guichard_generate, standard_lie_frame
 
@@ -37,62 +39,18 @@ def test_random_cauchy_matches_per_step_draws(pq, dims):
 
 
 @pytest.mark.parametrize("pq", SIGNATURES)
-def test_random_cauchy_failure_leaves_the_same_stream(pq):
-    sig, grid = Signature(*pq), Grid([6, 6])
-    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+def test_random_cauchy_irregular_step_reads_one_run(pq):
+    """With no step at all every lift is orthogonal to the previous one:
+    the call raises after reading its ``d0 + d1 - 1`` rows."""
+    sig, grid = Signature(*pq), Grid([6, 7])
+    rng, rng_ref, past = (np.random.default_rng(3) for _ in range(3))
     with pytest.raises(DegeneracyError) as new:
         random_cauchy(grid, sig, rng, magnitude=0.0)
     with pytest.raises(DegeneracyError) as old:
         ref.random_cauchy(grid, sig, rng_ref, magnitude=0.0)
-    assert str(new.value) == str(old.value)
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
-
-
-@pytest.mark.parametrize("fail_at", [None, 0, 4, 9])
-def test_candidate_rows_read_the_rows_of_a_per_candidate_loop(fail_at):
-    """A scripted acceptance rule (about one row in three, none at step
-    ``fail_at``) read in blocks and read one row per candidate."""
-    steps, d = 10, 3
-
-    def accept(row, step):
-        return step != fail_at and row[0] > 0.4
-
-    def per_candidate(rng):
-        out = []
-        for step in range(steps):
-            for _ in range(64):
-                row = 2.0 * rng.standard_normal(d)
-                if accept(row, step):
-                    out.append(row)
-                    break
-            else:
-                raise DegeneracyError("step failed")
-        return out
-
-    def blocked(rng):
-        out = []
-        with _CandidateRows(rng, d, lambda rows: 2.0 * rows, "step failed") as draws:
-            for step in range(steps):
-                def first(rows):
-                    hits = [k for k, row in enumerate(rows) if accept(row, step)]
-                    return (hits[0], rows[hits[0]]) if hits else None
-                out.append(draws.step(first))
-        return out
-
-    results = []
-    for read in (per_candidate, blocked):
-        rng = np.random.default_rng(11)
-        try:
-            rows = read(rng)
-        except DegeneracyError as err:
-            rows = str(err)
-        results.append((rows, rng.bit_generator.state, rng.standard_normal()))
-    (rows_a, state_a, next_a), (rows_b, state_b, next_b) = results
-    if fail_at is None:
-        assert all(np.array_equal(a, b) for a, b in zip(rows_a, rows_b))
-    else:
-        assert rows_a == rows_b == "step failed"
-    assert state_a == state_b and next_a == next_b
+    assert str(new.value) == str(old.value) == "could not draw a regular Cauchy step"
+    past.standard_normal((6 + 7 - 1, sig.dim))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state == past.bit_generator.state
 
 
 def _generate(dims, seed, **kw):
@@ -320,46 +278,97 @@ def _evolution_degenerate(grid, draw):
     return [(first + grid.dims[0] - 1, first)]
 
 
-@pytest.mark.parametrize("retries", [5, 9])
-@pytest.mark.parametrize("last", ["margin", "evolution", "cauchy"])
-def test_exhaustion_reports_the_last_draw_as_before(last, retries):
+def _rejections(text):
+    """The count per rejection reason of an exhaustion line."""
+    counts = re.search(r"rejected at (.*);", text).group(1)
+    return {name: int(n) for name, n in
+            (item.rsplit(" ", 1) for item in counts.split(", "))}
+
+
+@pytest.mark.parametrize("retries", [5, 9, 64])
+@pytest.mark.parametrize("case", ["margins", "isotropic", "irregular"])
+def test_exhaustion_counts_each_draw_once(case, retries):
+    """Every draw rejected by its margins; draw 1 by an isotropic
+    diagonal and the others by their margins; every draw by an
+    irregular step."""
     sig, grid = Signature(4, 2), Grid([6, 6])
-    if last == "margin":
+    expected = dict.fromkeys(["irregular Cauchy step", "isotropic diagonal",
+                              "margin screen", "validate"], 0)
+    if case == "margins":
         text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4),
                                   retries=retries, margin=0.3)
-        assert "'diagonal_margin'" in text
-    elif last == "cauchy":
-        text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4),
-                                  retries=retries, magnitude=0.0)
-        assert text.endswith("could not draw a regular Cauchy step")
-    else:
-        rows = _script(4, sig.dim, _evolution_degenerate(grid, retries - 1))
+        expected["margin screen"] = retries
+    elif case == "isotropic":
+        rows = _script(4, sig.dim, _evolution_degenerate(grid, 1))
         text = _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows),
                                   retries=retries, margin=0.3)
-        assert text.endswith("isotropic diagonal: Moutard evolution degenerate")
-    assert text.startswith(f"DegeneracyError: no well-conditioned net after {retries} draws")
+        expected.update({"isotropic diagonal": 1, "margin screen": retries - 1})
+    else:
+        text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4),
+                                  retries=retries, magnitude=0.0)
+        expected["irregular Cauchy step"] = retries
+    assert "\n" not in text and "array" not in text and "float64" not in text
+    assert text.startswith(f"DegeneracyError: no well-conditioned net after {retries} draws: ")
+    assert _rejections(text) == expected and sum(expected.values()) == retries
+    best = re.search(r"best diagonal margin (\S+)$", text).group(1)
+    assert (best == "-inf") == (case == "irregular")
+
+
+def _with_irregular_draw(grid, sig, edits, **kw):
+    """Draws 0-2 have an isotropic diagonal, draw 3 is rejected by
+    ``edits`` and the later draws keep their rows."""
+    edits = [e for draw in range(3) for e in _evolution_degenerate(grid, draw)] + edits
+    rows = _script(9, sig.dim, edits)
+    return _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows), **kw)
 
 
 @pytest.mark.parametrize("retries", [12, 64])
-def test_step_rejection_mid_block_takes_that_draw_alone(monkeypatch, retries):
-    """Draws 0-2 are degenerate and draw 3 rejects the first candidate of
-    a step, which shifts the rows of every later draw by one."""
+def test_irregular_step_rejects_that_draw_alone(retries):
+    """A zero row at a step of draw 3 makes that step irregular; the draw
+    is rejected whole and draw 4 reads the rows it reads when draw 3 is
+    rejected by an isotropic diagonal instead."""
     sig, grid = Signature(4, 1), Grid([6, 6])
-    edits = [e for draw in range(3) for e in _evolution_degenerate(grid, draw)]
-    edits.append((3 * _rows_per_draw(grid) + 4, None))
-    rows = _script(9, sig.dim, edits)
-    alone = []
-    real = isothermic.random_cauchy
-    monkeypatch.setattr(isothermic, "random_cauchy",
-                        lambda *a: alone.append(a) or real(*a))
-    net = _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows), retries=retries)
-    assert not isinstance(net, str) and len(alone) == 1
-    # with every net rejected, the blocks after the shift stay aligned and
-    # only the shifted draw and the last draw are made alone
-    alone.clear()
-    text = _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows),
-                              retries=retries, margin=0.3)
-    assert isinstance(text, str) and len(alone) == 2
+    irregular = [(3 * _rows_per_draw(grid) + 4, None)]
+    net = _with_irregular_draw(grid, sig, irregular, retries=retries)
+    same = _with_irregular_draw(grid, sig, _evolution_degenerate(grid, 3), retries=retries)
+    assert not isinstance(net, str) and np.array_equal(net, same)
+    text = _with_irregular_draw(grid, sig, irregular, retries=retries, margin=0.3)
+    assert _rejections(text) == {"irregular Cauchy step": 1, "isotropic diagonal": 3,
+                                 "margin screen": retries - 4, "validate": 0}
+
+
+@pytest.mark.parametrize("first", [0, 5, 8, 13])
+def test_rng_ends_just_past_the_accepted_draw(first):
+    """Draws before ``first`` have an isotropic diagonal, so the accepted
+    draw is the first of a block, in the middle of one, or in the
+    second block; ``rng`` ends just past its rows."""
+    sig, grid = Signature(4, 1), Grid([6, 6])
+    run = _rows_per_draw(grid) * sig.dim
+    rows = _script(9, sig.dim, [e for draw in range(first)
+                                for e in _evolution_degenerate(grid, draw)])
+    rng = _ScriptedStream(rows)
+    net = random_isothermic(grid, sig, rng)
+    assert rng.pos == (first + 1) * run
+    alone = _ScriptedStream(rows)
+    alone.pos = first * run
+    lines = random_cauchy(grid, sig, alone)
+    assert alone.pos == rng.pos
+    assert np.array_equal(net.mu, moutard_evolve(grid, sig, *lines,
+                                                 frame=sig.standard_frame()).mu)
+
+
+def test_random_generators_are_deterministic():
+    for pq, n, seed, kw in (((4, 2), 6, 0, {}), ((3, 1), 12, 1, {}),
+                            ((4, 1), 32, 1, {}), ((4, 2), 8, 2, {"margin": 0.3})):
+        sig, grid = Signature(*pq), Grid([n, n])
+        first, again = (_isothermic(random_isothermic, grid, sig,
+                                    np.random.default_rng(seed), **kw) for _ in range(2))
+        assert first[1] == again[1]
+        assert (first[0] == again[0] if isinstance(first[0], str)
+                else np.array_equal(first[0], again[0]))
+        lines, lines_again = (random_cauchy(grid, sig, np.random.default_rng(seed))
+                              for _ in range(2))
+        assert all(np.array_equal(a, b) for a, b in zip(lines, lines_again))
 
 
 def _gen_bytes(tmp_path, name, kind, *args):
@@ -376,7 +385,7 @@ def _gen_bytes(tmp_path, name, kind, *args):
 ])
 def test_generated_files_match_per_draw_reference(tmp_path, monkeypatch, kind, args):
     """The Darboux seed and the Omega partner read the stream the accepted
-    draw leaves, so the give-back shows in these files."""
+    draw leaves, so where ``rng`` ends shows in these files."""
     for seed in range(1, 5):
         argv = [kind, "--seed", str(seed), *args]
         new = _gen_bytes(tmp_path, "new.json", *argv)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dnet.errors import EvolutionError, SpectralCollisionError
+from dnet.errors import DegeneracyError, EvolutionError, SpectralCollisionError
 from dnet.forms import wedge_vec
 from dnet.grid import Grid
 from dnet.isothermic import (IsothermicNet, bianchi_check, calapso_transform,
@@ -153,6 +153,29 @@ def test_infinite_label_connection_is_isotropic_exp(net42):
     assert np.abs(gam[e] - expected).max() <= 1e-12
     for t in (-1.0, 0.3, 2.0):
         assert connection_flatness(st, t) <= 1e-9
+
+
+@pytest.mark.parametrize("m, kw, reason", [
+    (0.5, {"margin": 1.0}, "diagonal margin"),
+    (np.inf, {"margin": 1.0}, "diagonal margin"),
+    (0.5, {"min_denom": 1e3}, "seed draw"),
+    (np.inf, {"min_denom": 1e3}, "propagation"),
+])
+def test_darboux_exhaustion_is_one_line(net42, m, kw, reason):
+    """Auto seeds forced to fail: by an unreachable margin, or by a
+    denominator bound no seed (finite m) or no step (m = inf) clears."""
+    with pytest.raises(DegeneracyError) as err:
+        darboux_transform(net42, m, rng=np.random.default_rng(2), retries=6, **kw)
+    text = str(err.value)
+    assert "\n" not in text and "array" not in text and "float64" not in text
+    head, best = text.split("; best diagonal margin ")
+    assert head.startswith("no admissible Darboux seed after 6 draws: rejected at seed draw ")
+    counts = {name: int(n) for name, n in (item.rsplit(" ", 1) for item in
+                                          head.split("rejected at ")[1].split(", "))}
+    assert list(counts) == ["seed draw", "propagation", "normalization",
+                            "diagonal margin", "Moutard", "nullity"]
+    assert counts[reason] == 6 and sum(counts.values()) == 6
+    assert (best == "-inf") == (reason != "diagonal margin")
 
 
 def darboux_formula_oracle(sig, mu_i, mu_j, hat_i):
