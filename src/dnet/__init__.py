@@ -18,7 +18,7 @@ from .errors import (ChartError, ClosednessError, DegeneracyError,
                      SpectralCollisionError)
 from .forms import (BilinearRule, Form0, Form1, Form2, curly_wedge,
                     exterior_derivative, mixed_area, wedge)
-from .grid import (Grid, OrientedEdge, OrientedQuad, integrate_one_form,
+from .grid import (Grid, OrientedEdge, integrate_one_form,
                    stack, trivialize_connection)
 from .isothermic import (ConservedQuantity, IsothermicNet, bianchi_check,
                          calapso_transform, christoffel_dual,

@@ -28,10 +28,12 @@ in the lexicographic basis ``e_a ^ e_b``, ``a < b``; see
 from __future__ import annotations
 
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Grid
+if TYPE_CHECKING:          # annotations only: forms imports no dnet module
+    from .grid import Grid
 
 __all__ = [
     "Form0", "Form1", "Form2", "BilinearRule",
@@ -186,31 +188,15 @@ class Form0(_FormBase):
     def at(self, vertex: int) -> np.ndarray:
         return self.values[vertex]
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn):
-        """Sample ``fn(coords) -> value`` on every vertex."""
-        vals = [np.atleast_1d(np.asarray(fn(tuple(c)), float))
-                for c in grid.vertex_coords]
-        return cls(grid, np.array(vals))
-
 
 class Form1(_FormBase):
     degree = 1
     carrier = "edge"
 
-    def on_edge(self, tail: int, head: int) -> np.ndarray:
-        """Value on the oriented edge from ``tail`` to ``head``."""
-        e = self.grid.oriented_edge(tail, head)
-        return e.sign * self.values[e.index]
-
 
 class Form2(_FormBase):
     degree = 2
     carrier = "quad"
-
-    def on_quad(self, quad) -> np.ndarray:
-        """Value on an :class:`dnet.grid.OrientedQuad`."""
-        return quad.sign * self.values[quad.index]
 
 
 def exterior_derivative(form):

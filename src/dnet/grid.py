@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosednessError, FlatnessError
+from .residuals import floor, rel, worst
 
 
 @dataclass(frozen=True)
@@ -47,24 +48,6 @@ class OrientedEdge:
 
     def reversed(self) -> "OrientedEdge":
         return OrientedEdge(self.head, self.tail, self.axis, self.index, -self.sign)
-
-
-@dataclass(frozen=True)
-class OrientedQuad:
-    """Oriented quadrilateral with cyclically ordered vertices.
-
-    ``vertices`` is the cycle ``(i, j, k, l)``; rotating it denotes the
-    same oriented quad, reversing to ``(i, l, k, j)`` flips the sign.
-    """
-
-    vertices: tuple
-    axes: tuple
-    index: int
-    sign: int = 1
-
-    def reversed(self) -> "OrientedQuad":
-        i, j, k, l = self.vertices
-        return OrientedQuad((i, l, k, j), self.axes, self.index, -self.sign)
 
 
 class Grid:
@@ -181,23 +164,6 @@ class Grid:
                 return OrientedEdge(tail, head, a, self._slot(head, a), -1)
         raise ValueError(f"vertices {tail}, {head} are not adjacent")
 
-    def edges(self):
-        """Canonical oriented edges, one per unoriented edge."""
-        return [
-            OrientedEdge(int(t), int(h), int(a), e, 1)
-            for e, (t, h, a) in enumerate(
-                zip(self.edge_tail, self.edge_head, self.edge_axis)
-            )
-        ]
-
-    def quads(self):
-        """Canonical oriented quads, one per unoriented quad."""
-        return [
-            OrientedQuad(tuple(int(v) for v in self.quad_vertices[n]),
-                         tuple(int(a) for a in self.quad_axes[n]), n, 1)
-            for n in range(self.nquads)
-        ]
-
     def locate_edge(self, e: int) -> dict:
         return {
             "kind": "edge",
@@ -257,18 +223,33 @@ def _d_one_form(grid: Grid, values: np.ndarray) -> np.ndarray:
     return values[qe[:, 0]] + values[qe[:, 1]] - values[qe[:, 2]] - values[qe[:, 3]]
 
 
+def _closedness(grid: Grid, values: np.ndarray, scale: float):
+    """Worst quad residual ``|d values| / scale`` and its quad.
+
+    The quad is located on ``|d values|`` by :func:`worst`, so a NaN
+    scale does not hide which quad is bad; dividing the maximum by the
+    one positive scale gives the same bits as the maximum of the
+    quotients."""
+    num, q = worst(np.linalg.norm(_d_one_form(grid, values), axis=-1))
+    return num / scale, q
+
+
 def closedness_residual(grid: Grid, values: np.ndarray):
-    """Max relative quad residual of an edge-valued 1-form array."""
+    """Max relative quad residual of an edge-valued 1-form array, over
+    the largest edge value, and its quad."""
     values = np.asarray(values, float)
     if values.ndim == 1:
         values = values[:, None]
-    if grid.nquads == 0:
-        return 0.0, None
-    dvals = _d_one_form(grid, values)
-    scale = max(float(np.linalg.norm(values, axis=-1).max(initial=0.0)), 1e-300)
-    res = np.linalg.norm(dvals, axis=-1) / scale
-    worst = int(np.argmax(res))
-    return float(res[worst]), worst
+    return _closedness(grid, values, floor(np.linalg.norm(values, axis=-1).max(initial=0.0)))
+
+
+def holonomy(grid: Grid, gamma: np.ndarray) -> np.ndarray:
+    """Per-quad relative holonomy of edge transports on canonical
+    orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius)."""
+    qe = grid.quad_edges
+    lhs = gamma[qe[:, 1]] @ gamma[qe[:, 0]]   # i -> j -> k
+    rhs = gamma[qe[:, 2]] @ gamma[qe[:, 3]]   # i -> l -> k
+    return rel(np.linalg.norm(lhs - rhs, axis=(1, 2)), np.linalg.norm(lhs, axis=(1, 2)))
 
 
 def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
@@ -278,8 +259,9 @@ def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
     ``alpha`` may be a :class:`dnet.forms.Form1` or a raw ``(nedges, d)``
     array on canonical orientations.  Integration runs along the
     canonical staircase tree; when ``check_closed`` is set, the quad
-    residual of ``alpha`` is verified first and an offending quad is
-    reported via :class:`ClosednessError`.
+    residual of ``alpha`` (over its largest entry, at least 1) must be
+    at most ``tol`` first, else :class:`ClosednessError` names the worst
+    quad, a non-finite one first.
     """
     from .forms import Form0, Form1
 
@@ -288,15 +270,12 @@ def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
         values = values[:, None]
     if len(values) != grid.nedges:
         raise ValueError("one-form carrier size mismatch")
-    if check_closed and grid.nquads:
-        dvals = _d_one_form(grid, values)
-        scale = max(float(np.abs(values).max(initial=0.0)), 1.0)
-        res = np.linalg.norm(dvals, axis=-1) / scale
-        worst = int(np.argmax(res))
-        if res[worst] > tol:
+    if check_closed:
+        res, q = _closedness(grid, values, max(float(np.abs(values).max(initial=0.0)), 1.0))
+        if not res <= tol:
             raise ClosednessError(
-                f"one-form is not closed: quad residual {res[worst]:.3e} > {tol:.1e}",
-                where=grid.locate_quad(worst), residual=float(res[worst]))
+                f"one-form is not closed: quad residual {res:.3e} > {tol:.1e}",
+                where=grid.locate_quad(q), residual=res)
     dim = values.shape[1]
     out = np.zeros((grid.nverts, dim))
     out[base] = 0.0 if seed is None else np.asarray(seed, float)
@@ -310,25 +289,19 @@ def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
 
     ``gamma`` is an ``(nedges, k, k)`` array of the forward transports
     along canonical orientations (fiber at tail -> fiber at head).
-    ``T[base]`` is the identity.  Flatness is checked on every quad
-    first; the returned array satisfies the reconstruction identity on
-    all edges up to the flatness residual.
+    ``T[base]`` is the identity.  The :func:`holonomy` of every quad
+    must be at most ``tol`` first, else :class:`FlatnessError` names the
+    worst quad, a non-finite one first; the returned array satisfies the
+    reconstruction identity on all edges up to the flatness residual.
     """
     gamma = np.asarray(gamma, float)
     if gamma.shape[0] != grid.nedges or gamma.shape[1] != gamma.shape[2]:
         raise ValueError("gamma must be (nedges, k, k)")
-    if grid.nquads:
-        qe = grid.quad_edges
-        lhs = gamma[qe[:, 1]] @ gamma[qe[:, 0]]   # i -> j -> k
-        rhs = gamma[qe[:, 2]] @ gamma[qe[:, 3]]   # i -> l -> k
-        num = np.linalg.norm(lhs - rhs, axis=(1, 2))
-        den = np.maximum(np.linalg.norm(lhs, axis=(1, 2)), 1e-300)
-        res = num / den
-        worst = int(np.argmax(res))
-        if res[worst] > tol:
-            raise FlatnessError(
-                f"connection is not flat: quad residual {res[worst]:.3e} > {tol:.1e}",
-                where=grid.locate_quad(worst), residual=float(res[worst]))
+    res, q = worst(holonomy(grid, gamma))
+    if not res <= tol:
+        raise FlatnessError(
+            f"connection is not flat: quad residual {res:.3e} > {tol:.1e}",
+            where=grid.locate_quad(q), residual=res)
     k = gamma.shape[1]
     T = np.empty((grid.nverts, k, k))
     Tinv = np.empty_like(T)

@@ -23,9 +23,11 @@ import numpy as np
 from .errors import (DegeneracyError, EvolutionError, PropagationError,
                      SpectralCollisionError)
 from .forms import unpack_bivector, wedge_vec
-from .grid import Grid, stack, trivialize_connection
+from .grid import Grid, holonomy, integrate_one_form, stack, trivialize_connection
+from .koenigs import vertical_diagonal_margin
 from .pseudo_euclidean import (Frame, Signature, action_matrix, conic_cross_ratio,
                                gamma_lambda, line_distance, renull, stereo_project)
+from .residuals import cos_angle, floor, gap, rel, sin_angle, worst
 
 __all__ = [
     "IsothermicNet", "ConservedQuantity", "ChristoffelData",
@@ -50,8 +52,10 @@ _SEEDS = 4
 # labels) away from the isotropic case.
 _TIMELIKE_FACTOR = 0.35
 # Rejection reasons of random_isothermic draws and of darboux_transform
-# auto seeds, in the order their tests run.
-_DRAW_REJECTIONS = ("irregular Cauchy step", "isotropic diagonal", "margin screen", "validate")
+# auto seeds, in the order their tests run; a draw that fails more than
+# one margin counts under the first of _MARGINS.
+_MARGINS = ("edge margin", "diagonal margin", "opposite-label margin")
+_DRAW_REJECTIONS = ("irregular Cauchy step", "isotropic diagonal", *_MARGINS, "validate")
 _SEED_REJECTIONS = ("seed draw", "propagation", "normalization", "diagonal margin",
                     "Moutard", "nullity")
 
@@ -101,23 +105,17 @@ class IsothermicNet:
         then names the first non-finite quad.
         """
         g, sig, mu = self.grid, self.signature, self.mu
-        scale2 = np.maximum(np.sum(mu * mu, axis=1), 1e-300)
-        nullity = float(np.abs(sig.norm2(mu) / scale2).max())
+        nullity = float(np.abs(rel(sig.norm2(mu), np.sum(mu * mu, axis=1))).max())
         mq = mu[g.quad_vertices]                    # (nquads, 4, dim): i, j, k, l
-        d1, d2 = mq[:, 2] - mq[:, 0], mq[:, 3] - mq[:, 1]
-        res = np.linalg.norm(wedge_vec(d1, d2), axis=1) / np.maximum(
-            np.linalg.norm(d1, axis=1) * np.linalg.norm(d2, axis=1), 1e-300)
-        moutard = float(res.max(initial=0.0))
-        bad = ~np.isfinite(res)
-        worst = int(np.argmax(bad if bad.any() else res)) if moutard != 0 else None
+        moutard, quad = worst(sin_angle(mq[:, 2] - mq[:, 0], mq[:, 3] - mq[:, 1]))
         ips = self.edge_ip[g.quad_edges]            # ij, jk, lk, il
-        s0 = np.maximum(np.abs(ips).max(axis=1), 1e-300)
-        label_rel = float((np.maximum(np.abs(ips[:, 0] - ips[:, 2]),
-                                      np.abs(ips[:, 3] - ips[:, 1])) / s0).max(initial=0.0))
+        label_rel = float(rel(np.maximum(np.abs(ips[:, 0] - ips[:, 2]),
+                                         np.abs(ips[:, 3] - ips[:, 1])),
+                              np.abs(ips).max(axis=1)).max(initial=0.0))
         _, diag, opp_margin = (float(m[0]) for m in _margins(g, sig, mu[None]))
         return {
             "nullity": nullity, "moutard": moutard,
-            "worst_quad": None if worst is None else g.locate_quad(worst),
+            "worst_quad": None if quad is None else g.locate_quad(quad),
             "label_relations": label_rel,
             "opposite_label_margin": opp_margin,
             "diagonal_margin": diag,
@@ -140,16 +138,14 @@ def _margins(grid: Grid, signature: Signature, mu: np.ndarray):
     t, h = grid.edge_tail, grid.edge_head
     norms = np.linalg.norm(mu, axis=-1)
     edge_ip = ip(mu[:, t], mu[:, h])
-    edge = (np.abs(edge_ip) / np.maximum(norms[:, t] * norms[:, h], 1e-300)).min(
-        axis=1, initial=np.inf)
+    edge = cos_angle(edge_ip, norms[:, t], norms[:, h]).min(axis=1, initial=np.inf)
     if grid.nquads == 0:
         return edge, np.zeros(len(mu)), np.zeros(len(mu))
     mq, nq = mu[:, grid.quad_vertices], norms[:, grid.quad_vertices]
-    diag = (np.abs(ip(mq[:, :, :2], mq[:, :, 2:]))                # (i, k), (j, l)
-            / np.maximum(nq[:, :, :2] * nq[:, :, 2:], 1e-300)).min(axis=(1, 2))
-    ips = edge_ip[:, grid.quad_edges]                             # ij, jk, lk, il
-    opp = (np.abs(ips[..., 0] - ips[..., 3])
-           / np.maximum(np.abs(ips).max(axis=2), 1e-300)).min(axis=1)
+    diag = cos_angle(ip(mq[:, :, :2], mq[:, :, 2:]),                 # (i, k), (j, l)
+                     nq[:, :, :2], nq[:, :, 2:]).min(axis=(1, 2))
+    ips = edge_ip[:, grid.quad_edges]                               # ij, jk, lk, il
+    opp = rel(np.abs(ips[..., 0] - ips[..., 3]), np.abs(ips).max(axis=2)).min(axis=1)
     return edge, diag, opp
 
 
@@ -177,7 +173,7 @@ def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray,
         mi, mj, ml = mu[:, a - 1, b - 1], mu[:, a, b - 1], mu[:, a - 1, b]
         denom = ip(ml, mj)
         scale = np.linalg.norm(ml, axis=-1) * np.linalg.norm(mj, axis=-1)
-        degenerate = np.abs(denom) <= 1e-12 * np.maximum(scale, 1e-300)
+        degenerate = np.abs(denom) <= 1e-12 * floor(scale)
         for k in np.flatnonzero(degenerate.any(axis=1)):
             if failures[k] is None:
                 c = int(np.argmax(degenerate[k]))
@@ -314,8 +310,8 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
     ``validate`` and the rest of the acceptance test.  The first draw
     that passes is returned and ``rng`` ends just past its rows.  After
     ``retries`` draws, :class:`DegeneracyError` gives in one line the
-    count of draws rejected for each reason and the best diagonal margin
-    reached.
+    count of draws rejected for each reason (each margin by name) and
+    the best diagonal margin reached.
     """
     frame = signature.standard_frame() if frame is None else frame
     rows, d = sum(grid.dims) - 1, signature.dim
@@ -329,7 +325,9 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
             mu, failures = _evolve(signature, line0, line1, frame)
             mu = mu.reshape(n, grid.nverts, d)
             edge, diag, opp = _margins(grid, signature, mu)
-        clears = (edge >= edge_margin) & ((diag >= margin) & (opp >= margin) | (grid.nquads == 0))
+        # a grid without quads has no quad margins to test
+        screens = (edge >= edge_margin, (diag >= margin) | (grid.nquads == 0),
+                   (opp >= margin) | (grid.nquads == 0))
         for j in range(n):
             if not regular[j]:
                 counts["irregular Cauchy step"] += 1
@@ -338,11 +336,11 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
                 counts["isotropic diagonal"] += 1
                 continue
             best = max(best, float(diag[j]))
-            if not clears[j]:
-                counts["margin screen"] += 1
+            failed = [name for name, ok in zip(_MARGINS, screens) if not ok[j]]
+            if failed:
+                counts[failed[0]] += 1
                 continue
-            # the screen has tested the edge margin; a grid without quads
-            # has no quad margins to test
+            # the screens have tested the edge margin
             net = IsothermicNet(grid, signature, mu[j])
             rep = net.validate(margin=margin)
             if (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
@@ -385,17 +383,8 @@ def flat_connection(net: IsothermicNet, t: float, tol: float = 1e-8) -> np.ndarr
 
 
 def connection_flatness(net: IsothermicNet, t: float) -> float:
-    """Max relative quad holonomy residual of Gamma(t)."""
-    g = net.grid
-    gam = flat_connection(net, t)
-    if g.nquads == 0:
-        return 0.0
-    qe = g.quad_edges
-    lhs = gam[qe[:, 1]] @ gam[qe[:, 0]]
-    rhs = gam[qe[:, 2]] @ gam[qe[:, 3]]
-    num = np.linalg.norm(lhs - rhs, axis=(1, 2))
-    den = np.maximum(np.linalg.norm(lhs, axis=(1, 2)), 1e-300)
-    return float((num / den).max())
+    """Max relative quad :func:`dnet.grid.holonomy` of Gamma(t)."""
+    return worst(holonomy(net.grid, flat_connection(net, t)))[0]
 
 
 def _seed_orthogonal_null(net: IsothermicNet, base: int, rng,
@@ -526,8 +515,8 @@ def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
     for child, parent, slot, _ in g.staircase_tree(base):
         hp, mi, mj = hat[alive[:, None], parent], mu[parent], mu[child]
         denom = ip(hp, mj)
-        bad = [np.abs(denom) <= min_denom * np.maximum(
-            np.linalg.norm(hp, axis=-1) * np.linalg.norm(mj, axis=-1), 1e-300)]
+        bad = [np.abs(denom) <= min_denom * floor(
+            np.linalg.norm(hp, axis=-1) * np.linalg.norm(mj, axis=-1))]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             val = mi + (ip(mi, hp - mj) / denom)[..., None] * (hp - mj)
             if not np.isinf(m):
@@ -551,23 +540,16 @@ def _pair_quality(net: IsothermicNet, hat: IsothermicNet, margin: float) -> dict
     grid may itself already be stacked); a grid without quads has only
     the vertical diagonal margins."""
     rep = hat.validate(margin=margin)
-    g, ip = net.grid, net.signature.inner
+    g = net.grid
     t, h = g.edge_tail, g.edge_head
-    # vertical-quad Moutard residual and diagonal margins over each edge
-    w = wedge_vec(hat.mu[h] - net.mu[t], hat.mu[t] - net.mu[h])
-    scale = np.maximum(np.linalg.norm(hat.mu[h] - net.mu[t], axis=1)
-                       * np.linalg.norm(hat.mu[t] - net.mu[h], axis=1), 1e-300)
-    vert = float((np.linalg.norm(w, axis=1) / scale).max(initial=0.0))
-    norms = np.linalg.norm(net.mu, axis=1)
-    hnorms = np.linalg.norm(hat.mu, axis=1)
-    d1 = np.abs(ip(net.mu[t], hat.mu[h])) / np.maximum(norms[t] * hnorms[h], 1e-300)
-    d2 = np.abs(ip(net.mu[h], hat.mu[t])) / np.maximum(norms[h] * hnorms[t], 1e-300)
-    vert_diag = float(np.minimum(d1, d2).min(initial=np.inf))
+    vert = sin_angle(hat.mu[h] - net.mu[t], hat.mu[t] - net.mu[h])
+    vert_diag = vertical_diagonal_margin(g, hat.mu, net.mu, net.signature)
     return {
-        "nullity": max(rep["nullity"], float(np.abs(
-            net.signature.norm2(hat.mu) / np.maximum(hnorms ** 2, 1e-300)).max())),
-        "moutard": max(rep["moutard"], vert),
-        "diagonal_margin": min(rep["diagonal_margin"] if g.nquads else np.inf, vert_diag),
+        "nullity": max(rep["nullity"], float(np.abs(rel(
+            net.signature.norm2(hat.mu), np.linalg.norm(hat.mu, axis=1) ** 2)).max())),
+        "moutard": max(rep["moutard"], float(vert.max(initial=0.0))),
+        "diagonal_margin": min(rep["diagonal_margin"] if g.nquads else np.inf,
+                               float(vert_diag.min(initial=np.inf))),
     }
 
 
@@ -595,6 +577,13 @@ def stack_pair(net: IsothermicNet, hat: IsothermicNet) -> IsothermicNet:
     sg = stack(net.grid)
     mu = np.concatenate([net.mu, hat.mu], axis=0)
     return IsothermicNet(sg, net.signature, mu)
+
+
+def _eta_apply(signature: Signature, grid: Grid, mu: np.ndarray, c) -> np.ndarray:
+    """``eta_ji c = (mu_j, c) mu_i - (mu_i, c) mu_j`` on every canonical
+    edge ``i -> j``, over the leading axes of ``mu`` ``(..., nverts, d)``."""
+    ip, mt, mh = signature.inner, mu[..., grid.edge_tail, :], mu[..., grid.edge_head, :]
+    return ip(mh, c)[..., None] * mt - ip(mt, c)[..., None] * mh
 
 
 def calapso_transform(net: IsothermicNet, t: float, base: int = 0):
@@ -634,12 +623,7 @@ def christoffel_dual(net: IsothermicNet, frame: Frame | None = None,
     g = net.grid
     ip = sig.inner
     x = stereo_project(net.mu, frame)
-    t, h = g.edge_tail, g.edge_head
-    # eta_ji applied to q: (mu_j, q) mu_i - (mu_i, q) mu_j
-    etaq = (ip(net.mu[h], frame.q)[:, None] * net.mu[t]
-            - ip(net.mu[t], frame.q)[:, None] * net.mu[h])
-    dxd = frame.pi(etaq)
-    from .grid import integrate_one_form
+    dxd = frame.pi(_eta_apply(sig, g, net.mu, frame.q))
     xd = integrate_one_form(g, dxd, base=base, check_closed=True, tol=1e-8).values
     r = -ip(net.mu, frame.q)
     return ChristoffelData(x=x, x_dual=xd, r=r, frame=frame)
@@ -654,22 +638,17 @@ def christoffel_residuals(net: IsothermicNet, data: ChristoffelData) -> dict:
     ip = sig.inner(dx, dxd)
     rhs = np.where(net.is_infinite, 0.0,
                    -2.0 * np.where(net.is_infinite, 0.0, net.edge_ip))
-    scale = np.maximum(np.abs(ip), np.abs(rhs))
-    pairing = float((np.abs(ip - rhs) / np.maximum(scale, 1e-300)).max(initial=0.0))
-    w = wedge_vec(dx, dxd)
-    par = np.linalg.norm(w, axis=1) / np.maximum(
-        np.linalg.norm(dx, axis=1) * np.linalg.norm(dxd, axis=1), 1e-300)
+    pairing = float(gap(ip, rhs).max(initial=0.0))
     factor = dxd - (data.r[t] * data.r[h])[:, None] * dx
-    fres = np.linalg.norm(factor, axis=1) / np.maximum(
-        np.linalg.norm(dxd, axis=1), 1e-300)
+    fres = rel(np.linalg.norm(factor, axis=1), np.linalg.norm(dxd, axis=1))
     from .forms import Form0, curly_wedge, exterior_derivative
     area = curly_wedge(exterior_derivative(Form0(g, data.x)),
                        exterior_derivative(Form0(g, data.x_dual)))
-    ares = float(np.abs(area.values).max(initial=0.0)) / max(
-        float(np.abs(dx).max() * np.abs(dxd).max()), 1e-300)
+    ares = rel(float(np.abs(area.values).max(initial=0.0)),
+               np.abs(dx).max() * np.abs(dxd).max())
     return {
         "pairing": pairing,                       # (dx, dxd) = -2/m
-        "edge_parallel": float(par.max(initial=0.0)),
+        "edge_parallel": float(sin_angle(dx, dxd).max(initial=0.0)),
         "scale_factor": float(fres.max(initial=0.0)),   # dxd = r_i r_j dx
         "koenigs_area": ares,                     # dx ^~ dxd = 0
     }
@@ -693,9 +672,7 @@ def bianchi_check(net: IsothermicNet, hat: IsothermicNet, m: float,
     xd, xdh = data.x_dual[:n], data.x_dual[n:]
     ip = net.signature.inner
     diff, diffd = xh - x, xdh - xd
-    w = wedge_vec(diff, diffd)
-    par = np.linalg.norm(w, axis=1) / np.maximum(
-        np.linalg.norm(diff, axis=1) * np.linalg.norm(diffd, axis=1), 1e-300)
+    par = sin_angle(diff, diffd)
     vals = ip(diff, diffd)
     rhs = 0.0 if np.isinf(m) else -2.0 / m
     scalar = np.abs(vals - rhs) / max(abs(rhs), 1.0)
@@ -733,9 +710,8 @@ class ConservedQuantity:
         g = net.grid
         vals = self.at(t)
         moved = np.einsum("eab,eb->ea", gam, vals[g.edge_tail])
-        num = np.linalg.norm(moved - vals[g.edge_head], axis=1)
-        den = np.maximum(np.linalg.norm(vals[g.edge_head], axis=1), 1e-300)
-        return float((num / den).max(initial=0.0))
+        return float(rel(np.linalg.norm(moved - vals[g.edge_head], axis=1),
+                         np.linalg.norm(vals[g.edge_head], axis=1)).max(initial=0.0))
 
 
 def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None, base: int = 0,
@@ -752,11 +728,8 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None, base: int = 
     g, sig = net.grid, net.signature
     ip = sig.inner
     c_vec = np.asarray(c_vec, float)
-    t, h = g.edge_tail, g.edge_head
-    etac = (ip(net.mu[h], c_vec)[:, None] * net.mu[t]
-            - ip(net.mu[t], c_vec)[:, None] * net.mu[h])
-    from .grid import integrate_one_form
-    xi0 = integrate_one_form(g, etac, base=base, check_closed=True, tol=1e-8).values
+    xi0 = integrate_one_form(g, _eta_apply(sig, g, net.mu, c_vec), base=base,
+                             check_closed=True, tol=1e-8).values
     if xi_seed is not None:
         xi = xi0 + (np.asarray(xi_seed, float) - xi0[base])
     else:
@@ -765,16 +738,14 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None, base: int = 
         b = ip(xi0, net.mu)
         const, *_ = np.linalg.lstsq(A, -b, rcond=None)
         xi = xi0 + const
-    resid = ip(xi, net.mu)
-    scale = np.maximum(np.linalg.norm(xi, axis=1)
-                       * np.linalg.norm(net.mu, axis=1), 1e-300)
-    rel = np.abs(resid) / scale
-    success = bool(rel.max(initial=0.0) <= tol)
+    orth = cos_angle(ip(xi, net.mu), np.linalg.norm(xi, axis=1),
+                     np.linalg.norm(net.mu, axis=1))
+    success = bool(orth.max(initial=0.0) <= tol)
     out = {
         "success": success,
         "xi": xi,
-        "orthogonality": rel,
-        "worst": float(rel.max(initial=0.0)),
+        "orthogonality": orth,
+        "worst": float(orth.max(initial=0.0)),
     }
     if success:
         q = ConservedQuantity(p0=np.tile(c_vec, (g.nverts, 1)), p1=xi, signature=sig)
@@ -793,7 +764,7 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None, base: int = 
 def quad_cross_ratio_residual(net: IsothermicNet, rng=None) -> float:
     """Max relative defect of cross ratio = m_jk / m_ij over finite quads."""
     g = net.grid
-    worst = 0.0
+    out = 0.0
     for n in range(g.nquads):
         i, j, k, l = (int(v) for v in g.quad_vertices[n])
         e_ij = g.oriented_edge(i, j)
@@ -802,5 +773,5 @@ def quad_cross_ratio_residual(net: IsothermicNet, rng=None) -> float:
             continue
         expected = float(net.labels[e_jk.index] / net.labels[e_ij.index])
         cr = conic_cross_ratio(net.mu[[i, j, k, l]], net.signature, rng=rng)
-        worst = max(worst, abs(cr - expected) / max(abs(expected), 1e-300))
-    return worst
+        out = max(out, rel(abs(cr - expected), abs(expected)))
+    return out

@@ -26,6 +26,7 @@ from .forms import (Form0, curly_wedge, exterior_derivative, mixed_area,
                     unpack_bivector, wedge_vec)
 from .grid import Grid, integrate_one_form
 from .pseudo_euclidean import line_distance
+from .residuals import cos_angle, floor, rel, sin_angle, worst
 
 __all__ = [
     "ProjectiveNet", "LineCongruence", "ExtractedPair",
@@ -47,8 +48,7 @@ def pluecker_residual(packed: np.ndarray, d: int) -> np.ndarray:
         C[..., a, b] * C[..., c, e] - C[..., a, c] * C[..., b, e]
         + C[..., a, e] * C[..., b, c]
         for (a, b, c, e) in idx], axis=-1)
-    scale = np.maximum(np.sum(packed * packed, axis=-1), 1e-300)
-    return np.linalg.norm(vals, axis=-1) / scale
+    return rel(np.linalg.norm(vals, axis=-1), np.sum(packed * packed, axis=-1))
 
 
 def _trivector(C: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -72,12 +72,6 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.multiply(u, v, order="C"), axis=-1)
 
 
-def _line_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``|sin angle|`` between the lines spanned by u and v, batched."""
-    return np.linalg.norm(wedge_vec(u, v), axis=-1) / (
-        np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
-
-
 def _span_of_bivector(C: np.ndarray, tol: float = 1e-8):
     """Orthonormal bases of the 2-planes of decomposable bivectors,
     batched over leading axes.
@@ -87,7 +81,7 @@ def _span_of_bivector(C: np.ndarray, tol: float = 1e-8):
     """
     U, sv, _ = np.linalg.svd(C)
     failures = [
-        (sv[..., 1] <= tol * np.maximum(sv[..., 0], 1e-300),
+        (sv[..., 1] <= tol * floor(sv[..., 0]),
          "bivector has rank < 2"),
         (np.any(sv[..., 2:3] > 100 * tol * sv[..., :1], axis=-1),
          "bivector is not decomposable"),
@@ -206,7 +200,7 @@ def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0,
             rest = eta_vp - coef[:, None] * w
             resid = np.sqrt(_row_dot(rest, rest))
         failures = [(ww <= 1e-300, "coincident lines on an edge"),
-                    (resid > tol * np.maximum(np.sqrt(_row_dot(eta_vp, eta_vp)), 1e-300),
+                    (resid > tol * floor(np.sqrt(_row_dot(eta_vp, eta_vp))),
                      "eta is not supported on the edge line pair")]
         first = _first_failure(failures)
         if first is not None:
@@ -216,15 +210,15 @@ def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0,
                 raise DegeneracyError(failures[0][1], where=where)
             raise NotKoenigsError(failures[1][1], where=where, residual=float(resid[k]))
         mu[child] = coef[:, None] * net.lifts[child]
-    # consistency on all edges (fails iff the net is not Koenigs)
+    # consistency on all edges (fails iff the net is not Koenigs), a
+    # non-finite edge first
     rec = wedge_vec(mu[g.edge_head], mu[g.edge_tail])
-    num = np.linalg.norm(rec - net.eta, axis=1)
-    den = max(float(np.linalg.norm(net.eta, axis=1).max(initial=0.0)), 1e-300)
-    worst = int(np.argmax(num)) if len(num) else 0
-    if len(num) and num[worst] > tol * den:
+    num, e = worst(np.linalg.norm(rec - net.eta, axis=1))
+    den = floor(np.linalg.norm(net.eta, axis=1).max(initial=0.0))
+    if not num <= tol * den:
         raise NotKoenigsError(
-            f"Moutard propagation inconsistent: residual {num[worst]/den:.3e}",
-            where=g.locate_edge(worst), residual=float(num[worst] / den))
+            f"Moutard propagation inconsistent: residual {num/den:.3e}",
+            where=g.locate_edge(e), residual=num / den)
     return mu
 
 
@@ -252,14 +246,39 @@ def koenigs_dual(net: ProjectiveNet, alpha, base: int = 0, seed=None,
                             seed=np.zeros(net.dim) if seed is None else seed,
                             check_closed=True, tol=max(tol, 1e-10)).values
     area = mixed_area(Form0(g, F), Form0(g, Fd))
-    scale = max(float(np.abs(F).max() * np.abs(Fd).max()), 1e-300)
-    area_res = float(np.abs(area.values).max(initial=0.0)) / scale
+    area_res = rel(float(np.abs(area.values).max(initial=0.0)),
+                   np.abs(F).max() * np.abs(Fd).max())
     rec = curly_wedge(exterior_derivative(Form0(g, Fd)), Form0(g, F))
-    eta_scale = max(float(np.linalg.norm(net.eta, axis=1).max(initial=0.0)), 1e-300)
-    rec_res = float(np.abs(rec.values - net.eta).max(initial=0.0)) / eta_scale
+    rec_res = rel(float(np.abs(rec.values - net.eta).max(initial=0.0)),
+                  np.linalg.norm(net.eta, axis=1).max(initial=0.0))
     report = {"mixed_area": area_res, "eta_reconstruction": rec_res,
               "passed": area_res <= tol and rec_res <= tol}
     return F, Fd, report
+
+
+def vertical_diagonal_margin(grid: Grid, plus: np.ndarray, minus: np.ndarray,
+                             signature) -> np.ndarray:
+    """Per-edge vertical diagonal margin of the stacked pair ``minus``
+    (level 0) under ``plus`` (level 1): the least ``|cos|`` of the
+    diagonals ``(minus_i, plus_j)`` and ``(minus_j, plus_i)``, the
+    denominators of every Moutard propagation through the pair."""
+    t, h = grid.edge_tail, grid.edge_head
+    ip = signature.inner
+    norm_m, norm_p = np.linalg.norm(minus, axis=1), np.linalg.norm(plus, axis=1)
+    return np.minimum(cos_angle(ip(minus[t], plus[h]), norm_m[t], norm_p[h]),
+                      cos_angle(ip(minus[h], plus[t]), norm_m[h], norm_p[t]))
+
+
+def _balance(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray):
+    """The alternating rescale ``c^{+-1}`` of a Moutard pair (opposite
+    exponents on the two nets) that evens the median ``mu_plus`` norms
+    of the two colour classes; it leaves eta+-, tau+- and any K-Moutard
+    matching exactly invariant."""
+    parity = 1.0 - 2.0 * _colors(grid)
+    even = np.median(np.linalg.norm(mu_plus[parity > 0], axis=1))
+    odd = np.median(np.linalg.norm(mu_plus[parity < 0], axis=1))
+    c = np.sqrt(floor(odd) / floor(even))
+    return mu_plus * (c ** parity)[:, None], mu_minus * (c ** (-parity))[:, None]
 
 
 def km_pair_check(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray,
@@ -276,16 +295,12 @@ def km_pair_check(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray,
     mu_plus = np.asarray(mu_plus, float)
     mu_minus = np.asarray(mu_minus, float)
     t, h = grid.edge_tail, grid.edge_head
-    w = wedge_vec(mu_plus[h] - mu_minus[t], mu_plus[t] - mu_minus[h])
-    scale = np.maximum(
-        np.linalg.norm(mu_plus[h] - mu_minus[t], axis=1)
-        * np.linalg.norm(mu_plus[t] - mu_minus[h], axis=1), 1e-300)
-    vertical = np.linalg.norm(w, axis=1) / scale
-    vert_worst = float(vertical.max(initial=0.0))
+    vert_worst = float(sin_angle(mu_plus[h] - mu_minus[t],
+                                 mu_plus[t] - mu_minus[h]).max(initial=0.0))
 
     sv = np.linalg.svd(np.stack([mu_plus[t], mu_plus[h], mu_minus[h], mu_minus[t]], axis=1),
                        compute_uv=False)
-    span_margin = float((sv[:, 2] / np.maximum(sv[:, 0], 1e-300)).min(initial=np.inf))
+    span_margin = float(rel(sv[:, 2], sv[:, 0]).min(initial=np.inf))
     if grid.nedges and span_margin < 1e-10:
         raise DegeneracyError(
             f"stacked regularity violated: span margin {span_margin:.3e}")
@@ -295,8 +310,7 @@ def km_pair_check(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray,
     if eta_plus is not None and eta_minus is not None:
         dtau = tau[h] - tau[t]
         res = np.abs(eta_minus - eta_plus - dtau).max(initial=0.0)
-        den = max(float(np.abs(eta_plus).max(initial=0.0)), 1e-300)
-        report["gauge_relation"] = float(res / den)
+        report["gauge_relation"] = float(rel(res, np.abs(eta_plus).max(initial=0.0)))
     is_pair = vert_worst <= tol and report.get("gauge_relation", 0.0) <= tol
     report["passed"] = bool(is_pair)
     return is_pair, tau, report
@@ -388,7 +402,7 @@ class LineCongruence:
         edges = np.arange(g.nedges)
         U, sv, s_lines, failures = self._edge_spans(edges)
         self._raise_first_edge(edges, failures)
-        eta_norm = np.maximum(_dot_norm(self.eta), 1e-300)
+        eta_norm = floor(_dot_norm(self.eta))
         # the wedges of an orthonormal basis of the 3-space f_i + f_j
         # are an orthonormal basis of its Lambda^2
         B = U[..., :3]
@@ -399,12 +413,12 @@ class LineCongruence:
         membership = _dot_norm(self.eta - rec) / eta_norm
         tri = _trivector(unpack_bivector(self.eta, self.dim), s_lines)
         nondeg = _dot_norm(tri) / eta_norm
-        first_order = sv[:, 2] / np.maximum(sv[:, 0], 1e-300)
+        first_order = rel(sv[:, 2], sv[:, 0])
         out["eta_in_lam2_f"] = float(membership.max(initial=0.0))
         out["nondegeneracy_margin"] = float(nondeg.min()) if g.nedges else 0.0
         out["first_order_margin"] = float(first_order.min()) if g.nedges else 0.0
         sv4 = np.linalg.svd(s_lines[g.quad_edges], compute_uv=False)
-        second = sv4[:, 3] / np.maximum(sv4[:, 0], 1e-300)
+        second = rel(sv4[:, 3], sv4[:, 0])
         out["second_order_margin"] = float(second.min()) if g.nquads else 0.0
         out["passed"] = bool(
             out["eta_closed"] <= tol
@@ -508,16 +522,15 @@ def quad_holonomy_residual(cong: LineCongruence, bundle_black: bool,
     g = cong.grid
     onto_line = _colors(g) == (0 if bundle_black else 1)
     i, j, k, l = (int(v) for v in g.quad_vertices[quad])
-    worst = 0.0
+    res = 0.0
     for p in points:
         val = np.asarray(p, float)
         out = val
         for a, b in ((i, j), (j, k), (k, l), (l, i)):
             out = (g_map if onto_line[b] else g_map_inverse)(cong, a, b, out)
         num = abs(val[0] * out[1] - val[1] * out[0])
-        den = np.linalg.norm(val) * np.linalg.norm(out)
-        worst = max(worst, float(num / max(den, 1e-300)))
-    return worst
+        res = max(res, float(rel(num, np.linalg.norm(val) * np.linalg.norm(out))))
+    return res
 
 
 @dataclass
@@ -542,7 +555,7 @@ def _section_to_net(cong: LineCongruence, colors, xb: np.ndarray,
     lifts = line2[:, :1] * cong.sigma1 + line2[:, 1:] * cong.sigma2
     n = np.linalg.norm(lifts, axis=1)
     failures = [(n < 1e-12, "section degenerated to zero"),
-                (np.abs(r_coef) <= margin * np.maximum(np.abs(t_coef), 1e-300),
+                (np.abs(r_coef) <= margin * floor(np.abs(t_coef)),
                  "tau became infinite: section met an intersection line")]
     first = _first_failure(failures)
     if first is not None:
@@ -554,12 +567,12 @@ def _section_to_net(cong: LineCongruence, colors, xb: np.ndarray,
     _, _, s_lines, failures = cong._edge_spans(edges)
     cong._raise_first_edge(edges, failures)
     ends = np.concatenate([g.edge_tail, g.edge_head])
-    worst = float(_line_distances(lifts[ends], np.concatenate([s_lines, s_lines])).min(
+    dist = float(sin_angle(lifts[ends], np.concatenate([s_lines, s_lines])).min(
         initial=np.inf))
-    if g.nedges and worst < margin:
+    if g.nedges and dist < margin:
         raise SeedDegeneracyError(
-            f"section passes within {worst:.2e} of an intersection line")
-    return lifts, tau, worst
+            f"section passes within {dist:.2e} of an intersection line")
+    return lifts, tau, dist
 
 
 def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
@@ -602,33 +615,20 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
         raise SeedDegeneracyError(
             f"no admissible {label} section found: {last_err}")
 
-    t, h = g.edge_tail, g.edge_head
-
-    def pair_margin(lp, lm):
-        # vertical diagonals of the stacked pair: the denominators of
-        # every later Moutard propagation through the pair
-        dist = float(_line_distances(lp, lm).min())
-        if signature is None:
-            return dist
-        ln = np.linalg.norm
-        d1 = np.abs(signature.inner(lp[t], lm[h])) / np.maximum(
-            ln(lp[t], axis=1) * ln(lm[h], axis=1), 1e-300)
-        d2 = np.abs(signature.inner(lp[h], lm[t])) / np.maximum(
-            ln(lp[h], axis=1) * ln(lm[t], axis=1), 1e-300)
-        return min(float(np.minimum(d1, d2).min(initial=np.inf)), dist)
-
     best = None
     for attempt in range(retries):
         lifts_p, tau_p, margin_p = one_net(seeds_plus, "plus")
         lifts_m, tau_m, margin_m = one_net(seeds_minus, "minus")
-        if _line_distances(lifts_p, lifts_m).min() < margin:
+        dist = float(sin_angle(lifts_p, lifts_m).min())
+        if dist < margin:
             if not auto:
                 raise SeedDegeneracyError(
                     "the two sections are not pointwise distinct")
             continue
         if not auto:
             break
-        pm = pair_margin(lifts_p, lifts_m)
+        pm = dist if signature is None else min(float(vertical_diagonal_margin(
+            g, lifts_m, lifts_p, signature).min(initial=np.inf)), dist)
         if best is None or pm > best[0]:
             best = (pm, lifts_p, tau_p, margin_p, lifts_m, tau_m, margin_m)
         if pm >= 100 * margin:
@@ -654,21 +654,12 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
         raise DegeneracyError("tau matching degenerate", where=int(np.argmax(ww <= 1e-300)))
     coef = (_row_dot(tau, w) / ww)[:, None]
     mu_m = coef * lifts_m
-    tau_res = float((np.linalg.norm(tau - coef * w, axis=1) / np.maximum(
-        np.linalg.norm(tau, axis=1), 1e-300)).max(initial=0.0))
+    tau_res = float(rel(np.linalg.norm(tau - coef * w, axis=1),
+                        np.linalg.norm(tau, axis=1)).max(initial=0.0))
     rec = wedge_vec(mu_m[h], mu_m[t])
-    minus_res = float(np.abs(rec - eta_m).max(initial=0.0)) / max(
-        float(np.abs(eta_m).max(initial=0.0)), 1e-300)
-
-    # balance the lift scales: the alternating rescale c^{±1} (opposite
-    # exponents on the two nets) keeps norms even across the coloring
-    # while leaving eta± and tau± exactly invariant
-    parity = 1.0 - 2.0 * _colors(g)
-    np_even = np.median(np.linalg.norm(mu_p[parity > 0], axis=1))
-    np_odd = np.median(np.linalg.norm(mu_p[parity < 0], axis=1))
-    c = np.sqrt(max(np_odd, 1e-300) / max(np_even, 1e-300))
-    mu_p = mu_p * (c ** parity)[:, None]
-    mu_m = mu_m * (c ** (-parity))[:, None]
+    minus_res = rel(float(np.abs(rec - eta_m).max(initial=0.0)),
+                    np.abs(eta_m).max(initial=0.0))
+    mu_p, mu_m = _balance(g, mu_p, mu_m)
 
     is_pair, tau_check, km_report = km_pair_check(
         g, mu_p, mu_m, eta_p, eta_m, tol=max(tol, 1e-8))
@@ -702,18 +693,16 @@ def christoffel_ratio(grid: Grid, sigma_plus: np.ndarray, sigma_minus: np.ndarra
     if np.any(denom <= 1e-300):
         raise NotDualError("vanishing plus edge")
     lam = np.sum(dm * dp, axis=1) / denom
-    par = np.linalg.norm(dm - lam[:, None] * dp, axis=1) / np.maximum(
-        np.linalg.norm(dm, axis=1), 1e-300)
-    worst_par = float(par.max(initial=0.0))
-    if worst_par > 1e-6:
-        e = int(np.argmax(par))
+    worst_par, e = worst(rel(np.linalg.norm(dm - lam[:, None] * dp, axis=1),
+                             np.linalg.norm(dm, axis=1)))
+    if not worst_par <= 1e-6:
         raise NotDualError("sections are not edge-parallel",
                            where=grid.locate_edge(e), residual=worst_par)
     if np.any(np.abs(lam) <= 1e-300):
         raise NotDualError("vanishing stretch ratio")
 
     r, quad_res, worst_fact, worst_edge = factor_edge_ratios(grid, lam)
-    if worst_fact > max(tol, 10 * quad_res + tol):
+    if not worst_fact <= max(tol, 10 * quad_res + tol):
         raise NotDualError("stretch ratios do not factor as r_i r_j",
                            where=grid.locate_edge(worst_edge),
                            residual=worst_fact)
@@ -727,7 +716,8 @@ def factor_edge_ratios(grid: Grid, lam: np.ndarray):
     """Factor per-edge ratios as ``lam_ij = r_i r_j``.
 
     Returns ``(r, quad_product_residual, factorization_residual,
-    worst_edge)``; the quad residual is the obstruction
+    worst_edge)``, the edge located by :func:`dnet.residuals.worst`;
+    the quad residual is the obstruction
     ``|lam_ij lam_kl / (lam_jk lam_li) - 1|``.
     """
     lam = np.asarray(lam, float)
@@ -740,7 +730,5 @@ def factor_edge_ratios(grid: Grid, lam: np.ndarray):
     r[0] = np.sqrt(abs(lam[levels[0][2][0]])) if levels else 1.0
     for child, parent, slot, _ in levels:
         r[child] = lam[slot] / r[parent]
-    fact = np.abs(r[t] * r[h] - lam) / np.maximum(np.abs(lam), 1e-300)
-    worst_fact = float(fact.max(initial=0.0))
-    worst_edge = int(np.argmax(fact)) if len(fact) else 0
+    worst_fact, worst_edge = worst(rel(np.abs(r[t] * r[h] - lam), np.abs(lam)))
     return r, quad_res, worst_fact, worst_edge

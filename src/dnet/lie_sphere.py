@@ -26,11 +26,13 @@ from .errors import (DegeneracyError, FrameError, GaugeError,
 from .forms import (Form0, Form1, curly_wedge, exterior_derivative,
                     mixed_area, unpack_bivector, wedge, wedge_vec, BilinearRule)
 from .grid import Grid, integrate_one_form, stack
-from .isothermic import (ConservedQuantity, IsothermicNet, _evolve, _rejected_at,
-                         calapso_transform, darboux_transform, flat_connection, stack_pair)
-from .koenigs import (LineCongruence, _first_failure, _plane_intersection,
+from .isothermic import (ConservedQuantity, IsothermicNet, _eta_apply, _evolve,
+                         _rejected_at, calapso_transform, darboux_transform,
+                         flat_connection, stack_pair)
+from .koenigs import (LineCongruence, _balance, _first_failure, _plane_intersection,
                       _span_of_bivector, extract_pair, km_pair_check)
 from .pseudo_euclidean import Frame, Signature, action_matrix
+from .residuals import cos_angle, floor, gap, rel, sin_angle
 
 __all__ = [
     "LieFrame", "standard_lie_frame", "random_lie_frame",
@@ -157,7 +159,7 @@ class PrincipalNet:
         out["curvature_relation"] = float(
             (np.linalg.norm(res, axis=1) / np.maximum(scale, 1.0)).max(initial=0.0))
         sv = np.linalg.svd(frame.lift_point(self.x)[self.grid.quad_vertices], compute_uv=False)
-        worst = float((sv[:, 3] / np.maximum(sv[:, 0], 1e-300)).max(initial=0.0))
+        worst = float(rel(sv[:, 3], sv[:, 0]).max(initial=0.0))
         out["circularity"] = worst
         out["passed"] = bool(out["unit_normal"] <= 1e-9
                              and out["curvature_relation"] <= max(tol, 1e-9)
@@ -188,7 +190,7 @@ def legendre_lift(pn: PrincipalNet, frame: LieFrame | None = None,
             "curvature sphere meets p^perp or q^perp; re-draw the frame "
             "with random_lie_frame", where=pn.grid.locate_edge(e))
     sphere_h = pn.kappa[:, None] * y[pn.grid.edge_head] + t[pn.grid.edge_head]
-    agree = np.linalg.norm(sphere - sphere_h, axis=1) / np.maximum(norms, 1e-300)
+    agree = rel(np.linalg.norm(sphere - sphere_h, axis=1), norms)
     return y, t, float(agree.max(initial=0.0))
 
 
@@ -264,10 +266,9 @@ class OmegaNet:
             np.abs(ip(self.y, self.lie_frame.p)).max(initial=0.0),
             np.abs(ip(self.t, self.lie_frame.q)).max(initial=0.0),
             np.abs(ip(self.t, self.lie_frame.p) + 1.0).max(initial=0.0)))
-        out["gauge"] = float(np.abs(
+        out["gauge"] = rel(float(np.abs(
             ip(_contract(self.eta, self.lie_frame.q, self.signature),
-               self.lie_frame.p)).max(initial=0.0)) / max(
-                   float(np.abs(self.eta).max(initial=0.0)), 1e-300)
+               self.lie_frame.p)).max(initial=0.0)), np.abs(self.eta).max(initial=0.0))
         cong = self.congruence().validate(tol=tol, margin=margin)
         out["applicability"] = cong
         out["passed"] = bool(out["null_planes"] <= 1e-9
@@ -299,7 +300,7 @@ def gauge_normalize(grid: Grid, frame: LieFrame, y, t, eta) -> np.ndarray:
     th, tt = grid.edge_head, grid.edge_tail
     out = eta + tau[th] - tau[tt]
     res = np.abs(sig.inner(_contract(out, frame.q, sig), frame.p)).max(initial=0.0)
-    if res > 1e-8 * max(float(np.abs(out).max(initial=0.0)), 1e-300):
+    if res > 1e-8 * floor(np.abs(out).max(initial=0.0)):
         raise GaugeError(f"gauge normalization failed: residual {res:.3e}")
     return out
 
@@ -345,7 +346,7 @@ def associates(omega: OmegaNet, base: int = 0) -> Associates:
     etaq = omega.eta_q()
     etap = omega.eta_p()
     gauge_res = np.abs(sig.inner(etaq, frame.p)).max(initial=0.0)
-    if gauge_res > 1e-8 * max(float(np.abs(omega.eta).max(initial=0.0)), 1e-300):
+    if gauge_res > 1e-8 * floor(np.abs(omega.eta).max(initial=0.0)):
         raise GaugeError("associates need the (eta q, p) = 0 gauge")
     dxd = frame.coords3(etaq)
     dnd = frame.coords3(etap)
@@ -356,8 +357,8 @@ def associates(omega: OmegaNet, base: int = 0) -> Associates:
     rule = BilinearRule.wedge_product(6)
     rec = (wedge(Form1(g, etaq), Form0(g, omega.y), rule).values
            + wedge(Form1(g, etap), Form0(g, omega.t), rule).values)
-    eta_scale = max(float(np.abs(omega.eta).max(initial=0.0)), 1e-300)
-    rec_res = float(np.abs(rec - omega.eta).max(initial=0.0)) / eta_scale
+    rec_res = rel(float(np.abs(rec - omega.eta).max(initial=0.0)),
+                  np.abs(omega.eta).max(initial=0.0))
 
     dual = (curly_wedge(_d3(g, xd), _d3(g, pn.x)).values
             + curly_wedge(_d3(g, nd), _d3(g, pn.n)).values)
@@ -381,11 +382,7 @@ def check_omega(pn: PrincipalNet, x_dual, n_dual, tol: float = 1e-9,
     t, h = g.edge_tail, g.edge_head
     dx = pn.dx()
     for name, vals in (("x_dual", x_dual), ("n_dual", n_dual)):
-        dv = vals[h] - vals[t]
-        w = np.linalg.norm(wedge_vec(dv, dx), axis=1)
-        den = np.maximum(np.linalg.norm(dv, axis=1) * np.linalg.norm(dx, axis=1),
-                         1e-300)
-        if (w / den).max(initial=0.0) > 1e-6:
+        if sin_angle(vals[h] - vals[t], dx).max(initial=0.0) > 1e-6:
             raise DegeneracyError(f"{name} is not edge-parallel to x")
     quad = (curly_wedge(_d3(g, x_dual), _d3(g, pn.x)).values
             + curly_wedge(_d3(g, n_dual), _d3(g, pn.n)).values)
@@ -393,8 +390,8 @@ def check_omega(pn: PrincipalNet, x_dual, n_dual, tol: float = 1e-9,
     duality = float(np.abs(quad).max(initial=0.0)) / scale
     dxd = x_dual[h] - x_dual[t]
     dnd = n_dual[h] - n_dual[t]
-    nd_margin = np.linalg.norm(dxd - pn.kappa[:, None] * dnd, axis=1) / np.maximum(
-        np.linalg.norm(dxd, axis=1), 1e-300)
+    nd_margin = rel(np.linalg.norm(dxd - pn.kappa[:, None] * dnd, axis=1),
+                    np.linalg.norm(dxd, axis=1))
     out = {
         "duality": duality,
         "nondegeneracy_margin": float(nd_margin.min(initial=np.inf)),
@@ -436,7 +433,7 @@ def omega_edge_labels(omega_or_cong, signature: Signature | None = None,
     # in the order a per-edge computation meets them
     failures = span_failures + tail_failures + head_failures + [
         (ww <= 1e-300, "factorization degenerate"),
-        (resid > tol * np.maximum(np.linalg.norm(eta, axis=1), 1e-300),
+        (resid > tol * floor(np.linalg.norm(eta, axis=1)),
          "eta is not decomposable on the edge planes"),
     ]
     first = _first_failure(failures)
@@ -469,8 +466,7 @@ def eisenhart_general(pn: PrincipalNet, x_dual, n_dual, labels,
     labels = np.asarray(labels, float)
     rhs = np.where(np.isinf(labels), 0.0,
                    -2.0 / np.where(np.isinf(labels), 1.0, labels))
-    res = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    out = {"pairing": float(res.max(initial=0.0))}
+    out = {"pairing": float(gap(lhs, rhs).max(initial=0.0))}
     out["passed"] = bool(out["pairing"] <= tol)
     return out
 
@@ -480,9 +476,8 @@ def check_guichard(pn: PrincipalNet, x_dual, tol: float = 1e-8) -> dict:
     g = pn.grid
     a1 = mixed_area(Form0(g, np.asarray(x_dual, float)), Form0(g, pn.x)).values
     a2 = mixed_area(Form0(g, pn.n), Form0(g, pn.n)).values
-    scale = np.maximum(np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1)),
-                       1e-300)
-    res = np.abs(a1 + a2).max(axis=1) / scale
+    res = rel(np.abs(a1 + a2).max(axis=1),
+              np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1)))
     out = {"associate": float(res.max(initial=0.0))}
     out["passed"] = bool(out["associate"] <= tol)
     return out
@@ -503,7 +498,7 @@ def eisenhart_guichard(pn: PrincipalNet, x_dual, labels, tol: float = 1e-8,
     unit = dx / dlen[:, None]
     dd = np.sum(dxd * unit, axis=1)
     denom = np.sum(dxd * dxd, axis=1)
-    kappad = -np.sum(dn * dxd, axis=1) / np.maximum(denom, 1e-300)
+    kappad = rel(-np.sum(dn * dxd, axis=1), denom)
     excluded = (np.abs(pn.kappa) < radius_floor) | (np.abs(kappad) < radius_floor)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = 1.0 / pn.kappa
@@ -512,9 +507,8 @@ def eisenhart_guichard(pn: PrincipalNet, x_dual, labels, tol: float = 1e-8,
     labels = np.asarray(labels, float)
     rhs = np.where(np.isinf(labels), 0.0,
                    -2.0 / np.where(np.isinf(labels), 1.0, labels))
-    res = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    res = np.where(excluded, 0.0, res)
-    ratio = np.abs(dlen / r - dd / rd) / np.maximum(np.abs(dlen / r), 1e-300)
+    res = np.where(excluded, 0.0, gap(lhs, rhs))
+    ratio = rel(np.abs(dlen / r - dd / rd), np.abs(dlen / r))
     ratio = np.where(excluded, 0.0, ratio)
     out = {
         "eisenhart": float(res.max(initial=0.0)),
@@ -684,14 +678,11 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, magnitude,
     # xi everywhere from d xi = eta p, all attempts in one integration;
     # d(eta p) on a quad is p put into (mu_k - mu_i) ^ (mu_l - mu_j), the
     # Moutard residual of validate, so closedness is left to validate
-    t, h = g.edge_tail, g.edge_head
-    etap = (ip(mu[:, h], frame.p)[..., None] * mu[:, t]
-            - ip(mu[:, t], frame.p)[..., None] * mu[:, h]).transpose(1, 0, 2)
+    etap = _eta_apply(sig, g, mu, frame.p).transpose(1, 0, 2)
     xi = integrate_one_form(g, etap.reshape(g.nedges, -1), base=0, seed=xi0[done].reshape(-1),
                             check_closed=False).values
     xi = xi.reshape(g.nverts, len(done), d).transpose(1, 0, 2)
-    orth = np.abs(ip(xi, mu)) / np.maximum(
-        np.linalg.norm(xi, axis=-1) * np.linalg.norm(mu, axis=-1), 1e-300)
+    orth = cos_angle(ip(xi, mu), np.linalg.norm(xi, axis=-1), np.linalg.norm(mu, axis=-1))
     coeffs = np.stack([np.full(orth.shape, -1.0), 2.0 * ip(frame.p, xi), ip(xi, xi)], axis=-1)
     dev = np.abs(coeffs - np.array([-1.0, -2.0, 0.0])).max(axis=(1, 2), initial=0.0)
     for k in range(n):
@@ -775,8 +766,7 @@ def _guichard_package(net: IsothermicNet, xi: np.ndarray, frame: LieFrame,
                      mu_minus=xi.copy())
     etap = omega.eta_p()
     dt = t_lift[th] - t_lift[tt]
-    etap_res = float(np.abs(etap - dt).max(initial=0.0)) / max(
-        float(np.abs(dt).max(initial=0.0)), 1e-300)
+    etap_res = rel(float(np.abs(etap - dt).max(initial=0.0)), np.abs(dt).max(initial=0.0))
 
     dxd = frame.coords3(omega.eta_q())
     xd = integrate_one_form(g, dxd, base=0, check_closed=True, tol=1e-8).values
@@ -843,8 +833,7 @@ def classify_special(quantity: ConservedQuantity, net: IsothermicNet | None = No
     """
     coeffs = quantity.norm_polynomial()
     spread = np.abs(coeffs - coeffs[0]).max(initial=0.0)
-    scale = max(float(np.abs(coeffs).max(initial=0.0)), 1e-300)
-    if spread > tol * max(scale, 1.0):
+    if spread > tol * max(floor(np.abs(coeffs).max(initial=0.0)), 1.0):
         raise DegeneracyError("(p(t), p(t)) is not constant across vertices")
     a, b, c2 = coeffs.mean(axis=0)
     if abs(c2) > tol * max(abs(a), abs(b), 1.0):
@@ -886,15 +875,7 @@ def _matched_pair(omega: OmegaNet, seed: int = 0, use_stored: bool = True):
 def _omega_from_pair_lifts(grid: Grid, frame: LieFrame, mu_plus, mu_minus):
     mu_plus = np.asarray(mu_plus, float)
     mu_minus = np.asarray(mu_minus, float)
-    # the alternating rescale (opposite exponents on the two nets) leaves
-    # the form, the labels and any K-Moutard matching invariant while
-    # balancing lift norms across the coloring
-    parity = 1.0 - 2.0 * (grid.vertex_coords.sum(axis=1) % 2)
-    n_even = np.median(np.linalg.norm(mu_plus[parity > 0], axis=1))
-    n_odd = np.median(np.linalg.norm(mu_plus[parity < 0], axis=1))
-    c = np.sqrt(max(n_odd, 1e-300) / max(n_even, 1e-300))
-    mu_plus = mu_plus * (c ** parity)[:, None]
-    mu_minus = mu_minus * (c ** (-parity))[:, None]
+    mu_plus, mu_minus = _balance(grid, mu_plus, mu_minus)
     pn = principal_from_legendre(grid, mu_plus, mu_minus, frame)
     y = frame.lift_point(pn.x)
     t = frame.lift_tangent(pn.x, pn.n)
@@ -970,8 +951,8 @@ def gauge_identity_residual(omega: OmegaNet, t: float) -> float:
     g, eye = omega.grid, np.eye(sig.dim)
     act = t * action_matrix(unpack_bivector(tau, sig.dim), sig)
     lhs = (eye + act[g.edge_head]) @ gp @ (eye - act[g.edge_tail])
-    return float((np.abs(lhs - gm).max(axis=(1, 2), initial=0.0)
-                  / np.maximum(np.abs(gm).max(axis=(1, 2), initial=0.0), 1e-300)).max(initial=0.0))
+    return float(rel(np.abs(lhs - gm).max(axis=(1, 2), initial=0.0),
+                     np.abs(gm).max(axis=(1, 2), initial=0.0)).max(initial=0.0))
 
 
 def dual_legendre(omega: OmegaNet, base: int = 0) -> OmegaNet:
@@ -1017,7 +998,7 @@ def linear_weingarten_check(pn: PrincipalNet, alpha: float, beta: float,
     xx = np.abs(axx).max(axis=1)
     scale = (abs(alpha) * nn + 2.0 * abs(beta) * np.sqrt(nn * xx)
              + abs(gamma) * xx)
-    res = np.abs(lhs).max(axis=1) / np.maximum(scale, 1e-300)
+    res = rel(np.abs(lhs).max(axis=1), scale)
     return {"weingarten": float(res.max(initial=0.0)),
             "passed": bool(res.max(initial=0.0) <= tol)}
 

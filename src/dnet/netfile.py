@@ -40,6 +40,7 @@ from .errors import FormatError, GeometryError
 from .grid import Grid
 from .pseudo_euclidean import Frame, Signature
 from .reports import Check, Report
+from .residuals import cos_angle, floor
 
 FORMAT = "dnet-net/1"
 FLOAT_ENCODING = "decimal-shortest-roundtrip"
@@ -326,7 +327,7 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
             # subtract only where defined: inf - inf would warn
             num = np.abs(np.subtract(stored, net.labels, out=np.zeros(net.labels.shape),
                                      where=~both_inf))
-            den = np.where(both_inf, 1.0, np.maximum(np.abs(stored), 1e-300))
+            den = np.where(both_inf, 1.0, floor(np.abs(stored)))
             rep.add(Check.from_residual("isothermic.stored_labels",
                                         float((num / den).max(initial=0.0)), 1e-9))
     else:
@@ -403,8 +404,8 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
     if "xi" in vf and net is not None and lf is not None:
         ip = sig.inner
         xi = vf["xi"]
-        orth = np.abs(ip(xi, net.mu)) / np.maximum(
-            np.linalg.norm(xi, axis=1) * np.linalg.norm(net.mu, axis=1), 1e-300)
+        orth = cos_angle(ip(xi, net.mu), np.linalg.norm(xi, axis=1),
+                         np.linalg.norm(net.mu, axis=1))
         rep.add(Check.from_residual("special.orthogonality",
                                     float(orth.max(initial=0.0)),
                                     tols["orthogonality"]))

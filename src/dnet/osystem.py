@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import (BilinearRule, Form0, curly_wedge,
-                    exterior_derivative, lam2_dim, wedge, wedge_vec)
+                    exterior_derivative, lam2_dim, wedge)
 from .grid import Grid
 from .pseudo_euclidean import Signature, stereo_lift
+from .residuals import rel, sin_angle
 
 __all__ = ["ParallelFamily", "check_combescure", "dual_family", "check_osystem"]
 
@@ -70,10 +71,7 @@ class ParallelFamily:
         # every later active member against the first active one
         first = np.argmax(active, axis=0)
         a, e = np.nonzero(active & (np.arange(self.size)[:, None] > first))
-        ref = diffs[first[e], e]
-        worst = float((np.linalg.norm(wedge_vec(diffs[a, e], ref), axis=-1)
-                       / (np.linalg.norm(diffs[a, e], axis=-1)
-                          * np.linalg.norm(ref, axis=-1))).max(initial=0.0))
+        worst = float(sin_angle(diffs[a, e], diffs[first[e], e]).max(initial=0.0))
         # decomposability of dPhi through its 2x2 minors
         t, h = self.grid.edge_tail, self.grid.edge_head
         phi = self.phi()
@@ -104,9 +102,8 @@ def check_combescure(grid: Grid, x, x_star, signature: Signature,
     dx = exterior_derivative(Form0(grid, x))
     dxs = exterior_derivative(Form0(grid, x_star))
     pairing = wedge(dx, dxs, rule).values[:, 0] if grid.nquads else np.zeros(0)
-    scale = max(float(np.abs(dx.values).max(initial=0.0)
-                      * np.abs(dxs.values).max(initial=0.0)), 1e-300)
-    res = float(np.abs(pairing).max(initial=0.0)) / scale
+    res = rel(float(np.abs(pairing).max(initial=0.0)),
+              np.abs(dx.values).max(initial=0.0) * np.abs(dxs.values).max(initial=0.0))
 
     big = Signature(signature.p + 1, signature.q + 1)
     frame = big.standard_frame()
@@ -116,7 +113,7 @@ def check_combescure(grid: Grid, x, x_star, signature: Signature,
         vals[:, :signature.p] = values[:, :signature.p]
         vals[:, signature.p + 1:big.dim - 1] = values[:, signature.p:]
         sv = np.linalg.svd(stereo_lift(vals, frame)[grid.quad_vertices], compute_uv=False)
-        return float((sv[:, 3] / np.maximum(sv[:, 0], 1e-300)).max(initial=0.0))
+        return float(rel(sv[:, 3], sv[:, 0]).max(initial=0.0))
 
     out = {
         "pairing": res,
@@ -144,9 +141,7 @@ def dual_family(fam: ParallelFamily) -> tuple:
     norms = np.linalg.norm(dvs, axis=-1)
     longest = norms.max(axis=1, initial=0.0)
     e, m = np.nonzero((longest > 1e-14)[:, None] & (norms > 1e-12 * longest[:, None]))
-    ref = dvs[e, np.argmax(norms, axis=1)[e]]
-    worst = float((np.linalg.norm(wedge_vec(dvs[e, m], ref), axis=-1)
-                   / (norms[e, m] * np.linalg.norm(ref, axis=-1))).max(initial=0.0))
+    worst = float(sin_angle(dvs[e, m], dvs[e, np.argmax(norms, axis=1)[e]]).max(initial=0.0))
     reassembled = np.stack(duals, axis=1)
     exact = bool(np.array_equal(reassembled, phi))
     return duals, {"dual_edge_parallel": worst, "reassembly_exact": exact,
@@ -209,10 +204,10 @@ def check_osystem(fam: ParallelFamily, metric, tol_equal: float = 1e-11,
     amb_part = full[:, :lam2_dim(d)]
     w_part = full[:, lam2_dim(d):]
 
-    scale = max(float(np.abs(dphi.values).max(initial=0.0)) ** 2, 1e-300)
-    equality = float(np.abs(amb_part - weighted).max(initial=0.0)) / scale
-    vanish = float(np.abs(full).max(initial=0.0)) / scale
-    combescure = float(np.abs(w_part).max(initial=0.0)) / scale
+    scale = float(np.abs(dphi.values).max(initial=0.0)) ** 2
+    equality = rel(float(np.abs(amb_part - weighted).max(initial=0.0)), scale)
+    vanish = rel(float(np.abs(full).max(initial=0.0)), scale)
+    combescure = rel(float(np.abs(w_part).max(initial=0.0)), scale)
     out = {
         "characterization_equality": equality,
         "bracket_vanishes": vanish,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegeneracyError, PointAtInfinityError
 from .forms import lam2_pairs, pack_bivector, unpack_bivector
+from .residuals import floor, rel
 
 __all__ = [
     "Signature", "Frame", "Bivector",
@@ -66,8 +67,7 @@ class Signature:
 
     def is_null(self, v, tol: float = 1e-10) -> np.ndarray:
         v = np.asarray(v, float)
-        scale = np.maximum(np.add.reduce(v * v, axis=-1), 1e-300)
-        return np.abs(self.norm2(v)) <= tol * scale
+        return np.abs(self.norm2(v)) <= tol * floor(np.add.reduce(v * v, axis=-1))
 
     def standard_frame(self) -> "Frame":
         """Frame built from the last plus and the last minus axes.
@@ -149,8 +149,7 @@ class Bivector:
         matrix = np.asarray(matrix, float)
         if matrix.shape != (signature.dim, signature.dim):
             raise ValueError("bivector matrix has wrong shape")
-        scale = max(float(np.abs(matrix).max()), 1e-300)
-        if np.abs(matrix + matrix.T).max() > tol * scale:
+        if np.abs(matrix + matrix.T).max() > tol * floor(np.abs(matrix).max()):
             raise ValueError("bivector coefficients must be antisymmetric")
         self.matrix = matrix
         self.signature = signature
@@ -179,8 +178,7 @@ class Bivector:
         w = rng.standard_normal((nprobe, d))
         ip = self.signature.inner
         res = ip(self.act(v), w) + ip(v, self.act(w))
-        scale = max(float(np.abs(self.matrix).max()), 1e-300)
-        return float(np.abs(res).max()) / scale
+        return rel(float(np.abs(res).max()), np.abs(self.matrix).max())
 
 
 def action_matrix(matrix: np.ndarray, signature: Signature) -> np.ndarray:
@@ -222,7 +220,7 @@ def isotropic_exp(biv, t: float, signature: Signature,
     """
     mat = _as_matrix(biv, signature.dim)
     act = action_matrix(mat, signature)
-    scale = max(float(np.abs(act).max()), 1e-300)
+    scale = floor(np.abs(act).max())
     if np.abs(act @ act).max() > tol * scale * scale * signature.dim:
         raise DegeneracyError("bivector is not isotropic: exp does not truncate")
     return np.eye(signature.dim) + t * act
@@ -244,7 +242,7 @@ def gamma_lambda(s_i, s_j, lam, signature: Signature,
     ip = signature.inner
     g = ip(si, sj)
     norm = np.linalg.norm(si, axis=-1) * np.linalg.norm(sj, axis=-1)
-    orth = np.abs(g) <= tol * np.maximum(norm, 1e-300)
+    orth = np.abs(g) <= tol * floor(norm)
     nonnull = [np.abs(ip(v, v)) > 1e-8 * np.sum(v * v, axis=-1) for v in (si, sj)]
     bad = orth | nonnull[0] | nonnull[1]
     if np.any(bad):

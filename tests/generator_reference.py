@@ -65,10 +65,11 @@ def random_isothermic(grid, signature, rng, magnitude=0.3, margin=1e-5,
                       edge_margin=1e-4, retries=64, frame=None):
     """Whole nets drawn, evolved and tested one draw at a time; a grid
     without quads has no quad margins to test.  Exhaustion counts the
-    draws rejected for each reason."""
+    draws rejected for each reason, a draw that fails several margins
+    under the first of edge, diagonal and opposite-label margin."""
     frame = signature.standard_frame() if frame is None else frame
-    counts = dict.fromkeys(("irregular Cauchy step", "isotropic diagonal",
-                            "margin screen", "validate"), 0)
+    counts = dict.fromkeys(("irregular Cauchy step", "isotropic diagonal", "edge margin",
+                            "diagonal margin", "opposite-label margin", "validate"), 0)
     best = -np.inf
     for _ in range(retries):
         try:
@@ -86,10 +87,12 @@ def random_isothermic(grid, signature, rng, magnitude=0.3, margin=1e-5,
         t, h = grid.edge_tail, grid.edge_head
         scale = np.linalg.norm(net.mu[t], axis=1) * np.linalg.norm(net.mu[h], axis=1)
         edge_rel = np.abs(net.edge_ip) / np.maximum(scale, 1e-300)
-        if not ((grid.nquads == 0 or (rep["diagonal_margin"] >= margin
-                                      and rep["opposite_label_margin"] >= margin))
-                and float(edge_rel.min(initial=np.inf)) >= edge_margin):
-            counts["margin screen"] += 1
+        if not float(edge_rel.min(initial=np.inf)) >= edge_margin:
+            counts["edge margin"] += 1
+        elif not (grid.nquads == 0 or rep["diagonal_margin"] >= margin):
+            counts["diagonal margin"] += 1
+        elif not (grid.nquads == 0 or rep["opposite_label_margin"] >= margin):
+            counts["opposite-label margin"] += 1
         elif not (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11):
             counts["validate"] += 1
         else:

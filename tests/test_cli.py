@@ -367,3 +367,10 @@ def test_isothermic_exhaustion_is_one_line(tmp_path, capsys):
     assert err.startswith("construction degeneracy: no well-conditioned net after 64 "
                           "draws: rejected at irregular Cauchy step ")
     assert "float64" not in err and "best diagonal margin" in err
+    # each margin by name: the best diagonal margin is above its 1e-5 bar
+    assert run("gen", "isothermic", "--dims", "12x12", "--seed", 18,
+               "-o", tmp_path / "j.json") == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert ("edge margin 38, diagonal margin 26, opposite-label margin 0, validate 0; "
+            "best diagonal margin 1.169e-05") in err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnet.forms import (BilinearRule, Form0, Form1, Form2, curly_wedge,
+from dnet.forms import (BilinearRule, Form0, Form1, curly_wedge,
                         exterior_derivative as d, lam2_dim, mixed_area,
                         pack_bivector, unpack_bivector, wedge, wedge_vec)
 from dnet.grid import Grid
@@ -27,7 +27,7 @@ def test_constant_has_zero_differential():
 
 def test_coordinate_sum_has_unit_differential():
     g = Grid([3, 3])
-    f = Form0.from_function(g, lambda c: float(c[0] + c[1]))
+    f = Form0(g, g.vertex_coords.sum(axis=1).astype(float))
     assert np.abs(d(f).values - 1.0).max() == 0.0
 
 
@@ -44,13 +44,22 @@ def test_orientation_sign_rule_is_exact():
     g = Grid([3, 3])
     rng = np.random.default_rng(4)
     a = Form1(g, rng.standard_normal((g.nedges, 2)))
-    e = g.edges()[5]
-    fwd = a.on_edge(e.tail, e.head)
-    bwd = a.on_edge(e.head, e.tail)
-    assert np.array_equal(fwd, -bwd)
-    q = g.quads()[1]
-    w = Form2(g, rng.standard_normal((g.nquads, 1)))
-    assert np.array_equal(w.on_quad(q.reversed()), -w.on_quad(q))
+    fwd = g.oriented_edge(int(g.edge_tail[5]), int(g.edge_head[5]))
+    bwd = g.oriented_edge(fwd.head, fwd.tail)
+    assert (fwd.index, fwd.sign, bwd.index, bwd.sign) == (5, 1, 5, -1)
+    assert np.array_equal(fwd.sign * a.values[fwd.index], -(bwd.sign * a.values[bwd.index]))
+    # d of an integer-valued 1-form on quad 1 is its boundary walk along
+    # the cycle (i, j, k, l); the reversed cycle (i, l, k, j) walks to the
+    # negative, exactly
+    a = Form1(g, rng.integers(-9, 9, (g.nedges, 2)))
+    i, j, k, l = (int(v) for v in g.quad_vertices[1])
+
+    def walk(cycle):
+        return sum(e.sign * a.values[e.index] for e in
+                   (g.oriented_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])))
+
+    assert np.array_equal(d(a).values[1], walk([i, j, k, l]))
+    assert np.array_equal(walk([i, l, k, j]), -walk([i, j, k, l]))
 
 
 def test_pointwise_product_of_functions():

@@ -285,31 +285,46 @@ def _rejections(text):
             (item.rsplit(" ", 1) for item in counts.split(", "))}
 
 
+def _expected_rejections(text, retries, **counts):
+    """The ``counts`` given, and the rest of the ``retries`` draws split
+    between the edge and the diagonal margin as ``text`` splits them;
+    no draw fails only its opposite-label margin at these margins."""
+    expected = dict.fromkeys(["irregular Cauchy step", "isotropic diagonal", "edge margin",
+                              "diagonal margin", "opposite-label margin", "validate"], 0)
+    expected.update(counts)
+    if "edge margin" not in counts:
+        expected["edge margin"] = _rejections(text)["edge margin"]
+        expected["diagonal margin"] = retries - sum(expected.values())
+    return expected
+
+
 @pytest.mark.parametrize("retries", [5, 9, 64])
-@pytest.mark.parametrize("case", ["margins", "isotropic", "irregular"])
+@pytest.mark.parametrize("case", ["margins", "edge", "isotropic", "irregular"])
 def test_exhaustion_counts_each_draw_once(case, retries):
-    """Every draw rejected by its margins; draw 1 by an isotropic
-    diagonal and the others by their margins; every draw by an
-    irregular step."""
+    """Every draw rejected by its edge or diagonal margin; every draw by
+    its edge margin, which is tested first, though it fails the diagonal
+    margin too; draw 1 by an isotropic diagonal and the others by their
+    margins; every draw by an irregular step."""
     sig, grid = Signature(4, 2), Grid([6, 6])
-    expected = dict.fromkeys(["irregular Cauchy step", "isotropic diagonal",
-                              "margin screen", "validate"], 0)
-    if case == "margins":
+    if case in ("margins", "edge"):
+        kw = {"edge_margin": 0.9} if case == "edge" else {}
         text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4),
-                                  retries=retries, margin=0.3)
-        expected["margin screen"] = retries
+                                  retries=retries, margin=0.3, **kw)
+        counts = {"edge margin": retries} if case == "edge" else {}
     elif case == "isotropic":
         rows = _script(4, sig.dim, _evolution_degenerate(grid, 1))
         text = _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows),
                                   retries=retries, margin=0.3)
-        expected.update({"isotropic diagonal": 1, "margin screen": retries - 1})
+        counts = {"isotropic diagonal": 1}
     else:
         text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4),
                                   retries=retries, magnitude=0.0)
-        expected["irregular Cauchy step"] = retries
+        counts = {"irregular Cauchy step": retries, "edge margin": 0}
+    expected = _expected_rejections(text, retries, **counts)
     assert "\n" not in text and "array" not in text and "float64" not in text
     assert text.startswith(f"DegeneracyError: no well-conditioned net after {retries} draws: ")
     assert _rejections(text) == expected and sum(expected.values()) == retries
+    assert min(expected.values()) >= 0
     best = re.search(r"best diagonal margin (\S+)$", text).group(1)
     assert (best == "-inf") == (case == "irregular")
 
@@ -333,8 +348,8 @@ def test_irregular_step_rejects_that_draw_alone(retries):
     same = _with_irregular_draw(grid, sig, _evolution_degenerate(grid, 3), retries=retries)
     assert not isinstance(net, str) and np.array_equal(net, same)
     text = _with_irregular_draw(grid, sig, irregular, retries=retries, margin=0.3)
-    assert _rejections(text) == {"irregular Cauchy step": 1, "isotropic diagonal": 3,
-                                 "margin screen": retries - 4, "validate": 0}
+    assert _rejections(text) == _expected_rejections(
+        text, retries, **{"irregular Cauchy step": 1, "isotropic diagonal": 3})
 
 
 @pytest.mark.parametrize("first", [0, 5, 8, 13])

@@ -69,7 +69,7 @@ def test_stack_square_counts():
 
 def test_stack_of_interval_has_one_vertical_quad():
     s = stack(Grid([2]))
-    assert sum(1 for q in s.quads() if q.axes[0] == 0) == 1
+    assert int((s.quad_axes[:, 0] == 0).sum()) == 1
 
 
 def test_double_stack_rejected():
@@ -79,15 +79,30 @@ def test_double_stack_rejected():
 
 def test_edge_reversal_involution():
     g = Grid([3, 2])
-    for e in g.edges():
+    for slot, (t, h) in enumerate(zip(g.edge_tail.tolist(), g.edge_head.tolist())):
+        e = g.oriented_edge(t, h)
+        assert (e.index, e.sign) == (slot, 1)
         assert e.reversed().reversed() == e
+        assert e.reversed() == g.oriented_edge(h, t)
         assert e.reversed().sign == -e.sign
 
 
 def test_quad_reversal_involution_and_rotation():
+    """The cycle (i, j, k, l) of a quad runs along its bottom and right
+    edges and against its top and left ones; rotating the cycle keeps
+    its oriented edges, reversing it to (i, l, k, j) flips every sign."""
     g = Grid([3, 3])
-    for q in g.quads():
-        assert q.reversed().reversed().sign == q.sign
+
+    def oriented(cycle):
+        return {(e.index, e.sign) for e in
+                (g.oriented_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))}
+
+    for n in range(g.nquads):
+        i, j, k, l = (int(v) for v in g.quad_vertices[n])
+        b, r, t, lft = (int(e) for e in g.quad_edges[n])
+        assert oriented([i, j, k, l]) == {(b, 1), (r, 1), (t, -1), (lft, -1)}
+        assert oriented([j, k, l, i]) == oriented([i, j, k, l])
+        assert oriented([i, l, k, j]) == {(e, -s) for e, s in oriented([i, j, k, l])}
 
 
 @settings(max_examples=25, deadline=None)
@@ -110,7 +125,7 @@ def test_integrate_zero_form_gives_constant():
 
 def test_coordinate_sum_potential():
     g = Grid([3, 3])
-    f = Form0.from_function(g, lambda c: float(sum(c)))
+    f = Form0(g, g.vertex_coords.sum(axis=1).astype(float))
     rec = integrate_one_form(g, exterior_derivative(f), base=0,
                              seed=f.values[0])
     assert np.abs(rec.values - f.values).max() == 0.0
@@ -146,7 +161,8 @@ def test_path_independence_on_3x3():
     for path in brute_force_paths([3, 3], 0, end):
         total = np.zeros(2)
         for a, b in zip(path, path[1:]):
-            total = total + alpha.on_edge(a, b)
+            e = g.oriented_edge(a, b)
+            total = total + e.sign * alpha.values[e.index]
         values.append(total)
     values = np.array(values)
     assert len(values) == 6
@@ -160,6 +176,18 @@ def test_integrate_rejects_non_closed():
     with pytest.raises(ClosednessError) as err:
         integrate_one_form(g, alpha, base=0)
     assert err.value.where["kind"] == "quad"
+
+
+def test_integrate_rejects_nan_edge():
+    """A NaN on non-tree edge 4 fails the check, not passed over; it
+    reaches the scale (the largest entry) too, and the first quad
+    through the edge is still named."""
+    g = Grid([3, 3])
+    alpha = np.zeros((g.nedges, 2))
+    alpha[4] = np.nan
+    with pytest.raises(ClosednessError) as err:
+        integrate_one_form(g, alpha, check_closed=True)
+    assert err.value.where["corner"] == (1, 0) and np.isnan(err.value.residual)
 
 
 def random_orthogonal(rng, k):
@@ -197,3 +225,14 @@ def test_trivialize_rejects_non_flat():
         trivialize_connection(g, gamma)
     assert err.value.where["kind"] == "quad"
     assert err.value.where["index"] == 2
+
+
+def test_trivialize_rejects_nan_edge():
+    """A NaN transport on non-tree edge 4: the first quad through it is
+    named, not passed over."""
+    g = Grid([3, 3])
+    gamma = np.tile(np.eye(2), (g.nedges, 1, 1))
+    gamma[4] = np.nan
+    with pytest.raises(FlatnessError) as err:
+        trivialize_connection(g, gamma)
+    assert err.value.where["corner"] == (1, 0) and np.isnan(err.value.residual)

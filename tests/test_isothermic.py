@@ -382,3 +382,18 @@ def test_special_quantity_guichard_success(guichard):
     assert max(res["parallel_residuals"].values()) <= 1e-8
     coeffs = q.norm_polynomial().mean(axis=0)
     assert np.abs(coeffs - [-1.0, -2.0, 0.0]).max() <= 1e-9
+
+
+def test_eta_apply_keeps_the_written_out_contraction():
+    """``(mu_j, c) mu_i - (mu_i, c) mu_j`` per edge, as the Christoffel
+    dual, the special-quantity solve and the batched Guichard attempts
+    wrote it out, bit for bit."""
+    from dnet.isothermic import _eta_apply
+    g, ip = Grid([4, 3]), SIG42.inner
+    mu = np.random.default_rng(3).standard_normal((2, g.nverts, SIG42.dim))
+    c = SIG42.standard_frame().q
+    t, h = g.edge_tail, g.edge_head
+    one = ip(mu[0, h], c)[:, None] * mu[0, t] - ip(mu[0, t], c)[:, None] * mu[0, h]
+    batch = ip(mu[:, h], c)[..., None] * mu[:, t] - ip(mu[:, t], c)[..., None] * mu[:, h]
+    assert np.array_equal(_eta_apply(SIG42, g, mu[0], c), one)
+    assert np.array_equal(_eta_apply(SIG42, g, mu, c), batch)

@@ -63,6 +63,18 @@ def test_lift_roundtrip_from_known_moutard(moutard_net):
     assert np.abs(rec - mu).max() <= 1e-10 * np.abs(mu).max()
 
 
+def test_lift_rejects_nan_eta_off_the_tree():
+    """A NaN on non-tree edge 4 reaches only the consistency check, which
+    names that edge."""
+    from dnet.koenigs import ProjectiveNet
+    net, _ = random_moutard_net(Grid([3, 3]), 4, np.random.default_rng(5))
+    eta = net.eta.copy()
+    eta[4] = np.nan
+    with pytest.raises(NotKoenigsError) as err:
+        moutard_lift_from_eta(ProjectiveNet(net.grid, net.lifts, eta), net.lifts[0])
+    assert err.value.where["index"] == 4 and np.isnan(err.value.residual)
+
+
 def test_non_koenigs_rejected():
     g = Grid([3, 3])
     rng = np.random.default_rng(1)
@@ -147,7 +159,7 @@ def test_congruence_validates(dual_congruence):
 def test_gmap_r_zero_hits_intersection(dual_congruence):
     cong, F, Fd = dual_congruence
     g = cong.grid
-    e = g.edges()[3]
+    e = g.oriented_edge(int(g.edge_tail[3]), int(g.edge_head[3]))
     out = g_map(cong, e.head, e.tail, (1.0, 0.0))    # [tau, 0] -> s_ij
     v = out[0] * cong.sigma1[e.tail] + out[1] * cong.sigma2[e.tail]
     s_line = cong.intersection_line(e.index)
@@ -157,7 +169,7 @@ def test_gmap_r_zero_hits_intersection(dual_congruence):
 def test_gmap_inverse_roundtrip(dual_congruence):
     cong, F, Fd = dual_congruence
     g = cong.grid
-    e = g.edges()[4]
+    e = g.oriented_edge(int(g.edge_tail[4]), int(g.edge_head[4]))
     rng = np.random.default_rng(8)
     for _ in range(5):
         pt = rng.standard_normal(2)
@@ -170,7 +182,7 @@ def test_gmap_inverse_roundtrip(dual_congruence):
 def test_gmap_preserves_cross_ratios(dual_congruence):
     cong, F, Fd = dual_congruence
     g = cong.grid
-    e = g.edges()[6]
+    e = g.oriented_edge(int(g.edge_tail[6]), int(g.edge_head[6]))
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((4, 2))
     images = [g_map(cong, e.head, e.tail, p) for p in pts]
@@ -223,8 +235,8 @@ def test_extract_pair_seed_on_intersection_fails(dual_congruence):
     cong, F, Fd = dual_congruence
     g = cong.grid
     base_b = 0
-    e = next(e for e in g.edges() if e.tail == base_b or e.head == base_b)
-    s_line = cong.intersection_line(e.index)
+    e = int(np.flatnonzero((g.edge_tail == base_b) | (g.edge_head == base_b))[0])
+    s_line = cong.intersection_line(e)
     coords, *_ = np.linalg.lstsq(
         np.stack([cong.sigma1[base_b], cong.sigma2[base_b]], axis=1),
         s_line, rcond=None)
@@ -272,3 +284,33 @@ def test_christoffel_rejects_non_parallel():
     sm = rng.standard_normal((g.nverts, 4))
     with pytest.raises(NotDualError):
         christoffel_ratio(g, sp, sm)
+
+
+def test_christoffel_ratio_rejects_nan_section():
+    """A NaN vertex of the minus section raises, naming an edge through
+    it, where it used to give back a failed report."""
+    g = Grid([4, 4])
+    rng = np.random.default_rng(11)
+    sp = rng.standard_normal((g.nverts, 4))
+    sm = 2.56 * sp + rng.standard_normal(4)
+    sm[5] = np.nan
+    with pytest.raises(NotDualError) as err:
+        christoffel_ratio(g, sp, sm)
+    e = err.value.where["index"]
+    assert 5 in (g.edge_tail[e], g.edge_head[e]) and np.isnan(err.value.residual)
+
+
+def test_balance_keeps_the_written_out_rescale():
+    """The alternating rescale as pair extraction and the Omega-net
+    constructor wrote it out, bit for bit."""
+    from dnet.koenigs import _balance
+    g = Grid([5, 4])
+    rng = np.random.default_rng(6)
+    mu_p, mu_m = rng.standard_normal((2, g.nverts, 6)) * rng.uniform(0.1, 9, (2, g.nverts, 1))
+    parity = 1.0 - 2.0 * (g.vertex_coords.sum(axis=1) % 2)
+    n_even = np.median(np.linalg.norm(mu_p[parity > 0], axis=1))
+    n_odd = np.median(np.linalg.norm(mu_p[parity < 0], axis=1))
+    c = np.sqrt(max(n_odd, 1e-300) / max(n_even, 1e-300))
+    got = _balance(g, mu_p, mu_m)
+    assert np.array_equal(got[0], mu_p * (c ** parity)[:, None])
+    assert np.array_equal(got[1], mu_m * (c ** (-parity))[:, None])
