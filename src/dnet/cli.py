@@ -24,6 +24,15 @@ from .pseudo_euclidean import Signature
 GEN_KINDS = ("isothermic", "darboux-pair", "omega", "guichard", "minimal",
              "weingarten")
 TRANSFORM_OPS = ("darboux", "calapso", "christoffel", "dual", "associates")
+# the --param keys each gen kind reads, with their defaults (None: unset)
+GEN_PARAMS = {
+    "isothermic": {"magnitude": 0.3},
+    "darboux-pair": {"m": 0.5},
+    "omega": {},
+    "guichard": {"fault": None},
+    "minimal": {"magnitude": 0.25},
+    "weingarten": {"rho": 1.5},
+}
 
 
 def _parse_dims(text: str):
@@ -49,8 +58,8 @@ def _parse_signature(text: str):
 
 
 def _parse_number(option: str, text, default=None) -> float:
-    """A float option of a transform (``inf`` allowed), required unless
-    it has a default."""
+    """A number option (``inf`` allowed, NaN not); a transform option is
+    required unless it has a default."""
     if text is None:
         if default is None:
             raise FormatError(f"{option} is required for this transform")
@@ -64,16 +73,26 @@ def _parse_number(option: str, text, default=None) -> float:
     return value
 
 
-def _parse_params(items):
+def _parse_params(kind: str, items) -> dict:
+    """The ``--param k=v`` values given to ``gen kind``: finite numbers
+    (``m`` may be ``inf`` or ``-inf``), ``fault`` an integer and ``rho``
+    nonzero, for the keys of ``GEN_PARAMS[kind]`` only."""
+    keys = GEN_PARAMS[kind]
     out = {}
     for item in items or ():
-        if "=" not in item:
+        k, eq, v = item.partition("=")
+        if not eq:
             raise FormatError(f"bad --param {item!r}; expected k=v")
-        k, v = item.split("=", 1)
-        try:
-            out[k] = float(v) if v not in ("inf", "-inf") else float(v)
-        except ValueError:
-            out[k] = v
+        if k not in keys:
+            raise FormatError(f"bad --param {item!r}; gen {kind} reads "
+                              f"{', '.join(keys) or 'no --param'}")
+        value = _parse_number(f"--param {k}", v)
+        if not np.isfinite(value) and k != "m":
+            raise FormatError(f"bad --param {item!r}; expected a finite number")
+        if k == "fault" and not value.is_integer() or k == "rho" and value == 0:
+            raise FormatError(f"bad --param {item!r}; expected "
+                              f"{'an integer' if k == 'fault' else 'a nonzero number'}")
+        out[k] = value
     return out
 
 
@@ -107,25 +126,22 @@ def cmd_generate(args) -> int:
     elif args.signature is not None and _parse_signature(args.signature)[0] != (4, 2):
         raise FormatError(f"bad --signature {args.signature!r}; gen {args.kind} "
                           f"writes signature 4,2 files")
-    params = _parse_params(args.param)
+    given = _parse_params(args.kind, args.param)
+    params = {**GEN_PARAMS[args.kind], **given}
     rng = np.random.default_rng(args.seed)
     meta = {"generator": args.kind, "seed": args.seed,
-            "params": {k: (str(v) if v in (np.inf, -np.inf) else v)
-                       for k, v in params.items()}}
+            "params": {k: (str(v) if np.isinf(v) else v) for k, v in given.items()}}
 
     if args.kind == "isothermic":
         net = iso.random_isothermic(Grid(dims), sig, rng,
-                                    magnitude=params.get("magnitude", 0.3),
-                                    frame=frame)
+                                    magnitude=params["magnitude"], frame=frame)
         nf = NetFile(signature=pq, dims=dims,
                      frame=_plain_frame_dict(frame),
                      vertex_fields={"mu": net.mu},
                      edge_fields={"m": net.labels}, metadata=meta)
     elif args.kind == "darboux-pair":
         net = iso.random_isothermic(Grid(dims), sig, rng, frame=frame)
-        m = params.get("m", 0.5)
-        m = np.inf if m in ("inf", np.inf) else float(m)
-        hat = iso.darboux_transform(net, m, rng=rng)
+        hat = iso.darboux_transform(net, params["m"], rng=rng)
         stacked = iso.stack_pair(net, hat)
         nf = NetFile(signature=pq, dims=stacked.grid.dims, stacked=True,
                      frame=_plain_frame_dict(frame),
@@ -145,17 +161,16 @@ def cmd_generate(args) -> int:
                      metadata=meta)
     elif args.kind == "guichard":
         lf = lie.standard_lie_frame()
-        fault = params.get("fault")
+        fault = None if params["fault"] is None else int(params["fault"])
         out = lie.guichard_generate(dims, seed=args.seed, frame=lf,
-                                    skip_constraint_at=(None if fault is None
-                                                        else int(fault)))
+                                    skip_constraint_at=fault)
         if isinstance(out, dict):
             import json as _json
             fail = {
                 "format": "dnet-failure/1",
                 "generator": "guichard",
                 "seed": args.seed,
-                "fault_at": int(fault),
+                "fault_at": fault,
                 "worst_vertex": list(out["worst_vertex"]),
                 "orthogonality": out["orthogonality"],
                 "orthogonality_map": _encode_rows(out["orthogonality_map"]),
@@ -180,14 +195,13 @@ def cmd_generate(args) -> int:
                                   "kappa": out.pn.kappa},
                      metadata=meta)
     elif args.kind == "minimal":
-        pn, _ = lie.minimal_net(dims, seed=args.seed,
-                                magnitude=params.get("magnitude", 0.25))
+        pn, _ = lie.minimal_net(dims, seed=args.seed, magnitude=params["magnitude"])
         lf = lie.standard_lie_frame()
         nf = NetFile(signature=(4, 2), dims=dims, frame=_frame_dict(lf),
                      vertex_fields={"x": pn.x, "n": pn.n},
                      edge_fields={"kappa": pn.kappa}, metadata=meta)
     elif args.kind == "weingarten":
-        rho = params.get("rho", 1.5)
+        rho = params["rho"]
         pn = lie.sphere_lattice(dims, radius=rho)
         lf = lie.standard_lie_frame()
         meta["params"].update({"rho": rho, "alpha": 1.0, "beta": 0.0,
@@ -213,7 +227,7 @@ def cmd_verify(args) -> int:
         if k not in DEFAULT_TOLS:
             raise FormatError(f"unknown tolerance {k!r}; "
                               f"known: {sorted(DEFAULT_TOLS)}")
-        tols[k] = float(v)
+        tols[k] = _parse_number(f"--tol {k}", v)
     rep = run_checks(nf, tols)
     text = rep.to_text()
     if args.report:

@@ -95,7 +95,7 @@ class BilinearRule:
     """
 
     def __init__(self, fn, dim_left, dim_right, dim_out, symmetry=None,
-                 name="custom", check: bool = True):
+                 name="custom"):
         if symmetry not in (None, "symmetric", "antisymmetric"):
             raise ValueError(f"unknown symmetry tag {symmetry!r}")
         if symmetry is not None and dim_left != dim_right:
@@ -106,7 +106,7 @@ class BilinearRule:
         self.dim_out = int(dim_out)
         self.symmetry = symmetry
         self.name = name
-        if check and symmetry is not None:
+        if symmetry is not None:
             rng = np.random.default_rng(20240902)
             u = rng.standard_normal((8, dim_left))
             v = rng.standard_normal((8, dim_right))

@@ -96,8 +96,7 @@ class IsothermicNet:
     def lines(self) -> np.ndarray:
         return self.mu / np.linalg.norm(self.mu, axis=1, keepdims=True)
 
-    def validate(self, tol_null: float = 1e-10, tol_moutard: float = 1e-10,
-                 tol_labels: float = 1e-9, margin: float = 1e-6) -> dict:
+    def validate(self, margin: float = 1e-6) -> dict:
         """Residuals of the full isothermic invariant suite.
 
         Per-quad residuals are arrays over ``quad_vertices``; a non-finite
@@ -119,8 +118,8 @@ class IsothermicNet:
             "label_relations": label_rel,
             "opposite_label_margin": opp_margin,
             "diagonal_margin": diag,
-            "passed": bool(nullity <= tol_null and moutard <= tol_moutard
-                           and label_rel <= tol_labels
+            "passed": bool(nullity <= 1e-10 and moutard <= 1e-10
+                           and label_rel <= 1e-9
                            and (g.nquads == 0 or (opp_margin >= margin and diag >= margin))),
         }
 
@@ -354,7 +353,7 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
                           f"{_rejected_at(counts)}; best diagonal margin {best:.3e}")
 
 
-def flat_connection(net: IsothermicNet, t: float, tol: float = 1e-8) -> np.ndarray:
+def flat_connection(net: IsothermicNet, t: float) -> np.ndarray:
     """Per-edge orthogonal transports of the spectral family Gamma(t).
 
     On an edge with finite label the transport is the eigen-map with
@@ -367,7 +366,7 @@ def flat_connection(net: IsothermicNet, t: float, tol: float = 1e-8) -> np.ndarr
     inf = net.is_infinite
     fin = np.flatnonzero(~inf)
     gap = np.abs(net.labels[fin] - t)
-    if t != 0.0 and fin.size and gap.min() <= tol * max(1.0, abs(t)):
+    if t != 0.0 and fin.size and gap.min() <= 1e-8 * max(1.0, abs(t)):
         e = int(fin[np.argmin(gap)])
         raise SpectralCollisionError(f"t = {t} collides with edge label {net.labels[e]}",
                                      where=g.locate_edge(e))
@@ -387,8 +386,7 @@ def connection_flatness(net: IsothermicNet, t: float) -> float:
     return worst(holonomy(net.grid, flat_connection(net, t)))[0]
 
 
-def _seed_orthogonal_null(net: IsothermicNet, base: int, rng,
-                          retries: int = 64) -> np.ndarray:
+def _seed_orthogonal_null(net: IsothermicNet, base: int, rng) -> np.ndarray:
     """Random null vector orthogonal to mu at the base vertex."""
     sig = net.signature
     ip = sig.inner
@@ -400,7 +398,7 @@ def _seed_orthogonal_null(net: IsothermicNet, base: int, rng,
             break
     if anchor is None:
         anchor = rng.standard_normal(sig.dim)
-    for _ in range(retries):
+    for _ in range(64):
         w = rng.standard_normal((2, sig.dim))
         u = w - (ip(w, mu0) / ip(anchor, mu0))[:, None] * anchor
         a = float(ip(u[1], u[1]))
@@ -586,16 +584,16 @@ def _eta_apply(signature: Signature, grid: Grid, mu: np.ndarray, c) -> np.ndarra
     return ip(mh, c)[..., None] * mt - ip(mt, c)[..., None] * mh
 
 
-def calapso_transform(net: IsothermicNet, t: float, base: int = 0):
+def calapso_transform(net: IsothermicNet, t: float):
     """Calapso transform: trivialize Gamma(t) and move the lift.
 
-    Returns ``(transformed net, T)`` with ``T[base]`` the identity (this
+    Returns ``(transformed net, T)`` with ``T`` the identity at vertex 0 (this
     pins the constant gauge freedom).  The transformed labels are
     ``m - t`` and the transformed flat connections satisfy
     ``Gamma^{s(t)}(u) = T . Gamma^s(t + u)``.
     """
     gam = flat_connection(net, t)
-    T, _ = trivialize_connection(net.grid, gam, base=base, tol=1e-7)
+    T, _ = trivialize_connection(net.grid, gam, base=0, tol=1e-7)
     mu_t = np.einsum("nab,nb->na", T, net.mu)
     return IsothermicNet(net.grid, net.signature, mu_t), T
 
@@ -610,8 +608,7 @@ class ChristoffelData:
     frame: Frame
 
 
-def christoffel_dual(net: IsothermicNet, frame: Frame | None = None,
-                     base: int = 0) -> ChristoffelData:
+def christoffel_dual(net: IsothermicNet, frame: Frame | None = None) -> ChristoffelData:
     """Dual net integrated from ``d x_dual = pi(eta q)``.
 
     The dual is edge-parallel to the stereoprojection ``x`` with
@@ -624,7 +621,7 @@ def christoffel_dual(net: IsothermicNet, frame: Frame | None = None,
     ip = sig.inner
     x = stereo_project(net.mu, frame)
     dxd = frame.pi(_eta_apply(sig, g, net.mu, frame.q))
-    xd = integrate_one_form(g, dxd, base=base, check_closed=True, tol=1e-8).values
+    xd = integrate_one_form(g, dxd, base=0, check_closed=True, tol=1e-8).values
     r = -ip(net.mu, frame.q)
     return ChristoffelData(x=x, x_dual=xd, r=r, frame=frame)
 
@@ -654,8 +651,7 @@ def christoffel_residuals(net: IsothermicNet, data: ChristoffelData) -> dict:
     }
 
 
-def bianchi_check(net: IsothermicNet, hat: IsothermicNet, m: float,
-                  frame: Frame | None = None, base: int = 0) -> dict:
+def bianchi_check(net: IsothermicNet, hat: IsothermicNet, m: float) -> dict:
     """Bianchi's identity on a Darboux pair.
 
     Builds the Christoffel dual of the stacked net (one integration, so
@@ -664,9 +660,8 @@ def bianchi_check(net: IsothermicNet, hat: IsothermicNet, m: float,
     ``x_dual_hat - x_dual`` plus the scalar identity
     ``(x_hat - x, x_dual_hat - x_dual) = -2/m``.
     """
-    frame = net.signature.standard_frame() if frame is None else frame
     stacked = stack_pair(net, hat)
-    data = christoffel_dual(stacked, frame, base=base)
+    data = christoffel_dual(stacked, net.signature.standard_frame())
     n = net.grid.nverts
     x, xh = data.x[:n], data.x[n:]
     xd, xdh = data.x_dual[:n], data.x_dual[n:]
@@ -714,12 +709,12 @@ class ConservedQuantity:
                          np.linalg.norm(vals[g.edge_head], axis=1)).max(initial=0.0))
 
 
-def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None, base: int = 0,
-                           tol: float = 1e-8, t_samples=(-1.5, -0.7, 0.3, 0.9, 2.2)):
+def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None):
     """Solve ``d xi = eta c`` and test for a linear conserved quantity.
 
-    When ``xi_seed`` is None the constant of integration is chosen by
-    least squares to minimize the orthogonality defect ``(xi, mu)``.
+    ``xi_seed`` is the value at vertex 0; when it is None the constant of
+    integration is chosen by least squares to minimize the orthogonality
+    defect ``(xi, mu)``.
     Returns a diagnostic dict with the per-vertex residual map; success
     means ``(xi, mu) = 0`` everywhere, and in that case the
     Gamma(t)-parallelism of ``c + t xi`` is verified at sample values of
@@ -728,10 +723,10 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None, base: int = 
     g, sig = net.grid, net.signature
     ip = sig.inner
     c_vec = np.asarray(c_vec, float)
-    xi0 = integrate_one_form(g, _eta_apply(sig, g, net.mu, c_vec), base=base,
+    xi0 = integrate_one_form(g, _eta_apply(sig, g, net.mu, c_vec), base=0,
                              check_closed=True, tol=1e-8).values
     if xi_seed is not None:
-        xi = xi0 + (np.asarray(xi_seed, float) - xi0[base])
+        xi = xi0 + (np.asarray(xi_seed, float) - xi0[0])
     else:
         # choose the constant minimizing sum (xi0 + const, mu)^2
         A = net.mu * sig.signs
@@ -740,7 +735,7 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None, base: int = 
         xi = xi0 + const
     orth = cos_angle(ip(xi, net.mu), np.linalg.norm(xi, axis=1),
                      np.linalg.norm(net.mu, axis=1))
-    success = bool(orth.max(initial=0.0) <= tol)
+    success = bool(orth.max(initial=0.0) <= 1e-8)
     out = {
         "success": success,
         "xi": xi,
@@ -751,7 +746,7 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None, base: int = 
         q = ConservedQuantity(p0=np.tile(c_vec, (g.nverts, 1)), p1=xi, signature=sig)
         finite = net.labels[~net.is_infinite]
         pres = {}
-        for ts in t_samples:
+        for ts in (-1.5, -0.7, 0.3, 0.9, 2.2):
             if finite.size and np.min(np.abs(finite - ts)) < 1e-6:
                 continue
             pres[ts] = q.parallel_residual(net, ts)

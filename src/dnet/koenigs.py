@@ -72,7 +72,7 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.multiply(u, v, order="C"), axis=-1)
 
 
-def _span_of_bivector(C: np.ndarray, tol: float = 1e-8):
+def _span_of_bivector(C: np.ndarray):
     """Orthonormal bases of the 2-planes of decomposable bivectors,
     batched over leading axes.
 
@@ -81,9 +81,9 @@ def _span_of_bivector(C: np.ndarray, tol: float = 1e-8):
     """
     U, sv, _ = np.linalg.svd(C)
     failures = [
-        (sv[..., 1] <= tol * floor(sv[..., 0]),
+        (sv[..., 1] <= 1e-8 * floor(sv[..., 0]),
          "bivector has rank < 2"),
-        (np.any(sv[..., 2:3] > 100 * tol * sv[..., :1], axis=-1),
+        (np.any(sv[..., 2:3] > 100 * 1e-8 * sv[..., :1], axis=-1),
          "bivector is not decomposable"),
     ]
     return U[..., :2], failures
@@ -147,7 +147,7 @@ class ProjectiveNet:
         return e.sign * self.eta[e.index]
 
 
-def random_moutard_net(grid: Grid, dim: int, rng, scale: float = 0.4):
+def random_moutard_net(grid: Grid, dim: int, rng):
     """Random projective Moutard net on a 2D grid.
 
     Cauchy lines are a perturbed affine frame path; interior vertices are
@@ -161,8 +161,8 @@ def random_moutard_net(grid: Grid, dim: int, rng, scale: float = 0.4):
     base = rng.standard_normal(dim)
     base /= np.linalg.norm(base)
     mu = np.zeros((d0, d1, dim))
-    mu[:, 0] = np.cumsum([base, *scale * rng.standard_normal((d0 - 1, dim))], axis=0)
-    mu[0, :] = np.cumsum([base, *scale * rng.standard_normal((d1 - 1, dim))], axis=0)
+    mu[:, 0] = np.cumsum([base, *0.4 * rng.standard_normal((d0 - 1, dim))], axis=0)
+    mu[0, :] = np.cumsum([base, *0.4 * rng.standard_normal((d1 - 1, dim))], axis=0)
     c = 0.5 + rng.random((d0 - 1, d1 - 1, 1))
     for s in range(2, d0 + d1 - 1):            # one anti-diagonal a + b = s at a time
         a = np.arange(max(1, s - d1 + 1), min(d0, s))
@@ -173,8 +173,7 @@ def random_moutard_net(grid: Grid, dim: int, rng, scale: float = 0.4):
     return ProjectiveNet(grid, mu, eta), mu
 
 
-def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0,
-                          tol: float = 1e-8) -> np.ndarray:
+def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0) -> np.ndarray:
     """Recover the Moutard lift with ``eta_ji = mu_j ^ mu_i`` from a seed
     lift at the base vertex.
 
@@ -200,7 +199,7 @@ def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0,
             rest = eta_vp - coef[:, None] * w
             resid = np.sqrt(_row_dot(rest, rest))
         failures = [(ww <= 1e-300, "coincident lines on an edge"),
-                    (resid > tol * floor(np.sqrt(_row_dot(eta_vp, eta_vp))),
+                    (resid > 1e-8 * floor(np.sqrt(_row_dot(eta_vp, eta_vp))),
                      "eta is not supported on the edge line pair")]
         first = _first_failure(failures)
         if first is not None:
@@ -215,15 +214,14 @@ def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0,
     rec = wedge_vec(mu[g.edge_head], mu[g.edge_tail])
     num, e = worst(np.linalg.norm(rec - net.eta, axis=1))
     den = floor(np.linalg.norm(net.eta, axis=1).max(initial=0.0))
-    if not num <= tol * den:
+    if not num <= 1e-8 * den:
         raise NotKoenigsError(
             f"Moutard propagation inconsistent: residual {num/den:.3e}",
             where=g.locate_edge(e), residual=num / den)
     return mu
 
 
-def koenigs_dual(net: ProjectiveNet, alpha, base: int = 0, seed=None,
-                 tol: float = 1e-8):
+def koenigs_dual(net: ProjectiveNet, alpha):
     """Koenigs dual in the affine chart ``alpha = -1``.
 
     Returns ``(F, F_dual, report)`` where ``F`` is the affine lift with
@@ -237,14 +235,13 @@ def koenigs_dual(net: ProjectiveNet, alpha, base: int = 0, seed=None,
     alpha = np.asarray(alpha, float)
     g = net.grid
     heights = net.lifts @ alpha
-    if np.abs(heights).min(initial=np.inf) <= tol * np.linalg.norm(alpha):
+    if np.abs(heights).min(initial=np.inf) <= 1e-8 * np.linalg.norm(alpha):
         raise ChartError("net meets the chart hyperplane")
     F = -net.lifts / heights[:, None]
     C = unpack_bivector(net.eta, net.dim)
     i_alpha = -np.einsum("nab,b->na", C, alpha)
-    Fd = integrate_one_form(g, i_alpha, base=base,
-                            seed=np.zeros(net.dim) if seed is None else seed,
-                            check_closed=True, tol=max(tol, 1e-10)).values
+    Fd = integrate_one_form(g, i_alpha, base=0, seed=np.zeros(net.dim),
+                            check_closed=True, tol=1e-8).values
     area = mixed_area(Form0(g, F), Form0(g, Fd))
     area_res = rel(float(np.abs(area.values).max(initial=0.0)),
                    np.abs(F).max() * np.abs(Fd).max())
@@ -252,7 +249,7 @@ def koenigs_dual(net: ProjectiveNet, alpha, base: int = 0, seed=None,
     rec_res = rel(float(np.abs(rec.values - net.eta).max(initial=0.0)),
                   np.linalg.norm(net.eta, axis=1).max(initial=0.0))
     report = {"mixed_area": area_res, "eta_reconstruction": rec_res,
-              "passed": area_res <= tol and rec_res <= tol}
+              "passed": area_res <= 1e-8 and rec_res <= 1e-8}
     return F, Fd, report
 
 
@@ -353,7 +350,7 @@ class LineCongruence:
         e = self.grid.oriented_edge(tail, head)
         return e.sign * self.eta[e.index]
 
-    def _edge_spans(self, edges, tol: float = 1e-6):
+    def _edge_spans(self, edges):
         """Stacked svd of the ``(d, 4)`` spans of ``f_tail + f_head`` on
         ``edges`` and the intersection lines ``s_ij``, with the
         degeneracies of :meth:`intersection_line` in the order it tests
@@ -365,8 +362,8 @@ class LineCongruence:
         M = np.stack([self.sigma1[t], self.sigma2[t], self.sigma1[h], self.sigma2[h]],
                      axis=-2).swapaxes(-1, -2)
         U, sv, _ = np.linalg.svd(M, full_matrices=False)
-        s, ((meet, _),) = _plane_intersection(M[..., :2], M[..., 2:], tol)
-        failures = [(sv[..., 2] <= tol * sv[..., 0],
+        s, ((meet, _),) = _plane_intersection(M[..., :2], M[..., 2:], 1e-6)
+        failures = [(sv[..., 2] <= 1e-6 * sv[..., 0],
                      "first-order regularity fails: dim f_ij < 3"),
                     (meet, "intersection line degenerate")]
         return U, sv, s, failures
@@ -379,10 +376,10 @@ class LineCongruence:
             raise DegeneracyError(failures[n][1],
                                   where=self.grid.locate_edge(int(edges[k])))
 
-    def intersection_line(self, e: int, tol: float = 1e-6) -> np.ndarray:
+    def intersection_line(self, e: int) -> np.ndarray:
         """Representative of ``s_ij = f_i cap f_j`` on canonical edge e."""
         edges = np.array([e])
-        _, _, s, failures = self._edge_spans(edges, tol)
+        _, _, s, failures = self._edge_spans(edges)
         self._raise_first_edge(edges, failures)
         return s[0]
 
@@ -517,7 +514,7 @@ def _parallel_section(cong: LineCongruence, colors, bundle_black: bool,
 
 
 def quad_holonomy_residual(cong: LineCongruence, bundle_black: bool,
-                           quad: int, points, rng=None) -> float:
+                           quad: int, points) -> float:
     """Projective distance after transporting fiber points around a quad."""
     g = cong.grid
     onto_line = _colors(g) == (0 if bundle_black else 1)
@@ -576,8 +573,7 @@ def _section_to_net(cong: LineCongruence, colors, xb: np.ndarray,
 
 
 def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
-                 seed: int = 0, retries: int = 16, tol: float = 1e-8,
-                 margin: float = 1e-6, signature=None) -> ExtractedPair:
+                 seed: int = 0, signature=None) -> ExtractedPair:
     """Extract a spanning K-Moutard pair from an applicable congruence.
 
     Each net is fixed by two fiber seeds (a line in ``f`` at the black
@@ -597,7 +593,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     auto = seeds_plus is None or seeds_minus is None
 
     def one_net(seeds, label):
-        attempts = retries if seeds is None else 1
+        attempts = 16 if seeds is None else 1
         last_err = None
         for _ in range(attempts):
             if seeds is None:
@@ -609,18 +605,18 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
             try:
                 xb = _parallel_section(cong, colors, True, base_b, sb)
                 xw = _parallel_section(cong, colors, False, base_w, sw)
-                return _section_to_net(cong, colors, xb, xw, margin)
+                return _section_to_net(cong, colors, xb, xw, 1e-6)
             except (SeedDegeneracyError, DegeneracyError) as err:
                 last_err = err
         raise SeedDegeneracyError(
             f"no admissible {label} section found: {last_err}")
 
     best = None
-    for attempt in range(retries):
+    for attempt in range(16):
         lifts_p, tau_p, margin_p = one_net(seeds_plus, "plus")
         lifts_m, tau_m, margin_m = one_net(seeds_minus, "minus")
         dist = float(sin_angle(lifts_p, lifts_m).min())
-        if dist < margin:
+        if dist < 1e-6:
             if not auto:
                 raise SeedDegeneracyError(
                     "the two sections are not pointwise distinct")
@@ -631,7 +627,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
             g, lifts_m, lifts_p, signature).min(initial=np.inf)), dist)
         if best is None or pm > best[0]:
             best = (pm, lifts_p, tau_p, margin_p, lifts_m, tau_m, margin_m)
-        if pm >= 100 * margin:
+        if pm >= 100 * 1e-6:
             break
     else:
         if best is None:
@@ -645,7 +641,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     net_p = ProjectiveNet(g, lifts_p, eta_p)
     net_m = ProjectiveNet(g, lifts_m, eta_m)
 
-    mu_p = moutard_lift_from_eta(net_p, lifts_p[base_b], base=base_b, tol=tol)
+    mu_p = moutard_lift_from_eta(net_p, lifts_p[base_b], base=base_b)
     # match the minus lift through tau = tau_minus - tau_plus = mu- ^ mu+
     tau = tau_m - tau_p
     w = wedge_vec(lifts_m, mu_p)
@@ -661,20 +657,18 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
                     np.abs(eta_m).max(initial=0.0))
     mu_p, mu_m = _balance(g, mu_p, mu_m)
 
-    is_pair, tau_check, km_report = km_pair_check(
-        g, mu_p, mu_m, eta_p, eta_m, tol=max(tol, 1e-8))
+    is_pair, tau_check, km_report = km_pair_check(g, mu_p, mu_m, eta_p, eta_m)
     report = {
         "tau_in_span": tau_res,
         "minus_moutard": minus_res,
         "section_margin": min(margin_p, margin_m),
         "km": km_report,
-        "passed": bool(is_pair and tau_res <= 100 * tol and minus_res <= 100 * tol),
+        "passed": bool(is_pair and tau_res <= 100 * 1e-8 and minus_res <= 100 * 1e-8),
     }
     return ExtractedPair(net_p, net_m, mu_p, mu_m, tau_p, tau_m, report)
 
 
-def christoffel_ratio(grid: Grid, sigma_plus: np.ndarray, sigma_minus: np.ndarray,
-                      tol: float = 1e-9):
+def christoffel_ratio(grid: Grid, sigma_plus: np.ndarray, sigma_minus: np.ndarray):
     """Factor the edge stretch ratios of Koenigs dual sections.
 
     ``d sigma-_{ij} = lambda_ij d sigma+_{ij}`` must factor as
@@ -702,13 +696,13 @@ def christoffel_ratio(grid: Grid, sigma_plus: np.ndarray, sigma_minus: np.ndarra
         raise NotDualError("vanishing stretch ratio")
 
     r, quad_res, worst_fact, worst_edge = factor_edge_ratios(grid, lam)
-    if not worst_fact <= max(tol, 10 * quad_res + tol):
+    if not worst_fact <= max(1e-9, 10 * quad_res + 1e-9):
         raise NotDualError("stretch ratios do not factor as r_i r_j",
                            where=grid.locate_edge(worst_edge),
                            residual=worst_fact)
     report = {"parallelism": worst_par, "quad_product": quad_res,
               "factorization": worst_fact,
-              "passed": worst_fact <= max(tol, 1e-9) and quad_res <= 1e-8}
+              "passed": worst_fact <= 1e-9 and quad_res <= 1e-8}
     return r, report
 
 

@@ -47,6 +47,13 @@ __all__ = [
 
 SIG42 = Signature(4, 2)
 
+# Tolerance of the incidence and identity tests of principal, Omega and
+# Guichard nets.
+_TOL = 1e-8
+# Curvatures (reciprocal radii) below this stand for radii at infinity:
+# the Eisenhart and Demoulin tests exclude their edges and vertices.
+_RADIUS_FLOOR = 1e-8
+
 
 class LieFrame:
     """Frame of R^{4,2} adapted to Lie sphere geometry of R^3."""
@@ -104,9 +111,9 @@ def standard_lie_frame() -> LieFrame:
     return LieFrame(frame, basis3)
 
 
-def random_lie_frame(rng, scale: float = 0.2) -> LieFrame:
+def random_lie_frame(rng) -> LieFrame:
     """Cayley transform of a random bivector applied to the standard frame."""
-    C = scale * rng.standard_normal((6, 6))
+    C = 0.2 * rng.standard_normal((6, 6))
     C = C - C.T
     A = action_matrix(C, SIG42)
     M = np.linalg.solve(np.eye(6) + A, np.eye(6) - A)
@@ -147,7 +154,7 @@ class PrincipalNet:
         t, h = self.grid.edge_tail, self.grid.edge_head
         return self.n[h] - self.n[t]
 
-    def validate(self, tol: float = 1e-10, frame: LieFrame | None = None) -> dict:
+    def validate(self, frame: LieFrame | None = None) -> dict:
         frame = standard_lie_frame() if frame is None else frame
         out = {}
         out["unit_normal"] = float(
@@ -162,13 +169,12 @@ class PrincipalNet:
         worst = float(rel(sv[:, 3], sv[:, 0]).max(initial=0.0))
         out["circularity"] = worst
         out["passed"] = bool(out["unit_normal"] <= 1e-9
-                             and out["curvature_relation"] <= max(tol, 1e-9)
+                             and out["curvature_relation"] <= 1e-9
                              and worst <= 1e-8)
         return out
 
 
-def legendre_lift(pn: PrincipalNet, frame: LieFrame | None = None,
-                  tol: float = 1e-8):
+def legendre_lift(pn: PrincipalNet, frame: LieFrame | None = None):
     """Null-plane lifts ``(y, t)`` of a principal net.
 
     Checks the frame incidence conditions: the lift normalization must
@@ -182,8 +188,8 @@ def legendre_lift(pn: PrincipalNet, frame: LieFrame | None = None,
     ip = frame.signature.inner
     sphere = pn.kappa[:, None] * y[pn.grid.edge_tail] + t[pn.grid.edge_tail]
     norms = np.linalg.norm(sphere, axis=1)
-    bad_p = np.abs(ip(sphere, frame.p)) <= tol * norms
-    bad_q = np.abs(ip(sphere, frame.q)) <= tol * norms
+    bad_p = np.abs(ip(sphere, frame.p)) <= _TOL * norms
+    bad_q = np.abs(ip(sphere, frame.q)) <= _TOL * norms
     if np.any(bad_p | bad_q):
         e = int(np.nonzero(bad_p | bad_q)[0][0])
         raise FrameError(
@@ -305,7 +311,7 @@ def gauge_normalize(grid: Grid, frame: LieFrame, y, t, eta) -> np.ndarray:
     return out
 
 
-def omega_from_darboux_pair(net_plus: IsothermicNet, seed=None, rng=None,
+def omega_from_darboux_pair(net_plus: IsothermicNet, rng=None,
                             frame: LieFrame | None = None) -> OmegaNet:
     """Span an Omega-net by an isothermic net and its isotropic Darboux
     transform; the form is the isothermic one, gauge-normalized."""
@@ -313,7 +319,7 @@ def omega_from_darboux_pair(net_plus: IsothermicNet, seed=None, rng=None,
     if (net_plus.signature.p, net_plus.signature.q) != (4, 2):
         raise ValueError("Omega-nets live in signature (4, 2)")
     rng = np.random.default_rng(0) if rng is None else rng
-    hat = darboux_transform(net_plus, np.inf, seed=seed, rng=rng)
+    hat = darboux_transform(net_plus, np.inf, rng=rng)
     g = net_plus.grid
     pn = principal_from_legendre(g, net_plus.mu, hat.mu, frame)
     y = frame.lift_point(pn.x)
@@ -335,7 +341,7 @@ class Associates:
     duality: float            # dxd ^~ dx + dnd ^~ dn = 0
 
 
-def associates(omega: OmegaNet, base: int = 0) -> Associates:
+def associates(omega: OmegaNet) -> Associates:
     """Integrate ``d x_dual = pi(eta q)`` and ``d n_dual = pi(eta p)``.
 
     Requires the stored gauge ``(eta q, p) = 0``; the n_dual constant is
@@ -350,8 +356,8 @@ def associates(omega: OmegaNet, base: int = 0) -> Associates:
         raise GaugeError("associates need the (eta q, p) = 0 gauge")
     dxd = frame.coords3(etaq)
     dnd = frame.coords3(etap)
-    xd = integrate_one_form(g, dxd, base=base, check_closed=True, tol=1e-8).values
-    nd = integrate_one_form(g, dnd, base=base, check_closed=True, tol=1e-8).values
+    xd = integrate_one_form(g, dxd, base=0, check_closed=True, tol=1e-8).values
+    nd = integrate_one_form(g, dnd, base=0, check_closed=True, tol=1e-8).values
     pn = omega.principal()
 
     rule = BilinearRule.wedge_product(6)
@@ -372,8 +378,7 @@ def _d3(g: Grid, values: np.ndarray) -> Form1:
     return exterior_derivative(Form0(g, values))
 
 
-def check_omega(pn: PrincipalNet, x_dual, n_dual, tol: float = 1e-9,
-                margin: float = 1e-8) -> dict:
+def check_omega(pn: PrincipalNet, x_dual, n_dual, tol: float = 1e-9) -> dict:
     """Duality test: ``dxd ^~ dx + dnd ^~ dn = 0`` per quad together
     with the non-degeneracy margin ``dxd != kappa dnd`` per edge."""
     g = pn.grid
@@ -395,7 +400,7 @@ def check_omega(pn: PrincipalNet, x_dual, n_dual, tol: float = 1e-9,
     out = {
         "duality": duality,
         "nondegeneracy_margin": float(nd_margin.min(initial=np.inf)),
-        "passed": bool(duality <= tol and nd_margin.min(initial=np.inf) >= margin),
+        "passed": bool(duality <= tol and nd_margin.min(initial=np.inf) >= 1e-8),
     }
     return out
 
@@ -455,8 +460,7 @@ def omega_edge_labels(omega_or_cong, signature: Signature | None = None,
         return np.where(isotropic, np.inf, 1.0 / np.copysign(np.sqrt(ip_sq), ip_est))
 
 
-def eisenhart_general(pn: PrincipalNet, x_dual, n_dual, labels,
-                      tol: float = 1e-8) -> dict:
+def eisenhart_general(pn: PrincipalNet, x_dual, n_dual, labels) -> dict:
     """Pairing identity ``(dx, dxd) + (dn, dnd) = -2/m`` per edge."""
     g = pn.grid
     t, h = g.edge_tail, g.edge_head
@@ -467,11 +471,11 @@ def eisenhart_general(pn: PrincipalNet, x_dual, n_dual, labels,
     rhs = np.where(np.isinf(labels), 0.0,
                    -2.0 / np.where(np.isinf(labels), 1.0, labels))
     out = {"pairing": float(gap(lhs, rhs).max(initial=0.0))}
-    out["passed"] = bool(out["pairing"] <= tol)
+    out["passed"] = bool(out["pairing"] <= _TOL)
     return out
 
 
-def check_guichard(pn: PrincipalNet, x_dual, tol: float = 1e-8) -> dict:
+def check_guichard(pn: PrincipalNet, x_dual) -> dict:
     """Associate-net test ``A(x_dual, x) + A(n, n) = 0`` per quad."""
     g = pn.grid
     a1 = mixed_area(Form0(g, np.asarray(x_dual, float)), Form0(g, pn.x)).values
@@ -479,12 +483,11 @@ def check_guichard(pn: PrincipalNet, x_dual, tol: float = 1e-8) -> dict:
     res = rel(np.abs(a1 + a2).max(axis=1),
               np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1)))
     out = {"associate": float(res.max(initial=0.0))}
-    out["passed"] = bool(out["associate"] <= tol)
+    out["passed"] = bool(out["associate"] <= _TOL)
     return out
 
 
-def eisenhart_guichard(pn: PrincipalNet, x_dual, labels, tol: float = 1e-8,
-                       radius_floor: float = 1e-8) -> dict:
+def eisenhart_guichard(pn: PrincipalNet, x_dual, labels) -> dict:
     """Directed-length identity ``d dd (1 + 1/(r rd)) = -2/m`` per edge,
     plus the ratio identity ``d/r = dd/rd``; edges with a vanishing
     curvature on either net are excluded and reported."""
@@ -499,7 +502,7 @@ def eisenhart_guichard(pn: PrincipalNet, x_dual, labels, tol: float = 1e-8,
     dd = np.sum(dxd * unit, axis=1)
     denom = np.sum(dxd * dxd, axis=1)
     kappad = rel(-np.sum(dn * dxd, axis=1), denom)
-    excluded = (np.abs(pn.kappa) < radius_floor) | (np.abs(kappad) < radius_floor)
+    excluded = (np.abs(pn.kappa) < _RADIUS_FLOOR) | (np.abs(kappad) < _RADIUS_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = 1.0 / pn.kappa
         rd = 1.0 / kappad
@@ -514,8 +517,8 @@ def eisenhart_guichard(pn: PrincipalNet, x_dual, labels, tol: float = 1e-8,
         "eisenhart": float(res.max(initial=0.0)),
         "ratio_identity": float(ratio.max(initial=0.0)),
         "excluded_edges": int(excluded.sum()),
-        "passed": bool(res.max(initial=0.0) <= tol
-                       and ratio.max(initial=0.0) <= 10 * tol),
+        "passed": bool(res.max(initial=0.0) <= _TOL
+                       and ratio.max(initial=0.0) <= 10 * _TOL),
     }
     return out
 
@@ -552,8 +555,7 @@ _REJECTIONS = ("base point", "Cauchy step", "evolution", "net invalid",
                "orthogonality", "coefficient_dev")
 
 
-def guichard_generate(dims, seed: int = 0, magnitude: float = 0.25,
-                      retries: int = 48, tol: float = 1e-8,
+def guichard_generate(dims, seed: int = 0, retries: int = 48,
                       frame: LieFrame | None = None,
                       skip_constraint_at: int | None = None):
     """Generate a Guichard net from constrained Cauchy data.
@@ -592,8 +594,7 @@ def guichard_generate(dims, seed: int = 0, magnitude: float = 0.25,
         size = blocks.pop(0) if len(blocks) > 1 else blocks[0]
         attempts = range(start, min(start + size, retries))
         start = attempts.stop
-        for out in _guichard_attempts(g, frame, seed, attempts, magnitude,
-                                      skip_constraint_at):
+        for out in _guichard_attempts(g, frame, seed, attempts, skip_constraint_at):
             if isinstance(out, str):
                 counts[out] += 1
                 continue
@@ -602,7 +603,7 @@ def guichard_generate(dims, seed: int = 0, magnitude: float = 0.25,
                 return _guichard_report_failure(net, xi, diag)
             failed = [name for name, ok in (
                 ("net invalid", diag["net_valid"]),
-                ("orthogonality", diag["orthogonality"] <= tol),
+                ("orthogonality", diag["orthogonality"] <= 1e-8),
                 ("coefficient_dev", diag["coefficient_dev"] <= 1e-10)) if not ok]
             if not failed:
                 return _guichard_package(net, xi, frame, diag)
@@ -614,8 +615,7 @@ def guichard_generate(dims, seed: int = 0, magnitude: float = 0.25,
         f"; best orthogonality {best_orth:.3e}, best coefficient_dev {best_dev:.3e}")
 
 
-def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, magnitude,
-                       skip_constraint_at):
+def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_constraint_at):
     """Make the Guichard ``attempts`` together, each stage batched over a
     leading attempt axis; yields, per attempt in order, the stage that
     rejected it (see ``_REJECTIONS``) or its ``(net, xi, diag)``.  The
@@ -655,7 +655,7 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, magnitude,
         kk, ll = np.nonzero((reason < 0)[:, None] & (np.array([d0, d1]) > s))
         index = np.where(ll == 0, s, d0 - 1 + s)
         mu_prev, xp, skip = lines[kk, ll, s - 1], xi_prev[kk, ll], index == skip_constraint_at
-        cand = magnitude * steps[kk, index - 1]
+        cand = 0.25 * steps[kk, index - 1]
         ok, mu_next = _cauchy_candidates(frame, mu_prev, xp, skip, ff.pi(cand))
         mu_next = mu_next[np.arange(len(kk)), np.argmax(ok, axis=1)]
         reason[kk[~ok.any(axis=1)]] = 1
@@ -781,8 +781,7 @@ def _guichard_package(net: IsothermicNet, xi: np.ndarray, frame: LieFrame,
                        quantity=quantity, diagnostics=diag)
 
 
-def demoulin_radii(gn: GuichardNet, tol: float = 1e-8,
-                   radius_floor: float = 1e-8) -> dict:
+def demoulin_radii(gn: GuichardNet) -> dict:
     """Reciprocal radii of the enveloped isothermic sphere congruences:
     ``r+ rd- = -1 = r- rd+`` pointwise.
 
@@ -801,7 +800,7 @@ def demoulin_radii(gn: GuichardNet, tol: float = 1e-8,
 
     sp_q = ip(sigma_plus, frame.q)
     sm_q = ip(sigma_minus, frame.q)
-    excluded = (np.abs(sp_q) < radius_floor) | (np.abs(sm_q) < radius_floor)
+    excluded = (np.abs(sp_q) < _RADIUS_FLOOR) | (np.abs(sm_q) < _RADIUS_FLOOR)
     with np.errstate(divide="ignore"):
         r_plus = -1.0 / sp_q
         r_minus = -1.0 / sm_q
@@ -817,12 +816,11 @@ def demoulin_radii(gn: GuichardNet, tol: float = 1e-8,
     return {
         "product": float(res.max(initial=0.0)),
         "excluded_vertices": int(excluded.sum()),
-        "passed": bool(res.max(initial=0.0) <= tol),
+        "passed": bool(res.max(initial=0.0) <= _TOL),
     }
 
 
-def classify_special(quantity: ConservedQuantity, net: IsothermicNet | None = None,
-                     tol: float = 1e-8) -> str:
+def classify_special(quantity: ConservedQuantity, net: IsothermicNet | None = None) -> str:
     """Class tag of a degree-1 conserved quantity.
 
     Normalizes ``(p(t), p(t)) = a + b t`` by the allowed rescalings
@@ -833,10 +831,10 @@ def classify_special(quantity: ConservedQuantity, net: IsothermicNet | None = No
     """
     coeffs = quantity.norm_polynomial()
     spread = np.abs(coeffs - coeffs[0]).max(initial=0.0)
-    if spread > tol * max(floor(np.abs(coeffs).max(initial=0.0)), 1.0):
+    if spread > _TOL * max(floor(np.abs(coeffs).max(initial=0.0)), 1.0):
         raise DegeneracyError("(p(t), p(t)) is not constant across vertices")
     a, b, c2 = coeffs.mean(axis=0)
-    if abs(c2) > tol * max(abs(a), abs(b), 1.0):
+    if abs(c2) > _TOL * max(abs(a), abs(b), 1.0):
         raise DegeneracyError("(p(t), p(t)) is not affine linear in t")
     if net is not None and net.grid.nedges:
         finite = net.labels[~net.is_infinite]
@@ -845,8 +843,8 @@ def classify_special(quantity: ConservedQuantity, net: IsothermicNet | None = No
                 continue
             if quantity.parallel_residual(net, ts) > 1e-6:
                 raise DegeneracyError("quantity is not parallel for the net")
-    zero_a = abs(a) <= tol * max(abs(b), 1.0)
-    zero_b = abs(b) <= tol * max(abs(a), 1.0)
+    zero_a = abs(a) <= _TOL * max(abs(b), 1.0)
+    zero_b = abs(b) <= _TOL * max(abs(a), 1.0)
     if zero_a and zero_b:
         return "l_isothermic"
     if zero_a:
@@ -858,16 +856,17 @@ def classify_special(quantity: ConservedQuantity, net: IsothermicNet | None = No
 
 # -- transformations of Legendre maps -------------------------------------
 
-def _matched_pair(omega: OmegaNet, seed: int = 0, use_stored: bool = True):
-    """Moutard-matched spanning pair (IsothermicNet s+, s-)."""
+def _matched_pair(omega: OmegaNet):
+    """Moutard-matched spanning pair (IsothermicNet s+, s-): the stored
+    pair when it is one, else one extracted from the congruence."""
     sig = omega.signature
-    if use_stored and omega.mu_plus is not None and omega.mu_minus is not None:
+    if omega.mu_plus is not None and omega.mu_minus is not None:
         plus = IsothermicNet(omega.grid, sig, omega.mu_plus)
         minus = IsothermicNet(omega.grid, sig, omega.mu_minus)
         ok, _, _ = km_pair_check(omega.grid, plus.mu, minus.mu, tol=1e-7)
         if ok:
             return plus, minus
-    pair = extract_pair(omega.congruence(), seed=seed, signature=sig)
+    pair = extract_pair(omega.congruence(), signature=sig)
     return (IsothermicNet(omega.grid, sig, pair.mu_plus),
             IsothermicNet(omega.grid, sig, pair.mu_minus))
 
@@ -885,16 +884,14 @@ def _omega_from_pair_lifts(grid: Grid, frame: LieFrame, mu_plus, mu_minus):
     return OmegaNet(grid, frame, y, t, eta, mu_plus=mu_plus, mu_minus=mu_minus)
 
 
-def darboux_legendre(omega: OmegaNet, m: float, seed=None, rng=None,
-                     extraction_seed: int = 0, use_stored: bool = True) -> OmegaNet:
+def darboux_legendre(omega: OmegaNet, m: float, seed=None, rng=None) -> OmegaNet:
     """Darboux transform of an applicable Legendre map.
 
     Transforms one enveloped isothermic congruence s+ with parameter
     ``m`` and sets ``f_hat = s_hat+ (+) (f cap s_hat+^perp)``, which is
-    independent of the companion used to span ``f``
-    (``use_stored=False`` forces a fresh extraction of s+).
+    independent of the companion used to span ``f``.
     """
-    plus, _ = _matched_pair(omega, seed=extraction_seed, use_stored=use_stored)
+    plus, _ = _matched_pair(omega)
     rng = np.random.default_rng(13) if rng is None else rng
     hat_plus = darboux_transform(plus, m, seed=seed, rng=rng)
     sig = omega.signature
@@ -913,15 +910,14 @@ def darboux_legendre(omega: OmegaNet, m: float, seed=None, rng=None,
 
 
 def calapso_legendre(omega: OmegaNet, t: float,
-                     quantity: ConservedQuantity | None = None,
-                     extraction_seed: int = 0):
+                     quantity: ConservedQuantity | None = None):
     """Calapso transform ``f(t) = T+(t) f`` of an applicable Legendre map.
 
     Returns ``(omega(t), info)``; when a conserved quantity of the plus
     congruence is supplied, its transport ``T(t) p(u + t)`` is returned
     in ``info["quantity"]`` (the norm polynomial shifts by t).
     """
-    plus, minus = _matched_pair(omega, seed=extraction_seed)
+    plus, minus = _matched_pair(omega)
     stacked = stack_pair(plus, minus)
     st_net, T = calapso_transform(stacked, t)
     n = omega.grid.nverts
@@ -955,11 +951,11 @@ def gauge_identity_residual(omega: OmegaNet, t: float) -> float:
                      np.abs(gm).max(axis=(1, 2), initial=0.0)).max(initial=0.0))
 
 
-def dual_legendre(omega: OmegaNet, base: int = 0) -> OmegaNet:
+def dual_legendre(omega: OmegaNet) -> OmegaNet:
     """Dual Legendre map: the lines through the associate net parallel
     to the original, with the converse-construction form."""
     frame, g = omega.lie_frame, omega.grid
-    assoc = associates(omega, base=base)
+    assoc = associates(omega)
     pn_dual = PrincipalNet(g, assoc.x_dual, assoc.n)
     y = frame.lift_point(pn_dual.x)
     t = frame.lift_tangent(pn_dual.x, pn_dual.n)
@@ -982,7 +978,7 @@ def dual_legendre(omega: OmegaNet, base: int = 0) -> OmegaNet:
 
 
 def linear_weingarten_check(pn: PrincipalNet, alpha: float, beta: float,
-                            gamma: float, tol: float = 1e-8) -> dict:
+                            gamma: float) -> dict:
     """Residual of ``alpha A(n,n) - 2 beta A(x,n) + gamma A(x,x) = 0``.
 
     Normalized against the non-degenerate reference magnitudes of the
@@ -1000,20 +996,19 @@ def linear_weingarten_check(pn: PrincipalNet, alpha: float, beta: float,
              + abs(gamma) * xx)
     res = rel(np.abs(lhs).max(axis=1), scale)
     return {"weingarten": float(res.max(initial=0.0)),
-            "passed": bool(res.max(initial=0.0) <= tol)}
+            "passed": bool(res.max(initial=0.0) <= _TOL)}
 
 
 # -- example constructions -------------------------------------------------
 
-def sphere_lattice(dims, radius: float = 1.5, center=(0.0, 0.0, 0.0),
-                   theta_range=(0.6, 2.1), phi_range=(0.4, 2.3)) -> PrincipalNet:
+def sphere_lattice(dims, radius: float = 1.5, center=(0.0, 0.0, 0.0)) -> PrincipalNet:
     """Latitude-longitude patch of a round sphere (constant Gauss
     curvature; inward normals give positive sphere radii)."""
     g = Grid(dims)
     if g.ndim != 2:
         raise ValueError("sphere lattice expects a 2D grid")
-    th, ph = np.meshgrid(np.linspace(*theta_range, g.dims[0]),
-                         np.linspace(*phi_range, g.dims[1]), indexing="ij")
+    th, ph = np.meshgrid(np.linspace(0.6, 2.1, g.dims[0]),
+                         np.linspace(0.4, 2.3, g.dims[1]), indexing="ij")
     center = np.asarray(center, float)
     x = center + radius * np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                                     np.cos(th)], axis=-1).reshape(g.nverts, 3)

@@ -24,8 +24,8 @@ file and an atomic rename.
 for malformed JSON, another ``format``, a missing or non-integer
 ``signature`` or ``dims``, a section that is not a JSON object, a
 ``null``, dict or other non-numeric entry, ragged nesting, a bare number
-where an array belongs and, when validating, field row counts that do
-not match the grid.  A ``null`` never reads as NaN.
+where an array belongs and field row counts that do not match the
+grid.  A ``null`` never reads as NaN.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ class NetFile:
         os.replace(tmp, path)
 
     @classmethod
-    def load(cls, path: str, validate: bool = True) -> "NetFile":
+    def load(cls, path: str) -> "NetFile":
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -235,8 +235,7 @@ class NetFile:
             form1_fields=arrays("form1", "one-form field"),
             metadata=_section(doc, "metadata"),
         )
-        if validate:
-            nf.check_shapes()
+        nf.check_shapes()
         return nf
 
     def check_shapes(self):
@@ -244,18 +243,13 @@ class NetFile:
             g = self.grid()
         except ValueError as err:
             raise FormatError(f"bad dims {list(self.dims)}: {err}") from None
-        for name, arr in self.vertex_fields.items():
-            if len(arr) != g.nverts:
-                raise FormatError(f"vertex field {name!r} has {len(arr)} rows, "
-                                  f"expected {g.nverts}")
-        for name, arr in self.edge_fields.items():
-            if len(arr) != g.nedges:
-                raise FormatError(f"edge field {name!r} has {len(arr)} rows, "
-                                  f"expected {g.nedges}")
-        for name, arr in self.form1_fields.items():
-            if len(arr) != g.nedges:
-                raise FormatError(f"one-form field {name!r} has {len(arr)} rows, "
-                                  f"expected {g.nedges}")
+        for label, fields, rows in (("vertex field", self.vertex_fields, g.nverts),
+                                    ("edge field", self.edge_fields, g.nedges),
+                                    ("one-form field", self.form1_fields, g.nedges)):
+            for name, arr in fields.items():
+                if len(arr) != rows:
+                    raise FormatError(f"{label} {name!r} has {len(arr)} rows, "
+                                      f"expected {rows}")
 
 
 DEFAULT_TOLS = {

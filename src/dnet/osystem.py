@@ -63,11 +63,11 @@ class ParallelFamily:
         """(nverts, d, size) assembled map."""
         return np.stack(self.members, axis=2)
 
-    def validate(self, tol: float = 1e-9, floor: float = 1e-12) -> dict:
+    def validate(self) -> dict:
         diffs = self.differences()
         norms = np.linalg.norm(diffs, axis=2)
         scale = norms.max(initial=0.0)
-        active = norms > floor * max(scale, 1.0)
+        active = norms > 1e-12 * max(scale, 1.0)
         # every later active member against the first active one
         first = np.argmax(active, axis=0)
         a, e = np.nonzero(active & (np.arange(self.size)[:, None] > first))
@@ -77,19 +77,18 @@ class ParallelFamily:
         phi = self.phi()
         dphi = phi[h] - phi[t]
         sv = np.linalg.svd(dphi, compute_uv=False)
-        live = sv[:, 0] > floor
+        live = sv[:, 0] > 1e-12
         minor = float((sv[live, 1] / sv[live, 0]).max(initial=0.0))
         dead = int(np.sum(~active))
         return {
             "edge_parallel": worst,
             "dphi_decomposable": minor,
             "excluded_edge_slots": dead,
-            "passed": bool(worst <= tol and minor <= max(tol, 1e-10)),
+            "passed": bool(worst <= 1e-9 and minor <= 1e-9),
         }
 
 
-def check_combescure(grid: Grid, x, x_star, signature: Signature,
-                     tol: float = 1e-9) -> dict:
+def check_combescure(grid: Grid, x, x_star, signature: Signature) -> dict:
     """Residual of ``(dx ^ dx*) = 0`` plus circularity of both nets.
 
     The scalar 2-form uses the ambient inner product as the bilinear
@@ -120,7 +119,7 @@ def check_combescure(grid: Grid, x, x_star, signature: Signature,
         "circular_x": circularity(x),
         "circular_x_star": circularity(x_star),
     }
-    out["passed"] = bool(res <= tol and out["circular_x"] <= 1e-8
+    out["passed"] = bool(res <= 1e-9 and out["circular_x"] <= 1e-8
                          and out["circular_x_star"] <= 1e-8)
     return out
 
@@ -148,16 +147,15 @@ def dual_family(fam: ParallelFamily) -> tuple:
                    "passed": bool(worst <= 1e-9 and exact)}
 
 
-def check_osystem(fam: ParallelFamily, metric, tol_equal: float = 1e-11,
-                  tol_zero: float = 1e-9) -> dict:
+def check_osystem(fam: ParallelFamily, metric) -> dict:
     """Both O-system characterizations, compared and tested for zero.
 
     Computes (a) the weighted curly-wedge sum
     ``sum g_ab dx^a ^~ dx^b`` per quad and (b) the bracket
     ``[dPhi ^ dPhi]`` with the direct-sum commutator as the bilinear
     rule, asserting that the ``Lambda^2 R^{p,q}`` component of (b)
-    equals (a) to ``tol_equal`` and that the full bracket vanishes to
-    ``tol_zero`` relative to the family scale.
+    equals (a) to 1e-11 and that the full bracket vanishes to 1e-9
+    relative to the family scale.
     """
     metric = np.asarray(metric, float)
     N = fam.size
@@ -213,6 +211,6 @@ def check_osystem(fam: ParallelFamily, metric, tol_equal: float = 1e-11,
         "bracket_vanishes": vanish,
         "mutual_combescure": combescure,
         "metric_condition": float(cond),
-        "passed": bool(equality <= tol_equal and vanish <= tol_zero),
+        "passed": bool(equality <= 1e-11 and vanish <= 1e-9),
     }
     return out

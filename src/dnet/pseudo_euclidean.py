@@ -30,6 +30,11 @@ __all__ = [
     "projective_cross_ratio", "conic_cross_ratio",
 ]
 
+# Relative tolerance of the nullity, isotropy and orthogonality tests.
+_TOL = 1e-10
+# Tolerance of the defining identities of a frame and of a bivector.
+_IDENTITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -65,9 +70,9 @@ class Signature:
     def norm2(self, v) -> np.ndarray:
         return self.inner(v, v)
 
-    def is_null(self, v, tol: float = 1e-10) -> np.ndarray:
+    def is_null(self, v) -> np.ndarray:
         v = np.asarray(v, float)
-        return np.abs(self.norm2(v)) <= tol * floor(np.add.reduce(v * v, axis=-1))
+        return np.abs(self.norm2(v)) <= _TOL * floor(np.add.reduce(v * v, axis=-1))
 
     def standard_frame(self) -> "Frame":
         """Frame built from the last plus and the last minus axes.
@@ -101,7 +106,7 @@ class Frame:
     inside R^{p+1,q+1}.
     """
 
-    def __init__(self, signature: Signature, o, q, p=None, tol: float = 1e-12):
+    def __init__(self, signature: Signature, o, q, p=None):
         self.signature = signature
         self.o = np.asarray(o, float)
         self.q = np.asarray(q, float)
@@ -117,8 +122,9 @@ class Frame:
             checks["(p,o)"] = ip(self.p, self.o)
             checks["(p,q)"] = ip(self.p, self.q)
         for name, val in checks.items():
-            if abs(val) > tol:
-                raise ValueError(f"frame invariant {name} = {val:.3e} exceeds {tol:.1e}")
+            if abs(val) > _IDENTITY_TOL:
+                raise ValueError(f"frame invariant {name} = {val:.3e} "
+                                 f"exceeds {_IDENTITY_TOL:.1e}")
         for arr in (self.o, self.q) + (() if self.p is None else (self.p,)):
             arr.setflags(write=False)
 
@@ -145,11 +151,11 @@ class Bivector:
     """Antisymmetric coefficient array acting as an infinitesimal
     orthogonal map through ``(x ^ y)(z) = (x,z) y - (y,z) x``."""
 
-    def __init__(self, matrix, signature: Signature, tol: float = 1e-12):
+    def __init__(self, matrix, signature: Signature):
         matrix = np.asarray(matrix, float)
         if matrix.shape != (signature.dim, signature.dim):
             raise ValueError("bivector matrix has wrong shape")
-        if np.abs(matrix + matrix.T).max() > tol * floor(np.abs(matrix).max()):
+        if np.abs(matrix + matrix.T).max() > _IDENTITY_TOL * floor(np.abs(matrix).max()):
             raise ValueError("bivector coefficients must be antisymmetric")
         self.matrix = matrix
         self.signature = signature
@@ -170,12 +176,12 @@ class Bivector:
     def act(self, z) -> np.ndarray:
         return bivector_action(self.matrix, z, self.signature)
 
-    def orthogonality_residual(self, nprobe: int = 8, rng=None) -> float:
-        """Max |(Bv, w) + (v, Bw)| over random probes, relative."""
-        rng = np.random.default_rng(7) if rng is None else rng
+    def orthogonality_residual(self) -> float:
+        """Max |(Bv, w) + (v, Bw)| over 8 random probes, relative."""
+        rng = np.random.default_rng(7)
         d = self.signature.dim
-        v = rng.standard_normal((nprobe, d))
-        w = rng.standard_normal((nprobe, d))
+        v = rng.standard_normal((8, d))
+        w = rng.standard_normal((8, d))
         ip = self.signature.inner
         res = ip(self.act(v), w) + ip(v, self.act(w))
         return rel(float(np.abs(res).max()), np.abs(self.matrix).max())
@@ -195,13 +201,12 @@ def bivector_action(biv, z, signature: Signature) -> np.ndarray:
     return np.einsum("...ab,...b->...a", act, z)
 
 
-def orthogonality_residual(M: np.ndarray, signature: Signature,
-                           nprobe: int = 8, rng=None) -> float:
-    """Max |(Mv, Mw) - (v, w)| over random unit probes."""
-    rng = np.random.default_rng(11) if rng is None else rng
+def orthogonality_residual(M: np.ndarray, signature: Signature) -> float:
+    """Max |(Mv, Mw) - (v, w)| over 8 random unit probes."""
+    rng = np.random.default_rng(11)
     d = signature.dim
-    v = rng.standard_normal((nprobe, d))
-    w = rng.standard_normal((nprobe, d))
+    v = rng.standard_normal((8, d))
+    w = rng.standard_normal((8, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     ip = signature.inner
@@ -209,8 +214,7 @@ def orthogonality_residual(M: np.ndarray, signature: Signature,
     return float(np.abs(res).max())
 
 
-def isotropic_exp(biv, t: float, signature: Signature,
-                  tol: float = 1e-10) -> np.ndarray:
+def isotropic_exp(biv, t: float, signature: Signature) -> np.ndarray:
     """``exp(t B)`` for an isotropic bivector: exactly ``I + t B``.
 
     ``B = mu' ^ mu`` with both vectors null and mutually orthogonal has
@@ -221,13 +225,12 @@ def isotropic_exp(biv, t: float, signature: Signature,
     mat = _as_matrix(biv, signature.dim)
     act = action_matrix(mat, signature)
     scale = floor(np.abs(act).max())
-    if np.abs(act @ act).max() > tol * scale * scale * signature.dim:
+    if np.abs(act @ act).max() > _TOL * scale * scale * signature.dim:
         raise DegeneracyError("bivector is not isotropic: exp does not truncate")
     return np.eye(signature.dim) + t * act
 
 
-def gamma_lambda(s_i, s_j, lam, signature: Signature,
-                 tol: float = 1e-10) -> np.ndarray:
+def gamma_lambda(s_i, s_j, lam, signature: Signature) -> np.ndarray:
     """Orthogonal map scaling ``s_j`` by ``lam``, ``s_i`` by ``1/lam`` and
     fixing ``(s_i + s_j)^perp`` pointwise (batched over leading axes).
 
@@ -242,7 +245,7 @@ def gamma_lambda(s_i, s_j, lam, signature: Signature,
     ip = signature.inner
     g = ip(si, sj)
     norm = np.linalg.norm(si, axis=-1) * np.linalg.norm(sj, axis=-1)
-    orth = np.abs(g) <= tol * floor(norm)
+    orth = np.abs(g) <= _TOL * floor(norm)
     nonnull = [np.abs(ip(v, v)) > 1e-8 * np.sum(v * v, axis=-1) for v in (si, sj)]
     bad = orth | nonnull[0] | nonnull[1]
     if np.any(bad):
@@ -266,29 +269,29 @@ def gamma_lambda(s_i, s_j, lam, signature: Signature,
 
 # -- light cone charts -------------------------------------------------
 
-def stereo_lift(x, frame: Frame, tol: float = 1e-10) -> np.ndarray:
+def stereo_lift(x, frame: Frame) -> np.ndarray:
     """Null lift ``o + x + 1/2 (x,x) q`` of a point of R^{p,q} (batched)."""
     x = np.asarray(x, float)
     ip = frame.signature.inner
     ortho = np.maximum(np.abs(ip(x, frame.o)), np.abs(ip(x, frame.q)))
-    if np.any(ortho > tol * np.maximum(np.linalg.norm(x, axis=-1), 1.0)):
+    if np.any(ortho > _TOL * np.maximum(np.linalg.norm(x, axis=-1), 1.0)):
         raise ValueError("stereo_lift input must be orthogonal to o and q")
     return frame.o + x + 0.5 * ip(x, x)[..., None] * frame.q
 
 
-def euclidean_lift(v, frame: Frame, tol: float = 1e-10) -> np.ndarray:
+def euclidean_lift(v, frame: Frame) -> np.ndarray:
     """The representative of the null line <v> with ``(y, q) = -1``."""
     v = np.asarray(v, float)
     ip = frame.signature.inner(v, frame.q)
-    bad = np.abs(ip) <= tol * np.linalg.norm(v, axis=-1)
+    bad = np.abs(ip) <= _TOL * np.linalg.norm(v, axis=-1)
     if np.any(bad):
         raise PointAtInfinityError("null line lies in the polar hyperplane of q")
     return v / (-ip[..., None])
 
 
-def stereo_project(v, frame: Frame, tol: float = 1e-10) -> np.ndarray:
+def stereo_project(v, frame: Frame) -> np.ndarray:
     """Stereoprojection of a null line representative into R^{p,q}."""
-    return frame.pi(euclidean_lift(v, frame, tol=tol))
+    return frame.pi(euclidean_lift(v, frame))
 
 
 def renull(v, frame: Frame) -> np.ndarray:
@@ -368,8 +371,7 @@ def projective_cross_ratio(p1, p2, p3, p4) -> float:
     return float(det(p1, p2) * det(p3, p4) / den)
 
 
-def conic_cross_ratio(mu, signature: Signature, rng=None,
-                      retries: int = 16) -> float:
+def conic_cross_ratio(mu, signature: Signature, rng=None) -> float:
     """Cross ratio of four null lines lying on a common conic.
 
     ``mu`` is a (4, d) array of null representatives spanning a 3-space
@@ -394,7 +396,7 @@ def conic_cross_ratio(mu, signature: Signature, rng=None,
     # fifth conic point: c1 + t c2 + u c3 is null for
     # u = -t (c1,c2) / ((c1,c3) + t (c2,c3)), exactly.
     c1, c2, c3 = coords[0], coords[1], coords[2]
-    t_candidates = [1.0, -1.0, 0.5, -0.5, 2.0] + list(rng.standard_normal(retries))
+    t_candidates = [1.0, -1.0, 0.5, -0.5, 2.0] + list(rng.standard_normal(16))
     for t in t_candidates:
         den = ip(c1, c3) + t * ip(c2, c3)
         if abs(den) < 1e-12:

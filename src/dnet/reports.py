@@ -16,16 +16,15 @@ class Check:
     note: str = ""
 
     @classmethod
-    def from_residual(cls, name, residual, tol, worst=None, note=""):
+    def from_residual(cls, name, residual, tol, worst=None):
         return cls(name=name, residual=float(residual), tol=float(tol),
-                   passed=bool(residual <= tol), worst=worst, note=note)
+                   passed=bool(residual <= tol), worst=worst)
 
     @classmethod
-    def from_margin(cls, name, margin, floor, worst=None, note=""):
+    def from_margin(cls, name, margin, floor):
         """A margin check passes when the value stays ABOVE the floor."""
         return cls(name=name, residual=float(margin), tol=float(floor),
-                   passed=bool(margin >= floor), worst=worst,
-                   note=note or "margin (must stay above tolerance)")
+                   passed=bool(margin >= floor), note="margin (must stay above tolerance)")
 
 
 @dataclass

@@ -311,6 +311,21 @@ EXIT_CODES = [
     (["gen", "weingarten", "--dims", "4x4", "--signature", "4,1", "-o", "{out}"], 2),
     (["gen", "weingarten", "--dims", "4x4", "--signature", "4,2", "-o", "{out}"], 0),
     (["gen", "darboux-pair", "--dims", "4x4", "--signature", "3,1", "-o", "{out}"], 0),
+    # --param: a key the kind does not read, a value that is not a number,
+    # NaN, another non-finite value, a non-integer fault or a zero rho
+    (["gen", "isothermic", "--dims", "4x4", "--param", "magnitude=abc", "-o", "{out}"], 2),
+    (["gen", "darboux-pair", "--dims", "4x4", "--param", "m=abc", "-o", "{out}"], 2),
+    (["gen", "guichard", "--dims", "4x4", "--param", "fault=abc", "-o", "{out}"], 2),
+    (["gen", "weingarten", "--dims", "4x4", "--param", "rho=abc", "-o", "{out}"], 2),
+    (["gen", "isothermic", "--dims", "4x4", "--param", "bogus=1", "-o", "{out}"], 2),
+    (["gen", "isothermic", "--dims", "4x4", "--param", "m=0.5", "-o", "{out}"], 2),
+    (["gen", "omega", "--dims", "4x4", "--param", "magnitude=0.3", "-o", "{out}"], 2),
+    (["gen", "weingarten", "--dims", "4x4", "--param", "rho=0", "-o", "{out}"], 2),
+    (["gen", "minimal", "--dims", "4x4", "--param", "magnitude=nan", "-o", "{out}"], 2),
+    (["gen", "isothermic", "--dims", "4x4", "--param", "magnitude=inf", "-o", "{out}"], 2),
+    (["gen", "guichard", "--dims", "4x4", "--param", "fault=2.5", "-o", "{out}"], 2),
+    (["verify", "-i", "{net}", "--tol", "nullity=abc"], 2),
+    (["verify", "-i", "{net}", "--tol", "nullity=nan"], 2),
 ]
 
 
