@@ -96,24 +96,11 @@ def _parse_params(kind: str, items) -> dict:
     return out
 
 
-def _encode_rows(arr):
-    return [float(v) for v in np.asarray(arr, float)]
-
-
-def _frame_dict(lf):
-    return {
-        "o": lf.o.tolist(),
-        "q": lf.q.tolist(),
-        "p": lf.p.tolist(),
-        "basis3": lf.basis3.tolist(),
-    }
-
-
-def _plain_frame_dict(frame):
-    d = {"o": frame.o.tolist(), "q": frame.q.tolist()}
-    if frame.p is not None:
-        d["p"] = frame.p.tolist()
-    return d
+def _frame_dict(frame):
+    """The frame section of a file: ``o``, ``q`` and, where the frame has
+    them, ``p`` and (a Lie frame's) ``basis3``."""
+    vectors = {k: getattr(frame, k, None) for k in ("o", "q", "p", "basis3")}
+    return {k: v.tolist() for k, v in vectors.items() if v is not None}
 
 
 def cmd_generate(args) -> int:
@@ -122,7 +109,7 @@ def cmd_generate(args) -> int:
 
     dims = _parse_dims(args.dims)
     if args.kind in ("isothermic", "darboux-pair"):
-        pq, sig, frame = _parse_signature("4,2" if args.signature is None else args.signature)
+        _, sig, frame = _parse_signature("4,2" if args.signature is None else args.signature)
     elif args.signature is not None and _parse_signature(args.signature)[0] != (4, 2):
         raise FormatError(f"bad --signature {args.signature!r}; gen {args.kind} "
                           f"writes signature 4,2 files")
@@ -135,18 +122,11 @@ def cmd_generate(args) -> int:
     if args.kind == "isothermic":
         net = iso.random_isothermic(Grid(dims), sig, rng,
                                     magnitude=params["magnitude"], frame=frame)
-        nf = NetFile(signature=pq, dims=dims,
-                     frame=_plain_frame_dict(frame),
-                     vertex_fields={"mu": net.mu},
-                     edge_fields={"m": net.labels}, metadata=meta)
+        nf = NetFile.from_isothermic(net, _frame_dict(frame), meta)
     elif args.kind == "darboux-pair":
         net = iso.random_isothermic(Grid(dims), sig, rng, frame=frame)
         hat = iso.darboux_transform(net, params["m"], rng=rng)
-        stacked = iso.stack_pair(net, hat)
-        nf = NetFile(signature=pq, dims=stacked.grid.dims, stacked=True,
-                     frame=_plain_frame_dict(frame),
-                     vertex_fields={"mu": stacked.mu},
-                     edge_fields={"m": stacked.labels}, metadata=meta)
+        nf = NetFile.from_isothermic(iso.stack_pair(net, hat), _frame_dict(frame), meta)
     elif args.kind == "omega":
         sig = Signature(4, 2)
         lf = lie.standard_lie_frame()
@@ -162,8 +142,7 @@ def cmd_generate(args) -> int:
     elif args.kind == "guichard":
         lf = lie.standard_lie_frame()
         fault = None if params["fault"] is None else int(params["fault"])
-        out = lie.guichard_generate(dims, seed=args.seed, frame=lf,
-                                    skip_constraint_at=fault)
+        out = lie.guichard_generate(dims, seed=args.seed, skip_constraint_at=fault)
         if isinstance(out, dict):
             import json as _json
             fail = {
@@ -173,7 +152,7 @@ def cmd_generate(args) -> int:
                 "fault_at": fault,
                 "worst_vertex": list(out["worst_vertex"]),
                 "orthogonality": out["orthogonality"],
-                "orthogonality_map": _encode_rows(out["orthogonality_map"]),
+                "orthogonality_map": out["orthogonality_map"].tolist(),
             }
             with open(args.output, "w", encoding="utf-8") as fh:
                 _json.dump(fail, fh, sort_keys=True, indent=1)
@@ -194,23 +173,17 @@ def cmd_generate(args) -> int:
                      edge_fields={"m": lie.omega_edge_labels(out.omega),
                                   "kappa": out.pn.kappa},
                      metadata=meta)
-    elif args.kind == "minimal":
-        pn, _ = lie.minimal_net(dims, seed=args.seed, magnitude=params["magnitude"])
-        lf = lie.standard_lie_frame()
-        nf = NetFile(signature=(4, 2), dims=dims, frame=_frame_dict(lf),
+    else:                                   # minimal, weingarten: a principal net
+        if args.kind == "minimal":
+            pn, _ = lie.minimal_net(dims, seed=args.seed, magnitude=params["magnitude"])
+        else:
+            rho = params["rho"]
+            pn = lie.sphere_lattice(dims, radius=rho)
+            meta["params"].update({"rho": rho, "alpha": 1.0, "beta": 0.0,
+                                   "gamma": -1.0 / rho ** 2})
+        nf = NetFile(signature=(4, 2), dims=dims, frame=_frame_dict(lie.standard_lie_frame()),
                      vertex_fields={"x": pn.x, "n": pn.n},
                      edge_fields={"kappa": pn.kappa}, metadata=meta)
-    elif args.kind == "weingarten":
-        rho = params["rho"]
-        pn = lie.sphere_lattice(dims, radius=rho)
-        lf = lie.standard_lie_frame()
-        meta["params"].update({"rho": rho, "alpha": 1.0, "beta": 0.0,
-                               "gamma": -1.0 / rho ** 2})
-        nf = NetFile(signature=(4, 2), dims=dims, frame=_frame_dict(lf),
-                     vertex_fields={"x": pn.x, "n": pn.n},
-                     edge_fields={"kappa": pn.kappa}, metadata=meta)
-    else:
-        raise FormatError(f"unknown kind {args.kind!r}")
 
     nf.save(args.output)
     NetFile.load(args.output)     # emitted files must pass load validation
@@ -242,52 +215,37 @@ def cmd_transform(args) -> int:
     from . import lie_sphere as lie
 
     nf = NetFile.load(args.input)
-    g = nf.grid()
-    sig = nf.sig()
     meta = dict(nf.metadata)
     meta.update({"transform": args.op, "transform_seed": args.seed})
     rng = np.random.default_rng(args.seed)
 
     if args.op in ("darboux", "calapso", "christoffel"):
-        if "mu" not in nf.vertex_fields:
+        net = nf.isothermic_net()
+        if net is None:
             raise FormatError(f"{args.op} needs a mu field")
-        net = iso.IsothermicNet(g, sig, nf.vertex_fields["mu"])
-        frame = nf.the_frame() or sig.standard_frame()
+        frame = nf.the_frame() or net.signature.standard_frame()
         if args.op == "darboux":
             m = _parse_number("--m", args.m)
             meta["m"] = "inf" if np.isinf(m) else m
             hat = iso.darboux_transform(net, m, rng=rng)
-            stacked = iso.stack_pair(net, hat)
-            out = NetFile(signature=nf.signature, dims=stacked.grid.dims,
-                          stacked=True, frame=nf.frame,
-                          vertex_fields={"mu": stacked.mu},
-                          edge_fields={"m": stacked.labels}, metadata=meta)
+            out = NetFile.from_isothermic(iso.stack_pair(net, hat), nf.frame, meta)
         elif args.op == "calapso":
             t = _parse_number("--t", args.t)
             meta["t"] = t
             moved, _ = iso.calapso_transform(net, t)
-            out = NetFile(signature=nf.signature, dims=nf.dims,
-                          stacked=nf.stacked, frame=nf.frame,
-                          vertex_fields={"mu": moved.mu},
-                          edge_fields={"m": moved.labels}, metadata=meta)
+            out = NetFile.from_isothermic(moved, nf.frame, meta)
         else:
             from .pseudo_euclidean import standard_chart_indices
             data = iso.christoffel_dual(net, frame)
-            idx = standard_chart_indices(sig)
-            vfields = dict(nf.vertex_fields)
-            vfields.update({"x": data.x[:, idx], "xdual": data.x_dual[:, idx]})
-            out = NetFile(signature=nf.signature, dims=nf.dims,
-                          stacked=nf.stacked, frame=nf.frame,
-                          vertex_fields=vfields, edge_fields=nf.edge_fields,
-                          metadata=meta)
+            idx = standard_chart_indices(net.signature)
+            out = NetFile(signature=nf.signature, dims=nf.dims, stacked=nf.stacked,
+                          frame=nf.frame, edge_fields=nf.edge_fields, metadata=meta,
+                          vertex_fields={**nf.vertex_fields, "x": data.x[:, idx],
+                                         "xdual": data.x_dual[:, idx]})
     elif args.op in ("dual", "associates"):
-        lf = nf.lie_frame()
-        if lf is None or "eta" not in nf.form1_fields:
+        om = nf.omega_net()
+        if om is None:
             raise FormatError(f"{args.op} needs omega fields and a Lie frame")
-        om = lie.OmegaNet(g, lf, nf.vertex_fields["y"], nf.vertex_fields["t"],
-                          nf.form1_fields["eta"],
-                          mu_plus=nf.vertex_fields.get("mu_plus"),
-                          mu_minus=nf.vertex_fields.get("mu_minus"))
         if args.op == "dual":
             duo = lie.dual_legendre(om)
             pn = duo.principal()
@@ -301,12 +259,11 @@ def cmd_transform(args) -> int:
             c = _parse_number("--c", args.c, default=0.0)
             xd = a.x_dual + c * a.n
             nd = a.n_dual - c * a.x
-            vfields = dict(nf.vertex_fields)
-            vfields.update({"x": a.x, "n": a.n, "xdual": xd, "ndual": nd})
             out = NetFile(signature=nf.signature, dims=nf.dims, frame=nf.frame,
-                          vertex_fields=vfields,
-                          form1_fields=nf.form1_fields,
-                          edge_fields=nf.edge_fields, metadata=meta)
+                          vertex_fields={**nf.vertex_fields, "x": a.x, "n": a.n,
+                                         "xdual": xd, "ndual": nd},
+                          form1_fields=nf.form1_fields, edge_fields=nf.edge_fields,
+                          metadata=meta)
     else:
         raise FormatError(f"unknown transform {args.op!r}")
 

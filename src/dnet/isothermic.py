@@ -436,9 +436,13 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
     ``rng`` past the accepted seed.  After ``retries`` auto seeds,
     :class:`DegeneracyError` gives in one line the count of seeds
     rejected for each reason and the best diagonal margin reached.  An
-    explicit ``seed`` is a block of one.
+    explicit ``seed`` is a block of one.  Where ``min(p, q) < 2`` the
+    isotropic transform raises at once, before any draw.
     """
     g, sig = net.grid, net.signature
+    if np.isinf(m) and min(sig.p, sig.q) < 2:
+        raise DegeneracyError(f"no isotropic Darboux transform in signature ({sig.p}, {sig.q}): "
+                              f"a null seed orthogonal to the net is proportional to it")
     if not np.isinf(m):
         finite = net.labels[~net.is_infinite]
         if finite.size and np.min(np.abs(finite - m)) <= 1e-8 * max(1.0, abs(m)):

@@ -383,7 +383,7 @@ class LineCongruence:
         self._raise_first_edge(edges, failures)
         return s[0]
 
-    def validate(self, tol: float = 1e-8, margin: float = 1e-6) -> dict:
+    def validate(self) -> dict:
         """Applicability and regularity residuals.
 
         Checks: closedness of eta, decomposability (Pluecker),
@@ -418,12 +418,12 @@ class LineCongruence:
         second = rel(sv4[:, 3], sv4[:, 0])
         out["second_order_margin"] = float(second.min()) if g.nquads else 0.0
         out["passed"] = bool(
-            out["eta_closed"] <= tol
-            and out["eta_decomposable"] <= max(tol, 1e-9)
-            and out["eta_in_lam2_f"] <= tol
-            and out["nondegeneracy_margin"] >= margin
-            and out["first_order_margin"] >= margin
-            and out["second_order_margin"] >= margin)
+            out["eta_closed"] <= 1e-8
+            and out["eta_decomposable"] <= 1e-8
+            and out["eta_in_lam2_f"] <= 1e-8
+            and out["nondegeneracy_margin"] >= 1e-6
+            and out["first_order_margin"] >= 1e-6
+            and out["second_order_margin"] >= 1e-6)
         return out
 
 

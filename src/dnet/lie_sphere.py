@@ -261,7 +261,7 @@ class OmegaNet:
     def signature(self) -> Signature:
         return self.lie_frame.signature
 
-    def validate(self, tol: float = 1e-8, margin: float = 1e-6) -> dict:
+    def validate(self) -> dict:
         ip = self.signature.inner
         out = {}
         gram = np.stack([ip(self.y, self.y), ip(self.y, self.t),
@@ -275,11 +275,11 @@ class OmegaNet:
         out["gauge"] = rel(float(np.abs(
             ip(_contract(self.eta, self.lie_frame.q, self.signature),
                self.lie_frame.p)).max(initial=0.0)), np.abs(self.eta).max(initial=0.0))
-        cong = self.congruence().validate(tol=tol, margin=margin)
+        cong = self.congruence().validate()
         out["applicability"] = cong
         out["passed"] = bool(out["null_planes"] <= 1e-9
                              and out["normalization"] <= 1e-9
-                             and out["gauge"] <= tol and cong["passed"])
+                             and out["gauge"] <= _TOL and cong["passed"])
         return out
 
 
@@ -378,7 +378,7 @@ def _d3(g: Grid, values: np.ndarray) -> Form1:
     return exterior_derivative(Form0(g, values))
 
 
-def check_omega(pn: PrincipalNet, x_dual, n_dual, tol: float = 1e-9) -> dict:
+def check_omega(pn: PrincipalNet, x_dual, n_dual) -> dict:
     """Duality test: ``dxd ^~ dx + dnd ^~ dn = 0`` per quad together
     with the non-degeneracy margin ``dxd != kappa dnd`` per edge."""
     g = pn.grid
@@ -400,7 +400,7 @@ def check_omega(pn: PrincipalNet, x_dual, n_dual, tol: float = 1e-9) -> dict:
     out = {
         "duality": duality,
         "nondegeneracy_margin": float(nd_margin.min(initial=np.inf)),
-        "passed": bool(duality <= tol and nd_margin.min(initial=np.inf) >= 1e-8),
+        "passed": bool(duality <= 1e-9 and nd_margin.min(initial=np.inf) >= 1e-8),
     }
     return out
 
@@ -470,9 +470,7 @@ def eisenhart_general(pn: PrincipalNet, x_dual, n_dual, labels) -> dict:
     labels = np.asarray(labels, float)
     rhs = np.where(np.isinf(labels), 0.0,
                    -2.0 / np.where(np.isinf(labels), 1.0, labels))
-    out = {"pairing": float(gap(lhs, rhs).max(initial=0.0))}
-    out["passed"] = bool(out["pairing"] <= _TOL)
-    return out
+    return {"pairing": float(gap(lhs, rhs).max(initial=0.0))}
 
 
 def check_guichard(pn: PrincipalNet, x_dual) -> dict:
@@ -556,9 +554,9 @@ _REJECTIONS = ("base point", "Cauchy step", "evolution", "net invalid",
 
 
 def guichard_generate(dims, seed: int = 0, retries: int = 48,
-                      frame: LieFrame | None = None,
                       skip_constraint_at: int | None = None):
-    """Generate a Guichard net from constrained Cauchy data.
+    """Generate a Guichard net in the standard Lie frame from constrained
+    Cauchy data.
 
     Along the two initial lines every step draws a null lift and
     rescales it (closed form) so that the running Koenigs dual ``xi``
@@ -583,7 +581,7 @@ def guichard_generate(dims, seed: int = 0, retries: int = 48,
     block, and the first attempt in order that passes is returned, so the
     result does not depend on the block size.
     """
-    frame = standard_lie_frame() if frame is None else frame
+    frame = standard_lie_frame()
     g = Grid(dims)
     if g.ndim != 2:
         raise ValueError("Guichard generation expects a 2D grid")
@@ -682,9 +680,7 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
     xi = integrate_one_form(g, etap.reshape(g.nedges, -1), base=0, seed=xi0[done].reshape(-1),
                             check_closed=False).values
     xi = xi.reshape(g.nverts, len(done), d).transpose(1, 0, 2)
-    orth = cos_angle(ip(xi, mu), np.linalg.norm(xi, axis=-1), np.linalg.norm(mu, axis=-1))
-    coeffs = np.stack([np.full(orth.shape, -1.0), 2.0 * ip(frame.p, xi), ip(xi, xi)], axis=-1)
-    dev = np.abs(coeffs - np.array([-1.0, -2.0, 0.0])).max(axis=(1, 2), initial=0.0)
+    orth, dev = special_residuals(frame, mu, xi)
     for k in range(n):
         if reason[k] >= 0:
             yield _REJECTIONS[reason[k]]
@@ -697,10 +693,20 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
             "orthogonality_map": orth[j],
             "xi_null": float(np.abs(ip(xi[j], xi[j])).max(initial=0.0)),
             "xi_p": float(np.abs(ip(xi[j], frame.p) + 1.0).max(initial=0.0)),
-            "coefficient_dev": float(dev[j]),
+            "coefficient_dev": float(dev[j].max(initial=0.0)),
             "net_valid": bool(rep["passed"]),
             "net_report": rep,
         }
+
+
+def special_residuals(frame: LieFrame, mu, xi):
+    """Per vertex, ``|cos|`` of the angle of ``xi`` and ``mu``, and the worst
+    gap of the coefficients of ``(p + t xi, p + t xi)`` to ``-1 - 2t``."""
+    ip = frame.signature.inner
+    orth = cos_angle(ip(xi, mu), np.linalg.norm(xi, axis=-1), np.linalg.norm(mu, axis=-1))
+    coeffs = np.stack([np.full(orth.shape, ip(frame.p, frame.p)), 2.0 * ip(frame.p, xi),
+                       ip(xi, xi)], axis=-1)
+    return orth, np.abs(coeffs - np.array([-1.0, -2.0, 0.0])).max(axis=-1)
 
 
 def _cauchy_candidates(frame: LieFrame, mu_prev, xi_prev, skip, deltas):

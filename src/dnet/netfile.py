@@ -40,7 +40,7 @@ from .errors import FormatError, GeometryError
 from .grid import Grid
 from .pseudo_euclidean import Frame, Signature
 from .reports import Check, Report
-from .residuals import cos_angle, floor
+from .residuals import rel
 
 FORMAT = "dnet-net/1"
 FLOAT_ENCODING = "decimal-shortest-roundtrip"
@@ -164,11 +164,8 @@ class NetFile:
 
     def lie_frame(self):
         from .lie_sphere import LieFrame
-        fr = self.the_frame()
-        if fr is None or fr.p is None:
-            return None
-        basis3 = self.frame.get("basis3")
-        if basis3 is None:
+        fr, basis3 = self.the_frame(), self.frame.get("basis3")
+        if fr is None or fr.p is None or basis3 is None:
             return None
         return LieFrame(fr, np.asarray(basis3, float))
 
@@ -238,18 +235,64 @@ class NetFile:
         nf.check_shapes()
         return nf
 
+    @classmethod
+    def from_isothermic(cls, net, frame: dict, metadata: dict) -> "NetFile":
+        """The file of an isothermic net: its lifts ``mu`` and labels ``m``."""
+        g, sig = net.grid, net.signature
+        return cls(signature=(sig.p, sig.q), dims=g.dims, stacked=g.stacked, frame=frame,
+                   vertex_fields={"mu": net.mu}, edge_fields={"m": net.labels},
+                   metadata=metadata)
+
     def check_shapes(self):
+        """Raise :class:`FormatError` unless every field has one entry per
+        vertex or edge: a number on an edge, a row elsewhere, of the
+        signature's width in the lifts ``mu``, ``mu_plus``, ``mu_minus``,
+        ``y``, ``t`` and ``xi`` and of one value per bivector coordinate in
+        ``eta``."""
         try:
             g = self.grid()
         except ValueError as err:
             raise FormatError(f"bad dims {list(self.dims)}: {err}") from None
+        d = self.sig().dim
+        widths = {**dict.fromkeys(("mu", "mu_plus", "mu_minus", "y", "t", "xi"), d),
+                  "eta": d * (d - 1) // 2}
         for label, fields, rows in (("vertex field", self.vertex_fields, g.nverts),
                                     ("edge field", self.edge_fields, g.nedges),
                                     ("one-form field", self.form1_fields, g.nedges)):
             for name, arr in fields.items():
-                if len(arr) != rows:
-                    raise FormatError(f"{label} {name!r} has {len(arr)} rows, "
-                                      f"expected {rows}")
+                ndim, width = (1, None) if fields is self.edge_fields else (2, widths.get(name))
+                # JSON gives no field without rows a width
+                if len(arr) != rows or rows and (arr.ndim != ndim
+                                                 or width not in (None, arr.shape[-1])):
+                    raise FormatError(f"{label} {name!r} has shape {arr.shape}, expected "
+                                      f"{rows} {'rows' if ndim == 2 else 'values'}"
+                                      + (f" of {width}" if width else ""))
+
+    def isothermic_net(self):
+        """The isothermic net of ``mu``, or None without it."""
+        from .isothermic import IsothermicNet
+        mu = self.vertex_fields.get("mu")
+        return None if mu is None else IsothermicNet(self.grid(), self.sig(), mu)
+
+    def omega_net(self):
+        """The Omega-net of ``y``, ``t`` and ``eta`` in the Lie frame, spanned
+        by ``mu_plus`` and ``mu_minus`` where stored; None without one of
+        the four."""
+        from .lie_sphere import OmegaNet
+        lf, vf = self.lie_frame(), self.vertex_fields
+        if lf is None or "eta" not in self.form1_fields or not {"y", "t"} <= vf.keys():
+            return None
+        return OmegaNet(self.grid(), lf, vf["y"], vf["t"], self.form1_fields["eta"],
+                        mu_plus=vf.get("mu_plus"), mu_minus=vf.get("mu_minus"))
+
+    def principal_net(self):
+        """The principal net of ``x`` and ``n``, or None without both or
+        outside R^3."""
+        from .lie_sphere import PrincipalNet
+        vf = self.vertex_fields
+        if not {"x", "n"} <= vf.keys() or vf["x"].shape[1] != 3 or vf["n"].shape[1] != 3:
+            return None
+        return PrincipalNet(self.grid(), vf["x"], vf["n"])
 
 
 DEFAULT_TOLS = {
@@ -272,143 +315,148 @@ DEFAULT_TOLS = {
 }
 
 
-def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
-    """Run every check the present fields support; list the rest as
-    skipped."""
-    from .isothermic import IsothermicNet, connection_flatness
-    from .lie_sphere import (OmegaNet, PrincipalNet, associates, check_guichard,
-                             check_omega, eisenhart_general, eisenhart_guichard,
-                             omega_edge_labels)
+# `t` of the flatness checks of the isothermic connection Gamma(t)
+FLATNESS_T = (-1.0, 0.3, 2.0)
 
+RESIDUAL, MARGIN = "residual", "margin"
+
+# The checks of `verify` by group, in report order: name, the key of the
+# value the group computes, tolerance (a DEFAULT_TOLS key, a fixed value,
+# or (factor, key)) and kind (a margin must stay above its tolerance).
+# A value is a number, a (number, worst element, note) triple, or text:
+# the reason the check is skipped.  A key not computed gives no line.
+CHECKS = {
+    "isothermic": (
+        ("isothermic.nullity", "nullity", "nullity", RESIDUAL),
+        ("isothermic.moutard", "moutard", "moutard", RESIDUAL),
+        ("isothermic.label_relations", "label_relations", "label_relations", RESIDUAL),
+        ("isothermic.diagonal_margin", "diagonal_margin", "regularity_margin", MARGIN),
+        *((f"isothermic.flatness(t={t})", f"flatness(t={t})", "flatness", RESIDUAL)
+          for t in FLATNESS_T),
+        ("isothermic.stored_labels", "stored_labels", 1e-9, RESIDUAL),
+    ),
+    "omega": (
+        ("omega.null_planes", "null_planes", 1e-9, RESIDUAL),
+        ("omega.normalization", "normalization", 1e-9, RESIDUAL),
+        ("omega.gauge", "gauge", "gauge", RESIDUAL),
+        ("omega.eta_closed", "eta_closed", "eta_closed", RESIDUAL),
+        ("omega.eta_decomposable", "eta_decomposable", "applicability", RESIDUAL),
+        ("omega.eta_in_lam2_f", "eta_in_lam2_f", "applicability", RESIDUAL),
+        ("omega.nondegeneracy", "nondegeneracy_margin", "regularity_margin", MARGIN),
+        ("omega.reconstruction", "reconstruction", "applicability", RESIDUAL),
+        ("omega.duality", "duality", "duality", RESIDUAL),
+        ("omega.eisenhart", "pairing", "eisenhart", RESIDUAL),
+    ),
+    "principal": (
+        ("principal.unit_normal", "unit_normal", "unit_normal", RESIDUAL),
+        ("principal.curvature_relation", "curvature_relation", "curvature_relation",
+         RESIDUAL),
+        ("principal.circularity", "circularity", "circularity", RESIDUAL),
+    ),
+    "guichard": (
+        ("guichard.associate", "associate", "associate", RESIDUAL),
+        ("guichard.eisenhart", "eisenhart", "eisenhart", RESIDUAL),
+        ("guichard.ratio_identity", "ratio_identity", (10, "eisenhart"), RESIDUAL),
+        ("omega.duality_fields", "duality_fields", "duality", RESIDUAL),
+    ),
+    "special": (
+        ("special.orthogonality", "orthogonality", "orthogonality", RESIDUAL),
+        ("special.coefficients", "coefficients", "coefficients", RESIDUAL),
+    ),
+}
+
+
+def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
+    """Run every check of :data:`CHECKS` the file's nets support; list the
+    rest as skipped."""
     tols = {**DEFAULT_TOLS, **(tols or {})}
     rep = Report()
-    g = nf.grid()
-    sig = nf.sig()
-    vf = nf.vertex_fields
+    for group, values in _residuals(nf):
+        if isinstance(values, str):
+            rep.skipped.append((f"{group}.*", values))
+            continue
+        for name, key, spec, kind in CHECKS[group]:
+            value = values.get(key)
+            if isinstance(value, str):
+                rep.skipped.append((name, value))
+            elif value is not None:
+                residual, worst, note = value if isinstance(value, tuple) else (value, None, "")
+                tol = (tols[spec] if isinstance(spec, str)
+                       else spec[0] * tols[spec[1]] if isinstance(spec, tuple) else spec)
+                margin = kind == MARGIN
+                rep.checks.append(Check(
+                    name, float(residual), float(tol),
+                    bool(residual >= tol if margin else residual <= tol), worst,
+                    "margin (must stay above tolerance)" if margin else note))
+    return rep
 
-    net = None
-    if "mu" in vf:
-        net = IsothermicNet(g, sig, vf["mu"])
+
+def _residuals(nf: NetFile):
+    """Per group of :data:`CHECKS` in order, the residuals by key or the
+    reason the group is skipped.  The associate-net (``guichard``) group
+    needs a principal net and the ``special`` group an ``xi`` field;
+    without them the group gives no line."""
+    from . import lie_sphere as lie
+    from .isothermic import connection_flatness
+
+    net, vf = nf.isothermic_net(), nf.vertex_fields
+    if net is None:
+        yield "isothermic", "no mu field"
+    else:
         v = net.validate()
-        rep.add(Check.from_residual("isothermic.nullity", v["nullity"],
-                                    tols["nullity"]))
-        rep.add(Check.from_residual("isothermic.moutard", v["moutard"],
-                                    tols["moutard"], worst=v["worst_quad"]))
-        rep.add(Check.from_residual("isothermic.label_relations",
-                                    v["label_relations"], tols["label_relations"]))
-        if g.nquads:
-            rep.add(Check.from_margin("isothermic.diagonal_margin",
-                                      v["diagonal_margin"], tols["regularity_margin"]))
-        else:
-            rep.skip("isothermic.diagonal_margin", "no quads")
+        out = {**v, "moutard": (v["moutard"], v["worst_quad"], "")}
+        if not net.grid.nquads:
+            out["diagonal_margin"] = "no quads"
         finite = net.finite_labels()
-        for t in (-1.0, 0.3, 2.0):
+        for t in FLATNESS_T:
+            key = f"flatness(t={t})"
             if finite.size and np.min(np.abs(finite - t)) < 1e-6:
-                rep.skip(f"isothermic.flatness(t={t})", "t collides with a label")
+                out[key] = "t collides with a label"
                 continue
             try:
-                res = connection_flatness(net, t)
+                out[key] = connection_flatness(net, t)
             except (GeometryError, ValueError) as err:
-                rep.add(Check(name=f"isothermic.flatness(t={t})",
-                              residual=float("inf"), tol=tols["flatness"],
-                              passed=False, note=f"aborted: {err}"))
-                continue
-            rep.add(Check.from_residual(f"isothermic.flatness(t={t})", res,
-                                        tols["flatness"]))
-        if "m" in nf.edge_fields:
-            stored = nf.edge_fields["m"]
+                out[key] = (np.inf, None, f"aborted: {err}")
+        stored = nf.edge_fields.get("m")
+        if stored is not None:
             both_inf = np.isinf(stored) & np.isinf(net.labels)
             # subtract only where defined: inf - inf would warn
             num = np.abs(np.subtract(stored, net.labels, out=np.zeros(net.labels.shape),
                                      where=~both_inf))
-            den = np.where(both_inf, 1.0, floor(np.abs(stored)))
-            rep.add(Check.from_residual("isothermic.stored_labels",
-                                        float((num / den).max(initial=0.0)), 1e-9))
+            out["stored_labels"] = float(rel(num, np.where(both_inf, 1.0, np.abs(stored)))
+                                         .max(initial=0.0))
+        yield "isothermic", out
+    omega, labels = nf.omega_net(), None
+    if omega is None or omega.mu_plus is None or omega.mu_minus is None:
+        yield "omega", ("incomplete omega fields or frame" if "mu_plus" in vf
+                        else "no congruence fields")
     else:
-        rep.skip("isothermic.*", "no mu field")
-
-    lf = nf.lie_frame()
-    omega = None
-    if {"mu_plus", "mu_minus", "y", "t"} <= set(vf) and "eta" in nf.form1_fields \
-            and lf is not None:
-        omega = OmegaNet(g, lf, vf["y"], vf["t"], nf.form1_fields["eta"],
-                         mu_plus=vf["mu_plus"], mu_minus=vf["mu_minus"])
-        v = omega.validate(tol=tols["applicability"],
-                           margin=tols["regularity_margin"])
-        rep.add(Check.from_residual("omega.null_planes", v["null_planes"], 1e-9))
-        rep.add(Check.from_residual("omega.normalization", v["normalization"], 1e-9))
-        rep.add(Check.from_residual("omega.gauge", v["gauge"], tols["gauge"]))
-        app = v["applicability"]
-        rep.add(Check.from_residual("omega.eta_closed", app["eta_closed"],
-                                    tols["eta_closed"]))
-        rep.add(Check.from_residual("omega.eta_decomposable",
-                                    app["eta_decomposable"], tols["applicability"]))
-        rep.add(Check.from_residual("omega.eta_in_lam2_f", app["eta_in_lam2_f"],
-                                    tols["applicability"]))
-        rep.add(Check.from_margin("omega.nondegeneracy",
-                                  app["nondegeneracy_margin"],
-                                  tols["regularity_margin"]))
-        a = associates(omega)
-        rep.add(Check.from_residual("omega.reconstruction", a.reconstruction,
-                                    tols["applicability"]))
-        rep.add(Check.from_residual("omega.duality", a.duality, tols["duality"]))
-        labels = omega_edge_labels(omega)
-        pn = omega.principal()
-        rep.add(Check.from_residual(
-            "omega.eisenhart",
-            eisenhart_general(pn, a.x_dual, a.n_dual, labels)["pairing"],
-            tols["eisenhart"]))
-    elif "mu_plus" in vf:
-        rep.skip("omega.*", "incomplete omega fields or frame")
+        v = omega.validate()
+        a = lie.associates(omega)
+        labels = lie.omega_edge_labels(omega)
+        pairing = lie.eisenhart_general(omega.principal(), a.x_dual, a.n_dual, labels)
+        yield "omega", {**v, **v["applicability"], **pairing,
+                        "reconstruction": a.reconstruction, "duality": a.duality}
+    pn = nf.principal_net()
+    if pn is None:
+        yield "principal", "no x, n fields"
     else:
-        rep.skip("omega.*", "no congruence fields")
-
-    if {"x", "n"} <= set(vf) and vf["x"].shape[1] == 3 and vf["n"].shape[1] == 3:
-        pn = PrincipalNet(g, vf["x"], vf["n"])
-        v = pn.validate()
-        rep.add(Check.from_residual("principal.unit_normal", v["unit_normal"],
-                                    tols["unit_normal"]))
-        rep.add(Check.from_residual("principal.curvature_relation",
-                                    v["curvature_relation"],
-                                    tols["curvature_relation"]))
-        rep.add(Check.from_residual("principal.circularity", v["circularity"],
-                                    tols["circularity"]))
-        if "xdual" in vf and "ndual" not in vf:
+        yield "principal", pn.validate()
+        if "xdual" not in vf:
+            yield "guichard", "no xdual field"
+        elif "ndual" in vf:
+            yield "guichard", {"duality_fields": lie.check_omega(
+                pn, vf["xdual"], vf["ndual"])["duality"]}
+        else:
             # an associate net without a separate associate Gauss map is
             # the Guichard case (the Gauss map itself is the partner)
-            rep.add(Check.from_residual(
-                "guichard.associate",
-                check_guichard(pn, vf["xdual"])["associate"], tols["associate"]))
-            if omega is not None:
-                eis = eisenhart_guichard(pn, vf["xdual"], labels)
-                rep.add(Check.from_residual("guichard.eisenhart",
-                                            eis["eisenhart"], tols["eisenhart"]))
-                rep.add(Check.from_residual("guichard.ratio_identity",
-                                            eis["ratio_identity"],
-                                            10 * tols["eisenhart"]))
-        elif "xdual" not in vf:
-            rep.skip("guichard.*", "no xdual field")
-        if {"xdual", "ndual"} <= set(vf):
-            co = check_omega(pn, vf["xdual"], vf["ndual"], tol=tols["duality"])
-            rep.add(Check.from_residual("omega.duality_fields", co["duality"],
-                                        tols["duality"]))
-    else:
-        rep.skip("principal.*", "no x, n fields")
-
-    if "xi" in vf and net is not None and lf is not None:
-        ip = sig.inner
-        xi = vf["xi"]
-        orth = cos_angle(ip(xi, net.mu), np.linalg.norm(xi, axis=1),
-                         np.linalg.norm(net.mu, axis=1))
-        rep.add(Check.from_residual("special.orthogonality",
-                                    float(orth.max(initial=0.0)),
-                                    tols["orthogonality"]))
-        coeffs = np.stack([ip(lf.p, lf.p) * np.ones(g.nverts),
-                           2.0 * ip(lf.p, xi), ip(xi, xi)], axis=1)
-        dev = float(np.abs(coeffs - np.array([-1.0, -2.0, 0.0])).max(initial=0.0))
-        rep.add(Check.from_residual("special.coefficients", dev,
-                                    tols["coefficients"]))
-    elif "xi" in vf:
-        rep.skip("special.*", "xi present but mu or frame missing")
-
-    return rep
+            yield "guichard", {**lie.check_guichard(pn, vf["xdual"]), **(
+                {} if labels is None else lie.eisenhart_guichard(pn, vf["xdual"], labels))}
+    if "xi" in vf:
+        lf = nf.lie_frame()
+        if net is None or lf is None:
+            yield "special", "xi present but mu or frame missing"
+        else:
+            orth, dev = lie.special_residuals(lf, net.mu, vf["xi"])
+            yield "special", {"orthogonality": float(orth.max(initial=0.0)),
+                              "coefficients": float(dev.max(initial=0.0))}

@@ -15,28 +15,11 @@ class Check:
     worst: dict | None = None
     note: str = ""
 
-    @classmethod
-    def from_residual(cls, name, residual, tol, worst=None):
-        return cls(name=name, residual=float(residual), tol=float(tol),
-                   passed=bool(residual <= tol), worst=worst)
-
-    @classmethod
-    def from_margin(cls, name, margin, floor):
-        """A margin check passes when the value stays ABOVE the floor."""
-        return cls(name=name, residual=float(margin), tol=float(floor),
-                   passed=bool(margin >= floor), note="margin (must stay above tolerance)")
-
 
 @dataclass
 class Report:
     checks: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
-
-    def add(self, check: Check):
-        self.checks.append(check)
-
-    def skip(self, name: str, reason: str):
-        self.skipped.append((name, reason))
 
     @property
     def passed(self) -> bool:

@@ -4,7 +4,13 @@ A parameter with a default that no call in `src/`, `perfbench/`, `demos/`
 or `tests/` passes (by keyword or by position) is a knob nobody turns: it
 should be the constant it always is.  Calls are matched by the callable's
 name (`f(...)`, `obj.f(...)`); a class's `__init__` is matched by the class
-name or the name of any subclass defined in `src/dnet`.
+name or the name of any subclass defined in `src/dnet`.  A call into a test
+reference module (`tests/*_reference.py`: `ref.validate(net)` with `ref`
+bound to one, or a function imported from one) sets nothing in `src/`.
+
+The match is by name only, so a same-named method of two `src/` classes
+can still mask one of them: `net.validate(margin=...)` of `IsothermicNet`
+would count for `LineCongruence.validate` too, were it given a `margin`.
 """
 
 import ast
@@ -82,18 +88,38 @@ def _optional_parameters():
     return out
 
 
-def _calls():
+def _reference_names(tree):
+    """Names a module binds to a test reference module or to a function
+    imported from one."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            from_reference = isinstance(node, ast.ImportFrom) and (
+                node.module or "").endswith("_reference")
+            names |= {alias.asname or alias.name for alias in node.names
+                      if from_reference or alias.name.endswith("_reference")}
+    return names
+
+
+def _calls(trees):
     """callable name -> list of (keyword names, positional count, starred
-    from index or None)."""
+    from index or None), over the calls in `trees` but those into a test
+    reference module."""
     calls = {}
-    for path in CALLERS:
-        for node in ast.walk(_parse(path)):
+    for tree in trees:
+        refs = _reference_names(tree)
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None)
-            if name is None:
+            if isinstance(func, ast.Name):
+                name, receiver = func.id, func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+                receiver = func.value.id if isinstance(func.value, ast.Name) else None
+            else:
+                continue
+            if receiver in refs:
                 continue
             starred = next((i for i, a in enumerate(node.args)
                             if isinstance(a, ast.Starred)), None)
@@ -116,7 +142,7 @@ def _is_set(calls, names, param, index):
 
 
 def unused_parameters():
-    calls = _calls()
+    calls = _calls(map(_parse, CALLERS))
     return [f"{module}:{qualname}({param}=)"
             for module, qualname, names, param, index in _optional_parameters()
             if not _is_set(calls, names, param, index)]
@@ -126,6 +152,17 @@ def test_every_optional_parameter_is_set_by_some_call():
     unused = unused_parameters()
     assert not unused, ("optional parameters no call sets (make each the "
                         "constant it always is):\n  " + "\n  ".join(unused))
+
+
+def test_calls_into_reference_modules_set_nothing():
+    tree = ast.parse("from tests import netfile_reference as ref\n"
+                     "import walk_reference\n"
+                     "from tests.isothermic_reference import evolve_quad as quad\n"
+                     "ref.validate(net, margin=1)\n"
+                     "walk_reference.darboux_march(net, 0.5, min_denom=2)\n"
+                     "quad(a, b, tol=3)\n"
+                     "net.validate(margin=4)\n")
+    assert _calls([tree]) == {"validate": [({"margin"}, 0, None)]}
 
 
 def test_forwarded_keywords_still_name_real_parameters():

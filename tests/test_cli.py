@@ -164,6 +164,20 @@ def test_transform_associates_c_offset(tmp_path):
     assert np.abs(move - 0.7 * f0.vertex_fields["n"]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("op", ["dual", "associates"])
+@pytest.mark.parametrize("field", ["y", "t"])
+def test_omega_transform_without_a_lift_exits_2(tmp_path, capsys, op, field):
+    path = tmp_path / "omega.json"
+    assert run("gen", "omega", "--dims", "4x4", "--seed", 1, "-o", path) == 0
+    doc = json.loads(path.read_text())
+    del doc["fields"]["vertex"][field]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("transform", op, "-i", path, "-o", tmp_path / "out.json") == 2
+    assert capsys.readouterr().err == (f"usage error: {op} needs omega fields "
+                                       f"and a Lie frame\n")
+
+
 def test_export_obj_counts(tmp_path):
     src = tmp_path / "w.json"
     obj = tmp_path / "x.obj"
@@ -326,6 +340,10 @@ EXIT_CODES = [
     (["gen", "guichard", "--dims", "4x4", "--param", "fault=2.5", "-o", "{out}"], 2),
     (["verify", "-i", "{net}", "--tol", "nullity=abc"], 2),
     (["verify", "-i", "{net}", "--tol", "nullity=nan"], 2),
+    # the isotropic Darboux transform does not exist in signature (p, 1)
+    (["gen", "darboux-pair", "--dims", "4x4", "--seed", "1", "--signature", "4,1",
+      "--param", "m=inf", "-o", "{out}"], 3),
+    (["transform", "darboux", "-i", "{net41}", "--m", "inf", "-o", "{out}"], 3),
 ]
 
 
@@ -339,12 +357,19 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     bare.write_text(json.dumps({"format": "dnet-net/1", "signature": [4, 2],
                                 "dims": [3, 3]}))
     names = {"net": net, "bare": bare, "out": tmp_path / "out.json",
-             "missing": tmp_path / "missing.json"}
+             "missing": tmp_path / "missing.json", "net41": tmp_path / "net41.json"}
+    if "{net41}" in argv:
+        assert run("gen", "isothermic", "--dims", "4x4", "--seed", 2, "--signature", "4,1",
+                   "-o", names["net41"]) == 0
     capsys.readouterr()
     assert run(*(a.format(**names) for a in argv)) == code
     err = capsys.readouterr().err
     if code == 2:
         assert len(err.splitlines()) == 1 and err.startswith("usage error: "), err
+    elif code == 3 and ("m=inf" in argv or "inf" in argv):
+        assert err == ("construction degeneracy: no isotropic Darboux transform in "
+                       "signature (4, 1): a null seed orthogonal to the net is "
+                       "proportional to it\n"), err
     elif code == 0:
         assert err == ""
 
@@ -389,3 +414,36 @@ def test_isothermic_exhaustion_is_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1, err
     assert ("edge margin 38, diagonal margin 26, opposite-label margin 0, validate 0; "
             "best diagonal margin 1.169e-05") in err
+
+
+def test_readme_lists_every_check():
+    from pathlib import Path
+
+    from dnet.netfile import CHECKS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [name for rows in CHECKS.values() for name, *_ in rows
+               if f"`{name}`" not in readme]
+    assert not missing, missing
+
+
+def test_check_table_names_tolerances_and_order(tmp_path):
+    from dnet.netfile import CHECKS, DEFAULT_TOLS, MARGIN, RESIDUAL
+    rows = [row for group in CHECKS.values() for row in group]
+    names = [name for name, *_ in rows]
+    assert len(set(names)) == len(names)
+    for name, key, tol, kind in rows:
+        assert kind in (RESIDUAL, MARGIN)
+        assert (tol in DEFAULT_TOLS if isinstance(tol, str)
+                else tol[1] in DEFAULT_TOLS if isinstance(tol, tuple)
+                else isinstance(tol, float)), name
+    # a Guichard file runs every group, in table order, margins noted
+    path = tmp_path / "g.json"
+    assert run("gen", "guichard", "--dims", "5x5", "--seed", 1, "-o", path) == 0
+    rep = run_checks(NetFile.load(str(path)))
+    ran = [c.name for c in rep.checks]
+    assert ran == [n for n in names if n in ran]
+    assert {n.split(".")[0] for n in ran} == {"isothermic", "omega", "principal",
+                                              "guichard", "special"}
+    margins = {name for name, _, _, kind in rows if kind == MARGIN}
+    assert all((c.note == "margin (must stay above tolerance)") == (c.name in margins)
+               for c in rep.checks)

@@ -30,6 +30,8 @@ GEN_CASES = [
     ("darboux-pair", "4x4", 1, ["--param", "m=inf"]),
     ("darboux-pair", "4x4", 2, ["--param", "m=0.5"]),
     ("omega", "5x5", 3, []),
+    # no edges: eta is stored as [], which carries no width
+    ("omega", "1x1", 1, []),
     ("guichard", "5x5", 1, []),
     ("minimal", "5x5", 1, []),
     ("weingarten", "5x5", 1, []),
@@ -166,6 +168,19 @@ def _breakages():
     def pop_mu_row_entry(doc):
         doc["fields"]["vertex"]["mu"][2].pop()
         return doc
+
+    def rows(kind, name, width):
+        """Add (or replace) a field with rows of ``width`` zeros, or 1-D."""
+        def f(doc):
+            fields = doc["fields"]
+            n = len(fields["vertex"]["mu"] if kind == "vertex" else fields["edge"]["m"])
+            fields[kind][name] = [0.0] * n if width is None else [[0.0] * width] * n
+            return doc
+        return f
+
+    def m_column(doc):
+        doc["fields"]["edge"]["m"] = [[v] for v in doc["fields"]["edge"]["m"]]
+        return doc
     mu = ("fields", "vertex", "mu", 3, 1)
     return {
         "no-signature": drop("signature"),
@@ -185,6 +200,13 @@ def _breakages():
         "dims-float": put(("dims",), [4.0, 4.0]),
         "metadata-list": put(("metadata",), []),
         "document-list": lambda doc: [doc],
+        # widths: the lifts have the signature's, eta d(d-1)/2 entries
+        "mu-rows-of-5": rows("vertex", "mu", 5),
+        "t-rows-of-5": rows("vertex", "t", 5),
+        "xi-rows-of-7": rows("vertex", "xi", 7),
+        "eta-rows-of-10": rows("form1", "eta", 10),
+        "x-one-number-per-vertex": rows("vertex", "x", None),
+        "m-as-column": m_column,
     }
 
 

@@ -178,6 +178,21 @@ def test_darboux_exhaustion_is_one_line(net42, m, kw, reason):
     assert (best == "-inf") == (reason != "diagonal margin")
 
 
+@pytest.mark.parametrize("pq", [(4, 1), (3, 1)])
+def test_isotropic_darboux_fails_at_once_where_it_cannot_exist(pq):
+    """Two orthogonal null vectors of a Lorentzian space are proportional,
+    so no seed can work: the call raises before its first draw."""
+    sig = Signature(*pq)
+    net = random_isothermic(Grid([4, 4]), sig, np.random.default_rng(1))
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(DegeneracyError) as err:
+        darboux_transform(net, np.inf, rng=rng)
+    assert str(err.value) == (f"no isotropic Darboux transform in signature {pq}: "
+                              f"a null seed orthogonal to the net is proportional to it")
+    assert rng.bit_generator.state == before
+
+
 def darboux_formula_oracle(sig, mu_i, mu_j, hat_i):
     """Right side of the transport identity, evaluated directly."""
     denom = sig.inner(mu_i, hat_i - mu_j)
