@@ -6,8 +6,9 @@ quadrics, Omega and Guichard nets in Lie sphere geometry, their Darboux,
 Calapso and Christoffel transformations, O-systems, and a numerical
 verification engine over all of their closed-form identities.
 
-Everything is immutable after construction and pure, so nets, grids and
-forms can be shared freely between threads.
+Grids, signatures, frames, isothermic nets and forms are immutable after
+construction, so they can be shared freely between threads.  The other
+net classes still hold writable arrays.
 """
 
 from .errors import (ChartError, ClosednessError, DegeneracyError,
@@ -18,16 +19,15 @@ from .errors import (ChartError, ClosednessError, DegeneracyError,
                      SpectralCollisionError)
 from .forms import (BilinearRule, Form0, Form1, Form2, curly_wedge,
                     exterior_derivative, mixed_area, wedge)
-from .grid import (Grid, OrientedEdge, integrate_one_form,
-                   stack, trivialize_connection)
+from .grid import Grid, integrate_one_form, stack, trivialize_connection
 from .isothermic import (ConservedQuantity, IsothermicNet, bianchi_check,
                          calapso_transform, christoffel_dual,
                          darboux_transform, flat_connection, moutard_evolve,
                          random_cauchy, random_isothermic,
                          special_quantity_solve, stack_pair)
 from .koenigs import (LineCongruence, ProjectiveNet, christoffel_ratio,
-                      extract_pair, g_map, g_map_inverse, km_pair_check,
-                      koenigs_dual, moutard_lift_from_eta)
+                      extract_pair, km_pair_check, koenigs_dual,
+                      moutard_lift_from_eta)
 from .lie_sphere import (GuichardNet, LieFrame, OmegaNet, PrincipalNet,
                          associates, calapso_legendre, check_guichard,
                          check_omega, classify_special, darboux_legendre,
@@ -39,8 +39,7 @@ from .lie_sphere import (GuichardNet, LieFrame, OmegaNet, PrincipalNet,
                          standard_lie_frame)
 from .netfile import NetFile, run_checks
 from .osystem import ParallelFamily, check_combescure, check_osystem, dual_family
-from .pseudo_euclidean import (Bivector, Frame, Signature, bivector_action,
-                               conic_cross_ratio, euclidean_lift, gamma_lambda,
-                               isotropic_exp, stereo_lift, stereo_project)
+from .pseudo_euclidean import (Frame, Signature, conic_cross_ratio, euclidean_lift,
+                               gamma_lambda, stereo_lift, stereo_project)
 
 __version__ = "0.1.0"

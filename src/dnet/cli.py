@@ -108,6 +108,8 @@ def cmd_generate(args) -> int:
     from . import lie_sphere as lie
 
     dims = _parse_dims(args.dims)
+    if args.kind == "guichard" and dims == (1, 1):
+        raise FormatError(f"bad dims {args.dims!r}; gen guichard needs a grid with an edge")
     if args.kind in ("isothermic", "darboux-pair"):
         _, sig, frame = _parse_signature("4,2" if args.signature is None else args.signature)
     elif args.signature is not None and _parse_signature(args.signature)[0] != (4, 2):
@@ -226,6 +228,8 @@ def cmd_transform(args) -> int:
         frame = nf.the_frame() or net.signature.standard_frame()
         if args.op == "darboux":
             m = _parse_number("--m", args.m)
+            if net.grid.stacked:
+                raise FormatError("darboux needs one net; the file holds a stacked pair")
             meta["m"] = "inf" if np.isinf(m) else m
             hat = iso.darboux_transform(net, m, rng=rng)
             out = NetFile.from_isothermic(iso.stack_pair(net, hat), nf.frame, meta)
@@ -246,6 +250,8 @@ def cmd_transform(args) -> int:
         om = nf.omega_net()
         if om is None:
             raise FormatError(f"{args.op} needs omega fields and a Lie frame")
+        if not om.grid.nedges:
+            raise FormatError(f"{args.op} needs a grid with an edge")
         if args.op == "dual":
             duo = lie.dual_legendre(om)
             pn = duo.principal()

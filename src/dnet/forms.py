@@ -22,7 +22,7 @@ chained product helper is offered; parenthesize explicitly.
 
 Bivector-valued forms (values in Lambda^2 R^d) store their coefficients
 in the lexicographic basis ``e_a ^ e_b``, ``a < b``; see
-:func:`lam2_pairs`, :func:`pack_bivector`, :func:`unpack_bivector`.
+:func:`lam2_pairs` and :func:`unpack_bivector`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ if TYPE_CHECKING:          # annotations only: forms imports no dnet module
 __all__ = [
     "Form0", "Form1", "Form2", "BilinearRule",
     "exterior_derivative", "wedge", "curly_wedge", "mixed_area",
-    "lam2_dim", "lam2_pairs", "pack_bivector", "unpack_bivector", "wedge_vec",
+    "lam2_dim", "lam2_pairs", "unpack_bivector", "wedge_vec",
 ]
 
 
@@ -56,14 +56,6 @@ def lam2_pairs(d: int):
     a.setflags(write=False)
     b.setflags(write=False)
     return a, b
-
-
-def pack_bivector(matrix: np.ndarray) -> np.ndarray:
-    """Lexicographic coefficients of an antisymmetric matrix (batched)."""
-    matrix = np.asarray(matrix, float)
-    d = matrix.shape[-1]
-    a, b = lam2_pairs(d)
-    return matrix[..., a, b]
 
 
 def unpack_bivector(packed: np.ndarray, d: int) -> np.ndarray:
@@ -90,30 +82,15 @@ class BilinearRule:
     """A bilinear map B: R^dl x R^dr -> R^do used to multiply form values.
 
     ``fn`` must accept two arrays of shape (n, dl), (n, dr) and return
-    (n, do).  The symmetry tag (``"symmetric"``, ``"antisymmetric"`` or
-    None) is probed on random inputs at construction time.
+    (n, do).
     """
 
-    def __init__(self, fn, dim_left, dim_right, dim_out, symmetry=None,
-                 name="custom"):
-        if symmetry not in (None, "symmetric", "antisymmetric"):
-            raise ValueError(f"unknown symmetry tag {symmetry!r}")
-        if symmetry is not None and dim_left != dim_right:
-            raise ValueError("a symmetry tag requires equal value dimensions")
+    def __init__(self, fn, dim_left, dim_right, dim_out, name="custom"):
         self.fn = fn
         self.dim_left = int(dim_left)
         self.dim_right = int(dim_right)
         self.dim_out = int(dim_out)
-        self.symmetry = symmetry
         self.name = name
-        if symmetry is not None:
-            rng = np.random.default_rng(20240902)
-            u = rng.standard_normal((8, dim_left))
-            v = rng.standard_normal((8, dim_right))
-            uv, vu = self(u, v), self(v, u)
-            flip = 1.0 if symmetry == "symmetric" else -1.0
-            if not np.allclose(uv, flip * vu, atol=1e-12 * max(1.0, np.abs(uv).max())):
-                raise ValueError(f"rule {name!r} does not match its symmetry tag")
 
     def __call__(self, u, v):
         u = np.atleast_2d(np.asarray(u, float))
@@ -126,7 +103,7 @@ class BilinearRule:
 
     @classmethod
     def scalar(cls):
-        return cls(lambda u, v: u * v, 1, 1, 1, "symmetric", name="scalar")
+        return cls(lambda u, v: u * v, 1, 1, 1, name="scalar")
 
     @classmethod
     def dot(cls, dim: int, signs=None):
@@ -138,13 +115,12 @@ class BilinearRule:
         def fn(u, v):
             return np.sum(u * signs * v, axis=1, keepdims=True)
 
-        return cls(fn, dim, dim, 1, "symmetric", name="dot")
+        return cls(fn, dim, dim, 1, name="dot")
 
     @classmethod
     def wedge_product(cls, dim: int):
         """Exterior product R^d x R^d -> Lambda^2 R^d (packed)."""
-        return cls(wedge_vec, dim, dim, lam2_dim(dim), "antisymmetric",
-                   name="wedge")
+        return cls(wedge_vec, dim, dim, lam2_dim(dim), name="wedge")
 
 
 # -- forms -------------------------------------------------------------
@@ -171,11 +147,6 @@ class _FormBase:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def norm(self) -> float:
-        if self.values.size == 0:
-            return 0.0
-        return float(np.linalg.norm(self.values, axis=1).max())
-
     def __repr__(self):
         return (f"{type(self).__name__}(dim={self.dim}, "
                 f"carrier={len(self.values)} {self.carrier}s)")
@@ -184,9 +155,6 @@ class _FormBase:
 class Form0(_FormBase):
     degree = 0
     carrier = "vertex"
-
-    def at(self, vertex: int) -> np.ndarray:
-        return self.values[vertex]
 
 
 class Form1(_FormBase):

@@ -24,30 +24,11 @@ so instances can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClosednessError, FlatnessError
 from .residuals import floor, rel, worst
-
-
-@dataclass(frozen=True)
-class OrientedEdge:
-    """Oriented edge from ``tail`` to ``head`` along ``axis``.
-
-    ``index`` is the canonical storage slot; ``sign`` is +1 when the
-    orientation agrees with the stored (canonical) one.
-    """
-
-    tail: int
-    head: int
-    axis: int
-    index: int
-    sign: int = 1
-
-    def reversed(self) -> "OrientedEdge":
-        return OrientedEdge(self.head, self.tail, self.axis, self.index, -self.sign)
 
 
 class Grid:
@@ -131,38 +112,8 @@ class Grid:
         tag = ", stacked" if self.stacked else ""
         return f"Grid({list(self.dims)}{tag})"
 
-    def vertex_index(self, coords) -> int:
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.ndim:
-            raise ValueError("coordinate length mismatch")
-        for c, d in zip(coords, self.dims):
-            if not 0 <= c < d:
-                raise ValueError(f"vertex {coords} outside dims {self.dims}")
-        return int(np.dot(coords, self.strides))
-
     def coords(self, vertex: int):
         return tuple(int(c) for c in self.vertex_coords[vertex])
-
-    def _slot(self, tail, axis) -> int:
-        """Slot of edge ``(tail, axis)``; KeyError ``(tail, axis)`` if absent."""
-        slot = (self.edge_slots[tail, axis]
-                if 0 <= tail < self.nverts and 0 <= axis < self.ndim else -1)
-        if slot < 0:
-            raise KeyError((tail, axis))
-        return int(slot)
-
-    def edge_slot(self, tail: int, axis: int) -> int:
-        return self._slot(int(tail), int(axis))
-
-    def oriented_edge(self, tail: int, head: int) -> OrientedEdge:
-        """The oriented edge from ``tail`` to ``head`` (must be adjacent)."""
-        diff = head - tail
-        for a in range(self.ndim):
-            if diff == self.strides[a]:
-                return OrientedEdge(tail, head, a, self._slot(tail, a), 1)
-            if diff == -self.strides[a]:
-                return OrientedEdge(tail, head, a, self._slot(head, a), -1)
-        raise ValueError(f"vertices {tail}, {head} are not adjacent")
 
     def locate_edge(self, e: int) -> dict:
         return {

@@ -86,15 +86,8 @@ class IsothermicNet:
         for arr in (self.edge_ip, self.is_infinite, self.labels, self.eta):
             arr.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.signature.dim
-
     def finite_labels(self) -> np.ndarray:
         return self.labels[~self.is_infinite]
-
-    def lines(self) -> np.ndarray:
-        return self.mu / np.linalg.norm(self.mu, axis=1, keepdims=True)
 
     def validate(self, margin: float = 1e-6) -> dict:
         """Residuals of the full isothermic invariant suite.
@@ -766,11 +759,10 @@ def quad_cross_ratio_residual(net: IsothermicNet, rng=None) -> float:
     out = 0.0
     for n in range(g.nquads):
         i, j, k, l = (int(v) for v in g.quad_vertices[n])
-        e_ij = g.oriented_edge(i, j)
-        e_jk = g.oriented_edge(j, k)
-        if net.is_infinite[e_ij.index] or net.is_infinite[e_jk.index]:
+        e_ij, e_jk = g.quad_edges[n, :2]          # bottom i -> j, right j -> k
+        if net.is_infinite[e_ij] or net.is_infinite[e_jk]:
             continue
-        expected = float(net.labels[e_jk.index] / net.labels[e_ij.index])
+        expected = float(net.labels[e_jk] / net.labels[e_ij])
         cr = conic_cross_ratio(net.mu[[i, j, k, l]], net.signature, rng=rng)
         out = max(out, rel(abs(cr - expected), abs(expected)))
     return out

@@ -31,7 +31,7 @@ from .residuals import cos_angle, floor, rel, sin_angle, worst
 __all__ = [
     "ProjectiveNet", "LineCongruence", "ExtractedPair",
     "random_moutard_net", "moutard_lift_from_eta", "koenigs_dual",
-    "km_pair_check", "g_map", "g_map_inverse", "extract_pair",
+    "km_pair_check", "extract_pair",
     "christoffel_ratio", "pluecker_residual",
 ]
 
@@ -77,7 +77,7 @@ def _span_of_bivector(C: np.ndarray):
     batched over leading axes.
 
     Returns the bases and the ``(mask, message)`` degeneracies, in the
-    order they are tested; see :func:`_raise_first`.
+    order they are tested; see :func:`_first_failure`.
     """
     U, sv, _ = np.linalg.svd(C)
     failures = [
@@ -111,13 +111,6 @@ def _first_failure(failures):
     return k, next(n for n, (mask, _) in enumerate(failures) if mask[k])
 
 
-def _raise_first(failures) -> None:
-    """Raise the first degeneracy of an unbatched helper result."""
-    for mask, message in failures:
-        if mask:
-            raise DegeneracyError(message)
-
-
 # -- nets ---------------------------------------------------------------
 
 @dataclass
@@ -141,10 +134,6 @@ class ProjectiveNet:
     @property
     def dim(self) -> int:
         return self.lifts.shape[1]
-
-    def eta_on(self, tail: int, head: int) -> np.ndarray:
-        e = self.grid.oriented_edge(tail, head)
-        return e.sign * self.eta[e.index]
 
 
 def random_moutard_net(grid: Grid, dim: int, rng):
@@ -340,21 +329,10 @@ class LineCongruence:
     def dim(self) -> int:
         return self.sigma1.shape[1]
 
-    def plane_basis(self, v: int) -> np.ndarray:
-        """Orthonormal (Euclidean) basis of f_v, shape (d, 2)."""
-        M = np.stack([self.sigma1[v], self.sigma2[v]], axis=1)
-        Q, _ = np.linalg.qr(M)
-        return Q
-
-    def eta_on(self, tail: int, head: int) -> np.ndarray:
-        e = self.grid.oriented_edge(tail, head)
-        return e.sign * self.eta[e.index]
-
     def _edge_spans(self, edges):
         """Stacked svd of the ``(d, 4)`` spans of ``f_tail + f_head`` on
-        ``edges`` and the intersection lines ``s_ij``, with the
-        degeneracies of :meth:`intersection_line` in the order it tests
-        them."""
+        ``edges`` and the intersection lines ``s_ij = f_i cap f_j``, with
+        their degeneracies in the order they are tested."""
         g = self.grid
         t, h = g.edge_tail[edges], g.edge_head[edges]
         # rows, transposed per edge: the memory layout a single edge's
@@ -375,13 +353,6 @@ class LineCongruence:
             k, n = first
             raise DegeneracyError(failures[n][1],
                                   where=self.grid.locate_edge(int(edges[k])))
-
-    def intersection_line(self, e: int) -> np.ndarray:
-        """Representative of ``s_ij = f_i cap f_j`` on canonical edge e."""
-        edges = np.array([e])
-        _, _, s, failures = self._edge_spans(edges)
-        self._raise_first_edge(edges, failures)
-        return s[0]
 
     def validate(self) -> dict:
         """Applicability and regularity residuals.
@@ -429,26 +400,17 @@ class LineCongruence:
 
 # -- the edge maps g_ij and pair extraction ------------------------------
 
-def g_map(cong: LineCongruence, from_v: int, to_v: int, point) -> np.ndarray:
-    """The projective-line isomorphism ``g`` on one edge.
+def _g_maps(cong: LineCongruence, eta_val, from_v, to_v, points):
+    """The projective-line isomorphisms ``g`` on a batch of edges.
 
-    ``point = (t, r)`` are homogeneous coordinates in
+    ``points = (t, r)`` are homogeneous coordinates in
     ``P(Lambda^2 f_from + R)`` with respect to the generator
     ``sigma1 ^ sigma2`` at ``from_v``; the image is the line
-    ``< r eta + tau > cap P(f_to)`` returned as coordinates in the
-    spanning lifts at ``to_v``.  ``eta`` is taken on the edge oriented
-    from ``to_v`` to ``from_v``, matching ``g_ij([tau_j, r])``.
-    """
-    coords, failures = _g_maps(cong, cong.eta_on(to_v, from_v)[None], np.array([from_v]),
-                               np.array([to_v]), np.asarray(point, float)[None])
-    _raise_g_map(failures)
-    return coords[0]
-
-
-def _g_maps(cong: LineCongruence, eta_val, from_v, to_v, points):
-    """:func:`g_map` on a batch of edges, with ``eta_val`` on each edge
-    oriented ``to_v -> from_v``: the coordinates and the ``(mask,
-    message)`` degeneracies in the order :func:`_raise_g_map` tests them."""
+    ``< r eta + tau > cap P(f_to)`` as coordinates in the spanning lifts
+    at ``to_v``.  ``eta_val`` is eta on each edge oriented
+    ``to_v -> from_v``, matching ``g_ij([tau_j, r])``.  Returns the
+    coordinates and the ``(mask, message)`` degeneracies in the order
+    :func:`_raise_g_map` tests them."""
     t_coef, r_coef = points[:, :1], points[:, 1:]
     W = r_coef * eta_val + t_coef * wedge_vec(cong.sigma1[from_v], cong.sigma2[from_v])
     span, failures = _span_of_bivector(unpack_bivector(W, cong.dim))
@@ -466,16 +428,10 @@ def _raise_g_map(failures) -> None:
         raise (ValueError if first[1] == 0 else DegeneracyError)(failures[first[1]][1])
 
 
-def g_map_inverse(cong: LineCongruence, from_v: int, to_v: int,
-                  line_coords) -> np.ndarray:
-    """Inverse edge map: line in ``f_from`` to ``(t, r)`` at ``to_v``."""
-    return _g_map_inverses(cong, cong.eta_on(from_v, to_v)[None], np.array([from_v]),
-                           np.array([to_v]), np.asarray(line_coords, float)[None])[0]
-
-
 def _g_map_inverses(cong: LineCongruence, eta_val, from_v, to_v, points):
-    """:func:`g_map_inverse` on a batch of edges, with ``eta_val`` on each
-    edge oriented ``from_v -> to_v``."""
+    """The inverse edge maps on a batch of edges: a line in ``f_from`` to
+    ``(t, r)`` at ``to_v``, with ``eta_val`` on each edge oriented
+    ``from_v -> to_v``."""
     v = points[:, :1] * cong.sigma1[from_v] + points[:, 1:] * cong.sigma2[from_v]
     col_r = _trivector(unpack_bivector(eta_val, cong.dim), v)
     lam2 = wedge_vec(cong.sigma1[to_v], cong.sigma2[to_v])
@@ -493,8 +449,8 @@ def _colors(grid: Grid) -> np.ndarray:
 def _parallel_section(cong: LineCongruence, colors, bundle_black: bool,
                       base: int, seed2: np.ndarray) -> np.ndarray:
     """Transport a fiber point over the whole grid along the staircase,
-    one level at a time: :func:`g_map` onto the vertices whose color
-    carries the line, :func:`g_map_inverse` onto the others."""
+    one level at a time: :func:`_g_maps` onto the vertices whose color
+    carries the line, :func:`_g_map_inverses` onto the others."""
     g = cong.grid
     onto_line = colors == (0 if bundle_black else 1)
     out = np.zeros((g.nverts, 2))
@@ -515,19 +471,26 @@ def _parallel_section(cong: LineCongruence, colors, bundle_black: bool,
 
 def quad_holonomy_residual(cong: LineCongruence, bundle_black: bool,
                            quad: int, points) -> float:
-    """Projective distance after transporting fiber points around a quad."""
+    """Projective distance after transporting fiber points around a quad,
+    every point at once, with the edge maps of :func:`_parallel_section`."""
     g = cong.grid
     onto_line = _colors(g) == (0 if bundle_black else 1)
-    i, j, k, l = (int(v) for v in g.quad_vertices[quad])
-    res = 0.0
-    for p in points:
-        val = np.asarray(p, float)
-        out = val
-        for a, b in ((i, j), (j, k), (k, l), (l, i)):
-            out = (g_map if onto_line[b] else g_map_inverse)(cong, a, b, out)
-        num = abs(val[0] * out[1] - val[1] * out[0])
-        res = max(res, float(rel(num, np.linalg.norm(val) * np.linalg.norm(out))))
-    return res
+    cycle = g.quad_vertices[quad]
+    # i -> j -> k -> l -> i runs along the bottom and right edges and
+    # against the top and left ones
+    eta = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * cong.eta[g.quad_edges[quad]]
+    val = np.asarray(points, float)
+    out, n = val, len(val)
+    for step in range(4):
+        a, b = np.full(n, cycle[step]), np.full(n, cycle[(step + 1) % 4])
+        if onto_line[b[0]]:
+            out, failures = _g_maps(cong, np.tile(-eta[step], (n, 1)), a, b, out)
+            _raise_g_map(failures)
+        else:
+            out = _g_map_inverses(cong, np.tile(eta[step], (n, 1)), a, b, out)
+    num = np.abs(val[:, 0] * out[:, 1] - val[:, 1] * out[:, 0])
+    return float(rel(num, np.linalg.norm(val, axis=1) * np.linalg.norm(out, axis=1)).max(
+        initial=0.0))
 
 
 @dataclass

@@ -430,6 +430,8 @@ def _residuals(nf: NetFile):
     if omega is None or omega.mu_plus is None or omega.mu_minus is None:
         yield "omega", ("incomplete omega fields or frame" if "mu_plus" in vf
                         else "no congruence fields")
+    elif not omega.grid.nedges:
+        yield "omega", "no edges"
     else:
         v = omega.validate()
         a = lie.associates(omega)

@@ -194,8 +194,7 @@ def check_osystem(fam: ParallelFamily, metric) -> dict:
         ja, jb = np.triu_indices(N, k=1)
         return np.concatenate([amb[:, ia, ib], wpart[:, ja, jb]], axis=1)
 
-    rule = BilinearRule(bracket, d * N, d * N,
-                        lam2_dim(d) + lam2_dim(N), "antisymmetric",
+    rule = BilinearRule(bracket, d * N, d * N, lam2_dim(d) + lam2_dim(N),
                         name="direct-sum bracket")
     dphi = exterior_derivative(phi_flat)
     full = wedge(dphi, dphi, rule).values

@@ -9,7 +9,8 @@ The identification of Lambda^2 R^{p,q} with the orthogonal Lie algebra is
 and every orthogonal edge transport used in this package is either the
 eigen-map ``gamma_lambda`` (scale ``lam`` on one null line, ``1/lam`` on
 another, identity on their orthocomplement) or the exponential of an
-isotropic bivector, which truncates exactly at first order.
+isotropic bivector, which truncates exactly at first order: ``I + t B``
+in :func:`dnet.isothermic.flat_connection`.
 """
 
 from __future__ import annotations
@@ -19,20 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, PointAtInfinityError
-from .forms import lam2_pairs, pack_bivector, unpack_bivector
-from .residuals import floor, rel
+from .forms import lam2_pairs
+from .residuals import floor
 
 __all__ = [
-    "Signature", "Frame", "Bivector",
-    "bivector_action", "action_matrix", "isotropic_exp", "gamma_lambda",
+    "Signature", "Frame", "action_matrix", "gamma_lambda",
     "stereo_lift", "stereo_project", "euclidean_lift", "renull",
-    "line_normalize", "line_distance", "orthogonality_residual",
-    "projective_cross_ratio", "conic_cross_ratio",
+    "line_distance", "projective_cross_ratio", "conic_cross_ratio",
 ]
 
 # Relative tolerance of the nullity, isotropy and orthogonality tests.
 _TOL = 1e-10
-# Tolerance of the defining identities of a frame and of a bivector.
+# Tolerance of the defining identities of a frame.
 _IDENTITY_TOL = 1e-12
 
 
@@ -138,96 +137,10 @@ class Frame:
 
 # -- bivectors ---------------------------------------------------------
 
-def _as_matrix(biv, d: int) -> np.ndarray:
-    if isinstance(biv, Bivector):
-        return biv.matrix
-    biv = np.asarray(biv, float)
-    if biv.ndim >= 2 and biv.shape[-1] == biv.shape[-2] == d:
-        return biv
-    return unpack_bivector(biv, d)
-
-
-class Bivector:
-    """Antisymmetric coefficient array acting as an infinitesimal
-    orthogonal map through ``(x ^ y)(z) = (x,z) y - (y,z) x``."""
-
-    def __init__(self, matrix, signature: Signature):
-        matrix = np.asarray(matrix, float)
-        if matrix.shape != (signature.dim, signature.dim):
-            raise ValueError("bivector matrix has wrong shape")
-        if np.abs(matrix + matrix.T).max() > _IDENTITY_TOL * floor(np.abs(matrix).max()):
-            raise ValueError("bivector coefficients must be antisymmetric")
-        self.matrix = matrix
-        self.signature = signature
-
-    @classmethod
-    def from_pair(cls, x, y, signature: Signature) -> "Bivector":
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        return cls(np.outer(x, y) - np.outer(y, x), signature)
-
-    @property
-    def packed(self) -> np.ndarray:
-        return pack_bivector(self.matrix)
-
-    def action(self) -> np.ndarray:
-        return action_matrix(self.matrix, self.signature)
-
-    def act(self, z) -> np.ndarray:
-        return bivector_action(self.matrix, z, self.signature)
-
-    def orthogonality_residual(self) -> float:
-        """Max |(Bv, w) + (v, Bw)| over 8 random probes, relative."""
-        rng = np.random.default_rng(7)
-        d = self.signature.dim
-        v = rng.standard_normal((8, d))
-        w = rng.standard_normal((8, d))
-        ip = self.signature.inner
-        res = ip(self.act(v), w) + ip(v, self.act(w))
-        return rel(float(np.abs(res).max()), np.abs(self.matrix).max())
-
-
 def action_matrix(matrix: np.ndarray, signature: Signature) -> np.ndarray:
     """Matrix of the action of a bivector coefficient array (batched)."""
     matrix = np.asarray(matrix, float)
     return -matrix * signature.signs
-
-
-def bivector_action(biv, z, signature: Signature) -> np.ndarray:
-    """Apply a bivector (matrix or packed, batched) to vectors ``z``."""
-    z = np.asarray(z, float)
-    mat = _as_matrix(biv, signature.dim)
-    act = action_matrix(mat, signature)
-    return np.einsum("...ab,...b->...a", act, z)
-
-
-def orthogonality_residual(M: np.ndarray, signature: Signature) -> float:
-    """Max |(Mv, Mw) - (v, w)| over 8 random unit probes."""
-    rng = np.random.default_rng(11)
-    d = signature.dim
-    v = rng.standard_normal((8, d))
-    w = rng.standard_normal((8, d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    ip = signature.inner
-    res = ip(v @ M.T, w @ M.T) - ip(v, w)
-    return float(np.abs(res).max())
-
-
-def isotropic_exp(biv, t: float, signature: Signature) -> np.ndarray:
-    """``exp(t B)`` for an isotropic bivector: exactly ``I + t B``.
-
-    ``B = mu' ^ mu`` with both vectors null and mutually orthogonal has
-    ``B . B = 0``; this is checked through the nilpotency of the action
-    and a :class:`DegeneracyError` is raised otherwise (the general
-    matrix exponential is out of scope).
-    """
-    mat = _as_matrix(biv, signature.dim)
-    act = action_matrix(mat, signature)
-    scale = floor(np.abs(act).max())
-    if np.abs(act @ act).max() > _TOL * scale * scale * signature.dim:
-        raise DegeneracyError("bivector is not isotropic: exp does not truncate")
-    return np.eye(signature.dim) + t * act
 
 
 def gamma_lambda(s_i, s_j, lam, signature: Signature) -> np.ndarray:
@@ -310,19 +223,6 @@ def renull(v, frame: Frame) -> np.ndarray:
 
 # -- projective helpers ------------------------------------------------
 
-def line_normalize(v: np.ndarray) -> np.ndarray:
-    """Unit Euclidean representative with first nonzero coordinate positive."""
-    v = np.asarray(v, float)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("zero vector does not span a line")
-    v = v / n
-    nz = np.nonzero(np.abs(v) > 1e-14)[0]
-    if len(nz) and v[nz[0]] < 0:
-        v = -v
-    return v
-
-
 def line_distance(u, v) -> float:
     """``|sin angle|`` between the lines spanned by u and v."""
     u = np.asarray(u, float)
@@ -339,18 +239,6 @@ def standard_chart_indices(signature: Signature):
     """Coordinate slots of span{o, q}^perp for the standard frame."""
     d = signature.dim
     return [a for a in range(d) if a not in (signature.p - 1, d - 1)]
-
-
-def plane_distance(span1, span2) -> float:
-    """Sine of the largest principal angle between two 2-planes, given
-    as pairs of spanning vectors.  Computed through the projection
-    residual, which stays accurate near zero."""
-    M1 = np.stack(span1, axis=1)
-    M2 = np.stack(span2, axis=1)
-    Q1 = np.linalg.qr(M1)[0]
-    Q2 = np.linalg.qr(M2)[0]
-    R = Q2 - Q1 @ (Q1.T @ Q2)
-    return float(np.linalg.norm(R, 2))
 
 
 def projective_cross_ratio(p1, p2, p3, p4) -> float:

@@ -28,15 +28,15 @@ def moutard_evolve_mu(grid, sig, line0, line1, frame=None):
     d0, d1 = grid.dims
     mu = np.zeros((grid.nverts, sig.dim))
     for a in range(d0):
-        mu[grid.vertex_index((a, 0))] = line0[a]
+        mu[np.ravel_multi_index((a, 0), grid.dims)] = line0[a]
     for b in range(d1):
-        mu[grid.vertex_index((0, b))] = line1[b]
+        mu[np.ravel_multi_index((0, b), grid.dims)] = line1[b]
     for a in range(1, d0):
         for b in range(1, d1):
-            vi = grid.vertex_index((a - 1, b - 1))
-            vj = grid.vertex_index((a, b - 1))
-            vl = grid.vertex_index((a - 1, b))
-            vk = grid.vertex_index((a, b))
+            vi = np.ravel_multi_index((a - 1, b - 1), grid.dims)
+            vj = np.ravel_multi_index((a, b - 1), grid.dims)
+            vl = np.ravel_multi_index((a - 1, b), grid.dims)
+            vk = np.ravel_multi_index((a, b), grid.dims)
             new = evolve_quad(sig, mu[vi], mu[vj], mu[vl],
                               {"kind": "quad", "corner": (a - 1, b - 1)})
             mu[vk] = renull(new, frame) if frame is not None else new

@@ -13,6 +13,7 @@ from dnet.forms import unpack_bivector, wedge_vec
 from dnet.grid import Grid
 from dnet.isothermic import IsothermicNet, flat_connection
 from dnet.pseudo_euclidean import Signature, action_matrix, line_distance, stereo_lift
+from generator_reference import intersection_line
 
 
 def circularity(points, quad_vertices):
@@ -105,7 +106,7 @@ def sphere_points(dims, radius, center, theta_range=(0.6, 2.1), phi_range=(0.4, 
             th, ph = thetas[a], phis[b]
             pnt = radius * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                                      np.cos(th)])
-            x[g.vertex_index((a, b))] = np.asarray(center, float) + pnt
+            x[np.ravel_multi_index((a, b), g.dims)] = np.asarray(center, float) + pnt
     return x
 
 
@@ -128,7 +129,7 @@ def section_to_net(cong, colors, xb, xw, margin):
         tau[v] = (t_coef / r_coef) * wedge_vec(cong.sigma1[v], cong.sigma2[v])
     worst = np.inf
     for e in range(g.nedges):
-        s_line = cong.intersection_line(e)
+        s_line = intersection_line(cong, e)
         for v in (int(g.edge_tail[e]), int(g.edge_head[e])):
             worst = min(worst, line_distance(lifts[v], s_line))
     return lifts, tau, worst

@@ -5,19 +5,19 @@ These are the formulas the library used before they were written as
 array code: the codec encodes and decodes one value at a time, the
 grid looks up each quad's boundary edges in a ``(tail, axis) -> slot``
 dict, and the labels factor the applicability form one edge at a time
-with the unbatched plane helpers that ``koenigs.g_map`` also used.
-The equivalence tests in ``test_codec.py`` compare the library against
-them.
+with unbatched plane helpers.  The equivalence tests in ``test_codec.py``
+compare the library against them.  The other tests take their oriented
+edges, plane bases and first-degeneracy raise from here.
 """
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from dnet.errors import DegeneracyError
 from dnet.forms import lam2_pairs, unpack_bivector, wedge_vec
-from dnet.grid import OrientedEdge
 from dnet.lie_sphere import OmegaNet
 
 
@@ -87,8 +87,16 @@ def quad_edges(grid) -> np.ndarray:
     return out
 
 
-def edge_slot(grid, tail, axis) -> int:
-    return edge_slot_dict(grid)[(int(tail), int(axis))]
+class OrientedEdge(NamedTuple):
+    """Oriented edge from ``tail`` to ``head`` along ``axis``: ``index``
+    is the canonical storage slot, ``sign`` +1 when the orientation is
+    the canonical one."""
+
+    tail: int
+    head: int
+    axis: int
+    index: int
+    sign: int
 
 
 def oriented_edge(grid, tail, head) -> OrientedEdge:
@@ -103,6 +111,19 @@ def oriented_edge(grid, tail, head) -> OrientedEdge:
 
 
 # -- Omega-net edge labels ------------------------------------------------
+
+def plane_basis(cong, v):
+    """Orthonormal (Euclidean) basis of the congruence plane f_v, (d, 2)."""
+    return np.linalg.qr(np.stack([cong.sigma1[v], cong.sigma2[v]], axis=1))[0]
+
+
+def raise_first(failures):
+    """Raise the first degeneracy of a batched plane helper's result on
+    one element."""
+    for mask, message in failures:
+        if mask:
+            raise DegeneracyError(message)
+
 
 def span_of_bivector(C, tol=1e-8):
     """Orthonormal basis of the 2-plane of a decomposable bivector."""
@@ -141,8 +162,8 @@ def omega_edge_labels(omega_or_cong, signature=None, tol=1e-8) -> np.ndarray:
         tl, hd = int(g.edge_tail[e]), int(g.edge_head[e])
         try:
             span = span_of_bivector(unpack_bivector(cong.eta[e], cong.dim))
-            s_t = plane_intersection(span, cong.plane_basis(tl))
-            s_h = plane_intersection(span, cong.plane_basis(hd))
+            s_t = plane_intersection(span, plane_basis(cong, tl))
+            s_h = plane_intersection(span, plane_basis(cong, hd))
         except DegeneracyError as err:
             err.where = g.locate_edge(e)
             raise

@@ -26,7 +26,8 @@ from dnet.lie_sphere import (associates, classify_special, darboux_legendre,
                              omega_from_darboux_pair)
 from dnet.netfile import NetFile
 from dnet.osystem import ParallelFamily, check_osystem
-from dnet.pseudo_euclidean import Signature, line_distance, plane_distance
+from dnet.pseudo_euclidean import Signature, line_distance
+from tests.pseudo_reference import plane_distance
 
 SIG41 = Signature(4, 1)
 SIG42 = Signature(4, 2)

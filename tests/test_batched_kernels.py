@@ -58,7 +58,7 @@ def test_kernels_match_reference_with_isotropic_edges():
 def test_validate_propagates_nan():
     grid, sig, frame, line0, line1 = _cauchy((6, 6), (4, 2), seed=4)
     mu = np.array(moutard_evolve(grid, sig, line0, line1, frame=frame).mu)
-    mu[grid.vertex_index((3, 2))] = np.nan
+    mu[np.ravel_multi_index((3, 2), grid.dims)] = np.nan
     rep = IsothermicNet(grid, sig, mu).validate()
     for key in RESIDUALS:
         assert np.isnan(rep[key]), key

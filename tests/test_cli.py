@@ -344,6 +344,15 @@ EXIT_CODES = [
     (["gen", "darboux-pair", "--dims", "4x4", "--seed", "1", "--signature", "4,1",
       "--param", "m=inf", "-o", "{out}"], 3),
     (["transform", "darboux", "-i", "{net41}", "--m", "inf", "-o", "{out}"], 3),
+    # a stacked Darboux pair is not one net to transform
+    (["transform", "darboux", "-i", "{pair}", "--m", "2", "-o", "{out}"], 2),
+    # a 1x1 grid has no edge: no Guichard net to build; the Omega-net file
+    # of one vertex verifies with the omega group skipped, and fails with
+    # no check run, and it has no dual or associates
+    (["gen", "guichard", "--dims", "1x1", "-o", "{out}"], 2),
+    (["verify", "-i", "{edgeless}"], 1),
+    (["transform", "dual", "-i", "{edgeless}", "-o", "{out}"], 2),
+    (["transform", "associates", "-i", "{edgeless}", "-o", "{out}"], 2),
 ]
 
 
@@ -357,13 +366,19 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     bare.write_text(json.dumps({"format": "dnet-net/1", "signature": [4, 2],
                                 "dims": [3, 3]}))
     names = {"net": net, "bare": bare, "out": tmp_path / "out.json",
-             "missing": tmp_path / "missing.json", "net41": tmp_path / "net41.json"}
+             "missing": tmp_path / "missing.json", "net41": tmp_path / "net41.json",
+             "pair": tmp_path / "pair.json", "edgeless": tmp_path / "edgeless.json"}
     if "{net41}" in argv:
         assert run("gen", "isothermic", "--dims", "4x4", "--seed", 2, "--signature", "4,1",
                    "-o", names["net41"]) == 0
+    if "{pair}" in argv:
+        assert run("gen", "darboux-pair", "--dims", "6x6", "--seed", 1,
+                   "-o", names["pair"]) == 0
+    if "{edgeless}" in argv:
+        assert run("gen", "omega", "--dims", "1x1", "--seed", 1, "-o", names["edgeless"]) == 0
     capsys.readouterr()
     assert run(*(a.format(**names) for a in argv)) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     if code == 2:
         assert len(err.splitlines()) == 1 and err.startswith("usage error: "), err
     elif code == 3 and ("m=inf" in argv or "inf" in argv):
@@ -372,6 +387,8 @@ def test_exit_codes(tmp_path, capsys, argv, code):
                        "proportional to it\n"), err
     elif code == 0:
         assert err == ""
+    elif "{edgeless}" in argv:
+        assert "omega.*" in out and "SKIP  [no edges]" in out and err == "", out
 
 
 @pytest.mark.parametrize("dims", ["1x5", "5x1"])

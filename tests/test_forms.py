@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnet import osystem
 from dnet.forms import (BilinearRule, Form0, Form1, curly_wedge,
                         exterior_derivative as d, lam2_dim, mixed_area,
-                        pack_bivector, unpack_bivector, wedge, wedge_vec)
+                        unpack_bivector, wedge, wedge_vec)
 from dnet.grid import Grid
+from dnet.osystem import ParallelFamily, check_osystem
+from dnet.pseudo_euclidean import Signature
+from tests.netfile_reference import oriented_edge
 
 
 def quad_d_oracle(grid, f):
@@ -44,8 +48,8 @@ def test_orientation_sign_rule_is_exact():
     g = Grid([3, 3])
     rng = np.random.default_rng(4)
     a = Form1(g, rng.standard_normal((g.nedges, 2)))
-    fwd = g.oriented_edge(int(g.edge_tail[5]), int(g.edge_head[5]))
-    bwd = g.oriented_edge(fwd.head, fwd.tail)
+    fwd = oriented_edge(g, int(g.edge_tail[5]), int(g.edge_head[5]))
+    bwd = oriented_edge(g, fwd.head, fwd.tail)
     assert (fwd.index, fwd.sign, bwd.index, bwd.sign) == (5, 1, 5, -1)
     assert np.array_equal(fwd.sign * a.values[fwd.index], -(bwd.sign * a.values[bwd.index]))
     # d of an integer-valued 1-form on quad 1 is its boundary walk along
@@ -56,7 +60,7 @@ def test_orientation_sign_rule_is_exact():
 
     def walk(cycle):
         return sum(e.sign * a.values[e.index] for e in
-                   (g.oriented_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])))
+                   (oriented_edge(g, u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])))
 
     assert np.array_equal(d(a).values[1], walk([i, j, k, l]))
     assert np.array_equal(walk([i, l, k, j]), -walk([i, j, k, l]))
@@ -114,9 +118,32 @@ def test_graded_commutativity_bitwise(seed, kind):
     assert np.array_equal(ab, sign * ba)
 
 
-def test_symmetry_tag_is_probed():
-    with pytest.raises(ValueError):
-        BilinearRule(lambda u, v: u * v + v, 1, 1, 1, "antisymmetric")
+def test_rules_built_in_src_are_symmetric_or_antisymmetric(monkeypatch):
+    """The products whose graded (anti)commutativity the library uses: the
+    scalar product and the dot are symmetric, the wedge and the O-system
+    bracket of `check_osystem` antisymmetric."""
+    built = []
+
+    class Recorded(BilinearRule):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(osystem, "BilinearRule", Recorded)
+    rng = np.random.default_rng(20240902)
+    g = Grid([3, 3])
+    x = rng.standard_normal((g.nverts, 3))
+    check_osystem(ParallelFamily(g, [x, 2.0 * x], Signature(2, 1)), [[0.0, 1.0], [1.0, 0.0]])
+    (bracket,) = built
+    signs = Signature(4, 2).signs
+    cases = [(BilinearRule.scalar(), 1.0), (BilinearRule.dot(6), 1.0),
+             (BilinearRule.dot(6, signs), 1.0), (BilinearRule.wedge_product(6), -1.0),
+             (bracket, -1.0)]
+    for rule, flip in cases:
+        u = rng.standard_normal((8, rule.dim_left))
+        v = rng.standard_normal((8, rule.dim_right))
+        uv, vu = rule(u, v), rule(v, u)
+        assert np.allclose(uv, flip * vu, atol=1e-12 * max(1.0, np.abs(uv).max())), rule.name
 
 
 def test_dimension_mismatch_rejected():
@@ -210,4 +237,4 @@ def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((5, 5))
     M = M - M.T
-    assert np.array_equal(unpack_bivector(pack_bivector(M), 5), M)
+    assert np.array_equal(unpack_bivector(M[np.triu_indices(5, k=1)], 5), M)

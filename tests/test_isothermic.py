@@ -13,6 +13,7 @@ from dnet.isothermic import (IsothermicNet, bianchi_check, calapso_transform,
                              stack_pair)
 from dnet.koenigs import km_pair_check
 from dnet.pseudo_euclidean import Signature, line_distance
+from tests.netfile_reference import oriented_edge
 
 SIG42 = Signature(4, 2)
 SIG41 = Signature(4, 1)
@@ -90,10 +91,10 @@ def test_fill_order_independence():
     mu = np.array(net.mu)
     for b in range(1, 5):
         for a in range(1, 5):
-            vi = g.vertex_index((a - 1, b - 1))
-            vj = g.vertex_index((a, b - 1))
-            vl = g.vertex_index((a - 1, b))
-            vk = g.vertex_index((a, b))
+            vi = np.ravel_multi_index((a - 1, b - 1), g.dims)
+            vj = np.ravel_multi_index((a, b - 1), g.dims)
+            vl = np.ravel_multi_index((a - 1, b), g.dims)
+            vk = np.ravel_multi_index((a, b), g.dims)
             mu[vk] = evolve_quad(SIG42, mu[vi], mu[vj], mu[vl])
     assert np.abs(mu - net.mu).max() <= 1e-11 * np.abs(net.mu).max()
 
@@ -243,8 +244,8 @@ def test_darboux_vertical_cross_ratio(net42):
         if g.quad_axes[n][0] != 0:
             continue
         i, j, k, l = (int(v) for v in g.quad_vertices[n])
-        e_ij = g.oriented_edge(i, j)
-        e_jk = g.oriented_edge(j, k)
+        e_ij = oriented_edge(g, i, j)
+        e_jk = oriented_edge(g, j, k)
         expected = st.labels[e_jk.index] / st.labels[e_ij.index]
         cr = conic_cross_ratio(st.mu[[i, j, k, l]], SIG42, rng=rng2)
         assert cr == pytest.approx(expected, rel=1e-8)

@@ -5,9 +5,9 @@ from dnet.errors import (ChartError, NotDualError, NotKoenigsError,
                          SeedDegeneracyError)
 from dnet.forms import wedge_vec
 from dnet.grid import Grid
-from dnet.koenigs import (LineCongruence, christoffel_ratio, extract_pair,
-                          g_map, g_map_inverse, km_pair_check, koenigs_dual,
-                          moutard_lift_from_eta, pluecker_residual,
+from dnet.koenigs import (LineCongruence, _g_map_inverses, _g_maps, _raise_g_map,
+                          christoffel_ratio, extract_pair, km_pair_check,
+                          koenigs_dual, moutard_lift_from_eta, pluecker_residual,
                           quad_holonomy_residual, random_moutard_net)
 from dnet.pseudo_euclidean import line_distance, projective_cross_ratio
 
@@ -132,8 +132,8 @@ def test_km_pair_by_grid_shift():
     g = Grid([4, 4])
     # shift by one step along axis 0: mu_minus(a, b) = mu(a + 1, b)
     big = net.grid
-    idx0 = [big.vertex_index((a, b)) for a in range(4) for b in range(4)]
-    idx1 = [big.vertex_index((a + 1, b)) for a in range(4) for b in range(4)]
+    idx0 = [np.ravel_multi_index((a, b), big.dims) for a in range(4) for b in range(4)]
+    idx1 = [np.ravel_multi_index((a + 1, b), big.dims) for a in range(4) for b in range(4)]
     ok, tau, rep = km_pair_check(g, mu[idx0], mu[idx1])
     assert ok, rep
     assert np.abs(tau).max() > 0
@@ -156,36 +156,49 @@ def test_congruence_validates(dual_congruence):
     assert pluecker_residual(cong.eta, 4).max() <= 1e-10
 
 
+def _g(cong, e, points):
+    """The edge map g from the head of canonical edge e to its tail, on
+    each of ``points``."""
+    n, g = len(points), cong.grid
+    out, failures = _g_maps(cong, np.tile(cong.eta[e], (n, 1)), np.full(n, g.edge_head[e]),
+                            np.full(n, g.edge_tail[e]), np.asarray(points, float))
+    _raise_g_map(failures)
+    return out
+
+
+def _g_inverse(cong, e, lines):
+    """The inverse edge map from the tail of canonical edge e to its head."""
+    n, g = len(lines), cong.grid
+    return _g_map_inverses(cong, np.tile(cong.eta[e], (n, 1)), np.full(n, g.edge_tail[e]),
+                           np.full(n, g.edge_head[e]), lines)
+
+
+def _intersection_line(cong, e):
+    return cong._edge_spans(np.array([e]))[2][0]
+
+
 def test_gmap_r_zero_hits_intersection(dual_congruence):
     cong, F, Fd = dual_congruence
-    g = cong.grid
-    e = g.oriented_edge(int(g.edge_tail[3]), int(g.edge_head[3]))
-    out = g_map(cong, e.head, e.tail, (1.0, 0.0))    # [tau, 0] -> s_ij
-    v = out[0] * cong.sigma1[e.tail] + out[1] * cong.sigma2[e.tail]
-    s_line = cong.intersection_line(e.index)
-    assert line_distance(v, s_line) <= 1e-9
+    (out,) = _g(cong, 3, [(1.0, 0.0)])    # [tau, 0] -> s_ij
+    tail = cong.grid.edge_tail[3]
+    v = out[0] * cong.sigma1[tail] + out[1] * cong.sigma2[tail]
+    assert line_distance(v, _intersection_line(cong, 3)) <= 1e-9
 
 
 def test_gmap_inverse_roundtrip(dual_congruence):
     cong, F, Fd = dual_congruence
-    g = cong.grid
-    e = g.oriented_edge(int(g.edge_tail[4]), int(g.edge_head[4]))
     rng = np.random.default_rng(8)
-    for _ in range(5):
-        pt = rng.standard_normal(2)
-        img = g_map(cong, e.head, e.tail, pt)
-        back = g_map_inverse(cong, e.tail, e.head, img)
-        cr = abs(pt[0] * back[1] - pt[1] * back[0])
-        assert cr <= 1e-9 * np.linalg.norm(pt) * np.linalg.norm(back)
+    pts = rng.standard_normal((5, 2))
+    back = _g_inverse(cong, 4, _g(cong, 4, pts))
+    cr = np.abs(pts[:, 0] * back[:, 1] - pts[:, 1] * back[:, 0])
+    assert np.all(cr <= 1e-9 * np.linalg.norm(pts, axis=1) * np.linalg.norm(back, axis=1))
 
 
 def test_gmap_preserves_cross_ratios(dual_congruence):
     cong, F, Fd = dual_congruence
-    g = cong.grid
-    e = g.oriented_edge(int(g.edge_tail[6]), int(g.edge_head[6]))
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((4, 2))
-    images = [g_map(cong, e.head, e.tail, p) for p in pts]
+    images = _g(cong, 6, pts)
     cr_in = projective_cross_ratio(*pts)
     cr_out = projective_cross_ratio(*images)
     assert cr_out == pytest.approx(cr_in, rel=1e-9)
@@ -236,7 +249,7 @@ def test_extract_pair_seed_on_intersection_fails(dual_congruence):
     g = cong.grid
     base_b = 0
     e = int(np.flatnonzero((g.edge_tail == base_b) | (g.edge_head == base_b))[0])
-    s_line = cong.intersection_line(e)
+    s_line = _intersection_line(cong, e)
     coords, *_ = np.linalg.lstsq(
         np.stack([cong.sigma1[base_b], cong.sigma2[base_b]], axis=1),
         s_line, rcond=None)

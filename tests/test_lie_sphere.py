@@ -16,7 +16,8 @@ from dnet.lie_sphere import (OmegaNet, PrincipalNet,
                              omega_edge_labels, omega_from_darboux_pair,
                              principal_from_legendre, random_lie_frame,
                              sphere_lattice, standard_lie_frame)
-from dnet.pseudo_euclidean import (Signature, line_distance, plane_distance)
+from dnet.pseudo_euclidean import Signature, line_distance
+from tests.pseudo_reference import plane_distance
 from dnet.isothermic import ConservedQuantity
 
 SIG42 = Signature(4, 2)

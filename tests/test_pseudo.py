@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from dnet.errors import DegeneracyError, PointAtInfinityError
-from dnet.pseudo_euclidean import (Bivector, Frame, Signature, bivector_action,
-                                   conic_cross_ratio, euclidean_lift,
-                                   gamma_lambda, isotropic_exp, line_distance,
-                                   line_normalize, orthogonality_residual,
-                                   plane_distance, projective_cross_ratio,
-                                   renull, stereo_lift, stereo_project)
+from dnet.forms import unpack_bivector
+from dnet.isothermic import darboux_transform, flat_connection, stack_pair
+from dnet.pseudo_euclidean import (Frame, Signature, action_matrix, conic_cross_ratio,
+                                   euclidean_lift, gamma_lambda, line_distance,
+                                   projective_cross_ratio, renull, stereo_lift,
+                                   stereo_project)
+from dnet.residuals import rel
+from tests.pseudo_reference import orthogonality_residual, plane_distance
 
 SIG42 = Signature(4, 2)
 FRAME42 = SIG42.standard_frame()
@@ -50,35 +52,46 @@ def test_orthoprojector():
     assert np.abs(fr.pi(pv) - pv).max() <= 1e-12
 
 
+def wedge_action(x, y, sig):
+    """The action matrix of the bivector x ^ y."""
+    return action_matrix(np.outer(x, y) - np.outer(y, x), sig)
+
+
 def test_bivector_action_basis_example():
     sig = Signature(2, 0)
     e1, e2 = np.eye(2)
-    B = Bivector.from_pair(e1, e2, sig)
-    assert np.abs(B.act(e1) - e2).max() <= 1e-15
-    assert np.abs(B.act(e2) + e1).max() <= 1e-15
+    A = wedge_action(e1, e2, sig)
+    assert np.abs(A @ e1 - e2).max() <= 1e-15
+    assert np.abs(A @ e2 + e1).max() <= 1e-15
 
 
 def test_bivector_action_kills_orthogonal_vectors():
     sig = Signature(4, 2)
     rng = np.random.default_rng(1)
     x, y = rng.standard_normal((2, 6))
-    B = Bivector.from_pair(x, y, sig)
+    act = wedge_action(x, y, sig)
     # build z orthogonal to both by projecting out the metric duals
     z = rng.standard_normal(6)
     A = np.stack([x * sig.signs, y * sig.signs])
     z = z - A.T @ np.linalg.solve(A @ A.T, A @ z)
-    assert np.abs(B.act(z)).max() <= 1e-12
+    assert np.abs(act @ z).max() <= 1e-12
 
 
 def test_bivector_action_formula_oracle():
+    """``(x ^ y)(z) = (x, z) y - (y, z) x``, and the action is
+    infinitesimally orthogonal: ``(Av, w) + (v, Aw) = 0``."""
     sig = Signature(4, 2)
     rng = np.random.default_rng(2)
     for _ in range(20):
         x, y, z = rng.standard_normal((3, 6))
-        B = Bivector.from_pair(x, y, sig)
+        A = wedge_action(x, y, sig)
         oracle = sig.inner(x, z) * y - sig.inner(y, z) * x
-        assert np.abs(B.act(z) - oracle).max() <= 1e-12
-        assert B.orthogonality_residual() <= 1e-12
+        assert np.abs(A @ z - oracle).max() <= 1e-12
+        probes = np.random.default_rng(7)
+        v = probes.standard_normal((8, 6))
+        w = probes.standard_normal((8, 6))
+        res = sig.inner(v @ A.T, w) + sig.inner(v, w @ A.T)
+        assert rel(np.abs(res).max(), np.abs(np.outer(x, y) - np.outer(y, x)).max()) <= 1e-12
 
 
 def isotropic_pair(rng, frame):
@@ -103,41 +116,41 @@ def isotropic_pair(rng, frame):
     raise RuntimeError("no isotropic pair found")
 
 
-def test_isotropic_exp_identity_at_zero():
-    rng = np.random.default_rng(3)
-    mu, v = isotropic_pair(rng, FRAME42)
-    B = Bivector.from_pair(v, mu, SIG42)
-    assert np.abs(isotropic_exp(B, 0.0, SIG42) - np.eye(6)).max() == 0.0
+@pytest.fixture(scope="module")
+def isotropic(net42):
+    """The transports of ``flat_connection`` on the infinite-label edges of
+    a stacked m = inf Darboux pair, as a function of t, and the actions of
+    their bivectors: there Gamma(t) = exp(t eta), an isotropic bivector's
+    exponential, which truncates to I + t eta exactly."""
+    st = stack_pair(net42, darboux_transform(net42, np.inf, rng=np.random.default_rng(8)))
+    edges = np.flatnonzero(st.is_infinite)
+    assert edges.size
+    return (lambda t: flat_connection(st, t)[edges],
+            action_matrix(unpack_bivector(st.eta[edges], 6), SIG42))
 
 
-def test_isotropic_exp_inverse_by_nilpotency():
-    rng = np.random.default_rng(4)
-    mu, v = isotropic_pair(rng, FRAME42)
-    B = Bivector.from_pair(v, mu, SIG42)
-    A = B.action()
-    assert np.abs(A @ A).max() <= 1e-10 * max(np.abs(A).max() ** 2, 1e-30)
-    M = isotropic_exp(B, 0.7, SIG42)
-    Minv = isotropic_exp(B, -0.7, SIG42)
-    assert np.abs(M @ Minv - np.eye(6)).max() <= 1e-12
+def test_isotropic_exp_identity_at_zero(isotropic):
+    gamma, _ = isotropic
+    assert np.abs(gamma(0.0) - np.eye(6)).max() == 0.0
 
 
-def test_isotropic_exp_is_orthogonal():
+def test_isotropic_exp_inverse_by_nilpotency(isotropic):
+    gamma, actions = isotropic
+    for A in actions:
+        assert np.abs(A @ A).max() <= 1e-10 * max(np.abs(A).max() ** 2, 1e-30)
+    assert np.abs(gamma(0.7) @ gamma(-0.7) - np.eye(6)).max() <= 1e-12
+
+
+def test_isotropic_exp_is_orthogonal(isotropic):
+    gamma, _ = isotropic
     rng = np.random.default_rng(5)
-    mu, v = isotropic_pair(rng, FRAME42)
-    M = isotropic_exp(Bivector.from_pair(v, mu, SIG42), 0.7, SIG42)
     probes = rng.standard_normal((8, 6))
-    for a in range(8):
-        for b in range(8):
-            lhs = SIG42.inner(M @ probes[a], M @ probes[b])
-            rhs = SIG42.inner(probes[a], probes[b])
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-
-def test_isotropic_exp_rejects_generic_bivector():
-    rng = np.random.default_rng(6)
-    x, y = rng.standard_normal((2, 6))
-    with pytest.raises(DegeneracyError):
-        isotropic_exp(Bivector.from_pair(x, y, SIG42), 1.0, SIG42)
+    for M in gamma(0.7):
+        for a in range(8):
+            for b in range(8):
+                lhs = SIG42.inner(M @ probes[a], M @ probes[b])
+                rhs = SIG42.inner(probes[a], probes[b])
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_gamma_lambda_eigenstructure():
@@ -231,9 +244,6 @@ def test_renull_projects_to_light_cone():
 
 def test_line_helpers():
     v = np.array([0.0, -2.0, 0.0, 1.0])
-    n = line_normalize(v)
-    assert abs(np.linalg.norm(n) - 1) <= 1e-15
-    assert n[1] > 0
     assert line_distance(v, -3 * v) <= 1e-15
     assert abs(line_distance([1, 0], [0, 1]) - 1) <= 1e-15
     assert plane_distance((np.eye(4)[0], np.eye(4)[1]),

@@ -1,0 +1,148 @@
+"""Every function, class and method of `src/dnet` is reached from a user.
+
+A user reaches the library through `dnet.cli.main`, the demos and the
+benchmark.  The audit takes the closure of the names they use:
+
+* roots: the body of `cli.main`, the module-level code of `src/dnet`
+  (tables such as `netfile.CHECKS`; imports do not count), every name
+  used in `perfbench/` or `demos/`, and the names of `ALLOWED`;
+* edges: a reached definition reaches every name its body, decorators,
+  default values and class bases use, but its own parameters and local
+  variables.  A reached class also reaches its class body and its dunder
+  methods, which Python calls implicitly.
+
+Every non-dunder module-level function, class and method must be reached.
+`ALLOWED` names the paper constructions that only tests call, each with
+its reason.
+
+Names are matched by name only, not by binding: a use of `obj.at` reaches
+every `at` defined in `src/dnet`.  So a dead method that shares its name
+with a live one, or with a common attribute (`at`, `dim`, `lines`), is
+not found here.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "dnet").glob("*.py"))
+USERS = [p for d in ("perfbench", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
+
+# paper constructions that only tests call, each with its reason
+ALLOWED = {
+    "koenigs_dual": "Koenigs duality of a projective net in an affine chart",
+    "christoffel_ratio": "the factored stretch ratio of two Koenigs dual sections",
+    "random_moutard_net": "a Koenigs net built directly from a Moutard lift",
+    "special_quantity_solve": "linear conserved quantities of special isothermic nets",
+    "legendre_lift": "the Legendre lift of a principal net in Lie sphere geometry",
+    "random_lie_frame": "a random admissible Lie frame for the Legendre lift",
+    "quad_holonomy_residual": "flatness of the g_ij line bundles around one quad",
+}
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCS, ast.ClassDef)
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _names(*nodes, bound=frozenset()):
+    """Names and attribute names used under ``nodes``, but the plain names
+    in ``bound`` and annotations: under ``from __future__ import
+    annotations`` the latter are never run."""
+    out = set()
+    stack = [n for n in nodes if n is not None]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            if node.id not in bound:
+                out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    stack.append(child)
+    return out
+
+
+def _uses(node):
+    """The names a reached definition reaches."""
+    if isinstance(node, ast.ClassDef):
+        body = [s for s in node.body if not isinstance(s, _FUNCS)]
+        dunders = [s for s in node.body if isinstance(s, _FUNCS) and _dunder(s.name)]
+        return _names(*node.decorator_list, *node.bases, *node.keywords, *body).union(
+            *map(_uses, dunders))
+    # a local variable (`act`, `packed`) reaches no definition of its name
+    local = {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)}
+    local |= {n.id for n in ast.walk(node)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    local |= {n.name for n in ast.walk(node) if isinstance(n, _DEFS) and n is not node}
+    return _names(*node.decorator_list, *node.args.defaults, *node.args.kw_defaults,
+                  *node.body, bound=local)
+
+
+def definitions():
+    """name -> [(qualified name, node)] over the module-level functions and
+    classes of `src/dnet` and the methods of those classes."""
+    out = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, _DEFS):
+                continue
+            out.setdefault(node.name, []).append((f"{path.stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if isinstance(meth, _FUNCS) and not _dunder(meth.name):
+                        out.setdefault(meth.name, []).append(
+                            (f"{path.stem}.{node.name}.{meth.name}", meth))
+    return out
+
+
+def roots(allowed):
+    """The names `cli.main`, the module-level code of `src/dnet` (but its
+    imports), the users and ``allowed`` reach."""
+    names = set(allowed) | {"main"}
+    for path in SOURCES:
+        names |= _names(*(s for s in ast.parse(path.read_text()).body
+                          if not isinstance(s, (*_DEFS, ast.Import, ast.ImportFrom))))
+    for path in USERS:
+        names |= _names(ast.parse(path.read_text()))
+    return names
+
+
+def unreached(allowed=ALLOWED, defs=None):
+    """Qualified names of the definitions no root reaches."""
+    defs = definitions() if defs is None else defs
+    seen, frontier, reached = set(), set(roots(allowed)), set()
+    while frontier:
+        name = frontier.pop()
+        seen.add(name)
+        for qual, node in defs.get(name, ()):
+            reached.add(qual)
+            frontier |= _uses(node) - seen
+    return sorted(qual for entries in defs.values() for qual, _ in entries
+                  if qual not in reached)
+
+
+def test_every_definition_is_reached():
+    dead = unreached()
+    assert not dead, ("definitions no command, demo or benchmark reaches "
+                      "(delete them, or allow-list a paper construction):\n  "
+                      + "\n  ".join(dead))
+
+
+def test_each_allowed_name_exists_and_is_needed():
+    defs = definitions()
+    for name in ALLOWED:
+        assert name in defs, f"ALLOWED names {name!r}, which src/dnet does not define"
+        rest = {k: v for k, v in ALLOWED.items() if k != name}
+        assert {q for q, _ in defs[name]} <= set(unreached(rest, defs)), (
+            f"{name!r} is reached without its ALLOWED entry; drop the entry")
+
+
+if __name__ == "__main__":
+    print("\n".join(unreached()) or "every definition is reached")

@@ -20,8 +20,7 @@ from dnet.forms import wedge_vec
 from dnet.grid import integrate_one_form, trivialize_connection
 from dnet.isothermic import (IsothermicNet, _seed_orthogonal_null, flat_connection,
                              moutard_evolve, random_cauchy, stack_pair)
-from dnet.koenigs import (ProjectiveNet, _colors, _parallel_section, factor_edge_ratios,
-                          g_map, g_map_inverse)
+from dnet.koenigs import ProjectiveNet, _colors, _parallel_section, factor_edge_ratios
 
 SIG = Signature(4, 2)
 # relative bound between a batched Koenigs walk and its old arithmetic
@@ -52,7 +51,7 @@ def _net(name):
 
 def _bases(grid):
     interior = tuple((d - 1) // 2 for d in grid.dims)
-    return sorted({0, grid.vertex_index(interior), grid.nverts - 1})
+    return sorted({0, int(np.ravel_multi_index(interior, grid.dims)), grid.nverts - 1})
 
 
 def _cases():
@@ -235,7 +234,7 @@ def test_parallel_section_matches_walk(dims):
     cong = _congruence(dims)
     g = cong.grid
     colors = _colors(g)
-    maps = (g_map, g_map_inverse)
+    maps = (ref.library_g_map, ref.library_g_map_inverse)
     for bundle_black in (True, False):
         for base in _bases(g):
             seed2 = np.array([0.3, 0.8])

@@ -7,19 +7,22 @@ same arrays bit for bit and fail on the same edge.
 
 Two Koenigs walks also changed their arithmetic when they were batched:
 ``moutard_lift_from_eta`` sums its inner products with ``np.add.reduce``
-where it took BLAS dots, and ``g_map`` solves its last 2-column system
-with ``pinv`` where it called ``lstsq``.  Their references keep the old
-arithmetic (``g_map``, ``g_map_inverse`` and the default ``dot`` below),
-to be met within a stated bound; given the library's arithmetic
-(``dot=row_dot``, the library's maps) they isolate the batching, to be
-met bit for bit.
+where it took BLAS dots, and the edge map ``g`` solves its last
+2-column system with ``pinv`` where it called ``lstsq``.  Their
+references keep the old arithmetic (``g_map``, ``g_map_inverse`` and
+the default ``dot`` below), to be met within a stated bound; given the
+library's arithmetic (``dot=row_dot``, ``library_g_map`` and
+``library_g_map_inverse``) they isolate the batching, to be met bit for
+bit.
 """
 
 import numpy as np
 
 from dnet.errors import DegeneracyError, NotKoenigsError, PropagationError
 from dnet.forms import unpack_bivector, wedge_vec
-from dnet.koenigs import _plane_intersection, _raise_first, _span_of_bivector, _trivector
+from dnet.koenigs import (_g_map_inverses, _g_maps, _plane_intersection, _raise_g_map,
+                          _span_of_bivector, _trivector)
+from netfile_reference import oriented_edge, plane_basis, raise_first
 
 
 def staircase_steps(grid, base=0):
@@ -113,17 +116,23 @@ def moutard_lift_from_eta(net, seed, base=0, tol=1e-8, dot=np.dot):
     return mu
 
 
+def eta_on(cong, tail, head):
+    """The congruence's eta on the edge oriented ``tail -> head``."""
+    e = oriented_edge(cong.grid, tail, head)
+    return e.sign * cong.eta[e.index]
+
+
 def g_map(cong, from_v, to_v, point):
     """The edge map ``g`` with its final system solved by ``lstsq``."""
     t_coef, r_coef = float(point[0]), float(point[1])
     if t_coef == 0.0 and r_coef == 0.0:
         raise ValueError("(tau, r) must not both vanish")
-    eta_val = cong.eta_on(to_v, from_v)
+    eta_val = eta_on(cong, to_v, from_v)
     W = r_coef * eta_val + t_coef * wedge_vec(cong.sigma1[from_v], cong.sigma2[from_v])
     span, failures = _span_of_bivector(unpack_bivector(W, cong.dim))
-    _raise_first(failures)
-    v, failures = _plane_intersection(span, cong.plane_basis(to_v))
-    _raise_first(failures)
+    raise_first(failures)
+    v, failures = _plane_intersection(span, plane_basis(cong, to_v))
+    raise_first(failures)
     coords, *_ = np.linalg.lstsq(
         np.stack([cong.sigma1[to_v], cong.sigma2[to_v]], axis=1), v, rcond=None)
     return coords
@@ -133,13 +142,27 @@ def g_map_inverse(cong, from_v, to_v, line_coords):
     """The inverse edge map, one ``svd`` per edge."""
     a, b = float(line_coords[0]), float(line_coords[1])
     v = a * cong.sigma1[from_v] + b * cong.sigma2[from_v]
-    eta_val = cong.eta_on(from_v, to_v)
+    eta_val = eta_on(cong, from_v, to_v)
     col_r = _trivector(unpack_bivector(eta_val, cong.dim), v)
     col_t = _trivector(unpack_bivector(wedge_vec(cong.sigma1[to_v], cong.sigma2[to_v]),
                                        cong.dim), v)
     _, _, Vt = np.linalg.svd(np.stack([col_r, col_t], axis=1), full_matrices=False)
     r_coef, t_coef = Vt[-1]
     return np.array([t_coef, r_coef])
+
+
+def library_g_map(cong, from_v, to_v, point):
+    """The library's edge map ``koenigs._g_maps`` on one edge."""
+    coords, failures = _g_maps(cong, eta_on(cong, to_v, from_v)[None], np.array([from_v]),
+                               np.array([to_v]), np.asarray(point, float)[None])
+    _raise_g_map(failures)
+    return coords[0]
+
+
+def library_g_map_inverse(cong, from_v, to_v, line_coords):
+    """The library's inverse edge map ``koenigs._g_map_inverses`` on one edge."""
+    return _g_map_inverses(cong, eta_on(cong, from_v, to_v)[None], np.array([from_v]),
+                           np.array([to_v]), np.asarray(line_coords, float)[None])[0]
 
 
 def parallel_section(cong, colors, bundle_black, base, seed2, maps=(g_map, g_map_inverse)):
