@@ -215,11 +215,13 @@ def wedge(a, b, rule: BilinearRule):
         return Form2(grid, 0.25 * rule(a.values, _quad_vertex_sum(grid, b.values)))
 
     # two 1-forms: bottom/right/top/left canonical boundary edges give
-    # a_ji = bottom, a_kl = top, a_li = left, a_kj = right
-    qe = grid.quad_edges
-    a_b, a_r, a_t, a_l = (a.values[qe[:, n]] for n in range(4))
-    b_b, b_r, b_t, b_l = (b.values[qe[:, n]] for n in range(4))
-    vals = 0.25 * (rule(a_b + a_t, b_l + b_r) - rule(a_l + a_r, b_b + b_t))
+    # a_ji = bottom, a_kl = top, a_li = left, a_kj = right; each edge sum
+    # is gathered where the rule reads it, so no gathered array outlives
+    # its sum
+    bottom, right, top, left = grid.quad_edges.T
+    av, bv = a.values, b.values
+    vals = 0.25 * (rule(av[bottom] + av[top], bv[left] + bv[right])
+                   - rule(av[left] + av[right], bv[bottom] + bv[top]))
     return Form2(grid, vals)
 
 

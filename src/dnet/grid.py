@@ -30,6 +30,9 @@ import numpy as np
 from .errors import ClosednessError, FlatnessError
 from .residuals import floor, rel, worst
 
+# Quads per block of :func:`holonomy`: one block up to 32x32 (961 quads).
+_HOLONOMY_BLOCK = 1024
+
 
 class Grid:
     """Axis-aligned box domain in Z^N."""
@@ -196,11 +199,25 @@ def closedness_residual(grid: Grid, values: np.ndarray):
 
 def holonomy(grid: Grid, gamma: np.ndarray) -> np.ndarray:
     """Per-quad relative holonomy of edge transports on canonical
-    orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius)."""
-    qe = grid.quad_edges
+    orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius).
+
+    The quads go through in blocks of :data:`_HOLONOMY_BLOCK`, so the
+    transient products do not grow with the grid; each quad's value has
+    the same bits in any block."""
+    out = np.empty(grid.nquads)
+    for start in range(0, grid.nquads, _HOLONOMY_BLOCK):
+        qe = grid.quad_edges[start:start + _HOLONOMY_BLOCK]
+        out[start:start + len(qe)] = _block_holonomy(gamma, qe)
+    return out
+
+
+def _block_holonomy(gamma: np.ndarray, qe: np.ndarray) -> np.ndarray:
+    """:func:`holonomy` of the quads with boundary edges ``qe``; its
+    products die with the call, before the next block starts."""
     lhs = gamma[qe[:, 1]] @ gamma[qe[:, 0]]   # i -> j -> k
     rhs = gamma[qe[:, 2]] @ gamma[qe[:, 3]]   # i -> l -> k
-    return rel(np.linalg.norm(lhs - rhs, axis=(1, 2)), np.linalg.norm(lhs, axis=(1, 2)))
+    np.subtract(lhs, rhs, out=rhs)
+    return rel(np.linalg.norm(rhs, axis=(1, 2)), np.linalg.norm(lhs, axis=(1, 2)))
 
 
 def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,

@@ -47,6 +47,9 @@ INF_LABEL_THRESHOLD = 1e-10
 _BLOCK = 8
 # Auto seeds darboux_transform draws and propagates together.
 _SEEDS = 4
+# Edges per block of flat_connection's eigen transports: one block up
+# to 32x32 (1984 edges).
+_EDGE_BLOCK = 2048
 # Damping of a Cauchy step's component along the point sphere complex
 # in indefinite signature: it keeps the edge inner products (and so the
 # labels) away from the isotropic case.
@@ -61,11 +64,13 @@ _SEED_REJECTIONS = ("seed draw", "propagation", "normalization", "diagonal margi
 
 
 class IsothermicNet:
-    """Moutard lift of an isothermic net, with cached edge data.
+    """Moutard lift of an isothermic net, with its edge inner products
+    and labels stored at construction.
 
-    ``mu`` holds one null vector per vertex.  ``eta`` (packed) and the
-    edge labelling are derived: ``eta_ji = mu_j ^ mu_i`` and
-    ``m_ij = 1/(mu_i, mu_j)`` with ``inf`` on isotropic edges.
+    ``mu`` holds one null vector per vertex.  The edge labelling
+    ``m_ij = 1/(mu_i, mu_j)``, with ``inf`` on isotropic edges, is
+    stored; the packed 1-form ``eta_ji = mu_j ^ mu_i`` is not, and
+    :attr:`eta` computes it from ``mu`` on every read.
     """
 
     def __init__(self, grid: Grid, signature: Signature, mu):
@@ -75,16 +80,21 @@ class IsothermicNet:
         if self.mu.shape != (grid.nverts, signature.dim):
             raise ValueError("mu must be (nverts, dim)")
         self.mu.setflags(write=False)
-        t, h = grid.edge_tail, grid.edge_head
-        self.edge_ip = signature.inner(self.mu[t], self.mu[h])
-        scale = np.linalg.norm(self.mu[t], axis=1) * np.linalg.norm(self.mu[h], axis=1)
+        mt, mh = self.mu[grid.edge_tail], self.mu[grid.edge_head]
+        self.edge_ip = signature.inner(mt, mh)
+        scale = np.linalg.norm(mt, axis=1) * np.linalg.norm(mh, axis=1)
         self.is_infinite = np.abs(self.edge_ip) <= INF_LABEL_THRESHOLD * scale
         with np.errstate(divide="ignore"):
             self.labels = np.where(self.is_infinite, INFINITE, 1.0 /
                                    np.where(self.is_infinite, 1.0, self.edge_ip))
-        self.eta = wedge_vec(self.mu[h], self.mu[t])
-        for arr in (self.edge_ip, self.is_infinite, self.labels, self.eta):
+        for arr in (self.edge_ip, self.is_infinite, self.labels):
             arr.setflags(write=False)
+
+    @property
+    def eta(self) -> np.ndarray:
+        """Packed ``eta_ji = mu_j ^ mu_i`` on every canonical edge, a new
+        array on each read."""
+        return wedge_vec(self.mu[self.grid.edge_head], self.mu[self.grid.edge_tail])
 
     def finite_labels(self) -> np.ndarray:
         return self.labels[~self.is_infinite]
@@ -364,13 +374,21 @@ def flat_connection(net: IsothermicNet, t: float) -> np.ndarray:
         raise SpectralCollisionError(f"t = {t} collides with edge label {net.labels[e]}",
                                      where=g.locate_edge(e))
     out = np.empty((g.nedges, d, d))
-    out[inf] = np.eye(d) + t * action_matrix(unpack_bivector(net.eta[inf], d), sig)
-    try:
-        out[fin] = np.eye(d) if t == 0.0 else gamma_lambda(
-            net.mu[g.edge_tail[fin]], net.mu[g.edge_head[fin]], 1.0 - t / net.labels[fin], sig)
-    except DegeneracyError as err:
-        err.where = g.locate_edge(int(fin[err.where]))
-        raise
+    if inf.any():                         # net.eta is computed on each read
+        out[inf] = np.eye(d) + t * action_matrix(unpack_bivector(net.eta[inf], d), sig)
+    if t == 0.0:
+        out[fin] = np.eye(d)
+        return out
+    # in blocks, so that the eigen transports' temporaries stay one
+    # block in size; a block raises on its first degenerate edge
+    for start in range(0, fin.size, _EDGE_BLOCK):
+        e = fin[start:start + _EDGE_BLOCK]
+        try:
+            out[e] = gamma_lambda(net.mu[g.edge_tail[e]], net.mu[g.edge_head[e]],
+                                  1.0 - t / net.labels[e], sig)
+        except DegeneracyError as err:
+            err.where = g.locate_edge(int(e[err.where]))
+            raise
     return out
 
 
@@ -589,8 +607,8 @@ def calapso_transform(net: IsothermicNet, t: float):
     ``m - t`` and the transformed flat connections satisfy
     ``Gamma^{s(t)}(u) = T . Gamma^s(t + u)``.
     """
-    gam = flat_connection(net, t)
-    T, _ = trivialize_connection(net.grid, gam, base=0, tol=1e-7)
+    # only T outlives the trivialization: drop Gamma(t) and T^-1 first
+    T = trivialize_connection(net.grid, flat_connection(net, t), base=0, tol=1e-7)[0]
     mu_t = np.einsum("nab,nb->na", T, net.mu)
     return IsothermicNet(net.grid, net.signature, mu_t), T
 

@@ -366,6 +366,19 @@ CHECKS = {
 }
 
 
+# The checks whose value is a maximum over the quads or the edges of the
+# grid, by group and key: on a grid without any such a maximum reads 0,
+# so the check is skipped as "no quads" or "no edges" instead of passing.
+OVER = {
+    "isothermic": {"moutard": "quads", "label_relations": "quads", "diagonal_margin": "quads",
+                   **{f"flatness(t={t})": "quads" for t in FLATNESS_T},
+                   "stored_labels": "edges"},
+    "omega": {"eta_closed": "quads", "duality": "quads"},
+    "principal": {"curvature_relation": "edges", "circularity": "quads"},
+    "guichard": {"associate": "quads", "duality_fields": "quads"},
+}
+
+
 def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
     """Run every check of :data:`CHECKS` the file's nets support; list the
     rest as skipped."""
@@ -391,6 +404,15 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
     return rep
 
 
+def _over_nothing(values: dict, grid: Grid, group: str) -> dict:
+    """``values`` with each value of :data:`OVER` whose carrier the grid
+    lacks replaced by the reason it is skipped."""
+    for key, carrier in OVER[group].items():
+        if key in values and not getattr(grid, f"n{carrier}"):
+            values[key] = f"no {carrier}"
+    return values
+
+
 def _residuals(nf: NetFile):
     """Per group of :data:`CHECKS` in order, the residuals by key or the
     reason the group is skipped.  The associate-net (``guichard``) group
@@ -405,8 +427,6 @@ def _residuals(nf: NetFile):
     else:
         v = net.validate()
         out = {**v, "moutard": (v["moutard"], v["worst_quad"], "")}
-        if not net.grid.nquads:
-            out["diagonal_margin"] = "no quads"
         finite = net.finite_labels()
         for t in FLATNESS_T:
             key = f"flatness(t={t})"
@@ -425,7 +445,7 @@ def _residuals(nf: NetFile):
                                      where=~both_inf))
             out["stored_labels"] = float(rel(num, np.where(both_inf, 1.0, np.abs(stored)))
                                          .max(initial=0.0))
-        yield "isothermic", out
+        yield "isothermic", _over_nothing(out, net.grid, "isothermic")
     omega, labels = nf.omega_net(), None
     if omega is None or omega.mu_plus is None or omega.mu_minus is None:
         yield "omega", ("incomplete omega fields or frame" if "mu_plus" in vf
@@ -437,23 +457,25 @@ def _residuals(nf: NetFile):
         a = lie.associates(omega)
         labels = lie.omega_edge_labels(omega)
         pairing = lie.eisenhart_general(omega.principal(), a.x_dual, a.n_dual, labels)
-        yield "omega", {**v, **v["applicability"], **pairing,
-                        "reconstruction": a.reconstruction, "duality": a.duality}
+        yield "omega", _over_nothing({**v, **v["applicability"], **pairing,
+                                      "reconstruction": a.reconstruction,
+                                      "duality": a.duality}, omega.grid, "omega")
     pn = nf.principal_net()
     if pn is None:
         yield "principal", "no x, n fields"
     else:
-        yield "principal", pn.validate()
+        yield "principal", _over_nothing(pn.validate(), pn.grid, "principal")
         if "xdual" not in vf:
             yield "guichard", "no xdual field"
         elif "ndual" in vf:
-            yield "guichard", {"duality_fields": lie.check_omega(
-                pn, vf["xdual"], vf["ndual"])["duality"]}
+            yield "guichard", _over_nothing({"duality_fields": lie.check_omega(
+                pn, vf["xdual"], vf["ndual"])["duality"]}, pn.grid, "guichard")
         else:
             # an associate net without a separate associate Gauss map is
             # the Guichard case (the Gauss map itself is the partner)
-            yield "guichard", {**lie.check_guichard(pn, vf["xdual"]), **(
-                {} if labels is None else lie.eisenhart_guichard(pn, vf["xdual"], labels))}
+            yield "guichard", _over_nothing({**lie.check_guichard(pn, vf["xdual"]), **(
+                {} if labels is None else lie.eisenhart_guichard(pn, vf["xdual"], labels))},
+                pn.grid, "guichard")
     if "xi" in vf:
         lf = nf.lie_frame()
         if net is None or lf is None:

@@ -147,6 +147,20 @@ def dual_family(fam: ParallelFamily) -> tuple:
                    "passed": bool(worst <= 1e-9 and exact)}
 
 
+def _weighted_curly_sum(fam: ParallelFamily, metric: np.ndarray) -> np.ndarray:
+    """Characterization (a) of :func:`check_osystem`, the weighted sum
+    ``sum g_ab dx^a ^~ dx^b`` per quad; the member differences die with
+    the call, before the bracket of (b) is built."""
+    g = fam.grid
+    dxs = [exterior_derivative(Form0(g, m)) for m in fam.members]
+    weighted = np.zeros((g.nquads, lam2_dim(fam.signature.dim)))
+    for a in range(fam.size):
+        for b in range(fam.size):
+            if metric[a, b] != 0.0:
+                weighted += metric[a, b] * curly_wedge(dxs[a], dxs[b]).values
+    return weighted
+
+
 def check_osystem(fam: ParallelFamily, metric) -> dict:
     """Both O-system characterizations, compared and tested for zero.
 
@@ -168,19 +182,11 @@ def check_osystem(fam: ParallelFamily, metric) -> dict:
     d = fam.signature.dim
     signs = fam.signature.signs
 
-    # (a) weighted curly-wedge sum
-    forms = [Form0(g, m) for m in fam.members]
-    dxs = [exterior_derivative(f) for f in forms]
-    weighted = np.zeros((g.nquads, lam2_dim(d)))
-    for a in range(N):
-        for b in range(N):
-            if metric[a, b] != 0.0:
-                weighted += metric[a, b] * curly_wedge(dxs[a], dxs[b]).values
+    weighted = _weighted_curly_sum(fam, metric)          # (a)
 
     # (b) bracket of the assembled map: values are d x N matrices,
     # [A, B] = (A' G_w B - B' G_w A  in Lambda^2 W) + (A G_w B' - B G_w A'
     # in Lambda^2 R^{p,q}) with the ambient metric pairing the first slot
-    phi_flat = Form0(g, fam.phi().reshape(g.nverts, d * N))
 
     def bracket(u, v):
         A = u.reshape(-1, d, N)
@@ -196,7 +202,7 @@ def check_osystem(fam: ParallelFamily, metric) -> dict:
 
     rule = BilinearRule(bracket, d * N, d * N, lam2_dim(d) + lam2_dim(N),
                         name="direct-sum bracket")
-    dphi = exterior_derivative(phi_flat)
+    dphi = exterior_derivative(Form0(g, fam.phi().reshape(g.nverts, d * N)))
     full = wedge(dphi, dphi, rule).values
     amb_part = full[:, :lam2_dim(d)]
     w_part = full[:, lam2_dim(d):]

@@ -406,6 +406,61 @@ def test_isothermic_line_without_quads(tmp_path, capsys, dims):
     assert run("verify", "-i", pair) == 0
 
 
+QUADS = ("isothermic.moutard", "isothermic.label_relations", "isothermic.diagonal_margin",
+         "isothermic.flatness(t=-1.0)", "isothermic.flatness(t=0.3)",
+         "isothermic.flatness(t=2.0)")
+# a file of a grid without quads or edges: (kind, dims), the checks it
+# skips with their reason, the checks that still measure something, and
+# its summary line
+VACUOUS = [
+    ("isothermic", "1x1", {**dict.fromkeys(QUADS, "no quads"),
+                           "isothermic.stored_labels": "no edges"},
+     ["isothermic.nullity"], "overall: PASS (1 checks, 9 skipped)"),
+    ("isothermic", "1x5", dict.fromkeys(QUADS, "no quads"),
+     ["isothermic.nullity", "isothermic.stored_labels"], "overall: PASS (2 checks, 8 skipped)"),
+    # the stacked pair of one vertex has one vertical edge and no quad
+    ("darboux-pair", "1x1", dict.fromkeys(QUADS, "no quads"),
+     ["isothermic.nullity", "isothermic.stored_labels"], "overall: PASS (2 checks, 8 skipped)"),
+    ("minimal", "1x1", {"principal.curvature_relation": "no edges",
+                        "principal.circularity": "no quads"},
+     ["principal.unit_normal"], "overall: PASS (1 checks, 5 skipped)"),
+    ("weingarten", "1x1", {"principal.curvature_relation": "no edges",
+                           "principal.circularity": "no quads"},
+     ["principal.unit_normal"], "overall: PASS (1 checks, 5 skipped)"),
+    ("minimal", "5x1", {"principal.circularity": "no quads"},
+     ["principal.unit_normal", "principal.curvature_relation"],
+     "overall: PASS (2 checks, 4 skipped)"),
+    ("omega", "1x5", {"omega.eta_closed": "no quads", "omega.duality": "no quads"},
+     ["omega.gauge", "omega.nondegeneracy", "omega.eisenhart"],
+     "overall: PASS (8 checks, 4 skipped)"),
+    ("guichard", "1x5", {**dict.fromkeys(QUADS, "no quads"), "omega.eta_closed": "no quads",
+                         "omega.duality": "no quads", "principal.circularity": "no quads",
+                         "guichard.associate": "no quads"},
+     ["isothermic.stored_labels", "guichard.eisenhart", "special.orthogonality"],
+     "overall: PASS (16 checks, 10 skipped)"),
+]
+
+
+@pytest.mark.parametrize("kind, dims, skipped, measured, summary", VACUOUS,
+                         ids=[f"{k}-{d}" for k, d, *_ in VACUOUS])
+def test_checks_over_nothing_are_skipped(tmp_path, capsys, kind, dims, skipped, measured,
+                                         summary):
+    path = tmp_path / "net.json"
+    assert run("gen", kind, "--dims", dims, "--seed", 1, "-o", path) == 0
+    capsys.readouterr()
+    assert run("verify", "-i", path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    status = {ln.split()[0]: ln for ln in lines if ln.split() and "." in ln.split()[0]}
+    for name, reason in skipped.items():
+        assert status[name].endswith(f"SKIP  [{reason}]"), status[name]
+    for name in measured:
+        assert status[name].split()[3] == "PASS", status[name]
+    assert summary in lines
+    # the library reports the same skips
+    rep = run_checks(NetFile.load(str(path)))
+    assert {name: reason for name, reason in rep.skipped if name in skipped} == skipped
+
+
 def test_guichard_exhaustion_is_one_line(tmp_path, capsys):
     assert run("gen", "guichard", "--dims", "16x16", "--seed", 1,
                "-o", tmp_path / "g.json") == 3
