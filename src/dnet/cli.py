@@ -96,13 +96,6 @@ def _parse_params(kind: str, items) -> dict:
     return out
 
 
-def _frame_dict(frame):
-    """The frame section of a file: ``o``, ``q`` and, where the frame has
-    them, ``p`` and (a Lie frame's) ``basis3``."""
-    vectors = {k: getattr(frame, k, None) for k in ("o", "q", "p", "basis3")}
-    return {k: v.tolist() for k, v in vectors.items() if v is not None}
-
-
 def cmd_generate(args) -> int:
     from . import isothermic as iso
     from . import lie_sphere as lie
@@ -112,9 +105,12 @@ def cmd_generate(args) -> int:
         raise FormatError(f"bad dims {args.dims!r}; gen guichard needs a grid with an edge")
     if args.kind in ("isothermic", "darboux-pair"):
         _, sig, frame = _parse_signature("4,2" if args.signature is None else args.signature)
-    elif args.signature is not None and _parse_signature(args.signature)[0] != (4, 2):
+    elif args.signature is None or _parse_signature(args.signature)[0] == (4, 2):
+        frame = lie.standard_lie_frame()
+    else:
         raise FormatError(f"bad --signature {args.signature!r}; gen {args.kind} "
                           f"writes signature 4,2 files")
+    section = NetFile.frame_section(frame)
     given = _parse_params(args.kind, args.param)
     params = {**GEN_PARAMS[args.kind], **given}
     rng = np.random.default_rng(args.seed)
@@ -124,17 +120,15 @@ def cmd_generate(args) -> int:
     if args.kind == "isothermic":
         net = iso.random_isothermic(Grid(dims), sig, rng,
                                     magnitude=params["magnitude"], frame=frame)
-        nf = NetFile.from_isothermic(net, _frame_dict(frame), meta)
+        nf = NetFile.from_isothermic(net, section, meta)
     elif args.kind == "darboux-pair":
         net = iso.random_isothermic(Grid(dims), sig, rng, frame=frame)
         hat = iso.darboux_transform(net, params["m"], rng=rng)
-        nf = NetFile.from_isothermic(iso.stack_pair(net, hat), _frame_dict(frame), meta)
+        nf = NetFile.from_isothermic(iso.stack_pair(net, hat), section, meta)
     elif args.kind == "omega":
-        sig = Signature(4, 2)
-        lf = lie.standard_lie_frame()
-        net = iso.random_isothermic(Grid(dims), sig, rng, frame=lf.frame)
-        om = lie.omega_from_darboux_pair(net, rng=rng, frame=lf)
-        nf = NetFile(signature=(4, 2), dims=dims, frame=_frame_dict(lf),
+        net = iso.random_isothermic(Grid(dims), frame.signature, rng, frame=frame)
+        om = lie.omega_from_darboux_pair(net, rng=rng)
+        nf = NetFile(signature=(4, 2), dims=dims, frame=section,
                      vertex_fields={"mu_plus": om.mu_plus,
                                     "mu_minus": om.mu_minus,
                                     "y": om.y, "t": om.t},
@@ -142,7 +136,6 @@ def cmd_generate(args) -> int:
                      edge_fields={"m": lie.omega_edge_labels(om)},
                      metadata=meta)
     elif args.kind == "guichard":
-        lf = lie.standard_lie_frame()
         fault = None if params["fault"] is None else int(params["fault"])
         out = lie.guichard_generate(dims, seed=args.seed, skip_constraint_at=fault)
         if isinstance(out, dict):
@@ -164,7 +157,7 @@ def cmd_generate(args) -> int:
                 f"worst vertex {out['worst_vertex']}, "
                 f"orthogonality {out['orthogonality']:.3e}\n")
             return 3
-        nf = NetFile(signature=(4, 2), dims=dims, frame=_frame_dict(lf),
+        nf = NetFile(signature=(4, 2), dims=dims, frame=section,
                      vertex_fields={"mu": out.net.mu, "xi": out.xi,
                                     "mu_plus": out.omega.mu_plus,
                                     "mu_minus": out.omega.mu_minus,
@@ -183,7 +176,7 @@ def cmd_generate(args) -> int:
             pn = lie.sphere_lattice(dims, radius=rho)
             meta["params"].update({"rho": rho, "alpha": 1.0, "beta": 0.0,
                                    "gamma": -1.0 / rho ** 2})
-        nf = NetFile(signature=(4, 2), dims=dims, frame=_frame_dict(lie.standard_lie_frame()),
+        nf = NetFile(signature=(4, 2), dims=dims, frame=section,
                      vertex_fields={"x": pn.x, "n": pn.n},
                      edge_fields={"kappa": pn.kappa}, metadata=meta)
 

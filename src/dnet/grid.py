@@ -272,14 +272,11 @@ def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
             where=grid.locate_quad(q), residual=res)
     k = gamma.shape[1]
     T = np.empty((grid.nverts, k, k))
-    Tinv = np.empty_like(T)
     T[base] = np.eye(k)
-    Tinv[base] = np.eye(k)
     for child, parent, slot, sign in grid.staircase_tree(base):
         step = gamma[slot]                  # Gamma_{child, parent}
         back = sign < 0
         if back.any():
             step[back] = np.linalg.inv(step[back])
         T[child] = T[parent] @ np.linalg.inv(step)
-        Tinv[child] = step @ Tinv[parent]
-    return T, Tinv
+    return T

@@ -607,8 +607,8 @@ def calapso_transform(net: IsothermicNet, t: float):
     ``m - t`` and the transformed flat connections satisfy
     ``Gamma^{s(t)}(u) = T . Gamma^s(t + u)``.
     """
-    # only T outlives the trivialization: drop Gamma(t) and T^-1 first
-    T = trivialize_connection(net.grid, flat_connection(net, t), base=0, tol=1e-7)[0]
+    # only T outlives the trivialization: drop Gamma(t) first
+    T = trivialize_connection(net.grid, flat_connection(net, t), base=0, tol=1e-7)
     mu_t = np.einsum("nab,nb->na", T, net.mu)
     return IsothermicNet(net.grid, net.signature, mu_t), T
 

@@ -17,6 +17,7 @@ the associate net and associate Gauss map.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,36 +56,22 @@ _TOL = 1e-8
 _RADIUS_FLOOR = 1e-8
 
 
-class LieFrame:
-    """Frame of R^{4,2} adapted to Lie sphere geometry of R^3."""
+class LieFrame(Frame):
+    """Frame of R^{4,2} adapted to Lie sphere geometry of R^3: a
+    :class:`Frame` with a point sphere complex ``p`` and an orthonormal
+    basis ``basis3`` of R^3 = span{o, q, p}^perp, read-only like the
+    frame vectors."""
 
-    def __init__(self, frame: Frame, basis3: np.ndarray):
-        if frame.p is None:
+    def __init__(self, signature: Signature, o, q, p, basis3):
+        if p is None:
             raise ValueError("a Lie frame needs a point sphere complex")
-        self.frame = frame
-        self.signature = frame.signature
-        self.basis3 = np.asarray(basis3, float)
-        if self.basis3.shape != (3, self.signature.dim):
-            raise ValueError("basis3 must be (3, dim)")
-        ip = self.signature.inner
-        gram = np.array([[ip(a, b) for b in self.basis3] for a in self.basis3])
-        if np.abs(gram - np.eye(3)).max() > 1e-10:
+        super().__init__(signature, o, q, p)
+        self._store("basis3", basis3, (3, signature.dim))
+        ip, rows = signature.inner, self.basis3[:, None]
+        if not np.abs(ip(rows, self.basis3) - np.eye(3)).max() <= 1e-10:
             raise ValueError("basis3 must be orthonormal and spacelike")
-        for v in (frame.o, frame.q, frame.p):
-            if np.abs(ip(self.basis3, v)).max() > 1e-10:
-                raise ValueError("basis3 must be orthogonal to the frame vectors")
-
-    @property
-    def o(self):
-        return self.frame.o
-
-    @property
-    def q(self):
-        return self.frame.q
-
-    @property
-    def p(self):
-        return self.frame.p
+        if not np.abs(ip(rows, np.stack([self.o, self.q, self.p]))).max() <= 1e-10:
+            raise ValueError("basis3 must be orthogonal to the frame vectors")
 
     def embed3(self, x) -> np.ndarray:
         return np.asarray(x, float) @ self.basis3
@@ -105,10 +92,12 @@ class LieFrame:
         return self.embed3(n) + self.p + xn[..., None] * self.q
 
 
+@functools.cache
 def standard_lie_frame() -> LieFrame:
-    frame = SIG42.standard_frame()
-    basis3 = np.eye(6)[:3]
-    return LieFrame(frame, basis3)
+    """The Lie frame of ``Signature(4, 2).standard_frame()`` with R^3 =
+    span{e1, e2, e3}: built once, as a frame is immutable."""
+    f = SIG42.standard_frame()
+    return LieFrame(SIG42, f.o, f.q, f.p, np.eye(6)[:3])
 
 
 def random_lie_frame(rng) -> LieFrame:
@@ -118,8 +107,7 @@ def random_lie_frame(rng) -> LieFrame:
     A = action_matrix(C, SIG42)
     M = np.linalg.solve(np.eye(6) + A, np.eye(6) - A)
     std = standard_lie_frame()
-    frame = Frame(SIG42, M @ std.o, M @ std.q, M @ std.p)
-    return LieFrame(frame, std.basis3 @ M.T)
+    return LieFrame(SIG42, M @ std.o, M @ std.q, M @ std.p, std.basis3 @ M.T)
 
 
 # -- principal nets ------------------------------------------------------
@@ -154,8 +142,7 @@ class PrincipalNet:
         t, h = self.grid.edge_tail, self.grid.edge_head
         return self.n[h] - self.n[t]
 
-    def validate(self, frame: LieFrame | None = None) -> dict:
-        frame = standard_lie_frame() if frame is None else frame
+    def validate(self, frame: LieFrame = standard_lie_frame()) -> dict:
         out = {}
         out["unit_normal"] = float(
             np.abs(np.sum(self.n * self.n, axis=1) - 1.0).max())
@@ -174,7 +161,7 @@ class PrincipalNet:
         return out
 
 
-def legendre_lift(pn: PrincipalNet, frame: LieFrame | None = None):
+def legendre_lift(pn: PrincipalNet, frame: LieFrame = standard_lie_frame()):
     """Null-plane lifts ``(y, t)`` of a principal net.
 
     Checks the frame incidence conditions: the lift normalization must
@@ -182,7 +169,6 @@ def legendre_lift(pn: PrincipalNet, frame: LieFrame | None = None):
     ``p^perp`` or ``q^perp``.  On failure a :class:`FrameError` suggests
     re-drawing the frame (:func:`random_lie_frame`).
     """
-    frame = standard_lie_frame() if frame is None else frame
     y = frame.lift_point(pn.x)
     t = frame.lift_tangent(pn.x, pn.n)
     ip = frame.signature.inner
@@ -200,10 +186,8 @@ def legendre_lift(pn: PrincipalNet, frame: LieFrame | None = None):
     return y, t, float(agree.max(initial=0.0))
 
 
-def principal_from_legendre(grid: Grid, sigma1, sigma2,
-                            frame: LieFrame | None = None) -> PrincipalNet:
+def principal_from_legendre(grid: Grid, sigma1, sigma2, frame: LieFrame) -> PrincipalNet:
     """Recover ``(x, n)`` from any pair of lifts spanning the planes."""
-    frame = standard_lie_frame() if frame is None else frame
     ip = frame.signature.inner
     sigma1 = np.asarray(sigma1, float)
     sigma2 = np.asarray(sigma2, float)
@@ -311,22 +295,15 @@ def gauge_normalize(grid: Grid, frame: LieFrame, y, t, eta) -> np.ndarray:
     return out
 
 
-def omega_from_darboux_pair(net_plus: IsothermicNet, rng=None,
-                            frame: LieFrame | None = None) -> OmegaNet:
-    """Span an Omega-net by an isothermic net and its isotropic Darboux
-    transform; the form is the isothermic one, gauge-normalized."""
-    frame = standard_lie_frame() if frame is None else frame
+def omega_from_darboux_pair(net_plus: IsothermicNet, rng=None) -> OmegaNet:
+    """Span an Omega-net, in the standard Lie frame, by an isothermic net
+    and its isotropic Darboux transform; the form is the isothermic one,
+    gauge-normalized."""
     if (net_plus.signature.p, net_plus.signature.q) != (4, 2):
         raise ValueError("Omega-nets live in signature (4, 2)")
     rng = np.random.default_rng(0) if rng is None else rng
     hat = darboux_transform(net_plus, np.inf, rng=rng)
-    g = net_plus.grid
-    pn = principal_from_legendre(g, net_plus.mu, hat.mu, frame)
-    y = frame.lift_point(pn.x)
-    t = frame.lift_tangent(pn.x, pn.n)
-    eta = gauge_normalize(g, frame, y, t, net_plus.eta)
-    return OmegaNet(g, frame, y, t, eta,
-                    mu_plus=net_plus.mu.copy(), mu_minus=hat.mu.copy())
+    return _omega_from_pair_lifts(net_plus.grid, standard_lie_frame(), net_plus.mu, hat.mu)
 
 
 @dataclass
@@ -618,7 +595,7 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
     leading attempt axis; yields, per attempt in order, the stage that
     rejected it (see ``_REJECTIONS``) or its ``(net, xi, diag)``.  The
     net is validated when its turn comes."""
-    sig, ff = frame.signature, frame.frame
+    sig = frame.signature
     ip, d, (d0, d1) = sig.inner, sig.dim, g.dims
     n, nsteps = len(attempts), d0 + d1 - 2
     rows = np.empty((n, d + _TRIES * (d - 2 + nsteps * d)))
@@ -627,8 +604,8 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
     reason = np.full(n, -1)
 
     # base: mu null with (mu, p) != 0; xi null, (xi, p) = -1, (xi, mu) = 0
-    x0 = ff.pi(rows[:, :d])
-    mu0 = ff.o + x0 + (0.5 * ip(x0, x0))[:, None] * frame.q
+    x0 = frame.pi(rows[:, :d])
+    mu0 = frame.o + x0 + (0.5 * ip(x0, x0))[:, None] * frame.q
     reason[np.abs(ip(mu0, frame.p)) < 0.05] = 0
     # least-norm solution of (v, p) = -1, (v, mu0) = 0, and the kernel
     a1, a2 = frame.p * sig.signs, mu0 * sig.signs
@@ -654,7 +631,7 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
         index = np.where(ll == 0, s, d0 - 1 + s)
         mu_prev, xp, skip = lines[kk, ll, s - 1], xi_prev[kk, ll], index == skip_constraint_at
         cand = 0.25 * steps[kk, index - 1]
-        ok, mu_next = _cauchy_candidates(frame, mu_prev, xp, skip, ff.pi(cand))
+        ok, mu_next = _cauchy_candidates(frame, mu_prev, xp, skip, frame.pi(cand))
         mu_next = mu_next[np.arange(len(kk)), np.argmax(ok, axis=1)]
         reason[kk[~ok.any(axis=1)]] = 1
         lines[kk, ll, s] = mu_next
@@ -668,7 +645,7 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
     # near-zero denominators, while others in the block are live
     live = np.flatnonzero(reason < 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mu, failures = _evolve(sig, lines[live, 0, :d0], lines[live, 1, :d1], ff)
+        mu, failures = _evolve(sig, lines[live, 0, :d0], lines[live, 1, :d1], frame)
     reason[live[[f is not None for f in failures]]] = 2
     done = np.flatnonzero(reason < 0)
     mu = mu[reason[live] < 0].reshape(len(done), g.nverts, d)
@@ -878,9 +855,10 @@ def _matched_pair(omega: OmegaNet):
 
 
 def _omega_from_pair_lifts(grid: Grid, frame: LieFrame, mu_plus, mu_minus):
-    mu_plus = np.asarray(mu_plus, float)
-    mu_minus = np.asarray(mu_minus, float)
-    mu_plus, mu_minus = _balance(grid, mu_plus, mu_minus)
+    """The Omega-net spanned by the Moutard pair ``mu_plus``, ``mu_minus``
+    (stored as copies), with the form ``eta+`` gauge-normalized."""
+    mu_plus = np.array(mu_plus, float)
+    mu_minus = np.array(mu_minus, float)
     pn = principal_from_legendre(grid, mu_plus, mu_minus, frame)
     y = frame.lift_point(pn.x)
     t = frame.lift_tangent(pn.x, pn.n)
@@ -912,7 +890,7 @@ def darboux_legendre(omega: OmegaNet, m: float, seed=None, rng=None) -> OmegaNet
         raise DegeneracyError("f cap s_hat+^perp is degenerate")
     inter = inter / norms[:, None]
     return _omega_from_pair_lifts(omega.grid, omega.lie_frame,
-                                  hat_plus.mu, inter)
+                                  *_balance(omega.grid, hat_plus.mu, inter))
 
 
 def calapso_legendre(omega: OmegaNet, t: float,
@@ -928,7 +906,7 @@ def calapso_legendre(omega: OmegaNet, t: float,
     st_net, T = calapso_transform(stacked, t)
     n = omega.grid.nverts
     out = _omega_from_pair_lifts(omega.grid, omega.lie_frame,
-                                 st_net.mu[:n], st_net.mu[n:])
+                                 *_balance(omega.grid, st_net.mu[:n], st_net.mu[n:]))
     info = {"T_plus": T[:n], "T_minus": T[n:]}
     if quantity is not None:
         Tp = T[:n]

@@ -24,8 +24,9 @@ file and an atomic rename.
 for malformed JSON, another ``format``, a missing or non-integer
 ``signature`` or ``dims``, a section that is not a JSON object, a
 ``null``, dict or other non-numeric entry, ragged nesting, a bare number
-where an array belongs and field row counts that do not match the
-grid.  A ``null`` never reads as NaN.
+where an array belongs, field row counts that do not match the grid, and
+a frame section that is not a frame of the signature (see
+:meth:`NetFile.the_frame`).  A ``null`` never reads as NaN.
 """
 
 from __future__ import annotations
@@ -162,20 +163,31 @@ class NetFile:
     def sig(self) -> Signature:
         return Signature(*self.signature)
 
-    def lie_frame(self):
-        from .lie_sphere import LieFrame
-        fr, basis3 = self.the_frame(), self.frame.get("basis3")
-        if fr is None or fr.p is None or basis3 is None:
-            return None
-        return LieFrame(fr, np.asarray(basis3, float))
-
     def the_frame(self) -> Frame | None:
+        """The frame section decoded: None when it is empty, a
+        :class:`~dnet.lie_sphere.LieFrame` where it stores ``basis3``, else
+        a :class:`Frame`.  Raises :class:`FormatError` unless ``o`` and
+        ``q`` are there and the vectors make a frame of the signature."""
+        from .lie_sphere import LieFrame
         if not self.frame:
             return None
-        p = self.frame.get("p")
-        return Frame(self.sig(), np.asarray(self.frame["o"], float),
-                     np.asarray(self.frame["q"], float),
-                     None if p is None else np.asarray(p, float))
+        vectors = {k: self.frame.get(k) for k in ("o", "q", "p", "basis3")}
+        if vectors["o"] is None or vectors["q"] is None:
+            raise FormatError("frame needs the vectors 'o' and 'q'")
+        try:
+            if vectors["basis3"] is None:
+                return Frame(self.sig(), vectors["o"], vectors["q"], vectors["p"])
+            return LieFrame(self.sig(), **vectors)
+        except ValueError as err:
+            raise FormatError(f"bad frame: {err}") from None
+
+    @staticmethod
+    def frame_section(frame: Frame) -> dict:
+        """The frame section that :meth:`the_frame` decodes to ``frame``:
+        ``o``, ``q`` and, where the frame has them, ``p`` and (a Lie
+        frame's) ``basis3``."""
+        vectors = {k: getattr(frame, k, None) for k in ("o", "q", "p", "basis3")}
+        return {k: v.tolist() for k, v in vectors.items() if v is not None}
 
     def save(self, path: str):
         def arrays(fields):
@@ -233,6 +245,7 @@ class NetFile:
             metadata=_section(doc, "metadata"),
         )
         nf.check_shapes()
+        nf.the_frame()
         return nf
 
     @classmethod
@@ -278,9 +291,10 @@ class NetFile:
         """The Omega-net of ``y``, ``t`` and ``eta`` in the Lie frame, spanned
         by ``mu_plus`` and ``mu_minus`` where stored; None without one of
         the four."""
-        from .lie_sphere import OmegaNet
-        lf, vf = self.lie_frame(), self.vertex_fields
-        if lf is None or "eta" not in self.form1_fields or not {"y", "t"} <= vf.keys():
+        from .lie_sphere import LieFrame, OmegaNet
+        lf, vf = self.the_frame(), self.vertex_fields
+        if not (isinstance(lf, LieFrame) and "eta" in self.form1_fields
+                and {"y", "t"} <= vf.keys()):
             return None
         return OmegaNet(self.grid(), lf, vf["y"], vf["t"], self.form1_fields["eta"],
                         mu_plus=vf.get("mu_plus"), mu_minus=vf.get("mu_minus"))
@@ -322,60 +336,52 @@ RESIDUAL, MARGIN = "residual", "margin"
 
 # The checks of `verify` by group, in report order: name, the key of the
 # value the group computes, tolerance (a DEFAULT_TOLS key, a fixed value,
-# or (factor, key)) and kind (a margin must stay above its tolerance).
-# A value is a number, a (number, worst element, note) triple, or text:
-# the reason the check is skipped.  A key not computed gives no line.
+# or (factor, key)), kind (a margin must stay above its tolerance) and
+# carrier: "quads" or "edges" for a value that is a maximum over them,
+# which on a grid without any reads 0, so the check is skipped as "no
+# quads" or "no edges" instead of passing.  A value is a number, a
+# (number, worst element, note) triple, or text: the reason the check is
+# skipped.  A key not computed gives no line.
 CHECKS = {
     "isothermic": (
-        ("isothermic.nullity", "nullity", "nullity", RESIDUAL),
-        ("isothermic.moutard", "moutard", "moutard", RESIDUAL),
-        ("isothermic.label_relations", "label_relations", "label_relations", RESIDUAL),
-        ("isothermic.diagonal_margin", "diagonal_margin", "regularity_margin", MARGIN),
-        *((f"isothermic.flatness(t={t})", f"flatness(t={t})", "flatness", RESIDUAL)
+        ("isothermic.nullity", "nullity", "nullity", RESIDUAL, None),
+        ("isothermic.moutard", "moutard", "moutard", RESIDUAL, "quads"),
+        ("isothermic.label_relations", "label_relations", "label_relations", RESIDUAL,
+         "quads"),
+        ("isothermic.diagonal_margin", "diagonal_margin", "regularity_margin", MARGIN,
+         "quads"),
+        *((f"isothermic.flatness(t={t})", f"flatness(t={t})", "flatness", RESIDUAL, "quads")
           for t in FLATNESS_T),
-        ("isothermic.stored_labels", "stored_labels", 1e-9, RESIDUAL),
+        ("isothermic.stored_labels", "stored_labels", 1e-9, RESIDUAL, "edges"),
     ),
     "omega": (
-        ("omega.null_planes", "null_planes", 1e-9, RESIDUAL),
-        ("omega.normalization", "normalization", 1e-9, RESIDUAL),
-        ("omega.gauge", "gauge", "gauge", RESIDUAL),
-        ("omega.eta_closed", "eta_closed", "eta_closed", RESIDUAL),
-        ("omega.eta_decomposable", "eta_decomposable", "applicability", RESIDUAL),
-        ("omega.eta_in_lam2_f", "eta_in_lam2_f", "applicability", RESIDUAL),
-        ("omega.nondegeneracy", "nondegeneracy_margin", "regularity_margin", MARGIN),
-        ("omega.reconstruction", "reconstruction", "applicability", RESIDUAL),
-        ("omega.duality", "duality", "duality", RESIDUAL),
-        ("omega.eisenhart", "pairing", "eisenhart", RESIDUAL),
+        ("omega.null_planes", "null_planes", 1e-9, RESIDUAL, None),
+        ("omega.normalization", "normalization", 1e-9, RESIDUAL, None),
+        ("omega.gauge", "gauge", "gauge", RESIDUAL, None),
+        ("omega.eta_closed", "eta_closed", "eta_closed", RESIDUAL, "quads"),
+        ("omega.eta_decomposable", "eta_decomposable", "applicability", RESIDUAL, None),
+        ("omega.eta_in_lam2_f", "eta_in_lam2_f", "applicability", RESIDUAL, None),
+        ("omega.nondegeneracy", "nondegeneracy_margin", "regularity_margin", MARGIN, None),
+        ("omega.reconstruction", "reconstruction", "applicability", RESIDUAL, None),
+        ("omega.duality", "duality", "duality", RESIDUAL, "quads"),
+        ("omega.eisenhart", "pairing", "eisenhart", RESIDUAL, None),
     ),
     "principal": (
-        ("principal.unit_normal", "unit_normal", "unit_normal", RESIDUAL),
+        ("principal.unit_normal", "unit_normal", "unit_normal", RESIDUAL, None),
         ("principal.curvature_relation", "curvature_relation", "curvature_relation",
-         RESIDUAL),
-        ("principal.circularity", "circularity", "circularity", RESIDUAL),
+         RESIDUAL, "edges"),
+        ("principal.circularity", "circularity", "circularity", RESIDUAL, "quads"),
     ),
     "guichard": (
-        ("guichard.associate", "associate", "associate", RESIDUAL),
-        ("guichard.eisenhart", "eisenhart", "eisenhart", RESIDUAL),
-        ("guichard.ratio_identity", "ratio_identity", (10, "eisenhart"), RESIDUAL),
-        ("omega.duality_fields", "duality_fields", "duality", RESIDUAL),
+        ("guichard.associate", "associate", "associate", RESIDUAL, "quads"),
+        ("guichard.eisenhart", "eisenhart", "eisenhart", RESIDUAL, None),
+        ("guichard.ratio_identity", "ratio_identity", (10, "eisenhart"), RESIDUAL, None),
+        ("omega.duality_fields", "duality_fields", "duality", RESIDUAL, "quads"),
     ),
     "special": (
-        ("special.orthogonality", "orthogonality", "orthogonality", RESIDUAL),
-        ("special.coefficients", "coefficients", "coefficients", RESIDUAL),
+        ("special.orthogonality", "orthogonality", "orthogonality", RESIDUAL, None),
+        ("special.coefficients", "coefficients", "coefficients", RESIDUAL, None),
     ),
-}
-
-
-# The checks whose value is a maximum over the quads or the edges of the
-# grid, by group and key: on a grid without any such a maximum reads 0,
-# so the check is skipped as "no quads" or "no edges" instead of passing.
-OVER = {
-    "isothermic": {"moutard": "quads", "label_relations": "quads", "diagonal_margin": "quads",
-                   **{f"flatness(t={t})": "quads" for t in FLATNESS_T},
-                   "stored_labels": "edges"},
-    "omega": {"eta_closed": "quads", "duality": "quads"},
-    "principal": {"curvature_relation": "edges", "circularity": "quads"},
-    "guichard": {"associate": "quads", "duality_fields": "quads"},
 }
 
 
@@ -384,12 +390,14 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
     rest as skipped."""
     tols = {**DEFAULT_TOLS, **(tols or {})}
     rep = Report()
-    for group, values in _residuals(nf):
+    for group, grid, values in _residuals(nf):
         if isinstance(values, str):
             rep.skipped.append((f"{group}.*", values))
             continue
-        for name, key, spec, kind in CHECKS[group]:
+        for name, key, spec, kind, carrier in CHECKS[group]:
             value = values.get(key)
+            if value is not None and carrier and not getattr(grid, f"n{carrier}"):
+                value = f"no {carrier}"
             if isinstance(value, str):
                 rep.skipped.append((name, value))
             elif value is not None:
@@ -404,26 +412,18 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
     return rep
 
 
-def _over_nothing(values: dict, grid: Grid, group: str) -> dict:
-    """``values`` with each value of :data:`OVER` whose carrier the grid
-    lacks replaced by the reason it is skipped."""
-    for key, carrier in OVER[group].items():
-        if key in values and not getattr(grid, f"n{carrier}"):
-            values[key] = f"no {carrier}"
-    return values
-
-
 def _residuals(nf: NetFile):
-    """Per group of :data:`CHECKS` in order, the residuals by key or the
-    reason the group is skipped.  The associate-net (``guichard``) group
-    needs a principal net and the ``special`` group an ``xi`` field;
-    without them the group gives no line."""
+    """Per group of :data:`CHECKS` in order, the grid of its net and the
+    residuals by key, or None and the reason the group is skipped.  The
+    associate-net (``guichard``) group needs a principal net and the
+    ``special`` group an ``xi`` field; without them the group gives no
+    line."""
     from . import lie_sphere as lie
     from .isothermic import connection_flatness
 
     net, vf = nf.isothermic_net(), nf.vertex_fields
     if net is None:
-        yield "isothermic", "no mu field"
+        yield "isothermic", None, "no mu field"
     else:
         v = net.validate()
         out = {**v, "moutard": (v["moutard"], v["worst_quad"], "")}
@@ -445,42 +445,40 @@ def _residuals(nf: NetFile):
                                      where=~both_inf))
             out["stored_labels"] = float(rel(num, np.where(both_inf, 1.0, np.abs(stored)))
                                          .max(initial=0.0))
-        yield "isothermic", _over_nothing(out, net.grid, "isothermic")
+        yield "isothermic", net.grid, out
     omega, labels = nf.omega_net(), None
     if omega is None or omega.mu_plus is None or omega.mu_minus is None:
-        yield "omega", ("incomplete omega fields or frame" if "mu_plus" in vf
-                        else "no congruence fields")
+        yield "omega", None, ("incomplete omega fields or frame" if "mu_plus" in vf
+                              else "no congruence fields")
     elif not omega.grid.nedges:
-        yield "omega", "no edges"
+        yield "omega", None, "no edges"
     else:
         v = omega.validate()
         a = lie.associates(omega)
         labels = lie.omega_edge_labels(omega)
         pairing = lie.eisenhart_general(omega.principal(), a.x_dual, a.n_dual, labels)
-        yield "omega", _over_nothing({**v, **v["applicability"], **pairing,
-                                      "reconstruction": a.reconstruction,
-                                      "duality": a.duality}, omega.grid, "omega")
+        yield "omega", omega.grid, {**v, **v["applicability"], **pairing,
+                                    "reconstruction": a.reconstruction, "duality": a.duality}
     pn = nf.principal_net()
     if pn is None:
-        yield "principal", "no x, n fields"
+        yield "principal", None, "no x, n fields"
     else:
-        yield "principal", _over_nothing(pn.validate(), pn.grid, "principal")
+        yield "principal", pn.grid, pn.validate()
         if "xdual" not in vf:
-            yield "guichard", "no xdual field"
+            yield "guichard", None, "no xdual field"
         elif "ndual" in vf:
-            yield "guichard", _over_nothing({"duality_fields": lie.check_omega(
-                pn, vf["xdual"], vf["ndual"])["duality"]}, pn.grid, "guichard")
+            yield "guichard", pn.grid, {"duality_fields": lie.check_omega(
+                pn, vf["xdual"], vf["ndual"])["duality"]}
         else:
             # an associate net without a separate associate Gauss map is
             # the Guichard case (the Gauss map itself is the partner)
-            yield "guichard", _over_nothing({**lie.check_guichard(pn, vf["xdual"]), **(
-                {} if labels is None else lie.eisenhart_guichard(pn, vf["xdual"], labels))},
-                pn.grid, "guichard")
+            yield "guichard", pn.grid, {**lie.check_guichard(pn, vf["xdual"]), **(
+                {} if labels is None else lie.eisenhart_guichard(pn, vf["xdual"], labels))}
     if "xi" in vf:
-        lf = nf.lie_frame()
-        if net is None or lf is None:
-            yield "special", "xi present but mu or frame missing"
+        lf = nf.the_frame()
+        if net is None or not isinstance(lf, lie.LieFrame):
+            yield "special", None, "xi present but mu or frame missing"
         else:
             orth, dev = lie.special_residuals(lf, net.mu, vf["xi"])
-            yield "special", {"orthogonality": float(orth.max(initial=0.0)),
-                              "coefficients": float(dev.max(initial=0.0))}
+            yield "special", net.grid, {"orthogonality": float(orth.max(initial=0.0)),
+                                        "coefficients": float(dev.max(initial=0.0))}

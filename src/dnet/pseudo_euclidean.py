@@ -101,15 +101,15 @@ class Frame:
     """Null frame ``o, q`` (both null, (o, q) = -1) with optional point
     sphere complex ``p`` ((p, p) = -1, orthogonal to o and q).
 
-    ``pi`` is orthoprojection onto span{o, q}^perp, the model of R^{p,q}
-    inside R^{p+1,q+1}.
+    Immutable: the vectors are read-only copies and no attribute can be
+    rebound.  ``pi`` is orthoprojection onto span{o, q}^perp, the model
+    of R^{p,q} inside R^{p+1,q+1}.
     """
 
     def __init__(self, signature: Signature, o, q, p=None):
-        self.signature = signature
-        self.o = np.asarray(o, float)
-        self.q = np.asarray(q, float)
-        self.p = None if p is None else np.asarray(p, float)
+        object.__setattr__(self, "signature", signature)
+        for name, v in (("o", o), ("q", q), ("p", p)):
+            self._store(name, v, (signature.dim,))
         ip = signature.inner
         checks = {
             "(o,o)": ip(self.o, self.o),
@@ -121,11 +121,23 @@ class Frame:
             checks["(p,o)"] = ip(self.p, self.o)
             checks["(p,q)"] = ip(self.p, self.q)
         for name, val in checks.items():
-            if abs(val) > _IDENTITY_TOL:
+            if not abs(val) <= _IDENTITY_TOL:
                 raise ValueError(f"frame invariant {name} = {val:.3e} "
                                  f"exceeds {_IDENTITY_TOL:.1e}")
-        for arr in (self.o, self.q) + (() if self.p is None else (self.p,)):
-            arr.setflags(write=False)
+
+    def _store(self, name: str, v, shape: tuple):
+        """Set attribute ``name`` to a read-only float copy of ``v``, which
+        must have ``shape`` (None stays None)."""
+        if v is not None:
+            v = np.array(v, float)
+            if v.shape != shape:
+                raise ValueError(f"frame vector {name} has shape {v.shape}, "
+                                 f"expected {shape}")
+            v.setflags(write=False)
+        object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def pi(self, v) -> np.ndarray:
         """Orthoprojection onto span{o, q}^perp (batched)."""

@@ -118,8 +118,8 @@ def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):
     null_rows = rng.standard_normal((64, d - 2))
     step_rows = rng.standard_normal((d0 + d1 - 2, 64, d))
 
-    x0 = frame.frame.pi(base_row)
-    mu0 = frame.frame.o + x0 + 0.5 * float(ip(x0, x0)) * frame.q
+    x0 = frame.pi(base_row)
+    mu0 = frame.o + x0 + 0.5 * float(ip(x0, x0)) * frame.q
     if abs(ip(mu0, frame.p)) < 0.05:
         raise DegeneracyError("base point sphere nearly flat")
     # least-norm solution of (v, p) = -1, (v, mu0) = 0 from the Gram matrix
@@ -147,7 +147,7 @@ def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):
     def cauchy_step(mu_prev, xi_prev, index):
         prev_norm = np.linalg.norm(mu_prev, axis=-1)
         for row in step_rows[index - 1]:
-            delta = frame.frame.pi(magnitude * row)
+            delta = frame.pi(magnitude * row)
             w = mu_prev / prev_norm + delta
             wq = float(ip(w, frame.q))
             if abs(wq) < 1e-6:
@@ -183,7 +183,7 @@ def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):
         index += 1
         line1[b], xi_prev = cauchy_step(line1[b - 1], xi_prev, index)
 
-    net = moutard_evolve(g, sig, line0, line1, frame=frame.frame)
+    net = moutard_evolve(g, sig, line0, line1, frame=frame)
     rep = net.validate(margin=1e-5)
     t, h = g.edge_tail, g.edge_head
     etap = (ip(net.mu[h], frame.p)[:, None] * net.mu[t]
@@ -206,12 +206,11 @@ def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):
     return net, xi, diag
 
 
-def guichard_generate(dims, seed=0, magnitude=0.25, retries=48, tol=1e-8, frame=None,
-                      skip_constraint_at=None):
+def guichard_generate(dims, seed=0, magnitude=0.25, retries=48, tol=1e-8,
+                      frame=standard_lie_frame(), skip_constraint_at=None):
     """Guichard attempts one at a time, attempt ``i`` from its own
     ``numpy.random.default_rng([seed, i])``; the result or the first
     completed attempt's fault report, or None after ``retries``."""
-    frame = standard_lie_frame() if frame is None else frame
     g = Grid(dims)
     for i in range(retries):
         try:

@@ -299,6 +299,15 @@ def test_verify_infinite_label_pair_is_quiet(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# each maps the frame section of a `gen omega` file to a corrupted one
+FRAME_BREAKS = {
+    "frame_basis3_not_orthonormal": lambda fr: {**fr, "basis3": [fr["basis3"][0]] * 3},
+    "frame_o_not_null": lambda fr: {**fr, "o": fr["basis3"][0]},
+    "frame_o_of_5": lambda fr: {**fr, "o": fr["o"][:5]},
+    "frame_basis3_of_2_rows": lambda fr: {**fr, "basis3": fr["basis3"][:2]},
+    "frame_no_q": lambda fr: {k: v for k, v in fr.items() if k != "q"},
+}
+
 EXIT_CODES = [
     (["gen", "isothermic", "--dims", "4x4", "--seed", "1", "-o", "{out}"], 0),
     (["verify", "-i", "{net}"], 0),
@@ -353,6 +362,11 @@ EXIT_CODES = [
     (["verify", "-i", "{edgeless}"], 1),
     (["transform", "dual", "-i", "{edgeless}", "-o", "{out}"], 2),
     (["transform", "associates", "-i", "{edgeless}", "-o", "{out}"], 2),
+    # an Omega-net file with a corrupted frame section is bad input, for
+    # every command that loads it
+    *((["verify", "-i", f"{{{name}}}"], 2) for name in FRAME_BREAKS),
+    *((["transform", "dual", "-i", f"{{{name}}}", "-o", "{out}"], 2) for name in FRAME_BREAKS),
+    (["export", "-i", "{frame_no_q}", "--field", "y", "--format", "csv", "-o", "{out}"], 2),
 ]
 
 
@@ -367,7 +381,8 @@ def test_exit_codes(tmp_path, capsys, argv, code):
                                 "dims": [3, 3]}))
     names = {"net": net, "bare": bare, "out": tmp_path / "out.json",
              "missing": tmp_path / "missing.json", "net41": tmp_path / "net41.json",
-             "pair": tmp_path / "pair.json", "edgeless": tmp_path / "edgeless.json"}
+             "pair": tmp_path / "pair.json", "edgeless": tmp_path / "edgeless.json",
+             **{name: tmp_path / f"{name}.json" for name in FRAME_BREAKS}}
     if "{net41}" in argv:
         assert run("gen", "isothermic", "--dims", "4x4", "--seed", 2, "--signature", "4,1",
                    "-o", names["net41"]) == 0
@@ -376,6 +391,12 @@ def test_exit_codes(tmp_path, capsys, argv, code):
                    "-o", names["pair"]) == 0
     if "{edgeless}" in argv:
         assert run("gen", "omega", "--dims", "1x1", "--seed", 1, "-o", names["edgeless"]) == 0
+    for name, corrupt in FRAME_BREAKS.items():
+        if f"{{{name}}}" in argv:
+            assert run("gen", "omega", "--dims", "4x4", "--seed", 1, "-o", names[name]) == 0
+            doc = json.loads(names[name].read_text())
+            doc["frame"] = corrupt(doc["frame"])
+            names[name].write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(*(a.format(**names) for a in argv)) == code
     out, err = capsys.readouterr()
@@ -503,11 +524,19 @@ def test_check_table_names_tolerances_and_order(tmp_path):
     rows = [row for group in CHECKS.values() for row in group]
     names = [name for name, *_ in rows]
     assert len(set(names)) == len(names)
-    for name, key, tol, kind in rows:
+    for name, key, tol, kind, carrier in rows:
         assert kind in (RESIDUAL, MARGIN)
+        assert carrier in ("quads", "edges", None), name
         assert (tol in DEFAULT_TOLS if isinstance(tol, str)
                 else tol[1] in DEFAULT_TOLS if isinstance(tol, tuple)
                 else isinstance(tol, float)), name
+    # the checks whose value is a maximum over the quads or the edges
+    carried = {name: carrier for name, *_, carrier in rows if carrier}
+    assert carried == {**dict.fromkeys(QUADS + ("omega.eta_closed", "omega.duality",
+                                                "principal.circularity", "guichard.associate",
+                                                "omega.duality_fields"), "quads"),
+                       "isothermic.stored_labels": "edges",
+                       "principal.curvature_relation": "edges"}
     # a Guichard file runs every group, in table order, margins noted
     path = tmp_path / "g.json"
     assert run("gen", "guichard", "--dims", "5x5", "--seed", 1, "-o", path) == 0
@@ -516,6 +545,6 @@ def test_check_table_names_tolerances_and_order(tmp_path):
     assert ran == [n for n in names if n in ran]
     assert {n.split(".")[0] for n in ran} == {"isothermic", "omega", "principal",
                                               "guichard", "special"}
-    margins = {name for name, _, _, kind in rows if kind == MARGIN}
+    margins = {name for name, _, _, kind, _ in rows if kind == MARGIN}
     assert all((c.note == "margin (must stay above tolerance)") == (c.name in margins)
                for c in rep.checks)

@@ -12,10 +12,10 @@ from dnet.cli import main
 from dnet.errors import DegeneracyError, FormatError
 from dnet.forms import unpack_bivector, wedge_vec
 from dnet.grid import Grid
-from dnet.isothermic import random_isothermic
+from dnet.isothermic import christoffel_dual, random_isothermic
 from dnet.koenigs import LineCongruence
 from dnet.netfile import NetFile, _decode_array
-from dnet.pseudo_euclidean import Signature
+from dnet.pseudo_euclidean import Frame, Signature
 from tests import netfile_reference as ref
 
 
@@ -181,7 +181,12 @@ def _breakages():
     def m_column(doc):
         doc["fields"]["edge"]["m"] = [[v] for v in doc["fields"]["edge"]["m"]]
         return doc
+
+    def drop_q(doc):
+        del doc["frame"]["q"]
+        return doc
     mu = ("fields", "vertex", "mu", 3, 1)
+    e = np.eye(6).tolist()
     return {
         "no-signature": drop("signature"),
         "no-dims": drop("dims"),
@@ -207,6 +212,13 @@ def _breakages():
         "eta-rows-of-10": rows("form1", "eta", 10),
         "x-one-number-per-vertex": rows("vertex", "x", None),
         "m-as-column": m_column,
+        # the frame section must make a frame of the signature, with a Lie
+        # basis where it stores basis3
+        "frame-no-q": drop_q,
+        "frame-o-not-null": put(("frame", "o"), e[3]),
+        "frame-o-of-5": put(("frame", "o"), [0.0, 0.0, 0.0, 0.5, 0.5]),
+        "frame-basis3-not-orthonormal": put(("frame", "basis3"), [e[0], e[0], e[2]]),
+        "frame-basis3-of-2-rows": put(("frame", "basis3"), e[:2]),
     }
 
 
@@ -230,6 +242,32 @@ def test_malformed_json_exits_2(tmp_path, capsys, text):
     assert run("verify", "-i", bad) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_guichard_file_frame_is_a_lie_frame(tmp_path):
+    path = tmp_path / "g.json"
+    assert run("gen", "guichard", "--dims", "5x5", "--seed", 1, "-o", path) == 0
+    nf = NetFile.load(str(path))
+    lf = nf.the_frame()
+    assert isinstance(lf, lie.LieFrame)
+    assert NetFile.frame_section(lf) == {k: v.tolist() for k, v in nf.frame.items()}
+    # the Christoffel dual in it is the one in the plain frame, bit for bit
+    net = nf.isothermic_net()
+    got = christoffel_dual(net, lf)
+    want = christoffel_dual(net, Frame(lf.signature, lf.o, lf.q, lf.p))
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.x_dual, want.x_dual)
+    # so does `transform christoffel` of the file without basis3
+    plain = tmp_path / "plain.json"
+    doc = json.loads(path.read_text())
+    del doc["frame"]["basis3"]
+    plain.write_text(json.dumps(doc))
+    assert type(NetFile.load(str(plain)).the_frame()) is Frame
+    outs = [tmp_path / "lie_out.json", tmp_path / "plain_out.json"]
+    for src, out in zip((path, plain), outs):
+        assert run("transform", "christoffel", "-i", src, "-o", out) == 0
+    fields = [NetFile.load(str(out)).vertex_fields for out in outs]
+    for name in ("x", "xdual"):
+        assert fields[0][name].tobytes() == fields[1][name].tobytes()
 
 
 def test_nan_string_still_loads_as_nan(tmp_path):

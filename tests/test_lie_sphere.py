@@ -6,7 +6,7 @@ from dnet.forms import Form0, curly_wedge, exterior_derivative, wedge_vec
 from dnet.grid import Grid
 from dnet.isothermic import (IsothermicNet, darboux_transform, stack_pair)
 from dnet.koenigs import LineCongruence, extract_pair
-from dnet.lie_sphere import (OmegaNet, PrincipalNet,
+from dnet.lie_sphere import (LieFrame, OmegaNet, PrincipalNet,
                              associates, calapso_legendre, check_guichard,
                              check_omega, classify_special, darboux_legendre,
                              demoulin_radii, dual_legendre, eisenhart_general,
@@ -16,7 +16,7 @@ from dnet.lie_sphere import (OmegaNet, PrincipalNet,
                              omega_edge_labels, omega_from_darboux_pair,
                              principal_from_legendre, random_lie_frame,
                              sphere_lattice, standard_lie_frame)
-from dnet.pseudo_euclidean import Signature, line_distance
+from dnet.pseudo_euclidean import Frame, Signature, line_distance
 from tests.pseudo_reference import plane_distance
 from dnet.isothermic import ConservedQuantity
 
@@ -62,6 +62,31 @@ def test_legendre_lift_roundtrip():
     assert np.abs(back.x - pn.x).max() <= 1e-11
     assert np.abs(back.n - pn.n).max() <= 1e-11
     assert np.abs(back.kappa - pn.kappa).max() <= 1e-11
+
+
+@pytest.mark.parametrize("make", [standard_lie_frame,
+                                  lambda: random_lie_frame(np.random.default_rng(4))])
+def test_lie_frame_is_a_frozen_frame(make):
+    lf = make()
+    assert isinstance(lf, Frame)
+    for name in ("o", "q", "p", "basis3"):
+        with pytest.raises(ValueError):
+            getattr(lf, name)[0] = 1.0
+        with pytest.raises(AttributeError):
+            setattr(lf, name, getattr(lf, name).copy())
+    # the vectors are copies: the caller's arrays stay writable and apart
+    basis3 = lf.basis3.copy()
+    other = LieFrame(lf.signature, lf.o, lf.q, lf.p, basis3)
+    basis3[0] = 0.0
+    assert basis3.flags.writeable and np.array_equal(other.basis3, lf.basis3)
+
+
+def test_standard_lie_frame_is_built_once():
+    lf = standard_lie_frame()
+    assert lf is standard_lie_frame()
+    assert np.array_equal(lf.basis3, np.eye(6)[:3]) and np.array_equal(lf.p, np.eye(6)[4])
+    std = SIG42.standard_frame()
+    assert np.array_equal(lf.o, std.o) and np.array_equal(lf.q, std.q)
 
 
 def test_round_sphere_curvature_radii():

@@ -56,14 +56,11 @@ def integrate_one_form(grid, values, base=0, seed=None):
 def trivialize_connection(grid, gamma, base=0):
     k = gamma.shape[1]
     T = np.empty((grid.nverts, k, k))
-    Tinv = np.empty_like(T)
     T[base] = np.eye(k)
-    Tinv[base] = np.eye(k)
     for v, parent, slot, sign in staircase_steps(grid, base):
         step = gamma[slot] if sign > 0 else np.linalg.inv(gamma[slot])
         T[v] = T[parent] @ np.linalg.inv(step)
-        Tinv[v] = step @ Tinv[parent]
-    return T, Tinv
+    return T
 
 
 def darboux_march(net, m, hat0, base=0, min_denom=1e-12):
