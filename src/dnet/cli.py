@@ -12,13 +12,14 @@ Exit codes: 0 pass, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
 from .errors import FormatError, GeometryError
 from .grid import Grid
-from .netfile import DEFAULT_TOLS, NetFile, run_checks
+from .netfile import DEFAULT_TOLS, NetFile, run_checks, write_text
 from .pseudo_euclidean import Signature
 
 GEN_KINDS = ("isothermic", "darboux-pair", "omega", "guichard", "minimal",
@@ -139,7 +140,6 @@ def cmd_generate(args) -> int:
         fault = None if params["fault"] is None else int(params["fault"])
         out = lie.guichard_generate(dims, seed=args.seed, skip_constraint_at=fault)
         if isinstance(out, dict):
-            import json as _json
             fail = {
                 "format": "dnet-failure/1",
                 "generator": "guichard",
@@ -149,9 +149,7 @@ def cmd_generate(args) -> int:
                 "orthogonality": out["orthogonality"],
                 "orthogonality_map": out["orthogonality_map"].tolist(),
             }
-            with open(args.output, "w", encoding="utf-8") as fh:
-                _json.dump(fail, fh, sort_keys=True, indent=1)
-                fh.write("\n")
+            write_text(args.output, json.dumps(fail, sort_keys=True, indent=1), "\n")
             sys.stderr.write(
                 f"guichard generation fault report written to {args.output}: "
                 f"worst vertex {out['worst_vertex']}, "
@@ -180,8 +178,8 @@ def cmd_generate(args) -> int:
                      vertex_fields={"x": pn.x, "n": pn.n},
                      edge_fields={"kappa": pn.kappa}, metadata=meta)
 
+    nf.check_format()             # emitted files must pass load validation
     nf.save(args.output)
-    NetFile.load(args.output)     # emitted files must pass load validation
     return 0
 
 
@@ -199,8 +197,7 @@ def cmd_verify(args) -> int:
     rep = run_checks(nf, tols)
     text = rep.to_text()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_text(args.report, text, "\n")
     sys.stdout.write(text + "\n")
     return 0 if rep.passed else 1
 
@@ -290,18 +287,12 @@ def cmd_export(args) -> int:
         for row in field:
             lines.append("v " + " ".join(f"{v:.17g}" for v in row))
         lines += [f"f {i} {j} {k} {l}" for i, j, k, l in g.quad_vertices + 1]
-        text = "\n".join(lines) + "\n"
     else:
         cols = ",".join(f"{args.field}_{k}" for k in range(field.shape[1]))
         lines = [f"vertex,{cols}"]
         for idx, row in enumerate(field):
             lines.append(f"{idx}," + ",".join(repr(float(v)) for v in row))
-        text = "\n".join(lines) + "\n"
-    tmp = f"{args.output}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    import os
-    os.replace(tmp, args.output)
+    write_text(args.output, "\n".join(lines), "\n")
     return 0
 
 

@@ -173,11 +173,15 @@ def exterior_derivative(form):
     if form.degree == 0:
         return Form1(grid, form.values[grid.edge_head] - form.values[grid.edge_tail])
     if form.degree == 1:
-        qe = grid.quad_edges
-        vals = (form.values[qe[:, 0]] + form.values[qe[:, 1]]
-                - form.values[qe[:, 2]] - form.values[qe[:, 3]])
-        return Form2(grid, vals)
+        return Form2(grid, _quad_edge_sum(grid, form.values))
     raise ValueError("exterior derivative is implemented for degrees 0 and 1 only")
+
+
+def _quad_edge_sum(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The quad sums of an edge array on canonical orientations: d of a
+    1-form's values."""
+    qe = grid.quad_edges
+    return values[qe[:, 0]] + values[qe[:, 1]] - values[qe[:, 2]] - values[qe[:, 3]]
 
 
 def _quad_vertex_sum(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .errors import ClosednessError, FlatnessError
+from .forms import _quad_edge_sum
 from .residuals import floor, rel, worst
 
 # Quads per block of :func:`holonomy`: one block up to 32x32 (961 quads).
@@ -171,12 +172,6 @@ def stack(grid: Grid) -> Grid:
     return Grid((2,) + grid.dims, stacked=True)
 
 
-def _d_one_form(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Quad sums of an edge array on canonical orientations."""
-    qe = grid.quad_edges
-    return values[qe[:, 0]] + values[qe[:, 1]] - values[qe[:, 2]] - values[qe[:, 3]]
-
-
 def _closedness(grid: Grid, values: np.ndarray, scale: float):
     """Worst quad residual ``|d values| / scale`` and its quad.
 
@@ -184,7 +179,7 @@ def _closedness(grid: Grid, values: np.ndarray, scale: float):
     scale does not hide which quad is bad; dividing the maximum by the
     one positive scale gives the same bits as the maximum of the
     quotients."""
-    num, q = worst(np.linalg.norm(_d_one_form(grid, values), axis=-1))
+    num, q = worst(np.linalg.norm(_quad_edge_sum(grid, values), axis=-1))
     return num / scale, q
 
 

@@ -15,8 +15,11 @@ newline:
 * non-finite values are written as the strings ``"inf"``, ``"-inf"`` and
   ``"nan"``.
 
-Fixed inputs give byte-identical files.  Writes go through a temporary
-file and an atomic rename.
+Fixed inputs give byte-identical files.  Every file dnet writes (net
+files, ``verify --report`` reports, ``export`` output and the Guichard
+fault report) goes through :func:`write_text`: a temporary file beside
+the target and an atomic rename, so a failed write leaves the old file
+and no temporary file.
 
 :meth:`NetFile.load` reads array entries that are numbers, booleans
 (as 0 / 1) or strings that Python's ``float`` accepts (``"inf"``,
@@ -31,6 +34,7 @@ a frame section that is not a frame of the signature (see
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -46,12 +50,19 @@ from .residuals import rel
 FORMAT = "dnet-net/1"
 FLOAT_ENCODING = "decimal-shortest-roundtrip"
 
-VERTEX_FIELDS = ("mu", "mu_plus", "mu_minus", "x", "n", "xdual", "ndual",
-                 "xi", "y", "t")
-EDGE_FIELDS = ("m", "kappa")
-FORM1_FIELDS = ("eta",)
 
-
+def write_text(path: str, *parts: str):
+    """Write ``parts`` to ``path`` through ``path.tmp.<pid>`` and an atomic
+    rename; on any failure remove the temporary file and re-raise."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):      # open may have failed
+            os.remove(tmp)
+        raise
 def _json_text(value, depth: int) -> str:
     """``value`` in the file layout, nested ``depth`` levels deep.
 
@@ -205,12 +216,7 @@ class NetFile:
                        "form1": arrays(self.form1_fields)},
             "metadata": self.metadata,
         }
-        text = _document_text(doc)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_text(path, _document_text(doc), "\n")
 
     @classmethod
     def load(cls, path: str) -> "NetFile":
@@ -244,8 +250,7 @@ class NetFile:
             form1_fields=arrays("form1", "one-form field"),
             metadata=_section(doc, "metadata"),
         )
-        nf.check_shapes()
-        nf.the_frame()
+        nf.check_format()
         return nf
 
     @classmethod
@@ -256,12 +261,13 @@ class NetFile:
                    vertex_fields={"mu": net.mu}, edge_fields={"m": net.labels},
                    metadata=metadata)
 
-    def check_shapes(self):
-        """Raise :class:`FormatError` unless every field has one entry per
-        vertex or edge: a number on an edge, a row elsewhere, of the
-        signature's width in the lifts ``mu``, ``mu_plus``, ``mu_minus``,
-        ``y``, ``t`` and ``xi`` and of one value per bivector coordinate in
-        ``eta``."""
+    def check_format(self):
+        """The checks of :meth:`load`: raise :class:`FormatError` unless
+        every field has one entry per vertex or edge (a number on an edge,
+        a row elsewhere, of the signature's width in the lifts ``mu``,
+        ``mu_plus``, ``mu_minus``, ``y``, ``t`` and ``xi`` and of one value
+        per bivector coordinate in ``eta``) and the frame section decodes
+        (see :meth:`the_frame`)."""
         try:
             g = self.grid()
         except ValueError as err:
@@ -280,6 +286,7 @@ class NetFile:
                     raise FormatError(f"{label} {name!r} has shape {arr.shape}, expected "
                                       f"{rows} {'rows' if ndim == 2 else 'values'}"
                                       + (f" of {width}" if width else ""))
+        self.the_frame()
 
     def isothermic_net(self):
         """The isothermic net of ``mu``, or None without it."""

@@ -1,4 +1,6 @@
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,6 +225,68 @@ def test_export_rejects_bad_field(tmp_path):
                "-o", tmp_path / "bad.obj") == 2
     assert run("export", "-i", src, "--field", "nope", "--format", "csv",
                "-o", tmp_path / "bad.csv") == 2
+
+
+# every command that writes a file, its output named OUT and its input SRC
+WRITERS = {
+    "save": ("gen", "isothermic", "--dims", "4x4", "--seed", 1, "-o", "OUT"),
+    "report": ("verify", "-i", "SRC", "--report", "OUT"),
+    "export": ("export", "-i", "SRC", "--field", "x", "--format", "csv", "-o", "OUT"),
+    "fault-report": ("gen", "guichard", "--dims", "6x6", "--seed", 1,
+                     "--param", "fault=3", "-o", "OUT"),
+}
+
+
+def _run_writer(tmp_path, argv):
+    """Run a writer of WRITERS on a Weingarten file ``w.json``, into ``out``."""
+    paths = {"SRC": tmp_path / "w.json", "OUT": tmp_path / "out"}
+    return run(*(paths.get(a, a) for a in argv))
+
+
+@pytest.fixture
+def weingarten(tmp_path):
+    assert run("gen", "weingarten", "--dims", "4x4", "-o", tmp_path / "w.json") == 0
+
+
+@pytest.mark.usefixtures("weingarten")
+@pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS)
+def test_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "out").write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("no room")
+    monkeypatch.setattr(os, "replace", refuse)
+    assert _run_writer(tmp_path, argv) == 2
+    assert capsys.readouterr().err == "usage error: no room\n"
+    assert (tmp_path / "out").read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "w.json"]
+
+
+@pytest.mark.usefixtures("weingarten")
+@pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS)
+def test_output_naming_a_directory_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "out").mkdir()
+    assert _run_writer(tmp_path, argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: [Errno 21] Is a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "w.json"]
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_gen_checks_its_net_before_writing(tmp_path, capsys, monkeypatch):
+    import dnet.isothermic as iso
+    real = iso.random_isothermic
+
+    def narrow(*args, **kw):
+        """The real net with one coordinate of its lifts dropped."""
+        net = real(*args, **kw)
+        return SimpleNamespace(grid=net.grid, signature=net.signature,
+                               mu=net.mu[:, :5], labels=net.labels)
+    monkeypatch.setattr(iso, "random_isothermic", narrow)
+    assert run("gen", "isothermic", "--dims", "4x4", "--seed", 1,
+               "-o", tmp_path / "iso.json") == 2
+    assert capsys.readouterr().err == ("usage error: vertex field 'mu' has shape (16, 5), "
+                                       "expected 16 rows of 6\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_tolerance_overrides(tmp_path):
