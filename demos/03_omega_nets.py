@@ -10,7 +10,7 @@ the bipartite line bundles and transforms the whole congruence.
 
 import numpy as np
 
-from dnet import Grid, Signature, random_isothermic
+from dnet import Grid, IsothermicNet, Signature, random_isothermic
 from dnet.koenigs import extract_pair
 from dnet.lie_sphere import (associates, calapso_legendre, darboux_legendre,
                              dual_legendre, eisenhart_general,
@@ -31,8 +31,9 @@ print(f"duality dxd^~dx + dnd^~dn residual: {a.duality:.1e}")
 print(f"form reconstruction residual:       {a.reconstruction:.1e}")
 
 labels = omega_edge_labels(omega)
-print(f"edge labels match the sphere congruence to "
-      f"{np.abs((labels - net.labels) / net.labels).max():.1e}")
+minus = IsothermicNet(omega.grid, sig, omega.mu_minus).labels
+print(f"both congruences of the spanning pair carry the same labels: "
+      f"{np.abs((minus - labels) / labels).max():.1e}")
 eis = eisenhart_general(omega.principal(), a.x_dual, a.n_dual, labels)
 print(f"distance identity (dx,dxd)+(dn,dnd) = -2/m: {eis['pairing']:.1e}")
 

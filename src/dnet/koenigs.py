@@ -389,7 +389,7 @@ class LineCongruence:
         second = rel(sv4[:, 3], sv4[:, 0])
         out["second_order_margin"] = float(second.min()) if g.nquads else 0.0
         out["passed"] = bool(
-            out["eta_closed"] <= 1e-8
+            out["eta_closed"] <= 1e-10
             and out["eta_decomposable"] <= 1e-8
             and out["eta_in_lam2_f"] <= 1e-8
             and out["nondegeneracy_margin"] >= 1e-6

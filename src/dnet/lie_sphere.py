@@ -25,13 +25,12 @@ import numpy as np
 from .errors import (DegeneracyError, FrameError, GaugeError,
                      GenerationError)
 from .forms import (Form0, Form1, curly_wedge, exterior_derivative,
-                    mixed_area, unpack_bivector, wedge, wedge_vec, BilinearRule)
+                    mixed_area, unpack_bivector, wedge_vec)
 from .grid import Grid, integrate_one_form, stack
 from .isothermic import (ConservedQuantity, IsothermicNet, _eta_apply, _evolve,
                          _rejected_at, calapso_transform, darboux_transform,
                          flat_connection, stack_pair)
-from .koenigs import (LineCongruence, _balance, _first_failure, _plane_intersection,
-                      _span_of_bivector, extract_pair, km_pair_check)
+from .koenigs import LineCongruence, _balance, extract_pair, km_pair_check
 from .pseudo_euclidean import Frame, Signature, action_matrix
 from .residuals import cos_angle, floor, gap, rel, sin_angle
 
@@ -217,7 +216,10 @@ class OmegaNet:
     are canonical up to translation.  ``mu_plus``/``mu_minus``, when
     present, span the planes by an isotropic Darboux pair (with matched
     Moutard normalization when produced by
-    :func:`omega_from_darboux_pair`).
+    :func:`omega_from_darboux_pair`).  Its edge labels, the ``m`` of an
+    omega or guichard file and of both Eisenhart checks, are those of
+    ``mu_plus``; a ``transform dual`` output has no pair, no labels and
+    no ``omega.*`` checks.
     """
 
     grid: Grid
@@ -337,9 +339,8 @@ def associates(omega: OmegaNet) -> Associates:
     nd = integrate_one_form(g, dnd, base=0, check_closed=True, tol=1e-8).values
     pn = omega.principal()
 
-    rule = BilinearRule.wedge_product(6)
-    rec = (wedge(Form1(g, etaq), Form0(g, omega.y), rule).values
-           + wedge(Form1(g, etap), Form0(g, omega.t), rule).values)
+    rec = (curly_wedge(Form1(g, etaq), Form0(g, omega.y)).values
+           + curly_wedge(Form1(g, etap), Form0(g, omega.t)).values)
     rec_res = rel(float(np.abs(rec - omega.eta).max(initial=0.0)),
                   np.abs(omega.eta).max(initial=0.0))
 
@@ -382,59 +383,13 @@ def check_omega(pn: PrincipalNet, x_dual, n_dual) -> dict:
     return out
 
 
-def omega_edge_labels(omega_or_cong, signature: Signature | None = None,
-                      tol: float = 1e-8) -> np.ndarray:
-    """Gauge-invariant edge labelling of an applicable Legendre map.
-
-    Factors ``eta_ji = sigma_j ^ sigma_i`` with ``sigma`` taken in the
-    planes at both ends and returns ``1 / (sigma_i, sigma_j)`` (``inf``
-    on isotropic factorizations); the reciprocal scale freedom cancels.
-    """
-    if isinstance(omega_or_cong, OmegaNet):
-        cong = omega_or_cong.congruence()
-        sig = omega_or_cong.signature
-    else:
-        cong = omega_or_cong
-        if signature is None:
-            raise ValueError("a signature is required for a bare congruence")
-        sig = signature
-    from .forms import lam2_pairs
-    g = cong.grid
-    eta = cong.eta
-    ia, ib = lam2_pairs(cong.dim)
-    sign_prod = sig.signs[ia] * sig.signs[ib]
-    span, span_failures = _span_of_bivector(unpack_bivector(eta, cong.dim))
-    planes, _ = np.linalg.qr(np.stack([cong.sigma1, cong.sigma2], axis=2))
-    s_t, tail_failures = _plane_intersection(span, planes[g.edge_tail])
-    s_h, head_failures = _plane_intersection(span, planes[g.edge_head])
-    w = wedge_vec(s_h, s_t)
-    ww = np.einsum("ij,ij->i", w, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.einsum("ij,ij->i", eta, w) / ww
-        resid = np.linalg.norm(eta - coef[:, None] * w, axis=1)
-    # in the order a per-edge computation meets them
-    failures = span_failures + tail_failures + head_failures + [
-        (ww <= 1e-300, "factorization degenerate"),
-        (resid > tol * floor(np.linalg.norm(eta, axis=1)),
-         "eta is not decomposable on the edge planes"),
-    ]
-    first = _first_failure(failures)
-    if first is not None:
-        e, k = first
-        raise DegeneracyError(
-            failures[k][1], where=g.locate_edge(e),
-            residual=float(resid[e]) if k == len(failures) - 1 else None)
-    ip_est = coef * sig.inner(s_t, s_h)
-    # the magnitude is far better conditioned through the invariant
-    # trace identity: for eta = s_j ^ s_i with action A,
-    # tr(A^2) = 2 (s_i, s_j)^2 = -2 sum_{a<b} eta_ab^2 G_a G_b.
-    # The sum cancels to a value far below ||eta||^2, so it is taken
-    # in extended precision.
-    rows = eta.astype(np.longdouble)
-    ip_sq = -(rows * rows * sign_prod.astype(np.longdouble)).sum(axis=1).astype(float)
-    isotropic = ip_sq <= 1e-24 * np.einsum("ij,ij->i", eta, eta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(isotropic, np.inf, 1.0 / np.copysign(np.sqrt(ip_sq), ip_est))
+def omega_edge_labels(omega: OmegaNet) -> np.ndarray:
+    """Edge labels ``1 / (mu+_i, mu+_j)`` of the stored spanning pair
+    (``inf`` on isotropic edges): an Omega-net's labelling is that of
+    the isothermic congruence that spans it."""
+    if omega.mu_plus is None:
+        raise ValueError("edge labels need the spanning Moutard pair")
+    return IsothermicNet(omega.grid, omega.signature, omega.mu_plus).labels
 
 
 def eisenhart_general(pn: PrincipalNet, x_dual, n_dual, labels) -> dict:
@@ -740,8 +695,7 @@ def _guichard_package(net: IsothermicNet, xi: np.ndarray, frame: LieFrame,
     t_res = np.abs(recon - t_lift).max()
     tau_plus = -c_coef[:, None] * wedge_vec(mu, xi)
 
-    rule = BilinearRule.wedge_product(sig.dim)
-    eta_sigma = wedge(_d3(g, xi), Form0(g, sigma_plus), rule).values
+    eta_sigma = curly_wedge(_d3(g, xi), Form0(g, sigma_plus)).values
     th, tt = g.edge_head, g.edge_tail
     eta_G = eta_sigma - (tau_plus[th] - tau_plus[tt])
 
@@ -955,9 +909,8 @@ def dual_legendre(omega: OmegaNet) -> OmegaNet:
 
     alpha = chart_form(assoc.x)
     beta = chart_form(assoc.n_dual)
-    rule = BilinearRule.wedge_product(6)
-    eta = (wedge(Form1(g, alpha), Form0(g, y), rule).values
-           + wedge(Form1(g, beta), Form0(g, t), rule).values)
+    eta = (curly_wedge(Form1(g, alpha), Form0(g, y)).values
+           + curly_wedge(Form1(g, beta), Form0(g, t)).values)
     return OmegaNet(g, frame, y, t, eta)
 
 

@@ -282,7 +282,7 @@ def line_congruence_validate(cong, tol=1e-8, margin=1e-6):
         second = min(second, float(sv[3] / max(sv[0], 1e-300)))
     out["second_order_margin"] = 0.0 if g.nquads == 0 else float(second)
     out["passed"] = bool(
-        out["eta_closed"] <= tol
+        out["eta_closed"] <= 1e-10
         and out["eta_decomposable"] <= max(tol, 1e-9)
         and out["eta_in_lam2_f"] <= tol
         and out["nondegeneracy_margin"] >= margin

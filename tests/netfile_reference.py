@@ -1,13 +1,15 @@
-"""Per-element reference versions of the net-file codec, the grid's quad
-edges and the Omega-net edge labels.
+"""Per-element reference versions of the net-file codec and the grid's
+quad edges, and an independent oracle for the Omega-net edge labels.
 
-These are the formulas the library used before they were written as
-array code: the codec encodes and decodes one value at a time, the
-grid looks up each quad's boundary edges in a ``(tail, axis) -> slot``
-dict, and the labels factor the applicability form one edge at a time
-with unbatched plane helpers.  The equivalence tests in ``test_codec.py``
-compare the library against them.  The other tests take their oriented
-edges, plane bases and first-degeneracy raise from here.
+The codec and quad edges are the formulas the library used before they
+were written as array code: the codec encodes and decodes one value at
+a time, and the grid looks up each quad's boundary edges in a
+``(tail, axis) -> slot`` dict.  The labels come from the applicability
+form alone, factored one edge at a time with unbatched plane helpers
+and a trace identity, where the library reads them off the stored
+spanning pair.  The equivalence tests in ``test_codec.py`` compare the
+library against them.  The other tests take their oriented edges, plane
+bases and first-degeneracy raise from here.
 """
 
 import json
@@ -146,9 +148,18 @@ def plane_intersection(B1, B2, tol=1e-8):
     return v / np.linalg.norm(v)
 
 
-def omega_edge_labels(omega_or_cong, signature=None, tol=1e-8) -> np.ndarray:
-    """Labels edge by edge.  A degeneracy raised by a plane helper, which
-    names no element, is given the edge it was raised on."""
+def omega_edge_labels(omega_or_cong, signature=None) -> np.ndarray:
+    """Gauge-invariant edge labels of an applicable Legendre map (an
+    Omega-net, or a bare congruence and its signature), edge by edge.
+
+    Factors ``eta_ji = s_j ^ s_i`` with ``s`` taken in the planes at both
+    ends and returns ``1 / (s_i, s_j)`` (``inf`` on isotropic edges); the
+    reciprocal scale freedom of the factors cancels.  The magnitude comes
+    from the trace identity ``tr(A^2) = 2 (s_i, s_j)^2 = -2 sum_{a<b}
+    eta_ab^2 G_a G_b`` of the action ``A`` of eta, taken in extended
+    precision because the sum cancels far below ``|eta|^2``, and the sign
+    from the factors.  A degeneracy raised by a plane helper, which names
+    no element, is given the edge it was raised on."""
     if isinstance(omega_or_cong, OmegaNet):
         cong = omega_or_cong.congruence()
         sig = omega_or_cong.signature
@@ -174,7 +185,7 @@ def omega_edge_labels(omega_or_cong, signature=None, tol=1e-8) -> np.ndarray:
                                   where=g.locate_edge(e))
         coef = float(cong.eta[e] @ w) / ww
         resid = np.linalg.norm(cong.eta[e] - coef * w)
-        if resid > tol * max(np.linalg.norm(cong.eta[e]), 1e-300):
+        if resid > 1e-8 * max(np.linalg.norm(cong.eta[e]), 1e-300):
             raise DegeneracyError("eta is not decomposable on the edge planes",
                                   where=g.locate_edge(e), residual=float(resid))
         ip_est = coef * float(sig.inner(s_t, s_h))

@@ -27,6 +27,7 @@ from dnet.lie_sphere import (associates, classify_special, darboux_legendre,
 from dnet.netfile import NetFile
 from dnet.osystem import ParallelFamily, check_osystem
 from dnet.pseudo_euclidean import Signature, line_distance
+from tests import netfile_reference
 from tests.pseudo_reference import plane_distance
 
 SIG41 = Signature(4, 1)
@@ -181,7 +182,7 @@ def test_criterion_5_omega_suite():
         g = om.grid
         eta2 = om.eta + tauv[g.edge_head] - tauv[g.edge_tail]
         from dnet.koenigs import LineCongruence
-        labels2 = omega_edge_labels(
+        labels2 = netfile_reference.omega_edge_labels(
             LineCongruence(g, om.y, om.t, eta2), signature=SIG42)
         worst["gauge_invariance"] = max(
             worst["gauge_invariance"],

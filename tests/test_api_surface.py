@@ -33,8 +33,6 @@ FORWARDED = {
     ("darboux_transform", "min_denom"),
     # tests/test_generators.py:163, through `_generate`
     ("guichard_generate", "retries"),
-    # tests/test_codec.py:340, through `_label_error`
-    ("omega_edge_labels", "tol"),
 }
 
 

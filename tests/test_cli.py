@@ -89,6 +89,35 @@ def test_verify_guichard_file(tmp_path):
     assert run("verify", "-i", path) == 0
 
 
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_gen_omega_files_pass_verify(tmp_path, capsys, n):
+    # every file gen omega writes passes verify; exit 3 writes nothing
+    failed = []
+    for seed in range(1, 21):
+        path = tmp_path / f"om{seed}.json"
+        code = run("gen", "omega", "--dims", f"{n}x{n}", "--seed", seed, "-o", path)
+        assert code in (0, 3), seed
+        if code == 3:
+            assert not path.exists()
+        elif run("verify", "-i", path) != 0:
+            failed.append(seed)
+    capsys.readouterr()
+    assert failed == []
+
+
+def test_validate_and_verify_agree_on_eta_closed(tmp_path, capsys):
+    # this Guichard file's eta_closed, 3.7e-10, is above verify's 1e-10
+    path = tmp_path / "g.json"
+    assert run("gen", "guichard", "--dims", "10x10", "--seed", 17, "-o", path) == 0
+    assert run("verify", "-i", path) == 1
+    fails = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if line.endswith("FAIL") and not line.startswith("overall")]
+    assert fails == ["omega.eta_closed"]
+    v = NetFile.load(str(path)).omega_net().validate()
+    assert 1e-10 < v["applicability"]["eta_closed"] <= 1e-8
+    assert not v["applicability"]["passed"] and not v["passed"]
+
+
 def test_guichard_fault_exit_code(tmp_path):
     path = tmp_path / "g.json"
     assert run("gen", "guichard", "--dims", "5x5", "--seed", 1,

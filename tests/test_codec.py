@@ -1,5 +1,5 @@
-"""The array codec, the grid's slot table and the batched edge labels
-against their per-element references."""
+"""The array codec and the grid's slot table against their per-element
+references, and the Omega-net edge labels against the trace identity."""
 
 import json
 
@@ -13,7 +13,6 @@ from dnet.errors import DegeneracyError, FormatError
 from dnet.forms import unpack_bivector, wedge_vec
 from dnet.grid import Grid
 from dnet.isothermic import christoffel_dual, random_isothermic
-from dnet.koenigs import LineCongruence
 from dnet.netfile import NetFile, _decode_array
 from dnet.pseudo_euclidean import Frame, Signature
 from tests import netfile_reference as ref
@@ -311,74 +310,35 @@ def _omega(seed):
 
 
 def test_labels_match_reference(omega_net, guichard):
+    # the stored pair's labels against the trace identity of eta
     nets = [omega_net, guichard.omega] + [_omega(seed) for seed in (1, 2, 3)]
     for om in nets:
-        assert np.array_equal(lie.omega_edge_labels(om), ref.omega_edge_labels(om))
-    cong = omega_net.congruence()
-    assert np.array_equal(lie.omega_edge_labels(cong, Signature(4, 2)),
-                          ref.omega_edge_labels(cong, Signature(4, 2)))
+        labels = lie.omega_edge_labels(om)
+        assert np.abs((ref.omega_edge_labels(om) - labels) / labels).max() <= 1e-9
 
 
 def test_labels_match_reference_on_isotropic_edges():
-    # a one-edge congruence whose factors a, b have (a, b) = eps: at eps = 0
-    # the edge is isotropic and its label infinite
+    # a one-edge Omega-net whose pair lifts a, b have (a, b) = eps: at
+    # eps = 0 the edge is isotropic and its label infinite
     E = np.eye(6)
     a, c, d = E[0] + E[4], E[2] + E[5], E[3] + E[4]
-    g, sig = Grid([1, 2]), Signature(4, 2)
+    g = Grid([1, 2])
     for eps, finite in ((0.0, False), (1e-8, True), (1e-3, True)):
         b = E[1] + E[5] + eps * E[0]
-        cong = LineCongruence(g, [a, b], [c, d], [wedge_vec(b, a)])
-        labels = lie.omega_edge_labels(cong, sig)
-        assert np.array_equal(labels, ref.omega_edge_labels(cong, sig))
-        assert np.isfinite(labels[0]) == finite
+        om = lie.OmegaNet(g, lie.standard_lie_frame(), np.array([a, b]), np.array([c, d]),
+                          np.array([wedge_vec(b, a)]), mu_plus=np.array([a, b]),
+                          mu_minus=np.array([c, d]))
+        labels = lie.omega_edge_labels(om)
+        assert np.isfinite(labels[0]) == np.isfinite(ref.omega_edge_labels(om)[0]) == finite
+        if finite:
+            assert labels[0] == 1.0 / eps
 
 
-def _degenerate_congruences(om):
-    g, E = om.grid, np.eye(6)
-    y, t, eta = om.y, om.t, om.eta
-    e = 17
-    tl, hd = int(g.edge_tail[e]), int(g.edge_head[e])
-
-    def with_eta(value):
-        out = eta.copy()
-        out[e] = value
-        return LineCongruence(g, y, t, out)
-
-    def perpendicular_at(v):
-        # the tail or head plane is e0 ^ e1, eta on the edge is e2 ^ e3
-        y2, t2, eta2 = y.copy(), t.copy(), eta.copy()
-        y2[v], t2[v], eta2[e] = E[0], E[1], wedge_vec(E[2], E[3])
-        return LineCongruence(g, y2, t2, eta2)
-
-    y2, t2 = y.copy(), t.copy()
-    y2[hd], t2[hd] = y[tl], t[tl]
-    return {
-        "bivector has rank < 2": with_eta(np.zeros(15)),
-        "bivector is not decomposable": with_eta(wedge_vec(E[0], E[1])
-                                                 + wedge_vec(E[2], E[3])),
-        "planes do not intersect transversally": perpendicular_at(tl),
-        "planes do not intersect transversally (head)": perpendicular_at(hd),
-        "factorization degenerate": LineCongruence(g, y2, t2, eta),
-    }
-
-
-def _label_error(fn, cong, tol=1e-8):
-    with pytest.raises(DegeneracyError) as info:
-        fn(cong, Signature(4, 2), tol=tol)
-    return str(info.value), info.value.where
-
-
-def test_label_degeneracies_match_reference(omega_net):
-    for name, cong in _degenerate_congruences(omega_net).items():
-        got = _label_error(lie.omega_edge_labels, cong)
-        assert got == _label_error(ref.omega_edge_labels, cong)
-        assert got[0] == name.split(" (")[0]
-        assert got[1] == omega_net.grid.locate_edge(17)
-    # with no tolerance the roundoff of the factorization is a failure
-    cong = omega_net.congruence()
-    got = _label_error(lie.omega_edge_labels, cong, tol=0.0)
-    assert got == _label_error(ref.omega_edge_labels, cong, tol=0.0)
-    assert got[0] == "eta is not decomposable on the edge planes"
+def test_labels_need_the_pair(omega_net):
+    bare = lie.OmegaNet(omega_net.grid, omega_net.lie_frame, omega_net.y, omega_net.t,
+                        omega_net.eta)
+    with pytest.raises(ValueError, match="spanning Moutard pair"):
+        lie.omega_edge_labels(bare)
 
 
 def test_plane_helpers_match_reference_on_one_element(omega_net):

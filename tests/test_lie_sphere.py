@@ -17,6 +17,7 @@ from dnet.lie_sphere import (LieFrame, OmegaNet, PrincipalNet,
                              principal_from_legendre, random_lie_frame,
                              sphere_lattice, standard_lie_frame)
 from dnet.pseudo_euclidean import Frame, Signature, line_distance
+from tests import netfile_reference
 from tests.pseudo_reference import plane_distance
 from dnet.isothermic import ConservedQuantity
 
@@ -164,9 +165,9 @@ def test_associates_scale_with_eta(omega_net):
     a2 = associates(scaled)
     assert np.abs(a2.x_dual - 2.0 * a1.x_dual).max() <= 1e-10 * max(
         1.0, np.abs(a1.x_dual).max())
-    # labels scale reciprocally
+    # the trace-identity labels of eta scale reciprocally
     l1 = omega_edge_labels(omega_net)
-    l2 = omega_edge_labels(scaled)
+    l2 = netfile_reference.omega_edge_labels(scaled)
     assert np.abs(l2 - l1 / 2.0).max() <= 1e-8 * max(1.0, np.abs(l1).max())
 
 
@@ -177,16 +178,18 @@ def test_check_omega_rejects_trivial_duals(omega_net):
 
 
 def test_labels_match_isothermic_and_gauge_invariant(omega_net, net42):
+    # the pair's labels, and the trace identity of eta alone
     labels = omega_edge_labels(omega_net)
-    rel = np.abs((labels - net42.labels) / net42.labels)
+    assert np.array_equal(labels, net42.labels)
+    rel = np.abs((netfile_reference.omega_edge_labels(omega_net) - labels) / labels)
     assert rel.max() <= 1e-9
     rng = np.random.default_rng(17)
     tau = rng.standard_normal(omega_net.grid.nverts)
     tauv = tau[:, None] * wedge_vec(omega_net.y, omega_net.t)
     g = omega_net.grid
     eta2 = omega_net.eta + tauv[g.edge_head] - tauv[g.edge_tail]
-    labels2 = omega_edge_labels(LineCongruence(g, omega_net.y, omega_net.t, eta2),
-                                signature=SIG42)
+    labels2 = netfile_reference.omega_edge_labels(
+        LineCongruence(g, omega_net.y, omega_net.t, eta2), signature=SIG42)
     assert np.abs((labels2 - labels) / labels).max() <= 1e-9
 
 
@@ -198,9 +201,11 @@ def test_eisenhart_general(omega_net):
 
 
 def test_eisenhart_homogeneous_in_eta(omega_net):
+    # eta is quadratic in the pair, so the pair scales by sqrt(3)
+    root = np.sqrt(3.0)
     scaled = OmegaNet(omega_net.grid, omega_net.lie_frame, omega_net.y,
                       omega_net.t, 3.0 * omega_net.eta,
-                      mu_plus=omega_net.mu_plus, mu_minus=omega_net.mu_minus)
+                      mu_plus=root * omega_net.mu_plus, mu_minus=root * omega_net.mu_minus)
     a = associates(scaled)
     labels = omega_edge_labels(scaled)
     rep = eisenhart_general(scaled.principal(), a.x_dual, a.n_dual, labels)
