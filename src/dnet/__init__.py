@@ -6,9 +6,10 @@ quadrics, Omega and Guichard nets in Lie sphere geometry, their Darboux,
 Calapso and Christoffel transformations, O-systems, and a numerical
 verification engine over all of their closed-form identities.
 
-Grids, signatures, frames (Lie frames included), isothermic nets and
-forms are immutable after construction, so they can be shared freely
-between threads.  The other net classes still hold writable arrays.
+Grids, signatures, frames (Lie frames included), isothermic nets,
+Omega-nets and forms are immutable after construction, so they can be
+shared freely between threads.  The other net classes still hold
+writable arrays.
 """
 
 from .errors import (ChartError, ClosednessError, DegeneracyError,

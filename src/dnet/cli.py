@@ -230,6 +230,9 @@ def cmd_transform(args) -> int:
             out = NetFile.from_isothermic(moved, nf.frame, meta)
         else:
             from .pseudo_euclidean import standard_chart_indices
+            if "eta" in nf.form1_fields:
+                raise FormatError("christoffel of an Omega-net file would drop its form "
+                                  "'eta' and overwrite its principal net 'x'")
             data = iso.christoffel_dual(net, frame)
             idx = standard_chart_indices(net.signature)
             out = NetFile(signature=nf.signature, dims=nf.dims, stacked=nf.stacked,

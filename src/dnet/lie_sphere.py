@@ -30,7 +30,7 @@ from .grid import Grid, integrate_one_form, stack
 from .isothermic import (ConservedQuantity, IsothermicNet, _eta_apply, _evolve,
                          _rejected_at, calapso_transform, darboux_transform,
                          flat_connection, stack_pair)
-from .koenigs import LineCongruence, _balance, extract_pair, km_pair_check
+from .koenigs import LineCongruence, _balance, km_pair_check
 from .pseudo_euclidean import Frame, Signature, action_matrix
 from .residuals import cos_angle, floor, gap, rel, sin_angle
 
@@ -208,18 +208,19 @@ def principal_from_legendre(grid: Grid, sigma1, sigma2, frame: LieFrame) -> Prin
 
 # -- Omega nets ----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class OmegaNet:
     """Applicable Legendre map with normalized lifts and gauged form.
 
     ``eta`` is stored in the gauge ``(eta q, p) = 0`` so the associates
     are canonical up to translation.  ``mu_plus``/``mu_minus``, when
-    present, span the planes by an isotropic Darboux pair (with matched
-    Moutard normalization when produced by
-    :func:`omega_from_darboux_pair`).  Its edge labels, the ``m`` of an
-    omega or guichard file and of both Eisenhart checks, are those of
-    ``mu_plus``; a ``transform dual`` output has no pair, no labels and
-    no ``omega.*`` checks.
+    present, are the Moutard-matched pair that spans the planes (for a
+    Guichard net ``mu`` and ``xi / (mu, p)``); the edge labels, the ``m``
+    of an omega or guichard file and of both Eisenhart checks, are those
+    of ``mu_plus``, and the Legendre transforms move the pair.  A
+    ``transform dual`` output has no pair, so no labels, no ``omega.*``
+    checks and no Legendre transforms.  Immutable: the arrays are
+    read-only copies and no field can be rebound.
     """
 
     grid: Grid
@@ -229,6 +230,13 @@ class OmegaNet:
     eta: np.ndarray
     mu_plus: np.ndarray | None = None
     mu_minus: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("y", "t", "eta", "mu_plus", "mu_minus"):
+            if getattr(self, name) is not None:
+                v = np.array(getattr(self, name), float)
+                v.setflags(write=False)
+                object.__setattr__(self, name, v)
 
     def congruence(self) -> LineCongruence:
         return LineCongruence(self.grid, self.y, self.t, self.eta)
@@ -461,7 +469,8 @@ class GuichardNet:
 
     ``net`` is the enveloped isothermic sphere congruence s+ (Moutard
     lift ``mu``), ``xi`` the null Koenigs dual with ``(xi, p) = -1``
-    spanning s-, ``omega`` the lifted Omega-net in the Guichard gauge,
+    spanning s-, ``omega`` the lifted Omega-net in the Guichard gauge
+    with the Moutard-matched pair ``mu``, ``xi / (mu, p)`` stored,
     ``x_dual`` the associate net (with associate Gauss map ``n``), and
     ``quantity`` the linear conserved quantity ``p + t xi``.
     """
@@ -699,8 +708,8 @@ def _guichard_package(net: IsothermicNet, xi: np.ndarray, frame: LieFrame,
     th, tt = g.edge_head, g.edge_tail
     eta_G = eta_sigma - (tau_plus[th] - tau_plus[tt])
 
-    omega = OmegaNet(g, frame, y, t_lift, eta_G, mu_plus=mu.copy(),
-                     mu_minus=xi.copy())
+    omega = OmegaNet(g, frame, y, t_lift, eta_G, mu_plus=mu,
+                     mu_minus=xi / mup[:, None])
     etap = omega.eta_p()
     dt = t_lift[th] - t_lift[tt]
     etap_res = rel(float(np.abs(etap - dt).max(initial=0.0)), np.abs(dt).max(initial=0.0))
@@ -794,25 +803,22 @@ def classify_special(quantity: ConservedQuantity, net: IsothermicNet | None = No
 # -- transformations of Legendre maps -------------------------------------
 
 def _matched_pair(omega: OmegaNet):
-    """Moutard-matched spanning pair (IsothermicNet s+, s-): the stored
-    pair when it is one, else one extracted from the congruence."""
-    sig = omega.signature
-    if omega.mu_plus is not None and omega.mu_minus is not None:
-        plus = IsothermicNet(omega.grid, sig, omega.mu_plus)
-        minus = IsothermicNet(omega.grid, sig, omega.mu_minus)
-        ok, _, _ = km_pair_check(omega.grid, plus.mu, minus.mu, tol=1e-7)
-        if ok:
-            return plus, minus
-    pair = extract_pair(omega.congruence(), signature=sig)
-    return (IsothermicNet(omega.grid, sig, pair.mu_plus),
-            IsothermicNet(omega.grid, sig, pair.mu_minus))
+    """The stored spanning pair (IsothermicNet s+, s-); a one-line
+    :class:`ValueError` without it or when :func:`km_pair_check` finds
+    it not Moutard-matched."""
+    if omega.mu_plus is None or omega.mu_minus is None:
+        raise ValueError("Legendre transforms need the spanning Moutard pair")
+    ok, _, rep = km_pair_check(omega.grid, omega.mu_plus, omega.mu_minus, tol=1e-7)
+    if not ok:
+        raise ValueError(f"the stored pair is not Moutard-matched: vertical Moutard "
+                         f"residual {rep['vertical_moutard']:.3e}")
+    return tuple(IsothermicNet(omega.grid, omega.signature, mu)
+                 for mu in (omega.mu_plus, omega.mu_minus))
 
 
 def _omega_from_pair_lifts(grid: Grid, frame: LieFrame, mu_plus, mu_minus):
-    """The Omega-net spanned by the Moutard pair ``mu_plus``, ``mu_minus``
-    (stored as copies), with the form ``eta+`` gauge-normalized."""
-    mu_plus = np.array(mu_plus, float)
-    mu_minus = np.array(mu_minus, float)
+    """The Omega-net spanned by the Moutard pair ``mu_plus``, ``mu_minus``,
+    with the form ``eta+`` gauge-normalized."""
     pn = principal_from_legendre(grid, mu_plus, mu_minus, frame)
     y = frame.lift_point(pn.x)
     t = frame.lift_tangent(pn.x, pn.n)
@@ -829,18 +835,15 @@ def darboux_legendre(omega: OmegaNet, m: float, seed=None, rng=None) -> OmegaNet
     ``m`` and sets ``f_hat = s_hat+ (+) (f cap s_hat+^perp)``, which is
     independent of the companion used to span ``f``.
     """
-    plus, _ = _matched_pair(omega)
+    plus, minus = _matched_pair(omega)
     rng = np.random.default_rng(13) if rng is None else rng
     hat_plus = darboux_transform(plus, m, seed=seed, rng=rng)
-    sig = omega.signature
-    ip = sig.inner
-    sp = omega.mu_plus if omega.mu_plus is not None else omega.y
-    sm = omega.mu_minus if omega.mu_minus is not None else omega.t
-    a = ip(sp, hat_plus.mu)
-    b = ip(sm, hat_plus.mu)
-    inter = b[:, None] * sp - a[:, None] * sm
+    ip = omega.signature.inner
+    a = ip(plus.mu, hat_plus.mu)
+    b = ip(minus.mu, hat_plus.mu)
+    inter = b[:, None] * plus.mu - a[:, None] * minus.mu
     norms = np.linalg.norm(inter, axis=1)
-    if np.any(norms < 1e-10 * np.linalg.norm(sp, axis=1)):
+    if np.any(norms < 1e-10 * np.linalg.norm(plus.mu, axis=1)):
         raise DegeneracyError("f cap s_hat+^perp is degenerate")
     inter = inter / norms[:, None]
     return _omega_from_pair_lifts(omega.grid, omega.lie_frame,

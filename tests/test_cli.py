@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dnet.cli import main
+from dnet.koenigs import km_pair_check
 from dnet.netfile import NetFile, run_checks
 
 
@@ -103,6 +104,34 @@ def test_gen_omega_files_pass_verify(tmp_path, capsys, n):
             failed.append(seed)
     capsys.readouterr()
     assert failed == []
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("kind", ["omega", "guichard"])
+def test_gen_files_store_a_matched_pair(tmp_path, capsys, kind, n):
+    # the stored mu_plus / mu_minus of every written file is the
+    # Moutard-matched pair the Legendre transforms read
+    unmatched = []
+    for seed in range(1, 21):
+        path = tmp_path / f"{kind}{seed}.json"
+        if run("gen", kind, "--dims", f"{n}x{n}", "--seed", seed, "-o", path) != 0:
+            continue
+        om = NetFile.load(str(path)).omega_net()
+        if not km_pair_check(om.grid, om.mu_plus, om.mu_minus, tol=1e-7)[0]:
+            unmatched.append(seed)
+    capsys.readouterr()
+    assert unmatched == []
+
+
+def test_christoffel_of_an_omega_file_exits_2(tmp_path, capsys):
+    # the dual of mu alone would drop eta and overwrite the principal x
+    src, out = tmp_path / "g.json", tmp_path / "chr.json"
+    assert run("gen", "guichard", "--dims", "6x6", "--seed", 1, "-o", src) == 0
+    capsys.readouterr()
+    assert run("transform", "christoffel", "-i", src, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: christoffel") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
 
 def test_validate_and_verify_agree_on_eta_closed(tmp_path, capsys):

@@ -4,7 +4,8 @@ import pytest
 from dnet.errors import DegeneracyError, FrameError
 from dnet.forms import Form0, curly_wedge, exterior_derivative, wedge_vec
 from dnet.grid import Grid
-from dnet.isothermic import (IsothermicNet, darboux_transform, stack_pair)
+from dnet.isothermic import (IsothermicNet, calapso_transform, darboux_transform,
+                             stack_pair)
 from dnet.koenigs import LineCongruence, extract_pair
 from dnet.lie_sphere import (LieFrame, OmegaNet, PrincipalNet,
                              associates, calapso_legendre, check_guichard,
@@ -420,6 +421,45 @@ def test_calapso_legendre_labels_and_classes(guichard):
     assert classify_special(info2["quantity"]) == "guichard_r21"
     _, info3 = calapso_legendre(om, -0.5, quantity=guichard.quantity)
     assert classify_special(info3["quantity"]) == "l_guichard"
+
+
+def test_calapso_legendre_moves_the_guichard_net(guichard):
+    # the stored pair is (mu, xi / (mu, p)): the gauge T+ of the transform
+    # is that of the Guichard net's own isothermic congruence
+    _, info = calapso_legendre(guichard.omega, 0.2)
+    assert np.array_equal(info["T_plus"], calapso_transform(guichard.net, 0.2)[1])
+
+
+def test_legendre_transforms_need_the_pair(omega_net):
+    duo = dual_legendre(omega_net)
+    assert duo.mu_plus is None and duo.mu_minus is None
+    for transform in (lambda om: darboux_legendre(om, 0.45),
+                      lambda om: calapso_legendre(om, 0.2)):
+        with pytest.raises(ValueError, match="^[^\n]*pair[^\n]*$"):
+            transform(duo)
+
+
+def test_legendre_transforms_reject_an_unmatched_pair(guichard):
+    om = guichard.omega
+    unmatched = OmegaNet(om.grid, om.lie_frame, om.y, om.t, om.eta,
+                         mu_plus=om.mu_plus, mu_minus=guichard.xi)
+    with pytest.raises(ValueError, match="^the stored pair is not Moutard-matched"):
+        calapso_legendre(unmatched, 0.2)
+
+
+def test_omega_net_is_frozen(omega_net):
+    fields = ("grid", "lie_frame", "y", "t", "eta", "mu_plus", "mu_minus")
+    for name in fields[2:]:
+        with pytest.raises(ValueError):
+            getattr(omega_net, name)[0] = 1.0
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(omega_net, name, getattr(omega_net, name))
+    # the arrays are copies: the caller's stay writable and apart
+    y = omega_net.y.copy()
+    om = OmegaNet(omega_net.grid, omega_net.lie_frame, y, omega_net.t, omega_net.eta)
+    y[0] = 0.0
+    assert np.array_equal(om.y, omega_net.y) and y.flags.writeable
 
 
 def test_dual_legendre(omega_net):
