@@ -149,7 +149,7 @@ def cmd_generate(args) -> int:
                 "orthogonality": out["orthogonality"],
                 "orthogonality_map": out["orthogonality_map"].tolist(),
             }
-            write_text(args.output, json.dumps(fail, sort_keys=True, indent=1), "\n")
+            write_text(args.output, [json.dumps(fail, sort_keys=True, indent=1), "\n"])
             sys.stderr.write(
                 f"guichard generation fault report written to {args.output}: "
                 f"worst vertex {out['worst_vertex']}, "
@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
     rep = run_checks(nf, tols)
     text = rep.to_text()
     if args.report:
-        write_text(args.report, text, "\n")
+        write_text(args.report, [text, "\n"])
     sys.stdout.write(text + "\n")
     return 0 if rep.passed else 1
 
@@ -295,7 +295,7 @@ def cmd_export(args) -> int:
         lines = [f"vertex,{cols}"]
         for idx, row in enumerate(field):
             lines.append(f"{idx}," + ",".join(repr(float(v)) for v in row))
-    write_text(args.output, "\n".join(lines), "\n")
+    write_text(args.output, ["\n".join(lines), "\n"])
     return 0
 
 

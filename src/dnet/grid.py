@@ -31,7 +31,7 @@ from .errors import ClosednessError, FlatnessError
 from .forms import _quad_edge_sum
 from .residuals import floor, rel, worst
 
-# Quads per block of :func:`holonomy`: one block up to 32x32 (961 quads).
+# Quads per block of :func:`quad_blocks`: one block up to 32x32 (961 quads).
 _HOLONOMY_BLOCK = 1024
 
 
@@ -192,17 +192,22 @@ def closedness_residual(grid: Grid, values: np.ndarray):
     return _closedness(grid, values, floor(np.linalg.norm(values, axis=-1).max(initial=0.0)))
 
 
+def quad_blocks(grid: Grid) -> list:
+    """Slices of at most :data:`_HOLONOMY_BLOCK` consecutive quads that
+    cover the grid in order.  The per-quad kernels (:func:`holonomy`,
+    ``IsothermicNet.validate``, ``connection_flatness``) go through them,
+    so their gathered temporaries do not grow with the grid."""
+    return [slice(s, s + _HOLONOMY_BLOCK) for s in range(0, grid.nquads, _HOLONOMY_BLOCK)]
+
+
 def holonomy(grid: Grid, gamma: np.ndarray) -> np.ndarray:
     """Per-quad relative holonomy of edge transports on canonical
-    orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius).
-
-    The quads go through in blocks of :data:`_HOLONOMY_BLOCK`, so the
-    transient products do not grow with the grid; each quad's value has
-    the same bits in any block."""
+    orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius),
+    one :func:`quad_blocks` block at a time; each quad's value has the
+    same bits in any block."""
     out = np.empty(grid.nquads)
-    for start in range(0, grid.nquads, _HOLONOMY_BLOCK):
-        qe = grid.quad_edges[start:start + _HOLONOMY_BLOCK]
-        out[start:start + len(qe)] = _block_holonomy(gamma, qe)
+    for b in quad_blocks(grid):
+        out[b] = _block_holonomy(gamma, grid.quad_edges[b])
     return out
 
 

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import (DegeneracyError, EvolutionError, PropagationError,
                      SpectralCollisionError)
 from .forms import unpack_bivector, wedge_vec
-from .grid import Grid, holonomy, integrate_one_form, stack, trivialize_connection
+from .grid import (Grid, _block_holonomy, integrate_one_form, quad_blocks, stack,
+                   trivialize_connection)
 from .koenigs import vertical_diagonal_margin
 from .pseudo_euclidean import (Frame, Signature, action_matrix, conic_cross_ratio,
                                gamma_lambda, line_distance, renull, stereo_project)
@@ -47,8 +48,8 @@ INF_LABEL_THRESHOLD = 1e-10
 _BLOCK = 8
 # Auto seeds darboux_transform draws and propagates together.
 _SEEDS = 4
-# Edges per block of flat_connection's eigen transports: one block up
-# to 32x32 (1984 edges).
+# Edges per block of the edge gathers of IsothermicNet and of the eigen
+# transports of Gamma(t): one block up to 32x32 (1984 edges).
 _EDGE_BLOCK = 2048
 # Damping of a Cauchy step's component along the point sphere complex
 # in indefinite signature: it keeps the edge inner products (and so the
@@ -80,13 +81,19 @@ class IsothermicNet:
         if self.mu.shape != (grid.nverts, signature.dim):
             raise ValueError("mu must be (nverts, dim)")
         self.mu.setflags(write=False)
-        mt, mh = self.mu[grid.edge_tail], self.mu[grid.edge_head]
-        self.edge_ip = signature.inner(mt, mh)
-        scale = np.linalg.norm(mt, axis=1) * np.linalg.norm(mh, axis=1)
-        self.is_infinite = np.abs(self.edge_ip) <= INF_LABEL_THRESHOLD * scale
-        with np.errstate(divide="ignore"):
-            self.labels = np.where(self.is_infinite, INFINITE, 1.0 /
-                                   np.where(self.is_infinite, 1.0, self.edge_ip))
+        n = grid.nedges
+        self.edge_ip, self.labels = np.empty(n), np.empty(n)
+        self.is_infinite = np.empty(n, bool)
+        # in blocks, so that the gathered lifts of the edge ends stay one
+        # block in size
+        for start in range(0, n, _EDGE_BLOCK):
+            e = slice(start, start + _EDGE_BLOCK)
+            mt, mh = self.mu[grid.edge_tail[e]], self.mu[grid.edge_head[e]]
+            ip = self.edge_ip[e] = signature.inner(mt, mh)
+            scale = np.linalg.norm(mt, axis=1) * np.linalg.norm(mh, axis=1)
+            inf = self.is_infinite[e] = np.abs(ip) <= INF_LABEL_THRESHOLD * scale
+            with np.errstate(divide="ignore"):
+                self.labels[e] = np.where(inf, INFINITE, 1.0 / np.where(inf, 1.0, ip))
         for arr in (self.edge_ip, self.is_infinite, self.labels):
             arr.setflags(write=False)
 
@@ -102,19 +109,30 @@ class IsothermicNet:
     def validate(self, margin: float = 1e-6) -> dict:
         """Residuals of the full isothermic invariant suite.
 
-        Per-quad residuals are arrays over ``quad_vertices``; a non-finite
-        residual propagates into its reported value, and ``worst_quad``
-        then names the first non-finite quad.
+        The per-quad residuals go one :func:`dnet.grid.quad_blocks` block
+        at a time: the Moutard residuals fill an array over the quads, and
+        the others fold over the blocks with ``np.maximum`` and
+        ``np.minimum``, so NaN propagates and every value has the bits of
+        one pass.  ``worst_quad`` names the first non-finite Moutard quad
+        if there is one.
         """
         g, sig, mu = self.grid, self.signature, self.mu
         nullity = float(np.abs(rel(sig.norm2(mu), np.sum(mu * mu, axis=1))).max())
-        mq = mu[g.quad_vertices]                    # (nquads, 4, dim): i, j, k, l
-        moutard, quad = worst(sin_angle(mq[:, 2] - mq[:, 0], mq[:, 3] - mq[:, 1]))
-        ips = self.edge_ip[g.quad_edges]            # ij, jk, lk, il
-        label_rel = float(rel(np.maximum(np.abs(ips[:, 0] - ips[:, 2]),
-                                         np.abs(ips[:, 3] - ips[:, 1])),
-                              np.abs(ips).max(axis=1)).max(initial=0.0))
-        _, diag, opp_margin = (float(m[0]) for m in _margins(g, sig, mu[None]))
+        moutard = np.empty(g.nquads)
+        label_rel, diag, opp = 0.0, np.inf, np.inf
+        for b in quad_blocks(g):
+            mq = mu[g.quad_vertices[b]]             # (block, 4, dim): i, j, k, l
+            moutard[b] = sin_angle(mq[:, 2] - mq[:, 0], mq[:, 3] - mq[:, 1])
+            ips = self.edge_ip[g.quad_edges[b]]     # ij, jk, lk, il
+            label_rel = np.maximum(label_rel, rel(np.maximum(np.abs(ips[:, 0] - ips[:, 2]),
+                                                             np.abs(ips[:, 3] - ips[:, 1])),
+                                                  np.abs(ips).max(axis=1)).max())
+            d, o = _quad_margins(sig, mq, np.linalg.norm(mq, axis=-1), ips)
+            diag, opp = np.minimum(diag, d.min()), np.minimum(opp, o.min())
+        moutard, quad = worst(moutard)
+        label_rel = float(label_rel)
+        # both quad margins are 0 on a grid without quads
+        diag, opp_margin = (float(m) if g.nquads else 0.0 for m in (diag, opp))
         return {
             "nullity": nullity, "moutard": moutard,
             "worst_quad": None if quad is None else g.locate_quad(quad),
@@ -127,14 +145,24 @@ class IsothermicNet:
         }
 
 
+def _quad_margins(signature: Signature, mq: np.ndarray, nq: np.ndarray, ips: np.ndarray):
+    """Per quad, over leading axes, from the lifts ``mq`` at its vertices
+    i, j, k, l, their norms ``nq`` and its edge inner products ``ips``
+    (ij, jk, lk, il): the least ``|(mu_i, mu_j)| / (|mu_i| |mu_j|)`` over
+    the diagonals, and ``|(mu_i, mu_j) - (mu_i, mu_l)|`` over the largest
+    edge inner product."""
+    diag = cos_angle(signature.inner(mq[..., :2, :], mq[..., 2:, :]),  # (i, k), (j, l)
+                     nq[..., :2], nq[..., 2:]).min(axis=-1)
+    opp = rel(np.abs(ips[..., 0] - ips[..., 3]), np.abs(ips).max(axis=-1))
+    return diag, opp
+
+
 def _margins(grid: Grid, signature: Signature, mu: np.ndarray):
     """Edge, diagonal and opposite-label margins of a batch of lifts
-    ``(n, nverts, d)``, each an ``(n,)`` array.
-
-    Per draw: the least ``|(mu_i, mu_j)| / (|mu_i| |mu_j|)`` over the
-    edges and over the quad diagonals ``(i, k)``, ``(j, l)``, and the
-    least ``|(mu_i, mu_j) - (mu_i, mu_l)|`` over the largest edge inner
-    product of its quad.  Both quad margins are 0 on a grid without quads.
+    ``(n, nverts, d)``, each an ``(n,)`` array: per draw, the least
+    ``|(mu_i, mu_j)| / (|mu_i| |mu_j|)`` over the edges, and the least
+    :func:`_quad_margins` over the quads.  Both quad margins are 0 on a
+    grid without quads.
     """
     ip = signature.inner
     t, h = grid.edge_tail, grid.edge_head
@@ -143,12 +171,9 @@ def _margins(grid: Grid, signature: Signature, mu: np.ndarray):
     edge = cos_angle(edge_ip, norms[:, t], norms[:, h]).min(axis=1, initial=np.inf)
     if grid.nquads == 0:
         return edge, np.zeros(len(mu)), np.zeros(len(mu))
-    mq, nq = mu[:, grid.quad_vertices], norms[:, grid.quad_vertices]
-    diag = cos_angle(ip(mq[:, :, :2], mq[:, :, 2:]),                 # (i, k), (j, l)
-                     nq[:, :, :2], nq[:, :, 2:]).min(axis=(1, 2))
-    ips = edge_ip[:, grid.quad_edges]                               # ij, jk, lk, il
-    opp = rel(np.abs(ips[..., 0] - ips[..., 3]), np.abs(ips).max(axis=2)).min(axis=1)
-    return edge, diag, opp
+    diag, opp = _quad_margins(signature, mu[:, grid.quad_vertices],
+                              norms[:, grid.quad_vertices], edge_ip[:, grid.quad_edges])
+    return edge, diag.min(axis=1), opp.min(axis=1)
 
 
 def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray,
@@ -356,6 +381,42 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
                           f"{_rejected_at(counts)}; best diagonal margin {best:.3e}")
 
 
+def _check_spectrum(net: IsothermicNet, t: float):
+    """Raise :class:`SpectralCollisionError` on the edge whose finite label
+    is nearest ``t`` when it lies within ``1e-8 max(1, |t|)`` of it."""
+    fin = np.flatnonzero(~net.is_infinite)
+    gap = np.abs(net.labels[fin] - t)
+    if t != 0.0 and fin.size and gap.min() <= 1e-8 * max(1.0, abs(t)):
+        e = int(fin[np.argmin(gap)])
+        raise SpectralCollisionError(f"t = {t} collides with edge label {net.labels[e]}",
+                                     where=net.grid.locate_edge(e))
+
+
+def _transports(net: IsothermicNet, t: float, edges: np.ndarray) -> np.ndarray:
+    """The transports of Gamma(t) on the canonical edges ``edges``, given
+    in increasing order; an error names the first degenerate one."""
+    g, sig, d = net.grid, net.signature, net.signature.dim
+    inf = net.is_infinite[edges]
+    fin = edges[~inf]
+    if t == 0.0:
+        eigen = np.eye(d)
+    else:
+        try:
+            eigen = gamma_lambda(net.mu[g.edge_tail[fin]], net.mu[g.edge_head[fin]],
+                                 1.0 - t / net.labels[fin], sig)
+        except DegeneracyError as err:
+            err.where = g.locate_edge(int(fin[err.where]))
+            raise
+        if not inf.any():
+            return eigen
+    out = np.empty((len(edges), d, d))
+    out[~inf] = eigen
+    e = edges[inf]
+    eta = wedge_vec(net.mu[g.edge_head[e]], net.mu[g.edge_tail[e]])
+    out[inf] = np.eye(d) + t * action_matrix(unpack_bivector(eta, d), sig)
+    return out
+
+
 def flat_connection(net: IsothermicNet, t: float) -> np.ndarray:
     """Per-edge orthogonal transports of the spectral family Gamma(t).
 
@@ -363,38 +424,44 @@ def flat_connection(net: IsothermicNet, t: float) -> np.ndarray:
     ``1 - t/m`` on the head line and its reciprocal on the tail line; on
     isotropic edges it is ``exp(t eta_ji) = I + t eta_ji``.  ``t`` must
     avoid all finite labels.  Entry ``e`` maps the fiber at the tail of
-    canonical edge ``e`` to the fiber at its head.
+    canonical edge ``e`` to the fiber at its head.  The transports are
+    built in blocks of :data:`_EDGE_BLOCK` edges, so that their
+    temporaries stay one block in size.
     """
-    g, sig, d = net.grid, net.signature, net.signature.dim
-    inf = net.is_infinite
-    fin = np.flatnonzero(~inf)
-    gap = np.abs(net.labels[fin] - t)
-    if t != 0.0 and fin.size and gap.min() <= 1e-8 * max(1.0, abs(t)):
-        e = int(fin[np.argmin(gap)])
-        raise SpectralCollisionError(f"t = {t} collides with edge label {net.labels[e]}",
-                                     where=g.locate_edge(e))
+    g, d = net.grid, net.signature.dim
+    _check_spectrum(net, t)
     out = np.empty((g.nedges, d, d))
-    if inf.any():                         # net.eta is computed on each read
-        out[inf] = np.eye(d) + t * action_matrix(unpack_bivector(net.eta[inf], d), sig)
-    if t == 0.0:
-        out[fin] = np.eye(d)
-        return out
-    # in blocks, so that the eigen transports' temporaries stay one
-    # block in size; a block raises on its first degenerate edge
-    for start in range(0, fin.size, _EDGE_BLOCK):
-        e = fin[start:start + _EDGE_BLOCK]
-        try:
-            out[e] = gamma_lambda(net.mu[g.edge_tail[e]], net.mu[g.edge_head[e]],
-                                  1.0 - t / net.labels[e], sig)
-        except DegeneracyError as err:
-            err.where = g.locate_edge(int(e[err.where]))
-            raise
+    for start in range(0, g.nedges, _EDGE_BLOCK):
+        stop = min(start + _EDGE_BLOCK, g.nedges)
+        out[start:stop] = _transports(net, t, np.arange(start, stop))
     return out
 
 
 def connection_flatness(net: IsothermicNet, t: float) -> float:
-    """Max relative quad :func:`dnet.grid.holonomy` of Gamma(t)."""
-    return worst(holonomy(net.grid, flat_connection(net, t)))[0]
+    """Max relative quad :func:`dnet.grid.holonomy` of Gamma(t).
+
+    The transports are built for the edges of one
+    :func:`dnet.grid.quad_blocks` block at a time and die with it; each
+    quad's holonomy has the bits it has over :func:`flat_connection`.  An
+    error is the one ``flat_connection(net, t)`` raises.
+    """
+    g = net.grid
+    _check_spectrum(net, t)
+    if not g.nquads:                    # no quad holds the edges
+        flat_connection(net, t)
+    res = np.empty(g.nquads)
+    try:
+        for b in quad_blocks(g):
+            qe = g.quad_edges[b]
+            # one block holds every quad, and so every edge
+            edges, local = ((np.arange(g.nedges), qe) if len(qe) == g.nquads
+                            else np.unique(qe, return_inverse=True))
+            res[b] = _block_holonomy(_transports(net, t, edges), local.reshape(qe.shape))
+    except (DegeneracyError, ValueError):
+        # a block meets edges out of edge order: name the first bad edge
+        flat_connection(net, t)
+        raise
+    return worst(res)[0]
 
 
 def _seed_orthogonal_null(net: IsothermicNet, base: int, rng) -> np.ndarray:

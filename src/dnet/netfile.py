@@ -19,7 +19,16 @@ Fixed inputs give byte-identical files.  Every file dnet writes (net
 files, ``verify --report`` reports, ``export`` output and the Guichard
 fault report) goes through :func:`write_text`: a temporary file beside
 the target and an atomic rename, so a failed write leaves the old file
-and no temporary file.
+and no temporary file.  :meth:`NetFile.save` streams its text into
+:func:`write_text`: an array with more than :data:`_ROWS` rows is
+rendered and written one block of rows at a time, so the document's
+text is never held whole, and a rendering that raises partway is a
+failed write.
+
+The isothermic checks of :func:`run_checks` run in blocks as well: the
+net's edge arrays in blocks of edges, and its Moutard, label-relation,
+margin and flatness residuals in blocks of quads, so their gathered
+temporaries stay one block in size.
 
 :meth:`NetFile.load` reads array entries that are numbers, booleans
 (as 0 / 1) or strings that Python's ``float`` accepts (``"inf"``,
@@ -35,6 +44,7 @@ a frame section that is not a frame of the signature (see
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -49,20 +59,27 @@ from .residuals import rel
 
 FORMAT = "dnet-net/1"
 FLOAT_ENCODING = "decimal-shortest-roundtrip"
+# Rows per block of an array's text: :meth:`NetFile.save` renders and
+# writes one block at a time.
+_ROWS = 256
 
 
-def write_text(path: str, *parts: str):
-    """Write ``parts`` to ``path`` through ``path.tmp.<pid>`` and an atomic
-    rename; on any failure remove the temporary file and re-raise."""
+def write_text(path: str, pieces):
+    """Write the strings of the iterable ``pieces`` to ``path`` through
+    ``path.tmp.<pid>`` and an atomic rename; on any failure, also one
+    raised while ``pieces`` yields, remove the temporary file and
+    re-raise."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):      # open may have failed
             os.remove(tmp)
         raise
+
+
 def _json_text(value, depth: int) -> str:
     """``value`` in the file layout, nested ``depth`` levels deep.
 
@@ -110,17 +127,37 @@ def _has_array(value) -> bool:
         isinstance(value, dict) and any(map(_has_array, value.values())))
 
 
-def _document_text(value, depth: int = 0) -> str:
-    """``_json_text`` of a document whose arrays are ndarrays; objects that
-    hold arrays must have string keys."""
+def _array_pieces(arr: np.ndarray, depth: int):
+    """The pieces of ``_array_text(arr, depth)``, one block of
+    :data:`_ROWS` rows at a time: each block's text less its opening
+    ``[`` and closing line, joined by commas."""
+    if arr.ndim == 0 or len(arr) <= _ROWS:
+        yield _array_text(arr, depth)
+        return
+    close = "\n" + " " * depth + "]"
+    sep = "["
+    for start in range(0, len(arr), _ROWS):
+        yield sep
+        yield _array_text(arr[start:start + _ROWS], depth)[1:-len(close)]
+        sep = ","
+    yield close
+
+
+def _document_text(value, depth: int = 0):
+    """The pieces of ``_json_text`` of a document whose arrays are
+    ndarrays; objects that hold arrays must have string keys."""
     if isinstance(value, np.ndarray):
-        return _array_text(value, depth)
-    if not _has_array(value):
-        return _json_text(value, depth)
-    inner = "\n" + " " * (depth + 1)
-    items = (f"{json.dumps(k)}: {_document_text(v, depth + 1)}"
-             for k, v in sorted(value.items()))
-    return "{" + inner + ("," + inner).join(items) + "\n" + " " * depth + "}"
+        yield from _array_pieces(value, depth)
+    elif not _has_array(value):
+        yield _json_text(value, depth)
+    else:
+        inner = "\n" + " " * (depth + 1)
+        sep = "{" + inner
+        for k, v in sorted(value.items()):
+            yield f"{sep}{json.dumps(k)}: "
+            yield from _document_text(v, depth + 1)
+            sep = "," + inner
+        yield "\n" + " " * depth + "}"
 
 
 def _decode_array(value, what: str) -> np.ndarray:
@@ -216,7 +253,7 @@ class NetFile:
                        "form1": arrays(self.form1_fields)},
             "metadata": self.metadata,
         }
-        write_text(path, _document_text(doc), "\n")
+        write_text(path, itertools.chain(_document_text(doc), ["\n"]))
 
     @classmethod
     def load(cls, path: str) -> "NetFile":

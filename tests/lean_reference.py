@@ -7,6 +7,11 @@ Each builds the full-size temporaries the library no longer builds:
 into a second ``(nedges, d, d)`` array, :func:`eta` is the packed 1-form
 ``IsothermicNet`` used to store, and :func:`wedge_one_forms` holds the
 eight gathered edge values of the quarter formula together.  The
+isothermic verify path is here unblocked as well:
+:func:`isothermic_arrays` gathers the lifts of every edge's ends at once,
+:func:`validate` gathers ``mu[quad_vertices]`` and recomputes every edge
+product in :func:`margins`, and :func:`connection_flatness` builds the
+whole Gamma(t) before it reduces its holonomy to one number.  The
 bit-identity tests compare the library against them.
 """
 
@@ -14,8 +19,9 @@ import numpy as np
 
 from dnet.errors import DegeneracyError, SpectralCollisionError
 from dnet.forms import unpack_bivector, wedge_vec
+from dnet.isothermic import INF_LABEL_THRESHOLD
 from dnet.pseudo_euclidean import action_matrix, gamma_lambda
-from dnet.residuals import rel
+from dnet.residuals import cos_angle, rel, sin_angle, worst
 
 
 def holonomy(grid, gamma):
@@ -56,3 +62,61 @@ def wedge_one_forms(a, b, rule):
     a_b, a_r, a_t, a_l = (a.values[qe[:, n]] for n in range(4))
     b_b, b_r, b_t, b_l = (b.values[qe[:, n]] for n in range(4))
     return 0.25 * (rule(a_b + a_t, b_l + b_r) - rule(a_l + a_r, b_b + b_t))
+
+
+def isothermic_arrays(grid, signature, mu):
+    """The edge inner products, isotropic-edge mask and labels of
+    ``IsothermicNet``."""
+    mt, mh = mu[grid.edge_tail], mu[grid.edge_head]
+    edge_ip = signature.inner(mt, mh)
+    scale = np.linalg.norm(mt, axis=1) * np.linalg.norm(mh, axis=1)
+    is_infinite = np.abs(edge_ip) <= INF_LABEL_THRESHOLD * scale
+    with np.errstate(divide="ignore"):
+        labels = np.where(is_infinite, np.inf, 1.0 / np.where(is_infinite, 1.0, edge_ip))
+    return edge_ip, is_infinite, labels
+
+
+def margins(grid, signature, mu):
+    """Edge, diagonal and opposite-label margins of a batch of lifts
+    ``(n, nverts, d)``."""
+    ip = signature.inner
+    t, h = grid.edge_tail, grid.edge_head
+    norms = np.linalg.norm(mu, axis=-1)
+    edge_ip = ip(mu[:, t], mu[:, h])
+    edge = cos_angle(edge_ip, norms[:, t], norms[:, h]).min(axis=1, initial=np.inf)
+    if grid.nquads == 0:
+        return edge, np.zeros(len(mu)), np.zeros(len(mu))
+    mq, nq = mu[:, grid.quad_vertices], norms[:, grid.quad_vertices]
+    diag = cos_angle(ip(mq[:, :, :2], mq[:, :, 2:]),                 # (i, k), (j, l)
+                     nq[:, :, :2], nq[:, :, 2:]).min(axis=(1, 2))
+    ips = edge_ip[:, grid.quad_edges]                               # ij, jk, lk, il
+    opp = rel(np.abs(ips[..., 0] - ips[..., 3]), np.abs(ips).max(axis=2)).min(axis=1)
+    return edge, diag, opp
+
+
+def validate(net, margin=1e-6):
+    """``IsothermicNet.validate``."""
+    g, sig, mu = net.grid, net.signature, net.mu
+    nullity = float(np.abs(rel(sig.norm2(mu), np.sum(mu * mu, axis=1))).max())
+    mq = mu[g.quad_vertices]                    # (nquads, 4, dim): i, j, k, l
+    moutard, quad = worst(sin_angle(mq[:, 2] - mq[:, 0], mq[:, 3] - mq[:, 1]))
+    ips = net.edge_ip[g.quad_edges]             # ij, jk, lk, il
+    label_rel = float(rel(np.maximum(np.abs(ips[:, 0] - ips[:, 2]),
+                                     np.abs(ips[:, 3] - ips[:, 1])),
+                          np.abs(ips).max(axis=1)).max(initial=0.0))
+    _, diag, opp_margin = (float(m[0]) for m in margins(g, sig, mu[None]))
+    return {
+        "nullity": nullity, "moutard": moutard,
+        "worst_quad": None if quad is None else g.locate_quad(quad),
+        "label_relations": label_rel,
+        "opposite_label_margin": opp_margin,
+        "diagonal_margin": diag,
+        "passed": bool(nullity <= 1e-10 and moutard <= 1e-10
+                       and label_rel <= 1e-9
+                       and (g.nquads == 0 or (opp_margin >= margin and diag >= margin))),
+    }
+
+
+def connection_flatness(net, t):
+    """Max relative quad holonomy of Gamma(t)."""
+    return worst(holonomy(net.grid, flat_connection(net, t)))[0]

@@ -13,7 +13,7 @@ from dnet.errors import DegeneracyError, FormatError
 from dnet.forms import unpack_bivector, wedge_vec
 from dnet.grid import Grid
 from dnet.isothermic import christoffel_dual, random_isothermic
-from dnet.netfile import NetFile, _decode_array
+from dnet.netfile import _ROWS, NetFile, _decode_array
 from dnet.pseudo_euclidean import Frame, Signature
 from tests import netfile_reference as ref
 
@@ -95,6 +95,30 @@ MEMORY_CASES = {
 }
 
 
+def _on_seams(arr):
+    """``arr`` with -0.0, NaN and +-inf in the rows on either side of
+    each seam between blocks of ``_ROWS`` rows."""
+    flat = arr.reshape(len(arr), -1)
+    for seam in range(_ROWS, len(arr), _ROWS):
+        flat[seam - 1, 0], flat[seam - 1, -1] = -0.0, np.inf
+        flat[seam, 0], flat[seam, -1] = np.nan, -np.inf
+    return arr
+
+
+# more rows than one block, and a row count that is not a multiple of it
+_LONG = 2 * _ROWS + 37
+_RNG = np.random.default_rng(5)
+MEMORY_CASES.update({
+    "rows-past-one-block-2d": dict(vertex_fields={"mu": _RNG.standard_normal((_LONG, 3))}),
+    "rows-past-one-block-3d": dict(vertex_fields={"cube": _RNG.standard_normal((_LONG, 2, 3))}),
+    "non-finite-on-seams": dict(
+        vertex_fields={"mu": _on_seams(_RNG.standard_normal((_LONG, 3))),
+                       "cube": _on_seams(_RNG.standard_normal((_LONG, 2, 3)))},
+        edge_fields={"m": _on_seams(_RNG.standard_normal(_LONG))},
+        form1_fields={"eta": _on_seams(_RNG.standard_normal((_ROWS + 1, 3)))}),
+})
+
+
 @pytest.mark.parametrize("case", sorted(MEMORY_CASES))
 def test_save_matches_reference_encoder(tmp_path, case):
     kwargs = {"dims": (2, 2), "frame": _frame(),
@@ -106,6 +130,20 @@ def test_save_matches_reference_encoder(tmp_path, case):
     path = tmp_path / "net.json"
     nf.save(str(path))
     assert path.read_bytes() == ref.file_text(nf).encode("utf-8")
+
+
+def test_save_that_fails_while_rendering_keeps_the_old_file(tmp_path):
+    # the metadata section is rendered after the fields, so the temporary
+    # file already holds several blocks of rows when it raises
+    path = tmp_path / "net.json"
+    path.write_text("old\n")
+    nf = NetFile(signature=(2, 1), dims=(2, 2),
+                 vertex_fields={"mu": _RNG.standard_normal((_LONG, 3))},
+                 metadata={"bad": object()})
+    with pytest.raises(TypeError):
+        nf.save(str(path))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["net.json"]
 
 
 # -- decoder ---------------------------------------------------------------

@@ -4,18 +4,25 @@
 of two 1-forms are compared with ``np.array_equal`` against the formulas
 of ``tests/lean_reference.py`` on lines, a single quad, a 64x64 net, a
 stacked Darboux pair and a pair with isotropic edges; their errors name
-the same edge.
+the same edge.  The blocked verify path (the edge arrays of
+``IsothermicNet``, ``validate`` and ``connection_flatness``) is compared
+the same way on 33x33 and 64x64 nets in three signatures, on a NaN in
+the second quad block, across the block seams of an isotropic pair and
+on a degenerate edge, whose ``verify`` report is the same line for line.
 """
 
 import numpy as np
 import pytest
 
+from dnet import grid as grid_mod
+from dnet import isothermic
 from dnet.errors import DegeneracyError, GeometryError, SpectralCollisionError
 from dnet.forms import BilinearRule, Form1, wedge
 from dnet.grid import Grid, holonomy, trivialize_connection
-from dnet.isothermic import (IsothermicNet, calapso_transform, darboux_transform,
-                             flat_connection, moutard_evolve, random_cauchy,
-                             random_isothermic, stack_pair)
+from dnet.isothermic import (IsothermicNet, _margins, calapso_transform,
+                             connection_flatness, darboux_transform, flat_connection,
+                             moutard_evolve, random_cauchy, random_isothermic, stack_pair)
+from dnet.netfile import FLATNESS_T, NetFile, run_checks
 from dnet.pseudo_euclidean import Signature
 from tests import lean_reference as ref
 
@@ -56,6 +63,8 @@ def _outcome(fn, *args):
 def _same(a, b):
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, float) and isinstance(b, float) and np.isnan(a):
+        return np.isnan(b)
     return a == b
 
 
@@ -125,8 +134,102 @@ def test_errors_name_the_same_edge(nets):
         got = _outcome(flat_connection, net, 0.3)
         assert got[0] is DegeneracyError
         assert got == _outcome(ref.flat_connection, net, 0.3)
+        assert _outcome(connection_flatness, net, 0.3) == got
     assert got[2] == g.locate_edge(e)
+    # a second degenerate edge, first in edge order but on axis 0 in the
+    # last quad block: the quad blocks meet edge e first, and the error
+    # still names the second one
+    e0 = int(g.edge_slots[np.ravel_multi_index((60, 5), g.dims), 0])
+    assert e0 < e
+    mu[g.edge_head[e0]] = 3.0 * mu[g.edge_tail[e0]]
+    net = _mislabelled(IsothermicNet(g, SIG, mu))
+    got = _outcome(connection_flatness, net, 0.3)
+    assert got == _outcome(ref.flat_connection, net, 0.3) and got[2] == g.locate_edge(e0)
     t = float(big.labels[e])
     got = _outcome(flat_connection, big, t)
     assert got[0] is SpectralCollisionError
     assert got == _outcome(ref.flat_connection, big, t)
+    assert _outcome(connection_flatness, big, t) == got
+
+
+# -- the blocked verify path --------------------------------------------
+
+def _evolved(n, pq):
+    sig = Signature(*pq)
+    grid, frame = Grid([n, n]), sig.standard_frame()
+    line0, line1 = random_cauchy(grid, sig, np.random.default_rng(n), frame=frame)
+    return moutard_evolve(grid, sig, line0, line1, frame=frame)
+
+
+def _assert_verify_path_is_bit_identical(net):
+    g, sig, mu = net.grid, net.signature, net.mu
+    for got, want in zip((net.edge_ip, net.is_infinite, net.labels),
+                         ref.isothermic_arrays(g, sig, mu)):
+        assert _same(got, want)
+    got, want = net.validate(), ref.validate(net)
+    assert got.keys() == want.keys()
+    assert all(_same(got[k], want[k]) for k in got), (got, want)
+    batch = np.stack([mu, mu[::-1]])
+    assert all(map(_same, _margins(g, sig, batch), ref.margins(g, sig, batch)))
+    for t in (*FLATNESS_T, 0.0, 0.7):
+        assert _same(_outcome(connection_flatness, net, t),
+                     _outcome(ref.connection_flatness, net, t)), t
+
+
+def _file(net):
+    return NetFile.from_isothermic(net, NetFile.frame_section(net.signature.standard_frame()),
+                                   {})
+
+
+@pytest.mark.parametrize("n", (33, 64))
+@pytest.mark.parametrize("pq", ((4, 2), (4, 1), (3, 1)))
+def test_verify_path_is_bit_identical(pq, n):
+    _assert_verify_path_is_bit_identical(_evolved(n, pq))
+
+
+def test_nan_in_the_second_quad_block_propagates_and_is_named():
+    net = _evolved(64, (4, 2))
+    g, block = net.grid, grid_mod._HOLONOMY_BLOCK
+    v = int(g.quad_vertices[block + block // 2, 2])
+    quads = np.flatnonzero((g.quad_vertices == v).any(axis=1))
+    assert block <= quads.min() and quads.max() < 2 * block
+    mu = np.array(net.mu)
+    mu[v, 0] = np.nan
+    bad = IsothermicNet(g, net.signature, mu)
+    _assert_verify_path_is_bit_identical(bad)
+    got = bad.validate()
+    for key in ("nullity", "moutard", "label_relations", "diagonal_margin",
+                "opposite_label_margin"):
+        assert np.isnan(got[key]), key
+    assert got["worst_quad"] == g.locate_quad(int(quads.min()))
+    assert np.isnan(connection_flatness(bad, 0.3))
+    moutard = next(c for c in run_checks(_file(bad)).checks if c.name == "isothermic.moutard")
+    assert not moutard.passed and moutard.worst == got["worst_quad"]
+
+
+def test_verify_path_across_the_seams_of_an_isotropic_pair(nets, monkeypatch):
+    pair = nets["isotropic pair"]
+    _assert_verify_path_is_bit_identical(pair)
+    # blocks of 16 quads and 24 edges: the 72 quads and 105 edges of the
+    # stacked 5x5 pair cross five seams of each
+    monkeypatch.setattr(grid_mod, "_HOLONOMY_BLOCK", 16)
+    monkeypatch.setattr(isothermic, "_EDGE_BLOCK", 24)
+    _assert_verify_path_is_bit_identical(IsothermicNet(pair.grid, pair.signature, pair.mu))
+
+
+def test_a_degenerate_edge_gives_the_same_report(monkeypatch):
+    # a lift in the fourth quad block made non-null: the eigen transports
+    # of its edges are undefined, and each flatness check aborts
+    net = _evolved(64, (4, 2))
+    g = net.grid
+    v = int(g.quad_vertices[3 * grid_mod._HOLONOMY_BLOCK + 10, 0])
+    mu = np.array(net.mu)
+    mu[v, 0] += 1e-3 * np.linalg.norm(mu[v])
+    bad = IsothermicNet(g, net.signature, mu)
+    _assert_verify_path_is_bit_identical(bad)
+    text = run_checks(_file(bad)).to_text()
+    aborted = "[aborted: gamma_lambda expects null line representatives]"
+    assert sum(aborted in line for line in text.splitlines()) == len(FLATNESS_T)
+    monkeypatch.setattr(isothermic, "connection_flatness", ref.connection_flatness)
+    monkeypatch.setattr(IsothermicNet, "validate", ref.validate)
+    assert run_checks(_file(bad)).to_text() == text

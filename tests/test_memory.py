@@ -1,9 +1,10 @@
 """Memory budgets of the kernels a 64x64 (4,2) net passes through.
 
 Each budget bounds the peak of the memory that ``tracemalloc`` traces
-during one call, relative to the ``nbytes`` of what the call returns:
-the full-size copies and gathered temporaries these kernels used to
-hold put each of them well above its bound.
+during one call, relative to the ``nbytes`` of what the call returns, or
+to the peak of the same call on a 32x32 net: the full-size copies and
+gathered temporaries these kernels used to hold put each of them well
+above its bound.
 """
 
 import tracemalloc
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from dnet.grid import Grid, holonomy
-from dnet.isothermic import (IsothermicNet, calapso_transform, flat_connection,
-                             moutard_evolve, random_cauchy)
+from dnet.isothermic import (IsothermicNet, calapso_transform, connection_flatness,
+                             flat_connection, moutard_evolve, random_cauchy)
+from dnet.netfile import NetFile
 from dnet.pseudo_euclidean import Signature
 
 SIG = Signature(4, 2)
@@ -73,3 +75,30 @@ def test_calapso_releases_its_connection_before_moving_the_net(net):
     # Gamma(t), T and T^-1 live together during the trivialization
     (moved, T), peak = _traced_peak(calapso_transform, net, 0.3)
     assert peak <= 5 * T.nbytes, (peak, T.nbytes)
+
+
+def _transient(net, path):
+    """The traced peaks, above what each call keeps, of the calls that
+    ``dnet verify`` and :meth:`NetFile.save` make on an isothermic net."""
+    out, init = _traced_peak(IsothermicNet, net.grid, SIG, net.mu)
+    init -= sum(a.nbytes for a in (out.mu, out.edge_ip, out.is_infinite, out.labels))
+    nf = NetFile.from_isothermic(net, NetFile.frame_section(SIG.standard_frame()), {})
+    return {"IsothermicNet": init,
+            "validate": _traced_peak(net.validate)[1],
+            "connection_flatness": _traced_peak(connection_flatness, net, 0.3)[1],
+            "NetFile.save": _traced_peak(nf.save, str(path))[1]}
+
+
+@pytest.fixture(scope="module")
+def verify_peaks(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "net.json"
+    return [_transient(_net(n), path) for n in (32, 64)]
+
+
+@pytest.mark.parametrize("kernel", ["IsothermicNet", "validate", "connection_flatness",
+                                    "NetFile.save"])
+def test_verify_and_save_do_not_grow_from_32_to_64(verify_peaks, kernel):
+    # each runs in blocks of quads, edges or rows; only the (nquads,)
+    # residuals of validate and connection_flatness grow with the grid
+    small, big = (p[kernel] for p in verify_peaks)
+    assert big <= 1.25 * small, (small, big)
