@@ -20,7 +20,7 @@ import numpy as np
 from .errors import FormatError, GeometryError
 from .grid import Grid
 from .netfile import DEFAULT_TOLS, NetFile, run_checks, write_text
-from .pseudo_euclidean import Signature
+from .pseudo_euclidean import Signature, non_null
 
 GEN_KINDS = ("isothermic", "darboux-pair", "omega", "guichard", "minimal",
              "weingarten")
@@ -59,8 +59,8 @@ def _parse_signature(text: str):
 
 
 def _parse_number(option: str, text, default=None) -> float:
-    """A number option (``inf`` allowed, NaN not); a transform option is
-    required unless it has a default."""
+    """A number option, not NaN: ``--t`` and ``--c`` finite, ``--m`` nonzero;
+    a transform option is required unless it has a default."""
     if text is None:
         if default is None:
             raise FormatError(f"{option} is required for this transform")
@@ -71,13 +71,16 @@ def _parse_number(option: str, text, default=None) -> float:
         raise FormatError(f"bad {option} {text!r}; expected a number")
     if np.isnan(value):
         raise FormatError(f"bad {option} {text!r}; expected a number")
+    if option in ("--t", "--c") and np.isinf(value) or option == "--m" and value == 0:
+        raise FormatError(f"bad {option} {text!r}; expected a "
+                          f"{'nonzero' if option == '--m' else 'finite'} number")
     return value
 
 
 def _parse_params(kind: str, items) -> dict:
     """The ``--param k=v`` values given to ``gen kind``: finite numbers
-    (``m`` may be ``inf`` or ``-inf``), ``fault`` an integer and ``rho``
-    nonzero, for the keys of ``GEN_PARAMS[kind]`` only."""
+    (``m`` may be ``inf`` or ``-inf``), ``fault`` an integer and ``m`` and
+    ``rho`` nonzero, for the keys of ``GEN_PARAMS[kind]`` only."""
     keys = GEN_PARAMS[kind]
     out = {}
     for item in items or ():
@@ -90,7 +93,7 @@ def _parse_params(kind: str, items) -> dict:
         value = _parse_number(f"--param {k}", v)
         if not np.isfinite(value) and k != "m":
             raise FormatError(f"bad --param {item!r}; expected a finite number")
-        if k == "fault" and not value.is_integer() or k == "rho" and value == 0:
+        if k == "fault" and not value.is_integer() or k in ("m", "rho") and value == 0:
             raise FormatError(f"bad --param {item!r}; expected "
                               f"{'an integer' if k == 'fault' else 'a nonzero number'}")
         out[k] = value
@@ -215,6 +218,13 @@ def cmd_transform(args) -> int:
         net = nf.isothermic_net()
         if net is None:
             raise FormatError(f"{args.op} needs a mu field")
+        # the null test of the edge transports, at the worst lift that fails it
+        bad = np.flatnonzero(non_null(net.mu, net.signature))
+        if bad.size:
+            defect = np.abs(net.signature.norm2(net.mu[bad])) / np.sum(net.mu[bad] ** 2, axis=1)
+            raise FormatError(f"{args.op} needs null lifts: mu at vertex "
+                              f"{net.grid.coords(bad[np.argmax(defect)])} has "
+                              f"|(mu, mu)| / |mu|^2 = {defect.max():.3e} > 1e-8")
         frame = nf.the_frame() or net.signature.standard_frame()
         if args.op == "darboux":
             m = _parse_number("--m", args.m)

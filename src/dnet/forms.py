@@ -171,7 +171,7 @@ def exterior_derivative(form):
     """d of a 0-form or 1-form.  ``d(d(f))`` vanishes identically."""
     grid = form.grid
     if form.degree == 0:
-        return Form1(grid, form.values[grid.edge_head] - form.values[grid.edge_tail])
+        return Form1(grid, grid.edge_difference(form.values))
     if form.degree == 1:
         return Form2(grid, _quad_edge_sum(grid, form.values))
     raise ValueError("exterior derivative is implemented for degrees 0 and 1 only")

@@ -135,6 +135,10 @@ class Grid:
             "axes": tuple(int(a) for a in self.quad_axes[q]),
         }
 
+    def edge_difference(self, values: np.ndarray) -> np.ndarray:
+        """``values[head] - values[tail]`` on every canonical edge."""
+        return values[self.edge_head] - values[self.edge_tail]
+
     # -- staircase spanning tree -------------------------------------
 
     def staircase_tree(self, base: int = 0):

@@ -25,7 +25,7 @@ from .errors import (DegeneracyError, EvolutionError, PropagationError,
 from .forms import unpack_bivector, wedge_vec
 from .grid import (Grid, _block_holonomy, integrate_one_form, quad_blocks, stack,
                    trivialize_connection)
-from .koenigs import vertical_diagonal_margin
+from .koenigs import vertical_diagonal_margin, vertical_moutard
 from .pseudo_euclidean import (Frame, Signature, action_matrix, conic_cross_ratio,
                                gamma_lambda, line_distance, renull, stereo_project)
 from .residuals import cos_angle, floor, gap, rel, sin_angle, worst
@@ -103,8 +103,14 @@ class IsothermicNet:
         array on each read."""
         return wedge_vec(self.mu[self.grid.edge_head], self.mu[self.grid.edge_tail])
 
-    def finite_labels(self) -> np.ndarray:
-        return self.labels[~self.is_infinite]
+    def nearest_label(self, t: float):
+        """``(|m - t|, edge)`` of the finite edge label ``m`` nearest ``t``, ``(inf,
+        None)`` when no label is finite; a non-finite ``t`` raises ValueError."""
+        if not np.isfinite(t):
+            raise ValueError(f"spectral parameter must be finite, got {t}")
+        gap = np.abs(self.labels - t)           # inf on the infinite labels
+        e = int(np.argmin(gap)) if np.isfinite(gap).any() else None
+        return (np.inf if e is None else float(gap[e])), e
 
     def validate(self, margin: float = 1e-6) -> dict:
         """Residuals of the full isothermic invariant suite.
@@ -384,10 +390,8 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
 def _check_spectrum(net: IsothermicNet, t: float):
     """Raise :class:`SpectralCollisionError` on the edge whose finite label
     is nearest ``t`` when it lies within ``1e-8 max(1, |t|)`` of it."""
-    fin = np.flatnonzero(~net.is_infinite)
-    gap = np.abs(net.labels[fin] - t)
-    if t != 0.0 and fin.size and gap.min() <= 1e-8 * max(1.0, abs(t)):
-        e = int(fin[np.argmin(gap)])
+    gap, e = net.nearest_label(t)
+    if t != 0.0 and gap <= 1e-8 * max(1.0, abs(t)):
         raise SpectralCollisionError(f"t = {t} collides with edge label {net.labels[e]}",
                                      where=net.grid.locate_edge(e))
 
@@ -514,17 +518,17 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
     ``rng`` past the accepted seed.  After ``retries`` auto seeds,
     :class:`DegeneracyError` gives in one line the count of seeds
     rejected for each reason and the best diagonal margin reached.  An
-    explicit ``seed`` is a block of one.  Where ``min(p, q) < 2`` the
-    isotropic transform raises at once, before any draw.
+    explicit ``seed`` is a block of one.  ``m = 0`` (a ValueError) and, where
+    ``min(p, q) < 2``, the isotropic transform raise at once, before any draw.
     """
     g, sig = net.grid, net.signature
+    if m == 0:
+        raise ValueError("Darboux parameter m must be nonzero")
     if np.isinf(m) and min(sig.p, sig.q) < 2:
         raise DegeneracyError(f"no isotropic Darboux transform in signature ({sig.p}, {sig.q}): "
                               f"a null seed orthogonal to the net is proportional to it")
-    if not np.isinf(m):
-        finite = net.labels[~net.is_infinite]
-        if finite.size and np.min(np.abs(finite - m)) <= 1e-8 * max(1.0, abs(m)):
-            raise SpectralCollisionError(f"m = {m} collides with an edge label")
+    if not np.isinf(m) and net.nearest_label(m)[0] <= 1e-8 * max(1.0, abs(m)):
+        raise SpectralCollisionError(f"m = {m} collides with an edge label")
     if seed is not None:
         hat, failures = _darboux_march(net, m, _darboux_start(net, m, seed, base, min_denom)[None],
                                        base, min_denom)
@@ -621,13 +625,11 @@ def _pair_quality(net: IsothermicNet, hat: IsothermicNet, margin: float) -> dict
     the vertical diagonal margins."""
     rep = hat.validate(margin=margin)
     g = net.grid
-    t, h = g.edge_tail, g.edge_head
-    vert = sin_angle(hat.mu[h] - net.mu[t], hat.mu[t] - net.mu[h])
     vert_diag = vertical_diagonal_margin(g, hat.mu, net.mu, net.signature)
     return {
-        "nullity": max(rep["nullity"], float(np.abs(rel(
-            net.signature.norm2(hat.mu), np.linalg.norm(hat.mu, axis=1) ** 2)).max())),
-        "moutard": max(rep["moutard"], float(vert.max(initial=0.0))),
+        "nullity": rep["nullity"],
+        "moutard": max(rep["moutard"],
+                       float(vertical_moutard(g, hat.mu, net.mu).max(initial=0.0))),
         "diagonal_margin": min(rep["diagonal_margin"] if g.nquads else np.inf,
                                float(vert_diag.min(initial=np.inf))),
     }
@@ -687,7 +689,6 @@ class ChristoffelData:
     x: np.ndarray
     x_dual: np.ndarray
     r: np.ndarray          # mu = r * euclidean lift
-    frame: Frame
 
 
 def christoffel_dual(net: IsothermicNet, frame: Frame | None = None) -> ChristoffelData:
@@ -705,15 +706,15 @@ def christoffel_dual(net: IsothermicNet, frame: Frame | None = None) -> Christof
     dxd = frame.pi(_eta_apply(sig, g, net.mu, frame.q))
     xd = integrate_one_form(g, dxd, base=0, check_closed=True, tol=1e-8).values
     r = -ip(net.mu, frame.q)
-    return ChristoffelData(x=x, x_dual=xd, r=r, frame=frame)
+    return ChristoffelData(x=x, x_dual=xd, r=r)
 
 
 def christoffel_residuals(net: IsothermicNet, data: ChristoffelData) -> dict:
     """Residual sweep of the duality identities."""
     sig, g = net.signature, net.grid
     t, h = g.edge_tail, g.edge_head
-    dx = data.x[h] - data.x[t]
-    dxd = data.x_dual[h] - data.x_dual[t]
+    dx = g.edge_difference(data.x)
+    dxd = g.edge_difference(data.x_dual)
     ip = sig.inner(dx, dxd)
     rhs = np.where(net.is_infinite, 0.0,
                    -2.0 * np.where(net.is_infinite, 0.0, net.edge_ip))
@@ -756,7 +757,6 @@ def bianchi_check(net: IsothermicNet, hat: IsothermicNet, m: float) -> dict:
     return {
         "parallelism": float(par.max(initial=0.0)),
         "scalar_identity": float(scalar.max(initial=0.0)),
-        "values": vals,
     }
 
 
@@ -826,15 +826,13 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None):
     }
     if success:
         q = ConservedQuantity(p0=np.tile(c_vec, (g.nverts, 1)), p1=xi, signature=sig)
-        finite = net.labels[~net.is_infinite]
         pres = {}
         for ts in (-1.5, -0.7, 0.3, 0.9, 2.2):
-            if finite.size and np.min(np.abs(finite - ts)) < 1e-6:
+            if net.nearest_label(ts)[0] < 1e-6:
                 continue
             pres[ts] = q.parallel_residual(net, ts)
         out["quantity"] = q
         out["parallel_residuals"] = pres
-        out["coefficient_spread"] = q.coefficient_spread()
     return out
 
 

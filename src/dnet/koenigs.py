@@ -255,6 +255,13 @@ def vertical_diagonal_margin(grid: Grid, plus: np.ndarray, minus: np.ndarray,
                       cos_angle(ip(minus[h], plus[t]), norm_m[h], norm_p[t]))
 
 
+def vertical_moutard(grid: Grid, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Per-edge vertical Moutard residual of the stacked pair ``minus`` under
+    ``plus``: the sine of the angle of ``plus_j - minus_i`` and ``plus_i - minus_j``."""
+    t, h = grid.edge_tail, grid.edge_head
+    return sin_angle(plus[h] - minus[t], plus[t] - minus[h])
+
+
 def _balance(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray):
     """The alternating rescale ``c^{+-1}`` of a Moutard pair (opposite
     exponents on the two nets) that evens the median ``mu_plus`` norms
@@ -281,8 +288,7 @@ def km_pair_check(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray,
     mu_plus = np.asarray(mu_plus, float)
     mu_minus = np.asarray(mu_minus, float)
     t, h = grid.edge_tail, grid.edge_head
-    vert_worst = float(sin_angle(mu_plus[h] - mu_minus[t],
-                                 mu_plus[t] - mu_minus[h]).max(initial=0.0))
+    vert_worst = float(vertical_moutard(grid, mu_plus, mu_minus).max(initial=0.0))
 
     sv = np.linalg.svd(np.stack([mu_plus[t], mu_plus[h], mu_minus[h], mu_minus[t]], axis=1),
                        compute_uv=False)
@@ -294,7 +300,7 @@ def km_pair_check(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray,
     tau = wedge_vec(mu_minus, mu_plus)
     report = {"vertical_moutard": vert_worst, "span_margin": span_margin}
     if eta_plus is not None and eta_minus is not None:
-        dtau = tau[h] - tau[t]
+        dtau = grid.edge_difference(tau)
         res = np.abs(eta_minus - eta_plus - dtau).max(initial=0.0)
         report["gauge_relation"] = float(rel(res, np.abs(eta_plus).max(initial=0.0)))
     is_pair = vert_worst <= tol and report.get("gauge_relation", 0.0) <= tol
@@ -576,8 +582,8 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
 
     best = None
     for attempt in range(16):
-        lifts_p, tau_p, margin_p = one_net(seeds_plus, "plus")
-        lifts_m, tau_m, margin_m = one_net(seeds_minus, "minus")
+        lifts_p, tau_p, _ = one_net(seeds_plus, "plus")
+        lifts_m, tau_m, _ = one_net(seeds_minus, "minus")
         dist = float(sin_angle(lifts_p, lifts_m).min())
         if dist < 1e-6:
             if not auto:
@@ -589,14 +595,14 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
         pm = dist if signature is None else min(float(vertical_diagonal_margin(
             g, lifts_m, lifts_p, signature).min(initial=np.inf)), dist)
         if best is None or pm > best[0]:
-            best = (pm, lifts_p, tau_p, margin_p, lifts_m, tau_m, margin_m)
+            best = (pm, lifts_p, tau_p, lifts_m, tau_m)
         if pm >= 100 * 1e-6:
             break
     else:
         if best is None:
             raise SeedDegeneracyError("no pointwise-distinct companion found")
     if auto and best is not None:
-        _, lifts_p, tau_p, margin_p, lifts_m, tau_m, margin_m = best
+        _, lifts_p, tau_p, lifts_m, tau_m = best
 
     t, h = g.edge_tail, g.edge_head
     eta_p = cong.eta + tau_p[h] - tau_p[t]
@@ -624,7 +630,6 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     report = {
         "tau_in_span": tau_res,
         "minus_moutard": minus_res,
-        "section_margin": min(margin_p, margin_m),
         "km": km_report,
         "passed": bool(is_pair and tau_res <= 100 * 1e-8 and minus_res <= 100 * 1e-8),
     }
@@ -643,9 +648,8 @@ def christoffel_ratio(grid: Grid, sigma_plus: np.ndarray, sigma_minus: np.ndarra
     """
     sigma_plus = np.asarray(sigma_plus, float)
     sigma_minus = np.asarray(sigma_minus, float)
-    t, h = grid.edge_tail, grid.edge_head
-    dp = sigma_plus[h] - sigma_plus[t]
-    dm = sigma_minus[h] - sigma_minus[t]
+    dp = grid.edge_difference(sigma_plus)
+    dm = grid.edge_difference(sigma_minus)
     denom = np.sum(dp * dp, axis=1)
     if np.any(denom <= 1e-300):
         raise NotDualError("vanishing plus edge")

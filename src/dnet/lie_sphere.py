@@ -32,7 +32,7 @@ from .isothermic import (ConservedQuantity, IsothermicNet, _eta_apply, _evolve,
                          flat_connection, stack_pair)
 from .koenigs import LineCongruence, _balance, km_pair_check
 from .pseudo_euclidean import Frame, Signature, action_matrix
-from .residuals import cos_angle, floor, gap, rel, sin_angle
+from .residuals import circularity, cos_angle, floor, gap, rel, sin_angle
 
 __all__ = [
     "LieFrame", "standard_lie_frame", "random_lie_frame",
@@ -121,9 +121,7 @@ class PrincipalNet:
         self.n = np.asarray(n, float)
         if self.x.shape != (grid.nverts, 3) or self.n.shape != (grid.nverts, 3):
             raise ValueError("x and n must be (nverts, 3)")
-        t, h = grid.edge_tail, grid.edge_head
-        dx = self.x[h] - self.x[t]
-        dn = self.n[h] - self.n[t]
+        dx, dn = self.dx(), self.dn()
         denom = np.sum(dx * dx, axis=1)
         if np.any(denom <= 1e-300):
             raise DegeneracyError("vanishing edge in the principal net")
@@ -134,12 +132,10 @@ class PrincipalNet:
                                    np.inf)
 
     def dx(self) -> np.ndarray:
-        t, h = self.grid.edge_tail, self.grid.edge_head
-        return self.x[h] - self.x[t]
+        return self.grid.edge_difference(self.x)
 
     def dn(self) -> np.ndarray:
-        t, h = self.grid.edge_tail, self.grid.edge_head
-        return self.n[h] - self.n[t]
+        return self.grid.edge_difference(self.n)
 
     def validate(self, frame: LieFrame = standard_lie_frame()) -> dict:
         out = {}
@@ -151,12 +147,10 @@ class PrincipalNet:
                            np.abs(self.kappa) * np.linalg.norm(dx, axis=1))
         out["curvature_relation"] = float(
             (np.linalg.norm(res, axis=1) / np.maximum(scale, 1.0)).max(initial=0.0))
-        sv = np.linalg.svd(frame.lift_point(self.x)[self.grid.quad_vertices], compute_uv=False)
-        worst = float(rel(sv[:, 3], sv[:, 0]).max(initial=0.0))
-        out["circularity"] = worst
+        out["circularity"] = circularity(frame.lift_point(self.x), self.grid.quad_vertices)
         out["passed"] = bool(out["unit_normal"] <= 1e-9
                              and out["curvature_relation"] <= 1e-9
-                             and worst <= 1e-8)
+                             and out["circularity"] <= 1e-8)
         return out
 
 
@@ -266,9 +260,8 @@ class OmegaNet:
             np.abs(ip(self.y, self.lie_frame.p)).max(initial=0.0),
             np.abs(ip(self.t, self.lie_frame.q)).max(initial=0.0),
             np.abs(ip(self.t, self.lie_frame.p) + 1.0).max(initial=0.0)))
-        out["gauge"] = rel(float(np.abs(
-            ip(_contract(self.eta, self.lie_frame.q, self.signature),
-               self.lie_frame.p)).max(initial=0.0)), np.abs(self.eta).max(initial=0.0))
+        defect, scale = _gauge_defect(self.eta_q(), self.eta, self.lie_frame)
+        out["gauge"] = rel(float(defect), scale)
         cong = self.congruence().validate()
         out["applicability"] = cong
         out["passed"] = bool(out["null_planes"] <= 1e-9
@@ -282,6 +275,13 @@ def _contract(eta_packed: np.ndarray, vec: np.ndarray, sig: Signature) -> np.nda
     C = unpack_bivector(eta_packed, sig.dim)
     act = -C * sig.signs
     return act @ vec
+
+
+def _gauge_defect(etaq: np.ndarray, eta: np.ndarray, frame: LieFrame):
+    """``max |(eta q, p)|`` from ``etaq = eta q``, and ``max |eta|``: the
+    gauge ``(eta q, p) = 0`` holds when the first is small against the second."""
+    return (np.abs(frame.signature.inner(etaq, frame.p)).max(initial=0.0),
+            np.abs(eta).max(initial=0.0))
 
 
 def gauge_normalize(grid: Grid, frame: LieFrame, y, t, eta) -> np.ndarray:
@@ -299,8 +299,8 @@ def gauge_normalize(grid: Grid, frame: LieFrame, y, t, eta) -> np.ndarray:
     tau = c[:, None] * wedge_vec(y, t)
     th, tt = grid.edge_head, grid.edge_tail
     out = eta + tau[th] - tau[tt]
-    res = np.abs(sig.inner(_contract(out, frame.q, sig), frame.p)).max(initial=0.0)
-    if res > 1e-8 * floor(np.abs(out).max(initial=0.0)):
+    res, scale = _gauge_defect(_contract(out, frame.q, sig), out, frame)
+    if res > 1e-8 * floor(scale):
         raise GaugeError(f"gauge normalization failed: residual {res:.3e}")
     return out
 
@@ -335,11 +335,11 @@ def associates(omega: OmegaNet) -> Associates:
     fixed so its p-component vanishes (it does identically since
     ``(eta p, p) = 0``).
     """
-    frame, sig, g = omega.lie_frame, omega.signature, omega.grid
+    frame, g = omega.lie_frame, omega.grid
     etaq = omega.eta_q()
     etap = omega.eta_p()
-    gauge_res = np.abs(sig.inner(etaq, frame.p)).max(initial=0.0)
-    if gauge_res > 1e-8 * floor(np.abs(omega.eta).max(initial=0.0)):
+    gauge_res, scale = _gauge_defect(etaq, omega.eta, frame)
+    if gauge_res > 1e-8 * floor(scale):
         raise GaugeError("associates need the (eta q, p) = 0 gauge")
     dxd = frame.coords3(etaq)
     dnd = frame.coords3(etap)
@@ -370,17 +370,14 @@ def check_omega(pn: PrincipalNet, x_dual, n_dual) -> dict:
     g = pn.grid
     x_dual = np.asarray(x_dual, float)
     n_dual = np.asarray(n_dual, float)
-    t, h = g.edge_tail, g.edge_head
-    dx = pn.dx()
-    for name, vals in (("x_dual", x_dual), ("n_dual", n_dual)):
-        if sin_angle(vals[h] - vals[t], dx).max(initial=0.0) > 1e-6:
+    dx, dxd, dnd = pn.dx(), g.edge_difference(x_dual), g.edge_difference(n_dual)
+    for name, dv in (("x_dual", dxd), ("n_dual", dnd)):
+        if sin_angle(dv, dx).max(initial=0.0) > 1e-6:
             raise DegeneracyError(f"{name} is not edge-parallel to x")
     quad = (curly_wedge(_d3(g, x_dual), _d3(g, pn.x)).values
             + curly_wedge(_d3(g, n_dual), _d3(g, pn.n)).values)
     scale = max(float(np.abs(x_dual).max(initial=0.0) + np.abs(n_dual).max(initial=0.0)), 1.0)
     duality = float(np.abs(quad).max(initial=0.0)) / scale
-    dxd = x_dual[h] - x_dual[t]
-    dnd = n_dual[h] - n_dual[t]
     nd_margin = rel(np.linalg.norm(dxd - pn.kappa[:, None] * dnd, axis=1),
                     np.linalg.norm(dxd, axis=1))
     out = {
@@ -403,14 +400,16 @@ def omega_edge_labels(omega: OmegaNet) -> np.ndarray:
 def eisenhart_general(pn: PrincipalNet, x_dual, n_dual, labels) -> dict:
     """Pairing identity ``(dx, dxd) + (dn, dnd) = -2/m`` per edge."""
     g = pn.grid
-    t, h = g.edge_tail, g.edge_head
-    dxd = np.asarray(x_dual, float)[h] - np.asarray(x_dual, float)[t]
-    dnd = np.asarray(n_dual, float)[h] - np.asarray(n_dual, float)[t]
+    dxd = g.edge_difference(np.asarray(x_dual, float))
+    dnd = g.edge_difference(np.asarray(n_dual, float))
     lhs = np.sum(pn.dx() * dxd, axis=1) + np.sum(pn.dn() * dnd, axis=1)
+    return {"pairing": float(gap(lhs, _eisenhart_rhs(labels)).max(initial=0.0))}
+
+
+def _eisenhart_rhs(labels) -> np.ndarray:
+    """``-2/m`` per edge, 0 on the edges with an infinite label ``m``."""
     labels = np.asarray(labels, float)
-    rhs = np.where(np.isinf(labels), 0.0,
-                   -2.0 / np.where(np.isinf(labels), 1.0, labels))
-    return {"pairing": float(gap(lhs, rhs).max(initial=0.0))}
+    return np.where(np.isinf(labels), 0.0, -2.0 / np.where(np.isinf(labels), 1.0, labels))
 
 
 def check_guichard(pn: PrincipalNet, x_dual) -> dict:
@@ -430,11 +429,9 @@ def eisenhart_guichard(pn: PrincipalNet, x_dual, labels) -> dict:
     plus the ratio identity ``d/r = dd/rd``; edges with a vanishing
     curvature on either net are excluded and reported."""
     g = pn.grid
-    t, h = g.edge_tail, g.edge_head
-    x_dual = np.asarray(x_dual, float)
     dx = pn.dx()
     dn = pn.dn()
-    dxd = x_dual[h] - x_dual[t]
+    dxd = g.edge_difference(np.asarray(x_dual, float))
     dlen = np.linalg.norm(dx, axis=1)
     unit = dx / dlen[:, None]
     dd = np.sum(dxd * unit, axis=1)
@@ -445,10 +442,7 @@ def eisenhart_guichard(pn: PrincipalNet, x_dual, labels) -> dict:
         r = 1.0 / pn.kappa
         rd = 1.0 / kappad
         lhs = dlen * dd * (1.0 + 1.0 / (r * rd))
-    labels = np.asarray(labels, float)
-    rhs = np.where(np.isinf(labels), 0.0,
-                   -2.0 / np.where(np.isinf(labels), 1.0, labels))
-    res = np.where(excluded, 0.0, gap(lhs, rhs))
+    res = np.where(excluded, 0.0, gap(lhs, _eisenhart_rhs(labels)))
     ratio = rel(np.abs(dlen / r - dd / rd), np.abs(dlen / r))
     ratio = np.where(excluded, 0.0, ratio)
     out = {
@@ -698,20 +692,16 @@ def _guichard_package(net: IsothermicNet, xi: np.ndarray, frame: LieFrame,
     rows = np.stack([np.stack([mup, ip(xi, frame.p)], axis=1),
                      np.stack([ip(mu, frame.q), ip(xi, frame.q)], axis=1)], axis=1)
     rhs = np.tile([-1.0, 0.0], (g.nverts, 1))[..., None]
-    coef = np.linalg.solve(rows, rhs)[..., 0]  # rows: (p, .) = -1 and (q, .) = 0
-    c_coef = coef[:, 0]
-    recon = c_coef[:, None] * mu + coef[:, 1][:, None] * xi
-    t_res = np.abs(recon - t_lift).max()
+    c_coef = np.linalg.solve(rows, rhs)[:, 0, 0]  # rows: (p, .) = -1 and (q, .) = 0
     tau_plus = -c_coef[:, None] * wedge_vec(mu, xi)
 
     eta_sigma = curly_wedge(_d3(g, xi), Form0(g, sigma_plus)).values
-    th, tt = g.edge_head, g.edge_tail
-    eta_G = eta_sigma - (tau_plus[th] - tau_plus[tt])
+    eta_G = eta_sigma - g.edge_difference(tau_plus)
 
     omega = OmegaNet(g, frame, y, t_lift, eta_G, mu_plus=mu,
                      mu_minus=xi / mup[:, None])
     etap = omega.eta_p()
-    dt = t_lift[th] - t_lift[tt]
+    dt = g.edge_difference(t_lift)
     etap_res = rel(float(np.abs(etap - dt).max(initial=0.0)), np.abs(dt).max(initial=0.0))
 
     dxd = frame.coords3(omega.eta_q())
@@ -720,7 +710,7 @@ def _guichard_package(net: IsothermicNet, xi: np.ndarray, frame: LieFrame,
     quantity = ConservedQuantity(
         p0=np.tile(frame.p, (g.nverts, 1)), p1=xi.copy(), signature=sig)
     diag = dict(diag)
-    diag.update({"t_in_span": float(t_res), "eta_p_is_dt": etap_res,
+    diag.update({"eta_p_is_dt": etap_res,
                  "tau_plus": tau_plus, "sigma_plus": sigma_plus,
                  "success": True})
     return GuichardNet(net=net, xi=xi, omega=omega, pn=pn, x_dual=xd,
@@ -776,16 +766,14 @@ def classify_special(quantity: ConservedQuantity, net: IsothermicNet | None = No
     :class:`DegeneracyError` (not type 1 with linear norm polynomial).
     """
     coeffs = quantity.norm_polynomial()
-    spread = np.abs(coeffs - coeffs[0]).max(initial=0.0)
-    if spread > _TOL * max(floor(np.abs(coeffs).max(initial=0.0)), 1.0):
+    if quantity.coefficient_spread() > _TOL * max(floor(np.abs(coeffs).max(initial=0.0)), 1.0):
         raise DegeneracyError("(p(t), p(t)) is not constant across vertices")
     a, b, c2 = coeffs.mean(axis=0)
     if abs(c2) > _TOL * max(abs(a), abs(b), 1.0):
         raise DegeneracyError("(p(t), p(t)) is not affine linear in t")
     if net is not None and net.grid.nedges:
-        finite = net.labels[~net.is_infinite]
         for ts in (-0.9, 0.45, 1.7):
-            if finite.size and np.min(np.abs(finite - ts)) < 1e-6:
+            if net.nearest_label(ts)[0] < 1e-6:
                 continue
             if quantity.parallel_residual(net, ts) > 1e-6:
                 raise DegeneracyError("quantity is not parallel for the net")
@@ -900,13 +888,11 @@ def dual_legendre(omega: OmegaNet) -> OmegaNet:
     pn_dual = PrincipalNet(g, assoc.x_dual, assoc.n)
     y = frame.lift_point(pn_dual.x)
     t = frame.lift_tangent(pn_dual.x, pn_dual.n)
-    ip = frame.signature.inner
 
     def chart_form(partner):
         dv = _d3(g, partner).values                        # (ne, 3) differences
         dv6 = frame.embed3(dv)
-        base_net = pn_dual.x
-        avg = 0.5 * (base_net[g.edge_tail] + base_net[g.edge_head])
+        avg = 0.5 * (pn_dual.x[g.edge_tail] + pn_dual.x[g.edge_head])
         scal = np.sum(frame.embed3(avg) * (dv6 * frame.signature.signs), axis=1)
         return dv6 + scal[:, None] * frame.q
 

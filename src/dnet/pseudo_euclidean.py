@@ -24,7 +24,7 @@ from .forms import lam2_pairs
 from .residuals import floor
 
 __all__ = [
-    "Signature", "Frame", "action_matrix", "gamma_lambda",
+    "Signature", "Frame", "action_matrix", "gamma_lambda", "non_null",
     "stereo_lift", "stereo_project", "euclidean_lift", "renull",
     "line_distance", "projective_cross_ratio", "conic_cross_ratio",
 ]
@@ -155,6 +155,11 @@ def action_matrix(matrix: np.ndarray, signature: Signature) -> np.ndarray:
     return -matrix * signature.signs
 
 
+def non_null(v, signature: Signature) -> np.ndarray:
+    """Where ``v`` fails the null test of :func:`gamma_lambda`, ``|(v, v)| > 1e-8 |v|^2``."""
+    return np.abs(signature.inner(v, v)) > 1e-8 * np.sum(v * v, axis=-1)
+
+
 def gamma_lambda(s_i, s_j, lam, signature: Signature) -> np.ndarray:
     """Orthogonal map scaling ``s_j`` by ``lam``, ``s_i`` by ``1/lam`` and
     fixing ``(s_i + s_j)^perp`` pointwise (batched over leading axes).
@@ -171,7 +176,7 @@ def gamma_lambda(s_i, s_j, lam, signature: Signature) -> np.ndarray:
     g = ip(si, sj)
     norm = np.linalg.norm(si, axis=-1) * np.linalg.norm(sj, axis=-1)
     orth = np.abs(g) <= _TOL * floor(norm)
-    nonnull = [np.abs(ip(v, v)) > 1e-8 * np.sum(v * v, axis=-1) for v in (si, sj)]
+    nonnull = [non_null(v, signature) for v in (si, sj)]
     bad = orth | nonnull[0] | nonnull[1]
     if np.any(bad):
         n = int(np.argmax(bad))

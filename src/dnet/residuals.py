@@ -19,7 +19,8 @@ import numpy as np
 
 from .forms import wedge_vec
 
-__all__ = ["FLOOR", "floor", "rel", "sin_angle", "cos_angle", "gap", "worst"]
+__all__ = ["FLOOR", "floor", "rel", "sin_angle", "cos_angle", "gap", "circularity",
+           "worst"]
 
 # The denominator floor of every relative residual.
 FLOOR = 1e-300
@@ -53,6 +54,13 @@ def cos_angle(uv, norm_u, norm_v):
 def gap(a, b):
     """Symmetric relative gap ``|a - b| / max(|a|, |b|)``."""
     return rel(np.abs(a - b), np.maximum(np.abs(a), np.abs(b)))
+
+
+def circularity(lifts, quad_vertices) -> float:
+    """Worst ``sv_3 / sv_0`` of the lifts of each quad's vertices: four points
+    lie on a circle exactly when their null lifts span at most a 3-space."""
+    sv = np.linalg.svd(lifts[quad_vertices], compute_uv=False)
+    return float(rel(sv[:, 3], sv[:, 0]).max(initial=0.0))
 
 
 def worst(res):

@@ -38,7 +38,8 @@ def span_margin(grid, mu_plus, mu_minus):
 
 def family_validate(fam, floor=1e-12):
     """``edge_parallel`` and ``dphi_decomposable`` of ``ParallelFamily.validate``."""
-    diffs = fam.differences()
+    t, h = fam.grid.edge_tail, fam.grid.edge_head
+    diffs = np.stack([m[h] - m[t] for m in fam.members])
     norms = np.linalg.norm(diffs, axis=2)
     active = norms > floor * max(norms.max(initial=0.0), 1.0)
     worst = 0.0

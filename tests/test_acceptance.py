@@ -123,7 +123,7 @@ def test_criterion_3_flatness(evolved_nets):
     assert int(stacked.is_infinite.sum()) >= stacked.grid.nverts // 2
     nets.append(stacked)
     for net in nets:
-        finite = net.finite_labels()
+        finite = net.labels[~net.is_infinite]
         for t in T_SAMPLES:
             assert np.min(np.abs(finite - t)) > 1e-6
             worst = max(worst, connection_flatness(net, t))

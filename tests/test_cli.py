@@ -534,6 +534,43 @@ def test_exit_codes(tmp_path, capsys, argv, code):
         assert "omega.*" in out and "SKIP  [no edges]" in out and err == "", out
 
 
+# parameters outside their domain, and a file whose mu has a non-null row
+BAD_INPUT = {
+    "calapso_non_null_mu": (["transform", "calapso", "-i", "{nonnull}", "--t", "0.4"],
+                            "calapso needs null lifts: mu at vertex (1, 1)"),
+    "darboux_non_null_mu": (["transform", "darboux", "-i", "{nonnull}", "--m", "0.5"],
+                            "darboux needs null lifts: mu at vertex (1, 1)"),
+    "christoffel_non_null_mu": (["transform", "christoffel", "-i", "{nonnull}"],
+                                "christoffel needs null lifts: mu at vertex (1, 1)"),
+    "darboux_m_zero": (["transform", "darboux", "-i", "{net}", "--m", "0"],
+                       "bad --m '0'; expected a nonzero number"),
+    "gen_pair_m_zero": (["gen", "darboux-pair", "--dims", "6x6", "--seed", "1",
+                         "--param", "m=0"], "bad --param 'm=0'; expected a nonzero number"),
+    "calapso_t_inf": (["transform", "calapso", "-i", "{net}", "--t=inf"],
+                      "bad --t 'inf'; expected a finite number"),
+    "calapso_t_minus_inf": (["transform", "calapso", "-i", "{net}", "--t=-inf"],
+                            "bad --t '-inf'; expected a finite number"),
+    "associates_c_inf": (["transform", "associates", "-i", "{omega}", "--c=inf"],
+                         "bad --c 'inf'; expected a finite number"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_bad_input_is_one_line_and_no_file(tmp_path, capsys, argv, message):
+    names = {k: tmp_path / f"{k}.json" for k in ("net", "nonnull", "omega")}
+    assert run("gen", "isothermic", "--dims", "6x6", "--seed", 1, "-o", names["net"]) == 0
+    assert run("gen", "omega", "--dims", "6x6", "--seed", 1, "-o", names["omega"]) == 0
+    doc = json.loads(names["net"].read_text())
+    doc["fields"]["vertex"]["mu"][7] = [1.0, 0.5, 0.0, 0.0, 0.2, 0.0]    # vertex (1, 1)
+    names["nonnull"].write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(*(a.format(**names) for a in argv), "-o", out) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {message}"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dims", ["1x5", "5x1"])
 def test_isothermic_line_without_quads(tmp_path, capsys, dims):
     path = tmp_path / "line.json"

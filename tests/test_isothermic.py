@@ -135,9 +135,58 @@ def test_flat_connection_orthogonal(net42):
 
 
 def test_spectral_collision_raises(net42):
-    m = float(net42.finite_labels()[3])
+    m = float(net42.labels[~net42.is_infinite][3])
     with pytest.raises(SpectralCollisionError):
         flat_connection(net42, m)
+
+
+def _nearest_finite_label(net, t):
+    """``(gap, edge)`` by a direct numpy minimum over the finite labels."""
+    fin = np.flatnonzero(~net.is_infinite)
+    if not fin.size:
+        return np.inf, None
+    gaps = np.abs(net.labels[fin] - t)
+    return float(gaps.min()), int(fin[np.argmin(gaps)])
+
+
+def test_nearest_label_on_an_isotropic_stack(net42):
+    # the stack of an isotropic Darboux pair: every vertical edge is infinite
+    st = stack_pair(net42, darboux_transform(net42, np.inf, rng=np.random.default_rng(8)))
+    vertical = st.grid.edge_axis == 0
+    assert st.is_infinite[vertical].all() and not st.is_infinite[~vertical].all()
+    finite = st.labels[~st.is_infinite]
+    for t in (0.0, -1.0, 0.3, 2.0, 1e6, *finite[:5], finite[3] + 1e-9, -finite[7]):
+        gap, e = st.nearest_label(t)
+        assert (gap, e) == _nearest_finite_label(st, t)
+        assert not st.is_infinite[e]
+
+
+def test_nearest_label_without_a_finite_label(net42):
+    # lifts on one null line: every edge inner product vanishes
+    v = net42.mu[0]
+    flat = IsothermicNet(Grid([3, 4]), SIG42, np.outer(np.arange(1.0, 13.0), v))
+    lone = IsothermicNet(Grid([1, 1]), SIG42, [v])
+    for net in (flat, lone):
+        assert not (~net.is_infinite).any()
+        for t in (0.0, 0.5, -3.0):
+            assert net.nearest_label(t) == _nearest_finite_label(net, t) == (np.inf, None)
+    flat_connection(flat, 0.5)          # no finite label, so no collision
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_non_finite_spectral_parameter_is_a_value_error(net42, t):
+    with pytest.raises(ValueError, match="must be finite"):
+        net42.nearest_label(t)
+    with pytest.raises(ValueError, match="must be finite"):
+        flat_connection(net42, t)
+
+
+def test_darboux_m_zero_raises_before_any_draw(net42):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="nonzero"):
+        darboux_transform(net42, 0.0, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 def test_infinite_label_connection_is_isotropic_exp(net42):
