@@ -215,9 +215,15 @@ def cmd_transform(args) -> int:
     rng = np.random.default_rng(args.seed)
 
     if args.op in ("darboux", "calapso", "christoffel"):
-        net = nf.isothermic_net()
-        if net is None:
+        if "mu" not in nf.vertex_fields:
             raise FormatError(f"{args.op} needs a mu field")
+        # NaN and inf pass no test that compares them: name them before
+        # any arithmetic on them
+        finite = np.isfinite(nf.vertex_fields["mu"]).all(axis=1)
+        if not finite.all():
+            raise FormatError(f"{args.op} needs finite lifts: mu at vertex "
+                              f"{nf.grid().coords(int(np.argmin(finite)))} is not finite")
+        net = nf.isothermic_net()
         # the null test of the edge transports, at the worst lift that fails it
         bad = np.flatnonzero(non_null(net.mu, net.signature))
         if bad.size:

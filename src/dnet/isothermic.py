@@ -49,8 +49,9 @@ _BLOCK = 8
 # Auto seeds darboux_transform draws and propagates together.
 _SEEDS = 4
 # Edges per block of the edge gathers of IsothermicNet and of the eigen
-# transports of Gamma(t): one block up to 32x32 (1984 edges).
-_EDGE_BLOCK = 2048
+# transports of Gamma(t): one block up to 23x23 (1012 edges); sized with
+# grid._HOLONOMY_BLOCK.
+_EDGE_BLOCK = 1024
 # Damping of a Cauchy step's component along the point sphere complex
 # in indefinite signature: it keeps the edge inner products (and so the
 # labels) away from the isotropic case.

@@ -542,6 +542,14 @@ BAD_INPUT = {
                             "darboux needs null lifts: mu at vertex (1, 1)"),
     "christoffel_non_null_mu": (["transform", "christoffel", "-i", "{nonnull}"],
                                 "christoffel needs null lifts: mu at vertex (1, 1)"),
+    # NaN and inf compare false, so they pass the null test: named first,
+    # and no numpy warning
+    "calapso_inf_mu": (["transform", "calapso", "-i", "{infmu}", "--t", "0.4"],
+                       "calapso needs finite lifts: mu at vertex (1, 1) is not finite"),
+    "darboux_nan_mu": (["transform", "darboux", "-i", "{nanmu}", "--m", "0.5"],
+                       "darboux needs finite lifts: mu at vertex (1, 1) is not finite"),
+    "christoffel_inf_mu": (["transform", "christoffel", "-i", "{infmu}"],
+                           "christoffel needs finite lifts: mu at vertex (1, 1) is not finite"),
     "darboux_m_zero": (["transform", "darboux", "-i", "{net}", "--m", "0"],
                        "bad --m '0'; expected a nonzero number"),
     "gen_pair_m_zero": (["gen", "darboux-pair", "--dims", "6x6", "--seed", "1",
@@ -557,12 +565,14 @@ BAD_INPUT = {
 
 @pytest.mark.parametrize("argv, message", BAD_INPUT.values(), ids=BAD_INPUT)
 def test_bad_input_is_one_line_and_no_file(tmp_path, capsys, argv, message):
-    names = {k: tmp_path / f"{k}.json" for k in ("net", "nonnull", "omega")}
+    names = {k: tmp_path / f"{k}.json" for k in ("net", "nonnull", "infmu", "nanmu", "omega")}
     assert run("gen", "isothermic", "--dims", "6x6", "--seed", 1, "-o", names["net"]) == 0
     assert run("gen", "omega", "--dims", "6x6", "--seed", 1, "-o", names["omega"]) == 0
-    doc = json.loads(names["net"].read_text())
-    doc["fields"]["vertex"]["mu"][7] = [1.0, 0.5, 0.0, 0.0, 0.2, 0.0]    # vertex (1, 1)
-    names["nonnull"].write_text(json.dumps(doc))
+    for name, row in (("nonnull", [1.0, 0.5, 0.0, 0.0, 0.2, 0.0]),
+                      ("infmu", ["inf", 0, 0, 0, 0, 0]), ("nanmu", [0, 0, "nan", 0, 0, 0])):
+        doc = json.loads(names["net"].read_text())
+        doc["fields"]["vertex"]["mu"][7] = row                          # vertex (1, 1)
+        names[name].write_text(json.dumps(doc))
     out = tmp_path / "out.json"
     capsys.readouterr()
     assert run(*(a.format(**names) for a in argv), "-o", out) == 2

@@ -2,18 +2,21 @@
 references, and the Omega-net edge labels against the trace identity."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dnet import koenigs
+from dnet import fieldread, koenigs
 from dnet import lie_sphere as lie
 from dnet.cli import main
 from dnet.errors import DegeneracyError, FormatError
 from dnet.forms import unpack_bivector, wedge_vec
 from dnet.grid import Grid
 from dnet.isothermic import christoffel_dual, random_isothermic
-from dnet.netfile import _ROWS, NetFile, _decode_array
+from dnet.netfile import _LINES, _ROWS, NetFile, _decode_array
 from dnet.pseudo_euclidean import Frame, Signature
 from tests import netfile_reference as ref
 
@@ -320,6 +323,185 @@ def test_nan_string_still_loads_as_nan(tmp_path):
     assert np.isnan(nf.vertex_fields["mu"][3, 1])
     assert np.isnan(nf.vertex_fields["mu"]).sum() == 1
     assert nf.edge_fields["m"][0] == -np.inf
+
+
+# -- numpy reader of the fields -------------------------------------------
+
+# more vertices than a block has lines: load reads the fields of such a
+# file in the writer's layout with numpy
+BIG = Grid((46, 46))
+assert BIG.nverts > _LINES
+# rows of three numbers (5 lines each) and of one number per block
+MU_ROWS, M_ROWS = _LINES // 5, _LINES
+
+
+def _json_load(path) -> NetFile:
+    """``NetFile.load`` with json reading the whole document."""
+    with mock.patch.object(fieldread, "fast_document", lambda path: None):
+        return NetFile.load(str(path))
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives: every array as its shape and bytes, with
+    the rest of the file, or the text of the FormatError it raises."""
+    try:
+        nf = load(path)
+    except FormatError as err:
+        return str(err)
+    arrays = {(kind, name): (arr.shape, arr.tobytes())
+              for kind, fields in (("vertex", nf.vertex_fields), ("edge", nf.edge_fields),
+                                   ("form1", nf.form1_fields), ("frame", nf.frame))
+              for name, arr in fields.items() if arr is not None}
+    return arrays, nf.signature, nf.dims, nf.stacked, nf.metadata
+
+
+def _assert_loads_as_json(path):
+    assert _outcome(lambda p: NetFile.load(str(p)), path) == _outcome(_json_load, path)
+
+
+# unique values at the first and last entries of the arrays and at each
+# side of the seam between their first two blocks
+SEAMS = {("mu", 0, 0): 7001.25, ("mu", MU_ROWS - 1, 2): 7002.25, ("mu", MU_ROWS, 0): 7003.25,
+         ("mu", BIG.nverts - 1, 2): 7004.25, ("m", 0): 7005.25, ("m", M_ROWS - 1): 7006.25,
+         ("m", M_ROWS): 7007.25, ("m", BIG.nedges - 1): 7008.25}
+
+
+def _big_text(tmp_path, **vertex_fields) -> str:
+    """The text of a file in the writer's layout over ``BIG``, with the
+    values of ``SEAMS`` in its ``mu`` and ``m`` fields."""
+    rng = np.random.default_rng(3)
+    fields = {"mu": rng.standard_normal((BIG.nverts, 3)), "m": rng.standard_normal(BIG.nedges)}
+    for (name, *at), value in SEAMS.items():
+        fields[name][tuple(at)] = value
+    path = tmp_path / "writer.json"
+    NetFile(signature=(2, 1), dims=BIG.dims, frame=_frame(),
+            vertex_fields={"mu": fields["mu"], **vertex_fields},
+            edge_fields={"m": fields["m"]}, metadata={"seed": 3}).save(str(path))
+    return path.read_text()
+
+
+@pytest.mark.parametrize("value", DECODER_TABLE, ids=[repr(v) for v in DECODER_TABLE])
+def test_decoder_table_in_the_writer_layout_loads_as_json(tmp_path, value):
+    text = _big_text(tmp_path, k=np.zeros(1))
+    old = '"k": [\n    0.0\n   ]'
+    new = '"k": ' + json.dumps(value, sort_keys=True, separators=(",", ": "),
+                               indent=1).replace("\n", "\n   ")
+    assert text.count(old) == 1
+    path = tmp_path / "net.json"
+    path.write_text(text.replace(old, new))
+    _assert_loads_as_json(path)
+
+
+# entries the writer writes, which numpy must read ...
+WRITER_ENTRIES = ["5e-324", "-5e-324", "-0.0", "0.0", "1e+16", "-2.5e-05", "1e400", "-1e400",
+                  '"inf"', '"-inf"', '"nan"']
+# ... and entries it does not write, which must load as json reads them:
+# numbers json reads (the integer -0 as 0), entries json does not read
+# although np.fromstring does, and other text
+OTHER_ENTRIES = ["1", "0", "-0", "-1", "1e5", "1E5", "-0e0", "1.000000000000000000001",
+                 "123456789012345678901234", "1" * 400,
+                 "null", "true", "NaN", "1_000", "+1", ".5", "-.5", "1.", "1.e5", "01", "-01",
+                 "00.5", "1e", "1e+", "", "-", "--1", "1-2", "1.5.5", "0x10", "inf", "nan",
+                 '"1.5"', '"-nan"', '"Infinity"', '"inf', "[1.0]", "1.0 2.0"]
+
+
+@pytest.mark.parametrize("entry", WRITER_ENTRIES + OTHER_ENTRIES)
+def test_entries_load_as_json(tmp_path, entry):
+    text = _big_text(tmp_path)
+    path = tmp_path / "net.json"
+    for value in SEAMS.values():
+        assert text.count(repr(value)) == 1
+        path.write_text(text.replace(repr(value), entry))
+        _assert_loads_as_json(path)
+        if entry in WRITER_ENTRIES:
+            assert fieldread.fast_document(str(path)) is not None
+
+
+# edits of the layout around entries, rows and the seam between blocks;
+# the numpy reader blanks brackets and skips blanks, so only the check of
+# the layout catches some of them
+LAYOUT_EDITS = [("\n    ],\n    [", "\n    },\n    ["), ("\n    ],\n    [", "\n    [,\n    ]"),
+                ("\n    ],\n    [", "\n    ]\n    ["), ("\n    ],\n    [", "\n    ],,\n    ["),
+                ("\n    ],\n    [", "\n    ], \n    ["), ("\n    ],\n    [", "\n\t],\n    ["),
+                ("\n    ],\n    [", "\n    ],\r\n    ["), (",\n     ", "\n     "),
+                (",\n     ", ",\n      "), (",\n     ", ",\n\n     ")]
+
+
+@pytest.mark.parametrize("old, new", LAYOUT_EDITS, ids=[repr(e[1]) for e in LAYOUT_EDITS])
+def test_layout_edits_load_as_json(tmp_path, old, new):
+    text = _big_text(tmp_path)
+    path = tmp_path / "net.json"
+    mu = text.index('"mu": [')
+    for at in (mu, text.index(repr(SEAMS["mu", MU_ROWS - 1, 2]))):    # first rows, the seam
+        path.write_text(text[:at] + text[at:].replace(old, new, 1))
+        _assert_loads_as_json(path)
+        assert fieldread.fast_document(str(path)) is None
+
+
+@pytest.mark.parametrize("new", ["\n    ", ",,\n    ", ", \n    ", ",\n     "])
+def test_seam_edits_of_one_number_rows_load_as_json(tmp_path, new):
+    text = _big_text(tmp_path)
+    at = text.index(repr(SEAMS["m", M_ROWS - 1]))
+    path = tmp_path / "net.json"
+    path.write_text(text[:at] + text[at:].replace(",\n    ", new, 1))
+    _assert_loads_as_json(path)
+    assert fieldread.fast_document(str(path)) is None
+
+
+def test_sections_out_of_order_load_as_json(tmp_path):
+    # the arrays are matched to their fields by the sorted order of their
+    # keys, which holds only in the writer's layout
+    text = _big_text(tmp_path).replace('"edge": {', '"zedge": {', 1)
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    _assert_loads_as_json(path)
+    assert fieldread.fast_document(str(path)) is None
+
+
+def test_rows_of_lists_of_lists_read_whole(tmp_path):
+    cube = np.random.default_rng(4).standard_normal((BIG.nverts, 2, 3))
+    seam = _LINES // 12                 # rows of 2 x 3 numbers: 12 lines each
+    cube[seam - 1:seam + 1] = [[[-0.0, np.inf, np.nan], [5e-324, -1e300, 0.5]]] * 2
+    path = tmp_path / "net.json"
+    path.write_text(_big_text(tmp_path, cube=cube))
+    got = fieldread.fast_document(str(path))["fields"]["vertex"]["cube"]
+    assert got.shape == cube.shape and np.array_equal(got, cube, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(cube))
+    # a vertex field holds rows of numbers: both paths reject it alike
+    _assert_loads_as_json(path)
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-5, 0.1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stacked=st.booleans(), share=st.floats(0.0, 0.5))
+def test_save_then_load_round_trips(tmp_path_factory, seed, stacked, share):
+    rng = np.random.default_rng(seed)
+    grid = Grid((2, 33, 33), stacked=True) if stacked else BIG
+
+    def draw(*shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        special = rng.random(shape) < share
+        values[special] = rng.choice(SPECIAL_VALUES, special.sum())
+        return values
+
+    fields = {"vertex_fields": {"mu": draw(grid.nverts, 6), "x": draw(grid.nverts, 3)},
+              "edge_fields": {"m": draw(grid.nedges)},
+              "form1_fields": {"eta": draw(grid.nedges, 15)}}
+    path = tmp_path_factory.mktemp("round-trip") / "net.json"
+    NetFile(signature=(4, 2), dims=grid.dims, stacked=stacked, metadata={"seed": seed},
+            **fields).save(str(path))
+    assert fieldread.fast_document(str(path)) is not None
+    nf = NetFile.load(str(path))
+    for kind, saved in fields.items():
+        for name, arr in saved.items():
+            got = getattr(nf, kind)[name]
+            assert got.shape == arr.shape
+            assert np.array_equal(got, arr, equal_nan=True)
+            assert np.array_equal(np.signbit(got)[~np.isnan(arr)], np.signbit(arr)[~np.isnan(arr)])
+    _assert_loads_as_json(path)
 
 
 # -- grid ------------------------------------------------------------------

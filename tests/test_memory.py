@@ -1,10 +1,10 @@
 """Memory budgets of the kernels a 64x64 (4,2) net passes through.
 
 Each budget bounds the peak of the memory that ``tracemalloc`` traces
-during one call, relative to the ``nbytes`` of what the call returns, or
-to the peak of the same call on a 32x32 net: the full-size copies and
-gathered temporaries these kernels used to hold put each of them well
-above its bound.
+during one call, relative to the ``nbytes`` of what the call returns, to
+the peak of the same call on a 32x32 net, or to the size of the file it
+reads: the full-size copies, gathered temporaries and per-number objects
+these kernels used to hold put each of them well above its bound.
 """
 
 import tracemalloc
@@ -102,3 +102,16 @@ def test_verify_and_save_do_not_grow_from_32_to_64(verify_peaks, kernel):
     # residuals of validate and connection_flatness grow with the grid
     small, big = (p[kernel] for p in verify_peaks)
     assert big <= 1.25 * small, (small, big)
+
+
+def test_load_holds_the_text_and_one_block(net, tmp_path):
+    # the file's text, one block of rows read from it at a time and the
+    # grid check_format builds; json's tree of the arrays held about
+    # three times the file
+    path = tmp_path / "net.json"
+    NetFile.from_isothermic(net, NetFile.frame_section(SIG.standard_frame()), {}).save(str(path))
+    nf, peak = _traced_peak(NetFile.load, str(path))
+    kept = sum(a.nbytes for fields in (nf.vertex_fields, nf.edge_fields, nf.form1_fields)
+               for a in fields.values())
+    size = path.stat().st_size
+    assert peak - kept <= 1.5 * size, (peak, kept, size)
