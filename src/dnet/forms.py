@@ -177,10 +177,10 @@ def exterior_derivative(form):
     raise ValueError("exterior derivative is implemented for degrees 0 and 1 only")
 
 
-def _quad_edge_sum(grid: Grid, values: np.ndarray) -> np.ndarray:
+def _quad_edge_sum(grid: Grid, values: np.ndarray, quads=slice(None)) -> np.ndarray:
     """The quad sums of an edge array on canonical orientations: d of a
-    1-form's values."""
-    qe = grid.quad_edges
+    1-form's values, on the quads ``quads`` (all by default)."""
+    qe = grid.quad_edges[quads]
     return values[qe[:, 0]] + values[qe[:, 1]] - values[qe[:, 2]] - values[qe[:, 3]]
 
 
@@ -218,15 +218,22 @@ def wedge(a, b, rule: BilinearRule):
     if (k, m) == (2, 0):
         return Form2(grid, 0.25 * rule(a.values, _quad_vertex_sum(grid, b.values)))
 
-    # two 1-forms: bottom/right/top/left canonical boundary edges give
-    # a_ji = bottom, a_kl = top, a_li = left, a_kj = right; each edge sum
-    # is gathered where the rule reads it, so no gathered array outlives
-    # its sum
-    bottom, right, top, left = grid.quad_edges.T
-    av, bv = a.values, b.values
-    vals = 0.25 * (rule(av[bottom] + av[top], bv[left] + bv[right])
-                   - rule(av[left] + av[right], bv[bottom] + bv[top]))
-    return Form2(grid, vals)
+    qe, av, bv = grid.quad_edges, a.values, b.values
+    return Form2(grid, _one_form_product(rule, lambda n: av[qe[:, n]],
+                                         lambda n: bv[qe[:, n]]))
+
+
+def _one_form_product(rule, a, b) -> np.ndarray:
+    """The quarter formula of the product of two 1-forms, per quad, from
+    ``a(n)`` and ``b(n)``: their values on the n-th boundary edge of each
+    quad, n = 0, 1, 2, 3 for bottom, right, top and left.
+
+    The canonical boundary edges give ``a_ji`` = bottom, ``a_kl`` = top,
+    ``a_li`` = left and ``a_kj`` = right.  Each edge sum is taken where
+    the rule reads it, so no gathered array outlives its sum; every caller,
+    whole-grid or blocked, goes through this one formula.
+    """
+    return 0.25 * (rule(a(0) + a(2), b(3) + b(1)) - rule(a(3) + a(1), b(0) + b(2)))
 
 
 def curly_wedge(a, b):

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import ClosednessError, FlatnessError
+from .errors import ClosednessError, DegeneracyError, FlatnessError
 from .forms import _quad_edge_sum
 from .residuals import floor, rel, worst
 
@@ -36,20 +36,30 @@ from .residuals import floor, rel, worst
 # check does not hand its heap back and fault it in again for every block
 # (measured 1024 / 2048: about 4,100-5,000 minor faults per run_checks).
 _HOLONOMY_BLOCK = 512
+# Edges or vertices per block of :func:`blocks`: one block of edges up to
+# 23x23 (1012 edges); sized with _HOLONOMY_BLOCK.
+_EDGE_BLOCK = 1024
+
+
+def check_dims(dims, stacked: bool = False) -> tuple:
+    """``dims`` as a tuple of ints; ValueError unless every extent is at
+    least 1, there is one, and a stacked grid has extent 2 along axis 0.
+    :class:`Grid` and the format check of net files share it."""
+    dims = tuple(int(d) for d in dims)
+    if not dims:
+        raise ValueError("dims must be nonempty")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"all extents must be >= 1, got {dims}")
+    if stacked and dims[0] != 2:
+        raise ValueError("a stacked grid must have extent 2 along axis 0")
+    return dims
 
 
 class Grid:
     """Axis-aligned box domain in Z^N."""
 
     def __init__(self, dims, stacked: bool = False):
-        dims = tuple(int(d) for d in dims)
-        if not dims:
-            raise ValueError("dims must be nonempty")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"all extents must be >= 1, got {dims}")
-        if stacked and dims[0] != 2:
-            raise ValueError("a stacked grid must have extent 2 along axis 0")
-        self.dims = dims
+        self.dims = dims = check_dims(dims, stacked)
         self.stacked = bool(stacked)
         self.ndim = len(dims)
         self.nverts = math.prod(dims)
@@ -138,9 +148,10 @@ class Grid:
             "axes": tuple(int(a) for a in self.quad_axes[q]),
         }
 
-    def edge_difference(self, values: np.ndarray) -> np.ndarray:
-        """``values[head] - values[tail]`` on every canonical edge."""
-        return values[self.edge_head] - values[self.edge_tail]
+    def edge_difference(self, values: np.ndarray, edges=slice(None)) -> np.ndarray:
+        """``values[head] - values[tail]`` on the canonical edges ``edges``
+        (a slice or an index array of any shape), all of them by default."""
+        return values[self.edge_head[edges]] - values[self.edge_tail[edges]]
 
     # -- staircase spanning tree -------------------------------------
 
@@ -182,11 +193,14 @@ def stack(grid: Grid) -> Grid:
 def _closedness(grid: Grid, values: np.ndarray, scale: float):
     """Worst quad residual ``|d values| / scale`` and its quad.
 
-    The quad is located on ``|d values|`` by :func:`worst`, so a NaN
-    scale does not hide which quad is bad; dividing the maximum by the
-    one positive scale gives the same bits as the maximum of the
-    quotients."""
-    num, q = worst(np.linalg.norm(_quad_edge_sum(grid, values), axis=-1))
+    ``|d values|`` is taken one :func:`quad_blocks` block at a time and
+    located by :func:`worst`, so a NaN scale does not hide which quad is
+    bad; dividing the maximum by the one positive scale gives the same
+    bits as the maximum of the quotients."""
+    num = np.empty(grid.nquads)
+    for b in quad_blocks(grid):
+        num[b] = np.linalg.norm(_quad_edge_sum(grid, values, b), axis=-1)
+    num, q = worst(num)
     return num / scale, q
 
 
@@ -202,29 +216,78 @@ def closedness_residual(grid: Grid, values: np.ndarray):
 def quad_blocks(grid: Grid) -> list:
     """Slices of at most :data:`_HOLONOMY_BLOCK` consecutive quads that
     cover the grid in order.  The per-quad kernels (:func:`holonomy`,
-    ``IsothermicNet.validate``, ``connection_flatness``) go through them,
-    so their gathered temporaries do not grow with the grid."""
+    the closedness check of :func:`integrate_one_form`,
+    ``IsothermicNet.validate``, ``check_osystem``) go through them, so
+    their gathered temporaries do not grow with the grid."""
     return [slice(s, s + _HOLONOMY_BLOCK) for s in range(0, grid.nquads, _HOLONOMY_BLOCK)]
 
 
-def holonomy(grid: Grid, gamma: np.ndarray) -> np.ndarray:
+def blocks(n: int) -> list:
+    """Slices of at most :data:`_EDGE_BLOCK` consecutive indices that cover
+    ``range(n)`` in order: the edge blocks of the per-edge kernels
+    (``IsothermicNet``, ``flat_connection``, ``christoffel_dual``,
+    ``ParallelFamily.validate``, ``check_osystem``'s scale) and the vertex
+    blocks of ``christoffel_dual``."""
+    return [slice(s, min(s + _EDGE_BLOCK, n)) for s in range(0, n, _EDGE_BLOCK)]
+
+
+def holonomy(grid: Grid, gamma, park=lambda edges, block: None) -> np.ndarray:
     """Per-quad relative holonomy of edge transports on canonical
-    orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius),
-    one :func:`quad_blocks` block at a time; each quad's value has the
-    same bits in any block."""
-    out = np.empty(grid.nquads)
-    for b in quad_blocks(grid):
-        out[b] = _block_holonomy(gamma, grid.quad_edges[b])
-    return out
+    orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius).
+
+    ``gamma`` is an ``(nedges, k, k)`` array or a function that returns
+    the transports of a sorted array of edge indices.  They are taken
+    for the edges of one :func:`quad_blocks` block at a time and die
+    with it, but for those of the edges that the next block shares, which
+    are not taken again; each quad's value has the same bits in any
+    block.  ``park(edges, transports)`` sees every transport taken, and
+    on a grid without quads those of every edge, one
+    :func:`blocks` block of edges at a time.  An error of ``gamma`` names
+    the edge it would name if the transports were taken in edge order.
+    """
+    if not callable(gamma):
+        gamma = np.asarray(gamma).__getitem__
+    res = np.empty(grid.nquads)
+    done, kept = np.zeros(0, int), None     # the block before: its edges, transports
+    try:
+        for b in quad_blocks(grid):
+            qe = grid.quad_edges[b]
+            # one block holds every quad, and so every edge
+            edges, local = ((np.arange(grid.nedges), qe) if len(qe) == grid.nquads
+                            else np.unique(qe, return_inverse=True))
+            # the edges it shares with the block before keep their transports
+            at = np.searchsorted(done, edges)
+            old = at < len(done)
+            old[old] = done[at[old]] == edges[old]
+            fresh = gamma(edges[~old])
+            park(edges[~old], fresh)
+            block = fresh
+            if old.any():
+                block = np.empty((len(edges),) + fresh.shape[1:])
+                block[old], block[~old] = kept[at[old]], fresh
+            # only this block's transports outlive the holonomy products
+            done, kept, fresh = edges, block, None
+            res[b] = _block_holonomy(block, local.reshape(qe.shape))
+        for b in [] if grid.nquads else blocks(grid.nedges):   # no quad holds the edges
+            edges = np.arange(b.start, b.stop)
+            park(edges, gamma(edges))
+    except (DegeneracyError, ValueError):
+        # a block meets edges out of edge order: name the first bad edge
+        for b in blocks(grid.nedges):
+            gamma(np.arange(b.start, b.stop))
+        raise
+    return res
 
 
 def _block_holonomy(gamma: np.ndarray, qe: np.ndarray) -> np.ndarray:
     """:func:`holonomy` of the quads with boundary edges ``qe``; its
-    products die with the call, before the next block starts."""
-    lhs = gamma[qe[:, 1]] @ gamma[qe[:, 0]]   # i -> j -> k
-    rhs = gamma[qe[:, 2]] @ gamma[qe[:, 3]]   # i -> l -> k
-    np.subtract(lhs, rhs, out=rhs)
-    return rel(np.linalg.norm(rhs, axis=(1, 2)), np.linalg.norm(lhs, axis=(1, 2)))
+    products die with the call, before the next block starts.  Overflow
+    and NaN go into the result without a warning."""
+    with np.errstate(all="ignore"):
+        lhs = gamma[qe[:, 1]] @ gamma[qe[:, 0]]   # i -> j -> k
+        rhs = gamma[qe[:, 2]] @ gamma[qe[:, 3]]   # i -> l -> k
+        np.subtract(lhs, rhs, out=rhs)
+        return rel(np.linalg.norm(rhs, axis=(1, 2)), np.linalg.norm(lhs, axis=(1, 2)))
 
 
 def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
@@ -234,9 +297,10 @@ def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
     ``alpha`` may be a :class:`dnet.forms.Form1` or a raw ``(nedges, d)``
     array on canonical orientations.  Integration runs along the
     canonical staircase tree; when ``check_closed`` is set, the quad
-    residual of ``alpha`` (over its largest entry, at least 1) must be
-    at most ``tol`` first, else :class:`ClosednessError` names the worst
-    quad, a non-finite one first.
+    residual of ``alpha`` (over its largest entry, at least 1), taken one
+    :func:`quad_blocks` block at a time, must be at most ``tol`` first,
+    else :class:`ClosednessError` names the worst quad, a non-finite one
+    first.
     """
     from .forms import Form0, Form1
 
@@ -246,7 +310,9 @@ def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
     if len(values) != grid.nedges:
         raise ValueError("one-form carrier size mismatch")
     if check_closed:
-        res, q = _closedness(grid, values, max(float(np.abs(values).max(initial=0.0)), 1.0))
+        # the largest |entry|, without a copy of |values|
+        top = np.maximum(values.max(initial=0.0), -values.min(initial=0.0))
+        res, q = _closedness(grid, values, max(float(top), 1.0))
         if not res <= tol:
             raise ClosednessError(
                 f"one-form is not closed: quad residual {res:.3e} > {tol:.1e}",
@@ -262,28 +328,49 @@ def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
 def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
     """Trivialize a flat connection: find T with ``Gamma_ji = T_j^-1 T_i``.
 
-    ``gamma`` is an ``(nedges, k, k)`` array of the forward transports
-    along canonical orientations (fiber at tail -> fiber at head).
-    ``T[base]`` is the identity.  The :func:`holonomy` of every quad
-    must be at most ``tol`` first, else :class:`FlatnessError` names the
-    worst quad, a non-finite one first; the returned array satisfies the
-    reconstruction identity on all edges up to the flatness residual.
+    ``gamma`` gives the forward transports along canonical orientations
+    (fiber at tail -> fiber at head): an ``(nedges, k, k)`` array, or a
+    function that returns the transports of a sorted array of edge
+    indices.  ``T[base]`` is the identity.  The :func:`holonomy` of every
+    quad must be at most ``tol`` first, else :class:`FlatnessError` names
+    the worst quad, a non-finite one first; the returned array satisfies
+    the reconstruction identity on all edges up to the flatness residual.
+
+    The flatness check takes the transports one quad block at a time and
+    parks the transport of each tree edge in ``T`` at the edge's child.
+    Once the check passes, one :func:`blocks` block of vertices at a time
+    turns each into the inverse of the step from its parent, and the
+    level walk turns ``T`` into the result in place; so each transport
+    is built once and no ``(nedges, k, k)`` array is held.
     """
-    gamma = np.asarray(gamma, float)
-    if gamma.shape[0] != grid.nedges or gamma.shape[1] != gamma.shape[2]:
-        raise ValueError("gamma must be (nedges, k, k)")
-    res, q = worst(holonomy(grid, gamma))
+    if not callable(gamma):
+        gamma = np.asarray(gamma, float)
+        if gamma.shape[0] != grid.nedges or gamma.shape[1] != gamma.shape[2]:
+            raise ValueError("gamma must be (nedges, k, k)")
+        gamma = gamma.__getitem__
+    levels = grid.staircase_tree(base)
+    # the child of each tree edge, and whether the walk runs it backwards
+    child_of, backward = np.full(grid.nedges, -1), np.zeros(grid.nverts, bool)
+    for child, _, slot, sign in levels:
+        child_of[slot], backward[child] = child, sign < 0
+    k = gamma(np.zeros(0, int)).shape[-1]
+    T = np.empty((grid.nverts, k, k))
+
+    def park(edges, block):
+        child = child_of[edges]
+        T[child[child >= 0]] = block[child >= 0]
+
+    res, q = worst(holonomy(grid, gamma, park))
     if not res <= tol:
         raise FlatnessError(
             f"connection is not flat: quad residual {res:.3e} > {tol:.1e}",
             where=grid.locate_quad(q), residual=res)
-    k = gamma.shape[1]
-    T = np.empty((grid.nverts, k, k))
-    T[base] = np.eye(k)
-    for child, parent, slot, sign in grid.staircase_tree(base):
-        step = gamma[slot]                  # Gamma_{child, parent}
-        back = sign < 0
+    T[base] = np.eye(k)                     # its inverse is itself, bit for bit
+    for v in blocks(grid.nverts):
+        step, back = T[v], backward[v]      # Gamma_{child, parent}
         if back.any():
             step[back] = np.linalg.inv(step[back])
-        T[child] = T[parent] @ np.linalg.inv(step)
+        T[v] = np.linalg.inv(step)
+    for child, parent, _, _ in levels:
+        T[child] = T[parent] @ T[child]
     return T

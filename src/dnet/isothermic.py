@@ -17,13 +17,14 @@ transformations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import (DegeneracyError, EvolutionError, PropagationError,
                      SpectralCollisionError)
 from .forms import unpack_bivector, wedge_vec
-from .grid import (Grid, _block_holonomy, integrate_one_form, quad_blocks, stack,
+from .grid import (Grid, blocks, holonomy, integrate_one_form, quad_blocks, stack,
                    trivialize_connection)
 from .koenigs import vertical_diagonal_margin, vertical_moutard
 from .pseudo_euclidean import (Frame, Signature, action_matrix, conic_cross_ratio,
@@ -48,10 +49,6 @@ INF_LABEL_THRESHOLD = 1e-10
 _BLOCK = 8
 # Auto seeds darboux_transform draws and propagates together.
 _SEEDS = 4
-# Edges per block of the edge gathers of IsothermicNet and of the eigen
-# transports of Gamma(t): one block up to 23x23 (1012 edges); sized with
-# grid._HOLONOMY_BLOCK.
-_EDGE_BLOCK = 1024
 # Damping of a Cauchy step's component along the point sphere complex
 # in indefinite signature: it keeps the edge inner products (and so the
 # labels) away from the isotropic case.
@@ -87,8 +84,7 @@ class IsothermicNet:
         self.is_infinite = np.empty(n, bool)
         # in blocks, so that the gathered lifts of the edge ends stay one
         # block in size
-        for start in range(0, n, _EDGE_BLOCK):
-            e = slice(start, start + _EDGE_BLOCK)
+        for e in blocks(grid.nedges):
             mt, mh = self.mu[grid.edge_tail[e]], self.mu[grid.edge_head[e]]
             ip = self.edge_ip[e] = signature.inner(mt, mh)
             scale = np.linalg.norm(mt, axis=1) * np.linalg.norm(mh, axis=1)
@@ -157,10 +153,12 @@ def _quad_margins(signature: Signature, mq: np.ndarray, nq: np.ndarray, ips: np.
     i, j, k, l, their norms ``nq`` and its edge inner products ``ips``
     (ij, jk, lk, il): the least ``|(mu_i, mu_j)| / (|mu_i| |mu_j|)`` over
     the diagonals, and ``|(mu_i, mu_j) - (mu_i, mu_l)|`` over the largest
-    edge inner product."""
-    diag = cos_angle(signature.inner(mq[..., :2, :], mq[..., 2:, :]),  # (i, k), (j, l)
-                     nq[..., :2], nq[..., 2:]).min(axis=-1)
-    opp = rel(np.abs(ips[..., 0] - ips[..., 3]), np.abs(ips).max(axis=-1))
+    edge inner product.  A non-finite lift gives NaN margins without a
+    warning."""
+    with np.errstate(all="ignore"):
+        diag = cos_angle(signature.inner(mq[..., :2, :], mq[..., 2:, :]),  # (i, k), (j, l)
+                         nq[..., :2], nq[..., 2:]).min(axis=-1)
+        opp = rel(np.abs(ips[..., 0] - ips[..., 3]), np.abs(ips).max(axis=-1))
     return diag, opp
 
 
@@ -430,15 +428,14 @@ def flat_connection(net: IsothermicNet, t: float) -> np.ndarray:
     isotropic edges it is ``exp(t eta_ji) = I + t eta_ji``.  ``t`` must
     avoid all finite labels.  Entry ``e`` maps the fiber at the tail of
     canonical edge ``e`` to the fiber at its head.  The transports are
-    built in blocks of :data:`_EDGE_BLOCK` edges, so that their
-    temporaries stay one block in size.
+    built one :func:`dnet.grid.blocks` block of edges at a time, so that
+    their temporaries stay one block in size.
     """
     g, d = net.grid, net.signature.dim
     _check_spectrum(net, t)
     out = np.empty((g.nedges, d, d))
-    for start in range(0, g.nedges, _EDGE_BLOCK):
-        stop = min(start + _EDGE_BLOCK, g.nedges)
-        out[start:stop] = _transports(net, t, np.arange(start, stop))
+    for b in blocks(g.nedges):
+        out[b] = _transports(net, t, np.arange(b.start, b.stop))
     return out
 
 
@@ -450,23 +447,8 @@ def connection_flatness(net: IsothermicNet, t: float) -> float:
     quad's holonomy has the bits it has over :func:`flat_connection`.  An
     error is the one ``flat_connection(net, t)`` raises.
     """
-    g = net.grid
     _check_spectrum(net, t)
-    if not g.nquads:                    # no quad holds the edges
-        flat_connection(net, t)
-    res = np.empty(g.nquads)
-    try:
-        for b in quad_blocks(g):
-            qe = g.quad_edges[b]
-            # one block holds every quad, and so every edge
-            edges, local = ((np.arange(g.nedges), qe) if len(qe) == g.nquads
-                            else np.unique(qe, return_inverse=True))
-            res[b] = _block_holonomy(_transports(net, t, edges), local.reshape(qe.shape))
-    except (DegeneracyError, ValueError):
-        # a block meets edges out of edge order: name the first bad edge
-        flat_connection(net, t)
-        raise
-    return worst(res)[0]
+    return worst(holonomy(net.grid, partial(_transports, net, t)))[0]
 
 
 def _seed_orthogonal_null(net: IsothermicNet, base: int, rng) -> np.ndarray:
@@ -662,10 +644,13 @@ def stack_pair(net: IsothermicNet, hat: IsothermicNet) -> IsothermicNet:
     return IsothermicNet(sg, net.signature, mu)
 
 
-def _eta_apply(signature: Signature, grid: Grid, mu: np.ndarray, c) -> np.ndarray:
-    """``eta_ji c = (mu_j, c) mu_i - (mu_i, c) mu_j`` on every canonical
-    edge ``i -> j``, over the leading axes of ``mu`` ``(..., nverts, d)``."""
-    ip, mt, mh = signature.inner, mu[..., grid.edge_tail, :], mu[..., grid.edge_head, :]
+def _eta_apply(signature: Signature, grid: Grid, mu: np.ndarray, c,
+               edges=slice(None)) -> np.ndarray:
+    """``eta_ji c = (mu_j, c) mu_i - (mu_i, c) mu_j`` on the canonical
+    edges ``i -> j`` of ``edges`` (all by default), over the leading axes
+    of ``mu`` ``(..., nverts, d)``."""
+    ip = signature.inner
+    mt, mh = mu[..., grid.edge_tail[edges], :], mu[..., grid.edge_head[edges], :]
     return ip(mh, c)[..., None] * mt - ip(mt, c)[..., None] * mh
 
 
@@ -675,10 +660,12 @@ def calapso_transform(net: IsothermicNet, t: float):
     Returns ``(transformed net, T)`` with ``T`` the identity at vertex 0 (this
     pins the constant gauge freedom).  The transformed labels are
     ``m - t`` and the transformed flat connections satisfy
-    ``Gamma^{s(t)}(u) = T . Gamma^s(t + u)``.
+    ``Gamma^{s(t)}(u) = T . Gamma^s(t + u)``.  The transports of Gamma(t)
+    are built one quad block at a time inside the trivialization, so no
+    whole Gamma(t) is held; errors are those of :func:`flat_connection`.
     """
-    # only T outlives the trivialization: drop Gamma(t) first
-    T = trivialize_connection(net.grid, flat_connection(net, t), base=0, tol=1e-7)
+    _check_spectrum(net, t)
+    T = trivialize_connection(net.grid, partial(_transports, net, t), base=0, tol=1e-7)
     mu_t = np.einsum("nab,nb->na", T, net.mu)
     return IsothermicNet(net.grid, net.signature, mu_t), T
 
@@ -697,16 +684,22 @@ def christoffel_dual(net: IsothermicNet, frame: Frame | None = None) -> Christof
 
     The dual is edge-parallel to the stereoprojection ``x`` with
     ``d x_dual = r_i r_j dx`` for ``r = -(mu, q)`` and satisfies
-    ``(dx, dx_dual) = -2/m`` on every edge.
+    ``(dx, dx_dual) = -2/m`` on every edge.  ``x`` and ``r`` are built one
+    :func:`dnet.grid.blocks` block of vertices at a time, ``d x_dual`` one
+    block of edges at a time, and its closedness is checked one quad
+    block at a time; only the walk that integrates it holds index arrays
+    over the whole grid.
     """
     frame = net.signature.standard_frame() if frame is None else frame
-    sig = net.signature
-    g = net.grid
-    ip = sig.inner
-    x = stereo_project(net.mu, frame)
-    dxd = frame.pi(_eta_apply(sig, g, net.mu, frame.q))
+    sig, g, mu = net.signature, net.grid, net.mu
+    x, r = np.empty((g.nverts, sig.dim)), np.empty(g.nverts)
+    for v in blocks(g.nverts):
+        x[v] = stereo_project(mu[v], frame)
+        r[v] = -sig.inner(mu[v], frame.q)
+    dxd = np.empty((g.nedges, sig.dim))
+    for e in blocks(g.nedges):
+        dxd[e] = frame.pi(_eta_apply(sig, g, mu, frame.q, e))
     xd = integrate_one_form(g, dxd, base=0, check_closed=True, tol=1e-8).values
-    r = -ip(net.mu, frame.q)
     return ChristoffelData(x=x, x_dual=xd, r=r)
 
 

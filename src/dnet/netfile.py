@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, GeometryError
-from .grid import Grid
+from .grid import Grid, check_dims
 from .pseudo_euclidean import Frame, Signature
 from .reports import Check, Report
 from .residuals import rel
@@ -362,15 +362,18 @@ class NetFile:
         per bivector coordinate in ``eta``) and the frame section decodes
         (see :meth:`the_frame`)."""
         try:
-            g = self.grid()
+            dims = check_dims(self.dims, self.stacked)
         except ValueError as err:
             raise FormatError(f"bad dims {list(self.dims)}: {err}") from None
+        # the rows of a Grid(dims), counted without building one
+        nverts = math.prod(dims)
+        nedges = sum(nverts // n * (n - 1) for n in dims)
         d = self.sig().dim
         widths = {**dict.fromkeys(("mu", "mu_plus", "mu_minus", "y", "t", "xi"), d),
                   "eta": d * (d - 1) // 2}
-        for label, fields, rows in (("vertex field", self.vertex_fields, g.nverts),
-                                    ("edge field", self.edge_fields, g.nedges),
-                                    ("one-form field", self.form1_fields, g.nedges)):
+        for label, fields, rows in (("vertex field", self.vertex_fields, nverts),
+                                    ("edge field", self.edge_fields, nedges),
+                                    ("one-form field", self.form1_fields, nedges)):
             for name, arr in fields.items():
                 ndim, width = (1, None) if fields is self.edge_fields else (2, widths.get(name))
                 # JSON gives no field without rows a width

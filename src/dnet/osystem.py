@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (BilinearRule, Form0, curly_wedge,
-                    exterior_derivative, lam2_dim, wedge)
-from .grid import Grid
+from .forms import (BilinearRule, Form0, _one_form_product, exterior_derivative,
+                    lam2_dim, lam2_pairs, wedge, wedge_vec)
+from .grid import Grid, blocks, quad_blocks
 from .pseudo_euclidean import Signature, stereo_lift
 from .residuals import circularity, rel, sin_angle
 
@@ -59,19 +59,33 @@ class ParallelFamily:
         return np.stack(self.members, axis=2)
 
     def validate(self) -> dict:
-        diffs = np.stack([self.grid.edge_difference(m) for m in self.members])
-        norms = np.linalg.norm(diffs, axis=2)
-        scale = norms.max(initial=0.0)
-        active = norms > 1e-12 * max(scale, 1.0)
-        # every later active member against the first active one
-        first = np.argmax(active, axis=0)
-        a, e = np.nonzero(active & (np.arange(self.size)[:, None] > first))
-        worst = float(sin_angle(diffs[a, e], diffs[first[e], e]).max(initial=0.0))
-        # decomposability of dPhi through its 2x2 minors
-        dphi = self.grid.edge_difference(self.phi())
-        sv = np.linalg.svd(dphi, compute_uv=False)
-        live = sv[:, 0] > 1e-12
-        minor = float((sv[live, 1] / sv[live, 0]).max(initial=0.0))
+        """``edge_parallel``: the worst sine between a member's edge and
+        the first member's that is active there, edges shorter than
+        ``1e-12`` of the longest (at least 1) left out; and
+        ``dphi_decomposable``: the worst ratio of the two singular values
+        of ``d Phi``.  Both go one :func:`dnet.grid.blocks` block of edges at a
+        time, the first in two passes (the longest edge, then the sines),
+        and fold with ``np.maximum``, so NaN propagates and every value
+        has the bits of one pass over the grid."""
+        g = self.grid
+        scale, minor = 0.0, 0.0
+        for b in blocks(g.nedges):
+            diffs = np.stack([g.edge_difference(m, b) for m in self.members])
+            scale = np.maximum(scale, np.linalg.norm(diffs, axis=2).max())
+            # decomposability of dPhi through its 2x2 minors
+            sv = np.linalg.svd(np.moveaxis(diffs, 0, -1), compute_uv=False)
+            live = sv[:, 0] > 1e-12
+            minor = np.maximum(minor, (sv[live, 1] / sv[live, 0]).max(initial=0.0))
+        least = 1e-12 * max(scale, 1.0)
+        worst = 0.0
+        for b in blocks(g.nedges):
+            diffs = np.stack([g.edge_difference(m, b) for m in self.members])
+            active = np.linalg.norm(diffs, axis=2) > least
+            # every later active member against the first active one
+            first = np.argmax(active, axis=0)
+            a, e = np.nonzero(active & (np.arange(self.size)[:, None] > first))
+            worst = np.maximum(worst, sin_angle(diffs[a, e], diffs[first[e], e]).max(initial=0.0))
+        worst, minor = float(worst), float(minor)
         return {
             "edge_parallel": worst,
             "dphi_decomposable": minor,
@@ -136,20 +150,6 @@ def dual_family(fam: ParallelFamily) -> tuple:
                    "passed": bool(worst <= 1e-9 and exact)}
 
 
-def _weighted_curly_sum(fam: ParallelFamily, metric: np.ndarray) -> np.ndarray:
-    """Characterization (a) of :func:`check_osystem`, the weighted sum
-    ``sum g_ab dx^a ^~ dx^b`` per quad; the member differences die with
-    the call, before the bracket of (b) is built."""
-    g = fam.grid
-    dxs = [exterior_derivative(Form0(g, m)) for m in fam.members]
-    weighted = np.zeros((g.nquads, lam2_dim(fam.signature.dim)))
-    for a in range(fam.size):
-        for b in range(fam.size):
-            if metric[a, b] != 0.0:
-                weighted += metric[a, b] * curly_wedge(dxs[a], dxs[b]).values
-    return weighted
-
-
 def check_osystem(fam: ParallelFamily, metric) -> dict:
     """Both O-system characterizations, compared and tested for zero.
 
@@ -158,7 +158,11 @@ def check_osystem(fam: ParallelFamily, metric) -> dict:
     ``[dPhi ^ dPhi]`` with the direct-sum commutator as the bilinear
     rule, asserting that the ``Lambda^2 R^{p,q}`` component of (b)
     equals (a) to 1e-11 and that the full bracket vanishes to 1e-9
-    relative to the family scale.
+    relative to the family scale.  Both go one
+    :func:`dnet.grid.quad_blocks` block at a time, from the member
+    differences on each quad's boundary edges, and fold with
+    ``np.maximum``; the scale, the largest member difference, goes one
+    :func:`dnet.grid.blocks` block of edges at a time.
     """
     metric = np.asarray(metric, float)
     N = fam.size
@@ -170,11 +174,10 @@ def check_osystem(fam: ParallelFamily, metric) -> dict:
     d = fam.signature.dim
     signs = fam.signature.signs
 
-    weighted = _weighted_curly_sum(fam, metric)          # (a)
-
     # (b) bracket of the assembled map: values are d x N matrices,
     # [A, B] = (A' G_w B - B' G_w A  in Lambda^2 W) + (A G_w B' - B G_w A'
     # in Lambda^2 R^{p,q}) with the ambient metric pairing the first slot
+    (ia, ib), (ja, jb) = lam2_pairs(d), lam2_pairs(N)
 
     def bracket(u, v):
         A = u.reshape(-1, d, N)
@@ -184,19 +187,32 @@ def check_osystem(fam: ParallelFamily, metric) -> dict:
         amb = amb - np.swapaxes(amb, 1, 2)
         wpart = np.einsum("nxa,nxb->nab", Ag, B)
         wpart = wpart - np.swapaxes(wpart, 1, 2)
-        ia, ib = np.triu_indices(d, k=1)
-        ja, jb = np.triu_indices(N, k=1)
         return np.concatenate([amb[:, ia, ib], wpart[:, ja, jb]], axis=1)
 
     rule = BilinearRule(bracket, d * N, d * N, lam2_dim(d) + lam2_dim(N),
                         name="direct-sum bracket")
-    dphi = exterior_derivative(Form0(g, fam.phi().reshape(g.nverts, d * N)))
-    full = wedge(dphi, dphi, rule).values
-    amb_part = full[:, :lam2_dim(d)]
+    pairs = [(a, b) for a in range(N) for b in range(N) if metric[a, b] != 0.0]
+    top = 0.0                               # the largest member difference
+    for e in blocks(g.nedges):
+        for m in fam.members:
+            top = np.maximum(top, np.abs(g.edge_difference(m, e)).max())
+    apart, full_top = 0.0, 0.0
+    for q in quad_blocks(g):
+        qe = g.quad_edges[q].T
+        # dx[a][n]: member a's differences on boundary edge n of each quad
+        dx = [g.edge_difference(m, qe) for m in fam.members]
+        weighted = np.zeros((qe.shape[1], lam2_dim(d)))             # (a)
+        for a, b in pairs:
+            weighted += metric[a, b] * _one_form_product(wedge_vec, dx[a].__getitem__,
+                                                         dx[b].__getitem__)
+        dphi = np.stack(dx, axis=-1).reshape(4, -1, d * N)
+        full = _one_form_product(rule, dphi.__getitem__, dphi.__getitem__)  # (b)
+        apart = np.maximum(apart, np.abs(full[:, :lam2_dim(d)] - weighted).max(initial=0.0))
+        full_top = np.maximum(full_top, np.abs(full).max(initial=0.0))
 
-    scale = float(np.abs(dphi.values).max(initial=0.0)) ** 2
-    equality = rel(float(np.abs(amb_part - weighted).max(initial=0.0)), scale)
-    vanish = rel(float(np.abs(full).max(initial=0.0)), scale)
+    scale = float(top) ** 2
+    equality = rel(float(apart), scale)
+    vanish = rel(float(full_top), scale)
     out = {
         "characterization_equality": equality,
         "bracket_vanishes": vanish,

@@ -34,8 +34,10 @@ def floor(scale):
 
 
 def rel(num, scale):
-    """``num / max(scale, FLOOR)``."""
-    return num / floor(scale)
+    """``num / max(scale, FLOOR)``; a non-finite operand gives its inf or
+    NaN without a warning."""
+    with np.errstate(all="ignore"):
+        return num / floor(scale)
 
 
 def sin_angle(u, v):

@@ -12,15 +12,22 @@ isothermic verify path is here unblocked as well:
 :func:`validate` gathers ``mu[quad_vertices]`` and recomputes every edge
 product in :func:`margins`, and :func:`connection_flatness` builds the
 whole Gamma(t) before it reduces its holonomy to one number.  The
+construction path after ``flat_connection`` is here unblocked too:
+:func:`trivialize_connection` checks and walks a whole Gamma(t),
+:func:`christoffel_dual` builds the whole ``d x_dual`` and its quad
+sums, and :func:`family_validate` and :func:`check_osystem` take the
+edge differences of every member and of the assembled map at once.  The
 bit-identity tests compare the library against them.
 """
 
 import numpy as np
 
-from dnet.errors import DegeneracyError, SpectralCollisionError
-from dnet.forms import unpack_bivector, wedge_vec
-from dnet.isothermic import INF_LABEL_THRESHOLD
-from dnet.pseudo_euclidean import action_matrix, gamma_lambda
+from dnet.errors import (ClosednessError, DegeneracyError, FlatnessError,
+                         SpectralCollisionError)
+from dnet.forms import BilinearRule, Form1, lam2_dim, unpack_bivector, wedge_vec
+from dnet.grid import integrate_one_form
+from dnet.isothermic import INF_LABEL_THRESHOLD, ChristoffelData, IsothermicNet
+from dnet.pseudo_euclidean import action_matrix, gamma_lambda, stereo_project
 from dnet.residuals import cos_angle, rel, sin_angle, worst
 
 
@@ -120,3 +127,105 @@ def validate(net, margin=1e-6):
 def connection_flatness(net, t):
     """Max relative quad holonomy of Gamma(t)."""
     return worst(holonomy(net.grid, flat_connection(net, t)))[0]
+
+
+# -- the construction path after flat_connection ------------------------
+
+def trivialize_connection(grid, gamma, base=0, tol=1e-8):
+    """``trivialize_connection`` of a whole ``(nedges, k, k)`` Gamma."""
+    res, q = worst(holonomy(grid, gamma))
+    if not res <= tol:
+        raise FlatnessError(f"connection is not flat: quad residual {res:.3e} > {tol:.1e}",
+                            where=grid.locate_quad(q), residual=res)
+    k = gamma.shape[1]
+    T = np.empty((grid.nverts, k, k))
+    T[base] = np.eye(k)
+    for child, parent, slot, sign in grid.staircase_tree(base):
+        step = gamma[slot]
+        back = sign < 0
+        if back.any():
+            step[back] = np.linalg.inv(step[back])
+        T[child] = T[parent] @ np.linalg.inv(step)
+    return T
+
+
+def calapso_transform(net, t):
+    """``calapso_transform`` through a whole Gamma(t)."""
+    T = trivialize_connection(net.grid, flat_connection(net, t), base=0, tol=1e-7)
+    mu_t = np.einsum("nab,nb->na", T, net.mu)
+    return IsothermicNet(net.grid, net.signature, mu_t), T
+
+
+def christoffel_dual(net, frame=None):
+    """``christoffel_dual`` with the whole ``d x_dual`` and its quad sums."""
+    frame = net.signature.standard_frame() if frame is None else frame
+    g, ip = net.grid, net.signature.inner
+    mt, mh = net.mu[g.edge_tail], net.mu[g.edge_head]
+    dxd = frame.pi(ip(mh, frame.q)[:, None] * mt - ip(mt, frame.q)[:, None] * mh)
+    qe = g.quad_edges
+    num, q = worst(np.linalg.norm(dxd[qe[:, 0]] + dxd[qe[:, 1]] - dxd[qe[:, 2]]
+                                  - dxd[qe[:, 3]], axis=-1))
+    res = num / max(float(np.abs(dxd).max(initial=0.0)), 1.0)
+    if not res <= 1e-8:
+        raise ClosednessError(f"one-form is not closed: quad residual {res:.3e} > {1e-8:.1e}",
+                              where=g.locate_quad(q), residual=res)
+    xd = integrate_one_form(g, dxd, base=0, check_closed=False).values
+    return ChristoffelData(x=stereo_project(net.mu, frame), x_dual=xd,
+                           r=-ip(net.mu, frame.q))
+
+
+def family_validate(fam):
+    """``ParallelFamily.validate`` over the whole grid."""
+    g = fam.grid
+    diffs = np.stack([m[g.edge_head] - m[g.edge_tail] for m in fam.members])
+    norms = np.linalg.norm(diffs, axis=2)
+    scale = norms.max(initial=0.0)
+    active = norms > 1e-12 * max(scale, 1.0)
+    first = np.argmax(active, axis=0)
+    a, e = np.nonzero(active & (np.arange(fam.size)[:, None] > first))
+    worst_sin = float(sin_angle(diffs[a, e], diffs[first[e], e]).max(initial=0.0))
+    phi = fam.phi()
+    sv = np.linalg.svd(phi[g.edge_head] - phi[g.edge_tail], compute_uv=False)
+    live = sv[:, 0] > 1e-12
+    minor = float((sv[live, 1] / sv[live, 0]).max(initial=0.0))
+    return {"edge_parallel": worst_sin, "dphi_decomposable": minor,
+            "passed": bool(worst_sin <= 1e-9 and minor <= 1e-9)}
+
+
+def check_osystem(fam, metric):
+    """``check_osystem`` over the whole grid: the weighted curly-wedge sum
+    and the bracket of every quad at once."""
+    metric = np.asarray(metric, float)
+    N, g, d = fam.size, fam.grid, fam.signature.dim
+    if metric.shape != (N, N):
+        raise ValueError("metric shape must match the family size")
+    if np.abs(metric - metric.T).max(initial=0.0) > 1e-14:
+        raise ValueError("metric must be symmetric")
+    signs = fam.signature.signs
+    dxs = [Form1(g, m[g.edge_head] - m[g.edge_tail]) for m in fam.members]
+    curly = BilinearRule.wedge_product(d)
+    weighted = np.zeros((g.nquads, lam2_dim(d)))
+    for a in range(N):
+        for b in range(N):
+            if metric[a, b] != 0.0:
+                weighted += metric[a, b] * wedge_one_forms(dxs[a], dxs[b], curly)
+
+    def bracket(u, v):
+        A, B = u.reshape(-1, d, N), v.reshape(-1, d, N)
+        amb = np.einsum("nxa,ab,nyb->nxy", A, metric, B)
+        amb = amb - np.swapaxes(amb, 1, 2)
+        wpart = np.einsum("nxa,nxb->nab", A * signs[None, :, None], B)
+        wpart = wpart - np.swapaxes(wpart, 1, 2)
+        ia, ib = np.triu_indices(d, k=1)
+        ja, jb = np.triu_indices(N, k=1)
+        return np.concatenate([amb[:, ia, ib], wpart[:, ja, jb]], axis=1)
+
+    rule = BilinearRule(bracket, d * N, d * N, lam2_dim(d) + lam2_dim(N))
+    phi = fam.phi().reshape(g.nverts, d * N)
+    dphi = Form1(g, phi[g.edge_head] - phi[g.edge_tail])
+    full = wedge_one_forms(dphi, dphi, rule)
+    scale = float(np.abs(dphi.values).max(initial=0.0)) ** 2
+    equality = rel(float(np.abs(full[:, :lam2_dim(d)] - weighted).max(initial=0.0)), scale)
+    vanish = rel(float(np.abs(full).max(initial=0.0)), scale)
+    return {"characterization_equality": equality, "bracket_vanishes": vanish,
+            "passed": bool(equality <= 1e-11 and vanish <= 1e-9)}

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -410,6 +411,33 @@ def test_help_is_the_same_on_every_call(capsys):
         assert run("--help") == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] == build_parser().format_help()
+
+
+def _stderr(capsys, *argv):
+    """The exit code of one command and its stderr lines, each warning it
+    issues counted as one more line."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    return code, capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+
+
+def test_overflowing_flatness_gate_and_inf_vertex_print_no_warning(tmp_path, capsys):
+    # a huge t overflows the transports of the Calapso flatness gate, and
+    # an inf lift makes the residuals of verify inf - inf and inf / inf:
+    # one line and exit 3, and a report with exit 1 and nothing on stderr
+    path = tmp_path / "iso.json"
+    assert run("gen", "isothermic", "--dims", "6x6", "--seed", 7, "-o", path) == 0
+    code, err = _stderr(capsys, "transform", "calapso", "--t", "1e300", "-i", path,
+                        "-o", tmp_path / "big_t.json")
+    assert (code, err) == (3, ["construction degeneracy: connection is not flat: "
+                               "quad residual nan > 1.0e-07"])
+    doc = json.loads(path.read_text())
+    doc["fields"]["vertex"]["mu"][14] = ["inf", 0, 0, 0, 0, 0]
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(doc))
+    assert _stderr(capsys, "verify", "-i", bad) == (1, [])
 
 
 def test_verify_infinite_label_pair_is_quiet(tmp_path, capsys):

@@ -213,7 +213,7 @@ def test_verify_path_across_the_seams_of_an_isotropic_pair(nets, monkeypatch):
     # blocks of 16 quads and 24 edges: the 72 quads and 105 edges of the
     # stacked 5x5 pair cross five seams of each
     monkeypatch.setattr(grid_mod, "_HOLONOMY_BLOCK", 16)
-    monkeypatch.setattr(isothermic, "_EDGE_BLOCK", 24)
+    monkeypatch.setattr(grid_mod, "_EDGE_BLOCK", 24)
     _assert_verify_path_is_bit_identical(IsothermicNet(pair.grid, pair.signature, pair.mu))
 
 

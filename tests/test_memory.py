@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from dnet.grid import Grid, holonomy
-from dnet.isothermic import (IsothermicNet, calapso_transform, connection_flatness,
-                             flat_connection, moutard_evolve, random_cauchy)
+from dnet.isothermic import (IsothermicNet, calapso_transform, christoffel_dual,
+                             connection_flatness, flat_connection, moutard_evolve,
+                             random_cauchy)
 from dnet.netfile import NetFile
-from dnet.pseudo_euclidean import Signature
+from dnet.osystem import ParallelFamily, check_osystem
+from dnet.pseudo_euclidean import Signature, standard_chart_indices
 
 SIG = Signature(4, 2)
 
@@ -72,9 +74,46 @@ def test_holonomy_does_not_grow_from_32_to_64():
 
 
 def test_calapso_releases_its_connection_before_moving_the_net(net):
-    # Gamma(t), T and T^-1 live together during the trivialization
+    # T, the moved net and one block of transports: no Gamma(t) is held
     (moved, T), peak = _traced_peak(calapso_transform, net, 0.3)
     assert peak <= 5 * T.nbytes, (peak, T.nbytes)
+
+
+def _construction(n):
+    """The traced peaks, above what each call keeps, of the kernels that a
+    library pipeline calls after ``flat_connection``."""
+    net = _net(n)
+    (moved, T), calapso = _traced_peak(calapso_transform, net, 0.3)
+    calapso -= T.nbytes + sum(a.nbytes for a in (moved.mu, moved.edge_ip, moved.is_infinite,
+                                                  moved.labels))
+    # the walk that integrates d x_dual holds the staircase tree's index
+    # arrays over the whole grid by design: it is left out here, and what
+    # remains of it is the (nverts, d) array it fills
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Grid, "staircase_tree", lambda self, base=0: [])
+        data, christoffel = _traced_peak(christoffel_dual, net)
+    christoffel -= (sum(a.nbytes for a in (data.x, data.x_dual, data.r)) + data.x_dual.nbytes
+                    + net.grid.nedges * SIG.dim * data.x_dual.itemsize)      # d x_dual
+    data = christoffel_dual(net)
+    idx = standard_chart_indices(SIG)
+    fam = ParallelFamily(net.grid, [data.x[:, idx], data.x_dual[:, idx]], Signature(3, 1))
+    return {"calapso_transform": calapso, "christoffel_dual": christoffel,
+            "ParallelFamily.validate": _traced_peak(fam.validate)[1],
+            "check_osystem": _traced_peak(check_osystem, fam, [[0.0, 1.0], [1.0, 0.0]])[1]}
+
+
+@pytest.fixture(scope="module")
+def construction_peaks():
+    return [_construction(n) for n in (32, 64)]
+
+
+@pytest.mark.parametrize("kernel", ["calapso_transform", "christoffel_dual",
+                                    "ParallelFamily.validate", "check_osystem"])
+def test_construction_does_not_grow_from_32_to_64(construction_peaks, kernel):
+    # each builds its transports, differences and products one block of
+    # quads, edges or vertices at a time
+    small, big = (p[kernel] for p in construction_peaks)
+    assert big <= 1.25 * small, (small, big)
 
 
 def _transient(net, path):
@@ -105,9 +144,9 @@ def test_verify_and_save_do_not_grow_from_32_to_64(verify_peaks, kernel):
 
 
 def test_load_holds_the_text_and_one_block(net, tmp_path):
-    # the file's text, one block of rows read from it at a time and the
-    # grid check_format builds; json's tree of the arrays held about
-    # three times the file
+    # the file's text and one block of rows read from it at a time; json's
+    # tree of the arrays held about three times the file, and check_format
+    # counts rows from dims without building a grid
     path = tmp_path / "net.json"
     NetFile.from_isothermic(net, NetFile.frame_section(SIG.standard_frame()), {}).save(str(path))
     nf, peak = _traced_peak(NetFile.load, str(path))
