@@ -205,6 +205,16 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _check_finite(nf: NetFile, op: str, name: str):
+    """Raise :class:`FormatError` naming the first vertex where the lifts
+    ``name`` of ``nf`` are not finite.  NaN and inf pass no test that
+    compares them: name them before any arithmetic on them."""
+    finite = np.isfinite(nf.vertex_fields[name]).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{op} needs finite lifts: {name} at vertex "
+                          f"{nf.grid().coords(int(np.argmin(finite)))} is not finite")
+
+
 def cmd_transform(args) -> int:
     from . import isothermic as iso
     from . import lie_sphere as lie
@@ -217,12 +227,7 @@ def cmd_transform(args) -> int:
     if args.op in ("darboux", "calapso", "christoffel"):
         if "mu" not in nf.vertex_fields:
             raise FormatError(f"{args.op} needs a mu field")
-        # NaN and inf pass no test that compares them: name them before
-        # any arithmetic on them
-        finite = np.isfinite(nf.vertex_fields["mu"]).all(axis=1)
-        if not finite.all():
-            raise FormatError(f"{args.op} needs finite lifts: mu at vertex "
-                              f"{nf.grid().coords(int(np.argmin(finite)))} is not finite")
+        _check_finite(nf, args.op, "mu")
         net = nf.isothermic_net()
         # the null test of the edge transports, at the worst lift that fails it
         bad = np.flatnonzero(non_null(net.mu, net.signature))
@@ -270,6 +275,10 @@ def cmd_transform(args) -> int:
                           form1_fields={"eta": duo.eta},
                           edge_fields={"kappa": pn.kappa}, metadata=meta)
         else:
+            # associates copies the pair into its output
+            for name in ("mu_plus", "mu_minus"):
+                if name in nf.vertex_fields:
+                    _check_finite(nf, args.op, name)
             a = lie.associates(om)
             c = _parse_number("--c", args.c, default=0.0)
             xd = a.x_dual + c * a.n

@@ -581,10 +581,11 @@ def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
     alive = np.arange(len(hat0))
     for child, parent, slot, _ in g.staircase_tree(base):
         hp, mi, mj = hat[alive[:, None], parent], mu[parent], mu[child]
-        denom = ip(hp, mj)
-        bad = [np.abs(denom) <= min_denom * floor(
-            np.linalg.norm(hp, axis=-1) * np.linalg.norm(mj, axis=-1))]
+        # a huge base lift (a tiny m) overflows its norm: that step fails
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            denom = ip(hp, mj)
+            bad = [np.abs(denom) <= min_denom * floor(
+                np.linalg.norm(hp, axis=-1) * np.linalg.norm(mj, axis=-1))]
             val = mi + (ip(mi, hp - mj) / denom)[..., None] * (hp - mj)
             if not np.isinf(m):
                 cur = ip(mj, val)

@@ -366,20 +366,23 @@ def _d3(g: Grid, values: np.ndarray) -> Form1:
 
 def check_omega(pn: PrincipalNet, x_dual, n_dual) -> dict:
     """Duality test: ``dxd ^~ dx + dnd ^~ dn = 0`` per quad together
-    with the non-degeneracy margin ``dxd != kappa dnd`` per edge."""
+    with the non-degeneracy margin ``dxd != kappa dnd`` per edge.  Fields
+    too large for their products give inf or NaN, which fail, and no
+    numpy warning."""
     g = pn.grid
     x_dual = np.asarray(x_dual, float)
     n_dual = np.asarray(n_dual, float)
-    dx, dxd, dnd = pn.dx(), g.edge_difference(x_dual), g.edge_difference(n_dual)
-    for name, dv in (("x_dual", dxd), ("n_dual", dnd)):
-        if sin_angle(dv, dx).max(initial=0.0) > 1e-6:
-            raise DegeneracyError(f"{name} is not edge-parallel to x")
-    quad = (curly_wedge(_d3(g, x_dual), _d3(g, pn.x)).values
-            + curly_wedge(_d3(g, n_dual), _d3(g, pn.n)).values)
-    scale = max(float(np.abs(x_dual).max(initial=0.0) + np.abs(n_dual).max(initial=0.0)), 1.0)
-    duality = float(np.abs(quad).max(initial=0.0)) / scale
-    nd_margin = rel(np.linalg.norm(dxd - pn.kappa[:, None] * dnd, axis=1),
-                    np.linalg.norm(dxd, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dxd, dnd = pn.dx(), g.edge_difference(x_dual), g.edge_difference(n_dual)
+        for name, dv in (("x_dual", dxd), ("n_dual", dnd)):
+            if sin_angle(dv, dx).max(initial=0.0) > 1e-6:
+                raise DegeneracyError(f"{name} is not edge-parallel to x")
+        quad = (curly_wedge(_d3(g, x_dual), _d3(g, pn.x)).values
+                + curly_wedge(_d3(g, n_dual), _d3(g, pn.n)).values)
+        scale = max(float(np.abs(x_dual).max(initial=0.0) + np.abs(n_dual).max(initial=0.0)), 1.0)
+        duality = float(np.abs(quad).max(initial=0.0)) / scale
+        nd_margin = rel(np.linalg.norm(dxd - pn.kappa[:, None] * dnd, axis=1),
+                        np.linalg.norm(dxd, axis=1))
     out = {
         "duality": duality,
         "nondegeneracy_margin": float(nd_margin.min(initial=np.inf)),

@@ -30,20 +30,16 @@ net's edge arrays in blocks of edges, and its Moutard, label-relation,
 margin and flatness residuals in blocks of quads, so their gathered
 temporaries stay one block in size.
 
-:meth:`NetFile.load` makes no Python object per number of a file in the
-writer's layout (this format and float encoding, the text
-:meth:`NetFile.save` writes) over a grid of more than 2,048 vertices:
-:func:`dnet.fieldread.fast_document` reads each array of its ``fields``
-section with ``np.fromstring``, one block of 2,048 lines of text at a
-time, once the block's layout is the writer's and each of its entries is
-one that ``json`` reads as the same float, and ``json`` reads the small
-rest of the document.  The arrays are read before the ``format`` key,
-which sorts after ``fields``, and kept only if it is this format.  Any
-other file, a smaller grid and any text out of that layout (other
-spacing, ``null``, ``true``, ``NaN``, a quoted number, ``+1``, ``.5``,
-``1.``, ``01``, ``-0``, ``1e``) go through ``json`` whole, so both paths
-give the same arrays bit for bit and every error below comes from
-``json``'s.
+:meth:`NetFile.load` reads a file over a grid of more than 2,048
+vertices without a Python object per number of the whole file:
+:func:`dnet.fieldread.fast_document` has ``json`` parse each array of its
+``fields`` section one block of rows at a time, then the rest of the
+document, which must be in the writer's layout (this format and float
+encoding, the text :meth:`NetFile.save` writes).  Any other file, a
+smaller grid and a block that does not parse, holds a ``null`` or is
+ragged go through ``json`` whole.  ``json`` parses every number on both
+paths and numpy converts them alike, so both give the same arrays bit
+for bit, and every error below comes from the whole-file path.
 
 It reads array entries that are numbers, booleans
 (as 0 / 1) or strings that Python's ``float`` accepts (``"inf"``,
@@ -78,13 +74,10 @@ FLOAT_ENCODING = "decimal-shortest-roundtrip"
 # Rows per block of an array's text: :meth:`NetFile.save` renders and
 # writes one block at a time.
 _ROWS = 256
-# Lines of text per block that :meth:`NetFile.load` reads with numpy, in
-# whole rows: _ROWS rows of a (4, 2) lift, 8 lines each.  A block costs
-# the same numpy calls whatever its rows hold, so it is counted in lines:
-# a field of one number per row read _ROWS rows at a time spent 60 % of
-# its parse time on them.  Numpy's set-up pays off only on a grid of more
-# vertices than a block has lines (measured against json: 1.45x the time
-# at 288 vertices, 1.13x at 1,024, at par at 4,096).
+# Lines of text per block that :meth:`NetFile.load` parses with json:
+# about _ROWS rows of a (4, 2) lift, 8 lines each.  Blocks pay off only on
+# a grid of more vertices than a block has lines: json reads a smaller
+# file faster whole.
 _LINES = 8 * _ROWS
 
 
@@ -129,7 +122,7 @@ def _array_text(arr: np.ndarray, depth: int) -> str:
 def _layout(shape: tuple, depth: int, tokens: list) -> str:
     """The text of a non-empty array of ``shape`` in the file layout,
     nested ``depth`` levels deep, with the strings ``tokens`` as its flat
-    entries; with empty tokens it is the layout alone."""
+    entries."""
     nd, size = len(shape), len(tokens)
     pad = ["\n" + " " * (depth + k) for k in range(nd + 1)]
 

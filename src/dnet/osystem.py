@@ -65,19 +65,22 @@ class ParallelFamily:
         ``dphi_decomposable``: the worst ratio of the two singular values
         of ``d Phi``.  Both go one :func:`dnet.grid.blocks` block of edges at a
         time, the first in two passes (the longest edge, then the sines),
-        and fold with ``np.maximum``, so NaN propagates and every value
-        has the bits of one pass over the grid."""
+        and fold with ``np.maximum``, so every value has the bits of one
+        pass over the grid; a non-finite member difference makes both NaN."""
         g = self.grid
         scale, minor = 0.0, 0.0
         for b in blocks(g.nedges):
             diffs = np.stack([g.edge_difference(m, b) for m in self.members])
             scale = np.maximum(scale, np.linalg.norm(diffs, axis=2).max())
-            # decomposability of dPhi through its 2x2 minors
-            sv = np.linalg.svd(np.moveaxis(diffs, 0, -1), compute_uv=False)
+            # decomposability of dPhi through its 2x2 minors; the SVD does
+            # not converge on a non-finite difference, whose edge reads NaN
+            finite = np.isfinite(diffs).all(axis=(0, 2))
+            sv = np.linalg.svd(np.moveaxis(diffs[:, finite], 0, -1), compute_uv=False)
             live = sv[:, 0] > 1e-12
-            minor = np.maximum(minor, (sv[live, 1] / sv[live, 0]).max(initial=0.0))
+            minor = np.maximum(minor, (sv[live, 1] / sv[live, 0]).max(
+                initial=0.0 if finite.all() else np.nan))
         least = 1e-12 * max(scale, 1.0)
-        worst = 0.0
+        worst = np.nan if np.isnan(minor) else 0.0      # NaN where an edge is not finite
         for b in blocks(g.nedges):
             diffs = np.stack([g.edge_difference(m, b) for m in self.members])
             active = np.linalg.norm(diffs, axis=2) > least

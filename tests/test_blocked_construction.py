@@ -191,5 +191,10 @@ def test_a_nan_member_propagates_alike(nets, name):
         members = [np.array(m) for m in fam.members]
         members[-1][net.grid.nverts // 2, 1] = np.nan
         nan_fam = ParallelFamily(net.grid, members, fam.signature)
-        _assert_families_agree(nan_fam, metric)
+        assert _same(_outcome(check_osystem, nan_fam, metric),
+                     _outcome(ref.check_osystem, nan_fam, metric))
         assert np.isnan(check_osystem(nan_fam, metric)["bracket_vanishes"])
+        # the whole-grid SVD of the reference does not converge on NaN
+        report = nan_fam.validate()
+        assert np.isnan(report["edge_parallel"]) and np.isnan(report["dphi_decomposable"])
+        assert report["passed"] is False

@@ -588,7 +588,28 @@ BAD_INPUT = {
                             "bad --t '-inf'; expected a finite number"),
     "associates_c_inf": (["transform", "associates", "-i", "{omega}", "--c=inf"],
                          "bad --c 'inf'; expected a finite number"),
+    # associates copies the pair into its output
+    "associates_nan_mu_plus": (["transform", "associates", "-i", "{nanplus}"],
+                               "associates needs finite lifts: mu_plus at vertex (1, 1) "
+                               "is not finite"),
+    "associates_inf_mu_minus": (["transform", "associates", "-i", "{infminus}", "--c", "0.7"],
+                                "associates needs finite lifts: mu_minus at vertex (1, 1) "
+                                "is not finite"),
 }
+
+# an Omega-net file with a non-finite entry in one lift of its pair
+NON_FINITE_PAIR = {"nanplus": ("mu_plus", "nan"), "infminus": ("mu_minus", "-inf")}
+
+
+def _non_finite_pairs(omega, tmp_path) -> dict:
+    """The files of :data:`NON_FINITE_PAIR` made from the file ``omega``."""
+    names = {}
+    for name, (field, entry) in NON_FINITE_PAIR.items():
+        doc = json.loads(omega.read_text())
+        doc["fields"]["vertex"][field][7][1] = entry                    # vertex (1, 1)
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(doc))
+    return names
 
 
 @pytest.mark.parametrize("argv, message", BAD_INPUT.values(), ids=BAD_INPUT)
@@ -601,12 +622,43 @@ def test_bad_input_is_one_line_and_no_file(tmp_path, capsys, argv, message):
         doc = json.loads(names["net"].read_text())
         doc["fields"]["vertex"]["mu"][7] = row                          # vertex (1, 1)
         names[name].write_text(json.dumps(doc))
+    names.update(_non_finite_pairs(names["omega"], tmp_path))
     out = tmp_path / "out.json"
     capsys.readouterr()
     assert run(*(a.format(**names) for a in argv), "-o", out) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {message}"), err
     assert not out.exists()
+
+
+def test_dual_of_a_non_finite_pair_is_written(tmp_path, capsys):
+    # dual writes neither lift of the pair
+    omega = tmp_path / "omega.json"
+    assert run("gen", "omega", "--dims", "6x6", "--seed", 1, "-o", omega) == 0
+    for name, path in _non_finite_pairs(omega, tmp_path).items():
+        out = tmp_path / f"{name}_dual.json"
+        assert _stderr(capsys, "transform", "dual", "-i", path, "-o", out) == (0, [])
+        assert out.exists()
+
+
+def test_extreme_transform_parameters_print_no_warning(tmp_path, capsys):
+    # a tiny m overflows the norm of the Darboux base lifts, and a huge c
+    # the duality products of the associates: the same exit codes and
+    # lines as with the warnings, and no warning after them
+    iso, omega = tmp_path / "iso.json", tmp_path / "omega.json"
+    assert run("gen", "isothermic", "--dims", "6x6", "--seed", 1, "-o", iso) == 0
+    assert run("gen", "omega", "--dims", "6x6", "--seed", 1, "-o", omega) == 0
+    code, err = _stderr(capsys, "transform", "darboux", "--m", "1e-300", "-i", iso,
+                        "-o", tmp_path / "d.json")
+    assert (code, err) == (3, ["construction degeneracy: no admissible Darboux seed after 24 "
+                               "draws: rejected at seed draw 0, propagation 24, normalization 0, "
+                               "diagonal margin 0, Moutard 0, nullity 0; best diagonal "
+                               "margin -inf"])
+    code, err = _stderr(capsys, "transform", "associates", "--c", "1e308", "-i", omega,
+                        "-o", tmp_path / "a.json")
+    assert code == 1 and "omega.duality_fields" in err[-5] and "FAIL" in err[-5]
+    assert err[-2:] == ["overall: FAIL (14 checks, 1 skipped)",
+                        "transform output failed verification; not written"]
 
 
 @pytest.mark.parametrize("dims", ["1x5", "5x1"])

@@ -2,6 +2,7 @@
 references, and the Omega-net edge labels against the trace identity."""
 
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from dnet.errors import DegeneracyError, FormatError
 from dnet.forms import unpack_bivector, wedge_vec
 from dnet.grid import Grid
 from dnet.isothermic import christoffel_dual, random_isothermic
-from dnet.netfile import _LINES, _ROWS, NetFile, _decode_array
+from dnet.netfile import _LINES, _ROWS, NetFile, _array_text, _decode_array
 from dnet.pseudo_euclidean import Frame, Signature
 from tests import netfile_reference as ref
 
@@ -325,14 +326,25 @@ def test_nan_string_still_loads_as_nan(tmp_path):
     assert nf.edge_fields["m"][0] == -np.inf
 
 
-# -- numpy reader of the fields -------------------------------------------
+# -- block reader of the fields -------------------------------------------
 
 # more vertices than a block has lines: load reads the fields of such a
-# file in the writer's layout with numpy
+# file in the writer's layout one block of rows at a time
 BIG = Grid((46, 46))
 assert BIG.nverts > _LINES
-# rows of three numbers (5 lines each) and of one number per block
-MU_ROWS, M_ROWS = _LINES // 5, _LINES
+_RNG_BIG = np.random.default_rng(3)
+BIG_FIELDS = {"mu": _RNG_BIG.standard_normal((BIG.nverts, 3)),
+              "m": _RNG_BIG.standard_normal(BIG.nedges)}
+
+
+def _first_block_rows(arr) -> int:
+    """The rows of the first block the reader cuts from ``arr`` written as
+    a field of a net file."""
+    return len(fieldread._read_array(_array_text(arr, 3).encode(), 0)[0][0])
+
+
+# rows of three numbers and of one number in the first block
+MU_ROWS, M_ROWS = map(_first_block_rows, BIG_FIELDS.values())
 
 
 def _json_load(path) -> NetFile:
@@ -359,24 +371,21 @@ def _assert_loads_as_json(path):
     assert _outcome(lambda p: NetFile.load(str(p)), path) == _outcome(_json_load, path)
 
 
-# unique values at the first and last entries of the arrays and at each
-# side of the seam between their first two blocks
-SEAMS = {("mu", 0, 0): 7001.25, ("mu", MU_ROWS - 1, 2): 7002.25, ("mu", MU_ROWS, 0): 7003.25,
-         ("mu", BIG.nverts - 1, 2): 7004.25, ("m", 0): 7005.25, ("m", M_ROWS - 1): 7006.25,
-         ("m", M_ROWS): 7007.25, ("m", BIG.nedges - 1): 7008.25}
+# the values, each unique in the text, of the first and last entries of
+# the arrays and of each side of the seam between their first two blocks
+SEAMS = {(name, *at): float(BIG_FIELDS[name][tuple(at)])
+         for name, *at in (("mu", 0, 0), ("mu", MU_ROWS - 1, 2), ("mu", MU_ROWS, 0),
+                           ("mu", BIG.nverts - 1, 2), ("m", 0), ("m", M_ROWS - 1),
+                           ("m", M_ROWS), ("m", BIG.nedges - 1))}
 
 
 def _big_text(tmp_path, **vertex_fields) -> str:
     """The text of a file in the writer's layout over ``BIG``, with the
-    values of ``SEAMS`` in its ``mu`` and ``m`` fields."""
-    rng = np.random.default_rng(3)
-    fields = {"mu": rng.standard_normal((BIG.nverts, 3)), "m": rng.standard_normal(BIG.nedges)}
-    for (name, *at), value in SEAMS.items():
-        fields[name][tuple(at)] = value
+    ``mu`` and ``m`` fields of ``BIG_FIELDS``."""
     path = tmp_path / "writer.json"
     NetFile(signature=(2, 1), dims=BIG.dims, frame=_frame(),
-            vertex_fields={"mu": fields["mu"], **vertex_fields},
-            edge_fields={"m": fields["m"]}, metadata={"seed": 3}).save(str(path))
+            vertex_fields={"mu": BIG_FIELDS["mu"], **vertex_fields},
+            edge_fields={"m": BIG_FIELDS["m"]}, metadata={"seed": 3}).save(str(path))
     return path.read_text()
 
 
@@ -392,12 +401,12 @@ def test_decoder_table_in_the_writer_layout_loads_as_json(tmp_path, value):
     _assert_loads_as_json(path)
 
 
-# entries the writer writes, which numpy must read ...
+# entries the writer writes, which the block reader must read ...
 WRITER_ENTRIES = ["5e-324", "-5e-324", "-0.0", "0.0", "1e+16", "-2.5e-05", "1e400", "-1e400",
                   '"inf"', '"-inf"', '"nan"']
 # ... and entries it does not write, which must load as json reads them:
 # numbers json reads (the integer -0 as 0), entries json does not read
-# although np.fromstring does, and other text
+# and other text
 OTHER_ENTRIES = ["1", "0", "-0", "-1", "1e5", "1E5", "-0e0", "1.000000000000000000001",
                  "123456789012345678901234", "1" * 400,
                  "null", "true", "NaN", "1_000", "+1", ".5", "-.5", "1.", "1.e5", "01", "-01",
@@ -417,9 +426,13 @@ def test_entries_load_as_json(tmp_path, entry):
             assert fieldread.fast_document(str(path)) is not None
 
 
-# edits of the layout around entries, rows and the seam between blocks;
-# the numpy reader blanks brackets and skips blanks, so only the check of
-# the layout catches some of them
+def _squeezed(text: str) -> str:
+    return "".join(text.split())
+
+
+# edits of the layout around entries, rows and the seam between blocks:
+# json reads an edit of whitespace alone, block by block or whole, and no
+# other edit
 LAYOUT_EDITS = [("\n    ],\n    [", "\n    },\n    ["), ("\n    ],\n    [", "\n    [,\n    ]"),
                 ("\n    ],\n    [", "\n    ]\n    ["), ("\n    ],\n    [", "\n    ],,\n    ["),
                 ("\n    ],\n    [", "\n    ], \n    ["), ("\n    ],\n    [", "\n\t],\n    ["),
@@ -435,7 +448,7 @@ def test_layout_edits_load_as_json(tmp_path, old, new):
     for at in (mu, text.index(repr(SEAMS["mu", MU_ROWS - 1, 2]))):    # first rows, the seam
         path.write_text(text[:at] + text[at:].replace(old, new, 1))
         _assert_loads_as_json(path)
-        assert fieldread.fast_document(str(path)) is None
+        assert (fieldread.fast_document(str(path)) is None) == (_squeezed(old) != _squeezed(new))
 
 
 @pytest.mark.parametrize("new", ["\n    ", ",,\n    ", ", \n    ", ",\n     "])
@@ -445,7 +458,38 @@ def test_seam_edits_of_one_number_rows_load_as_json(tmp_path, new):
     path = tmp_path / "net.json"
     path.write_text(text[:at] + text[at:].replace(",\n    ", new, 1))
     _assert_loads_as_json(path)
-    assert fieldread.fast_document(str(path)) is None
+    assert (fieldread.fast_document(str(path)) is None) == (_squeezed(new) != ",")
+
+
+def test_the_first_blocks_end_at_the_seams(tmp_path):
+    # the values of SEAMS stand on both sides of the reader's first cuts
+    data = _big_text(tmp_path).encode()
+    mu, _ = fieldread._read_array(data, data.index(b'"mu": [') + 6)
+    m, _ = fieldread._read_array(data, data.index(b'"m": [') + 5)
+    assert len(mu[0]) == MU_ROWS and len(m[0]) == M_ROWS
+    assert (mu[0][-1, 2], mu[1][0, 0]) == (SEAMS["mu", MU_ROWS - 1, 2], SEAMS["mu", MU_ROWS, 0])
+    assert (m[0][-1], m[1][0]) == (SEAMS["m", M_ROWS - 1], SEAMS["m", M_ROWS])
+
+
+# whitespace that json skips, inside the arrays of the fields section:
+# every entry indented one space more, a tab before every entry and a
+# carriage return before the newline that ends every row but the last
+WHITESPACE = [(r"\n( {4,})([-0-9\"])", r"\n \1\2"), (r"\n( {4,})([-0-9\"])", "\n\\1\t\\2"),
+              (r",\n( {4}\S)", ",\r\n\\1")]
+
+
+@pytest.mark.parametrize("pattern, new", WHITESPACE, ids=["indent", "tab", "cr"])
+def test_whitespace_in_the_arrays_reads_as_the_writer_file(tmp_path, pattern, new):
+    text = _big_text(tmp_path)
+    head, tail = text.index('"fields": {'), text.index('"float_encoding"')
+    path = tmp_path / "net.json"
+    path.write_text(text[:head] + re.sub(pattern, new, text[head:tail]) + text[tail:],
+                    newline="")
+    assert path.read_bytes() != text.encode()
+    got, want = (fieldread.fast_document(str(p)) for p in (path, tmp_path / "writer.json"))
+    for kind, name in (("vertex", "mu"), ("edge", "m")):
+        assert got["fields"][kind][name].tobytes() == want["fields"][kind][name].tobytes()
+    _assert_loads_as_json(path)
 
 
 def test_sections_out_of_order_load_as_json(tmp_path):
@@ -460,8 +504,8 @@ def test_sections_out_of_order_load_as_json(tmp_path):
 
 def test_rows_of_lists_of_lists_read_whole(tmp_path):
     cube = np.random.default_rng(4).standard_normal((BIG.nverts, 2, 3))
-    seam = _LINES // 12                 # rows of 2 x 3 numbers: 12 lines each
-    cube[seam - 1:seam + 1] = [[[-0.0, np.inf, np.nan], [5e-324, -1e300, 0.5]]] * 2
+    # every other row, so one side of every seam between blocks
+    cube[::2] = [[-0.0, np.inf, np.nan], [5e-324, -1e300, 0.5]]
     path = tmp_path / "net.json"
     path.write_text(_big_text(tmp_path, cube=cube))
     got = fieldread.fast_document(str(path))["fields"]["vertex"]["cube"]
