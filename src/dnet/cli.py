@@ -314,7 +314,7 @@ def cmd_export(args) -> int:
         lines = [f"# dnet export: field {args.field}, dims {list(nf.dims)}"]
         for row in field:
             lines.append("v " + " ".join(f"{v:.17g}" for v in row))
-        lines += [f"f {i} {j} {k} {l}" for i, j, k, l in g.quad_vertices + 1]
+        lines += [f"f {i} {j} {k} {l}" for i, j, k, l in g.corners() + 1]
     else:
         cols = ",".join(f"{args.field}_{k}" for k in range(field.shape[1]))
         lines = [f"vertex,{cols}"]

@@ -180,12 +180,12 @@ def exterior_derivative(form):
 def _quad_edge_sum(grid: Grid, values: np.ndarray, quads=slice(None)) -> np.ndarray:
     """The quad sums of an edge array on canonical orientations: d of a
     1-form's values, on the quads ``quads`` (all by default)."""
-    qe = grid.quad_edges[quads]
+    qe = grid.sides(quads)
     return values[qe[:, 0]] + values[qe[:, 1]] - values[qe[:, 2]] - values[qe[:, 3]]
 
 
 def _quad_vertex_sum(grid: Grid, values: np.ndarray) -> np.ndarray:
-    qv = grid.quad_vertices
+    qv = grid.corners()
     return values[qv[:, 0]] + values[qv[:, 1]] + values[qv[:, 2]] + values[qv[:, 3]]
 
 
@@ -208,17 +208,19 @@ def wedge(a, b, rule: BilinearRule):
     if (k, m) == (0, 0):
         return Form0(grid, rule(a.values, b.values))
     if (k, m) == (0, 1):
-        avg = a.values[grid.edge_tail] + a.values[grid.edge_head]
+        tail, head = grid.ends()
+        avg = a.values[tail] + a.values[head]
         return Form1(grid, 0.5 * rule(avg, b.values))
     if (k, m) == (1, 0):
-        avg = b.values[grid.edge_tail] + b.values[grid.edge_head]
+        tail, head = grid.ends()
+        avg = b.values[tail] + b.values[head]
         return Form1(grid, 0.5 * rule(a.values, avg))
     if (k, m) == (0, 2):
         return Form2(grid, 0.25 * rule(_quad_vertex_sum(grid, a.values), b.values))
     if (k, m) == (2, 0):
         return Form2(grid, 0.25 * rule(a.values, _quad_vertex_sum(grid, b.values)))
 
-    qe, av, bv = grid.quad_edges, a.values, b.values
+    qe, av, bv = grid.sides(), a.values, b.values
     return Form2(grid, _one_form_product(rule, lambda n: av[qe[:, n]],
                                          lambda n: bv[qe[:, n]]))
 

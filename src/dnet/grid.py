@@ -17,12 +17,16 @@ Conventions
   canonical cyclic order of a quad is ``(i, j, k, l)`` with
   ``j = i + e_a``, ``k = i + e_a + e_b``, ``l = i + e_b``.
 
-Grids and their cached enumerations are immutable after construction,
-so instances can be shared freely between threads.
+A grid stores no enumeration: every index comes from arithmetic on
+``dims`` and ``strides`` for the indices a caller asks for, so a grid
+holds a few numbers at any size, is immutable after construction and can
+be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -55,8 +59,29 @@ def check_dims(dims, stacked: bool = False) -> tuple:
     return dims
 
 
+def _table(build, doc: str):
+    """A read-only property: the index table ``build(grid)`` over every
+    index, built anew on each read; nothing is cached on the grid."""
+    def get(grid):
+        table = build(grid)
+        table.setflags(write=False)
+        return table
+    return property(get, doc=doc)
+
+
 class Grid:
-    """Axis-aligned box domain in Z^N."""
+    """Axis-aligned box domain in Z^N.
+
+    A grid holds its ``dims``, ``strides`` and counts, and no index
+    table: the ends and axis of an edge, the slot of an edge, and the
+    corners, vertices and edges of a quad are arithmetic on the indices
+    a caller asks for (a slice, or a non-negative index array of any
+    shape).  The whole-grid tables :attr:`vertex_coords`,
+    :attr:`edge_tail`, :attr:`edge_head`, :attr:`edge_axis`,
+    :attr:`edge_slots`, :attr:`quad_corner`, :attr:`quad_axes`,
+    :attr:`quad_vertices` and :attr:`quad_edges` are the same arithmetic
+    over every index, built on each read.
+    """
 
     def __init__(self, dims, stacked: bool = False):
         self.dims = dims = check_dims(dims, stacked)
@@ -68,60 +93,150 @@ class Grid:
         for a in range(self.ndim - 2, -1, -1):
             strides[a] = strides[a + 1] * dims[a + 1]
         self.strides = strides
+        # The canonical edges, grouped by axis, and the canonical quads,
+        # grouped by axis pair (a, b), a < b: where each group starts.
+        edges = [self.nverts // n * (n - 1) for n in dims]
+        self._pairs = np.array([(a, b) for a in range(self.ndim)
+                                for b in range(a + 1, self.ndim)], dtype=int).reshape(-1, 2)
+        quads = [self.nverts // (dims[a] * dims[b]) * (dims[a] - 1) * (dims[b] - 1)
+                 for a, b in self._pairs.tolist()]
+        self._edge_start = list(itertools.accumulate(edges, initial=0))
+        self._quad_start = list(itertools.accumulate(quads, initial=0))
+        self.nedges, self.nquads = sum(edges), sum(quads)
 
-        self.vertex_coords = np.indices(dims).reshape(self.ndim, -1).T
-        self.vertex_coords.setflags(write=False)
+    # -- index arithmetic --------------------------------------------
 
-        # Canonical edges, grouped by axis.
-        tails, axes = [], []
-        for a in range(self.ndim):
-            mask = self.vertex_coords[:, a] < dims[a] - 1
-            idx = np.nonzero(mask)[0]
-            tails.append(idx)
-            axes.append(np.full(len(idx), a, dtype=int))
-        self.edge_tail = np.concatenate(tails) if tails else np.zeros(0, int)
-        self.edge_axis = np.concatenate(axes) if axes else np.zeros(0, int)
-        self.edge_head = self.edge_tail + strides[self.edge_axis]
-        self.nedges = len(self.edge_tail)
-        # edge_slots[v, a] is the slot of edge (v, a), -1 where v + e_a
-        # leaves the box
-        self.edge_slots = np.full((self.nverts, self.ndim), -1, dtype=int)
-        self.edge_slots[self.edge_tail, self.edge_axis] = np.arange(self.nedges)
+    def coordinates(self, vertices) -> np.ndarray:
+        """The coordinates of the vertices ``vertices``, on a new last axis."""
+        return np.asarray(vertices)[..., None] // self.strides % self.dims
 
-        # Canonical quads, grouped by axis pair (a, b), a < b.
-        corners, qaxes = [], []
-        for a in range(self.ndim):
-            for b in range(a + 1, self.ndim):
-                mask = (self.vertex_coords[:, a] < dims[a] - 1) & (
-                    self.vertex_coords[:, b] < dims[b] - 1
-                )
-                idx = np.nonzero(mask)[0]
-                corners.append(idx)
-                qaxes.append(np.tile([a, b], (len(idx), 1)))
-        if corners:
-            self.quad_corner = np.concatenate(corners)
-            self.quad_axes = np.concatenate(qaxes, axis=0)
-        else:
-            self.quad_corner = np.zeros(0, int)
-            self.quad_axes = np.zeros((0, 2), int)
-        self.nquads = len(self.quad_corner)
+    def _group(self, index, starts: list):
+        """``(offset, group)`` of the indices ``index`` among the groups
+        that begin at ``starts``: the edge axes or the quad axis pairs.
+        ``group`` is an int where one group holds every index."""
+        if isinstance(index, slice):
+            r = range(*index.indices(starts[-1]))
+            first, last = (bisect.bisect(starts, x) - 1 for x in (r[0], r[-1])) if r else (0, 1)
+            if first == last:
+                return np.arange(r.start - starts[first], r.stop - starts[first], r.step), first
+            index = np.arange(r.start, r.stop, r.step)
+        i = np.asarray(index)
+        if i.size:
+            first, last = (bisect.bisect(starts, x) - 1 for x in (i.min(), i.max()))
+            if first == last:
+                return i - starts[first], first
+        group = np.searchsorted(starts[1:-1], i, side="right")
+        return i - np.asarray(starts)[group], group
 
-        sa = strides[self.quad_axes[:, 0]] if self.nquads else np.zeros(0, int)
-        sb = strides[self.quad_axes[:, 1]] if self.nquads else np.zeros(0, int)
-        i = self.quad_corner
-        self.quad_vertices = np.stack([i, i + sa, i + sa + sb, i + sb], axis=1)
-        # Boundary edges in canonical slots: bottom (i,a), right (j,b),
-        # top (l,a), left (i,b).  The oriented boundary of (i,j,k,l) is
-        # bottom + right - top - left.
-        qa, qb = self.quad_axes[:, 0], self.quad_axes[:, 1]
-        qv = self.quad_vertices
-        self.quad_edges = self.edge_slots[
-            np.stack([qv[:, 0], qv[:, 1], qv[:, 3], qv[:, 0]], axis=1),
-            np.stack([qa, qb, qa, qb], axis=1)]
-        for arr in (self.edge_tail, self.edge_head, self.edge_axis,
-                    self.edge_slots, self.quad_corner, self.quad_axes,
-                    self.quad_vertices, self.quad_edges):
-            arr.setflags(write=False)
+    def _edge(self, edges):
+        """``(tail, axis, stride of axis)`` of the canonical edges ``edges``.
+
+        The ``k``-th edge along axis ``a`` runs from the ``k``-th vertex
+        whose coordinate ``a`` is not the last: ``k`` plus one stride
+        ``s`` per whole run of ``(dims[a] - 1) s`` such vertices."""
+        k, a = self._group(edges, self._edge_start)
+        s = _at(self.strides, a)
+        return (k if _first(a) else _skip(k, s, (_at(self.dims, a) - 1) * s)), a, s
+
+    def edge(self, edges=slice(None)):
+        """``(tail, axis)`` of the canonical edges ``edges``."""
+        tail, a, _ = self._edge(edges)
+        return tail, np.full(tail.shape, a) if np.ndim(a) == 0 else a
+
+    def ends(self, edges=slice(None)):
+        """``(tail, head)`` of the canonical edges ``edges``."""
+        tail, _, s = self._edge(edges)
+        return tail, tail + s
+
+    def slot(self, vertices, axes) -> np.ndarray:
+        """The slot of edge ``(vertex, axis)`` (broadcast), -1 where
+        ``vertex + e_axis`` leaves the box."""
+        v, a = np.asarray(vertices), np.asarray(axes)
+        n = _at(self.dims, a)
+        return np.where(v // _at(self.strides, a) % n < n - 1, self._slots(v, a), -1)
+
+    def _slots(self, v, a, out=None):
+        """:meth:`slot` where ``v + e_a`` lies in the box: ``v`` less one
+        stride ``s`` per whole run of ``dims[a] s`` vertices before it;
+        written into ``out`` when given, which may be ``v``."""
+        if _first(a):
+            return np.add(v, 0, out=out)
+        s = _at(self.strides, a)
+        shift = v // (_at(self.dims, a) * s)
+        shift *= -s
+        shift += _at(self._edge_start, a)
+        return np.add(v, shift, out=out)
+
+    def _quad(self, quads):
+        """``(corner, a, b, stride of a, stride of b)`` of the canonical
+        quads ``quads``.
+
+        The corners of pair ``(a, b)`` are the vertices whose coordinates
+        ``a`` and ``b`` are not the last: the count of :meth:`_edge` along
+        ``a`` in the box whose extent ``b`` is one less, then along ``b``."""
+        k, p = self._group(quads, self._quad_start)
+        a, b = _at(self._pairs[:, 0], p), _at(self._pairs[:, 1], p)
+        na, nb = _at(self.dims, a), _at(self.dims, b)
+        sa, sb = _at(self.strides, a), _at(self.strides, b)
+        sa_b = sa // nb * (nb - 1)
+        k = k if _first(a) else _skip(k, sa_b, (na - 1) * sa_b)
+        return _skip(k, sb, (nb - 1) * sb), a, b, sa, sb
+
+    def quad(self, quads=slice(None)):
+        """``(corner, a, b)`` of the canonical quads ``quads``."""
+        i, a, b, _, _ = self._quad(quads)
+        return i, *(np.full(i.shape, x) if np.ndim(x) == 0 else x for x in (a, b))
+
+    def corners(self, quads=slice(None)) -> np.ndarray:
+        """The vertices ``i, j, k, l`` of the quads ``quads`` on a new last
+        axis: ``j = i + e_a``, ``k = i + e_a + e_b``, ``l = i + e_b``."""
+        i, _, _, sa, sb = self._quad(quads)
+        out = np.empty(np.shape(i) + (4,), dtype=int)
+        out[..., 0] = i
+        np.add(i, sa, out=out[..., 1])
+        np.add(out[..., 1], sb, out=out[..., 2])
+        np.add(i, sb, out=out[..., 3])
+        return out
+
+    def sides(self, quads=slice(None)) -> np.ndarray:
+        """The boundary edges of the quads ``quads`` in canonical slots on a
+        new last axis: bottom (i,a), right (j,b), top (l,a), left (i,b).
+        The oriented boundary of (i,j,k,l) is bottom + right - top - left.
+
+        A step along ``b`` (below ``a``) moves the slot along ``a`` by
+        ``s_b``, and a step along ``a`` moves the slot along ``b`` by
+        ``s_a`` less the ``s_a / dims[b]`` vertices it skips."""
+        i, a, b, sa, sb = self._quad(quads)
+        out = np.empty(np.shape(i) + (4,), dtype=int)
+        bottom, right, top, left = (out[..., n] for n in range(4))
+        self._slots(i, a, out=bottom)
+        self._slots(i, b, out=left)
+        np.add(left, sa - sa // _at(self.dims, b), out=right)
+        np.add(bottom, sb, out=top)
+        return out
+
+    def side_ends(self, quads=slice(None)):
+        """``(tail, head)`` of the :meth:`sides` of the quads ``quads``, each
+        with the four sides on a new first axis: ``i -> j``, ``j -> k``,
+        ``l -> k`` and ``i -> l`` of their :meth:`corners`."""
+        c = np.moveaxis(self.corners(quads), -1, 0)
+        return c[[0, 1, 3, 0]], c[[1, 2, 2, 3]]
+
+    vertex_coords = _table(lambda g: g.coordinates(np.arange(g.nverts)),
+                           "``(nverts, ndim)`` coordinates of every vertex.")
+    edge_tail = _table(lambda g: g.edge()[0], "Tail vertex of every canonical edge.")
+    edge_head = _table(lambda g: g.ends()[1], "Head vertex of every canonical edge.")
+    edge_axis = _table(lambda g: g.edge()[1], "Axis of every canonical edge.")
+    edge_slots = _table(lambda g: g.slot(np.arange(g.nverts)[:, None], np.arange(g.ndim)),
+                        "``(nverts, ndim)``: the slot of edge (v, a), -1 where v + e_a "
+                        "leaves the box.")
+    quad_corner = _table(lambda g: g.quad()[0], "Corner vertex of every canonical quad.")
+    quad_axes = _table(lambda g: np.stack(g.quad()[1:], axis=-1),
+                       "``(nquads, 2)`` axis pair (a, b), a < b, of every canonical quad.")
+    quad_vertices = _table(lambda g: g.corners(), "``(nquads, 4)``: :meth:`corners` of "
+                                                  "every canonical quad.")
+    quad_edges = _table(lambda g: g.sides(), "``(nquads, 4)``: :meth:`sides` of every "
+                                             "canonical quad.")
 
     # -- bookkeeping -------------------------------------------------
 
@@ -130,28 +245,32 @@ class Grid:
         return f"Grid({list(self.dims)}{tag})"
 
     def coords(self, vertex: int):
-        return tuple(int(c) for c in self.vertex_coords[vertex])
+        return tuple(int(c) for c in np.unravel_index(int(vertex), self.dims))
 
     def locate_edge(self, e: int) -> dict:
+        tail, axis = self.edge(int(e))
         return {
             "kind": "edge",
             "index": int(e),
-            "tail": self.coords(int(self.edge_tail[e])),
-            "axis": int(self.edge_axis[e]),
+            "tail": self.coords(tail),
+            "axis": int(axis),
         }
 
     def locate_quad(self, q: int) -> dict:
+        corner, a, b = self.quad(int(q))
         return {
             "kind": "quad",
             "index": int(q),
-            "corner": self.coords(int(self.quad_corner[q])),
-            "axes": tuple(int(a) for a in self.quad_axes[q]),
+            "corner": self.coords(corner),
+            "axes": (int(a), int(b)),
         }
 
     def edge_difference(self, values: np.ndarray, edges=slice(None)) -> np.ndarray:
         """``values[head] - values[tail]`` on the canonical edges ``edges``
-        (a slice or an index array of any shape), all of them by default."""
-        return values[self.edge_head[edges]] - values[self.edge_tail[edges]]
+        (a slice or an index array of any shape), all of them by default,
+        or on the edges whose ``(tail, head)`` are given."""
+        tail, head = self.ends(edges) if not isinstance(edges, tuple) else edges
+        return values[head] - values[tail]
 
     # -- staircase spanning tree -------------------------------------
 
@@ -165,22 +284,67 @@ class Grid:
         last axis first); parents lie in earlier levels, and there are at
         most ``sum(dims)`` levels.  ``sign`` is +1 where parent -> child
         runs along the canonical edge orientation.
+
+        The levels come by axis, then by distance.  The children at
+        distance ``k`` along axis ``a`` are the vertices of ``lower``, the
+        box of the lower axes through the base in its own tree order (the
+        base first), moved by ``-k`` and ``+k`` along ``a`` where they stay
+        in the box: both up to the nearer face, then the one toward the
+        far face.  The levels of one axis are built a block of at most
+        :data:`_EDGE_BLOCK` children at a time.
         """
         if not 0 <= base < self.nverts:
             raise ValueError(f"base vertex {base} out of range")
-        delta = self.vertex_coords - self.vertex_coords[base]
-        dist = np.abs(delta)
-        child = np.lexsort(dist.T)[1:]        # stable, and the base sorts first
-        if not len(child):
-            return []
-        axis = self.ndim - 1 - np.argmax(dist[child, ::-1] > 0, axis=1)
-        sign = np.where(delta[child, axis] > 0, 1, -1)
-        parent = child - sign * self.strides[axis]
-        slot = self.edge_slots[np.where(sign > 0, parent, child), axis]
-        step = dist[child, axis]
-        cuts = [0, *(np.flatnonzero((np.diff(axis) != 0) | (np.diff(step) != 0)) + 1).tolist(),
-                len(child)]
-        return [(child[a:b], parent[a:b], slot[a:b], sign[a:b]) for a, b in zip(cuts, cuts[1:])]
+        levels, at = [], self.coordinates(base).tolist()
+        lower = np.full(1, base)
+        for a, (n, s) in enumerate(zip(self.dims, self.strides.tolist())):
+            near, far = sorted((at[a], n - 1 - at[a]))
+            layers = [lower]
+            # (first distance, last distance + 1, the sides of one level)
+            for k0, k1, sides in ((1, near + 1, [-1, 1]),
+                                  (near + 1, far + 1, [1 if at[a] == near else -1])):
+                size = len(lower) * len(sides)
+                chunk = max(1, _EDGE_BLOCK // size)
+                sign = np.tile(sides, chunk * len(lower))
+                for c0 in range(k0, k1, chunk):
+                    # the levels' arrays before their values, which are
+                    # written in place: the call holds one block above them
+                    move = np.multiply.outer(np.arange(c0, min(c0 + chunk, k1)), sides) * s
+                    block = np.empty((3, len(move), len(lower), len(sides)), dtype=int)
+                    child, parent, slot = block.reshape(3, -1)
+                    sg = sign[:len(child)]
+                    levels += [(child[i:i + size], parent[i:i + size], slot[i:i + size],
+                                sg[i:i + size]) for i in range(0, len(child), size)]
+                    np.add(lower[:, None], move[:, None], out=block[0])
+                    np.subtract(block[0], np.multiply(sides, s), out=block[1])
+                    # the tail of the edge between the two
+                    np.subtract(block[0], np.multiply(np.greater(sides, 0), s), out=block[2])
+                    self._slots(slot, a, out=slot)
+                    layers.append(child)
+            if a < self.ndim - 1:
+                lower = np.concatenate(layers)
+        return levels
+
+
+def _skip(k, step, run):
+    """``k`` plus ``step`` per whole run of ``run`` indices before it (in
+    place where ``k`` is an array); a run of 0 holds no index."""
+    q = k // (np.maximum(run, 1) if np.ndim(run) else max(run, 1))
+    q *= step
+    k += q
+    return k
+
+
+def _first(group) -> bool:
+    """Whether ``group`` is the first axis as an int: one run along it
+    holds every index, so its skips leave the indices as they are."""
+    return isinstance(group, int) and group == 0
+
+
+def _at(values, group):
+    """``values[group]``: an int of a sequence of ints where ``group`` is
+    an int, else an array."""
+    return int(values[group]) if isinstance(group, int) else np.asarray(values)[group]
 
 
 def stack(grid: Grid) -> Grid:
@@ -251,7 +415,7 @@ def holonomy(grid: Grid, gamma, park=lambda edges, block: None) -> np.ndarray:
     done, kept = np.zeros(0, int), None     # the block before: its edges, transports
     try:
         for b in quad_blocks(grid):
-            qe = grid.quad_edges[b]
+            qe = grid.sides(b)
             # one block holds every quad, and so every edge
             edges, local = ((np.arange(grid.nedges), qe) if len(qe) == grid.nquads
                             else np.unique(qe, return_inverse=True))
@@ -341,7 +505,9 @@ def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
     Once the check passes, one :func:`blocks` block of vertices at a time
     turns each into the inverse of the step from its parent, and the
     level walk turns ``T`` into the result in place; so each transport
-    is built once and no ``(nedges, k, k)`` array is held.
+    is built once and no ``(nedges, k, k)`` array is held.  Which edges
+    are tree edges, and which steps run backwards, is arithmetic on the
+    indices of each block.
     """
     if not callable(gamma):
         gamma = np.asarray(gamma, float)
@@ -349,16 +515,22 @@ def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
             raise ValueError("gamma must be (nedges, k, k)")
         gamma = gamma.__getitem__
     levels = grid.staircase_tree(base)
-    # the child of each tree edge, and whether the walk runs it backwards
-    child_of, backward = np.full(grid.nedges, -1), np.zeros(grid.nverts, bool)
-    for child, _, slot, sign in levels:
-        child_of[slot], backward[child] = child, sign < 0
+    at = grid.coordinates(base)
     k = gamma(np.zeros(0, int)).shape[-1]
     T = np.empty((grid.nverts, k, k))
 
     def park(edges, block):
-        child = child_of[edges]
-        T[child[child >= 0]] = block[child >= 0]
+        # the sorted edges of each axis a: a tree edge agrees with the base
+        # on the axes after a (its slot offset modulo the stride s of a),
+        # and its child is the end farther from the base along a
+        cuts = [0, *np.searchsorted(edges, grid._edge_start[1:-1]).tolist(), len(edges)]
+        for a, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            e, part, s = edges[lo:hi], block[lo:hi], int(grid.strides[a])
+            if s > 1:                       # every edge of the last axis is one
+                tree = (e - grid._edge_start[a]) % s == base % s
+                e, part = e[tree], part[tree]
+            tail, head = grid.ends(e)
+            T[np.where(tail // s % grid.dims[a] >= at[a], head, tail)] = part
 
     res, q = worst(holonomy(grid, gamma, park))
     if not res <= tol:
@@ -366,9 +538,15 @@ def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
             f"connection is not flat: quad residual {res:.3e} > {tol:.1e}",
             where=grid.locate_quad(q), residual=res)
     T[base] = np.eye(k)                     # its inverse is itself, bit for bit
+    # the step from the parent runs backwards where the vertex lies below
+    # the base along the last axis where they differ: where it comes before
+    # the base in the order that reads coordinates from the last axis
+    order = np.cumprod([1, *grid.dims[:-1]])
+    below = int(at @ order)                 # the vertices before the base
     for v in blocks(grid.nverts):
-        step, back = T[v], backward[v]      # Gamma_{child, parent}
-        if back.any():
+        step = T[v]                         # Gamma_{child, parent}
+        back = below and grid.coordinates(np.arange(v.start, v.stop)) @ order < below
+        if np.any(back):
             step[back] = np.linalg.inv(step[back])
         T[v] = np.linalg.inv(step)
     for child, parent, _, _ in levels:

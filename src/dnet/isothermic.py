@@ -83,13 +83,15 @@ class IsothermicNet:
         self.edge_ip, self.labels = np.empty(n), np.empty(n)
         self.is_infinite = np.empty(n, bool)
         # in blocks, so that the gathered lifts of the edge ends stay one
-        # block in size
-        for e in blocks(grid.nedges):
-            mt, mh = self.mu[grid.edge_tail[e]], self.mu[grid.edge_head[e]]
-            ip = self.edge_ip[e] = signature.inner(mt, mh)
-            scale = np.linalg.norm(mt, axis=1) * np.linalg.norm(mh, axis=1)
-            inf = self.is_infinite[e] = np.abs(ip) <= INF_LABEL_THRESHOLD * scale
-            with np.errstate(divide="ignore"):
+        # block in size; lifts too large to multiply give inf or NaN
+        # without a warning
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for e in blocks(grid.nedges):
+                tail, head = grid.ends(e)
+                mt, mh = self.mu[tail], self.mu[head]
+                ip = self.edge_ip[e] = signature.inner(mt, mh)
+                scale = np.linalg.norm(mt, axis=1) * np.linalg.norm(mh, axis=1)
+                inf = self.is_infinite[e] = np.abs(ip) <= INF_LABEL_THRESHOLD * scale
                 self.labels[e] = np.where(inf, INFINITE, 1.0 / np.where(inf, 1.0, ip))
         for arr in (self.edge_ip, self.is_infinite, self.labels):
             arr.setflags(write=False)
@@ -98,7 +100,8 @@ class IsothermicNet:
     def eta(self) -> np.ndarray:
         """Packed ``eta_ji = mu_j ^ mu_i`` on every canonical edge, a new
         array on each read."""
-        return wedge_vec(self.mu[self.grid.edge_head], self.mu[self.grid.edge_tail])
+        tail, head = self.grid.ends()
+        return wedge_vec(self.mu[head], self.mu[tail])
 
     def nearest_label(self, t: float):
         """``(|m - t|, edge)`` of the finite edge label ``m`` nearest ``t``, ``(inf,
@@ -112,26 +115,33 @@ class IsothermicNet:
     def validate(self, margin: float = 1e-6) -> dict:
         """Residuals of the full isothermic invariant suite.
 
-        The per-quad residuals go one :func:`dnet.grid.quad_blocks` block
-        at a time: the Moutard residuals fill an array over the quads, and
-        the others fold over the blocks with ``np.maximum`` and
-        ``np.minimum``, so NaN propagates and every value has the bits of
-        one pass.  ``worst_quad`` names the first non-finite Moutard quad
-        if there is one.
+        The nullity goes one :func:`dnet.grid.blocks` block of vertices
+        at a time and the per-quad residuals one
+        :func:`dnet.grid.quad_blocks` block at a time: the Moutard
+        residuals fill an array over the quads, and the others fold over
+        the blocks with ``np.maximum`` and ``np.minimum``, so NaN
+        propagates and every value has the bits of one pass.  Lifts too
+        large to square give infinite or NaN residuals without a warning.
+        ``worst_quad`` names the first non-finite Moutard quad if there is
+        one.
         """
         g, sig, mu = self.grid, self.signature, self.mu
-        nullity = float(np.abs(rel(sig.norm2(mu), np.sum(mu * mu, axis=1))).max())
-        moutard = np.empty(g.nquads)
+        nullity, moutard = 0.0, np.empty(g.nquads)
         label_rel, diag, opp = 0.0, np.inf, np.inf
-        for b in quad_blocks(g):
-            mq = mu[g.quad_vertices[b]]             # (block, 4, dim): i, j, k, l
-            moutard[b] = sin_angle(mq[:, 2] - mq[:, 0], mq[:, 3] - mq[:, 1])
-            ips = self.edge_ip[g.quad_edges[b]]     # ij, jk, lk, il
-            label_rel = np.maximum(label_rel, rel(np.maximum(np.abs(ips[:, 0] - ips[:, 2]),
-                                                             np.abs(ips[:, 3] - ips[:, 1])),
-                                                  np.abs(ips).max(axis=1)).max())
-            d, o = _quad_margins(sig, mq, np.linalg.norm(mq, axis=-1), ips)
-            diag, opp = np.minimum(diag, d.min()), np.minimum(opp, o.min())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in blocks(g.nverts):
+                nullity = np.maximum(nullity, np.abs(rel(sig.norm2(mu[v]),
+                                                         np.sum(mu[v] * mu[v], axis=1))).max())
+            for b in quad_blocks(g):
+                mq = mu[g.corners(b)]               # (block, 4, dim): i, j, k, l
+                moutard[b] = sin_angle(mq[:, 2] - mq[:, 0], mq[:, 3] - mq[:, 1])
+                ips = self.edge_ip[g.sides(b)]      # ij, jk, lk, il
+                label_rel = np.maximum(label_rel, rel(
+                    np.maximum(np.abs(ips[:, 0] - ips[:, 2]), np.abs(ips[:, 3] - ips[:, 1])),
+                    np.abs(ips).max(axis=1)).max())
+                d, o = _quad_margins(sig, mq, np.linalg.norm(mq, axis=-1), ips)
+                diag, opp = np.minimum(diag, d.min()), np.minimum(opp, o.min())
+        nullity = float(nullity)
         moutard, quad = worst(moutard)
         label_rel = float(label_rel)
         # both quad margins are 0 on a grid without quads
@@ -170,14 +180,14 @@ def _margins(grid: Grid, signature: Signature, mu: np.ndarray):
     grid without quads.
     """
     ip = signature.inner
-    t, h = grid.edge_tail, grid.edge_head
+    t, h = grid.ends()
     norms = np.linalg.norm(mu, axis=-1)
     edge_ip = ip(mu[:, t], mu[:, h])
     edge = cos_angle(edge_ip, norms[:, t], norms[:, h]).min(axis=1, initial=np.inf)
     if grid.nquads == 0:
         return edge, np.zeros(len(mu)), np.zeros(len(mu))
-    diag, opp = _quad_margins(signature, mu[:, grid.quad_vertices],
-                              norms[:, grid.quad_vertices], edge_ip[:, grid.quad_edges])
+    qv = grid.corners()
+    diag, opp = _quad_margins(signature, mu[:, qv], norms[:, qv], edge_ip[:, grid.sides()])
     return edge, diag.min(axis=1), opp.min(axis=1)
 
 
@@ -395,27 +405,30 @@ def _check_spectrum(net: IsothermicNet, t: float):
                                      where=net.grid.locate_edge(e))
 
 
-def _transports(net: IsothermicNet, t: float, edges: np.ndarray) -> np.ndarray:
+def _transports(net: IsothermicNet, t: float, edges: np.ndarray, out=None) -> np.ndarray:
     """The transports of Gamma(t) on the canonical edges ``edges``, given
-    in increasing order; an error names the first degenerate one."""
+    in increasing order, written into ``out`` when it is given; an error
+    names the first degenerate one.  Where an edge is isotropic, the
+    finite transports are built in one temporary and copied in."""
     g, sig, d = net.grid, net.signature, net.signature.dim
     inf = net.is_infinite[edges]
     fin = edges[~inf]
+    out = np.empty((len(edges), d, d)) if out is None else out
     if t == 0.0:
-        eigen = np.eye(d)
+        out[~inf] = np.eye(d)
     else:
+        tail, head = g.ends(fin)
         try:
-            eigen = gamma_lambda(net.mu[g.edge_tail[fin]], net.mu[g.edge_head[fin]],
-                                 1.0 - t / net.labels[fin], sig)
+            eigen = gamma_lambda(net.mu[tail], net.mu[head], 1.0 - t / net.labels[fin], sig,
+                                 out=None if inf.any() else out)
         except DegeneracyError as err:
             err.where = g.locate_edge(int(fin[err.where]))
             raise
         if not inf.any():
-            return eigen
-    out = np.empty((len(edges), d, d))
-    out[~inf] = eigen
-    e = edges[inf]
-    eta = wedge_vec(net.mu[g.edge_head[e]], net.mu[g.edge_tail[e]])
+            return out
+        out[~inf] = eigen
+    tail, head = g.ends(edges[inf])
+    eta = wedge_vec(net.mu[head], net.mu[tail])
     out[inf] = np.eye(d) + t * action_matrix(unpack_bivector(eta, d), sig)
     return out
 
@@ -428,14 +441,14 @@ def flat_connection(net: IsothermicNet, t: float) -> np.ndarray:
     isotropic edges it is ``exp(t eta_ji) = I + t eta_ji``.  ``t`` must
     avoid all finite labels.  Entry ``e`` maps the fiber at the tail of
     canonical edge ``e`` to the fiber at its head.  The transports are
-    built one :func:`dnet.grid.blocks` block of edges at a time, so that
-    their temporaries stay one block in size.
+    built one :func:`dnet.grid.blocks` block of edges at a time, in place
+    in the result, so that their temporaries stay one block in size.
     """
     g, d = net.grid, net.signature.dim
     _check_spectrum(net, t)
     out = np.empty((g.nedges, d, d))
     for b in blocks(g.nedges):
-        out[b] = _transports(net, t, np.arange(b.start, b.stop))
+        _transports(net, t, np.arange(b.start, b.stop), out[b])
     return out
 
 
@@ -560,7 +573,10 @@ def _darboux_start(net: IsothermicNet, m: float, seed, base: int, min_denom: flo
         return seed
     if abs(s0) < min_denom:
         raise ValueError("Darboux seed orthogonal to the net at the base")
-    return seed / (m * s0)
+    # a tiny m overflows the lift to inf, which the march and the quality
+    # screens reject
+    with np.errstate(over="ignore"):
+        return seed / (m * s0)
 
 
 def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
@@ -606,14 +622,16 @@ def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
 def _pair_quality(net: IsothermicNet, hat: IsothermicNet, margin: float) -> dict:
     """Quality report of a Darboux pair without building the stack (the
     grid may itself already be stacked); a grid without quads has only
-    the vertical diagonal margins."""
+    the vertical diagonal margins.  Lifts too large to multiply (those of
+    a tiny ``m``) give NaN or infinite margins without a warning."""
     rep = hat.validate(margin=margin)
     g = net.grid
-    vert_diag = vertical_diagonal_margin(g, hat.mu, net.mu, net.signature)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vert_diag = vertical_diagonal_margin(g, hat.mu, net.mu, net.signature)
+        vert_moutard = vertical_moutard(g, hat.mu, net.mu)
     return {
         "nullity": rep["nullity"],
-        "moutard": max(rep["moutard"],
-                       float(vertical_moutard(g, hat.mu, net.mu).max(initial=0.0))),
+        "moutard": max(rep["moutard"], float(vert_moutard.max(initial=0.0))),
         "diagonal_margin": min(rep["diagonal_margin"] if g.nquads else np.inf,
                                float(vert_diag.min(initial=np.inf))),
     }
@@ -651,7 +669,8 @@ def _eta_apply(signature: Signature, grid: Grid, mu: np.ndarray, c,
     edges ``i -> j`` of ``edges`` (all by default), over the leading axes
     of ``mu`` ``(..., nverts, d)``."""
     ip = signature.inner
-    mt, mh = mu[..., grid.edge_tail[edges], :], mu[..., grid.edge_head[edges], :]
+    tail, head = grid.ends(edges)
+    mt, mh = mu[..., tail, :], mu[..., head, :]
     return ip(mh, c)[..., None] * mt - ip(mt, c)[..., None] * mh
 
 
@@ -707,7 +726,7 @@ def christoffel_dual(net: IsothermicNet, frame: Frame | None = None) -> Christof
 def christoffel_residuals(net: IsothermicNet, data: ChristoffelData) -> dict:
     """Residual sweep of the duality identities."""
     sig, g = net.signature, net.grid
-    t, h = g.edge_tail, g.edge_head
+    t, h = g.ends()
     dx = g.edge_difference(data.x)
     dxd = g.edge_difference(data.x_dual)
     ip = sig.inner(dx, dxd)
@@ -781,9 +800,10 @@ class ConservedQuantity:
         gam = flat_connection(net, t)
         g = net.grid
         vals = self.at(t)
-        moved = np.einsum("eab,eb->ea", gam, vals[g.edge_tail])
-        return float(rel(np.linalg.norm(moved - vals[g.edge_head], axis=1),
-                         np.linalg.norm(vals[g.edge_head], axis=1)).max(initial=0.0))
+        tail, head = g.ends()
+        moved = np.einsum("eab,eb->ea", gam, vals[tail])
+        return float(rel(np.linalg.norm(moved - vals[head], axis=1),
+                         np.linalg.norm(vals[head], axis=1)).max(initial=0.0))
 
 
 def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None):
@@ -834,10 +854,11 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None):
 def quad_cross_ratio_residual(net: IsothermicNet, rng=None) -> float:
     """Max relative defect of cross ratio = m_jk / m_ij over finite quads."""
     g = net.grid
+    qv, qe = g.corners(), g.sides()
     out = 0.0
     for n in range(g.nquads):
-        i, j, k, l = (int(v) for v in g.quad_vertices[n])
-        e_ij, e_jk = g.quad_edges[n, :2]          # bottom i -> j, right j -> k
+        i, j, k, l = (int(v) for v in qv[n])
+        e_ij, e_jk = qe[n, :2]                    # bottom i -> j, right j -> k
         if net.is_infinite[e_ij] or net.is_infinite[e_jk]:
             continue
         expected = float(net.labels[e_jk] / net.labels[e_ij])

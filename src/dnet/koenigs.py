@@ -158,7 +158,8 @@ def random_moutard_net(grid: Grid, dim: int, rng):
         b = s - a
         mu[a, b] = mu[a - 1, b - 1] + c[a - 1, b - 1] * (mu[a - 1, b] - mu[a, b - 1])
     mu = mu.reshape(grid.nverts, dim)
-    eta = wedge_vec(mu[grid.edge_head], mu[grid.edge_tail])
+    t, h = grid.ends()
+    eta = wedge_vec(mu[h], mu[t])
     return ProjectiveNet(grid, mu, eta), mu
 
 
@@ -200,7 +201,8 @@ def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0) -> np.ndarray
         mu[child] = coef[:, None] * net.lifts[child]
     # consistency on all edges (fails iff the net is not Koenigs), a
     # non-finite edge first
-    rec = wedge_vec(mu[g.edge_head], mu[g.edge_tail])
+    t, h = g.ends()
+    rec = wedge_vec(mu[h], mu[t])
     num, e = worst(np.linalg.norm(rec - net.eta, axis=1))
     den = floor(np.linalg.norm(net.eta, axis=1).max(initial=0.0))
     if not num <= 1e-8 * den:
@@ -248,7 +250,7 @@ def vertical_diagonal_margin(grid: Grid, plus: np.ndarray, minus: np.ndarray,
     (level 0) under ``plus`` (level 1): the least ``|cos|`` of the
     diagonals ``(minus_i, plus_j)`` and ``(minus_j, plus_i)``, the
     denominators of every Moutard propagation through the pair."""
-    t, h = grid.edge_tail, grid.edge_head
+    t, h = grid.ends()
     ip = signature.inner
     norm_m, norm_p = np.linalg.norm(minus, axis=1), np.linalg.norm(plus, axis=1)
     return np.minimum(cos_angle(ip(minus[t], plus[h]), norm_m[t], norm_p[h]),
@@ -258,7 +260,7 @@ def vertical_diagonal_margin(grid: Grid, plus: np.ndarray, minus: np.ndarray,
 def vertical_moutard(grid: Grid, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     """Per-edge vertical Moutard residual of the stacked pair ``minus`` under
     ``plus``: the sine of the angle of ``plus_j - minus_i`` and ``plus_i - minus_j``."""
-    t, h = grid.edge_tail, grid.edge_head
+    t, h = grid.ends()
     return sin_angle(plus[h] - minus[t], plus[t] - minus[h])
 
 
@@ -287,7 +289,7 @@ def km_pair_check(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray,
     """
     mu_plus = np.asarray(mu_plus, float)
     mu_minus = np.asarray(mu_minus, float)
-    t, h = grid.edge_tail, grid.edge_head
+    t, h = grid.ends()
     vert_worst = float(vertical_moutard(grid, mu_plus, mu_minus).max(initial=0.0))
 
     sv = np.linalg.svd(np.stack([mu_plus[t], mu_plus[h], mu_minus[h], mu_minus[t]], axis=1),
@@ -340,7 +342,7 @@ class LineCongruence:
         ``edges`` and the intersection lines ``s_ij = f_i cap f_j``, with
         their degeneracies in the order they are tested."""
         g = self.grid
-        t, h = g.edge_tail[edges], g.edge_head[edges]
+        t, h = g.ends(edges)
         # rows, transposed per edge: the memory layout a single edge's
         # M.T has, so the intersection line comes out bit for bit
         M = np.stack([self.sigma1[t], self.sigma2[t], self.sigma1[h], self.sigma2[h]],
@@ -391,7 +393,7 @@ class LineCongruence:
         out["eta_in_lam2_f"] = float(membership.max(initial=0.0))
         out["nondegeneracy_margin"] = float(nondeg.min()) if g.nedges else 0.0
         out["first_order_margin"] = float(first_order.min()) if g.nedges else 0.0
-        sv4 = np.linalg.svd(s_lines[g.quad_edges], compute_uv=False)
+        sv4 = np.linalg.svd(s_lines[g.sides()], compute_uv=False)
         second = rel(sv4[:, 3], sv4[:, 0])
         out["second_order_margin"] = float(second.min()) if g.nquads else 0.0
         out["passed"] = bool(
@@ -481,10 +483,10 @@ def quad_holonomy_residual(cong: LineCongruence, bundle_black: bool,
     every point at once, with the edge maps of :func:`_parallel_section`."""
     g = cong.grid
     onto_line = _colors(g) == (0 if bundle_black else 1)
-    cycle = g.quad_vertices[quad]
+    cycle = g.corners(quad)
     # i -> j -> k -> l -> i runs along the bottom and right edges and
     # against the top and left ones
-    eta = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * cong.eta[g.quad_edges[quad]]
+    eta = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * cong.eta[g.sides(quad)]
     val = np.asarray(points, float)
     out, n = val, len(val)
     for step in range(4):
@@ -532,7 +534,7 @@ def _section_to_net(cong: LineCongruence, colors, xb: np.ndarray,
     edges = np.arange(g.nedges)
     _, _, s_lines, failures = cong._edge_spans(edges)
     cong._raise_first_edge(edges, failures)
-    ends = np.concatenate([g.edge_tail, g.edge_head])
+    ends = np.concatenate(g.ends())
     dist = float(sin_angle(lifts[ends], np.concatenate([s_lines, s_lines])).min(
         initial=np.inf))
     if g.nedges and dist < margin:
@@ -604,7 +606,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     if auto and best is not None:
         _, lifts_p, tau_p, lifts_m, tau_m = best
 
-    t, h = g.edge_tail, g.edge_head
+    t, h = g.ends()
     eta_p = cong.eta + tau_p[h] - tau_p[t]
     eta_m = cong.eta + tau_m[h] - tau_m[t]
     net_p = ProjectiveNet(g, lifts_p, eta_p)
@@ -682,8 +684,8 @@ def factor_edge_ratios(grid: Grid, lam: np.ndarray):
     ``|lam_ij lam_kl / (lam_jk lam_li) - 1|``.
     """
     lam = np.asarray(lam, float)
-    t, h = grid.edge_tail, grid.edge_head
-    eb, er, et, el = grid.quad_edges.T
+    t, h = grid.ends()
+    eb, er, et, el = grid.sides().T
     quad_res = float(np.fmax.reduce(np.abs(lam[eb] * lam[et] / (lam[er] * lam[el]) - 1.0),
                                     initial=0.0))
     levels = grid.staircase_tree(0)

@@ -147,7 +147,7 @@ class PrincipalNet:
                            np.abs(self.kappa) * np.linalg.norm(dx, axis=1))
         out["curvature_relation"] = float(
             (np.linalg.norm(res, axis=1) / np.maximum(scale, 1.0)).max(initial=0.0))
-        out["circularity"] = circularity(frame.lift_point(self.x), self.grid.quad_vertices)
+        out["circularity"] = circularity(frame.lift_point(self.x), self.grid.corners())
         out["passed"] = bool(out["unit_normal"] <= 1e-9
                              and out["curvature_relation"] <= 1e-9
                              and out["circularity"] <= 1e-8)
@@ -165,7 +165,8 @@ def legendre_lift(pn: PrincipalNet, frame: LieFrame = standard_lie_frame()):
     y = frame.lift_point(pn.x)
     t = frame.lift_tangent(pn.x, pn.n)
     ip = frame.signature.inner
-    sphere = pn.kappa[:, None] * y[pn.grid.edge_tail] + t[pn.grid.edge_tail]
+    tail, head = pn.grid.ends()
+    sphere = pn.kappa[:, None] * y[tail] + t[tail]
     norms = np.linalg.norm(sphere, axis=1)
     bad_p = np.abs(ip(sphere, frame.p)) <= _TOL * norms
     bad_q = np.abs(ip(sphere, frame.q)) <= _TOL * norms
@@ -174,7 +175,7 @@ def legendre_lift(pn: PrincipalNet, frame: LieFrame = standard_lie_frame()):
         raise FrameError(
             "curvature sphere meets p^perp or q^perp; re-draw the frame "
             "with random_lie_frame", where=pn.grid.locate_edge(e))
-    sphere_h = pn.kappa[:, None] * y[pn.grid.edge_head] + t[pn.grid.edge_head]
+    sphere_h = pn.kappa[:, None] * y[head] + t[head]
     agree = rel(np.linalg.norm(sphere - sphere_h, axis=1), norms)
     return y, t, float(agree.max(initial=0.0))
 
@@ -297,7 +298,7 @@ def gauge_normalize(grid: Grid, frame: LieFrame, y, t, eta) -> np.ndarray:
                            tol=1e-8).values[:, 0]
     c = c - c.mean()      # the constant freedom; centering conditions tau
     tau = c[:, None] * wedge_vec(y, t)
-    th, tt = grid.edge_head, grid.edge_tail
+    tt, th = grid.ends()
     out = eta + tau[th] - tau[tt]
     res, scale = _gauge_defect(_contract(out, frame.q, sig), out, frame)
     if res > 1e-8 * floor(scale):
@@ -514,8 +515,8 @@ def guichard_generate(dims, seed: int = 0, retries: int = 48,
     i])``: a ``standard_normal(d)`` row for the base point, 64 rows of
     ``d - 2`` normals for the search for ``xi`` there, then 64 candidate
     rows of ``d`` normals per Cauchy step, the steps of axis 0 before
-    those of axis 1.  The search and every step take their first passing
-    candidate.  Attempts are made in blocks, stage by stage over the
+    those of axis 1; each step draws its candidates when it runs.  The
+    search and every step take their first passing candidate.  Attempts are made in blocks, stage by stage over the
     block, and the first attempt in order that passes is returned, so the
     result does not depend on the block size.
     """
@@ -558,10 +559,11 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
     net is validated when its turn comes."""
     sig = frame.signature
     ip, d, (d0, d1) = sig.inner, sig.dim, g.dims
-    n, nsteps = len(attempts), d0 + d1 - 2
-    rows = np.empty((n, d + _TRIES * (d - 2 + nsteps * d)))
-    for row, i in zip(rows, attempts):
-        np.random.default_rng([seed, i]).standard_normal(out=row)
+    n = len(attempts)
+    # each attempt's stream: the base row and the search for xi here, the
+    # candidates of each Cauchy step when that step runs
+    streams = [np.random.default_rng([seed, i]) for i in attempts]
+    rows = np.stack([rng.standard_normal(d + _TRIES * (d - 2)) for rng in streams])
     reason = np.full(n, -1)
 
     # base: mu null with (mu, p) != 0; xi null, (xi, p) = -1, (xi, mu) = 0
@@ -583,15 +585,18 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
     xi0 = v[np.arange(n), np.argmax(found, axis=1)]
     xi_prev = np.repeat(xi0[:, None], 2, axis=1)
 
-    # Cauchy steps of both lines, each the first passing candidate
-    steps = rows[:, d + _TRIES * (d - 2):].reshape(n, nsteps, _TRIES, d)
+    # Cauchy steps, those of axis 0 before those of axis 1, each the first
+    # passing candidate of the attempts still live
     lines = np.zeros((n, 2, max(d0, d1), d))
     lines[:, :, 0] = mu0[:, None]
-    for s in range(1, max(d0, d1)):
-        kk, ll = np.nonzero((reason < 0)[:, None] & (np.array([d0, d1]) > s))
-        index = np.where(ll == 0, s, d0 - 1 + s)
-        mu_prev, xp, skip = lines[kk, ll, s - 1], xi_prev[kk, ll], index == skip_constraint_at
-        cand = 0.25 * steps[kk, index - 1]
+    for ll, s in [(0, s) for s in range(1, d0)] + [(1, s) for s in range(1, d1)]:
+        index = s if ll == 0 else d0 - 1 + s      # the step's place in the stream
+        kk = np.flatnonzero(reason < 0)
+        if not len(kk):
+            break
+        cand = 0.25 * np.stack([streams[k].standard_normal((_TRIES, d)) for k in kk])
+        mu_prev, xp = lines[kk, ll, s - 1], xi_prev[kk, ll]
+        skip = np.full(len(kk), index == skip_constraint_at)
         ok, mu_next = _cauchy_candidates(frame, mu_prev, xp, skip, frame.pi(cand))
         mu_next = mu_next[np.arange(len(kk)), np.argmax(ok, axis=1)]
         reason[kk[~ok.any(axis=1)]] = 1
@@ -813,7 +818,7 @@ def _omega_from_pair_lifts(grid: Grid, frame: LieFrame, mu_plus, mu_minus):
     pn = principal_from_legendre(grid, mu_plus, mu_minus, frame)
     y = frame.lift_point(pn.x)
     t = frame.lift_tangent(pn.x, pn.n)
-    t_, h_ = grid.edge_tail, grid.edge_head
+    t_, h_ = grid.ends()
     eta = wedge_vec(mu_plus[h_], mu_plus[t_])
     eta = gauge_normalize(grid, frame, y, t, eta)
     return OmegaNet(grid, frame, y, t, eta, mu_plus=mu_plus, mu_minus=mu_minus)
@@ -878,7 +883,8 @@ def gauge_identity_residual(omega: OmegaNet, t: float) -> float:
     gm = flat_connection(minus, t)
     g, eye = omega.grid, np.eye(sig.dim)
     act = t * action_matrix(unpack_bivector(tau, sig.dim), sig)
-    lhs = (eye + act[g.edge_head]) @ gp @ (eye - act[g.edge_tail])
+    tail, head = g.ends()
+    lhs = (eye + act[head]) @ gp @ (eye - act[tail])
     return float(rel(np.abs(lhs - gm).max(axis=(1, 2), initial=0.0),
                      np.abs(gm).max(axis=(1, 2), initial=0.0)).max(initial=0.0))
 
@@ -895,7 +901,8 @@ def dual_legendre(omega: OmegaNet) -> OmegaNet:
     def chart_form(partner):
         dv = _d3(g, partner).values                        # (ne, 3) differences
         dv6 = frame.embed3(dv)
-        avg = 0.5 * (pn_dual.x[g.edge_tail] + pn_dual.x[g.edge_head])
+        tail, head = g.ends()
+        avg = 0.5 * (pn_dual.x[tail] + pn_dual.x[head])
         scal = np.sum(frame.embed3(avg) * (dv6 * frame.signature.signs), axis=1)
         return dv6 + scal[:, None] * frame.q
 

@@ -66,11 +66,16 @@ class ParallelFamily:
         of ``d Phi``.  Both go one :func:`dnet.grid.blocks` block of edges at a
         time, the first in two passes (the longest edge, then the sines),
         and fold with ``np.maximum``, so every value has the bits of one
-        pass over the grid; a non-finite member difference makes both NaN."""
+        pass over the grid; a non-finite member difference makes both NaN.
+        A family of one member passes with both 0: its ``d Phi`` has one
+        column, and no second member is there to be parallel to."""
+        if self.size == 1:
+            return {"edge_parallel": 0.0, "dphi_decomposable": 0.0, "passed": True}
         g = self.grid
         scale, minor = 0.0, 0.0
         for b in blocks(g.nedges):
-            diffs = np.stack([g.edge_difference(m, b) for m in self.members])
+            ends = g.ends(b)
+            diffs = np.stack([g.edge_difference(m, ends) for m in self.members])
             scale = np.maximum(scale, np.linalg.norm(diffs, axis=2).max())
             # decomposability of dPhi through its 2x2 minors; the SVD does
             # not converge on a non-finite difference, whose edge reads NaN
@@ -82,7 +87,8 @@ class ParallelFamily:
         least = 1e-12 * max(scale, 1.0)
         worst = np.nan if np.isnan(minor) else 0.0      # NaN where an edge is not finite
         for b in blocks(g.nedges):
-            diffs = np.stack([g.edge_difference(m, b) for m in self.members])
+            ends = g.ends(b)
+            diffs = np.stack([g.edge_difference(m, ends) for m in self.members])
             active = np.linalg.norm(diffs, axis=2) > least
             # every later active member against the first active one
             first = np.argmax(active, axis=0)
@@ -123,8 +129,8 @@ def check_combescure(grid: Grid, x, x_star, signature: Signature) -> dict:
 
     out = {
         "pairing": res,
-        "circular_x": circularity(lifts(x), grid.quad_vertices),
-        "circular_x_star": circularity(lifts(x_star), grid.quad_vertices),
+        "circular_x": circularity(lifts(x), grid.corners()),
+        "circular_x_star": circularity(lifts(x_star), grid.corners()),
     }
     out["passed"] = bool(res <= 1e-9 and out["circular_x"] <= 1e-8
                          and out["circular_x_star"] <= 1e-8)
@@ -197,14 +203,15 @@ def check_osystem(fam: ParallelFamily, metric) -> dict:
     pairs = [(a, b) for a in range(N) for b in range(N) if metric[a, b] != 0.0]
     top = 0.0                               # the largest member difference
     for e in blocks(g.nedges):
+        ends = g.ends(e)
         for m in fam.members:
-            top = np.maximum(top, np.abs(g.edge_difference(m, e)).max())
+            top = np.maximum(top, np.abs(g.edge_difference(m, ends)).max())
     apart, full_top = 0.0, 0.0
     for q in quad_blocks(g):
-        qe = g.quad_edges[q].T
+        ends = g.side_ends(q)
         # dx[a][n]: member a's differences on boundary edge n of each quad
-        dx = [g.edge_difference(m, qe) for m in fam.members]
-        weighted = np.zeros((qe.shape[1], lam2_dim(d)))             # (a)
+        dx = [g.edge_difference(m, ends) for m in fam.members]
+        weighted = np.zeros((ends[0].shape[1], lam2_dim(d)))         # (a)
         for a, b in pairs:
             weighted += metric[a, b] * _one_form_product(wedge_vec, dx[a].__getitem__,
                                                          dx[b].__getitem__)

@@ -160,13 +160,14 @@ def non_null(v, signature: Signature) -> np.ndarray:
     return np.abs(signature.inner(v, v)) > 1e-8 * np.sum(v * v, axis=-1)
 
 
-def gamma_lambda(s_i, s_j, lam, signature: Signature) -> np.ndarray:
+def gamma_lambda(s_i, s_j, lam, signature: Signature, out=None) -> np.ndarray:
     """Orthogonal map scaling ``s_j`` by ``lam``, ``s_i`` by ``1/lam`` and
     fixing ``(s_i + s_j)^perp`` pointwise (batched over leading axes).
 
     ``s_i``, ``s_j`` are representatives of non-orthogonal null lines.
     On the first offending pair a :class:`DegeneracyError` carries its
-    flat batch index as ``where``.
+    flat batch index as ``where``, and ``out``, the ``(..., d, d)`` array
+    to write into (a new one by default), is left as it was.
     """
     if np.any(np.asarray(lam) == 0):
         raise ValueError("lambda must be nonzero")
@@ -186,7 +187,7 @@ def gamma_lambda(s_i, s_j, lam, signature: Signature) -> np.ndarray:
         raise ValueError("gamma_lambda expects null line representatives")
     gsi, gsj = si * signature.signs, sj * signature.signs
     c1, c2 = ((lam - 1.0) / g)[..., None], ((1.0 / lam - 1.0) / g)[..., None]
-    out = np.empty(np.shape(g) + (signature.dim,) * 2)
+    out = np.empty(np.shape(g) + (signature.dim,) * 2) if out is None else out
     # row by row, so that no second (..., d, d) array is needed
     for a, unit in enumerate(np.eye(signature.dim)):
         row = out[..., a, :]

@@ -654,6 +654,17 @@ def test_extreme_transform_parameters_print_no_warning(tmp_path, capsys):
                                "draws: rejected at seed draw 0, propagation 24, normalization 0, "
                                "diagonal margin 0, Moutard 0, nullity 0; best diagonal "
                                "margin -inf"])
+    # a tinier m overflows the base lift itself: some seeds pass the march
+    # with inf lifts and fail the quality screens, with the counts the
+    # warnings came with
+    for m, propagation in (("1e-308", 13), ("1e-320", 1)):
+        code, err = _stderr(capsys, "transform", "darboux", "--m", m, "-i", iso,
+                            "-o", tmp_path / "d.json")
+        assert (code, err) == (3, [f"construction degeneracy: no admissible Darboux seed after "
+                                   f"24 draws: rejected at seed draw 0, propagation "
+                                   f"{propagation}, normalization 0, diagonal margin "
+                                   f"{24 - propagation}, Moutard 0, nullity 0; best diagonal "
+                                   f"margin -inf"])
     code, err = _stderr(capsys, "transform", "associates", "--c", "1e308", "-i", omega,
                         "-o", tmp_path / "a.json")
     assert code == 1 and "omega.duality_fields" in err[-5] and "FAIL" in err[-5]

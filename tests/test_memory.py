@@ -7,7 +7,9 @@ reads: the full-size copies, gathered temporaries and per-number objects
 these kernels used to hold put each of them well above its bound.
 """
 
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from dnet.grid import Grid, holonomy
 from dnet.isothermic import (IsothermicNet, calapso_transform, christoffel_dual,
                              connection_flatness, flat_connection, moutard_evolve,
                              random_cauchy)
-from dnet.netfile import NetFile
+from dnet.netfile import NetFile, run_checks
 from dnet.osystem import ParallelFamily, check_osystem
 from dnet.pseudo_euclidean import Signature, standard_chart_indices
 
@@ -86,12 +88,8 @@ def _construction(n):
     (moved, T), calapso = _traced_peak(calapso_transform, net, 0.3)
     calapso -= T.nbytes + sum(a.nbytes for a in (moved.mu, moved.edge_ip, moved.is_infinite,
                                                   moved.labels))
-    # the walk that integrates d x_dual holds the staircase tree's index
-    # arrays over the whole grid by design: it is left out here, and what
-    # remains of it is the (nverts, d) array it fills
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Grid, "staircase_tree", lambda self, base=0: [])
-        data, christoffel = _traced_peak(christoffel_dual, net)
+    # the walk that integrates d x_dual fills an (nverts, d) array
+    data, christoffel = _traced_peak(christoffel_dual, net)
     christoffel -= (sum(a.nbytes for a in (data.x, data.x_dual, data.r)) + data.x_dual.nbytes
                     + net.grid.nedges * SIG.dim * data.x_dual.itemsize)      # d x_dual
     data = christoffel_dual(net)
@@ -114,6 +112,61 @@ def test_construction_does_not_grow_from_32_to_64(construction_peaks, kernel):
     # quads, edges or vertices at a time
     small, big = (p[kernel] for p in construction_peaks)
     assert big <= 1.25 * small, (small, big)
+
+
+def _kept_and_peak(fn, *args):
+    """The memory traced that ``fn(*args)`` keeps while its result lives,
+    and the peak of the call above that, in bytes."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        del out
+        return kept, peak - kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_does_not_grow_from_32_to_64():
+    # a grid keeps its dims, strides and counts: no index table
+    peaks = [_traced_peak(Grid, [n, n])[1] for n in (32, 64)]
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_staircase_tree_builds_one_block_at_a_time():
+    # above the levels it returns, the walk holds one block of its arrays
+    small, big = (_kept_and_peak(Grid([n, n]).staircase_tree, 0)[1] for n in (32, 64))
+    assert big <= 1.25 * small, (small, big)
+
+
+TABLES = ("vertex_coords", "edge_tail", "edge_head", "edge_axis", "edge_slots", "quad_corner",
+          "quad_axes", "quad_vertices", "quad_edges")
+
+
+def test_pipeline_and_verify_build_no_whole_grid_table(tmp_path, monkeypatch):
+    # the construct-64 pipeline of the benchmark and the checks of verify
+    # take the indices of each block from the grid's arithmetic
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    path = tmp_path / "net.json"
+    NetFile.from_isothermic(_net(16), NetFile.frame_section(SIG.standard_frame()),
+                            {}).save(str(path))
+
+    def whole_grid(grid):
+        raise AssertionError("a whole-grid index table was built")
+
+    for name in TABLES:
+        monkeypatch.setattr(Grid, name, property(whole_grid))
+    *_, family, osys = workloads.pipeline(16, SIG, 2, {})
+    assert osys["passed"] and family["passed"], (osys, family)
+    report = run_checks(NetFile.load(str(path)))
+    assert [c.name.split(".")[0] for c in report.checks] == ["isothermic"] * 8, report
 
 
 def _transient(net, path):

@@ -27,6 +27,14 @@ def test_family_validation(iso_pair):
     assert rep["passed"], rep
 
 
+def test_one_member_family_passes():
+    # a one-column d Phi is decomposable, and no second member is there
+    # for the first to be parallel to
+    x = np.random.default_rng(3).standard_normal((16, 3))
+    rep = ParallelFamily(Grid([4, 4]), [x], Signature(2, 1)).validate()
+    assert rep == {"edge_parallel": 0.0, "dphi_decomposable": 0.0, "passed": True}
+
+
 def test_constant_multiple_is_combescure():
     g = Grid([4, 4])
     rng = np.random.default_rng(1)

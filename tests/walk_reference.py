@@ -27,21 +27,22 @@ from netfile_reference import oriented_edge, plane_basis, raise_first
 
 def staircase_steps(grid, base=0):
     """Steps ``(vertex, parent, edge_slot, step_sign)``, parents first."""
-    bc = grid.vertex_coords[base]
+    coords, slots = grid.vertex_coords, grid.edge_slots
+    bc = coords[base]
     order = sorted(range(grid.nverts), key=lambda v: tuple(
-        abs(int(grid.vertex_coords[v][a]) - int(bc[a])) for a in range(grid.ndim - 1, -1, -1)))
+        abs(int(coords[v][a]) - int(bc[a])) for a in range(grid.ndim - 1, -1, -1)))
     steps = []
     for v in order:
         if v == base:
             continue
-        vc = grid.vertex_coords[v]
+        vc = coords[v]
         a = max(ax for ax in range(grid.ndim) if vc[ax] != bc[ax])
         if vc[a] > bc[a]:
             parent = v - int(grid.strides[a])
-            steps.append((v, parent, int(grid.edge_slots[parent, a]), 1))
+            steps.append((v, parent, int(slots[parent, a]), 1))
         else:
             parent = v + int(grid.strides[a])
-            steps.append((v, parent, int(grid.edge_slots[v, a]), -1))
+            steps.append((v, parent, int(slots[v, a]), -1))
     return steps
 
 
@@ -175,9 +176,9 @@ def parallel_section(cong, colors, bundle_black, base, seed2, maps=(g_map, g_map
 
 def factor_edge_ratios(grid, lam):
     """``(r, quad_product_residual)`` of ``factor_edge_ratios``."""
-    quad_res = 0.0
+    quad_res, quad_edges = 0.0, grid.quad_edges
     for n in range(grid.nquads):
-        eb, er, et, el = grid.quad_edges[n]
+        eb, er, et, el = quad_edges[n]
         quad_res = max(quad_res, abs(lam[eb] * lam[et] / (lam[er] * lam[el]) - 1.0))
     r = np.zeros(grid.nverts)
     steps = staircase_steps(grid, 0)
