@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import FormatError, GeometryError
 from .grid import Grid
-from .netfile import DEFAULT_TOLS, NetFile, run_checks, write_text
+from .netfile import (DEFAULT_TOLS, OMEGA_LIFTS, NetFile, first_non_finite, run_checks,
+                      write_text)
 from .pseudo_euclidean import Signature, non_null
 
 GEN_KINDS = ("isothermic", "darboux-pair", "omega", "guichard", "minimal",
@@ -205,14 +206,14 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _check_finite(nf: NetFile, op: str, name: str):
-    """Raise :class:`FormatError` naming the first vertex where the lifts
-    ``name`` of ``nf`` are not finite.  NaN and inf pass no test that
+def _check_finite(nf: NetFile, op: str, names):
+    """Raise :class:`FormatError` naming the first vertex where a lift of
+    ``names`` in ``nf`` is not finite.  NaN and inf pass no test that
     compares them: name them before any arithmetic on them."""
-    finite = np.isfinite(nf.vertex_fields[name]).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"{op} needs finite lifts: {name} at vertex "
-                          f"{nf.grid().coords(int(np.argmin(finite)))} is not finite")
+    bad = first_non_finite(nf.vertex_fields, names)
+    if bad is not None:
+        raise FormatError(f"{op} needs finite lifts: {bad[0]} at vertex "
+                          f"{nf.grid().coords(bad[1])} is not finite")
 
 
 def cmd_transform(args) -> int:
@@ -227,7 +228,7 @@ def cmd_transform(args) -> int:
     if args.op in ("darboux", "calapso", "christoffel"):
         if "mu" not in nf.vertex_fields:
             raise FormatError(f"{args.op} needs a mu field")
-        _check_finite(nf, args.op, "mu")
+        _check_finite(nf, args.op, ("mu",))
         net = nf.isothermic_net()
         # the null test of the edge transports, at the worst lift that fails it
         bad = np.flatnonzero(non_null(net.mu, net.signature))
@@ -267,6 +268,8 @@ def cmd_transform(args) -> int:
         if not om.grid.nedges:
             raise FormatError(f"{args.op} needs a grid with an edge")
         if args.op == "dual":
+            # dual reads y, t and eta, and writes no pair
+            _check_finite(nf, args.op, ("y", "t"))
             duo = lie.dual_legendre(om)
             pn = duo.principal()
             out = NetFile(signature=nf.signature, dims=nf.dims, frame=nf.frame,
@@ -276,9 +279,7 @@ def cmd_transform(args) -> int:
                           edge_fields={"kappa": pn.kappa}, metadata=meta)
         else:
             # associates copies the pair into its output
-            for name in ("mu_plus", "mu_minus"):
-                if name in nf.vertex_fields:
-                    _check_finite(nf, args.op, name)
+            _check_finite(nf, args.op, OMEGA_LIFTS)
             a = lie.associates(om)
             c = _parse_number("--c", args.c, default=0.0)
             xd = a.x_dual + c * a.n

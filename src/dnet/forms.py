@@ -42,6 +42,27 @@ __all__ = [
 ]
 
 
+# -- frozen arrays -----------------------------------------------------
+
+def frozen(values) -> np.ndarray:
+    """``values`` as a read-only float64 array: ``values`` itself where it
+    is one already and owns its data, else a read-only copy.
+
+    The one ownership rule of the immutable types (:class:`Form0` and the
+    other forms, ``IsothermicNet``, ``OmegaNet``, ``Frame``): an array
+    that owns its data was made read-only by the code that built it, which
+    keeps no writable view of it, so it is shared; a writable array, and
+    a view of any array, is copied, so no write to the caller's array
+    reaches the holder.
+    """
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 # -- Lambda^2 coefficient helpers -------------------------------------
 
 def lam2_dim(d: int) -> int:
@@ -130,7 +151,7 @@ class _FormBase:
     carrier = None
 
     def __init__(self, grid: Grid, values):
-        values = np.array(values, dtype=float)
+        values = frozen(values)
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2:
@@ -141,7 +162,6 @@ class _FormBase:
                 f"{type(self).__name__} expects {n} values, got {len(values)}")
         self.grid = grid
         self.values = values
-        self.values.setflags(write=False)
 
     @property
     def dim(self) -> int:

@@ -247,6 +247,9 @@ class Grid:
     def coords(self, vertex: int):
         return tuple(int(c) for c in np.unravel_index(int(vertex), self.dims))
 
+    def locate_vertex(self, v: int) -> dict:
+        return {"kind": "vertex", "index": int(v), "coords": self.coords(v)}
+
     def locate_edge(self, e: int) -> dict:
         tail, axis = self.edge(int(e))
         return {
@@ -395,43 +398,102 @@ def blocks(n: int) -> list:
     return [slice(s, min(s + _EDGE_BLOCK, n)) for s in range(0, n, _EDGE_BLOCK)]
 
 
+def _take(gamma: np.ndarray):
+    """The function of sorted edge indices that :func:`holonomy` takes for
+    the transport array ``gamma``: ``gamma[edges]``, written into ``out``
+    where it is given."""
+    def take(edges, out=None):
+        # "clip": the edges are in range, and the default mode buffers out
+        return np.take(gamma, edges, axis=0, out=out, mode="clip")
+    return take
+
+
+def _block_edges(grid: Grid, quads: slice):
+    """The edges of the sides of the quads ``quads``, a :func:`quad_blocks`
+    block, in increasing order, and the place of each side among them.
+
+    A block that holds every quad holds every edge.  In a block of quads
+    of one axis pair, the sides along each axis of the pair are two
+    increasing columns: bottom and top along the first, right and left
+    along the second.  So every side is marked over the span from the
+    first bottom to the last top, and from the first left to the last
+    right, and the marks, counted in order, give each side its place,
+    with no sort.  A block at the seam of two axis pairs, of which an N-D
+    grid has at most one per pair, goes through ``np.unique``."""
+    qe = grid.sides(quads)
+    if len(qe) == grid.nquads:
+        return np.arange(grid.nedges), qe
+    pairs = np.searchsorted(grid._quad_start, [quads.start, quads.start + len(qe) - 1],
+                            side="right")
+    if pairs[0] != pairs[1]:
+        edges, places = np.unique(qe, return_inverse=True)
+        return edges, places.reshape(qe.shape)
+    places = np.empty_like(qe)
+    edges, count = [], 0
+    for cols, first, last in ((slice(0, None, 2), qe[0, 0], qe[-1, 2]),
+                              (slice(1, None, 2), qe[0, 3], qe[-1, 1])):
+        sides = qe[:, cols] - first
+        mark = np.zeros(last - first + 1, bool)
+        mark[sides] = True
+        rank = np.cumsum(mark)
+        np.add(rank[sides], count - 1, out=places[:, cols])
+        edges.append(np.flatnonzero(mark) + first)
+        count += int(rank[-1])
+    return np.concatenate(edges), places
+
+
+def _shared(done: np.ndarray, edges: np.ndarray):
+    """A mask of the sorted ``edges`` that the sorted ``done`` holds, and
+    where ``done`` holds them."""
+    at = np.searchsorted(done, edges)
+    old = done.take(at, mode="clip") == edges if len(done) else np.zeros(len(edges), bool)
+    return old, at[old]
+
+
 def holonomy(grid: Grid, gamma, park=lambda edges, block: None) -> np.ndarray:
     """Per-quad relative holonomy of edge transports on canonical
     orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius).
 
-    ``gamma`` is an ``(nedges, k, k)`` array or a function that returns
-    the transports of a sorted array of edge indices.  They are taken
-    for the edges of one :func:`quad_blocks` block at a time and die
-    with it, but for those of the edges that the next block shares, which
-    are not taken again; each quad's value has the same bits in any
+    ``gamma`` is an ``(nedges, k, k)`` array of real transports or a
+    function ``gamma(edges, out=None)`` that returns those of a sorted
+    array of edge indices, written into ``out`` where it is given.  They
+    are taken for the edges of one :func:`quad_blocks` block at a time,
+    into one buffer: the transports of the edges a block shares with the
+    block before move to its front and are not taken again, and the rest
+    are written after them; each quad's value has the same bits in any
     block.  ``park(edges, transports)`` sees every transport taken, and
-    on a grid without quads those of every edge, one
-    :func:`blocks` block of edges at a time.  An error of ``gamma`` names
-    the edge it would name if the transports were taken in edge order.
+    on a grid without quads those of every edge, one :func:`blocks`
+    block of edges at a time.  An error of ``gamma`` names the edge it
+    would name if the transports were taken in edge order.
     """
     if not callable(gamma):
-        gamma = np.asarray(gamma).__getitem__
+        gamma = _take(np.asarray(gamma, float))
     res = np.empty(grid.nquads)
-    done, kept = np.zeros(0, int), None     # the block before: its edges, transports
+    # the edges of the block before, and the places of their transports in buf
+    buf, done, where = None, np.zeros(0, int), None
     try:
         for b in quad_blocks(grid):
-            qe = grid.sides(b)
-            # one block holds every quad, and so every edge
-            edges, local = ((np.arange(grid.nedges), qe) if len(qe) == grid.nquads
-                            else np.unique(qe, return_inverse=True))
-            # the edges it shares with the block before keep their transports
-            at = np.searchsorted(done, edges)
-            old = at < len(done)
-            old[old] = done[at[old]] == edges[old]
-            fresh = gamma(edges[~old])
-            park(edges[~old], fresh)
-            block = fresh
-            if old.any():
-                block = np.empty((len(edges),) + fresh.shape[1:])
-                block[old], block[~old] = kept[at[old]], fresh
-            # only this block's transports outlive the holonomy products
-            done, kept, fresh = edges, block, None
-            res[b] = _block_holonomy(block, local.reshape(qe.shape))
+            edges, places = _block_edges(grid, b)
+            old, shared = _shared(done, edges)
+            fresh, n, start = edges[~old], len(edges), len(shared)
+            # the places of the transports in buf: the shared ones, then the fresh ones
+            order = np.cumsum(~old)
+            order += start - 1
+            order[old] = np.arange(start)
+            kept = None if buf is None else buf[where[shared]]
+            done, where = edges, order          # the block before is done with
+            if buf is None:
+                buf = gamma(fresh)
+            else:
+                if len(buf) < n:
+                    shape = buf.shape[1:]
+                    buf = None                  # freed before the larger one
+                    buf = np.empty((n, *shape))
+                buf[:start] = kept
+                del kept
+                gamma(fresh, out=buf[start:n])
+            park(fresh, buf[start:n])
+            res[b] = _block_holonomy(buf, order[places])
         for b in [] if grid.nquads else blocks(grid.nedges):   # no quad holds the edges
             edges = np.arange(b.start, b.stop)
             park(edges, gamma(edges))
@@ -443,15 +505,30 @@ def holonomy(grid: Grid, gamma, park=lambda edges, block: None) -> np.ndarray:
     return res
 
 
+# Quads per chunk of the products of :func:`_block_holonomy`
+_PRODUCTS = 128
+
+
 def _block_holonomy(gamma: np.ndarray, qe: np.ndarray) -> np.ndarray:
-    """:func:`holonomy` of the quads with boundary edges ``qe``; its
-    products die with the call, before the next block starts.  Overflow
-    and NaN go into the result without a warning."""
+    """:func:`holonomy` of the quads whose sides have the transports
+    ``gamma[qe]``.  The products, their difference and the squares that
+    the Frobenius norms sum are taken :data:`_PRODUCTS` quads at a time
+    in two arrays of that size, in the operations of ``np.linalg.norm``,
+    so each value has the bits of one pass.  Overflow and NaN go into the
+    result without a warning."""
+    n, k = len(qe), gamma.shape[-1]
+    lhs, rhs = np.empty((2, min(n, _PRODUCTS), k, k))
+    num, den = np.empty(n), np.empty(n)
     with np.errstate(all="ignore"):
-        lhs = gamma[qe[:, 1]] @ gamma[qe[:, 0]]   # i -> j -> k
-        rhs = gamma[qe[:, 2]] @ gamma[qe[:, 3]]   # i -> l -> k
-        np.subtract(lhs, rhs, out=rhs)
-        return rel(np.linalg.norm(rhs, axis=(1, 2)), np.linalg.norm(lhs, axis=(1, 2)))
+        for c in range(0, n, _PRODUCTS):
+            e = qe[c:c + _PRODUCTS]
+            left, right = lhs[:len(e)], rhs[:len(e)]
+            np.matmul(gamma[e[:, 1]], gamma[e[:, 0]], out=left)    # i -> j -> k
+            np.matmul(gamma[e[:, 2]], gamma[e[:, 3]], out=right)   # i -> l -> k
+            np.subtract(left, right, out=right)
+            np.add.reduce(np.multiply(right, right, out=right), axis=(1, 2), out=num[c:c + len(e)])
+            np.add.reduce(np.multiply(left, left, out=left), axis=(1, 2), out=den[c:c + len(e)])
+        return rel(np.sqrt(num), np.sqrt(den))
 
 
 def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
@@ -486,6 +563,7 @@ def integrate_one_form(grid: Grid, alpha, base: int = 0, seed=None,
     out[base] = 0.0 if seed is None else np.asarray(seed, float)
     for child, parent, slot, sign in grid.staircase_tree(base):
         out[child] = out[parent] + sign[:, None] * values[slot]
+    out.setflags(write=False)           # the form keeps it: no copy
     return Form0(grid, out)
 
 
@@ -494,8 +572,8 @@ def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
 
     ``gamma`` gives the forward transports along canonical orientations
     (fiber at tail -> fiber at head): an ``(nedges, k, k)`` array, or a
-    function that returns the transports of a sorted array of edge
-    indices.  ``T[base]`` is the identity.  The :func:`holonomy` of every
+    function of a sorted array of edge indices as :func:`holonomy` takes
+    it.  ``T[base]`` is the identity.  The :func:`holonomy` of every
     quad must be at most ``tol`` first, else :class:`FlatnessError` names
     the worst quad, a non-finite one first; the returned array satisfies
     the reconstruction identity on all edges up to the flatness residual.
@@ -513,7 +591,7 @@ def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
         gamma = np.asarray(gamma, float)
         if gamma.shape[0] != grid.nedges or gamma.shape[1] != gamma.shape[2]:
             raise ValueError("gamma must be (nedges, k, k)")
-        gamma = gamma.__getitem__
+        gamma = _take(gamma)
     levels = grid.staircase_tree(base)
     at = grid.coordinates(base)
     k = gamma(np.zeros(0, int)).shape[-1]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DegeneracyError, EvolutionError, PropagationError,
                      SpectralCollisionError)
-from .forms import unpack_bivector, wedge_vec
+from .forms import frozen, unpack_bivector, wedge_vec
 from .grid import (Grid, blocks, holonomy, integrate_one_form, quad_blocks, stack,
                    trivialize_connection)
 from .koenigs import vertical_diagonal_margin, vertical_moutard
@@ -75,10 +75,9 @@ class IsothermicNet:
     def __init__(self, grid: Grid, signature: Signature, mu):
         self.grid = grid
         self.signature = signature
-        self.mu = np.array(mu, float)
+        self.mu = frozen(mu)
         if self.mu.shape != (grid.nverts, signature.dim):
             raise ValueError("mu must be (nverts, dim)")
-        self.mu.setflags(write=False)
         n = grid.nedges
         self.edge_ip, self.labels = np.empty(n), np.empty(n)
         self.is_infinite = np.empty(n, bool)
@@ -412,14 +411,15 @@ def _transports(net: IsothermicNet, t: float, edges: np.ndarray, out=None) -> np
     finite transports are built in one temporary and copied in."""
     g, sig, d = net.grid, net.signature, net.signature.dim
     inf = net.is_infinite[edges]
-    fin = edges[~inf]
+    fin = edges[~inf] if inf.any() else edges
     out = np.empty((len(edges), d, d)) if out is None else out
     if t == 0.0:
         out[~inf] = np.eye(d)
     else:
-        tail, head = g.ends(fin)
+        # the lifts at the ends, without holding the ends
+        mt, mh = map(net.mu.__getitem__, g.ends(fin))
         try:
-            eigen = gamma_lambda(net.mu[tail], net.mu[head], 1.0 - t / net.labels[fin], sig,
+            eigen = gamma_lambda(mt, mh, 1.0 - t / net.labels[fin], sig,
                                  out=None if inf.any() else out)
         except DegeneracyError as err:
             err.where = g.locate_edge(int(fin[err.where]))
@@ -660,6 +660,7 @@ def stack_pair(net: IsothermicNet, hat: IsothermicNet) -> IsothermicNet:
         raise ValueError("nets live on different grids")
     sg = stack(net.grid)
     mu = np.concatenate([net.mu, hat.mu], axis=0)
+    mu.setflags(write=False)            # the net keeps it: no copy
     return IsothermicNet(sg, net.signature, mu)
 
 
@@ -687,6 +688,7 @@ def calapso_transform(net: IsothermicNet, t: float):
     _check_spectrum(net, t)
     T = trivialize_connection(net.grid, partial(_transports, net, t), base=0, tol=1e-7)
     mu_t = np.einsum("nab,nb->na", T, net.mu)
+    mu_t.setflags(write=False)          # the net keeps it: no copy
     return IsothermicNet(net.grid, net.signature, mu_t), T
 
 

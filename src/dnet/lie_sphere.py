@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (DegeneracyError, FrameError, GaugeError,
                      GenerationError)
-from .forms import (Form0, Form1, curly_wedge, exterior_derivative,
+from .forms import (Form0, Form1, curly_wedge, exterior_derivative, frozen,
                     mixed_area, unpack_bivector, wedge_vec)
 from .grid import Grid, integrate_one_form, stack
 from .isothermic import (ConservedQuantity, IsothermicNet, _eta_apply, _evolve,
@@ -215,7 +215,7 @@ class OmegaNet:
     of ``mu_plus``, and the Legendre transforms move the pair.  A
     ``transform dual`` output has no pair, so no labels, no ``omega.*``
     checks and no Legendre transforms.  Immutable: the arrays are
-    read-only copies and no field can be rebound.
+    :func:`~dnet.forms.frozen` and no field can be rebound.
     """
 
     grid: Grid
@@ -229,9 +229,7 @@ class OmegaNet:
     def __post_init__(self):
         for name in ("y", "t", "eta", "mu_plus", "mu_minus"):
             if getattr(self, name) is not None:
-                v = np.array(getattr(self, name), float)
-                v.setflags(write=False)
-                object.__setattr__(self, name, v)
+                object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def congruence(self) -> LineCongruence:
         return LineCongruence(self.grid, self.y, self.t, self.eta)

@@ -26,20 +26,23 @@ text is never held whole, and a rendering that raises partway is a
 failed write.
 
 The isothermic checks of :func:`run_checks` run in blocks as well: the
-net's edge arrays in blocks of edges, and its Moutard, label-relation,
-margin and flatness residuals in blocks of quads, so their gathered
-temporaries stay one block in size.
+net's edge arrays and the stored-label residuals in blocks of edges, and
+its Moutard, label-relation, margin and flatness residuals in blocks of
+quads, so their gathered temporaries stay one block in size.
 
 :meth:`NetFile.load` reads a file over a grid of more than 2,048
-vertices without a Python object per number of the whole file:
-:func:`dnet.fieldread.fast_document` has ``json`` parse each array of its
-``fields`` section one block of rows at a time, then the rest of the
-document, which must be in the writer's layout (this format and float
-encoding, the text :meth:`NetFile.save` writes).  Any other file, a
-smaller grid and a block that does not parse, holds a ``null`` or is
-ragged go through ``json`` whole.  ``json`` parses every number on both
-paths and numpy converts them alike, so both give the same arrays bit
-for bit, and every error below comes from the whole-file path.
+vertices without a Python object per number of the whole file and
+without its whole text: :func:`dnet.fieldread.fast_document` reads it
+forward, ``json`` parsing each array of its ``fields`` section one block
+of rows of one fixed window at a time into an array sized from ``dims``,
+then the rest of the document, which must be in the writer's layout
+(this format and float encoding, the text :meth:`NetFile.save` writes).
+Any other file, a smaller grid and a block that does not parse, holds a
+``null`` or is ragged go through ``json`` whole.  ``json`` parses every
+number on both paths and numpy converts them alike, so both give the
+same arrays bit for bit, and every error below comes from the whole-file
+path.  The arrays of a loaded file are read-only on both paths, so the
+nets built from them keep them without a copy.
 
 It reads array entries that are numbers, booleans
 (as 0 / 1) or strings that Python's ``float`` accepts (``"inf"``,
@@ -64,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, GeometryError
-from .grid import Grid, check_dims
+from .grid import Grid, blocks, check_dims
 from .pseudo_euclidean import Frame, Signature
 from .reports import Check, Report
 from .residuals import rel
@@ -184,8 +187,11 @@ def _document_text(value, depth: int = 0):
 
 def _decode_array(value, what: str) -> np.ndarray:
     """A float array from its JSON value (see the module docstring), or
-    the array :func:`~dnet.fieldread.fast_document` read."""
+    the array :func:`~dnet.fieldread.fast_document` read; read-only, so
+    the nets built from it keep it without a copy (see
+    :func:`~dnet.forms.frozen`)."""
     if isinstance(value, np.ndarray):
+        value.setflags(write=False)
         return value
     try:
         arr = np.array(value, dtype=float)
@@ -198,24 +204,26 @@ def _decode_array(value, what: str) -> np.ndarray:
     # string is data
     if nan.any() and (np.array(value, dtype=object)[nan] == None).any():  # noqa: E711
         raise FormatError(f"{what} has a null entry")
+    arr.setflags(write=False)
     return arr
 
 
-def _grid_vertices(path: str) -> int:
-    """The vertex count of the grid whose ``dims`` the file at ``path``
-    opens with in the writer's layout, or 0 for any other file."""
-    with open(path, "rb") as fh:
-        if fh.readline() != b"{\n" or fh.readline() != b' "dims": [\n':
-            return 0
-        dims = []
-        for line in fh:
-            if line.startswith(b" ]"):
-                break
-            dims.append(line.rstrip(b",\n"))
+def _grid_dims(fh) -> tuple:
+    """The ``dims`` of the grid that the binary file ``fh`` opens with in
+    the writer's layout, read from its first lines, or () for any other
+    file and for an extent below 1."""
+    if fh.readline() != b"{\n" or fh.readline() != b' "dims": [\n':
+        return ()
+    dims = []
+    for line in fh:
+        if line.startswith(b" ]"):
+            break
+        dims.append(line.rstrip(b",\n"))
     try:
-        return math.prod(map(int, dims))
+        dims = tuple(map(int, dims))
     except ValueError:
-        return 0
+        return ()
+    return dims if all(n >= 1 for n in dims) else ()
 
 
 def _section(doc: dict, key: str, where: str = "document") -> dict:
@@ -300,7 +308,9 @@ class NetFile:
     @classmethod
     def load(cls, path: str) -> "NetFile":
         doc = None
-        if _grid_vertices(path) > _LINES:
+        with open(path, "rb") as fh:
+            big = math.prod(_grid_dims(fh)) > _LINES
+        if big:
             # imported here: a process that reads no large file does not
             # compile it
             from .fieldread import fast_document
@@ -481,6 +491,22 @@ CHECKS = {
 }
 
 
+def first_non_finite(fields: dict, names) -> tuple | None:
+    """``(name, vertex)`` of the first row with a non-finite entry in the
+    first of the fields ``names`` that has one, None when every field of
+    ``names`` in ``fields`` is finite."""
+    for name in names:
+        if name in fields:
+            finite = np.isfinite(fields[name]).all(axis=1)
+            if not finite.all():
+                return name, int(np.argmin(finite))
+    return None
+
+
+# The Lie-sphere lifts of an Omega-net file, in the order they are tested
+OMEGA_LIFTS = ("y", "t", "mu_plus", "mu_minus")
+
+
 def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
     """Run every check of :data:`CHECKS` the file's nets support; list the
     rest as skipped."""
@@ -534,12 +560,16 @@ def _residuals(nf: NetFile):
                 out[key] = (np.inf, None, f"aborted: {err}")
         stored = nf.edge_fields.get("m")
         if stored is not None:
-            both_inf = np.isinf(stored) & np.isinf(net.labels)
-            # subtract only where defined: inf - inf would warn
-            num = np.abs(np.subtract(stored, net.labels, out=np.zeros(net.labels.shape),
-                                     where=~both_inf))
-            out["stored_labels"] = float(rel(num, np.where(both_inf, 1.0, np.abs(stored)))
+            # one block of edges at a time, folded with np.maximum so NaN propagates
+            worst_label = 0.0
+            for e in blocks(len(stored)):
+                m, labels = stored[e], net.labels[e]
+                both_inf = np.isinf(m) & np.isinf(labels)
+                # subtract only where defined: inf - inf would warn
+                num = np.abs(np.subtract(m, labels, out=np.zeros(labels.shape), where=~both_inf))
+                worst_label = np.maximum(worst_label, rel(num, np.where(both_inf, 1.0, np.abs(m)))
                                          .max(initial=0.0))
+            out["stored_labels"] = float(worst_label)
         yield "isothermic", net.grid, out
     omega, labels = nf.omega_net(), None
     if omega is None or omega.mu_plus is None or omega.mu_minus is None:
@@ -547,6 +577,12 @@ def _residuals(nf: NetFile):
                               else "no congruence fields")
     elif not omega.grid.nedges:
         yield "omega", None, "no edges"
+    elif (bad := first_non_finite(vf, OMEGA_LIFTS)) is not None:
+        # NaN and inf pass no test that compares them, and an SVD of them may
+        # not return: every check fails at the vertex, and none is computed
+        where = omega.grid.locate_vertex(bad[1])
+        yield "omega", omega.grid, {key: (np.nan, where, f"non-finite {bad[0]}")
+                                    for _, key, *_ in CHECKS["omega"]}
     else:
         v = omega.validate()
         a = lie.associates(omega)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, PointAtInfinityError
-from .forms import lam2_pairs
+from .forms import frozen, lam2_pairs
 from .residuals import floor
 
 __all__ = [
@@ -126,14 +126,13 @@ class Frame:
                                  f"exceeds {_IDENTITY_TOL:.1e}")
 
     def _store(self, name: str, v, shape: tuple):
-        """Set attribute ``name`` to a read-only float copy of ``v``, which
+        """Set attribute ``name`` to :func:`~dnet.forms.frozen` ``v``, which
         must have ``shape`` (None stays None)."""
         if v is not None:
-            v = np.array(v, float)
+            v = frozen(v)
             if v.shape != shape:
                 raise ValueError(f"frame vector {name} has shape {v.shape}, "
                                  f"expected {shape}")
-            v.setflags(write=False)
         object.__setattr__(self, name, v)
 
     def __setattr__(self, name, value):
@@ -175,8 +174,7 @@ def gamma_lambda(s_i, s_j, lam, signature: Signature, out=None) -> np.ndarray:
     sj = np.asarray(s_j, float)
     ip = signature.inner
     g = ip(si, sj)
-    norm = np.linalg.norm(si, axis=-1) * np.linalg.norm(sj, axis=-1)
-    orth = np.abs(g) <= _TOL * floor(norm)
+    orth = np.abs(g) <= _TOL * floor(np.linalg.norm(si, axis=-1) * np.linalg.norm(sj, axis=-1))
     nonnull = [non_null(v, signature) for v in (si, sj)]
     bad = orth | nonnull[0] | nonnull[1]
     if np.any(bad):
@@ -185,16 +183,19 @@ def gamma_lambda(s_i, s_j, lam, signature: Signature, out=None) -> np.ndarray:
             raise DegeneracyError("null lines are orthogonal: eigen transport undefined",
                                   where=n, residual=float(np.abs(g).flat[n]))
         raise ValueError("gamma_lambda expects null line representatives")
-    gsi, gsj = si * signature.signs, sj * signature.signs
     c1, c2 = ((lam - 1.0) / g)[..., None], ((1.0 / lam - 1.0) / g)[..., None]
     out = np.empty(np.shape(g) + (signature.dim,) * 2) if out is None else out
-    # row by row, so that no second (..., d, d) array is needed
-    for a, unit in enumerate(np.eye(signature.dim)):
-        row = out[..., a, :]
-        np.multiply(sj[..., a, None], gsi, out=row)
-        row *= c1
-        row += unit
-        row += c2 * (si[..., a, None] * gsj)
+    # column b: (sj (si_b s_b)) c1 + e_b + c2 (si (sj_b s_b)); column by
+    # column, so that one (..., d) temporary is the only other array
+    term = np.empty(np.shape(si))
+    for b, (sign, unit) in enumerate(zip(signature.signs, np.eye(signature.dim))):
+        col = out[..., b]
+        np.multiply(sj, (si[..., b] * sign)[..., None], out=col)
+        col *= c1
+        col += unit
+        np.multiply(si, (sj[..., b] * sign)[..., None], out=term)
+        term *= c2
+        col += term
     return out
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -639,6 +641,42 @@ def test_dual_of_a_non_finite_pair_is_written(tmp_path, capsys):
         out = tmp_path / f"{name}_dual.json"
         assert _stderr(capsys, "transform", "dual", "-i", path, "-o", out) == (0, [])
         assert out.exists()
+
+
+@pytest.fixture(scope="module")
+def omega_files(tmp_path_factory):
+    """6x6 `gen omega` and `gen guichard` files of seed 1."""
+    files = {kind: tmp_path_factory.mktemp(kind) / f"{kind}.json" for kind in ("omega", "guichard")}
+    for kind, path in files.items():
+        assert run("gen", kind, "--dims", "6x6", "--seed", 1, "-o", path) == 0
+    return files
+
+
+@pytest.mark.parametrize("command", ["verify", "dual", "associates"])
+@pytest.mark.parametrize("field", ["y", "t"])
+@pytest.mark.parametrize("kind", ["omega", "guichard"])
+def test_a_non_finite_omega_lift_fails_at_once(omega_files, tmp_path, kind, field, command):
+    # no SVD sees the row, which it may never return from: verify fails the
+    # omega checks without a warning, and dual and associates name the
+    # vertex; each command runs in its own process, under a timeout
+    doc = json.loads(omega_files[kind].read_text())
+    doc["fields"]["vertex"][field][7] = ["inf", 0, 0, 0, 0, 0]      # vertex (1, 1)
+    path, out = tmp_path / "bad.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    argv = (["verify", "-i", path] if command == "verify"
+            else ["transform", command, "-i", path, "-o", out])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "dnet.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    if command == "verify":
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert f"FAIL  [non-finite {field}]" in proc.stdout, proc.stdout
+    else:
+        assert (proc.returncode, proc.stderr) == (
+            2, f"usage error: {command} needs finite lifts: {field} at vertex (1, 1) "
+               "is not finite\n")
+        assert not out.exists()
 
 
 def test_extreme_transform_parameters_print_no_warning(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The array codec and the grid's slot table against their per-element
 references, and the Omega-net edge labels against the trace identity."""
 
+import io
 import json
 import re
 from unittest import mock
@@ -337,10 +338,17 @@ BIG_FIELDS = {"mu": _RNG_BIG.standard_normal((BIG.nverts, 3)),
               "m": _RNG_BIG.standard_normal(BIG.nedges)}
 
 
+def _blocks(data: bytes, start: int) -> list:
+    """The blocks of rows the reader cuts from the array whose ``[`` is
+    ``data[start]``."""
+    return list(fieldread._blocks(io.BytesIO(data[start + 1:]),
+                                  bytearray(1 + fieldread._WINDOW)))
+
+
 def _first_block_rows(arr) -> int:
     """The rows of the first block the reader cuts from ``arr`` written as
     a field of a net file."""
-    return len(fieldread._read_array(_array_text(arr, 3).encode(), 0)[0][0])
+    return len(_blocks(_array_text(arr, 3).encode(), 0)[0])
 
 
 # rows of three numbers and of one number in the first block
@@ -464,8 +472,8 @@ def test_seam_edits_of_one_number_rows_load_as_json(tmp_path, new):
 def test_the_first_blocks_end_at_the_seams(tmp_path):
     # the values of SEAMS stand on both sides of the reader's first cuts
     data = _big_text(tmp_path).encode()
-    mu, _ = fieldread._read_array(data, data.index(b'"mu": [') + 6)
-    m, _ = fieldread._read_array(data, data.index(b'"m": [') + 5)
+    mu = _blocks(data, data.index(b'"mu": [') + 6)
+    m = _blocks(data, data.index(b'"m": [') + 5)
     assert len(mu[0]) == MU_ROWS and len(m[0]) == M_ROWS
     assert (mu[0][-1, 2], mu[1][0, 0]) == (SEAMS["mu", MU_ROWS - 1, 2], SEAMS["mu", MU_ROWS, 0])
     assert (m[0][-1], m[1][0]) == (SEAMS["m", M_ROWS - 1], SEAMS["m", M_ROWS])

@@ -75,6 +75,16 @@ def test_holonomy_does_not_grow_from_32_to_64():
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
+def test_connection_flatness_holds_one_block_of_transports(net):
+    # the residuals, one block's transports and the temporaries of one
+    # block; holding also the transports of the block before, or the
+    # products of a whole block, takes it above the bound
+    g = net.grid
+    block = len(np.unique(g.sides(slice(512, 1024)))) * SIG.dim ** 2 * 8
+    _, peak = _traced_peak(connection_flatness, net, 0.3)
+    assert peak <= 8 * g.nquads + 2.25 * block, (peak, block)
+
+
 def test_calapso_releases_its_connection_before_moving_the_net(net):
     # T, the moved net and one block of transports: no Gamma(t) is held
     (moved, T), peak = _traced_peak(calapso_transform, net, 0.3)
@@ -88,9 +98,9 @@ def _construction(n):
     (moved, T), calapso = _traced_peak(calapso_transform, net, 0.3)
     calapso -= T.nbytes + sum(a.nbytes for a in (moved.mu, moved.edge_ip, moved.is_infinite,
                                                   moved.labels))
-    # the walk that integrates d x_dual fills an (nverts, d) array
+    # the walk that integrates d x_dual fills x_dual, which its form keeps
     data, christoffel = _traced_peak(christoffel_dual, net)
-    christoffel -= (sum(a.nbytes for a in (data.x, data.x_dual, data.r)) + data.x_dual.nbytes
+    christoffel -= (sum(a.nbytes for a in (data.x, data.x_dual, data.r))
                     + net.grid.nedges * SIG.dim * data.x_dual.itemsize)      # d x_dual
     data = christoffel_dual(net)
     idx = standard_chart_indices(SIG)
@@ -196,14 +206,69 @@ def test_verify_and_save_do_not_grow_from_32_to_64(verify_peaks, kernel):
     assert big <= 1.25 * small, (small, big)
 
 
-def test_load_holds_the_text_and_one_block(net, tmp_path):
-    # the file's text and one block of rows read from it at a time; json's
-    # tree of the arrays held about three times the file, and check_format
-    # counts rows from dims without building a grid
-    path = tmp_path / "net.json"
-    NetFile.from_isothermic(net, NetFile.frame_section(SIG.standard_frame()), {}).save(str(path))
-    nf, peak = _traced_peak(NetFile.load, str(path))
-    kept = sum(a.nbytes for fields in (nf.vertex_fields, nf.edge_fields, nf.form1_fields)
-               for a in fields.values())
-    size = path.stat().st_size
-    assert peak - kept <= 1.5 * size, (peak, kept, size)
+def _above_arrays(fn, path):
+    """The traced peak of ``fn(path)`` above the arrays of the file at
+    ``path``, in bytes."""
+    _, peak = _traced_peak(fn, path)
+    nf = NetFile.load(path)
+    return peak - sum(a.nbytes for fields in (nf.vertex_fields, nf.edge_fields)
+                      for a in fields.values())
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A 64x64 and a 96x96 net file: both read one block of rows at a time."""
+    out = {}
+    for n in (64, 96):
+        out[n] = str(tmp_path_factory.mktemp("files") / f"net{n}.json")
+        NetFile.from_isothermic(_net(n), NetFile.frame_section(SIG.standard_frame()),
+                                {}).save(out[n])
+    return out
+
+
+def test_load_holds_one_block_above_its_arrays(files):
+    # load reads the file forward through one window into arrays sized from
+    # dims: above them it holds one block, whatever the size of the file;
+    # a reader that holds the whole text, which grows by 1.1 MB from 64x64
+    # to 96x96, fails the bound
+    small, big = (_above_arrays(NetFile.load, files[n]) for n in (64, 96))
+    assert big <= 1.1 * small, (small, big)
+    nf = NetFile.load(files[64])
+    mu = nf.vertex_fields["mu"]
+    assert not mu.flags.writeable and nf.isothermic_net().mu is mu
+
+
+def _verify(path):
+    return run_checks(NetFile.load(path)).to_text()
+
+
+def test_verify_holds_one_block_above_its_arrays(files):
+    # above the file's arrays, verify keeps the net's edge arrays (edge_ip,
+    # labels, is_infinite: 17 bytes an edge) and one residual per quad at
+    # a time (8 bytes a quad); the rest is one block of rows, edges or
+    # quads and does not grow from 64x64 to 96x96
+    held = []
+    for n in (64, 96):
+        grid = Grid([n, n])
+        held.append(_above_arrays(_verify, files[n]) - 17 * grid.nedges - 8 * grid.nquads)
+    assert held[1] <= 1.1 * held[0], held
+
+
+def test_isothermic_net_shares_a_frozen_array_and_copies_the_rest(net):
+    # a read-only float64 array that owns its data is kept as it is, and
+    # the net adds only its edge arrays; a writable array and a read-only
+    # view of one are copied, so no write to the caller's array reaches it
+    owned = np.array(net.mu)
+    owned.setflags(write=False)
+    kept, _ = _kept_and_peak(IsothermicNet, net.grid, SIG, owned)
+    shared = IsothermicNet(net.grid, SIG, owned)
+    assert shared.mu is owned
+    assert kept <= sum(a.nbytes for a in (shared.edge_ip, shared.labels,
+                                           shared.is_infinite)) + 4096, kept
+    writable = np.array(net.mu)
+    view = writable[:]
+    view.setflags(write=False)
+    copies = [IsothermicNet(net.grid, SIG, mu) for mu in (writable, view)]
+    writable += 1.0
+    for copy in copies:
+        assert not np.shares_memory(copy.mu, writable) and np.array_equal(copy.mu, net.mu)
