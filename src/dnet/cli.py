@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError, GeometryError
 from .grid import Grid
-from .netfile import (DEFAULT_TOLS, OMEGA_LIFTS, NetFile, first_non_finite, run_checks,
+from .netfile import (DEFAULT_TOLS, OMEGA_FIELDS, NetFile, first_non_finite, run_checks,
                       write_text)
 from .pseudo_euclidean import Signature, non_null
 
@@ -207,13 +207,15 @@ def cmd_verify(args) -> int:
 
 
 def _check_finite(nf: NetFile, op: str, names):
-    """Raise :class:`FormatError` naming the first vertex where a lift of
-    ``names`` in ``nf`` is not finite.  NaN and inf pass no test that
-    compares them: name them before any arithmetic on them."""
-    bad = first_non_finite(nf.vertex_fields, names)
+    """Raise :class:`FormatError` naming the first vertex or edge where a
+    field of ``names`` in ``nf`` is not finite.  NaN and inf pass no test
+    that compares them: name them before any arithmetic on them."""
+    bad = first_non_finite(nf, names)
     if bad is not None:
-        raise FormatError(f"{op} needs finite lifts: {bad[0]} at vertex "
-                          f"{nf.grid().coords(bad[1])} is not finite")
+        name, where = bad
+        what, place = (("lifts", f"vertex {where['coords']}") if where["kind"] == "vertex" else
+                       ("forms", f"edge {where['tail']} along axis {where['axis']}"))
+        raise FormatError(f"{op} needs finite {what}: {name} at {place} is not finite")
 
 
 def cmd_transform(args) -> int:
@@ -269,7 +271,7 @@ def cmd_transform(args) -> int:
             raise FormatError(f"{args.op} needs a grid with an edge")
         if args.op == "dual":
             # dual reads y, t and eta, and writes no pair
-            _check_finite(nf, args.op, ("y", "t"))
+            _check_finite(nf, args.op, ("y", "t", "eta"))
             duo = lie.dual_legendre(om)
             pn = duo.principal()
             out = NetFile(signature=nf.signature, dims=nf.dims, frame=nf.frame,
@@ -279,11 +281,16 @@ def cmd_transform(args) -> int:
                           edge_fields={"kappa": pn.kappa}, metadata=meta)
         else:
             # associates copies the pair into its output
-            _check_finite(nf, args.op, OMEGA_LIFTS)
+            _check_finite(nf, args.op, OMEGA_FIELDS)
             a = lie.associates(om)
             c = _parse_number("--c", args.c, default=0.0)
-            xd = a.x_dual + c * a.n
-            nd = a.n_dual - c * a.x
+            with np.errstate(over="ignore", invalid="ignore"):
+                xd = a.x_dual + c * a.n
+                nd = a.n_dual - c * a.x
+                # the checks of the new pair take its edge differences
+                if not all(np.isfinite(om.grid.edge_difference(v)).all() for v in (xd, nd)):
+                    raise FormatError(f"bad --c {args.c!r}; the edge differences of "
+                                      "x_dual + c n and n_dual - c x must be finite")
             out = NetFile(signature=nf.signature, dims=nf.dims, frame=nf.frame,
                           vertex_fields={**nf.vertex_fields, "x": a.x, "n": a.n,
                                          "xdual": xd, "ndual": nd},

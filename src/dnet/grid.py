@@ -398,105 +398,46 @@ def blocks(n: int) -> list:
     return [slice(s, min(s + _EDGE_BLOCK, n)) for s in range(0, n, _EDGE_BLOCK)]
 
 
-def _take(gamma: np.ndarray):
-    """The function of sorted edge indices that :func:`holonomy` takes for
-    the transport array ``gamma``: ``gamma[edges]``, written into ``out``
-    where it is given."""
-    def take(edges, out=None):
-        # "clip": the edges are in range, and the default mode buffers out
-        return np.take(gamma, edges, axis=0, out=out, mode="clip")
-    return take
-
-
-def _block_edges(grid: Grid, quads: slice):
+def _edges_of(grid: Grid, quads: slice):
     """The edges of the sides of the quads ``quads``, a :func:`quad_blocks`
-    block, in increasing order, and the place of each side among them.
+    block, and the place of each side among them.
 
-    A block that holds every quad holds every edge.  In a block of quads
-    of one axis pair, the sides along each axis of the pair are two
-    increasing columns: bottom and top along the first, right and left
-    along the second.  So every side is marked over the span from the
-    first bottom to the last top, and from the first left to the last
-    right, and the marks, counted in order, give each side its place,
-    with no sort.  A block at the seam of two axis pairs, of which an N-D
-    grid has at most one per pair, goes through ``np.unique``."""
-    qe = grid.sides(quads)
-    if len(qe) == grid.nquads:
-        return np.arange(grid.nedges), qe
-    pairs = np.searchsorted(grid._quad_start, [quads.start, quads.start + len(qe) - 1],
-                            side="right")
-    if pairs[0] != pairs[1]:
-        edges, places = np.unique(qe, return_inverse=True)
-        return edges, places.reshape(qe.shape)
-    places = np.empty_like(qe)
-    edges, count = [], 0
-    for cols, first, last in ((slice(0, None, 2), qe[0, 0], qe[-1, 2]),
-                              (slice(1, None, 2), qe[0, 3], qe[-1, 1])):
-        sides = qe[:, cols] - first
-        mark = np.zeros(last - first + 1, bool)
-        mark[sides] = True
-        rank = np.cumsum(mark)
-        np.add(rank[sides], count - 1, out=places[:, cols])
-        edges.append(np.flatnonzero(mark) + first)
-        count += int(rank[-1])
+    The sides along the first axis of a quad's pair (bottom and top) and
+    those along the second (right and left) each cover a short run of
+    edges in a block of one pair, so marks over each run give its edges
+    in order with no sort, whose first call costs a process about 0.4 MB
+    of resident memory.  Where a block meets two pairs, an edge may be
+    listed twice, and its transport is taken twice."""
+    sides = grid.sides(quads)
+    places, edges = np.empty_like(sides), []
+    for cols in ((0, 2), (1, 3)):
+        run = sides[:, cols]
+        lo = run.min()
+        mark = np.zeros(run.max() + 1 - lo, bool)
+        mark[run - lo] = True
+        edges.append(np.flatnonzero(mark) + lo)
+        places[:, cols] = np.searchsorted(edges[-1], run) + sum(map(len, edges[:-1]))
     return np.concatenate(edges), places
 
 
-def _shared(done: np.ndarray, edges: np.ndarray):
-    """A mask of the sorted ``edges`` that the sorted ``done`` holds, and
-    where ``done`` holds them."""
-    at = np.searchsorted(done, edges)
-    old = done.take(at, mode="clip") == edges if len(done) else np.zeros(len(edges), bool)
-    return old, at[old]
-
-
-def holonomy(grid: Grid, gamma, park=lambda edges, block: None) -> np.ndarray:
+def holonomy(grid: Grid, gamma) -> np.ndarray:
     """Per-quad relative holonomy of edge transports on canonical
     orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius).
 
     ``gamma`` is an ``(nedges, k, k)`` array of real transports or a
-    function ``gamma(edges, out=None)`` that returns those of a sorted
-    array of edge indices, written into ``out`` where it is given.  They
-    are taken for the edges of one :func:`quad_blocks` block at a time,
-    into one buffer: the transports of the edges a block shares with the
-    block before move to its front and are not taken again, and the rest
-    are written after them; each quad's value has the same bits in any
-    block.  ``park(edges, transports)`` sees every transport taken, and
-    on a grid without quads those of every edge, one :func:`blocks`
-    block of edges at a time.  An error of ``gamma`` names the edge it
-    would name if the transports were taken in edge order.
+    function ``gamma(edges)`` that returns those of an array of edge
+    indices.  They are taken for the edges of one :func:`quad_blocks`
+    block at a time and die with it; each quad's value has the same bits
+    in any block.  An error of ``gamma`` names the edge it would name if
+    the transports were taken in edge order.
     """
     if not callable(gamma):
-        gamma = _take(np.asarray(gamma, float))
+        gamma = np.asarray(gamma, float).__getitem__
     res = np.empty(grid.nquads)
-    # the edges of the block before, and the places of their transports in buf
-    buf, done, where = None, np.zeros(0, int), None
     try:
         for b in quad_blocks(grid):
-            edges, places = _block_edges(grid, b)
-            old, shared = _shared(done, edges)
-            fresh, n, start = edges[~old], len(edges), len(shared)
-            # the places of the transports in buf: the shared ones, then the fresh ones
-            order = np.cumsum(~old)
-            order += start - 1
-            order[old] = np.arange(start)
-            kept = None if buf is None else buf[where[shared]]
-            done, where = edges, order          # the block before is done with
-            if buf is None:
-                buf = gamma(fresh)
-            else:
-                if len(buf) < n:
-                    shape = buf.shape[1:]
-                    buf = None                  # freed before the larger one
-                    buf = np.empty((n, *shape))
-                buf[:start] = kept
-                del kept
-                gamma(fresh, out=buf[start:n])
-            park(fresh, buf[start:n])
-            res[b] = _block_holonomy(buf, order[places])
-        for b in [] if grid.nquads else blocks(grid.nedges):   # no quad holds the edges
-            edges = np.arange(b.start, b.stop)
-            park(edges, gamma(edges))
+            edges, places = _edges_of(grid, b)
+            res[b] = _block_holonomy(gamma(edges), places)
     except (DegeneracyError, ValueError):
         # a block meets edges out of edge order: name the first bad edge
         for b in blocks(grid.nedges):
@@ -572,61 +513,50 @@ def trivialize_connection(grid: Grid, gamma, base: int = 0, tol: float = 1e-8):
 
     ``gamma`` gives the forward transports along canonical orientations
     (fiber at tail -> fiber at head): an ``(nedges, k, k)`` array, or a
-    function of a sorted array of edge indices as :func:`holonomy` takes
-    it.  ``T[base]`` is the identity.  The :func:`holonomy` of every
-    quad must be at most ``tol`` first, else :class:`FlatnessError` names
-    the worst quad, a non-finite one first; the returned array satisfies
-    the reconstruction identity on all edges up to the flatness residual.
+    function of an array of edge indices as :func:`holonomy` takes it.
+    ``T[base]`` is the identity.  The :func:`holonomy` of every quad must
+    be at most ``tol`` first, else :class:`FlatnessError` names the worst
+    quad, a non-finite one first; the returned array satisfies the
+    reconstruction identity on all edges up to the flatness residual.
 
-    The flatness check takes the transports one quad block at a time and
-    parks the transport of each tree edge in ``T`` at the edge's child.
-    Once the check passes, one :func:`blocks` block of vertices at a time
-    turns each into the inverse of the step from its parent, and the
-    level walk turns ``T`` into the result in place; so each transport
-    is built once and no ``(nedges, k, k)`` array is held.  Which edges
-    are tree edges, and which steps run backwards, is arithmetic on the
-    indices of each block.
+    Once the check passes, the levels of the staircase tree are walked in
+    groups of up to :data:`_EDGE_BLOCK` edges: the transports of a
+    group's tree edges are taken together, in tree order, each step is
+    the inverse of the transport from the parent, and so no
+    ``(nedges, k, k)`` array is held.
     """
     if not callable(gamma):
         gamma = np.asarray(gamma, float)
         if gamma.shape[0] != grid.nedges or gamma.shape[1] != gamma.shape[2]:
             raise ValueError("gamma must be (nedges, k, k)")
-        gamma = _take(gamma)
-    levels = grid.staircase_tree(base)
-    at = grid.coordinates(base)
-    k = gamma(np.zeros(0, int)).shape[-1]
-    T = np.empty((grid.nverts, k, k))
-
-    def park(edges, block):
-        # the sorted edges of each axis a: a tree edge agrees with the base
-        # on the axes after a (its slot offset modulo the stride s of a),
-        # and its child is the end farther from the base along a
-        cuts = [0, *np.searchsorted(edges, grid._edge_start[1:-1]).tolist(), len(edges)]
-        for a, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            e, part, s = edges[lo:hi], block[lo:hi], int(grid.strides[a])
-            if s > 1:                       # every edge of the last axis is one
-                tree = (e - grid._edge_start[a]) % s == base % s
-                e, part = e[tree], part[tree]
-            tail, head = grid.ends(e)
-            T[np.where(tail // s % grid.dims[a] >= at[a], head, tail)] = part
-
-    res, q = worst(holonomy(grid, gamma, park))
+        gamma = gamma.__getitem__
+    res, q = worst(holonomy(grid, gamma))
     if not res <= tol:
         raise FlatnessError(
             f"connection is not flat: quad residual {res:.3e} > {tol:.1e}",
             where=grid.locate_quad(q), residual=res)
-    T[base] = np.eye(k)                     # its inverse is itself, bit for bit
-    # the step from the parent runs backwards where the vertex lies below
-    # the base along the last axis where they differ: where it comes before
-    # the base in the order that reads coordinates from the last axis
-    order = np.cumprod([1, *grid.dims[:-1]])
-    below = int(at @ order)                 # the vertices before the base
-    for v in blocks(grid.nverts):
-        step = T[v]                         # Gamma_{child, parent}
-        back = below and grid.coordinates(np.arange(v.start, v.stop)) @ order < below
-        if np.any(back):
+    groups, size = [], 0
+    for level in grid.staircase_tree(base):
+        if not groups or size + len(level[0]) > _EDGE_BLOCK:
+            groups.append([])
+            size = 0
+        groups[-1].append(level)
+        size += len(level[0])
+    if not groups:                          # one vertex: no step gives the fibers' size
+        return np.eye(gamma(np.zeros(0, int)).shape[-1])[None]
+    T = None
+    for group in groups:
+        step = gamma(np.concatenate([slot for _, _, slot, _ in group]))   # Gamma_{child, parent}
+        if T is None:
+            T = np.empty((grid.nverts, *step.shape[1:]))
+            T[base] = np.eye(step.shape[-1])
+        back = np.concatenate([sign for *_, sign in group]) < 0
+        if back.any():
             step[back] = np.linalg.inv(step[back])
-        T[v] = np.linalg.inv(step)
-    for child, parent, _, _ in levels:
-        T[child] = T[parent] @ T[child]
+        step = np.linalg.inv(step)
+        at = 0
+        for child, parent, _, _ in group:
+            T[child] = T[parent] @ step[at:at + len(child)]
+            at += len(child)
+        del step                            # before the next group's are built
     return T

@@ -405,9 +405,9 @@ def _check_spectrum(net: IsothermicNet, t: float):
 
 
 def _transports(net: IsothermicNet, t: float, edges: np.ndarray, out=None) -> np.ndarray:
-    """The transports of Gamma(t) on the canonical edges ``edges``, given
-    in increasing order, written into ``out`` when it is given; an error
-    names the first degenerate one.  Where an edge is isotropic, the
+    """The transports of Gamma(t) on the canonical edges ``edges``, written
+    into ``out`` when it is given; an error names the first degenerate
+    one in the order given.  Where an edge is isotropic, the
     finite transports are built in one temporary and copied in."""
     g, sig, d = net.grid, net.signature, net.signature.dim
     inf = net.is_infinite[edges]
@@ -416,10 +416,9 @@ def _transports(net: IsothermicNet, t: float, edges: np.ndarray, out=None) -> np
     if t == 0.0:
         out[~inf] = np.eye(d)
     else:
-        # the lifts at the ends, without holding the ends
-        mt, mh = map(net.mu.__getitem__, g.ends(fin))
         try:
-            eigen = gamma_lambda(mt, mh, 1.0 - t / net.labels[fin], sig,
+            eigen = gamma_lambda(net.mu[np.stack(g.ends(fin))],
+                                 1.0 - t / net.labels[fin], sig,
                                  out=None if inf.any() else out)
         except DegeneracyError as err:
             err.where = g.locate_edge(int(fin[err.where]))
@@ -458,7 +457,8 @@ def connection_flatness(net: IsothermicNet, t: float) -> float:
     The transports are built for the edges of one
     :func:`dnet.grid.quad_blocks` block at a time and die with it; each
     quad's holonomy has the bits it has over :func:`flat_connection`.  An
-    error is the one ``flat_connection(net, t)`` raises.
+    error is the one ``flat_connection(net, t)`` raises; a grid without
+    quads has no transport to check.
     """
     _check_spectrum(net, t)
     return worst(holonomy(net.grid, partial(_transports, net, t)))[0]
@@ -681,9 +681,9 @@ def calapso_transform(net: IsothermicNet, t: float):
     Returns ``(transformed net, T)`` with ``T`` the identity at vertex 0 (this
     pins the constant gauge freedom).  The transformed labels are
     ``m - t`` and the transformed flat connections satisfy
-    ``Gamma^{s(t)}(u) = T . Gamma^s(t + u)``.  The transports of Gamma(t)
-    are built one quad block at a time inside the trivialization, so no
-    whole Gamma(t) is held; errors are those of :func:`flat_connection`.
+    ``Gamma^{s(t)}(u) = T . Gamma^s(t + u)``.  The trivialization builds
+    the transports of Gamma(t) a block at a time, so no whole Gamma(t) is
+    held; errors are those of :func:`flat_connection`.
     """
     _check_spectrum(net, t)
     T = trivialize_connection(net.grid, partial(_transports, net, t), base=0, tol=1e-7)

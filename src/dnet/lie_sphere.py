@@ -125,7 +125,9 @@ class PrincipalNet:
         denom = np.sum(dx * dx, axis=1)
         if np.any(denom <= 1e-300):
             raise DegeneracyError("vanishing edge in the principal net")
-        self.kappa = -np.sum(dn * dx, axis=1) / denom
+        # a non-finite x or n gives NaN curvatures, which its checks name
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.kappa = -np.sum(dn * dx, axis=1) / denom
         with np.errstate(divide="ignore"):
             self.radius = np.where(np.abs(self.kappa) > 1e-300,
                                    1.0 / np.where(self.kappa == 0, 1.0, self.kappa),

@@ -491,20 +491,31 @@ CHECKS = {
 }
 
 
-def first_non_finite(fields: dict, names) -> tuple | None:
-    """``(name, vertex)`` of the first row with a non-finite entry in the
-    first of the fields ``names`` that has one, None when every field of
-    ``names`` in ``fields`` is finite."""
+def first_non_finite(nf: NetFile, names) -> tuple | None:
+    """``(name, where)`` of the first row with a non-finite entry in the
+    first of the vertex and 1-form fields ``names`` of ``nf`` that has
+    one, None when every one of them in ``nf`` is finite.  ``where``
+    locates the row: a vertex of a vertex field, an edge of a 1-form."""
     for name in names:
-        if name in fields:
-            finite = np.isfinite(fields[name]).all(axis=1)
-            if not finite.all():
-                return name, int(np.argmin(finite))
+        for fields, locate in ((nf.vertex_fields, Grid.locate_vertex),
+                               (nf.form1_fields, Grid.locate_edge)):
+            if name in fields:
+                finite = np.isfinite(fields[name]).reshape(len(fields[name]), -1).all(axis=1)
+                if not finite.all():
+                    return name, locate(nf.grid(), int(np.argmin(finite)))
     return None
 
 
-# The Lie-sphere lifts of an Omega-net file, in the order they are tested
-OMEGA_LIFTS = ("y", "t", "mu_plus", "mu_minus")
+# The fields of an Omega-net file, in the order they are tested
+OMEGA_FIELDS = ("y", "t", "mu_plus", "mu_minus", "eta")
+
+
+def _failed(bad: tuple, group: str) -> dict:
+    """Every check of ``group`` failed at the non-finite row ``bad`` of
+    :func:`first_non_finite`: NaN and inf pass no test that compares
+    them, arithmetic on them warns, and an SVD of them may not return."""
+    name, where = bad
+    return {key: (np.nan, where, f"non-finite {name}") for _, key, *_ in CHECKS[group]}
 
 
 def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
@@ -577,12 +588,8 @@ def _residuals(nf: NetFile):
                               else "no congruence fields")
     elif not omega.grid.nedges:
         yield "omega", None, "no edges"
-    elif (bad := first_non_finite(vf, OMEGA_LIFTS)) is not None:
-        # NaN and inf pass no test that compares them, and an SVD of them may
-        # not return: every check fails at the vertex, and none is computed
-        where = omega.grid.locate_vertex(bad[1])
-        yield "omega", omega.grid, {key: (np.nan, where, f"non-finite {bad[0]}")
-                                    for _, key, *_ in CHECKS["omega"]}
+    elif (bad := first_non_finite(nf, OMEGA_FIELDS)) is not None:
+        yield "omega", omega.grid, _failed(bad, "omega")
     else:
         v = omega.validate()
         a = lie.associates(omega)
@@ -594,9 +601,12 @@ def _residuals(nf: NetFile):
     if pn is None:
         yield "principal", None, "no x, n fields"
     else:
-        yield "principal", pn.grid, pn.validate()
+        bad = first_non_finite(nf, ("x", "n"))
+        yield "principal", pn.grid, pn.validate() if bad is None else _failed(bad, "principal")
         if "xdual" not in vf:
             yield "guichard", None, "no xdual field"
+        elif (bad := bad or first_non_finite(nf, ("xdual", "ndual"))) is not None:
+            yield "guichard", pn.grid, _failed(bad, "guichard")
         elif "ndual" in vf:
             yield "guichard", pn.grid, {"duality_fields": lie.check_omega(
                 pn, vf["xdual"], vf["ndual"])["duality"]}

@@ -155,47 +155,47 @@ def action_matrix(matrix: np.ndarray, signature: Signature) -> np.ndarray:
 
 
 def non_null(v, signature: Signature) -> np.ndarray:
-    """Where ``v`` fails the null test of :func:`gamma_lambda`, ``|(v, v)| > 1e-8 |v|^2``."""
+    """Where ``v`` fails the null test of :func:`gamma_lambda`, ``|(v, v)| > 1e-8 |v|^2``
+    (which :func:`gamma_lambda` takes with the ``|v|^2`` of its orthogonality test)."""
     return np.abs(signature.inner(v, v)) > 1e-8 * np.sum(v * v, axis=-1)
 
 
-def gamma_lambda(s_i, s_j, lam, signature: Signature, out=None) -> np.ndarray:
+def gamma_lambda(ends, lam, signature: Signature, out=None) -> np.ndarray:
     """Orthogonal map scaling ``s_j`` by ``lam``, ``s_i`` by ``1/lam`` and
     fixing ``(s_i + s_j)^perp`` pointwise (batched over leading axes).
 
-    ``s_i``, ``s_j`` are representatives of non-orthogonal null lines.
-    On the first offending pair a :class:`DegeneracyError` carries its
-    flat batch index as ``where``, and ``out``, the ``(..., d, d)`` array
-    to write into (a new one by default), is left as it was.
+    ``ends`` is the pair ``(s_i, s_j)`` of representatives of
+    non-orthogonal null lines, an array ``(2, ..., d)`` or two arrays of
+    one shape.  On the first offending pair a :class:`DegeneracyError`
+    carries its flat batch index as ``where``, and ``out``, the
+    ``(..., d, d)`` array to write into (a new one by default), is left
+    as it was.
     """
     if np.any(np.asarray(lam) == 0):
         raise ValueError("lambda must be nonzero")
-    si = np.asarray(s_i, float)
-    sj = np.asarray(s_j, float)
+    ends = np.asarray(ends, float)
+    si, sj = ends
     ip = signature.inner
     g = ip(si, sj)
-    orth = np.abs(g) <= _TOL * floor(np.linalg.norm(si, axis=-1) * np.linalg.norm(sj, axis=-1))
-    nonnull = [non_null(v, signature) for v in (si, sj)]
-    bad = orth | nonnull[0] | nonnull[1]
+    sq = [np.add.reduce(v * v, axis=-1) for v in ends]       # |s_i|^2, |s_j|^2
+    orth = np.abs(g) <= _TOL * floor(np.sqrt(sq[0]) * np.sqrt(sq[1]))
+    bad = orth | (np.abs(ip(si, si)) > 1e-8 * sq[0]) | (np.abs(ip(sj, sj)) > 1e-8 * sq[1])
     if np.any(bad):
         n = int(np.argmax(bad))
         if orth.flat[n]:
             raise DegeneracyError("null lines are orthogonal: eigen transport undefined",
                                   where=n, residual=float(np.abs(g).flat[n]))
         raise ValueError("gamma_lambda expects null line representatives")
-    c1, c2 = ((lam - 1.0) / g)[..., None], ((1.0 / lam - 1.0) / g)[..., None]
+    c = np.stack(((lam - 1.0) / g, (1.0 / lam - 1.0) / g), axis=-1)
     out = np.empty(np.shape(g) + (signature.dim,) * 2) if out is None else out
-    # column b: (sj (si_b s_b)) c1 + e_b + c2 (si (sj_b s_b)); column by
-    # column, so that one (..., d) temporary is the only other array
-    term = np.empty(np.shape(si))
-    for b, (sign, unit) in enumerate(zip(signature.signs, np.eye(signature.dim))):
-        col = out[..., b]
-        np.multiply(sj, (si[..., b] * sign)[..., None], out=col)
-        col *= c1
-        col += unit
-        np.multiply(si, (sj[..., b] * sign)[..., None], out=term)
-        term *= c2
-        col += term
+    # I + [s_j, s_i] @ [c1 s_i; c2 s_j] G, G = diag(signs), in unbuffered products over
+    # views of the ends; the right factor is freed before the buffered pass of G
+    right = np.matmul(c[..., None, None], np.moveaxis(ends, 0, -2)[..., None, :])[..., 0, :]
+    np.matmul(np.moveaxis(ends[::-1], 0, -1), right, out=out)
+    del right
+    out *= signature.signs
+    for a in range(signature.dim):          # no buffer, unlike one add on a diagonal view
+        out[..., a, a] += 1.0
     return out
 
 

@@ -96,6 +96,18 @@ def gamma_lambda(s_i, s_j, lam, sig, tol=1e-10):
             + ((1.0 / lam - 1.0) / g) * np.outer(si, gsj))
 
 
+def transport_scale(net, t, edges):
+    """Entrywise ``1 + |c1 s_j (G s_i)^T| + |c2 s_i (G s_j)^T|``: the size of
+    the terms that the eigen transports of Gamma(t) on ``edges`` sum, to
+    which their rounding errors are relative."""
+    g, sig = net.grid, net.signature
+    si, sj = net.mu[g.edge_tail[edges]], net.mu[g.edge_head[edges]]
+    lam = (1.0 - t / net.labels[edges])[:, None, None]
+    ip = sig.inner(si, sj)[:, None, None]
+    return (np.eye(sig.dim) + np.abs((lam - 1.0) / ip * np.einsum("na,nb->nab", sj, si))
+            + np.abs((1.0 / lam - 1.0) / ip * np.einsum("na,nb->nab", si, sj)))
+
+
 def flat_connection(net, t):
     """The transports of Gamma(t), one edge at a time."""
     g, sig = net.grid, net.signature

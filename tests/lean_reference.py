@@ -56,7 +56,7 @@ def flat_connection(net, t):
     out[inf] = np.eye(d) + t * action_matrix(unpack_bivector(eta(net)[inf], d), sig)
     try:
         out[fin] = np.eye(d) if t == 0.0 else gamma_lambda(
-            net.mu[g.edge_tail[fin]], net.mu[g.edge_head[fin]], 1.0 - t / net.labels[fin], sig)
+            (net.mu[g.edge_tail[fin]], net.mu[g.edge_head[fin]]), 1.0 - t / net.labels[fin], sig)
     except DegeneracyError as err:
         err.where = g.locate_edge(int(fin[err.where]))
         raise

@@ -652,40 +652,78 @@ def omega_files(tmp_path_factory):
     return files
 
 
-@pytest.mark.parametrize("command", ["verify", "dual", "associates"])
-@pytest.mark.parametrize("field", ["y", "t"])
-@pytest.mark.parametrize("kind", ["omega", "guichard"])
-def test_a_non_finite_omega_lift_fails_at_once(omega_files, tmp_path, kind, field, command):
+# (kind, field, command): a row of a field set to inf, or None for the
+# extreme --c of associates
+NON_FINITE_ROWS = ([(kind, field, command) for kind in ("omega", "guichard")
+                    for field in ("y", "t", "eta") for command in ("verify", "dual", "associates")]
+                   + [("guichard", field, "verify") for field in ("x", "xdual")]
+                   + [pytest.param("omega", None, "associates", id="omega-c1e308-associates")])
+
+
+@pytest.mark.parametrize("kind, field, command", NON_FINITE_ROWS)
+def test_a_non_finite_omega_lift_fails_at_once(omega_files, tmp_path, capsys, kind, field,
+                                               command):
     # no SVD sees the row, which it may never return from: verify fails the
-    # omega checks without a warning, and dual and associates name the
-    # vertex; each command runs in its own process, under a timeout
+    # checks that read it without a warning, and dual and associates name
+    # it.  A lift, which once stalled an SVD, runs in its own process under
+    # a timeout; the other cases run in this one
     doc = json.loads(omega_files[kind].read_text())
-    doc["fields"]["vertex"][field][7] = ["inf", 0, 0, 0, 0, 0]      # vertex (1, 1)
+    if field is not None:
+        rows = doc["fields"]["form1" if field == "eta" else "vertex"][field]
+        rows[7] = ["inf"] + [0] * (len(rows[7]) - 1)        # vertex or edge (1, 1)
     path, out = tmp_path / "bad.json", tmp_path / "out.json"
     path.write_text(json.dumps(doc))
     argv = (["verify", "-i", path] if command == "verify"
-            else ["transform", command, "-i", path, "-o", out])
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-m", "dnet.cli", *map(str, argv)],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
-    if command == "verify":
-        assert (proc.returncode, proc.stderr) == (1, "")
-        assert f"FAIL  [non-finite {field}]" in proc.stdout, proc.stdout
+            else ["transform", command, "-i", path, "-o", out]
+            + (["--c", "1e308"] if field is None else []))
+    if field in ("y", "t"):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-m", "dnet.cli", *map(str, argv)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        code, err, stdout = proc.returncode, proc.stderr.splitlines(), proc.stdout
     else:
-        assert (proc.returncode, proc.stderr) == (
-            2, f"usage error: {command} needs finite lifts: {field} at vertex (1, 1) "
-               "is not finite\n")
-        assert not out.exists()
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*argv)
+        stdout, err = capsys.readouterr()
+        err = err.splitlines() + [str(w.message) for w in caught]
+    if command == "verify":
+        assert (code, err) == (1, [])
+        assert f"FAIL  [non-finite {field}]" in stdout, stdout
+    elif field is None:
+        assert (code, err) == (2, ["usage error: bad --c '1e308'; the edge differences of "
+                                   "x_dual + c n and n_dual - c x must be finite"])
+    else:
+        what, place = (("forms", "edge (1, 1) along axis 0") if field == "eta"
+                       else ("lifts", "vertex (1, 1)"))
+        assert (code, err) == (2, [f"usage error: {command} needs finite {what}: {field} at "
+                                   f"{place} is not finite"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["x", "xdual"])
+def test_dual_and_associates_of_a_non_finite_principal_net_are_written(omega_files, tmp_path,
+                                                                        capsys, field):
+    # neither reads x or xdual, and neither keeps them: dual writes the
+    # principal net of its own lifts, associates its own pair
+    doc = json.loads(omega_files["guichard"].read_text())
+    doc["fields"]["vertex"][field][7] = ["inf", 0, 0]                  # vertex (1, 1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("dual", "associates"):
+        out = tmp_path / f"{command}.json"
+        assert _stderr(capsys, "transform", command, "-i", path, "-o", out) == (0, [])
+        assert "inf" not in out.read_text()
 
 
 def test_extreme_transform_parameters_print_no_warning(tmp_path, capsys):
-    # a tiny m overflows the norm of the Darboux base lifts, and a huge c
-    # the duality products of the associates: the same exit codes and
-    # lines as with the warnings, and no warning after them
-    iso, omega = tmp_path / "iso.json", tmp_path / "omega.json"
+    # a tiny m overflows the norm of the Darboux base lifts: the same exit
+    # codes and lines as with the warnings, and no warning after them (a
+    # huge c of associates is bad input, in NON_FINITE_ROWS)
+    iso = tmp_path / "iso.json"
     assert run("gen", "isothermic", "--dims", "6x6", "--seed", 1, "-o", iso) == 0
-    assert run("gen", "omega", "--dims", "6x6", "--seed", 1, "-o", omega) == 0
     code, err = _stderr(capsys, "transform", "darboux", "--m", "1e-300", "-i", iso,
                         "-o", tmp_path / "d.json")
     assert (code, err) == (3, ["construction degeneracy: no admissible Darboux seed after 24 "
@@ -703,11 +741,6 @@ def test_extreme_transform_parameters_print_no_warning(tmp_path, capsys):
                                    f"{propagation}, normalization 0, diagonal margin "
                                    f"{24 - propagation}, Moutard 0, nullity 0; best diagonal "
                                    f"margin -inf"])
-    code, err = _stderr(capsys, "transform", "associates", "--c", "1e308", "-i", omega,
-                        "-o", tmp_path / "a.json")
-    assert code == 1 and "omega.duality_fields" in err[-5] and "FAIL" in err[-5]
-    assert err[-2:] == ["overall: FAIL (14 checks, 1 skipped)",
-                        "transform output failed verification; not written"]
 
 
 @pytest.mark.parametrize("dims", ["1x5", "5x1"])

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from dnet.errors import ClosednessError, FlatnessError
 from dnet.forms import Form0, exterior_derivative
-from dnet.grid import Grid, integrate_one_form, stack, trivialize_connection
+from dnet.grid import Grid, holonomy, integrate_one_form, stack, trivialize_connection
+from dnet.residuals import worst
 from tests.netfile_reference import oriented_edge
 
 
@@ -189,6 +190,57 @@ def test_integrate_rejects_nan_edge():
     with pytest.raises(ClosednessError) as err:
         integrate_one_form(g, alpha, check_closed=True)
     assert err.value.where["corner"] == (1, 0) and np.isnan(err.value.residual)
+
+
+def _quads_holding(grid, tail, head):
+    """The ``(corner, axes)`` of every quad whose boundary runs through
+    the vertices ``tail -> head``, from the coordinates alone."""
+    out = set()
+    for corner in itertools.product(*(range(n) for n in grid.dims)):
+        for a, b in itertools.combinations(range(grid.ndim), 2):
+            if corner[a] + 1 >= grid.dims[a] or corner[b] + 1 >= grid.dims[b]:
+                continue
+            i = np.array(corner)
+            j, l = i + np.eye(grid.ndim, dtype=int)[a], i + np.eye(grid.ndim, dtype=int)[b]
+            sides = [(i, j), (j, j + l - i), (l, j + l - i), (i, l)]
+            if any(tuple(t) == tail and tuple(h) == head for t, h in sides):
+                out.add((corner, (a, b)))
+    return out
+
+
+@pytest.mark.parametrize("dims, stacked", [((5, 7), False), ((40, 40), False),
+                                           ((3, 4, 5), False), ((9, 9, 9), False),
+                                           ((2, 6, 7), True), ((1, 9), False), ((9, 1), False)])
+def test_holonomy_of_a_gauge_connection_moves_exactly_at_a_perturbed_edge(dims, stacked):
+    # an oracle independent of where each block places the sides of its
+    # quads: the connection of a random gauge is flat, and a change of one
+    # transport moves the quads through that edge and no other
+    g = Grid(dims, stacked=stacked)
+    rng = np.random.default_rng(sum(dims))
+    gauge = np.eye(4) + 0.3 * rng.standard_normal((g.nverts, 4, 4))
+    gamma = gauge[g.edge_head] @ np.linalg.inv(gauge[g.edge_tail])
+    flat = holonomy(g, gamma)
+    assert flat.shape == (g.nquads,) and flat.max(initial=0.0) <= 1e-13
+    e = int(rng.integers(g.nedges))
+    where = g.locate_edge(e)
+    tail = where["tail"]
+    head = tuple(c + (n == where["axis"]) for n, c in enumerate(tail))
+    bent = gamma.copy()
+    bent[e] = bent[e] @ (np.eye(4) + 0.1 * rng.standard_normal((4, 4)))
+    res = holonomy(g, bent)
+    moved = {(q["corner"], q["axes"]) for q in map(g.locate_quad, np.flatnonzero(res != flat))}
+    assert moved == _quads_holding(g, tail, head)
+    assert (res[res != flat] > 1e-3).all()
+    top, q = worst(res)
+    if moved:
+        assert (g.locate_quad(q)["corner"], g.locate_quad(q)["axes"]) in moved
+        with pytest.raises(FlatnessError) as err:
+            trivialize_connection(g, bent)
+        assert (err.value.where["corner"], err.value.where["axes"]) in moved
+    else:
+        assert q is None and g.nquads == 0
+        T = trivialize_connection(g, bent)
+        assert np.abs(np.linalg.inv(T[g.edge_head]) @ T[g.edge_tail] - bent).max() <= 1e-12
 
 
 def random_orthogonal(rng, k):

@@ -398,8 +398,8 @@ def test_darboux_transported_quantity_keeps_class(guichard):
     p1h = np.zeros_like(q.p1)
     pth = np.zeros_like(q.p0)
     for v in range(g.nverts):
-        M0 = gamma_lambda(plus.mu[v], hat_plus.mu[v], 1.0, sig)
-        Mt = gamma_lambda(plus.mu[v], hat_plus.mu[v], 1.0 - ts / m, sig)
+        M0 = gamma_lambda((plus.mu[v], hat_plus.mu[v]), 1.0, sig)
+        Mt = gamma_lambda((plus.mu[v], hat_plus.mu[v]), 1.0 - ts / m, sig)
         p0h[v] = M0 @ q.p0[v]
         pth[v] = Mt @ q.at(ts)[v]
     p1h = (pth - p0h) / ts

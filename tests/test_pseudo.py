@@ -155,7 +155,7 @@ def test_isotropic_exp_is_orthogonal(isotropic):
 
 def test_gamma_lambda_eigenstructure():
     fr = FRAME42
-    M = gamma_lambda(fr.o, fr.q, 2.0, SIG42)
+    M = gamma_lambda((fr.o, fr.q), 2.0, SIG42)
     assert np.abs(M @ fr.q - 2.0 * fr.q).max() <= 1e-14
     assert np.abs(M @ fr.o - 0.5 * fr.o).max() <= 1e-14
     for k in (0, 1, 2, 4):
@@ -166,9 +166,9 @@ def test_gamma_lambda_eigenstructure():
 
 def test_gamma_lambda_identity_and_inverse():
     fr = FRAME42
-    assert np.abs(gamma_lambda(fr.o, fr.q, 1.0, SIG42) - np.eye(6)).max() <= 1e-15
-    M = gamma_lambda(fr.o, fr.q, 3.0, SIG42)
-    W = gamma_lambda(fr.q, fr.o, 3.0, SIG42)
+    assert np.abs(gamma_lambda((fr.o, fr.q), 1.0, SIG42) - np.eye(6)).max() <= 1e-15
+    M = gamma_lambda((fr.o, fr.q), 3.0, SIG42)
+    W = gamma_lambda((fr.q, fr.o), 3.0, SIG42)
     assert np.abs(M @ W - np.eye(6)).max() <= 1e-13
 
 
@@ -179,8 +179,8 @@ def test_gamma_lambda_composition_law():
     x = FRAME42.pi(rng.standard_normal(6))
     nu = FRAME42.o + x + 0.5 * SIG42.inner(x, x) * FRAME42.q
     lam, m2 = 1.7, -0.6
-    lhs = gamma_lambda(mu, nu, lam, SIG42) @ gamma_lambda(mu, nu, m2, SIG42)
-    rhs = gamma_lambda(mu, nu, lam * m2, SIG42)
+    lhs = gamma_lambda((mu, nu), lam, SIG42) @ gamma_lambda((mu, nu), m2, SIG42)
+    rhs = gamma_lambda((mu, nu), lam * m2, SIG42)
     assert np.abs(lhs - rhs).max() <= 1e-12
     assert orthogonality_residual(rhs, SIG42) <= 1e-11
 
@@ -189,9 +189,9 @@ def test_gamma_lambda_rejects_orthogonal_lines():
     rng = np.random.default_rng(8)
     mu, v = isotropic_pair(rng, FRAME42)
     with pytest.raises(DegeneracyError):
-        gamma_lambda(mu, v, 2.0, SIG42)
+        gamma_lambda((mu, v), 2.0, SIG42)
     with pytest.raises(ValueError):
-        gamma_lambda(FRAME42.o, FRAME42.q, 0.0, SIG42)
+        gamma_lambda((FRAME42.o, FRAME42.q), 0.0, SIG42)
 
 
 def test_stereo_lift_of_origin_is_o():
