@@ -17,11 +17,13 @@ import sys
 
 import numpy as np
 
+from . import isothermic as iso
+from . import lie_sphere as lie
 from .errors import FormatError, GeometryError
 from .grid import Grid
 from .netfile import (DEFAULT_TOLS, OMEGA_FIELDS, NetFile, first_non_finite, run_checks,
                       write_text)
-from .pseudo_euclidean import Signature, non_null
+from .pseudo_euclidean import Signature, non_null, standard_chart_indices
 
 GEN_KINDS = ("isothermic", "darboux-pair", "omega", "guichard", "minimal",
              "weingarten")
@@ -102,12 +104,11 @@ def _parse_params(kind: str, items) -> dict:
 
 
 def cmd_generate(args) -> int:
-    from . import isothermic as iso
-    from . import lie_sphere as lie
-
     dims = _parse_dims(args.dims)
-    if args.kind == "guichard" and dims == (1, 1):
-        raise FormatError(f"bad dims {args.dims!r}; gen guichard needs a grid with an edge")
+    # a grid of one vertex has no edge: no Guichard net, and no Omega-net
+    # of which verify could run a check
+    if args.kind in ("omega", "guichard") and dims == (1, 1):
+        raise FormatError(f"bad dims {args.dims!r}; gen {args.kind} needs a grid with an edge")
     if args.kind in ("isothermic", "darboux-pair"):
         _, sig, frame = _parse_signature("4,2" if args.signature is None else args.signature)
     elif args.signature is None or _parse_signature(args.signature)[0] == (4, 2):
@@ -219,9 +220,6 @@ def _check_finite(nf: NetFile, op: str, names):
 
 
 def cmd_transform(args) -> int:
-    from . import isothermic as iso
-    from . import lie_sphere as lie
-
     nf = NetFile.load(args.input)
     meta = dict(nf.metadata)
     meta.update({"transform": args.op, "transform_seed": args.seed})
@@ -253,7 +251,6 @@ def cmd_transform(args) -> int:
             moved, _ = iso.calapso_transform(net, t)
             out = NetFile.from_isothermic(moved, nf.frame, meta)
         else:
-            from .pseudo_euclidean import standard_chart_indices
             if "eta" in nf.form1_fields:
                 raise FormatError("christoffel of an Omega-net file would drop its form "
                                   "'eta' and overwrite its principal net 'x'")

@@ -44,11 +44,14 @@ INFINITE = np.inf
 # as infinite.
 INF_LABEL_THRESHOLD = 1e-10
 
-# Draws random_isothermic reads, evolves and screens together: 16 was
-# faster at 12x12 but slower at 6x6.
-_BLOCK = 8
-# Auto seeds darboux_transform draws and propagates together.
-_SEEDS = 4
+# Blocks of draws random_isothermic evolves and screens together (16 a
+# block was faster at 12x12, slower at 6x6), and its quad and edge margins.
+_DRAW_BLOCKS = (8,) * 8
+_MARGIN, _EDGE_MARGIN = 1e-5, 1e-4
+# Blocks of auto seeds darboux_transform propagates together, the least
+# diagonal margin of a seed it accepts and the least |denominator| of a step.
+_SEED_BLOCKS = (4,) * 6
+_SEED_MARGIN, _MIN_DENOM = 1e-6, 1e-12
 # Damping of a Cauchy step's component along the point sphere complex
 # in indefinite signature: it keeps the edge inner products (and so the
 # labels) away from the isotropic case.
@@ -331,16 +334,14 @@ def _rejected_at(counts: dict) -> str:
     return "rejected at " + ", ".join(f"{name} {n}" for name, n in counts.items())
 
 
-def random_isothermic(grid: Grid, signature: Signature, rng,
-                      magnitude: float = 0.3, margin: float = 1e-5,
-                      edge_margin: float = 1e-4, retries: int = 64,
+def random_isothermic(grid: Grid, signature: Signature, rng, magnitude: float = 0.3,
                       frame: Frame | None = None) -> IsothermicNet:
     """Draw Cauchy data and evolve, rejecting badly conditioned nets.
 
     Random data in indefinite signature can come arbitrarily close to an
     isotropic diagonal or edge; draws are retried until the quad margins
-    clear ``margin`` and every edge stays at least ``edge_margin`` away
-    from the isotropic (infinite label) case.
+    clear 1e-5 and every edge stays at least 1e-4 away from the isotropic
+    (infinite label) case.
 
     Draw ``i`` reads the ``i``-th run of ``d0 + d1 - 1`` rows of
     ``standard_normal(d)``, laid out as :func:`random_cauchy` reads them,
@@ -350,16 +351,15 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
     block; the draws that clear the margins go, in order, through
     ``validate`` and the rest of the acceptance test.  The first draw
     that passes is returned and ``rng`` ends just past its rows.  After
-    ``retries`` draws, :class:`DegeneracyError` gives in one line the
-    count of draws rejected for each reason (each margin by name) and
-    the best diagonal margin reached.
+    64 draws, :class:`DegeneracyError` gives in one line the count of
+    draws rejected for each reason (each margin by name) and the best
+    diagonal margin reached.
     """
     frame = signature.standard_frame() if frame is None else frame
     rows, d = sum(grid.dims) - 1, signature.dim
     counts = dict.fromkeys(_DRAW_REJECTIONS, 0)
     best = -np.inf
-    for start in range(0, retries, _BLOCK):
-        n = min(_BLOCK, retries - start)
+    for n in _DRAW_BLOCKS:
         state = rng.bit_generator.state
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             line0, line1, regular = _cauchy_lines(grid, signature, rng, n, magnitude, frame)
@@ -367,8 +367,8 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
             mu = mu.reshape(n, grid.nverts, d)
             edge, diag, opp = _margins(grid, signature, mu)
         # a grid without quads has no quad margins to test
-        screens = (edge >= edge_margin, (diag >= margin) | (grid.nquads == 0),
-                   (opp >= margin) | (grid.nquads == 0))
+        screens = (edge >= _EDGE_MARGIN, (diag >= _MARGIN) | (grid.nquads == 0),
+                   (opp >= _MARGIN) | (grid.nquads == 0))
         for j in range(n):
             if not regular[j]:
                 counts["irregular Cauchy step"] += 1
@@ -383,15 +383,15 @@ def random_isothermic(grid: Grid, signature: Signature, rng,
                 continue
             # the screens have tested the edge margin
             net = IsothermicNet(grid, signature, mu[j])
-            rep = net.validate(margin=margin)
+            rep = net.validate()
             if (rep["nullity"] <= 1e-12 and rep["moutard"] <= 1e-11
-                    and (grid.nquads == 0 or (rep["diagonal_margin"] >= margin
-                                              and rep["opposite_label_margin"] >= margin))):
+                    and (grid.nquads == 0 or (rep["diagonal_margin"] >= _MARGIN
+                                              and rep["opposite_label_margin"] >= _MARGIN))):
                 rng.bit_generator.state = state
                 rng.standard_normal(((j + 1) * rows, d))
                 return net
             counts["validate"] += 1
-    raise DegeneracyError(f"no well-conditioned net after {retries} draws: "
+    raise DegeneracyError(f"no well-conditioned net after {sum(_DRAW_BLOCKS)} draws: "
                           f"{_rejected_at(counts)}; best diagonal margin {best:.3e}")
 
 
@@ -496,8 +496,7 @@ def _seed_orthogonal_null(net: IsothermicNet, base: int, rng) -> np.ndarray:
 
 
 def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
-                      rng=None, min_denom: float = 1e-12,
-                      retries: int = 24, margin: float = 1e-6) -> IsothermicNet:
+                      rng=None) -> IsothermicNet:
     """Darboux transform with parameter ``m`` (``inf`` for the isotropic
     case).
 
@@ -511,7 +510,7 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
     violation: they are drawn from ``rng`` one at a time, in blocks of 4
     propagated together one tree level at a time, and the first seed in
     draw order that passes is returned, so an auto-seeded call may leave
-    ``rng`` past the accepted seed.  After ``retries`` auto seeds,
+    ``rng`` past the accepted seed.  After 24 auto seeds,
     :class:`DegeneracyError` gives in one line the count of seeds
     rejected for each reason and the best diagonal margin reached.  An
     explicit ``seed`` is a block of one.  ``m = 0`` (a ValueError) and, where
@@ -526,8 +525,7 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
     if not np.isinf(m) and net.nearest_label(m)[0] <= 1e-8 * max(1.0, abs(m)):
         raise SpectralCollisionError(f"m = {m} collides with an edge label")
     if seed is not None:
-        hat, failures = _darboux_march(net, m, _darboux_start(net, m, seed, base, min_denom)[None],
-                                       base, min_denom)
+        hat, failures = _darboux_march(net, m, _darboux_start(net, m, seed, base)[None], base)
         if failures[0] is not None:
             what, e = failures[0]
             raise PropagationError(f"Darboux {what} degenerate", where=g.locate_edge(e))
@@ -536,32 +534,33 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
     draw = _seed_orthogonal_null if np.isinf(m) else _finite_darboux_seed
     counts = dict.fromkeys(_SEED_REJECTIONS, 0)
     best = -np.inf
-    for start in range(0, retries, _SEEDS):
+    for size in _SEED_BLOCKS:
         starts = []
-        for _ in range(min(_SEEDS, retries - start)):
+        for _ in range(size):
             try:
-                starts.append(_darboux_start(net, m, draw(net, base, rng), base, min_denom))
+                starts.append(_darboux_start(net, m, draw(net, base, rng), base))
             except (DegeneracyError, ValueError):
                 counts["seed draw"] += 1
-        hat, failures = _darboux_march(net, m, np.reshape(starts, (-1, sig.dim)), base, min_denom)
+        hat, failures = _darboux_march(net, m, np.reshape(starts, (-1, sig.dim)), base)
         for k in range(len(starts)):
             if failures[k] is not None:
                 counts[failures[k][0]] += 1
                 continue
             out = IsothermicNet(g, sig, hat[k])
-            rep = _pair_quality(net, out, margin)
+            rep = _pair_quality(net, out)
             best = max(best, rep["diagonal_margin"])
-            failed = [name for name, ok in (("diagonal margin", rep["diagonal_margin"] >= margin),
-                                            ("Moutard", rep["moutard"] <= 1e-10),
-                                            ("nullity", rep["nullity"] <= 1e-11)) if not ok]
+            failed = [name for name, ok in (
+                ("diagonal margin", rep["diagonal_margin"] >= _SEED_MARGIN),
+                ("Moutard", rep["moutard"] <= 1e-10),
+                ("nullity", rep["nullity"] <= 1e-11)) if not ok]
             if not failed:
                 return out
             counts[failed[0]] += 1
-    raise DegeneracyError(f"no admissible Darboux seed after {retries} draws: "
+    raise DegeneracyError(f"no admissible Darboux seed after {sum(_SEED_BLOCKS)} draws: "
                           f"{_rejected_at(counts)}; best diagonal margin {best:.3e}")
 
 
-def _darboux_start(net: IsothermicNet, m: float, seed, base: int, min_denom: float):
+def _darboux_start(net: IsothermicNet, m: float, seed, base: int):
     """The transformed lift at the base vertex from a seed."""
     sig, seed = net.signature, np.asarray(seed, float)
     if not sig.is_null(seed):
@@ -571,7 +570,7 @@ def _darboux_start(net: IsothermicNet, m: float, seed, base: int, min_denom: flo
         if abs(s0) > 1e-8 * np.linalg.norm(seed) * np.linalg.norm(net.mu[base]):
             raise ValueError("isotropic Darboux seed must be orthogonal to the net")
         return seed
-    if abs(s0) < min_denom:
+    if abs(s0) < _MIN_DENOM:
         raise ValueError("Darboux seed orthogonal to the net at the base")
     # a tiny m overflows the lift to inf, which the march and the quality
     # screens reject
@@ -579,8 +578,7 @@ def _darboux_start(net: IsothermicNet, m: float, seed, base: int, min_denom: flo
         return seed / (m * s0)
 
 
-def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
-                   min_denom: float):
+def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int):
     """Propagate the base lifts ``hat0`` ``(n, d)`` over the staircase
     tree, one level at a time over a leading seed axis.
 
@@ -600,12 +598,12 @@ def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
         # a huge base lift (a tiny m) overflows its norm: that step fails
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             denom = ip(hp, mj)
-            bad = [np.abs(denom) <= min_denom * floor(
+            bad = [np.abs(denom) <= _MIN_DENOM * floor(
                 np.linalg.norm(hp, axis=-1) * np.linalg.norm(mj, axis=-1))]
             val = mi + (ip(mi, hp - mj) / denom)[..., None] * (hp - mj)
             if not np.isinf(m):
                 cur = ip(mj, val)
-                bad.append(np.abs(cur) <= min_denom)
+                bad.append(np.abs(cur) <= _MIN_DENOM)
                 val = val / (m * cur)[..., None]
         hat[alive[:, None], child] = val
         failed = np.logical_or.reduce(bad)
@@ -619,12 +617,12 @@ def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int,
     return hat, failures
 
 
-def _pair_quality(net: IsothermicNet, hat: IsothermicNet, margin: float) -> dict:
+def _pair_quality(net: IsothermicNet, hat: IsothermicNet) -> dict:
     """Quality report of a Darboux pair without building the stack (the
     grid may itself already be stacked); a grid without quads has only
     the vertical diagonal margins.  Lifts too large to multiply (those of
     a tiny ``m``) give NaN or infinite margins without a warning."""
-    rep = hat.validate(margin=margin)
+    rep = hat.validate()
     g = net.grid
     with np.errstate(over="ignore", invalid="ignore"):
         vert_diag = vertical_diagonal_margin(g, hat.mu, net.mu, net.signature)

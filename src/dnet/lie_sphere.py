@@ -485,15 +485,14 @@ class GuichardNet:
 # Candidates each search for ``xi`` at the base and each Cauchy step of a
 # Guichard attempt tries before it gives up.
 _TRIES = 64
-# Guichard attempts made together, the last size repeated: a small first
-# block keeps a call that succeeds at once cheap.
-_ATTEMPT_BLOCKS = (4, 16)
+# The blocks of Guichard attempts made together: a small first block
+# keeps a call that succeeds at once cheap.
+_ATTEMPT_BLOCKS = (4, 16, 16, 12)
 _REJECTIONS = ("base point", "Cauchy step", "evolution", "net invalid",
                "orthogonality", "coefficient_dev")
 
 
-def guichard_generate(dims, seed: int = 0, retries: int = 48,
-                      skip_constraint_at: int | None = None):
+def guichard_generate(dims, seed: int = 0, skip_constraint_at: int | None = None):
     """Generate a Guichard net in the standard Lie frame from constrained
     Cauchy data.
 
@@ -502,9 +501,9 @@ def guichard_generate(dims, seed: int = 0, retries: int = 48,
     (with ``d xi = eta p``) stays orthogonal to the net; the interior is
     filled by the Moutard evolution and the conditions are verified at
     interior vertices.  Returns a :class:`GuichardNet` on success and
-    raises :class:`GenerationError` after exhausting retries, with one
-    line that counts the attempts rejected at each stage and gives the
-    best orthogonality and ``coefficient_dev`` reached.
+    raises :class:`GenerationError` after 48 attempts, with one line
+    that counts the attempts rejected at each stage and gives the best
+    orthogonality and ``coefficient_dev`` reached.
 
     ``skip_constraint_at`` deliberately skips the rescaling at one
     Cauchy step (fault injection for the verification path); the
@@ -516,9 +515,10 @@ def guichard_generate(dims, seed: int = 0, retries: int = 48,
     ``d - 2`` normals for the search for ``xi`` there, then 64 candidate
     rows of ``d`` normals per Cauchy step, the steps of axis 0 before
     those of axis 1; each step draws its candidates when it runs.  The
-    search and every step take their first passing candidate.  Attempts are made in blocks, stage by stage over the
+    search and every step take their first passing candidate.  Attempts
+    are made in blocks of 4, 16, 16 and 12, stage by stage over the
     block, and the first attempt in order that passes is returned, so the
-    result does not depend on the block size.
+    result does not depend on the block sizes.
     """
     frame = standard_lie_frame()
     g = Grid(dims)
@@ -526,11 +526,10 @@ def guichard_generate(dims, seed: int = 0, retries: int = 48,
         raise ValueError("Guichard generation expects a 2D grid")
     counts = dict.fromkeys(_REJECTIONS, 0)
     best_orth = best_dev = np.inf
-    start, blocks = 0, list(_ATTEMPT_BLOCKS)
-    while start < retries:
-        size = blocks.pop(0) if len(blocks) > 1 else blocks[0]
-        attempts = range(start, min(start + size, retries))
-        start = attempts.stop
+    start = 0
+    for size in _ATTEMPT_BLOCKS:
+        attempts = range(start, start + size)
+        start += size
         for out in _guichard_attempts(g, frame, seed, attempts, skip_constraint_at):
             if isinstance(out, str):
                 counts[out] += 1
@@ -548,8 +547,9 @@ def guichard_generate(dims, seed: int = 0, retries: int = 48,
             best_orth = min(best_orth, diag["orthogonality"])
             best_dev = min(best_dev, diag["coefficient_dev"])
     raise GenerationError(
-        f"Guichard generation failed after {retries} attempts: {_rejected_at(counts)}"
-        f"; best orthogonality {best_orth:.3e}, best coefficient_dev {best_dev:.3e}")
+        f"Guichard generation failed after {sum(_ATTEMPT_BLOCKS)} attempts: "
+        f"{_rejected_at(counts)}; best orthogonality {best_orth:.3e}, "
+        f"best coefficient_dev {best_dev:.3e}")
 
 
 def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_constraint_at):

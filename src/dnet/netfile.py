@@ -66,6 +66,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import isothermic as iso
+from . import lie_sphere as lie
 from .errors import FormatError, GeometryError
 from .grid import Grid, blocks, check_dims
 from .pseudo_euclidean import Frame, Signature
@@ -266,7 +268,6 @@ class NetFile:
         :class:`~dnet.lie_sphere.LieFrame` where it stores ``basis3``, else
         a :class:`Frame`.  Raises :class:`FormatError` unless ``o`` and
         ``q`` are there and the vectors make a frame of the signature."""
-        from .lie_sphere import LieFrame
         if not self.frame:
             return None
         vectors = {k: self.frame.get(k) for k in ("o", "q", "p", "basis3")}
@@ -275,7 +276,7 @@ class NetFile:
         try:
             if vectors["basis3"] is None:
                 return Frame(self.sig(), vectors["o"], vectors["q"], vectors["p"])
-            return LieFrame(self.sig(), **vectors)
+            return lie.LieFrame(self.sig(), **vectors)
         except ValueError as err:
             raise FormatError(f"bad frame: {err}") from None
 
@@ -389,30 +390,27 @@ class NetFile:
 
     def isothermic_net(self):
         """The isothermic net of ``mu``, or None without it."""
-        from .isothermic import IsothermicNet
         mu = self.vertex_fields.get("mu")
-        return None if mu is None else IsothermicNet(self.grid(), self.sig(), mu)
+        return None if mu is None else iso.IsothermicNet(self.grid(), self.sig(), mu)
 
     def omega_net(self):
         """The Omega-net of ``y``, ``t`` and ``eta`` in the Lie frame, spanned
         by ``mu_plus`` and ``mu_minus`` where stored; None without one of
         the four."""
-        from .lie_sphere import LieFrame, OmegaNet
         lf, vf = self.the_frame(), self.vertex_fields
-        if not (isinstance(lf, LieFrame) and "eta" in self.form1_fields
+        if not (isinstance(lf, lie.LieFrame) and "eta" in self.form1_fields
                 and {"y", "t"} <= vf.keys()):
             return None
-        return OmegaNet(self.grid(), lf, vf["y"], vf["t"], self.form1_fields["eta"],
-                        mu_plus=vf.get("mu_plus"), mu_minus=vf.get("mu_minus"))
+        return lie.OmegaNet(self.grid(), lf, vf["y"], vf["t"], self.form1_fields["eta"],
+                            mu_plus=vf.get("mu_plus"), mu_minus=vf.get("mu_minus"))
 
     def principal_net(self):
         """The principal net of ``x`` and ``n``, or None without both or
         outside R^3."""
-        from .lie_sphere import PrincipalNet
         vf = self.vertex_fields
         if not {"x", "n"} <= vf.keys() or vf["x"].shape[1] != 3 or vf["n"].shape[1] != 3:
             return None
-        return PrincipalNet(self.grid(), vf["x"], vf["n"])
+        return lie.PrincipalNet(self.grid(), vf["x"], vf["n"])
 
 
 DEFAULT_TOLS = {
@@ -551,9 +549,6 @@ def _residuals(nf: NetFile):
     associate-net (``guichard``) group needs a principal net and the
     ``special`` group an ``xi`` field; without them the group gives no
     line."""
-    from . import lie_sphere as lie
-    from .isothermic import connection_flatness
-
     net, vf = nf.isothermic_net(), nf.vertex_fields
     if net is None:
         yield "isothermic", None, "no mu field"
@@ -566,7 +561,7 @@ def _residuals(nf: NetFile):
                 out[key] = "t collides with a label"
                 continue
             try:
-                out[key] = connection_flatness(net, t)
+                out[key] = iso.connection_flatness(net, t)
             except (GeometryError, ValueError) as err:
                 out[key] = (np.inf, None, f"aborted: {err}")
         stored = nf.edge_fields.get("m")

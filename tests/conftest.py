@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dnet import (Grid, Signature, guichard_generate, omega_from_darboux_pair,
-                  random_isothermic, standard_lie_frame)
+from dnet import (Grid, NetFile, Signature, guichard_generate, omega_edge_labels,
+                  omega_from_darboux_pair, random_isothermic, standard_lie_frame)
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,18 @@ def guichard():
 @pytest.fixture(scope="session")
 def lie_frame():
     return standard_lie_frame()
+
+
+@pytest.fixture(scope="session")
+def edgeless_omega():
+    """The Omega-net file of one vertex, as `gen omega --dims 1x1 --seed 1`
+    wrote it before that command refused a grid without an edge: its
+    ``eta`` and ``m`` are empty."""
+    frame, rng = standard_lie_frame(), np.random.default_rng(1)
+    om = omega_from_darboux_pair(random_isothermic(Grid([1, 1]), frame.signature, rng,
+                                                   frame=frame), rng=rng)
+    return NetFile(signature=(4, 2), dims=(1, 1), frame=NetFile.frame_section(frame),
+                   vertex_fields={"mu_plus": om.mu_plus, "mu_minus": om.mu_minus,
+                                  "y": om.y, "t": om.t},
+                   form1_fields={"eta": om.eta}, edge_fields={"m": omega_edge_labels(om)},
+                   metadata={"generator": "omega", "seed": 1, "params": {}})

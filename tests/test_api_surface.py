@@ -1,12 +1,16 @@
 """Every optional parameter of `src/dnet` is set by some call.
 
-A parameter with a default that no call in `src/`, `perfbench/`, `demos/`
-or `tests/` passes (by keyword or by position) is a knob nobody turns: it
-should be the constant it always is.  Calls are matched by the callable's
-name (`f(...)`, `obj.f(...)`); a class's `__init__` is matched by the class
-name or the name of any subclass defined in `src/dnet`.  A call into a test
-reference module (`tests/*_reference.py`: `ref.validate(net)` with `ref`
-bound to one, or a function imported from one) sets nothing in `src/`.
+A parameter with a default that no call in `src/`, `perfbench/` or
+`demos/` passes (by keyword or by position) is a knob nobody turns: it
+should be the constant it always is.  A test does not justify a knob:
+where a test needs another value, it patches the module constant.  The
+exceptions are the inputs of `ALLOWED`, which only tests set and which
+choose which object is built, each with its reason.  Calls are matched
+by the callable's name (`f(...)`, `obj.f(...)`); a class's `__init__` is
+matched by the class name or the name of any subclass defined in
+`src/dnet`.  A call into a test reference module (`ref.validate(net)` with
+`ref` bound to `tests/*_reference.py`, or a function imported from one)
+sets nothing in `src/`.
 
 The match is by name only, so a same-named method of two `src/` classes
 can still mask one of them: `net.validate(margin=...)` of `IsothermicNet`
@@ -18,21 +22,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "dnet").glob("*.py"))
-CALLERS = [p for d in ("src", "perfbench", "demos", "tests")
-           for p in sorted((ROOT / d).rglob("*.py"))]
+CALLERS = [p for d in ("src", "perfbench", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
 
-# keywords that reach a function only through a test wrapper, with the
-# test lines that set them
-FORWARDED = {
-    # tests/test_generators.py:312 and :377, through `_assert_same_draws` and
-    # `_isothermic`
-    ("random_isothermic", "margin"),
-    # tests/test_isothermic.py:159-162, through `darboux_transform(..., **kw)`;
-    # tests/test_walks.py:169, through `_outcome`
-    ("darboux_transform", "margin"),
-    ("darboux_transform", "min_denom"),
-    # tests/test_generators.py:163, through `_generate`
-    ("guichard_generate", "retries"),
+# inputs that only tests set, each choosing which object is built, with
+# its reason: (qualified name, parameter) -> reason
+ALLOWED = {
+    ("darboux_transform", "base"): "the vertex where an explicit seed is placed",
+    ("darboux_legendre", "seed"): "an explicit seed picks one Darboux transform of the family",
+    ("extract_pair", "seeds_plus"): "the fiber seeds that pick one K-Moutard pair of a "
+                                    "congruence",
+    ("extract_pair", "seeds_minus"): "the fiber seeds of the second net of the pair",
+    ("special_quantity_solve", "xi_seed"): "the value of xi at vertex 0, the constant of "
+                                           "integration",
+    ("quad_cross_ratio_residual", "rng"): "the fifth point of the conic the cross ratio is "
+                                          "projected from",
+    ("PrincipalNet.validate", "frame"): "the Lie frame the circularity is measured in",
+    ("legendre_lift", "frame"): "the Lie frame of the lift; tests pass random_lie_frame's",
+    ("sphere_lattice", "center"): "the center of the sphere the patch lies on",
 }
 
 
@@ -134,8 +140,6 @@ def _is_set(calls, names, param, index):
             # a starred argument may fill every position from its own on
             if index is not None and (index < npos or starred is not None):
                 return True
-        if (name, param) in FORWARDED:
-            return True
     return False
 
 
@@ -143,7 +147,7 @@ def unused_parameters():
     calls = _calls(map(_parse, CALLERS))
     return [f"{module}:{qualname}({param}=)"
             for module, qualname, names, param, index in _optional_parameters()
-            if not _is_set(calls, names, param, index)]
+            if (qualname, param) not in ALLOWED and not _is_set(calls, names, param, index)]
 
 
 def test_every_optional_parameter_is_set_by_some_call():
@@ -163,10 +167,12 @@ def test_calls_into_reference_modules_set_nothing():
     assert _calls([tree]) == {"validate": [({"margin"}, 0, None)]}
 
 
-def test_forwarded_keywords_still_name_real_parameters():
-    known = {(name, param) for _, _, names, param, _ in _optional_parameters()
-             for name in names}
-    assert FORWARDED <= known
+def test_each_allowed_parameter_exists_and_only_tests_set_it():
+    calls = _calls(map(_parse, CALLERS))
+    found = {(qualname, param): _is_set(calls, names, param, index)
+             for _, qualname, names, param, index in _optional_parameters()}
+    assert ALLOWED.keys() <= found.keys(), ALLOWED.keys() - found.keys()
+    assert not [key for key in ALLOWED if found[key]]
 
 
 if __name__ == "__main__":

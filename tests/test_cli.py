@@ -507,9 +507,10 @@ EXIT_CODES = [
     (["transform", "darboux", "-i", "{net41}", "--m", "inf", "-o", "{out}"], 3),
     # a stacked Darboux pair is not one net to transform
     (["transform", "darboux", "-i", "{pair}", "--m", "2", "-o", "{out}"], 2),
-    # a 1x1 grid has no edge: no Guichard net to build; the Omega-net file
-    # of one vertex verifies with the omega group skipped, and fails with
-    # no check run, and it has no dual or associates
+    # a 1x1 grid has no edge: no Guichard net to build (nor an Omega-net,
+    # the last case); an Omega-net file of one vertex verifies with the
+    # omega group skipped, and fails with no check run, and it has no dual
+    # or associates
     (["gen", "guichard", "--dims", "1x1", "-o", "{out}"], 2),
     (["verify", "-i", "{edgeless}"], 1),
     (["transform", "dual", "-i", "{edgeless}", "-o", "{out}"], 2),
@@ -519,13 +520,15 @@ EXIT_CODES = [
     *((["verify", "-i", f"{{{name}}}"], 2) for name in FRAME_BREAKS),
     *((["transform", "dual", "-i", f"{{{name}}}", "-o", "{out}"], 2) for name in FRAME_BREAKS),
     (["export", "-i", "{frame_no_q}", "--field", "y", "--format", "csv", "-o", "{out}"], 2),
+    # no Omega-net of one vertex either: verify would run no check of it
+    (["gen", "omega", "--dims", "1x1", "-o", "{out}"], 2),
 ]
 
 
 @pytest.mark.parametrize("argv, code", EXIT_CODES,
                          ids=[f"{i}-{a[0]}-{a[1]}-exit{c}"
                               for i, (a, c) in enumerate(EXIT_CODES)])
-def test_exit_codes(tmp_path, capsys, argv, code):
+def test_exit_codes(tmp_path, capsys, edgeless_omega, argv, code):
     net = tmp_path / "net.json"
     assert run("gen", "isothermic", "--dims", "4x4", "--seed", 2, "-o", net) == 0
     bare = tmp_path / "bare.json"
@@ -542,7 +545,7 @@ def test_exit_codes(tmp_path, capsys, argv, code):
         assert run("gen", "darboux-pair", "--dims", "6x6", "--seed", 1,
                    "-o", names["pair"]) == 0
     if "{edgeless}" in argv:
-        assert run("gen", "omega", "--dims", "1x1", "--seed", 1, "-o", names["edgeless"]) == 0
+        edgeless_omega.save(str(names["edgeless"]))
     for name, corrupt in FRAME_BREAKS.items():
         if f"{{{name}}}" in argv:
             assert run("gen", "omega", "--dims", "4x4", "--seed", 1, "-o", names[name]) == 0

@@ -101,7 +101,7 @@ def test_guichard_generate_is_deterministic():
             _same_guichard(first, again)
 
 
-@pytest.mark.parametrize("blocks", [(1,), (2,), (8,)])
+@pytest.mark.parametrize("blocks", [(1,) * 48, (2,) * 24, (8,) * 6])
 def test_guichard_generate_does_not_depend_on_block_size(monkeypatch, blocks):
     default = {(dims, seed): _generate(dims, seed)
                for dims in ((5, 5), (8, 8)) for seed in range(6)}
@@ -159,8 +159,9 @@ def _reference_exhaustion(dims, seed, retries):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_guichard_exhaustion_is_one_line(seed):
-    err = _generate((12, 12), seed, retries=16)
+def test_guichard_exhaustion_is_one_line(monkeypatch, seed):
+    monkeypatch.setattr(lie_sphere, "_ATTEMPT_BLOCKS", (4, 12))
+    err = _generate((12, 12), seed)
     assert "\n" not in err and "array" not in err
     assert err == _reference_exhaustion((12, 12), seed, 16)
 
@@ -249,8 +250,24 @@ def _isothermic(gen, grid, sig, rng, **kw):
     return out, rng.bit_generator.state
 
 
-def _assert_same_draws(grid, sig, make_rng, **kw):
-    new, state = _isothermic(random_isothermic, grid, sig, make_rng(), **kw)
+# the constants of random_isothermic that stand for keywords of the reference
+CONSTANTS = {"margin": "_MARGIN", "edge_margin": "_EDGE_MARGIN", "retries": "_DRAW_BLOCKS"}
+
+
+def _draw_blocks(retries):
+    """``retries`` draws in blocks of 8, the last one short."""
+    return (8,) * (retries // 8) + ((retries % 8,) if retries % 8 else ())
+
+
+def _assert_same_draws(grid, sig, make_rng, monkeypatch=None, **kw):
+    """random_isothermic against the reference called with ``kw``; the
+    reference's margins and retries set the constants that stand for
+    them through ``monkeypatch``."""
+    for name in CONSTANTS.keys() & kw.keys():
+        value = _draw_blocks(kw[name]) if name == "retries" else kw[name]
+        monkeypatch.setattr(isothermic, CONSTANTS[name], value)
+    given = {k: v for k, v in kw.items() if k not in CONSTANTS}
+    new, state = _isothermic(random_isothermic, grid, sig, make_rng(), **given)
     old, state_ref = _isothermic(ref.random_isothermic, grid, sig, make_rng(), **kw)
     if isinstance(old, str) or isinstance(new, str):
         assert new == old
@@ -301,7 +318,7 @@ def _expected_rejections(text, retries, **counts):
 
 @pytest.mark.parametrize("retries", [5, 9, 64])
 @pytest.mark.parametrize("case", ["margins", "edge", "isotropic", "irregular"])
-def test_exhaustion_counts_each_draw_once(case, retries):
+def test_exhaustion_counts_each_draw_once(monkeypatch, case, retries):
     """Every draw rejected by its edge or diagonal margin; every draw by
     its edge margin, which is tested first, though it fails the diagonal
     margin too; draw 1 by an isotropic diagonal and the others by their
@@ -309,16 +326,16 @@ def test_exhaustion_counts_each_draw_once(case, retries):
     sig, grid = Signature(4, 2), Grid([6, 6])
     if case in ("margins", "edge"):
         kw = {"edge_margin": 0.9} if case == "edge" else {}
-        text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4),
+        text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4), monkeypatch,
                                   retries=retries, margin=0.3, **kw)
         counts = {"edge margin": retries} if case == "edge" else {}
     elif case == "isotropic":
         rows = _script(4, sig.dim, _evolution_degenerate(grid, 1))
-        text = _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows),
+        text = _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows), monkeypatch,
                                   retries=retries, margin=0.3)
         counts = {"isotropic diagonal": 1}
     else:
-        text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4),
+        text = _assert_same_draws(grid, sig, lambda: np.random.default_rng(4), monkeypatch,
                                   retries=retries, magnitude=0.0)
         counts = {"irregular Cauchy step": retries, "edge margin": 0}
     expected = _expected_rejections(text, retries, **counts)
@@ -330,25 +347,26 @@ def test_exhaustion_counts_each_draw_once(case, retries):
     assert (best == "-inf") == (case == "irregular")
 
 
-def _with_irregular_draw(grid, sig, edits, **kw):
+def _with_irregular_draw(grid, sig, edits, monkeypatch, **kw):
     """Draws 0-2 have an isotropic diagonal, draw 3 is rejected by
     ``edits`` and the later draws keep their rows."""
     edits = [e for draw in range(3) for e in _evolution_degenerate(grid, draw)] + edits
     rows = _script(9, sig.dim, edits)
-    return _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows), **kw)
+    return _assert_same_draws(grid, sig, lambda: _ScriptedStream(rows), monkeypatch, **kw)
 
 
 @pytest.mark.parametrize("retries", [12, 64])
-def test_irregular_step_rejects_that_draw_alone(retries):
+def test_irregular_step_rejects_that_draw_alone(monkeypatch, retries):
     """A zero row at a step of draw 3 makes that step irregular; the draw
     is rejected whole and draw 4 reads the rows it reads when draw 3 is
     rejected by an isotropic diagonal instead."""
     sig, grid = Signature(4, 1), Grid([6, 6])
     irregular = [(3 * _rows_per_draw(grid) + 4, None)]
-    net = _with_irregular_draw(grid, sig, irregular, retries=retries)
-    same = _with_irregular_draw(grid, sig, _evolution_degenerate(grid, 3), retries=retries)
+    net = _with_irregular_draw(grid, sig, irregular, monkeypatch, retries=retries)
+    same = _with_irregular_draw(grid, sig, _evolution_degenerate(grid, 3), monkeypatch,
+                                retries=retries)
     assert not isinstance(net, str) and np.array_equal(net, same)
-    text = _with_irregular_draw(grid, sig, irregular, retries=retries, margin=0.3)
+    text = _with_irregular_draw(grid, sig, irregular, monkeypatch, retries=retries, margin=0.3)
     assert _rejections(text) == _expected_rejections(
         text, retries, **{"irregular Cauchy step": 1, "isotropic diagonal": 3})
 
@@ -373,12 +391,14 @@ def test_rng_ends_just_past_the_accepted_draw(first):
                                                  frame=sig.standard_frame()).mu)
 
 
-def test_random_generators_are_deterministic():
+def test_random_generators_are_deterministic(monkeypatch):
     for pq, n, seed, kw in (((4, 2), 6, 0, {}), ((3, 1), 12, 1, {}),
-                            ((4, 1), 32, 1, {}), ((4, 2), 8, 2, {"margin": 0.3})):
+                            ((4, 1), 32, 1, {}), ((4, 2), 8, 2, {"_MARGIN": 0.3})):
         sig, grid = Signature(*pq), Grid([n, n])
+        for name, value in kw.items():
+            monkeypatch.setattr(isothermic, name, value)
         first, again = (_isothermic(random_isothermic, grid, sig,
-                                    np.random.default_rng(seed), **kw) for _ in range(2))
+                                    np.random.default_rng(seed)) for _ in range(2))
         assert first[1] == again[1]
         assert (first[0] == again[0] if isinstance(first[0], str)
                 else np.array_equal(first[0], again[0]))

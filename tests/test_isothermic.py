@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dnet import isothermic
 from dnet.errors import DegeneracyError, EvolutionError, SpectralCollisionError
 from dnet.forms import wedge_vec
 from dnet.grid import Grid
@@ -206,16 +207,19 @@ def test_infinite_label_connection_is_isotropic_exp(net42):
 
 
 @pytest.mark.parametrize("m, kw, reason", [
-    (0.5, {"margin": 1.0}, "diagonal margin"),
-    (np.inf, {"margin": 1.0}, "diagonal margin"),
-    (0.5, {"min_denom": 1e3}, "seed draw"),
-    (np.inf, {"min_denom": 1e3}, "propagation"),
+    (0.5, {"_SEED_MARGIN": 1.0}, "diagonal margin"),
+    (np.inf, {"_SEED_MARGIN": 1.0}, "diagonal margin"),
+    (0.5, {"_MIN_DENOM": 1e3}, "seed draw"),
+    (np.inf, {"_MIN_DENOM": 1e3}, "propagation"),
 ])
-def test_darboux_exhaustion_is_one_line(net42, m, kw, reason):
-    """Auto seeds forced to fail: by an unreachable margin, or by a
-    denominator bound no seed (finite m) or no step (m = inf) clears."""
+def test_darboux_exhaustion_is_one_line(monkeypatch, net42, m, kw, reason):
+    """Auto seeds forced to fail, 6 of them in blocks of 4 and 2: by an
+    unreachable margin, or by a denominator bound no seed (finite m) or
+    no step (m = inf) clears."""
+    for name, value in {"_SEED_BLOCKS": (4, 2), **kw}.items():
+        monkeypatch.setattr(isothermic, name, value)
     with pytest.raises(DegeneracyError) as err:
-        darboux_transform(net42, m, rng=np.random.default_rng(2), retries=6, **kw)
+        darboux_transform(net42, m, rng=np.random.default_rng(2))
     text = str(err.value)
     assert "\n" not in text and "array" not in text and "float64" not in text
     head, best = text.split("; best diagonal margin ")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import walk_reference as ref
-from dnet import (Grid, Signature, darboux_transform, moutard_lift_from_eta,
+from dnet import (Grid, Signature, darboux_transform, isothermic, moutard_lift_from_eta,
                   omega_from_darboux_pair, random_isothermic)
 from dnet.errors import GeometryError
 from dnet.forms import wedge_vec
@@ -158,13 +158,14 @@ def test_darboux_degenerate_step_names_the_same_edge(name, base):
 
 @pytest.mark.parametrize("min_denom, scale, what", [(1e-12, 1.0, "normalization"),
                                                      (1e3, 1e4, "propagation")])
-def test_darboux_normalization_failure_names_the_same_edge(min_denom, scale, what):
+def test_darboux_normalization_failure_names_the_same_edge(monkeypatch, min_denom, scale, what):
     """With m = 1e13 the normalization (mu, mu_hat) = 1/m falls below
     ``min_denom`` at the first step; a larger ``min_denom`` fails the
     denominator test there too, and that test comes first."""
     net, m = _net("3x4x5"), 1e13
     seed = scale * _darboux_seed(net, 0.5, 27)
-    got = _outcome(darboux_transform, net, m, seed=seed, base=27, min_denom=min_denom)
+    monkeypatch.setattr(isothermic, "_MIN_DENOM", min_denom)
+    got = _outcome(darboux_transform, net, m, seed=seed, base=27)
     hat0 = seed / (m * float(SIG.inner(seed, net.mu[27])))
     assert got == _outcome(ref.darboux_march, net, m, hat0, 27, min_denom)
     assert got[1] == f"Darboux {what} degenerate"
