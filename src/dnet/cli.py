@@ -21,7 +21,7 @@ from . import isothermic as iso
 from . import lie_sphere as lie
 from .errors import FormatError, GeometryError
 from .grid import Grid
-from .netfile import (DEFAULT_TOLS, OMEGA_FIELDS, NetFile, first_non_finite, run_checks,
+from .netfile import (DEFAULT_TOLS, READS, NetFile, first_non_finite, run_checks,
                       write_text)
 from .pseudo_euclidean import Signature, non_null, standard_chart_indices
 
@@ -207,20 +207,14 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _check_finite(nf: NetFile, op: str, names):
-    """Raise :class:`FormatError` naming the first vertex or edge where a
-    field of ``names`` in ``nf`` is not finite.  NaN and inf pass no test
-    that compares them: name them before any arithmetic on them."""
-    bad = first_non_finite(nf, names)
-    if bad is not None:
+def cmd_transform(args) -> int:
+    nf = NetFile.load(args.input)
+    # NaN and inf pass no test that compares them: name them first
+    if (bad := first_non_finite(nf, READS[args.op])) is not None:
         name, where = bad
         what, place = (("lifts", f"vertex {where['coords']}") if where["kind"] == "vertex" else
                        ("forms", f"edge {where['tail']} along axis {where['axis']}"))
-        raise FormatError(f"{op} needs finite {what}: {name} at {place} is not finite")
-
-
-def cmd_transform(args) -> int:
-    nf = NetFile.load(args.input)
+        raise FormatError(f"{args.op} needs finite {what}: {name} at {place} is not finite")
     meta = dict(nf.metadata)
     meta.update({"transform": args.op, "transform_seed": args.seed})
     rng = np.random.default_rng(args.seed)
@@ -228,7 +222,6 @@ def cmd_transform(args) -> int:
     if args.op in ("darboux", "calapso", "christoffel"):
         if "mu" not in nf.vertex_fields:
             raise FormatError(f"{args.op} needs a mu field")
-        _check_finite(nf, args.op, ("mu",))
         net = nf.isothermic_net()
         # the null test of the edge transports, at the worst lift that fails it
         bad = np.flatnonzero(non_null(net.mu, net.signature))
@@ -260,15 +253,13 @@ def cmd_transform(args) -> int:
                           frame=nf.frame, edge_fields=nf.edge_fields, metadata=meta,
                           vertex_fields={**nf.vertex_fields, "x": data.x[:, idx],
                                          "xdual": data.x_dual[:, idx]})
-    elif args.op in ("dual", "associates"):
+    else:                                   # dual, associates
         om = nf.omega_net()
         if om is None:
             raise FormatError(f"{args.op} needs omega fields and a Lie frame")
         if not om.grid.nedges:
             raise FormatError(f"{args.op} needs a grid with an edge")
         if args.op == "dual":
-            # dual reads y, t and eta, and writes no pair
-            _check_finite(nf, args.op, ("y", "t", "eta"))
             duo = lie.dual_legendre(om)
             pn = duo.principal()
             out = NetFile(signature=nf.signature, dims=nf.dims, frame=nf.frame,
@@ -277,8 +268,6 @@ def cmd_transform(args) -> int:
                           form1_fields={"eta": duo.eta},
                           edge_fields={"kappa": pn.kappa}, metadata=meta)
         else:
-            # associates copies the pair into its output
-            _check_finite(nf, args.op, OMEGA_FIELDS)
             a = lie.associates(om)
             c = _parse_number("--c", args.c, default=0.0)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -293,8 +282,6 @@ def cmd_transform(args) -> int:
                                          "xdual": xd, "ndual": nd},
                           form1_fields=nf.form1_fields, edge_fields=nf.edge_fields,
                           metadata=meta)
-    else:
-        raise FormatError(f"unknown transform {args.op!r}")
 
     rep = run_checks(out)
     if not rep.passed:

@@ -489,6 +489,20 @@ CHECKS = {
 }
 
 
+# The vertex and 1-form fields each CHECKS group and transform op reads,
+# or copies into an output whose checks read them.  The isothermic group
+# is not here: its blocked kernels fold a NaN mu quietly and name a quad.
+READS = {
+    "omega": ("y", "t", "mu_plus", "mu_minus", "eta"),
+    "principal": ("x", "n"),
+    "guichard": ("x", "n", "xdual", "ndual"),
+    "special": ("mu", "xi"),
+    **dict.fromkeys(("darboux", "calapso", "christoffel"), ("mu",)),
+    "dual": ("y", "t", "eta"),
+    "associates": ("y", "t", "mu_plus", "mu_minus", "eta", "mu", "xi"),
+}
+
+
 def first_non_finite(nf: NetFile, names) -> tuple | None:
     """``(name, where)`` of the first row with a non-finite entry in the
     first of the vertex and 1-form fields ``names`` of ``nf`` that has
@@ -498,22 +512,20 @@ def first_non_finite(nf: NetFile, names) -> tuple | None:
         for fields, locate in ((nf.vertex_fields, Grid.locate_vertex),
                                (nf.form1_fields, Grid.locate_edge)):
             if name in fields:
-                finite = np.isfinite(fields[name]).reshape(len(fields[name]), -1).all(axis=1)
+                finite = np.isfinite(fields[name])      # an empty field too
+                finite = finite.all(axis=tuple(range(1, finite.ndim)))
                 if not finite.all():
                     return name, locate(nf.grid(), int(np.argmin(finite)))
     return None
 
 
-# The fields of an Omega-net file, in the order they are tested
-OMEGA_FIELDS = ("y", "t", "mu_plus", "mu_minus", "eta")
-
-
-def _failed(bad: tuple, group: str) -> dict:
-    """Every check of ``group`` failed at the non-finite row ``bad`` of
-    :func:`first_non_finite`: NaN and inf pass no test that compares
-    them, arithmetic on them warns, and an SVD of them may not return."""
-    name, where = bad
-    return {key: (np.nan, where, f"non-finite {name}") for _, key, *_ in CHECKS[group]}
+def _failed(nf: NetFile, group: str) -> dict | None:
+    """Every check of ``group`` failed at the first non-finite row of its
+    fields ``READS[group]``, or None when they are finite: NaN and inf pass
+    no test that compares them, and an SVD of them may not return."""
+    bad = first_non_finite(nf, READS[group])
+    return None if bad is None else {key: (np.nan, bad[1], f"non-finite {bad[0]}")
+                                     for _, key, *_ in CHECKS[group]}
 
 
 def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
@@ -539,7 +551,7 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
                 rep.checks.append(Check(
                     name, float(residual), float(tol),
                     bool(residual >= tol if margin else residual <= tol), worst,
-                    "margin (must stay above tolerance)" if margin else note))
+                    note or ("margin (must stay above tolerance)" if margin else "")))
     return rep
 
 
@@ -583,8 +595,8 @@ def _residuals(nf: NetFile):
                               else "no congruence fields")
     elif not omega.grid.nedges:
         yield "omega", None, "no edges"
-    elif (bad := first_non_finite(nf, OMEGA_FIELDS)) is not None:
-        yield "omega", omega.grid, _failed(bad, "omega")
+    elif (failed := _failed(nf, "omega")) is not None:
+        yield "omega", omega.grid, failed
     else:
         v = omega.validate()
         a = lie.associates(omega)
@@ -596,12 +608,11 @@ def _residuals(nf: NetFile):
     if pn is None:
         yield "principal", None, "no x, n fields"
     else:
-        bad = first_non_finite(nf, ("x", "n"))
-        yield "principal", pn.grid, pn.validate() if bad is None else _failed(bad, "principal")
+        yield "principal", pn.grid, _failed(nf, "principal") or pn.validate()
         if "xdual" not in vf:
             yield "guichard", None, "no xdual field"
-        elif (bad := bad or first_non_finite(nf, ("xdual", "ndual"))) is not None:
-            yield "guichard", pn.grid, _failed(bad, "guichard")
+        elif (failed := _failed(nf, "guichard")) is not None:
+            yield "guichard", pn.grid, failed
         elif "ndual" in vf:
             yield "guichard", pn.grid, {"duality_fields": lie.check_omega(
                 pn, vf["xdual"], vf["ndual"])["duality"]}
@@ -614,6 +625,8 @@ def _residuals(nf: NetFile):
         lf = nf.the_frame()
         if net is None or not isinstance(lf, lie.LieFrame):
             yield "special", None, "xi present but mu or frame missing"
+        elif (failed := _failed(nf, "special")) is not None:
+            yield "special", net.grid, failed
         else:
             orth, dev = lie.special_residuals(lf, net.mu, vf["xi"])
             yield "special", net.grid, {"orthogonality": float(orth.max(initial=0.0)),

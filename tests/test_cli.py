@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dnet.cli import main
+from dnet.cli import GEN_KINDS, main
 from dnet.koenigs import km_pair_check
-from dnet.netfile import NetFile, run_checks
+from dnet.netfile import CHECKS, READS, NetFile, first_non_finite, run_checks
 
 
 def run(*argv):
@@ -415,14 +415,22 @@ def test_help_is_the_same_on_every_call(capsys):
     assert texts[0] == texts[1] == build_parser().format_help()
 
 
-def _stderr(capsys, *argv):
-    """The exit code of one command and its stderr lines, each warning it
-    issues counted as one more line."""
+def _outcome(capsys, *argv):
+    """The exit code of one command, its stdout, its stderr lines and the
+    messages of the warnings it issues."""
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run(*argv)
-    return code, capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines(), [str(w.message) for w in caught]
+
+
+def _stderr(capsys, *argv):
+    """The exit code of one command and its stderr lines, each warning it
+    issues counted as one more line."""
+    code, _, err, warned = _outcome(capsys, *argv)
+    return code, err + warned
 
 
 def test_overflowing_flatness_gate_and_inf_vertex_print_no_warning(tmp_path, capsys):
@@ -719,6 +727,101 @@ def test_dual_and_associates_of_a_non_finite_principal_net_are_written(omega_fil
         out = tmp_path / f"{command}.json"
         assert _stderr(capsys, "transform", command, "-i", path, "-o", out) == (0, [])
         assert "inf" not in out.read_text()
+
+
+def test_an_empty_field_has_no_non_finite_row(edgeless_omega, tmp_path):
+    # the eta of a grid of one vertex has no row: (0, 15) as built, (0,)
+    # as read back
+    path = tmp_path / "edgeless.json"
+    edgeless_omega.save(str(path))
+    files = (edgeless_omega, NetFile.load(str(path)))
+    assert [nf.form1_fields["eta"].shape for nf in files] == [(0, 15), (0,)]
+    for nf in files:
+        assert first_non_finite(nf, ("eta",)) is None
+        assert first_non_finite(nf, READS["associates"]) is None
+
+
+# the 6x6 file of seed 1 that holds every field of each READS entry: a
+# `gen` kind, or "pair", the associates output of the omega file, which
+# holds xdual and ndual
+READ_SOURCES = {**dict.fromkeys(("darboux", "calapso", "christoffel"), "isothermic"),
+                "dual": "omega", "omega": "omega", "principal": "minimal",
+                "associates": "guichard", "special": "guichard", "guichard": "pair"}
+OP_OPTIONS = {"darboux": ["--m", "0.5"], "calapso": ["--t", "0.4"]}
+READ_ROWS = [(entry, field, value) for entry, fields in READS.items() for field in fields
+             for value in ("nan", "inf")]
+
+
+@pytest.fixture(scope="module")
+def read_sources(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("reads")
+    files = {kind: tmp / f"{kind}.json"
+             for kind in ("isothermic", "omega", "minimal", "guichard", "pair")}
+    for kind in ("isothermic", "omega", "minimal", "guichard"):
+        assert run("gen", kind, "--dims", "6x6", "--seed", 1, "-o", files[kind]) == 0
+    assert run("transform", "associates", "-i", files["omega"], "-o", files["pair"]) == 0
+    return files
+
+
+@pytest.mark.parametrize("entry, field, value", READ_ROWS)
+def test_a_non_finite_row_of_a_field_read_fails_at_once(read_sources, tmp_path, capsys,
+                                                        entry, field, value):
+    # one case per row of READS: a transform exits 2 with one line naming
+    # the row and writes nothing, and verify fails every check of the group
+    # at the row, with nothing on stderr
+    doc = json.loads(read_sources[READ_SOURCES[entry]].read_text())
+    rows = doc["fields"]["form1" if field == "eta" else "vertex"][field]
+    rows[7] = [value] + [0] * (len(rows[7]) - 1)        # vertex or edge (1, 1)
+    path, out = tmp_path / "bad.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    if entry in CHECKS:
+        code, stdout, err, warned = _outcome(capsys, "verify", "-i", path)
+        assert (code, err, warned) == (1, [], [])
+        status = {ln.split()[0]: ln for ln in stdout.splitlines() if ln.split()}
+        for name, *_ in CHECKS[entry]:
+            assert f"FAIL  [non-finite {field}]  worst=" in status[name], status[name]
+            assert "(1, 1)" in status[name], status[name]
+    else:
+        what, place = (("forms", "edge (1, 1) along axis 0") if field == "eta"
+                       else ("lifts", "vertex (1, 1)"))
+        assert _stderr(capsys, "transform", entry, *OP_OPTIONS.get(entry, ()), "-i", path,
+                       "-o", out) == (2, [f"usage error: {entry} needs finite {what}: {field} "
+                                          f"at {place} is not finite"])
+        assert not out.exists()
+
+
+# the transforms of the files of each gen kind
+KIND_OPS = {"isothermic": [["darboux", "--m", "0.5"], ["calapso", "--t", "0.4"], ["christoffel"]],
+            "darboux-pair": [["calapso", "--t", "0.4"], ["christoffel"]],
+            "omega": [["dual"], ["associates"]], "guichard": [["dual"], ["associates"]],
+            "minimal": [], "weingarten": []}
+
+
+@pytest.mark.parametrize("kind", GEN_KINDS)
+@pytest.mark.parametrize("dims", ["1x1", "1x6", "6x1", "2x2"])
+def test_gen_of_a_small_grid_is_quiet(tmp_path, capsys, kind, dims):
+    # one vertex, one row, one column or one quad: gen exits 0 to 3 without
+    # a traceback or a warning, with one line and no file unless it exits
+    # 0, and so do verify and each transform of what it writes.  A
+    # transform whose output fails its own checks prints that report and
+    # exits 1 (calapso of the 2x2 pair, dual and associates of the 2x2
+    # omega file)
+    path = tmp_path / "net.json"
+    code, _, err, warned = _outcome(capsys, "gen", kind, "--dims", dims, "--seed", 1, "-o", path)
+    assert code in (0, 2, 3) and warned == [] and len(err) == (code != 0), err
+    assert path.exists() == (code == 0)
+    if code:
+        return
+    code, _, err, warned = _outcome(capsys, "verify", "-i", path)
+    assert code in (0, 1) and (err, warned) == ([], [])
+    for op in KIND_OPS[kind]:
+        out = tmp_path / f"{op[0]}.json"
+        code, _, err, warned = _outcome(capsys, "transform", *op, "-i", path, "-o", out)
+        assert code in (0, 1, 2, 3) and warned == [] and out.exists() == (code == 0)
+        if code == 1:
+            assert err[-1] == "transform output failed verification; not written", err
+        else:
+            assert len(err) == (code != 0), err
 
 
 def test_extreme_transform_parameters_print_no_warning(tmp_path, capsys):

@@ -230,6 +230,16 @@ def test_a_degenerate_edge_gives_the_same_report(monkeypatch):
     text = run_checks(_file(bad)).to_text()
     aborted = "[aborted: gamma_lambda expects null line representatives]"
     assert sum(aborted in line for line in text.splitlines()) == len(FLATNESS_T)
-    monkeypatch.setattr(isothermic, "connection_flatness", ref.connection_flatness)
-    monkeypatch.setattr(IsothermicNet, "validate", ref.validate)
+    # the references count their calls: a patch that run_checks does not
+    # see (a name imported before it) would compare the library with itself
+    calls = []
+
+    def counted(f):
+        def call(net, *args):
+            calls.append((f.__name__, *args))
+            return f(net, *args)
+        return call
+    monkeypatch.setattr(isothermic, "connection_flatness", counted(ref.connection_flatness))
+    monkeypatch.setattr(IsothermicNet, "validate", counted(ref.validate))
     assert run_checks(_file(bad)).to_text() == text
+    assert calls == [("validate",), *(("connection_flatness", t) for t in FLATNESS_T)]
