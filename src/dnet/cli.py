@@ -199,6 +199,9 @@ def cmd_verify(args) -> int:
             raise FormatError(f"unknown tolerance {k!r}; "
                               f"known: {sorted(DEFAULT_TOLS)}")
         tols[k] = _parse_number(f"--tol {k}", v)
+        # inf would pass every residual, and 0 or less every margin (>= 0)
+        if not 0 < tols[k] < np.inf:
+            raise FormatError(f"bad --tol {k} {v!r}; expected a finite positive number")
     rep = run_checks(nf, tols)
     text = rep.to_text()
     if args.report:

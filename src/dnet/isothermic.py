@@ -464,11 +464,11 @@ def connection_flatness(net: IsothermicNet, t: float) -> float:
     return worst(holonomy(net.grid, partial(_transports, net, t)))[0]
 
 
-def _seed_orthogonal_null(net: IsothermicNet, base: int, rng) -> np.ndarray:
-    """Random null vector orthogonal to mu at the base vertex."""
+def _seed_orthogonal_null(net: IsothermicNet, rng) -> np.ndarray:
+    """Random null vector orthogonal to mu at vertex 0."""
     sig = net.signature
     ip = sig.inner
-    mu0 = net.mu[base]
+    mu0 = net.mu[0]
     anchor = None
     for v in rng.permutation(net.grid.nverts):
         if abs(ip(net.mu[v], mu0)) > 1e-6:
@@ -495,8 +495,7 @@ def _seed_orthogonal_null(net: IsothermicNet, base: int, rng) -> np.ndarray:
     raise DegeneracyError("no isotropic seed found orthogonal to the base line")
 
 
-def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
-                      rng=None) -> IsothermicNet:
+def darboux_transform(net: IsothermicNet, m: float, seed=None, rng=None) -> IsothermicNet:
     """Darboux transform with parameter ``m`` (``inf`` for the isotropic
     case).
 
@@ -504,7 +503,7 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
     (the nullity-forced factor), which preserves ``(mu, mu_hat) = 1/m``
     identically; for finite ``m`` the lift is additionally rescaled each
     step to pin the normalization against rounding drift.  The seed is a
-    null vector at the base vertex: non-orthogonal to the net there for
+    null vector at vertex 0: non-orthogonal to the net there for
     finite ``m``, orthogonal for ``m = inf``.  Auto-drawn seeds are
     retried while the transformed net comes too close to a regularity
     violation: they are drawn from ``rng`` one at a time, in blocks of 4
@@ -525,7 +524,7 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
     if not np.isinf(m) and net.nearest_label(m)[0] <= 1e-8 * max(1.0, abs(m)):
         raise SpectralCollisionError(f"m = {m} collides with an edge label")
     if seed is not None:
-        hat, failures = _darboux_march(net, m, _darboux_start(net, m, seed, base)[None], base)
+        hat, failures = _darboux_march(net, m, _darboux_start(net, m, seed)[None])
         if failures[0] is not None:
             what, e = failures[0]
             raise PropagationError(f"Darboux {what} degenerate", where=g.locate_edge(e))
@@ -538,10 +537,10 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
         starts = []
         for _ in range(size):
             try:
-                starts.append(_darboux_start(net, m, draw(net, base, rng), base))
+                starts.append(_darboux_start(net, m, draw(net, rng)))
             except (DegeneracyError, ValueError):
                 counts["seed draw"] += 1
-        hat, failures = _darboux_march(net, m, np.reshape(starts, (-1, sig.dim)), base)
+        hat, failures = _darboux_march(net, m, np.reshape(starts, (-1, sig.dim)))
         for k in range(len(starts)):
             if failures[k] is not None:
                 counts[failures[k][0]] += 1
@@ -560,26 +559,26 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, base: int = 0,
                           f"{_rejected_at(counts)}; best diagonal margin {best:.3e}")
 
 
-def _darboux_start(net: IsothermicNet, m: float, seed, base: int):
-    """The transformed lift at the base vertex from a seed."""
+def _darboux_start(net: IsothermicNet, m: float, seed):
+    """The transformed lift at vertex 0 from a seed."""
     sig, seed = net.signature, np.asarray(seed, float)
     if not sig.is_null(seed):
         raise ValueError("Darboux seed must be null")
-    s0 = float(sig.inner(seed, net.mu[base]))
+    s0 = float(sig.inner(seed, net.mu[0]))
     if np.isinf(m):
-        if abs(s0) > 1e-8 * np.linalg.norm(seed) * np.linalg.norm(net.mu[base]):
+        if abs(s0) > 1e-8 * np.linalg.norm(seed) * np.linalg.norm(net.mu[0]):
             raise ValueError("isotropic Darboux seed must be orthogonal to the net")
         return seed
     if abs(s0) < _MIN_DENOM:
-        raise ValueError("Darboux seed orthogonal to the net at the base")
+        raise ValueError("Darboux seed orthogonal to the net at vertex 0")
     # a tiny m overflows the lift to inf, which the march and the quality
     # screens reject
     with np.errstate(over="ignore"):
         return seed / (m * s0)
 
 
-def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int):
-    """Propagate the base lifts ``hat0`` ``(n, d)`` over the staircase
+def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray):
+    """Propagate the lifts ``hat0`` ``(n, d)`` at vertex 0 over the staircase
     tree, one level at a time over a leading seed axis.
 
     Returns the lifts ``(n, nverts, d)`` and, per seed, None or the
@@ -590,12 +589,12 @@ def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray, base: int):
     g, ip = net.grid, net.signature.inner
     mu = net.mu
     hat = np.zeros((len(hat0),) + mu.shape)
-    hat[:, base] = hat0
+    hat[:, 0] = hat0
     failures = [None] * len(hat0)
     alive = np.arange(len(hat0))
-    for child, parent, slot, _ in g.staircase_tree(base):
+    for child, parent, slot in g.staircase_tree():
         hp, mi, mj = hat[alive[:, None], parent], mu[parent], mu[child]
-        # a huge base lift (a tiny m) overflows its norm: that step fails
+        # a huge lift at vertex 0 (a tiny m) overflows its norm: that step fails
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             denom = ip(hp, mj)
             bad = [np.abs(denom) <= _MIN_DENOM * floor(
@@ -642,9 +641,9 @@ def _random_null(sig: Signature, rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _finite_darboux_seed(net: IsothermicNet, base: int, rng) -> np.ndarray:
+def _finite_darboux_seed(net: IsothermicNet, rng) -> np.ndarray:
     ip = net.signature.inner
-    mu0 = net.mu[base]
+    mu0 = net.mu[0]
     for _ in range(64):
         cand = _random_null(net.signature, rng)
         if abs(ip(cand, mu0)) > 1e-4 * np.linalg.norm(cand) * np.linalg.norm(mu0):
@@ -684,7 +683,7 @@ def calapso_transform(net: IsothermicNet, t: float):
     held; errors are those of :func:`flat_connection`.
     """
     _check_spectrum(net, t)
-    T = trivialize_connection(net.grid, partial(_transports, net, t), base=0, tol=1e-7)
+    T = trivialize_connection(net.grid, partial(_transports, net, t))
     mu_t = np.einsum("nab,nb->na", T, net.mu)
     mu_t.setflags(write=False)          # the net keeps it: no copy
     return IsothermicNet(net.grid, net.signature, mu_t), T
@@ -719,7 +718,7 @@ def christoffel_dual(net: IsothermicNet, frame: Frame | None = None) -> Christof
     dxd = np.empty((g.nedges, sig.dim))
     for e in blocks(g.nedges):
         dxd[e] = frame.pi(_eta_apply(sig, g, mu, frame.q, e))
-    xd = integrate_one_form(g, dxd, base=0, check_closed=True, tol=1e-8).values
+    xd = integrate_one_form(g, dxd).values
     return ChristoffelData(x=x, x_dual=xd, r=r)
 
 
@@ -820,8 +819,7 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None):
     g, sig = net.grid, net.signature
     ip = sig.inner
     c_vec = np.asarray(c_vec, float)
-    xi0 = integrate_one_form(g, _eta_apply(sig, g, net.mu, c_vec), base=0,
-                             check_closed=True, tol=1e-8).values
+    xi0 = integrate_one_form(g, _eta_apply(sig, g, net.mu, c_vec)).values
     if xi_seed is not None:
         xi = xi0 + (np.asarray(xi_seed, float) - xi0[0])
     else:

@@ -163,9 +163,9 @@ def random_moutard_net(grid: Grid, dim: int, rng):
     return ProjectiveNet(grid, mu, eta), mu
 
 
-def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0) -> np.ndarray:
+def moutard_lift_from_eta(net: ProjectiveNet, seed) -> np.ndarray:
     """Recover the Moutard lift with ``eta_ji = mu_j ^ mu_i`` from a seed
-    lift at the base vertex.
+    lift at vertex 0.
 
     Propagation runs along the staircase tree; every non-tree edge is
     then verified, and an inconsistency (the quad propagation test that
@@ -176,12 +176,12 @@ def moutard_lift_from_eta(net: ProjectiveNet, seed, base: int = 0) -> np.ndarray
         raise ValueError("net carries no eta form")
     g = net.grid
     seed = np.asarray(seed, float)
-    if line_distance(seed, net.lifts[base]) > 1e-8:
-        raise ValueError("seed must span the net line at the base vertex")
+    if line_distance(seed, net.lifts[0]) > 1e-8:
+        raise ValueError("seed must span the net line at vertex 0")
     mu = np.zeros_like(net.lifts)
-    mu[base] = seed
-    for child, parent, slot, sign in g.staircase_tree(base):
-        eta_vp = sign[:, None] * net.eta[slot]          # eta on the edges parent -> child
+    mu[0] = seed
+    for child, parent, slot in g.staircase_tree():
+        eta_vp = net.eta[slot]                          # eta on the edges parent -> child
         w = wedge_vec(net.lifts[child], mu[parent])
         ww = _row_dot(w, w)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -231,8 +231,7 @@ def koenigs_dual(net: ProjectiveNet, alpha):
     F = -net.lifts / heights[:, None]
     C = unpack_bivector(net.eta, net.dim)
     i_alpha = -np.einsum("nab,b->na", C, alpha)
-    Fd = integrate_one_form(g, i_alpha, base=0, seed=np.zeros(net.dim),
-                            check_closed=True, tol=1e-8).values
+    Fd = integrate_one_form(g, i_alpha).values
     area = mixed_area(Form0(g, F), Form0(g, Fd))
     area_res = rel(float(np.abs(area.values).max(initial=0.0)),
                    np.abs(F).max() * np.abs(Fd).max())
@@ -455,16 +454,17 @@ def _colors(grid: Grid) -> np.ndarray:
 
 
 def _parallel_section(cong: LineCongruence, colors, bundle_black: bool,
-                      base: int, seed2: np.ndarray) -> np.ndarray:
-    """Transport a fiber point over the whole grid along the staircase,
-    one level at a time: :func:`_g_maps` onto the vertices whose color
-    carries the line, :func:`_g_map_inverses` onto the others."""
+                      seed2: np.ndarray) -> np.ndarray:
+    """Transport a fiber point at vertex 0 over the whole grid along the
+    staircase, one level at a time: :func:`_g_maps` onto the vertices
+    whose color carries the line, :func:`_g_map_inverses` onto the
+    others."""
     g = cong.grid
     onto_line = colors == (0 if bundle_black else 1)
     out = np.zeros((g.nverts, 2))
-    out[base] = seed2
-    for child, parent, slot, sign in g.staircase_tree(base):
-        eta = sign[:, None] * cong.eta[slot]        # on the edges parent -> child
+    out[0] = seed2
+    for child, parent, slot in g.staircase_tree():
+        eta = cong.eta[slot]                        # on the edges parent -> child
         fw, bw = onto_line[child], ~onto_line[child]
         val = np.empty((len(child), 2))
         if fw.any():
@@ -547,19 +547,21 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
                  seed: int = 0, signature=None) -> ExtractedPair:
     """Extract a spanning K-Moutard pair from an applicable congruence.
 
-    Each net is fixed by two fiber seeds (a line in ``f`` at the black
-    base vertex and one at the white base vertex), supplied as
-    coefficient pairs against the spanning lifts.  Omitted seeds are
-    drawn deterministically from ``seed`` and retried while the
-    transported section comes too close to an intersection line or the
-    two nets fail to stay pointwise distinct; when a ``signature`` is
-    supplied the retries also prefer pairs whose vertical diagonals stay
-    non-orthogonal (the denominators of later transforms).
+    Each net is fixed by two fiber seeds, supplied as coefficient pairs
+    against the spanning lifts: the black one is a line in ``f`` at
+    vertex 0, the white one a line at vertex 1.  Both sections are walked
+    from vertex 0, the white one from its seed mapped back along the
+    edge (0, 1).  Omitted seeds are drawn deterministically from ``seed``
+    and retried while the transported section comes too close to an
+    intersection line or the two nets fail to stay pointwise distinct;
+    when a ``signature`` is supplied the retries also prefer pairs whose
+    vertical diagonals stay non-orthogonal (the denominators of later
+    transforms).
     """
     g = cong.grid
     colors = _colors(g)
-    base_b = next(v for v in range(g.nverts) if colors[v] == 0)
-    base_w = next(v for v in range(g.nverts) if colors[v] == 1)
+    # vertex 1 is vertex 0 moved along the last axis of extent above 1
+    e01 = g.slot(0, max(a for a, n in enumerate(g.dims) if n > 1))
     rng = np.random.default_rng(seed)
     auto = seeds_plus is None or seeds_minus is None
 
@@ -574,8 +576,10 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
                 sb = np.asarray(seeds[0], float)
                 sw = np.asarray(seeds[1], float)
             try:
-                xb = _parallel_section(cong, colors, True, base_b, sb)
-                xw = _parallel_section(cong, colors, False, base_w, sw)
+                xb = _parallel_section(cong, colors, True, sb)
+                sw = _g_map_inverses(cong, -cong.eta[e01][None], np.array([1]),
+                                     np.array([0]), sw[None])[0]
+                xw = _parallel_section(cong, colors, False, sw)
                 return _section_to_net(cong, colors, xb, xw, 1e-6)
             except (SeedDegeneracyError, DegeneracyError) as err:
                 last_err = err
@@ -612,7 +616,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     net_p = ProjectiveNet(g, lifts_p, eta_p)
     net_m = ProjectiveNet(g, lifts_m, eta_m)
 
-    mu_p = moutard_lift_from_eta(net_p, lifts_p[base_b], base=base_b)
+    mu_p = moutard_lift_from_eta(net_p, lifts_p[0])
     # match the minus lift through tau = tau_minus - tau_plus = mu- ^ mu+
     tau = tau_m - tau_p
     w = wedge_vec(lifts_m, mu_p)
@@ -688,10 +692,10 @@ def factor_edge_ratios(grid: Grid, lam: np.ndarray):
     eb, er, et, el = grid.sides().T
     quad_res = float(np.fmax.reduce(np.abs(lam[eb] * lam[et] / (lam[er] * lam[el]) - 1.0),
                                     initial=0.0))
-    levels = grid.staircase_tree(0)
+    levels = grid.staircase_tree()
     r = np.zeros(grid.nverts)
     r[0] = np.sqrt(abs(lam[levels[0][2][0]])) if levels else 1.0
-    for child, parent, slot, _ in levels:
+    for child, parent, slot in levels:
         r[child] = lam[slot] / r[parent]
     worst_fact, worst_edge = worst(rel(np.abs(r[t] * r[h] - lam), np.abs(lam)))
     return r, quad_res, worst_fact, worst_edge

@@ -294,8 +294,7 @@ def gauge_normalize(grid: Grid, frame: LieFrame, y, t, eta) -> np.ndarray:
     """
     sig = frame.signature
     etaq_p = sig.inner(_contract(eta, frame.q, sig), frame.p)
-    c = integrate_one_form(grid, -etaq_p[:, None], base=0, check_closed=True,
-                           tol=1e-8).values[:, 0]
+    c = integrate_one_form(grid, -etaq_p[:, None]).values[:, 0]
     c = c - c.mean()      # the constant freedom; centering conditions tau
     tau = c[:, None] * wedge_vec(y, t)
     tt, th = grid.ends()
@@ -344,8 +343,8 @@ def associates(omega: OmegaNet) -> Associates:
         raise GaugeError("associates need the (eta q, p) = 0 gauge")
     dxd = frame.coords3(etaq)
     dnd = frame.coords3(etap)
-    xd = integrate_one_form(g, dxd, base=0, check_closed=True, tol=1e-8).values
-    nd = integrate_one_form(g, dnd, base=0, check_closed=True, tol=1e-8).values
+    xd = integrate_one_form(g, dxd).values
+    nd = integrate_one_form(g, dnd).values
     pn = omega.principal()
 
     rec = (curly_wedge(Form1(g, etaq), Form0(g, omega.y)).values
@@ -620,7 +619,7 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
     # d(eta p) on a quad is p put into (mu_k - mu_i) ^ (mu_l - mu_j), the
     # Moutard residual of validate, so closedness is left to validate
     etap = _eta_apply(sig, g, mu, frame.p).transpose(1, 0, 2)
-    xi = integrate_one_form(g, etap.reshape(g.nedges, -1), base=0, seed=xi0[done].reshape(-1),
+    xi = integrate_one_form(g, etap.reshape(g.nedges, -1), seed=xi0[done].reshape(-1),
                             check_closed=False).values
     xi = xi.reshape(g.nverts, len(done), d).transpose(1, 0, 2)
     orth, dev = special_residuals(frame, mu, xi)
@@ -713,7 +712,7 @@ def _guichard_package(net: IsothermicNet, xi: np.ndarray, frame: LieFrame,
     etap_res = rel(float(np.abs(etap - dt).max(initial=0.0)), np.abs(dt).max(initial=0.0))
 
     dxd = frame.coords3(omega.eta_q())
-    xd = integrate_one_form(g, dxd, base=0, check_closed=True, tol=1e-8).values
+    xd = integrate_one_form(g, dxd).values
 
     quantity = ConservedQuantity(
         p0=np.tile(frame.p, (g.nverts, 1)), p1=xi.copy(), signature=sig)

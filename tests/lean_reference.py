@@ -131,27 +131,23 @@ def connection_flatness(net, t):
 
 # -- the construction path after flat_connection ------------------------
 
-def trivialize_connection(grid, gamma, base=0, tol=1e-8):
+def trivialize_connection(grid, gamma):
     """``trivialize_connection`` of a whole ``(nedges, k, k)`` Gamma."""
     res, q = worst(holonomy(grid, gamma))
-    if not res <= tol:
-        raise FlatnessError(f"connection is not flat: quad residual {res:.3e} > {tol:.1e}",
+    if not res <= 1e-7:
+        raise FlatnessError(f"connection is not flat: quad residual {res:.3e} > {1e-7:.1e}",
                             where=grid.locate_quad(q), residual=res)
     k = gamma.shape[1]
     T = np.empty((grid.nverts, k, k))
-    T[base] = np.eye(k)
-    for child, parent, slot, sign in grid.staircase_tree(base):
-        step = gamma[slot]
-        back = sign < 0
-        if back.any():
-            step[back] = np.linalg.inv(step[back])
-        T[child] = T[parent] @ np.linalg.inv(step)
+    T[0] = np.eye(k)
+    for child, parent, slot in grid.staircase_tree():
+        T[child] = T[parent] @ np.linalg.inv(gamma[slot])
     return T
 
 
 def calapso_transform(net, t):
     """``calapso_transform`` through a whole Gamma(t)."""
-    T = trivialize_connection(net.grid, flat_connection(net, t), base=0, tol=1e-7)
+    T = trivialize_connection(net.grid, flat_connection(net, t))
     mu_t = np.einsum("nab,nb->na", T, net.mu)
     return IsothermicNet(net.grid, net.signature, mu_t), T
 
@@ -169,7 +165,7 @@ def christoffel_dual(net, frame=None):
     if not res <= 1e-8:
         raise ClosednessError(f"one-form is not closed: quad residual {res:.3e} > {1e-8:.1e}",
                               where=g.locate_quad(q), residual=res)
-    xd = integrate_one_form(g, dxd, base=0, check_closed=False).values
+    xd = integrate_one_form(g, dxd, check_closed=False).values
     return ChristoffelData(x=stereo_project(net.mu, frame), x_dual=xd,
                            r=-ip(net.mu, frame.q))
 

@@ -301,7 +301,7 @@ def test_criterion_8_transformations():
     from dnet.isothermic import _finite_darboux_seed
     plus = IsothermicNet(om.grid, SIG42, om.mu_plus)
     minus = IsothermicNet(om.grid, SIG42, om.mu_minus)
-    seed = _finite_darboux_seed(plus, 0, np.random.default_rng(801))
+    seed = _finite_darboux_seed(plus, np.random.default_rng(801))
     out_direct = darboux_legendre(om, 0.45, seed=seed)
     stacked = stack_pair(plus, minus)
     hat = darboux_transform(stacked, 0.45, seed=seed)

@@ -2,7 +2,10 @@
 
 A parameter with a default that no call in `src/`, `perfbench/` or
 `demos/` passes (by keyword or by position) is a knob nobody turns: it
-should be the constant it always is.  A test does not justify a knob:
+should be the constant it always is.  A keyword argument whose value is
+the parameter's own literal default (`f(x, base=0)` for `base=0`) sets
+nothing; a positional one counts, as callers need it to reach a later
+position.  A test does not justify a knob:
 where a test needs another value, it patches the module constant.  The
 exceptions are the inputs of `ALLOWED`, which only tests set and which
 choose which object is built, each with its reason.  Calls are matched
@@ -18,7 +21,10 @@ would count for `LineCongruence.validate` too, were it given a `margin`.
 """
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "dnet").glob("*.py"))
@@ -27,7 +33,6 @@ CALLERS = [p for d in ("src", "perfbench", "demos") for p in sorted((ROOT / d).r
 # inputs that only tests set, each choosing which object is built, with
 # its reason: (qualified name, parameter) -> reason
 ALLOWED = {
-    ("darboux_transform", "base"): "the vertex where an explicit seed is placed",
     ("darboux_legendre", "seed"): "an explicit seed picks one Darboux transform of the family",
     ("extract_pair", "seeds_plus"): "the fiber seeds that pick one K-Moutard pair of a "
                                     "congruence",
@@ -46,9 +51,18 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _literal(node):
+    """``(type, value)`` of a literal expression, else None."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return type(value), value
+
+
 def _optional_parameters():
     """(module, qualified name, call names, parameter, positional index or
-    None) for every parameter with a default."""
+    None, literal default or None) for every parameter with a default."""
     trees = {path: _parse(path) for path in SOURCES}
     bases = {}                                   # class name -> base names
     for tree in trees.values():
@@ -77,12 +91,13 @@ def _optional_parameters():
                     names = subclasses(cls)
                 skip = 0 if cls is None else 1           # self / cls
                 first = len(args.args) - len(args.defaults)
-                for i in range(first, len(args.args)):
+                for i, default in zip(range(first, len(args.args)), args.defaults):
                     out.append((path.name, prefix + child.name, names,
-                                args.args[i].arg, i - skip))
+                                args.args[i].arg, i - skip, _literal(default)))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        out.append((path.name, prefix + child.name, names, arg.arg, None))
+                        out.append((path.name, prefix + child.name, names, arg.arg, None,
+                                    _literal(default)))
                 visit(child, path, prefix + child.name + ".", None)
             else:
                 visit(child, path, prefix, cls)
@@ -106,9 +121,9 @@ def _reference_names(tree):
 
 
 def _calls(trees):
-    """callable name -> list of (keyword names, positional count, starred
-    from index or None), over the calls in `trees` but those into a test
-    reference module."""
+    """callable name -> list of (keyword name -> literal value or None,
+    positional count, starred from index or None), over the calls in
+    `trees` but those into a test reference module."""
     calls = {}
     for tree in trees:
         refs = _reference_names(tree)
@@ -127,15 +142,16 @@ def _calls(trees):
                 continue
             starred = next((i for i, a in enumerate(node.args)
                             if isinstance(a, ast.Starred)), None)
-            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            keywords = {k.arg: _literal(k.value) for k in node.keywords if k.arg is not None}
             calls.setdefault(name, []).append((keywords, len(node.args), starred))
     return calls
 
 
-def _is_set(calls, names, param, index):
+def _is_set(calls, names, param, index, default):
     for name in names:
         for keywords, npos, starred in calls.get(name, ()):
-            if param in keywords:
+            # a keyword set to the literal default sets nothing
+            if param in keywords and (keywords[param] is None or keywords[param] != default):
                 return True
             # a starred argument may fill every position from its own on
             if index is not None and (index < npos or starred is not None):
@@ -146,8 +162,9 @@ def _is_set(calls, names, param, index):
 def unused_parameters():
     calls = _calls(map(_parse, CALLERS))
     return [f"{module}:{qualname}({param}=)"
-            for module, qualname, names, param, index in _optional_parameters()
-            if (qualname, param) not in ALLOWED and not _is_set(calls, names, param, index)]
+            for module, qualname, names, param, index, default in _optional_parameters()
+            if (qualname, param) not in ALLOWED
+            and not _is_set(calls, names, param, index, default)]
 
 
 def test_every_optional_parameter_is_set_by_some_call():
@@ -164,15 +181,34 @@ def test_calls_into_reference_modules_set_nothing():
                      "walk_reference.darboux_march(net, 0.5, min_denom=2)\n"
                      "quad(a, b, tol=3)\n"
                      "net.validate(margin=4)\n")
-    assert _calls([tree]) == {"validate": [({"margin"}, 0, None)]}
+    assert _calls([tree]) == {"validate": [({"margin": (int, 4)}, 0, None)]}
 
 
 def test_each_allowed_parameter_exists_and_only_tests_set_it():
     calls = _calls(map(_parse, CALLERS))
-    found = {(qualname, param): _is_set(calls, names, param, index)
-             for _, qualname, names, param, index in _optional_parameters()}
+    found = {(qualname, param): _is_set(calls, names, param, index, default)
+             for _, qualname, names, param, index, default in _optional_parameters()}
     assert ALLOWED.keys() <= found.keys(), ALLOWED.keys() - found.keys()
     assert not [key for key in ALLOWED if found[key]]
+
+
+PLANTED = ("def planted_walk(grid, base=0, tol=1e-8, *, seed=None):\n"
+           "    return grid\n")
+
+
+@pytest.mark.parametrize("call, unused", [
+    ("planted_walk(g, base=0, tol=1e-7, seed=None)", ["base", "seed"]),
+    ("planted_walk(g, 0, 1e-8, seed=s)", []),
+    ("planted_walk(g, base=b, tol=1e-8, seed=0)", ["tol"]),
+])
+def test_a_default_passed_by_keyword_sets_nothing(monkeypatch, tmp_path, call, unused):
+    source, caller = tmp_path / "planted.py", tmp_path / "caller.py"
+    source.write_text(PLANTED)
+    caller.write_text(call + "\n")
+    monkeypatch.setattr(sys.modules[__name__], "SOURCES", [*SOURCES, source])
+    monkeypatch.setattr(sys.modules[__name__], "CALLERS", [*CALLERS, caller])
+    assert [u for u in unused_parameters() if "planted_walk" in u] == [
+        f"planted.py:planted_walk({name}=)" for name in unused]
 
 
 if __name__ == "__main__":

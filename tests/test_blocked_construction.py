@@ -118,9 +118,8 @@ def test_calapso_is_bit_identical(nets, name):
 def test_trivialization_of_an_array_is_bit_identical(nets, name):
     net = nets[name]
     gamma = flat_connection(net, 0.3)
-    for base in (0, net.grid.nverts - 1, net.grid.nverts // 3):
-        assert _same(trivialize_connection(net.grid, gamma, base=base, tol=1e-7),
-                     ref.trivialize_connection(net.grid, gamma, base=base, tol=1e-7))
+    assert _same(trivialize_connection(net.grid, gamma),
+                 ref.trivialize_connection(net.grid, gamma))
 
 
 @pytest.mark.parametrize("name", NAMES)

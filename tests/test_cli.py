@@ -530,6 +530,12 @@ EXIT_CODES = [
     (["export", "-i", "{frame_no_q}", "--field", "y", "--format", "csv", "-o", "{out}"], 2),
     # no Omega-net of one vertex either: verify would run no check of it
     (["gen", "omega", "--dims", "1x1", "-o", "{out}"], 2),
+    # a --tol that is not finite and positive would pass any file
+    (["verify", "-i", "{net}", "--tol", "nullity=inf"], 2),
+    (["verify", "-i", "{net}", "--tol", "regularity_margin=-inf"], 2),
+    (["verify", "-i", "{net}", "--tol", "regularity_margin=0"], 2),
+    (["verify", "-i", "{net}", "--tol", "regularity_margin=-1e-6"], 2),
+    (["verify", "-i", "{net}", "--tol", "moutard=0"], 2),
 ]
 
 

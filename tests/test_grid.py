@@ -113,7 +113,7 @@ def test_integrate_recovers_potential(d0, d1, seed):
     g = Grid([d0, d1])
     rng = np.random.default_rng(seed)
     f = Form0(g, rng.standard_normal((g.nverts, 3)))
-    rec = integrate_one_form(g, exterior_derivative(f), base=0, seed=f.values[0])
+    rec = integrate_one_form(g, exterior_derivative(f), seed=f.values[0])
     assert np.abs(rec.values - f.values).max() <= 1e-12 * max(
         1.0, np.abs(f.values).max())
 
@@ -121,15 +121,14 @@ def test_integrate_recovers_potential(d0, d1, seed):
 def test_integrate_zero_form_gives_constant():
     g = Grid([4, 4])
     alpha = np.zeros((g.nedges, 2))
-    out = integrate_one_form(g, alpha, base=5, seed=[3.0, -1.0])
+    out = integrate_one_form(g, alpha, seed=[3.0, -1.0])
     assert np.abs(out.values - [3.0, -1.0]).max() == 0.0
 
 
 def test_coordinate_sum_potential():
     g = Grid([3, 3])
     f = Form0(g, g.vertex_coords.sum(axis=1).astype(float))
-    rec = integrate_one_form(g, exterior_derivative(f), base=0,
-                             seed=f.values[0])
+    rec = integrate_one_form(g, exterior_derivative(f), seed=f.values[0])
     assert np.abs(rec.values - f.values).max() == 0.0
 
 
@@ -176,7 +175,7 @@ def test_integrate_rejects_non_closed():
     rng = np.random.default_rng(0)
     alpha = rng.standard_normal((g.nedges, 1))
     with pytest.raises(ClosednessError) as err:
-        integrate_one_form(g, alpha, base=0)
+        integrate_one_form(g, alpha)
     assert err.value.where["kind"] == "quad"
 
 

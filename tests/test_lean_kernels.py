@@ -83,7 +83,7 @@ def test_eta_flat_connection_and_holonomy_are_bit_identical(nets, name):
 def test_calapso_is_bit_identical(nets, name):
     net = nets[name]
     moved, T = calapso_transform(net, 0.3)
-    T_ref = trivialize_connection(net.grid, ref.flat_connection(net, 0.3), tol=1e-7)
+    T_ref = trivialize_connection(net.grid, ref.flat_connection(net, 0.3))
     assert np.array_equal(T, T_ref)
     assert np.array_equal(moved.mu, np.einsum("nab,nb->na", T_ref, net.mu))
 

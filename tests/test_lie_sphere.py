@@ -335,7 +335,7 @@ def test_darboux_legendre_routes_agree(omega_net):
     from dnet.isothermic import _finite_darboux_seed
     plus = IsothermicNet(omega_net.grid, SIG42, omega_net.mu_plus)
     minus = IsothermicNet(omega_net.grid, SIG42, omega_net.mu_minus)
-    seed = _finite_darboux_seed(plus, 0, np.random.default_rng(42))
+    seed = _finite_darboux_seed(plus, np.random.default_rng(42))
     out = darboux_legendre(omega_net, 0.45, seed=seed)
     assert out.validate()["passed"]
     # oracle route: transform the stacked pair and span the two levels
@@ -353,7 +353,7 @@ def test_darboux_legendre_routes_agree(omega_net):
 def test_darboux_legendre_labels_preserved(omega_net):
     from dnet.isothermic import _finite_darboux_seed
     plus = IsothermicNet(omega_net.grid, SIG42, omega_net.mu_plus)
-    seed = _finite_darboux_seed(plus, 0, np.random.default_rng(43))
+    seed = _finite_darboux_seed(plus, np.random.default_rng(43))
     out = darboux_legendre(omega_net, 0.6, seed=seed)
     l0 = omega_edge_labels(omega_net)
     l1 = omega_edge_labels(out)

@@ -75,9 +75,8 @@ def test_sphere_lattice_matches_loop():
 def test_section_to_net_matches_loop(omega_net):
     cong = omega_net.congruence()
     colors = _colors(cong.grid)
-    base_b, base_w = 0, 1
-    xb = _parallel_section(cong, colors, True, base_b, np.array([0.3, 0.8]))
-    xw = _parallel_section(cong, colors, False, base_w, np.array([-0.6, 0.5]))
+    xb = _parallel_section(cong, colors, True, np.array([0.3, 0.8]))
+    xw = _parallel_section(cong, colors, False, np.array([-0.6, 0.5]))
     lifts, tau, worst = _section_to_net(cong, colors, xb, xw, 1e-6)
     lifts_ref, tau_ref, worst_ref = ref.section_to_net(cong, colors, xb, xw, 1e-6)
     assert np.abs(lifts - lifts_ref).max() <= EPS16

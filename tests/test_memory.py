@@ -148,7 +148,7 @@ def test_grid_does_not_grow_from_32_to_64():
 
 def test_staircase_tree_builds_one_block_at_a_time():
     # above the levels it returns, the walk holds one block of its arrays
-    small, big = (_kept_and_peak(Grid([n, n]).staircase_tree, 0)[1] for n in (32, 64))
+    small, big = (_kept_and_peak(Grid([n, n]).staircase_tree)[1] for n in (32, 64))
     assert big <= 1.25 * small, (small, big)
 
 

@@ -62,7 +62,7 @@ def test_non_circular_quad_fails_jointly():
     x = x[[0, 3, 1, 2]]   # row-major order (0,0),(0,1),(1,0),(1,1)
     lam = np.array([1.3, -0.4, 0.8, 2.0])
     xs = np.zeros_like(x)
-    for child, parent, slot, _ in g.staircase_tree(0):
+    for child, parent, slot in g.staircase_tree():
         xs[child] = xs[parent] + lam[slot][:, None] * (x[child] - x[parent])
     rep = check_combescure(g, x, xs, SIG3)
     assert rep["pairing"] > 1e-6
