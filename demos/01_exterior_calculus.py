@@ -37,7 +37,7 @@ print(f"curly wedge symmetry        = {np.abs(anti).max():.3e}")
 
 # unit planar square has mixed area one
 unit = Grid([2, 2])
-x = Form0(unit, unit.vertex_coords.astype(float))
+x = Form0(unit, unit.coordinates(np.arange(unit.nverts)).astype(float))
 print(f"area of the unit square     = {mixed_area(x, x).values[0, 0]:.15f}")
 
 # A(x, y) against the four-term polarization on a random pair
@@ -46,7 +46,7 @@ y = Form0(grid, rng.standard_normal((grid.nverts, 3)))
 area = mixed_area(x, y).values
 polar = np.zeros_like(area)
 for n in range(grid.nquads):
-    i, j, k, l = grid.quad_vertices[n]
+    i, j, k, l = grid.corners(n)
     u, v = x.values, y.values
     sxy = 0.5 * (wedge_vec(u[i], v[j]) + wedge_vec(u[j], v[k])
                  + wedge_vec(u[k], v[l]) + wedge_vec(u[l], v[i]))

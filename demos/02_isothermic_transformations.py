@@ -26,11 +26,11 @@ print(f"cross ratio = m_jk/m_ij residual: {quad_cross_ratio_residual(net):.1e}")
 
 for t in (-1.0, 0.3, 2.0):
     print(f"Gamma({t:+.1f}) quad holonomy residual: "
-          f"{connection_flatness(net, t):.1e}")
+          f"{connection_flatness(net, t)[0]:.1e}")
 
 hat = darboux_transform(net, 0.5, rng=rng)
 stacked = stack_pair(net, hat)
-vertical = stacked.grid.edge_axis == 0
+vertical = stacked.grid.edge()[1] == 0
 print(f"darboux m=0.5: vertical labels {np.unique(np.round(stacked.labels[vertical], 9))}")
 
 iso = darboux_transform(net, np.inf, rng=rng)
@@ -38,7 +38,7 @@ print(f"isotropic darboux: max |(mu, mu_hat)| = "
       f"{np.abs(sig.inner(net.mu, iso.mu)).max():.1e}")
 inf_stack = stack_pair(net, iso)
 print(f"stacked flatness through the infinite row at t=0.7: "
-      f"{connection_flatness(inf_stack, 0.7):.1e}")
+      f"{connection_flatness(inf_stack, 0.7)[0]:.1e}")
 
 moved, _ = calapso_transform(net, 0.4)
 shift = np.abs(moved.labels - (net.labels - 0.4)).max()

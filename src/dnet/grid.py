@@ -81,11 +81,9 @@ class Grid:
     table: the ends and axis of an edge, the slot of an edge, and the
     corners, vertices and edges of a quad are arithmetic on the indices
     a caller asks for (a slice, or a non-negative index array of any
-    shape).  The whole-grid tables :attr:`vertex_coords`,
-    :attr:`edge_tail`, :attr:`edge_head`, :attr:`edge_axis`,
-    :attr:`edge_slots`, :attr:`quad_corner`, :attr:`quad_axes`,
-    :attr:`quad_vertices` and :attr:`quad_edges` are the same arithmetic
-    over every index, built on each read.
+    shape).  The whole-grid tables :attr:`edge_tail` and
+    :attr:`edge_head` are the same arithmetic over every edge, built on
+    each read.
     """
 
     def __init__(self, dims, stacked: bool = False):
@@ -98,6 +96,7 @@ class Grid:
         for a in range(self.ndim - 2, -1, -1):
             strides[a] = strides[a + 1] * dims[a + 1]
         self.strides = strides
+        self._extents = np.array(dims)
         # The canonical edges, grouped by axis, and the canonical quads,
         # grouped by axis pair (a, b), a < b: where each group starts.
         edges = [self.nverts // n * (n - 1) for n in dims]
@@ -105,7 +104,7 @@ class Grid:
                                 for b in range(a + 1, self.ndim)], dtype=int).reshape(-1, 2)
         quads = [self.nverts // (dims[a] * dims[b]) * (dims[a] - 1) * (dims[b] - 1)
                  for a, b in self._pairs.tolist()]
-        self._edge_start = list(itertools.accumulate(edges, initial=0))
+        self._edge_start = np.array(list(itertools.accumulate(edges, initial=0)))
         self._quad_start = list(itertools.accumulate(quads, initial=0))
         self.nedges, self.nquads = sum(edges), sum(quads)
 
@@ -140,8 +139,8 @@ class Grid:
         whose coordinate ``a`` is not the last: ``k`` plus one stride
         ``s`` per whole run of ``(dims[a] - 1) s`` such vertices."""
         k, a = self._group(edges, self._edge_start)
-        s = _at(self.strides, a)
-        return (k if _first(a) else _skip(k, s, (_at(self.dims, a) - 1) * s)), a, s
+        s = self.strides[a]
+        return _skip(k, s, (self._extents[a] - 1) * s), a, s
 
     def edge(self, edges=slice(None)):
         """``(tail, axis)`` of the canonical edges ``edges``."""
@@ -157,19 +156,17 @@ class Grid:
         """The slot of edge ``(vertex, axis)`` (broadcast), -1 where
         ``vertex + e_axis`` leaves the box."""
         v, a = np.asarray(vertices), np.asarray(axes)
-        n = _at(self.dims, a)
-        return np.where(v // _at(self.strides, a) % n < n - 1, self._slots(v, a), -1)
+        n = self._extents[a]
+        return np.where(v // self.strides[a] % n < n - 1, self._slots(v, a), -1)
 
     def _slots(self, v, a, out=None):
         """:meth:`slot` where ``v + e_a`` lies in the box: ``v`` less one
         stride ``s`` per whole run of ``dims[a] s`` vertices before it;
         written into ``out`` when given, which may be ``v``."""
-        if _first(a):
-            return np.add(v, 0, out=out)
-        s = _at(self.strides, a)
-        shift = v // (_at(self.dims, a) * s)
+        s = self.strides[a]
+        shift = v // (self._extents[a] * s)
         shift *= -s
-        shift += _at(self._edge_start, a)
+        shift += self._edge_start[a]
         return np.add(v, shift, out=out)
 
     def _quad(self, quads):
@@ -180,12 +177,11 @@ class Grid:
         ``a`` and ``b`` are not the last: the count of :meth:`_edge` along
         ``a`` in the box whose extent ``b`` is one less, then along ``b``."""
         k, p = self._group(quads, self._quad_start)
-        a, b = _at(self._pairs[:, 0], p), _at(self._pairs[:, 1], p)
-        na, nb = _at(self.dims, a), _at(self.dims, b)
-        sa, sb = _at(self.strides, a), _at(self.strides, b)
+        a, b = self._pairs[p, 0], self._pairs[p, 1]
+        na, nb = self._extents[a], self._extents[b]
+        sa, sb = self.strides[a], self.strides[b]
         sa_b = sa // nb * (nb - 1)
-        k = k if _first(a) else _skip(k, sa_b, (na - 1) * sa_b)
-        return _skip(k, sb, (nb - 1) * sb), a, b, sa, sb
+        return _skip(_skip(k, sa_b, (na - 1) * sa_b), sb, (nb - 1) * sb), a, b, sa, sb
 
     def quad(self, quads=slice(None)):
         """``(corner, a, b)`` of the canonical quads ``quads``."""
@@ -216,7 +212,7 @@ class Grid:
         bottom, right, top, left = (out[..., n] for n in range(4))
         self._slots(i, a, out=bottom)
         self._slots(i, b, out=left)
-        np.add(left, sa - sa // _at(self.dims, b), out=right)
+        np.add(left, sa - sa // self._extents[b], out=right)
         np.add(bottom, sb, out=top)
         return out
 
@@ -227,21 +223,8 @@ class Grid:
         c = np.moveaxis(self.corners(quads), -1, 0)
         return c[[0, 1, 3, 0]], c[[1, 2, 2, 3]]
 
-    vertex_coords = _table(lambda g: g.coordinates(np.arange(g.nverts)),
-                           "``(nverts, ndim)`` coordinates of every vertex.")
     edge_tail = _table(lambda g: g.edge()[0], "Tail vertex of every canonical edge.")
     edge_head = _table(lambda g: g.ends()[1], "Head vertex of every canonical edge.")
-    edge_axis = _table(lambda g: g.edge()[1], "Axis of every canonical edge.")
-    edge_slots = _table(lambda g: g.slot(np.arange(g.nverts)[:, None], np.arange(g.ndim)),
-                        "``(nverts, ndim)``: the slot of edge (v, a), -1 where v + e_a "
-                        "leaves the box.")
-    quad_corner = _table(lambda g: g.quad()[0], "Corner vertex of every canonical quad.")
-    quad_axes = _table(lambda g: np.stack(g.quad()[1:], axis=-1),
-                       "``(nquads, 2)`` axis pair (a, b), a < b, of every canonical quad.")
-    quad_vertices = _table(lambda g: g.corners(), "``(nquads, 4)``: :meth:`corners` of "
-                                                  "every canonical quad.")
-    quad_edges = _table(lambda g: g.sides(), "``(nquads, 4)``: :meth:`sides` of every "
-                                             "canonical quad.")
 
     # -- bookkeeping -------------------------------------------------
 
@@ -319,22 +302,10 @@ class Grid:
 def _skip(k, step, run):
     """``k`` plus ``step`` per whole run of ``run`` indices before it (in
     place where ``k`` is an array); a run of 0 holds no index."""
-    q = k // (np.maximum(run, 1) if np.ndim(run) else max(run, 1))
+    q = k // np.maximum(run, 1)
     q *= step
     k += q
     return k
-
-
-def _first(group) -> bool:
-    """Whether ``group`` is the first axis as an int: one run along it
-    holds every index, so its skips leave the indices as they are."""
-    return isinstance(group, int) and group == 0
-
-
-def _at(values, group):
-    """``values[group]``: an int of a sequence of ints where ``group`` is
-    an int, else an array."""
-    return int(values[group]) if isinstance(group, int) else np.asarray(values)[group]
 
 
 def stack(grid: Grid) -> Grid:

@@ -451,8 +451,9 @@ def flat_connection(net: IsothermicNet, t: float) -> np.ndarray:
     return out
 
 
-def connection_flatness(net: IsothermicNet, t: float) -> float:
-    """Max relative quad :func:`dnet.grid.holonomy` of Gamma(t).
+def connection_flatness(net: IsothermicNet, t: float) -> tuple:
+    """``(value, quad)`` of the max relative quad :func:`dnet.grid.holonomy`
+    of Gamma(t), as :func:`dnet.residuals.worst` locates it.
 
     The transports are built for the edges of one
     :func:`dnet.grid.quad_blocks` block at a time and die with it; each
@@ -461,7 +462,7 @@ def connection_flatness(net: IsothermicNet, t: float) -> float:
     quads has no transport to check.
     """
     _check_spectrum(net, t)
-    return worst(holonomy(net.grid, partial(_transports, net, t)))[0]
+    return worst(holonomy(net.grid, partial(_transports, net, t)))
 
 
 def _seed_orthogonal_null(net: IsothermicNet, rng) -> np.ndarray:

@@ -450,7 +450,7 @@ def _g_map_inverses(cong: LineCongruence, eta_val, from_v, to_v, points):
 def _colors(grid: Grid) -> np.ndarray:
     """0 on the even (black) class of the bipartite 2-coloring, 1 on the
     odd (white) one."""
-    return grid.vertex_coords.sum(axis=1) % 2
+    return grid.coordinates(np.arange(grid.nverts)).sum(axis=1) % 2
 
 
 def _parallel_section(cong: LineCongruence, colors, bundle_black: bool,

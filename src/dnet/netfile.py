@@ -573,9 +573,11 @@ def _residuals(nf: NetFile):
                 out[key] = "t collides with a label"
                 continue
             try:
-                out[key] = iso.connection_flatness(net, t)
+                value, q = iso.connection_flatness(net, t)
             except (GeometryError, ValueError) as err:
                 out[key] = (np.inf, None, f"aborted: {err}")
+            else:
+                out[key] = (value, None if q is None else net.grid.locate_quad(q), "")
         stored = nf.edge_fields.get("m")
         if stored is not None:
             # one block of edges at a time, folded with np.maximum so NaN propagates

@@ -277,7 +277,7 @@ def line_congruence_validate(cong, tol=1e-8, margin=1e-6):
     out["first_order_margin"] = 0.0 if g.nedges == 0 else float(first_order)
     second = np.inf
     for n in range(g.nquads):
-        M = np.stack([s_lines[e] for e in g.quad_edges[n]])
+        M = np.stack([s_lines[e] for e in g.sides(n)])
         sv = np.linalg.svd(M, compute_uv=False)
         second = min(second, float(sv[3] / max(sv[0], 1e-300)))
     out["second_order_margin"] = 0.0 if g.nquads == 0 else float(second)

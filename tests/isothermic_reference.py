@@ -49,7 +49,7 @@ def validate(net, tol_null=1e-10, tol_moutard=1e-10, tol_labels=1e-9, margin=1e-
     out = {}
     scale2 = np.maximum(np.sum(net.mu * net.mu, axis=1), 1e-300)
     out["nullity"] = float(np.abs(sig.norm2(net.mu) / scale2).max())
-    qv = g.quad_vertices
+    qv = g.corners()
     moutard, label_rel, opp_margin, diag = 0.0, 0.0, np.inf, np.inf
     worst_quad = None
     ip = sig.inner

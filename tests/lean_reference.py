@@ -9,7 +9,7 @@ into a second ``(nedges, d, d)`` array, :func:`eta` is the packed 1-form
 eight gathered edge values of the quarter formula together.  The
 isothermic verify path is here unblocked as well:
 :func:`isothermic_arrays` gathers the lifts of every edge's ends at once,
-:func:`validate` gathers ``mu[quad_vertices]`` and recomputes every edge
+:func:`validate` gathers ``mu[grid.corners()]`` and recomputes every edge
 product in :func:`margins`, and :func:`connection_flatness` builds the
 whole Gamma(t) before it reduces its holonomy to one number.  The
 construction path after ``flat_connection`` is here unblocked too:
@@ -32,7 +32,7 @@ from dnet.residuals import cos_angle, rel, sin_angle, worst
 
 
 def holonomy(grid, gamma):
-    qe = grid.quad_edges
+    qe = grid.sides()
     lhs = gamma[qe[:, 1]] @ gamma[qe[:, 0]]   # i -> j -> k
     rhs = gamma[qe[:, 2]] @ gamma[qe[:, 3]]   # i -> l -> k
     return rel(np.linalg.norm(lhs - rhs, axis=(1, 2)), np.linalg.norm(lhs, axis=(1, 2)))
@@ -65,7 +65,7 @@ def flat_connection(net, t):
 
 def wedge_one_forms(a, b, rule):
     """The quad values of the product of two 1-forms."""
-    qe = a.grid.quad_edges
+    qe = a.grid.sides()
     a_b, a_r, a_t, a_l = (a.values[qe[:, n]] for n in range(4))
     b_b, b_r, b_t, b_l = (b.values[qe[:, n]] for n in range(4))
     return 0.25 * (rule(a_b + a_t, b_l + b_r) - rule(a_l + a_r, b_b + b_t))
@@ -93,10 +93,11 @@ def margins(grid, signature, mu):
     edge = cos_angle(edge_ip, norms[:, t], norms[:, h]).min(axis=1, initial=np.inf)
     if grid.nquads == 0:
         return edge, np.zeros(len(mu)), np.zeros(len(mu))
-    mq, nq = mu[:, grid.quad_vertices], norms[:, grid.quad_vertices]
+    qv = grid.corners()
+    mq, nq = mu[:, qv], norms[:, qv]
     diag = cos_angle(ip(mq[:, :, :2], mq[:, :, 2:]),                 # (i, k), (j, l)
                      nq[:, :, :2], nq[:, :, 2:]).min(axis=(1, 2))
-    ips = edge_ip[:, grid.quad_edges]                               # ij, jk, lk, il
+    ips = edge_ip[:, grid.sides()]                                  # ij, jk, lk, il
     opp = rel(np.abs(ips[..., 0] - ips[..., 3]), np.abs(ips).max(axis=2)).min(axis=1)
     return edge, diag, opp
 
@@ -105,9 +106,9 @@ def validate(net, margin=1e-6):
     """``IsothermicNet.validate``."""
     g, sig, mu = net.grid, net.signature, net.mu
     nullity = float(np.abs(rel(sig.norm2(mu), np.sum(mu * mu, axis=1))).max())
-    mq = mu[g.quad_vertices]                    # (nquads, 4, dim): i, j, k, l
+    mq = mu[g.corners()]                        # (nquads, 4, dim): i, j, k, l
     moutard, quad = worst(sin_angle(mq[:, 2] - mq[:, 0], mq[:, 3] - mq[:, 1]))
-    ips = net.edge_ip[g.quad_edges]             # ij, jk, lk, il
+    ips = net.edge_ip[g.sides()]                # ij, jk, lk, il
     label_rel = float(rel(np.maximum(np.abs(ips[:, 0] - ips[:, 2]),
                                      np.abs(ips[:, 3] - ips[:, 1])),
                           np.abs(ips).max(axis=1)).max(initial=0.0))
@@ -125,8 +126,8 @@ def validate(net, margin=1e-6):
 
 
 def connection_flatness(net, t):
-    """Max relative quad holonomy of Gamma(t)."""
-    return worst(holonomy(net.grid, flat_connection(net, t)))[0]
+    """``(value, quad)`` of the max relative quad holonomy of Gamma(t)."""
+    return worst(holonomy(net.grid, flat_connection(net, t)))
 
 
 # -- the construction path after flat_connection ------------------------
@@ -158,7 +159,7 @@ def christoffel_dual(net, frame=None):
     g, ip = net.grid, net.signature.inner
     mt, mh = net.mu[g.edge_tail], net.mu[g.edge_head]
     dxd = frame.pi(ip(mh, frame.q)[:, None] * mt - ip(mt, frame.q)[:, None] * mh)
-    qe = g.quad_edges
+    qe = g.sides()
     num, q = worst(np.linalg.norm(dxd[qe[:, 0]] + dxd[qe[:, 1]] - dxd[qe[:, 2]]
                                   - dxd[qe[:, 3]], axis=-1))
     res = num / max(float(np.abs(dxd).max(initial=0.0)), 1.0)

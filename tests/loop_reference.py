@@ -143,4 +143,4 @@ def combescure_circularity(grid, values, signature):
     vals = np.zeros((grid.nverts, big.dim))
     vals[:, :signature.p] = values[:, :signature.p]
     vals[:, signature.p + 1:big.dim - 1] = values[:, signature.p:]
-    return circularity(stereo_lift(vals, big.standard_frame()), grid.quad_vertices)
+    return circularity(stereo_lift(vals, big.standard_frame()), grid.corners())

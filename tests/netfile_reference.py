@@ -74,7 +74,7 @@ def file_text(nf) -> str:
 
 def edge_slot_dict(grid) -> dict:
     return {(int(t), int(a)): e
-            for e, (t, a) in enumerate(zip(grid.edge_tail, grid.edge_axis))}
+            for e, (t, a) in enumerate(zip(*grid.edge()))}
 
 
 def quad_edges(grid) -> np.ndarray:
@@ -82,8 +82,8 @@ def quad_edges(grid) -> np.ndarray:
     slots = edge_slot_dict(grid)
     out = np.zeros((grid.nquads, 4), dtype=int)
     for n in range(grid.nquads):
-        a, b = grid.quad_axes[n]
-        vi, vj, _, vl = grid.quad_vertices[n]
+        _, a, b = grid.quad(n)
+        vi, vj, _, vl = grid.corners(n)
         out[n] = (slots[(int(vi), int(a))], slots[(int(vj), int(b))],
                   slots[(int(vl), int(a))], slots[(int(vi), int(b))])
     return out

@@ -68,7 +68,7 @@ def test_criterion_1_calculus():
         area = mixed_area(x, y).values
         polar = np.zeros_like(area)
         for n in range(g.nquads):
-            i, j, k, l = g.quad_vertices[n]
+            i, j, k, l = g.corners(n)
             u, v = x.values, y.values
             s_xy = 0.5 * (wedge_vec(u[i], v[j]) + wedge_vec(u[j], v[k])
                           + wedge_vec(u[k], v[l]) + wedge_vec(u[l], v[i]))
@@ -127,7 +127,7 @@ def test_criterion_3_flatness(evolved_nets):
         finite = net.labels[~net.is_infinite]
         for t in T_SAMPLES:
             assert np.min(np.abs(finite - t)) > 1e-6
-            worst = max(worst, connection_flatness(net, t))
+            worst = max(worst, connection_flatness(net, t)[0])
     assert worst <= 1e-9
     report("3 flatness", holonomy=worst)
 
@@ -194,7 +194,7 @@ def test_criterion_5_omega_suite(monkeypatch):
         worst["eisenhart"] = max(worst["eisenhart"], eis["pairing"])
 
         # extract the constructing pair back from its fiber coordinates
-        colors = [int(g.vertex_coords[v].sum()) % 2 for v in range(g.nverts)]
+        colors = [int(g.coordinates(v).sum()) % 2 for v in range(g.nverts)]
         base_b = next(v for v in range(g.nverts) if colors[v] == 0)
         base_w = next(v for v in range(g.nverts) if colors[v] == 1)
 

@@ -31,7 +31,7 @@ def _lattice(n, seed):
     """The square lattice of side 1 lifted by ``o + x + |x|^2/2 q`` with the
     gauge ``(-1)^b``, moved by a small Cayley Lorentz map."""
     grid, frame = Grid([n, n]), SIG.standard_frame()
-    a, b = grid.vertex_coords.T
+    a, b = grid.coordinates(np.arange(grid.nverts)).T
     flat = np.zeros((grid.nverts, SIG.dim))
     flat[:, 0], flat[:, 1] = a / (n - 1), b / (n - 1)
     mu = stereo_lift(flat, frame) * np.where(b % 2, -1.0, 1.0)[:, None]
@@ -168,8 +168,8 @@ def test_degenerate_edges_give_the_same_error(nets):
     net = nets["40x40"]
     g = net.grid
     mu = np.array(net.mu)
-    late = int(g.edge_slots[np.ravel_multi_index((5, 20), g.dims), 1])
-    early = int(g.edge_slots[np.ravel_multi_index((38, 20), g.dims), 0])
+    late = int(g.slot(np.ravel_multi_index((5, 20), g.dims), 1))
+    early = int(g.slot(np.ravel_multi_index((38, 20), g.dims), 0))
     assert early < late
     for e in (late, early):
         mu[g.edge_head[e]] = 2.0 * mu[g.edge_tail[e]]

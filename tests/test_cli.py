@@ -109,6 +109,17 @@ def test_gen_omega_files_pass_verify(tmp_path, capsys, n):
     assert failed == []
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 7: gen omega accepts a 2x2 file that verify rejects "
+    "(omega.null_planes 2.707e-08 > 1e-9, omega.reconstruction 1.061e-08 > 1e-8)"))
+def test_gen_omega_2x2_file_passes_verify(tmp_path, capsys):
+    path = tmp_path / "om.json"
+    assert run("gen", "omega", "--dims", "2x2", "--seed", 1, "-o", path) == 0
+    code = run("verify", "-i", path)
+    capsys.readouterr()
+    assert code == 0
+
+
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("kind", ["omega", "guichard"])
 def test_gen_files_store_a_matched_pair(tmp_path, capsys, kind, n):
@@ -169,7 +180,7 @@ def test_transform_darboux_records_label(tmp_path):
     nf = NetFile.load(str(dst))
     assert nf.stacked
     g = nf.grid()
-    vertical = nf.edge_fields["m"][g.edge_axis == 0]
+    vertical = nf.edge_fields["m"][g.edge()[1] == 0]
     assert np.abs(vertical - 0.5).max() <= 1e-9
 
 

@@ -578,14 +578,13 @@ GRIDS = [((1, 5), False), ((5, 1), False), ((2, 2), False), ((3, 4, 5), False),
 @pytest.mark.parametrize("dims, stacked", GRIDS, ids=[str(g[0]) for g in GRIDS])
 def test_grid_topology_matches_slot_dict(dims, stacked):
     g = Grid(dims, stacked=stacked)
-    assert np.array_equal(g.quad_edges, ref.quad_edges(g))
-    assert g.quad_edges.dtype == ref.quad_edges(g).dtype
+    assert np.array_equal(g.sides(), ref.quad_edges(g))
+    assert g.sides().dtype == ref.quad_edges(g).dtype
     table = np.full((g.nverts, g.ndim), -1)
     for (t, a), e in ref.edge_slot_dict(g).items():
         table[t, a] = e
-    assert np.array_equal(g.edge_slots, table)
-    for arr in (g.edge_tail, g.edge_head, g.edge_axis, g.edge_slots,
-                g.quad_corner, g.quad_axes, g.quad_vertices, g.quad_edges):
+    assert np.array_equal(g.slot(np.arange(g.nverts)[:, None], np.arange(g.ndim)), table)
+    for arr in (g.edge_tail, g.edge_head):
         assert not arr.flags.writeable
 
 

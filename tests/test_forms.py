@@ -17,7 +17,7 @@ def quad_d_oracle(grid, f):
     """Expand d(df) per quad from the four-term boundary sum directly."""
     out = []
     for n in range(grid.nquads):
-        i, j, k, l = grid.quad_vertices[n]
+        i, j, k, l = grid.corners(n)
         v = f.values
         out.append((v[j] - v[i]) + (v[k] - v[j]) + (v[l] - v[k]) + (v[i] - v[l]))
     return np.array(out)
@@ -31,7 +31,7 @@ def test_constant_has_zero_differential():
 
 def test_coordinate_sum_has_unit_differential():
     g = Grid([3, 3])
-    f = Form0(g, g.vertex_coords.sum(axis=1).astype(float))
+    f = Form0(g, g.coordinates(np.arange(g.nverts)).sum(axis=1).astype(float))
     assert np.abs(d(f).values - 1.0).max() == 0.0
 
 
@@ -56,7 +56,7 @@ def test_orientation_sign_rule_is_exact():
     # the cycle (i, j, k, l); the reversed cycle (i, l, k, j) walks to the
     # negative, exactly
     a = Form1(g, rng.integers(-9, 9, (g.nedges, 2)))
-    i, j, k, l = (int(v) for v in g.quad_vertices[1])
+    i, j, k, l = (int(v) for v in g.corners(1))
 
     def walk(cycle):
         return sum(e.sign * a.values[e.index] for e in
@@ -183,9 +183,9 @@ def shoelace(pts):
 
 def test_unit_square_area_matches_shoelace():
     g = Grid([2, 2])
-    x = Form0(g, g.vertex_coords.astype(float))
+    x = Form0(g, g.coordinates(np.arange(g.nverts)).astype(float))
     area = mixed_area(x, x).values
-    i, j, k, l = g.quad_vertices[0]
+    i, j, k, l = g.corners(0)
     oracle = shoelace([x.values[i], x.values[j], x.values[k], x.values[l]])
     assert area.shape == (1, 1)
     assert abs(area[0, 0] - oracle) <= 1e-15
@@ -198,7 +198,7 @@ def test_mixed_area_diagonal_formula():
     x = Form0(g, rng.standard_normal((g.nverts, 3)))
     area = mixed_area(x, x).values
     for n in range(g.nquads):
-        i, j, k, l = g.quad_vertices[n]
+        i, j, k, l = g.corners(n)
         oracle = 0.5 * wedge_vec(x.values[i] - x.values[k],
                                  x.values[j] - x.values[l])
         assert np.abs(area[n] - oracle).max() <= 1e-13
@@ -221,7 +221,7 @@ def test_mixed_area_polarization_oracle():
     def four_term(u, v):
         out = np.zeros((g.nquads, lam2_dim(3)))
         for n in range(g.nquads):
-            i, j, k, l = g.quad_vertices[n]
+            i, j, k, l = g.corners(n)
             out[n] = 0.5 * (wedge_vec(u[i], v[j]) + wedge_vec(u[j], v[k])
                             + wedge_vec(u[k], v[l]) + wedge_vec(u[l], v[i]))
         return out

@@ -58,20 +58,20 @@ def test_bad_extent_rejected():
 def test_stack_line():
     s = stack(Grid([4]))
     assert s.dims == (2, 4)
-    assert int((s.edge_axis == 0).sum()) == 4
+    assert int((s.edge()[1] == 0).sum()) == 4
 
 
 def test_stack_square_counts():
     s = stack(Grid([3, 3]))
     assert s.dims == (2, 3, 3)
     assert (s.nverts, s.nedges, s.nquads) == brute_force_counts([2, 3, 3])
-    assert int((s.edge_axis == 0).sum()) == 9
-    assert int((s.quad_axes[:, 0] == 0).sum()) == 12
+    assert int((s.edge()[1] == 0).sum()) == 9
+    assert int((s.quad()[1] == 0).sum()) == 12
 
 
 def test_stack_of_interval_has_one_vertical_quad():
     s = stack(Grid([2]))
-    assert int((s.quad_axes[:, 0] == 0).sum()) == 1
+    assert int((s.quad()[1] == 0).sum()) == 1
 
 
 def test_double_stack_rejected():
@@ -85,7 +85,7 @@ def test_edge_reversal_involution():
     g = Grid([3, 2])
     for slot, (t, h) in enumerate(zip(g.edge_tail.tolist(), g.edge_head.tolist())):
         e = oriented_edge(g, t, h)
-        assert (e.index, e.sign, e.axis) == (slot, 1, g.edge_axis[slot])
+        assert (e.index, e.sign, e.axis) == (slot, 1, g.edge(slot)[1])
         assert oriented_edge(g, h, t) == (h, t, e.axis, slot, -1)
 
 
@@ -100,8 +100,8 @@ def test_quad_reversal_involution_and_rotation():
                 (oriented_edge(g, u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))}
 
     for n in range(g.nquads):
-        i, j, k, l = (int(v) for v in g.quad_vertices[n])
-        b, r, t, lft = (int(e) for e in g.quad_edges[n])
+        i, j, k, l = (int(v) for v in g.corners(n))
+        b, r, t, lft = (int(e) for e in g.sides(n))
         assert oriented([i, j, k, l]) == {(b, 1), (r, 1), (t, -1), (lft, -1)}
         assert oriented([j, k, l, i]) == oriented([i, j, k, l])
         assert oriented([i, l, k, j]) == {(e, -s) for e, s in oriented([i, j, k, l])}
@@ -127,7 +127,7 @@ def test_integrate_zero_form_gives_constant():
 
 def test_coordinate_sum_potential():
     g = Grid([3, 3])
-    f = Form0(g, g.vertex_coords.sum(axis=1).astype(float))
+    f = Form0(g, g.coordinates(np.arange(g.nverts)).sum(axis=1).astype(float))
     rec = integrate_one_form(g, exterior_derivative(f), seed=f.values[0])
     assert np.abs(rec.values - f.values).max() == 0.0
 
@@ -135,8 +135,8 @@ def test_coordinate_sum_potential():
 def brute_force_paths(dims, start, end):
     """All monotone staircase paths between two vertices."""
     g = Grid(dims)
-    sc = g.vertex_coords[start]
-    ec = g.vertex_coords[end]
+    sc = g.coordinates(start)
+    ec = g.coordinates(end)
     steps = []
     for a in range(g.ndim):
         steps += [a] * abs(int(ec[a]) - int(sc[a]))
@@ -271,7 +271,7 @@ def test_trivialize_rejects_non_flat():
     g = Grid([3, 3])
     rng = np.random.default_rng(1)
     gamma = np.tile(np.eye(3), (g.nedges, 1, 1))
-    bad = g.quad_edges[2][0]
+    bad = g.sides(2)[0]
     gamma[bad] = random_orthogonal(rng, 3)
     with pytest.raises(FlatnessError) as err:
         trivialize_connection(g, gamma)

@@ -122,7 +122,7 @@ def test_flat_connection_zero_is_identity(net42):
 
 @pytest.mark.parametrize("t", [-1.0, 0.3, 2.0])
 def test_flat_connection_holonomy(net42, t):
-    assert connection_flatness(net42, t) <= 1e-9
+    assert connection_flatness(net42, t)[0] <= 1e-9
 
 
 def test_flat_connection_orthogonal(net42):
@@ -153,7 +153,7 @@ def _nearest_finite_label(net, t):
 def test_nearest_label_on_an_isotropic_stack(net42):
     # the stack of an isotropic Darboux pair: every vertical edge is infinite
     st = stack_pair(net42, darboux_transform(net42, np.inf, rng=np.random.default_rng(8)))
-    vertical = st.grid.edge_axis == 0
+    vertical = st.grid.edge()[1] == 0
     assert st.is_infinite[vertical].all() and not st.is_infinite[~vertical].all()
     finite = st.labels[~st.is_infinite]
     for t in (0.0, -1.0, 0.3, 2.0, 1e6, *finite[:5], finite[3] + 1e-9, -finite[7]):
@@ -194,7 +194,7 @@ def test_infinite_label_connection_is_isotropic_exp(net42):
     rng = np.random.default_rng(8)
     hat = darboux_transform(net42, np.inf, rng=rng)
     st = stack_pair(net42, hat)
-    vertical = np.nonzero(st.grid.edge_axis == 0)[0]
+    vertical = np.nonzero(st.grid.edge()[1] == 0)[0]
     assert np.all(st.is_infinite[vertical])
     gam = flat_connection(st, 0.6)
     from dnet.forms import unpack_bivector
@@ -203,7 +203,7 @@ def test_infinite_label_connection_is_isotropic_exp(net42):
     expected = np.eye(6) + 0.6 * action_matrix(unpack_bivector(st.eta[e], 6), SIG42)
     assert np.abs(gam[e] - expected).max() <= 1e-12
     for t in (-1.0, 0.3, 2.0):
-        assert connection_flatness(st, t) <= 1e-9
+        assert connection_flatness(st, t)[0] <= 1e-9
 
 
 @pytest.mark.parametrize("m, kw, reason", [
@@ -277,7 +277,7 @@ def test_darboux_normalization_and_stack(net42, m):
     assert np.abs(ips - target).max() <= 1e-9
     st = stack_pair(net42, hat)
     assert st.validate()["passed"]
-    vertical = st.grid.edge_axis == 0
+    vertical = st.grid.edge()[1] == 0
     if np.isinf(m):
         assert np.all(st.is_infinite[vertical])
     else:
@@ -294,9 +294,9 @@ def test_darboux_vertical_cross_ratio(net42):
     rng2 = np.random.default_rng(11)
     checked = 0
     for n in range(g.nquads):
-        if g.quad_axes[n][0] != 0:
+        if g.quad(n)[1] != 0:
             continue
-        i, j, k, l = (int(v) for v in g.quad_vertices[n])
+        i, j, k, l = (int(v) for v in g.corners(n))
         e_ij = oriented_edge(g, i, j)
         e_jk = oriented_edge(g, j, k)
         expected = st.labels[e_jk.index] / st.labels[e_ij.index]

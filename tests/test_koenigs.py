@@ -52,7 +52,7 @@ def test_lift_seed_rescale_alternates(moutard_net):
     mu2 = moutard_lift_from_eta(net, 2.0 * mu[0])
     g = net.grid
     for v in range(g.nverts):
-        parity = int(g.vertex_coords[v].sum()) % 2
+        parity = int(g.coordinates(v).sum()) % 2
         factor = 2.0 if parity == 0 else 0.5
         assert np.abs(mu2[v] - factor * mu1[v]).max() <= 1e-12 * np.abs(mu1[v]).max()
 
@@ -99,7 +99,7 @@ def test_koenigs_dual_parallel_diagonals(moutard_net):
     g = net.grid
     # oracle: opposite diagonals parallel via the wedge
     for n in range(g.nquads):
-        i, j, k, l = g.quad_vertices[n]
+        i, j, k, l = g.corners(n)
         d1, d2 = F[k] - F[i], Fd[l] - Fd[j]
         w = wedge_vec(d1, d2)
         assert np.linalg.norm(w) <= 1e-9 * np.linalg.norm(d1) * np.linalg.norm(d2)
@@ -271,14 +271,14 @@ def test_christoffel_ratio_constant_scale():
 def test_factorization_recovers_planted_field():
     from dnet.koenigs import factor_edge_ratios
     g = Grid([4, 4])
-    planted = np.array([1.0 + 0.1 * (c[0] + 2 * c[1]) for c in g.vertex_coords])
+    planted = np.array([1.0 + 0.1 * (c[0] + 2 * c[1]) for c in g.coordinates(np.arange(g.nverts))])
     lam = planted[g.edge_tail] * planted[g.edge_head]
     r, quad_res, fact_res, _ = factor_edge_ratios(g, lam)
     assert quad_res <= 1e-12
     assert fact_res <= 1e-12
     # recovery up to the global alternating scale pattern
     scale = r[0] / planted[0]
-    parities = np.array([(-1.0) ** (c.sum() % 2) for c in g.vertex_coords])
+    parities = np.array([(-1.0) ** (c.sum() % 2) for c in g.coordinates(np.arange(g.nverts))])
     adjusted = r / (scale ** parities)
     assert np.abs(adjusted - planted).max() <= 1e-10
 
@@ -320,7 +320,7 @@ def test_balance_keeps_the_written_out_rescale():
     g = Grid([5, 4])
     rng = np.random.default_rng(6)
     mu_p, mu_m = rng.standard_normal((2, g.nverts, 6)) * rng.uniform(0.1, 9, (2, g.nverts, 1))
-    parity = 1.0 - 2.0 * (g.vertex_coords.sum(axis=1) % 2)
+    parity = 1.0 - 2.0 * (g.coordinates(np.arange(g.nverts)).sum(axis=1) % 2)
     n_even = np.median(np.linalg.norm(mu_p[parity > 0], axis=1))
     n_odd = np.median(np.linalg.norm(mu_p[parity < 0], axis=1))
     c = np.sqrt(max(n_odd, 1e-300) / max(n_even, 1e-300))

@@ -61,6 +61,8 @@ def _outcome(fn, *args):
 
 
 def _same(a, b):
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
     if isinstance(a, float) and isinstance(b, float) and np.isnan(a):
@@ -125,7 +127,7 @@ def test_errors_name_the_same_edge(nets):
     # of a 64x64 net whose endpoint lifts are made proportional
     big = nets["64x64"]
     g = big.grid
-    e = int(g.edge_slots[np.ravel_multi_index((40, 49), g.dims), 1])
+    e = int(g.slot(np.ravel_multi_index((40, 49), g.dims), 1))
     assert e >= 3 * 2048
     mu = np.array(big.mu)
     mu[g.edge_head[e]] = 2.0 * mu[g.edge_tail[e]]
@@ -139,7 +141,7 @@ def test_errors_name_the_same_edge(nets):
     # a second degenerate edge, first in edge order but on axis 0 in the
     # last quad block: the quad blocks meet edge e first, and the error
     # still names the second one
-    e0 = int(g.edge_slots[np.ravel_multi_index((60, 5), g.dims), 0])
+    e0 = int(g.slot(np.ravel_multi_index((60, 5), g.dims), 0))
     assert e0 < e
     mu[g.edge_head[e0]] = 3.0 * mu[g.edge_tail[e0]]
     net = _mislabelled(IsothermicNet(g, SIG, mu))
@@ -190,8 +192,8 @@ def test_verify_path_is_bit_identical(pq, n):
 def test_nan_in_the_second_quad_block_propagates_and_is_named():
     net = _evolved(64, (4, 2))
     g, block = net.grid, grid_mod._HOLONOMY_BLOCK
-    v = int(g.quad_vertices[block + block // 2, 2])
-    quads = np.flatnonzero((g.quad_vertices == v).any(axis=1))
+    v = int(g.corners(block + block // 2)[2])
+    quads = np.flatnonzero((g.corners() == v).any(axis=1))
     assert block <= quads.min() and quads.max() < 2 * block
     mu = np.array(net.mu)
     mu[v, 0] = np.nan
@@ -202,9 +204,29 @@ def test_nan_in_the_second_quad_block_propagates_and_is_named():
                 "opposite_label_margin"):
         assert np.isnan(got[key]), key
     assert got["worst_quad"] == g.locate_quad(int(quads.min()))
-    assert np.isnan(connection_flatness(bad, 0.3))
+    value, quad = connection_flatness(bad, 0.3)
+    assert np.isnan(value) and quad == int(quads.min())
     moutard = next(c for c in run_checks(_file(bad)).checks if c.name == "isothermic.moutard")
     assert not moutard.passed and moutard.worst == got["worst_quad"]
+
+
+def test_a_failing_flatness_row_names_a_quad_of_the_perturbed_edge(monkeypatch):
+    # one interior edge's label moved by 1e-4: Gamma(t) is no longer flat
+    # on the two quads that edge bounds, and each flatness row names one
+    net = _evolved(12, (4, 2))
+    g = net.grid
+    e = int(g.slot(np.ravel_multi_index((5, 6), g.dims), 1))
+    bad = IsothermicNet(g, net.signature, net.mu)
+    labels = np.array(net.labels)
+    labels[e] *= 1.0 + 1e-4
+    bad.labels = labels
+    monkeypatch.setattr(NetFile, "isothermic_net", lambda nf: bad)
+    rows = {c.name: c for c in run_checks(_file(net)).checks}
+    for t in FLATNESS_T:
+        row = rows[f"isothermic.flatness(t={t})"]
+        value, quad = connection_flatness(bad, t)
+        assert not row.passed and row.residual == value
+        assert row.worst == g.locate_quad(quad) and e in g.sides(quad)
 
 
 def test_verify_path_across_the_seams_of_an_isotropic_pair(nets, monkeypatch):
@@ -222,7 +244,7 @@ def test_a_degenerate_edge_gives_the_same_report(monkeypatch):
     # of its edges are undefined, and each flatness check aborts
     net = _evolved(64, (4, 2))
     g = net.grid
-    v = int(g.quad_vertices[3 * grid_mod._HOLONOMY_BLOCK + 10, 0])
+    v = int(g.corners(3 * grid_mod._HOLONOMY_BLOCK + 10)[0])
     mu = np.array(net.mu)
     mu[v, 0] += 1e-3 * np.linalg.norm(mu[v])
     bad = IsothermicNet(g, net.signature, mu)

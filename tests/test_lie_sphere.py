@@ -42,7 +42,7 @@ def test_sphere_lattice_is_principal():
 def test_planar_strip_has_flat_edges_and_frame_error():
     g = Grid([4, 4])
     x = np.zeros((g.nverts, 3))
-    x[:, :2] = g.vertex_coords
+    x[:, :2] = g.coordinates(np.arange(g.nverts))
     n = np.tile([0.0, 0.0, 1.0], (g.nverts, 1))
     pn = PrincipalNet(g, x, n)
     assert np.abs(pn.kappa).max() <= 1e-14
@@ -122,7 +122,7 @@ def test_omega_from_darboux_pair_invariants(omega_net):
 def test_omega_extract_recovers_pair(omega_net):
     cong = omega_net.congruence()
     g = omega_net.grid
-    colors = [int(g.vertex_coords[v].sum()) % 2 for v in range(g.nverts)]
+    colors = [int(g.coordinates(v).sum()) % 2 for v in range(g.nverts)]
     base_b = next(v for v in range(g.nverts) if colors[v] == 0)
     base_w = next(v for v in range(g.nverts) if colors[v] == 1)
 

@@ -48,7 +48,7 @@ def test_circularity_matches_loops(families, omega_net, guichard):
     frame = standard_lie_frame()
     for pn in (omega_net.principal(), guichard.pn, sphere_lattice([5, 6], radius=1.5)):
         got = pn.validate(frame=frame)["circularity"]
-        assert got == ref.circularity(frame.lift_point(pn.x), pn.grid.quad_vertices)
+        assert got == ref.circularity(frame.lift_point(pn.x), pn.grid.corners())
     for fam in families[::2]:
         x, xd = fam.members[:2]
         rep = check_combescure(fam.grid, x, xd, SIG3)

@@ -152,8 +152,7 @@ def test_staircase_tree_builds_one_block_at_a_time():
     assert big <= 1.25 * small, (small, big)
 
 
-TABLES = ("vertex_coords", "edge_tail", "edge_head", "edge_axis", "edge_slots", "quad_corner",
-          "quad_axes", "quad_vertices", "quad_edges")
+TABLES = ("edge_tail", "edge_head")
 
 
 def test_pipeline_and_verify_build_no_whole_grid_table(tmp_path, monkeypatch):

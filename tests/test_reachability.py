@@ -11,7 +11,11 @@ benchmark.  The audit takes the closure of the names they use:
   variables.  A reached class also reaches its class body and its dunder
   methods, which Python calls implicitly.
 
-Every non-dunder module-level function, class and method must be reached.
+A class-body name bound to the value of a call (a property such as
+`Grid.edge_tail = _table(...)`, a dataclass `field(...)`) is a definition
+like a method, and reaches the names its call uses.  Every non-dunder
+module-level function, class, method and such class attribute must be
+reached.
 `ALLOWED` names the paper constructions that only tests call, each with
 its reason.
 
@@ -23,6 +27,7 @@ not found here.
 
 import ast
 import functools
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +55,14 @@ def _dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _bound_by_call(stmt):
+    """The names a class-body statement binds to the value of a call."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or not isinstance(stmt.value, ast.Call):
+        return []
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def _names(*nodes, bound=frozenset()):
     """Names and attribute names used under ``nodes``, but the plain names
     in ``bound`` and annotations: under ``from __future__ import
@@ -75,8 +88,10 @@ def _names(*nodes, bound=frozenset()):
 @functools.lru_cache(maxsize=None)
 def _uses(node):
     """The names a reached definition reaches, computed once per node."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return _names(node.value)
     if isinstance(node, ast.ClassDef):
-        body = [s for s in node.body if not isinstance(s, _FUNCS)]
+        body = [s for s in node.body if not isinstance(s, _FUNCS) and not _bound_by_call(s)]
         dunders = [s for s in node.body if isinstance(s, _FUNCS) and _dunder(s.name)]
         return _names(*node.decorator_list, *node.bases, *node.keywords, *body).union(
             *map(_uses, dunders))
@@ -97,7 +112,8 @@ def _module(path):
 
 def definitions():
     """name -> [(qualified name, node)] over the module-level functions and
-    classes of `src/dnet` and the methods of those classes."""
+    classes of `src/dnet`, the methods of those classes and their class
+    attributes bound by a call."""
     out = {}
     for path in SOURCES:
         for node in _module(path).body:
@@ -106,9 +122,11 @@ def definitions():
             out.setdefault(node.name, []).append((f"{path.stem}.{node.name}", node))
             if isinstance(node, ast.ClassDef):
                 for meth in node.body:
-                    if isinstance(meth, _FUNCS) and not _dunder(meth.name):
-                        out.setdefault(meth.name, []).append(
-                            (f"{path.stem}.{node.name}.{meth.name}", meth))
+                    names = [meth.name] if isinstance(meth, _FUNCS) else _bound_by_call(meth)
+                    for name in names:
+                        if not _dunder(name):
+                            out.setdefault(name, []).append(
+                                (f"{path.stem}.{node.name}.{name}", meth))
     return out
 
 
@@ -148,6 +166,16 @@ def test_every_definition_is_reached():
     assert not dead, ("definitions no command, demo or benchmark reaches "
                       "(delete them, or allow-list a paper construction):\n  "
                       + "\n  ".join(dead))
+
+
+def test_a_table_only_the_benchmark_reads_is_unreached_without_it(monkeypatch):
+    # the whole-grid tables are class attributes bound by a call, and only
+    # perfbench/ reads them
+    tables = {"grid.Grid.edge_tail", "grid.Grid.edge_head"}
+    assert not tables & set(unreached())
+    monkeypatch.setattr(sys.modules[__name__], "USERS",
+                        [p for p in USERS if p.is_relative_to(ROOT / "demos")])
+    assert tables <= set(unreached())
 
 
 def test_each_allowed_name_exists_and_is_needed():

@@ -27,7 +27,8 @@ from netfile_reference import oriented_edge, plane_basis, raise_first
 
 def staircase_steps(grid, base=0):
     """Steps ``(vertex, parent, edge_slot, step_sign)``, parents first."""
-    coords, slots = grid.vertex_coords, grid.edge_slots
+    coords = grid.coordinates(np.arange(grid.nverts))
+    slots = grid.slot(np.arange(grid.nverts)[:, None], np.arange(grid.ndim))
     bc = coords[base]
     order = sorted(range(grid.nverts), key=lambda v: tuple(
         abs(int(coords[v][a]) - int(bc[a])) for a in range(grid.ndim - 1, -1, -1)))
@@ -176,9 +177,8 @@ def parallel_section(cong, colors, bundle_black, base, seed2, maps=(g_map, g_map
 
 def factor_edge_ratios(grid, lam):
     """``(r, quad_product_residual)`` of ``factor_edge_ratios``."""
-    quad_res, quad_edges = 0.0, grid.quad_edges
-    for n in range(grid.nquads):
-        eb, er, et, el = quad_edges[n]
+    quad_res = 0.0
+    for eb, er, et, el in grid.sides():
         quad_res = max(quad_res, abs(lam[eb] * lam[et] / (lam[er] * lam[el]) - 1.0))
     r = np.zeros(grid.nverts)
     steps = staircase_steps(grid, 0)
