@@ -83,7 +83,7 @@ def _parse_number(option: str, text, default=None) -> float:
 def _parse_params(kind: str, items) -> dict:
     """The ``--param k=v`` values given to ``gen kind``: finite numbers
     (``m`` may be ``inf`` or ``-inf``), ``fault`` an integer and ``m`` and
-    ``rho`` nonzero, for the keys of ``GEN_PARAMS[kind]`` only."""
+    ``rho`` nonzero with ``4 rho^2`` finite, for the keys of ``GEN_PARAMS[kind]`` only."""
     keys = GEN_PARAMS[kind]
     out = {}
     for item in items or ():
@@ -99,6 +99,9 @@ def _parse_params(kind: str, items) -> dict:
         if k == "fault" and not value.is_integer() or k in ("m", "rho") and value == 0:
             raise FormatError(f"bad --param {item!r}; expected "
                               f"{'an integer' if k == 'fault' else 'a nonzero number'}")
+        if k == "rho" and not np.isfinite(4 * value * value):
+            raise FormatError(f"bad --param {item!r}; expected |rho| <= 6.7e153, so that "
+                              f"the squared diameter 4 rho^2 of the sphere is finite")
         out[k] = value
     return out
 
@@ -300,22 +303,22 @@ def cmd_export(args) -> int:
     field = nf.vertex_fields.get(args.field)
     if field is None:
         raise FormatError(f"no vertex field {args.field!r} in file")
-    g = nf.grid()
+    g, (n, width) = nf.grid(), field.shape
     if args.format == "obj":
-        if field.shape[1] != 3:
+        if width != 3:
             raise FormatError("obj export needs a 3-dimensional field")
         if g.ndim != 2:
             raise FormatError("obj export needs a 2D grid")
-        lines = [f"# dnet export: field {args.field}, dims {list(nf.dims)}"]
-        for row in field:
-            lines.append("v " + " ".join(f"{v:.17g}" for v in row))
-        lines += [f"f {i} {j} {k} {l}" for i, j, k, l in g.corners() + 1]
+        parts = [f"# dnet export: field {args.field}, dims {list(nf.dims)}\n",
+                 "v %.17g %.17g %.17g\n" * n % tuple(field.ravel().tolist()),
+                 "f %d %d %d %d\n" * g.nquads % tuple((g.corners() + 1).ravel().tolist())]
     else:
-        cols = ",".join(f"{args.field}_{k}" for k in range(field.shape[1]))
-        lines = [f"vertex,{cols}"]
-        for idx, row in enumerate(field):
-            lines.append(f"{idx}," + ",".join(repr(float(v)) for v in row))
-    write_text(args.output, ["\n".join(lines), "\n"])
+        cols = ",".join(f"{args.field}_{k}" for k in range(width))
+        # %d of the float index column is the index
+        rows = np.column_stack([np.arange(n, dtype=float), field])
+        parts = [f"vertex,{cols}\n",
+                 ("%d," + ",".join(["%r"] * width) + "\n") * n % tuple(rows.ravel().tolist())]
+    write_text(args.output, parts)
     return 0
 
 
@@ -370,11 +373,10 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise FormatError(f"bad --seed {args.seed}; expected a non-negative integer")
         return args.func(args)
-    except FormatError as err:
-        sys.stderr.write(f"usage error: {err}\n")
-        return 2
-    except OSError as err:
+    except (FormatError, OSError) as err:
         sys.stderr.write(f"usage error: {err}\n")
         return 2
     except GeometryError as err:

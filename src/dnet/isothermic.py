@@ -28,7 +28,7 @@ from .grid import (Grid, blocks, holonomy, integrate_one_form, quad_blocks, stac
                    trivialize_connection)
 from .koenigs import vertical_diagonal_margin, vertical_moutard
 from .pseudo_euclidean import (Frame, Signature, action_matrix, conic_cross_ratio,
-                               gamma_lambda, line_distance, renull, stereo_project)
+                               gamma_lambda, line_distance, renull, stereo_lift, stereo_project)
 from .residuals import cos_angle, floor, gap, rel, sin_angle, worst
 
 __all__ = [
@@ -193,6 +193,18 @@ def _margins(grid: Grid, signature: Signature, mu: np.ndarray):
     return edge, diag.min(axis=1), opp.min(axis=1)
 
 
+def _moutard_step(ip, mi, mj, ml):
+    """The fourth lifts ``mi + ((mi, ml - mj) / (ml, mj)) (ml - mj)`` of Moutard quads,
+    the mask of the degenerate ones, ``|(ml, mj)| <= 1e-12 |ml| |mj|``, and ``(ml, mj)``;
+    only a degenerate quad divides by zero, so that warns of nothing."""
+    denom = ip(ml, mj)
+    degenerate = np.abs(denom) <= _MIN_DENOM * floor(
+        np.linalg.norm(ml, axis=-1) * np.linalg.norm(mj, axis=-1))
+    diff = ml - mj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mi + (ip(mi, diff) / denom)[..., None] * diff, degenerate, denom
+
+
 def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray,
             frame: Frame | None):
     """Moutard evolution of a batch of Cauchy data, one anti-diagonal per
@@ -214,10 +226,8 @@ def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray,
     for s in range(2, d0 + d1 - 1):
         a = np.arange(max(1, s - d1 + 1), min(d0, s))
         b = s - a
-        mi, mj, ml = mu[:, a - 1, b - 1], mu[:, a, b - 1], mu[:, a - 1, b]
-        denom = ip(ml, mj)
-        scale = np.linalg.norm(ml, axis=-1) * np.linalg.norm(mj, axis=-1)
-        degenerate = np.abs(denom) <= 1e-12 * floor(scale)
+        new, degenerate, denom = _moutard_step(
+            ip, mu[:, a - 1, b - 1], mu[:, a, b - 1], mu[:, a - 1, b])
         for k in np.flatnonzero(degenerate.any(axis=1)):
             if failures[k] is None:
                 c = int(np.argmax(degenerate[k]))
@@ -225,8 +235,6 @@ def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray,
                 left -= 1
         if not left:
             break
-        diff = ml - mj
-        new = mi + (ip(mi, diff) / denom)[..., None] * diff
         mu[:, a, b] = new if frame is None else renull(new, frame)
     return mu, failures
 
@@ -278,8 +286,7 @@ def _cauchy_lines(grid: Grid, signature: Signature, rng, n: int, magnitude: floa
     ip, d = signature.inner, signature.dim
     d0, d1 = grid.dims
     rows = rng.standard_normal((n, d0 + d1 - 1, d))
-    x0 = frame.pi(rows[:, 0])
-    base = frame.o + x0 + (0.5 * ip(x0, x0))[:, None] * frame.q
+    base = stereo_lift(frame.pi(rows[:, 0]), frame)
     deltas = frame.pi(magnitude * rows[:, 1:])
     if frame.p is not None:
         comp = -ip(deltas, frame.p)
@@ -594,15 +601,12 @@ def _darboux_march(net: IsothermicNet, m: float, hat0: np.ndarray):
     failures = [None] * len(hat0)
     alive = np.arange(len(hat0))
     for child, parent, slot in g.staircase_tree():
-        hp, mi, mj = hat[alive[:, None], parent], mu[parent], mu[child]
         # a huge lift at vertex 0 (a tiny m) overflows its norm: that step fails
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            denom = ip(hp, mj)
-            bad = [np.abs(denom) <= _MIN_DENOM * floor(
-                np.linalg.norm(hp, axis=-1) * np.linalg.norm(mj, axis=-1))]
-            val = mi + (ip(mi, hp - mj) / denom)[..., None] * (hp - mj)
+            val, stuck, _ = _moutard_step(ip, mu[parent], mu[child], hat[alive[:, None], parent])
+            bad = [stuck]
             if not np.isinf(m):
-                cur = ip(mj, val)
+                cur = ip(mu[child], val)
                 bad.append(np.abs(cur) <= _MIN_DENOM)
                 val = val / (m * cur)[..., None]
         hat[alive[:, None], child] = val
@@ -637,8 +641,7 @@ def _pair_quality(net: IsothermicNet, hat: IsothermicNet) -> dict:
 
 def _random_null(sig: Signature, rng) -> np.ndarray:
     frame = sig.standard_frame()
-    x = frame.pi(rng.standard_normal(sig.dim))
-    v = frame.o + x + 0.5 * float(sig.inner(x, x)) * frame.q
+    v = stereo_lift(frame.pi(rng.standard_normal(sig.dim)), frame)
     return v / np.linalg.norm(v)
 
 

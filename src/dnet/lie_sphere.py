@@ -31,7 +31,7 @@ from .isothermic import (ConservedQuantity, IsothermicNet, _eta_apply, _evolve,
                          _rejected_at, calapso_transform, darboux_transform,
                          flat_connection, stack_pair)
 from .koenigs import LineCongruence, _balance, km_pair_check
-from .pseudo_euclidean import Frame, Signature, action_matrix
+from .pseudo_euclidean import Frame, Signature, action_matrix, stereo_lift
 from .residuals import circularity, cos_angle, floor, gap, rel, sin_angle
 
 __all__ = [
@@ -352,16 +352,21 @@ def associates(omega: OmegaNet) -> Associates:
     rec_res = rel(float(np.abs(rec - omega.eta).max(initial=0.0)),
                   np.abs(omega.eta).max(initial=0.0))
 
-    dual = (curly_wedge(_d3(g, xd), _d3(g, pn.x)).values
-            + curly_wedge(_d3(g, nd), _d3(g, pn.n)).values)
-    scale = max(float(np.abs(xd).max(initial=0.0)), 1.0)
-    dual_res = float(np.abs(dual).max(initial=0.0)) / scale
+    dual_res = _duality_defect(pn, xd, nd) / max(float(np.abs(xd).max(initial=0.0)), 1.0)
     return Associates(x=pn.x, n=pn.n, x_dual=xd, n_dual=nd,
                       reconstruction=rec_res, duality=dual_res)
 
 
 def _d3(g: Grid, values: np.ndarray) -> Form1:
     return exterior_derivative(Form0(g, values))
+
+
+def _duality_defect(pn: PrincipalNet, x_dual, n_dual) -> float:
+    """``max |dxd ^~ dx + dnd ^~ dn|`` over the quads, 0 for a dual pair; each
+    caller divides it by its own scale."""
+    quad = (curly_wedge(_d3(pn.grid, x_dual), _d3(pn.grid, pn.x)).values
+            + curly_wedge(_d3(pn.grid, n_dual), _d3(pn.grid, pn.n)).values)
+    return float(np.abs(quad).max(initial=0.0))
 
 
 def check_omega(pn: PrincipalNet, x_dual, n_dual) -> dict:
@@ -377,10 +382,8 @@ def check_omega(pn: PrincipalNet, x_dual, n_dual) -> dict:
         for name, dv in (("x_dual", dxd), ("n_dual", dnd)):
             if sin_angle(dv, dx).max(initial=0.0) > 1e-6:
                 raise DegeneracyError(f"{name} is not edge-parallel to x")
-        quad = (curly_wedge(_d3(g, x_dual), _d3(g, pn.x)).values
-                + curly_wedge(_d3(g, n_dual), _d3(g, pn.n)).values)
         scale = max(float(np.abs(x_dual).max(initial=0.0) + np.abs(n_dual).max(initial=0.0)), 1.0)
-        duality = float(np.abs(quad).max(initial=0.0)) / scale
+        duality = _duality_defect(pn, x_dual, n_dual) / scale
         nd_margin = rel(np.linalg.norm(dxd - pn.kappa[:, None] * dnd, axis=1),
                         np.linalg.norm(dxd, axis=1))
     out = {
@@ -566,8 +569,7 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
     reason = np.full(n, -1)
 
     # base: mu null with (mu, p) != 0; xi null, (xi, p) = -1, (xi, mu) = 0
-    x0 = frame.pi(rows[:, :d])
-    mu0 = frame.o + x0 + (0.5 * ip(x0, x0))[:, None] * frame.q
+    mu0 = stereo_lift(frame.pi(rows[:, :d]), frame)
     reason[np.abs(ip(mu0, frame.p)) < 0.05] = 0
     # least-norm solution of (v, p) = -1, (v, mu0) = 0, and the kernel
     a1, a2 = frame.p * sig.signs, mu0 * sig.signs

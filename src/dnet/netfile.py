@@ -23,7 +23,9 @@ and no temporary file.  :meth:`NetFile.save` streams its text into
 :func:`write_text`: an array with more than :data:`_ROWS` rows is
 rendered and written one block of rows at a time, so the document's
 text is never held whole, and a rendering that raises partway is a
-failed write.
+failed write.  A block's rows are one ``%`` template of a row's shape
+(the layout above, ``%s`` in place of each entry) filled with each row's
+floats.
 
 The isothermic checks of :func:`run_checks` run in blocks as well: the
 net's edge arrays and the stored-label residuals in blocks of edges, and
@@ -112,41 +114,30 @@ def _json_text(value, depth: int) -> str:
     return text.replace("\n", "\n" + " " * depth)
 
 
+def _nest(items, depth: int) -> str:
+    """The texts ``items`` (at least one) as a list in the file layout, ``depth`` deep."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _template(shape: tuple, depth: int) -> str:
+    """``_json_text`` of a nested list of ``shape``, ``depth`` deep, ``%s`` for each entry."""
+    if not shape:
+        return "%s"
+    return _nest([_template(shape[1:], depth + 1)] * shape[0], depth) if shape[0] else "[]"
+
+
 def _array_text(arr: np.ndarray, depth: int) -> str:
-    """``_json_text`` of the nested lists of ``arr``, with non-finite values
-    as strings, rendered in one pass over the flat values."""
-    if arr.size == 0:
-        return _json_text(arr.tolist(), depth)
+    """``_json_text`` of the nested lists of ``arr``, non-finite values as strings: a row's
+    template filled with each row's floats (a whole-block ``%`` raised the peak RSS)."""
     flat = arr.ravel()
-    tokens = list(map(float.__repr__, flat.tolist()))
+    values = flat.tolist()
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        tokens[i] = f'"{tokens[i]}"'          # "inf", "-inf", "nan"
-    return tokens[0] if arr.ndim == 0 else _layout(arr.shape, depth, tokens)
-
-
-def _layout(shape: tuple, depth: int, tokens: list) -> str:
-    """The text of a non-empty array of ``shape`` in the file layout,
-    nested ``depth`` levels deep, with the strings ``tokens`` as its flat
-    entries."""
-    nd, size = len(shape), len(tokens)
-    pad = ["\n" + " " * (depth + k) for k in range(nd + 1)]
-
-    def sep(j):
-        """What follows a value that ends its ``j`` innermost lists."""
-        return ("".join(pad[nd - k] + "]" for k in range(1, j + 1)) + ","
-                + "".join(pad[nd - k] + "[" for k in range(j, 0, -1)) + pad[nd])
-
-    seps = [sep(0)] * (size - 1)
-    block = 1
-    for j in range(1, nd):
-        block *= shape[nd - j]
-        seps[block - 1::block] = [sep(j)] * ((size - 1) // block)
-    parts = [""] * (2 * size - 1)
-    parts[0::2] = tokens
-    parts[1::2] = seps
-    head = "[" + "".join(pad[k] + "[" for k in range(1, nd)) + pad[nd]
-    tail = "".join(pad[k] + "]" for k in range(nd - 1, -1, -1))
-    return head + "".join(parts) + tail
+        values[i] = f'"{values[i]!r}"'          # "inf", "-inf", "nan"
+    if arr.ndim == 0 or not arr.size:
+        return _template(arr.shape, depth) % tuple(values)
+    rows = zip(*[iter(values)] * (arr.size // len(arr)))      # the rows as tuples
+    return _nest(map(_template(arr.shape[1:], depth + 1).__mod__, rows), depth)
 
 
 def _has_array(value) -> bool:

@@ -202,7 +202,8 @@ def gamma_lambda(ends, lam, signature: Signature, out=None) -> np.ndarray:
 # -- light cone charts -------------------------------------------------
 
 def stereo_lift(x, frame: Frame) -> np.ndarray:
-    """Null lift ``o + x + 1/2 (x,x) q`` of a point of R^{p,q} (batched)."""
+    """Null lift ``o + x + 1/2 (x,x) q`` of points of R^{p,q} (batched), the base lift
+    of ``_cauchy_lines``, ``_random_null``, ``_guichard_attempts``, ``check_combescure``."""
     x = np.asarray(x, float)
     ip = frame.signature.inner
     ortho = np.maximum(np.abs(ip(x, frame.o)), np.abs(ip(x, frame.q)))

@@ -70,6 +70,23 @@ def file_text(nf) -> str:
                       indent=1) + "\n"
 
 
+def export_text(nf, name: str, fmt: str) -> str:
+    """The text ``dnet export`` writes of the vertex field ``name`` of
+    ``nf`` in ``fmt`` ("obj" or "csv"), one row at a time."""
+    field, g = nf.vertex_fields[name], nf.grid()
+    if fmt == "obj":
+        lines = [f"# dnet export: field {name}, dims {list(nf.dims)}"]
+        for row in field:
+            lines.append("v " + " ".join(f"{v:.17g}" for v in row))
+        lines += [f"f {i} {j} {k} {l}" for i, j, k, l in g.corners() + 1]
+    else:
+        cols = ",".join(f"{name}_{k}" for k in range(field.shape[1]))
+        lines = [f"vertex,{cols}"]
+        for idx, row in enumerate(field):
+            lines.append(f"{idx}," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 # -- grid ----------------------------------------------------------------
 
 def edge_slot_dict(grid) -> dict:

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from dnet.cli import GEN_KINDS, main
+from dnet.grid import Grid
 from dnet.koenigs import km_pair_check
 from dnet.netfile import CHECKS, READS, NetFile, first_non_finite, run_checks
+from tests import netfile_reference as ref
 
 
 def run(*argv):
@@ -289,6 +291,26 @@ def test_export_csv_roundtrip(tmp_path):
     assert np.array_equal(vals, nf.vertex_fields["x"])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "obj"])
+def test_export_bytes_match_the_row_encoder(tmp_path, fmt):
+    # every float whose text the row encoder and a template could tell
+    # apart: a signed zero, the least subnormal, a 17-digit integer and the
+    # non-finite values, in a field of three columns and a field of none
+    special = [-0.0, 5e-324, 1e16, np.inf, -np.inf, np.nan, 0.1, -2.5e-300, 1.0]
+    grid = Grid([3, 3])
+    x = np.resize(special, (grid.nverts, 3))
+    x[4] = -x[4]
+    nf = NetFile(signature=(4, 2), dims=(3, 3),
+                 vertex_fields={"x": x, "w": np.zeros((grid.nverts, 0))})
+    src = tmp_path / "special.json"
+    nf.save(str(src))
+    for name in ("x", "w") if fmt == "csv" else ("x",):
+        out = tmp_path / f"{name}.{fmt}"
+        assert run("export", "-i", src, "--field", name, "--format", fmt, "-o", out) == 0
+        assert out.read_bytes() == ref.export_text(NetFile.load(str(src)), name,
+                                                   fmt).encode()
+
+
 def test_export_rejects_bad_field(tmp_path):
     src = tmp_path / "iso.json"
     assert run("gen", "isothermic", "--dims", "4x4", "--seed", 5, "-o", src) == 0
@@ -547,6 +569,16 @@ EXIT_CODES = [
     (["verify", "-i", "{net}", "--tol", "regularity_margin=0"], 2),
     (["verify", "-i", "{net}", "--tol", "regularity_margin=-1e-6"], 2),
     (["verify", "-i", "{net}", "--tol", "moutard=0"], 2),
+    # a negative seed, which numpy's SeedSequence refuses; a rho whose
+    # lattice or gamma = -1/rho^2 overflows, the two sides of the largest
+    # |rho| (4 rho^2 finite) on the grid of the longest edges, and a rho
+    # whose edges vanish
+    (["gen", "isothermic", "--dims", "6x6", "--seed", "-1", "-o", "{out}"], 2),
+    (["transform", "darboux", "-i", "{net}", "--m", "0.5", "--seed", "-3", "-o", "{out}"], 2),
+    (["gen", "weingarten", "--dims", "6x6", "--param", "rho=1e308", "-o", "{out}"], 2),
+    (["gen", "weingarten", "--dims", "2x2", "--param", "rho=-6.7e153", "-o", "{out}"], 0),
+    (["gen", "weingarten", "--dims", "2x2", "--param", "rho=-6.71e153", "-o", "{out}"], 2),
+    (["gen", "weingarten", "--dims", "6x6", "--param", "rho=1e-300", "-o", "{out}"], 3),
 ]
 
 
