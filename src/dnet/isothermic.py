@@ -281,7 +281,7 @@ def _cauchy_lines(grid: Grid, signature: Signature, rng, n: int, magnitude: floa
     Returns the lines ``(n, d0, d)`` and ``(n, d1, d)`` and a mask of the
     regular draws: those whose every step has ``|(w, q)| >= 1e-6`` and a
     lift not orthogonal to the previous one at 1e-8.  Irregular draws
-    divide by zero, so run it under ``np.errstate``.
+    may overflow, so run it under ``np.errstate``.
     """
     ip, d = signature.inner, signature.dim
     d0, d1 = grid.dims
@@ -299,7 +299,7 @@ def _cauchy_lines(grid: Grid, signature: Signature, rng, n: int, magnitude: floa
         for a in range(1, line.shape[1]):
             w = line[:, a - 1] + deltas[:, step]
             wq[:, step] = ip(w, frame.q)
-            line[:, a] = w + (-0.5 * ip(w, w) / wq[:, step])[:, None] * frame.q
+            line[:, a] = renull(w, frame)
             step += 1
     prev = np.concatenate([line0[:, :-1], line1[:, :-1]], axis=1)
     cand = np.concatenate([line0[:, 1:], line1[:, 1:]], axis=1)
@@ -853,17 +853,14 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None):
     return out
 
 
-def quad_cross_ratio_residual(net: IsothermicNet, rng=None) -> float:
-    """Max relative defect of cross ratio = m_jk / m_ij over finite quads."""
-    g = net.grid
-    qv, qe = g.corners(), g.sides()
-    out = 0.0
-    for n in range(g.nquads):
-        i, j, k, l = (int(v) for v in qv[n])
-        e_ij, e_jk = qe[n, :2]                    # bottom i -> j, right j -> k
-        if net.is_infinite[e_ij] or net.is_infinite[e_jk]:
-            continue
-        expected = float(net.labels[e_jk] / net.labels[e_ij])
-        cr = conic_cross_ratio(net.mu[[i, j, k, l]], net.signature, rng=rng)
-        out = max(out, rel(abs(cr - expected), abs(expected)))
-    return out
+def quad_cross_ratio_residual(net: IsothermicNet) -> float:
+    """Max relative defect of cross ratio = m_jk / m_ij over the quads with finite
+    bottom and right labels, in one :func:`conic_cross_ratio`."""
+    g, sides = net.grid, net.grid.sides()
+    quads = np.flatnonzero(~(net.is_infinite[sides[:, 0]] | net.is_infinite[sides[:, 1]]))
+    expected = net.labels[sides[quads, 1]] / net.labels[sides[quads, 0]]
+    try:
+        cr = conic_cross_ratio(net.mu[g.corners(quads)], net.signature)
+    except DegeneracyError as err:
+        raise DegeneracyError(str(err), where=g.locate_quad(quads[err.where])) from None
+    return float(rel(np.abs(cr - expected), np.abs(expected)).max(initial=0.0))

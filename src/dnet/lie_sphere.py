@@ -31,7 +31,7 @@ from .isothermic import (ConservedQuantity, IsothermicNet, _eta_apply, _evolve,
                          _rejected_at, calapso_transform, darboux_transform,
                          flat_connection, stack_pair)
 from .koenigs import LineCongruence, _balance, km_pair_check
-from .pseudo_euclidean import Frame, Signature, action_matrix, stereo_lift
+from .pseudo_euclidean import Frame, Signature, action_matrix, renull, stereo_lift
 from .residuals import circularity, cos_angle, floor, gap, rel, sin_angle
 
 __all__ = [
@@ -663,7 +663,7 @@ def _cauchy_candidates(frame: LieFrame, mu_prev, xi_prev, skip, deltas):
     w = (mu_prev / prev_norm)[:, None] + deltas
     wq = ip(w, frame.q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = w + ((-0.5 * ip(w, w)) / wq)[..., None] * frame.q
+        w = renull(w, frame)
         wp, wm = ip(w, frame.p), ip(mu_prev[:, None], w)
         alpha = np.where(skip[:, None], 1.0 / np.linalg.norm(w, axis=-1),
                          -ip(xi_prev[:, None], w) / (wp * wm))

@@ -21,12 +21,12 @@ import numpy as np
 
 from .errors import DegeneracyError, PointAtInfinityError
 from .forms import frozen, lam2_pairs
-from .residuals import floor
+from .residuals import floor, sin_angle
 
 __all__ = [
     "Signature", "Frame", "action_matrix", "gamma_lambda", "non_null",
     "stereo_lift", "stereo_project", "euclidean_lift", "renull",
-    "line_distance", "projective_cross_ratio", "conic_cross_ratio",
+    "line_distance", "conic_cross_ratio",
 ]
 
 # Relative tolerance of the nullity, isotropy and orthogonality tests.
@@ -232,7 +232,8 @@ def renull(v, frame: Frame) -> np.ndarray:
 
     Solves ``(v + delta q, v + delta q) = 0`` exactly (the constraint is
     linear in delta because q is null); prevents nullity drift across
-    long propagations.
+    long propagations, and makes the null Cauchy steps of
+    ``_cauchy_lines`` and ``_cauchy_candidates``.
     """
     v = np.asarray(v, float)
     ip = frame.signature.inner
@@ -261,66 +262,35 @@ def standard_chart_indices(signature: Signature):
     return [a for a in range(d) if a not in (signature.p - 1, d - 1)]
 
 
-def projective_cross_ratio(p1, p2, p3, p4) -> float:
-    """Cross ratio of four points of a projective line in 2-vector
-    homogeneous coordinates:
-
-        cr = (|p1 p2| |p3 p4|) / (|p2 p3| |p4 p1|),
-
-    which reduces to ((z1-z2)(z3-z4)) / ((z2-z3)(z4-z1)) in an affine
-    chart.
-    """
-    def det(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    den = det(p2, p3) * det(p4, p1)
-    if den == 0:
-        raise DegeneracyError("cross ratio undefined: coincident points")
-    return float(det(p1, p2) * det(p3, p4) / den)
+# the t of the fifth conic points c1 + t c2 + u c3 tried for each quadruple
+_CONIC_T = np.array([1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 0.25, -0.25, 3.0, -3.0])
 
 
-def conic_cross_ratio(mu, signature: Signature, rng=None) -> float:
-    """Cross ratio of four null lines lying on a common conic.
-
-    ``mu`` is a (4, d) array of null representatives spanning a 3-space
-    E; the four lines lie on the conic cut out by the inner product on
-    P(E).  The value is computed by projecting from a fifth point of the
-    conic, which is independent of the choice by Chasles' theorem.
-    """
+def conic_cross_ratio(mu, signature: Signature) -> np.ndarray:
+    """Cross ratios of quadruples ``mu`` ``(..., 4, d)`` of null lines on the conic of the
+    3-space E each spans: ``det(v,c1,c2) det(v,c3,c4) / (det(v,c2,c3) det(v,c4,c1))``, the
+    2x2 determinants of the points projected from a fifth conic point v (coordinates in E),
+    the same for every v by Chasles' theorem.  v is the null ``c1 + t c2 + u c3``, ``u = -t
+    (c1,c2) / ((c1,c3) + t (c2,c3))``, farthest in sine from the ci over t in ``_CONIC_T``.
+    A DegeneracyError names the flat index of the first quadruple that spans no plane, has
+    two coincident points, or no v apart from them at 1e-6."""
     mu = np.asarray(mu, float)
-    if mu.shape[0] != 4:
-        raise ValueError("conic cross ratio needs exactly four points")
-    U, sv, _ = np.linalg.svd(mu.T, full_matrices=False)
-    if sv[2] <= 1e-10 * sv[0]:
-        raise DegeneracyError("the four points do not span a plane in P(V)")
-    E = U[:, :3]                     # ambient basis of the 3-space
-    coords = mu @ E                  # (4, 3) coordinates in E
-    gram = E.T @ (signature.signs[:, None] * E)
-    rng = np.random.default_rng(2718) if rng is None else rng
-
-    def ip(u, v):
-        return float(u @ gram @ v)
-
-    # fifth conic point: c1 + t c2 + u c3 is null for
-    # u = -t (c1,c2) / ((c1,c3) + t (c2,c3)), exactly.
-    c1, c2, c3 = coords[0], coords[1], coords[2]
-    t_candidates = [1.0, -1.0, 0.5, -0.5, 2.0] + list(rng.standard_normal(16))
-    for t in t_candidates:
-        den = ip(c1, c3) + t * ip(c2, c3)
-        if abs(den) < 1e-12:
-            continue
-        u = -t * ip(c1, c2) / den
-        v = c1 + t * c2 + u * c3
-        nv = np.linalg.norm(v)
-        if nv < 1e-10:
-            continue
-        v /= nv
-        if min(line_distance(v, c) for c in coords) < 1e-6:
-            continue
-        comp = np.linalg.svd(v[None, :])[2][1:]   # (2, 3) complement of v
-        pts = coords @ comp.T                      # quotient 2-vector coords
-        try:
-            return projective_cross_ratio(pts[0], pts[1], pts[2], pts[3])
-        except DegeneracyError:
-            continue
-    raise DegeneracyError("no admissible projection point found on the conic")
+    if mu.shape[-2] != 4:
+        raise ValueError("a conic cross ratio takes four points")
+    U, sv, _ = np.linalg.svd(np.swapaxes(mu, -1, -2), full_matrices=False)
+    c, (i, j) = mu @ U[..., :3], np.triu_indices(4, 1)       # coordinates in E, point pairs
+    gram = mu @ (signature.signs[:, None] * np.swapaxes(mu, -1, -2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = gram[..., 0, 2, None] + _CONIC_T * gram[..., 1, 2, None]
+        v = (c[..., None, 0, :] + _CONIC_T[:, None] * c[..., None, 1, :]
+             - (_CONIC_T * gram[..., 0, 1, None] / den)[..., None] * c[..., None, 2, :])
+        apart = np.where((np.abs(den) >= 1e-12) & (np.linalg.norm(v, axis=-1) >= 1e-10),
+                         sin_angle(v[..., None, :], c[..., None, :, :]).min(axis=-1), 0.0)
+        det = v @ np.swapaxes(np.cross(c[..., i, :], c[..., j, :]), -1, -2)  # 01 02 03 12 13 23
+        cr = -det[..., 0] * det[..., 5] / (det[..., 3] * det[..., 2])
+    for bad, what in ((sv[..., 2] <= 1e-10 * sv[..., 0], "the points span no plane"),
+                      (sin_angle(c[..., i, :], c[..., j, :]).min(-1) < 1e-6, "coincident points"),
+                      (apart.max(axis=-1) < 1e-6, "no admissible projection point")):
+        if np.any(bad):
+            raise DegeneracyError(f"conic cross ratio: {what}", where=int(np.argmax(bad)))
+    return np.take_along_axis(cr, np.argmax(apart, axis=-1)[..., None], axis=-1)[..., 0]

@@ -96,7 +96,6 @@ def evolved_nets():
 
 
 def test_criterion_2_isothermic_suite(evolved_nets):
-    rng = np.random.default_rng(250)
     worst = {"nullity": 0.0, "moutard": 0.0, "labels": 0.0, "cross_ratio": 0.0}
     for net in evolved_nets:
         rep = net.validate()
@@ -104,7 +103,7 @@ def test_criterion_2_isothermic_suite(evolved_nets):
         worst["moutard"] = max(worst["moutard"], rep["moutard"])
         worst["labels"] = max(worst["labels"], rep["label_relations"])
         worst["cross_ratio"] = max(worst["cross_ratio"],
-                                   quad_cross_ratio_residual(net, rng=rng))
+                                   quad_cross_ratio_residual(net))
     assert worst["nullity"] <= 1e-10
     assert worst["moutard"] <= 1e-10
     assert worst["labels"] <= 1e-9

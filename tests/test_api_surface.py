@@ -39,8 +39,6 @@ ALLOWED = {
     ("extract_pair", "seeds_minus"): "the fiber seeds of the second net of the pair",
     ("special_quantity_solve", "xi_seed"): "the value of xi at vertex 0, the constant of "
                                            "integration",
-    ("quad_cross_ratio_residual", "rng"): "the fifth point of the conic the cross ratio is "
-                                          "projected from",
     ("PrincipalNet.validate", "frame"): "the Lie frame the circularity is measured in",
     ("legendre_lift", "frame"): "the Lie frame of the lift; tests pass random_lie_frame's",
     ("sphere_lattice", "center"): "the center of the sphere the patch lies on",

@@ -7,10 +7,12 @@ from dnet.errors import DegeneracyError, EvolutionError
 from dnet.forms import lam2_pairs
 from dnet.grid import Grid
 from dnet.isothermic import (IsothermicNet, darboux_transform, flat_connection,
-                             moutard_evolve, random_cauchy, random_isothermic,
-                             stack_pair)
-from dnet.pseudo_euclidean import Signature, gamma_lambda
+                             moutard_evolve, quad_cross_ratio_residual, random_cauchy,
+                             random_isothermic, stack_pair)
+from dnet.pseudo_euclidean import Signature, conic_cross_ratio, gamma_lambda
+from dnet.residuals import rel
 from tests import isothermic_reference as ref
+from tests import pseudo_reference
 
 SIGNATURES = [(4, 2), (4, 1), (3, 1)]
 CASES = ([(dims, pq) for dims in ((6, 6), (10, 10)) for pq in SIGNATURES]
@@ -129,3 +131,68 @@ def test_flat_connection_error_names_orthogonal_edge():
     with pytest.raises(DegeneracyError) as info:
         flat_connection(net, 0.5)
     assert info.value.where == grid.locate_edge(0)
+
+
+CONIC_CASES = [(n, pq) for n in (8, 10, 12) for pq in SIGNATURES]
+
+
+@pytest.mark.parametrize("n, pq", CONIC_CASES,
+                         ids=[f"{n}x{n}-{p}{q}" for n, (p, q) in CONIC_CASES])
+def test_conic_cross_ratio_matches_per_quad_reference(n, pq):
+    net = random_isothermic(Grid([n, n]), Signature(*pq), np.random.default_rng(n + pq[1]))
+    quads = net.mu[net.grid.corners()]
+    got = conic_cross_ratio(quads, net.signature)
+    want = np.array([pseudo_reference.conic_cross_ratio(mu, net.signature) for mu in quads])
+    assert got.shape == want.shape
+    assert rel(np.abs(got - want), np.abs(want)).max() <= pseudo_reference.CROSS_RATIO_TOL
+    assert quad_cross_ratio_residual(net) <= pseudo_reference.CROSS_RATIO_TOL
+
+
+def _degenerate_conic_quads():
+    """Null quadruples in R^{4,2}: ``regular`` (4, 4, 6) ones of a net, and
+    one of each degenerate kind."""
+    sig = Signature(4, 2)
+    net = random_isothermic(Grid([3, 3]), sig, np.random.default_rng(3))
+    regular = net.mu[net.grid.corners()]
+    e = np.eye(6)
+    a, b, c = e[1] + e[5], e[2] + e[5], e[0] + e[4]
+    return sig, regular, {
+        # all four on two lines of one plane
+        "plane": np.stack([a, c, 2 * a, -3 * c]),
+        # the third point is in the radical of the inner product on the
+        # span: the conic is a pair of lines and no fifth point is found
+        "candidate": np.stack([a, b, c, a + c]),
+        # the diagonal points i and k are one line
+        "coincide": np.stack([regular[0, 0], regular[0, 1], -2 * regular[0, 0], regular[0, 3]]),
+    }
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("plane", "span no plane"),
+    ("candidate", "no admissible projection point"),
+    ("coincide", "coincident points")])
+def test_conic_cross_ratio_error_names_first_degenerate_quad(kind, message):
+    sig, regular, planted = _degenerate_conic_quads()
+    quads = np.concatenate([regular, regular])
+    quads[5] = quads[7] = planted[kind]
+    with pytest.raises(DegeneracyError, match=message) as info:
+        conic_cross_ratio(quads.reshape(2, 4, 4, 6), sig)
+    assert info.value.where == 5
+    with pytest.raises(DegeneracyError, match=message) as info:
+        conic_cross_ratio(planted[kind], sig)
+    assert info.value.where == 0
+
+
+def test_quad_cross_ratio_residual_names_the_grid_quad():
+    sig = Signature(4, 2)
+    net = random_isothermic(Grid([4, 4]), sig, np.random.default_rng(2))
+    g, mu = net.grid, np.array(net.mu)
+    i, j, _, _ = g.corners(0)
+    mu[j] = 2 * mu[i]                  # an infinite label: quad 0 is skipped
+    i, _, k, _ = g.corners(5)
+    mu[k] = -3 * mu[i]                 # quad 5 has coincident diagonal points
+    planted = IsothermicNet(g, sig, mu)
+    assert planted.is_infinite[g.sides(0)[0]]
+    with pytest.raises(DegeneracyError, match="coincident points") as info:
+        quad_cross_ratio_residual(planted)
+    assert info.value.where == g.locate_quad(5)

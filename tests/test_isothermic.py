@@ -80,7 +80,7 @@ def test_evolution_invariants(sig):
 def test_cross_ratio_identity():
     rng = np.random.default_rng(4)
     net = random_isothermic(Grid([6, 6]), SIG42, rng)
-    assert quad_cross_ratio_residual(net, rng=rng) <= 1e-8
+    assert quad_cross_ratio_residual(net) <= 1e-8
 
 
 def test_fill_order_independence():
@@ -285,27 +285,25 @@ def test_darboux_normalization_and_stack(net42, m):
 
 
 def test_darboux_vertical_cross_ratio(net42):
+    # every vertical quad has cross ratio m_jk / m_ij to 1e-10: the tolerance
+    # the batched kernel meets against the per-quadruple reference on random
+    # nets.  Here the reference itself misses that ratio by 5.4e-10 on one
+    # quad, projecting from a conic point 1.5e-4 (in sine) from a corner.
     from dnet.pseudo_euclidean import conic_cross_ratio
+    from tests.pseudo_reference import CROSS_RATIO_TOL
     m = 0.5
     rng = np.random.default_rng(10)
     hat = darboux_transform(net42, m, rng=rng)
     st = stack_pair(net42, hat)
     g = st.grid
-    rng2 = np.random.default_rng(11)
-    checked = 0
-    for n in range(g.nquads):
-        if g.quad(n)[1] != 0:
-            continue
-        i, j, k, l = (int(v) for v in g.corners(n))
-        e_ij = oriented_edge(g, i, j)
-        e_jk = oriented_edge(g, j, k)
-        expected = st.labels[e_jk.index] / st.labels[e_ij.index]
-        cr = conic_cross_ratio(st.mu[[i, j, k, l]], SIG42, rng=rng2)
-        assert cr == pytest.approx(expected, rel=1e-8)
-        checked += 1
-        if checked >= 8:
-            break
-    assert checked
+    vertical = np.flatnonzero(g.quad()[1] == 0)
+    assert len(vertical) == 5 * 6 * 2
+    corners, sides = g.corners(vertical), g.sides(vertical)
+    for (i, j, k, _), (e_ij, e_jk, _, _) in zip(corners, sides):
+        assert oriented_edge(g, i, j).index == e_ij and oriented_edge(g, j, k).index == e_jk
+    expected = st.labels[sides[:, 1]] / st.labels[sides[:, 0]]
+    cr = conic_cross_ratio(st.mu[corners], SIG42)
+    assert cr == pytest.approx(expected, rel=CROSS_RATIO_TOL, abs=0)
 
 
 def test_darboux_involutive(net42):

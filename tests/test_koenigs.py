@@ -9,7 +9,8 @@ from dnet.koenigs import (LineCongruence, _g_map_inverses, _g_maps, _raise_g_map
                           christoffel_ratio, extract_pair, km_pair_check,
                           koenigs_dual, moutard_lift_from_eta, pluecker_residual,
                           quad_holonomy_residual, random_moutard_net)
-from dnet.pseudo_euclidean import line_distance, projective_cross_ratio
+from dnet.pseudo_euclidean import line_distance
+from tests.pseudo_reference import projective_cross_ratio
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,11 @@ from dnet.errors import DegeneracyError, PointAtInfinityError
 from dnet.forms import unpack_bivector
 from dnet.isothermic import darboux_transform, flat_connection, stack_pair
 from dnet.pseudo_euclidean import (Frame, Signature, action_matrix, conic_cross_ratio,
-                                   euclidean_lift, gamma_lambda, line_distance,
-                                   projective_cross_ratio, renull, stereo_lift,
-                                   stereo_project)
+                                   euclidean_lift, gamma_lambda, line_distance, renull,
+                                   stereo_lift, stereo_project)
 from dnet.residuals import rel
-from tests.pseudo_reference import orthogonality_residual, plane_distance
+from tests.pseudo_reference import (orthogonality_residual, plane_distance,
+                                    projective_cross_ratio)
 
 SIG42 = Signature(4, 2)
 FRAME42 = SIG42.standard_frame()

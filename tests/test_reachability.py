@@ -206,3 +206,12 @@ def test_a_needless_allowed_entry_fails(monkeypatch, name, message):
 
 if __name__ == "__main__":
     print("\n".join(unreached()) or "every definition is reached")
+    # ROADMAP F25: the definitions only the demos reach, and their lines
+    USERS = [p for p in USERS if not p.is_relative_to(ROOT / "demos")]
+    nodes = {qual: node for entries in definitions().values() for qual, node in entries}
+    demo_only = unreached()
+    lines = {(qual.split(".")[0], n) for qual in demo_only
+             for n in range(nodes[qual].lineno, nodes[qual].end_lineno + 1)}
+    print(f"{len(demo_only)} definitions, {len(lines)} lines, reached only from demos/:")
+    for qual in demo_only:
+        print(f"  {qual} {nodes[qual].end_lineno - nodes[qual].lineno + 1}")
