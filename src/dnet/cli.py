@@ -146,6 +146,10 @@ def cmd_generate(args) -> int:
                      metadata=meta)
     elif args.kind == "guichard":
         fault = None if params["fault"] is None else int(params["fault"])
+        # a fault skips the rescaling at one Cauchy step, 1..d0+d1-2
+        if fault is not None and not 1 <= fault <= sum(dims) - 2:
+            raise FormatError(f"bad --param fault={fault}; gen guichard --dims {args.dims} "
+                              f"plants a fault at a Cauchy step 1..{sum(dims) - 2}")
         out = lie.guichard_generate(dims, seed=args.seed, skip_constraint_at=fault)
         if isinstance(out, dict):
             fail = {

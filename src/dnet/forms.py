@@ -106,7 +106,7 @@ class BilinearRule:
     (n, do).
     """
 
-    def __init__(self, fn, dim_left, dim_right, dim_out, name="custom"):
+    def __init__(self, fn, dim_left, dim_right, dim_out, name):
         self.fn = fn
         self.dim_left = int(dim_left)
         self.dim_right = int(dim_right)

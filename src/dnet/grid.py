@@ -50,7 +50,7 @@ _CLOSED_TOL = 1e-8
 _FLAT_TOL = 1e-7
 
 
-def check_dims(dims, stacked: bool = False) -> tuple:
+def check_dims(dims, stacked: bool) -> tuple:
     """``dims`` as a tuple of ints; ValueError unless every extent is at
     least 1, there is one, and a stacked grid has extent 2 along axis 0.
     :class:`Grid` and the format check of net files share it."""
@@ -183,7 +183,7 @@ class Grid:
         sa_b = sa // nb * (nb - 1)
         return _skip(_skip(k, sa_b, (na - 1) * sa_b), sb, (nb - 1) * sb), a, b, sa, sb
 
-    def quad(self, quads=slice(None)):
+    def quad(self, quads):
         """``(corner, a, b)`` of the canonical quads ``quads``."""
         i, a, b, _, _ = self._quad(quads)
         return i, *(np.full(i.shape, x) if np.ndim(x) == 0 else x for x in (a, b))
@@ -216,7 +216,7 @@ class Grid:
         np.add(bottom, sb, out=top)
         return out
 
-    def side_ends(self, quads=slice(None)):
+    def side_ends(self, quads):
         """``(tail, head)`` of the :meth:`sides` of the quads ``quads``, each
         with the four sides on a new first axis: ``i -> j``, ``j -> k``,
         ``l -> k`` and ``i -> l`` of their :meth:`corners`."""
@@ -382,15 +382,12 @@ def holonomy(grid: Grid, gamma) -> np.ndarray:
     """Per-quad relative holonomy of edge transports on canonical
     orientations: ``|G_kj G_ji - G_kl G_li| / |G_kj G_ji|`` (Frobenius).
 
-    ``gamma`` is an ``(nedges, k, k)`` array of real transports or a
-    function ``gamma(edges)`` that returns those of an array of edge
-    indices.  They are taken for the edges of one :func:`quad_blocks`
-    block at a time and die with it; each quad's value has the same bits
-    in any block.  An error of ``gamma`` names the edge it would name if
-    the transports were taken in edge order.
+    ``gamma(edges)`` returns the ``(len(edges), k, k)`` real transports
+    of an array of edge indices.  They are taken for the edges of one
+    :func:`quad_blocks` block at a time and die with it; each quad's value
+    has the same bits in any block.  An error of ``gamma`` names the edge
+    it would name if the transports were taken in edge order.
     """
-    if not callable(gamma):
-        gamma = np.asarray(gamma, float).__getitem__
     res = np.empty(grid.nquads)
     try:
         for b in quad_blocks(grid):
@@ -433,19 +430,15 @@ def _block_holonomy(gamma: np.ndarray, qe: np.ndarray) -> np.ndarray:
 def integrate_one_form(grid: Grid, alpha, seed=None, check_closed: bool = True):
     """Integrate a closed 1-form to the potential with ``f(0) = seed``.
 
-    ``alpha`` may be a :class:`dnet.forms.Form1` or a raw ``(nedges, d)``
-    array on canonical orientations.  Integration runs along the
-    canonical staircase tree; when ``check_closed`` is set, the quad
-    residual of ``alpha`` (over its largest entry, at least 1), taken one
-    :func:`quad_blocks` block at a time, must be at most
+    ``alpha`` is an ``(nedges, d)`` array on canonical orientations, and
+    the potential a read-only ``(nverts, d)`` array.  Integration runs
+    along the canonical staircase tree; when ``check_closed`` is set, the
+    quad residual of ``alpha`` (over its largest entry, at least 1), taken
+    one :func:`quad_blocks` block at a time, must be at most
     :data:`_CLOSED_TOL` first, else :class:`ClosednessError` names the
     worst quad, a non-finite one first.
     """
-    from .forms import Form0, Form1
-
-    values = alpha.values if isinstance(alpha, Form1) else np.asarray(alpha, float)
-    if values.ndim == 1:
-        values = values[:, None]
+    values = np.asarray(alpha, float)
     if len(values) != grid.nedges:
         raise ValueError("one-form carrier size mismatch")
     if check_closed:
@@ -461,16 +454,16 @@ def integrate_one_form(grid: Grid, alpha, seed=None, check_closed: bool = True):
     out[0] = 0.0 if seed is None else np.asarray(seed, float)
     for child, parent, slot in grid.staircase_tree():
         out[child] = out[parent] + values[slot]
-    out.setflags(write=False)           # the form keeps it: no copy
-    return Form0(grid, out)
+    out.setflags(write=False)
+    return out
 
 
 def trivialize_connection(grid: Grid, gamma):
     """Trivialize a flat connection: find T with ``Gamma_ji = T_j^-1 T_i``.
 
-    ``gamma`` gives the forward transports along canonical orientations
-    (fiber at tail -> fiber at head): an ``(nedges, k, k)`` array, or a
-    function of an array of edge indices as :func:`holonomy` takes it.
+    ``gamma(edges)`` gives the forward transports along canonical
+    orientations (fiber at tail -> fiber at head) of an array of edge
+    indices, as :func:`holonomy` takes it.
     ``T[0]`` is the identity.  The :func:`holonomy` of every quad must be
     at most :data:`_FLAT_TOL` first, else :class:`FlatnessError` names
     the worst quad, a non-finite one first; the returned array satisfies
@@ -482,11 +475,6 @@ def trivialize_connection(grid: Grid, gamma):
     the inverse of the transport from the parent, and so no
     ``(nedges, k, k)`` array is held.
     """
-    if not callable(gamma):
-        gamma = np.asarray(gamma, float)
-        if gamma.shape[0] != grid.nedges or gamma.shape[1] != gamma.shape[2]:
-            raise ValueError("gamma must be (nedges, k, k)")
-        gamma = gamma.__getitem__
     res, q = worst(holonomy(grid, gamma))
     if not res <= _FLAT_TOL:
         raise FlatnessError(

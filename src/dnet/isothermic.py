@@ -205,8 +205,7 @@ def _moutard_step(ip, mi, mj, ml):
         return mi + (ip(mi, diff) / denom)[..., None] * diff, degenerate, denom
 
 
-def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray,
-            frame: Frame | None):
+def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray, frame: Frame):
     """Moutard evolution of a batch of Cauchy data, one anti-diagonal per
     step over a leading draw axis.
 
@@ -235,21 +234,21 @@ def _evolve(signature: Signature, line0: np.ndarray, line1: np.ndarray,
                 left -= 1
         if not left:
             break
-        mu[:, a, b] = new if frame is None else renull(new, frame)
+        mu[:, a, b] = renull(new, frame)
     return mu, failures
 
 
 def moutard_evolve(grid: Grid, signature: Signature, line0, line1,
-                   frame: Frame | None = None) -> IsothermicNet:
+                   frame: Frame) -> IsothermicNet:
     """Fill a 2D grid from null Cauchy data on the two initial lines.
 
     ``line0[a]`` is the lift at (a, 0) and ``line1[b]`` at (0, b); the
     shared corner must agree.  Interior vertices are forced by the light
     cone: the Moutard factor is the unique nonzero root of the nullity
     quadratic.  Each quad needs only its three earlier vertices, so the
-    grid fills one anti-diagonal ``a + b = s`` at a time.  When a frame
-    is given, lifts are re-projected onto the light cone after each
-    diagonal to stop drift.  This is the batch of one of the evolution
+    grid fills one anti-diagonal ``a + b = s`` at a time.  The lifts are
+    re-projected onto the light cone with ``frame`` after each diagonal
+    to stop drift.  This is the batch of one of the evolution
     :func:`random_isothermic` runs on a block of draws.
     """
     if grid.ndim != 2:
@@ -309,8 +308,7 @@ def _cauchy_lines(grid: Grid, signature: Signature, rng, n: int, magnitude: floa
     return line0, line1, regular
 
 
-def random_cauchy(grid: Grid, signature: Signature, rng,
-                  magnitude: float = 0.3, frame: Frame | None = None):
+def random_cauchy(grid: Grid, signature: Signature, rng, magnitude: float, frame: Frame):
     """Random null Cauchy data for :func:`moutard_evolve`.
 
     Each step perturbs the previous lift inside the q-complement and
@@ -328,7 +326,6 @@ def random_cauchy(grid: Grid, signature: Signature, rng,
     the same.  This is the batch of one of the draws
     :func:`random_isothermic` reads.
     """
-    frame = signature.standard_frame() if frame is None else frame
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         line0, line1, regular = _cauchy_lines(grid, signature, rng, 1, magnitude, frame)
     if not regular[0]:
@@ -503,7 +500,7 @@ def _seed_orthogonal_null(net: IsothermicNet, rng) -> np.ndarray:
     raise DegeneracyError("no isotropic seed found orthogonal to the base line")
 
 
-def darboux_transform(net: IsothermicNet, m: float, seed=None, rng=None) -> IsothermicNet:
+def darboux_transform(net: IsothermicNet, m: float, rng, seed=None) -> IsothermicNet:
     """Darboux transform with parameter ``m`` (``inf`` for the isotropic
     case).
 
@@ -537,7 +534,6 @@ def darboux_transform(net: IsothermicNet, m: float, seed=None, rng=None) -> Isot
             what, e = failures[0]
             raise PropagationError(f"Darboux {what} degenerate", where=g.locate_edge(e))
         return IsothermicNet(g, sig, hat[0])
-    rng = np.random.default_rng(0) if rng is None else rng
     draw = _seed_orthogonal_null if np.isinf(m) else _finite_darboux_seed
     counts = dict.fromkeys(_SEED_REJECTIONS, 0)
     best = -np.inf
@@ -722,7 +718,7 @@ def christoffel_dual(net: IsothermicNet, frame: Frame | None = None) -> Christof
     dxd = np.empty((g.nedges, sig.dim))
     for e in blocks(g.nedges):
         dxd[e] = frame.pi(_eta_apply(sig, g, mu, frame.q, e))
-    xd = integrate_one_form(g, dxd).values
+    xd = integrate_one_form(g, dxd)
     return ChristoffelData(x=x, x_dual=xd, r=r)
 
 
@@ -823,7 +819,7 @@ def special_quantity_solve(net: IsothermicNet, c_vec, xi_seed=None):
     g, sig = net.grid, net.signature
     ip = sig.inner
     c_vec = np.asarray(c_vec, float)
-    xi0 = integrate_one_form(g, _eta_apply(sig, g, net.mu, c_vec)).values
+    xi0 = integrate_one_form(g, _eta_apply(sig, g, net.mu, c_vec))
     if xi_seed is not None:
         xi = xi0 + (np.asarray(xi_seed, float) - xi0[0])
     else:

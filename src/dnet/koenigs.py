@@ -231,7 +231,7 @@ def koenigs_dual(net: ProjectiveNet, alpha):
     F = -net.lifts / heights[:, None]
     C = unpack_bivector(net.eta, net.dim)
     i_alpha = -np.einsum("nab,b->na", C, alpha)
-    Fd = integrate_one_form(g, i_alpha).values
+    Fd = integrate_one_form(g, i_alpha)
     area = mixed_area(Form0(g, F), Form0(g, Fd))
     area_res = rel(float(np.abs(area.values).max(initial=0.0)),
                    np.abs(F).max() * np.abs(Fd).max())
@@ -543,8 +543,8 @@ def _section_to_net(cong: LineCongruence, colors, xb: np.ndarray,
     return lifts, tau, dist
 
 
-def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
-                 seed: int = 0, signature=None) -> ExtractedPair:
+def extract_pair(cong: LineCongruence, seed: int, signature, seeds_plus=None,
+                 seeds_minus=None) -> ExtractedPair:
     """Extract a spanning K-Moutard pair from an applicable congruence.
 
     Each net is fixed by two fiber seeds, supplied as coefficient pairs
@@ -554,8 +554,8 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
     edge (0, 1).  Omitted seeds are drawn deterministically from ``seed``
     and retried while the transported section comes too close to an
     intersection line or the two nets fail to stay pointwise distinct;
-    when a ``signature`` is supplied the retries also prefer pairs whose
-    vertical diagonals stay non-orthogonal (the denominators of later
+    the retries also prefer pairs whose vertical diagonals stay
+    non-orthogonal in ``signature`` (the denominators of later
     transforms).
     """
     g = cong.grid
@@ -598,7 +598,7 @@ def extract_pair(cong: LineCongruence, seeds_plus=None, seeds_minus=None,
             continue
         if not auto:
             break
-        pm = dist if signature is None else min(float(vertical_diagonal_margin(
+        pm = min(float(vertical_diagonal_margin(
             g, lifts_m, lifts_p, signature).min(initial=np.inf)), dist)
         if best is None or pm > best[0]:
             best = (pm, lifts_p, tau_p, lifts_m, tau_m)

@@ -294,7 +294,7 @@ def gauge_normalize(grid: Grid, frame: LieFrame, y, t, eta) -> np.ndarray:
     """
     sig = frame.signature
     etaq_p = sig.inner(_contract(eta, frame.q, sig), frame.p)
-    c = integrate_one_form(grid, -etaq_p[:, None]).values[:, 0]
+    c = integrate_one_form(grid, -etaq_p[:, None])[:, 0]
     c = c - c.mean()      # the constant freedom; centering conditions tau
     tau = c[:, None] * wedge_vec(y, t)
     tt, th = grid.ends()
@@ -305,13 +305,12 @@ def gauge_normalize(grid: Grid, frame: LieFrame, y, t, eta) -> np.ndarray:
     return out
 
 
-def omega_from_darboux_pair(net_plus: IsothermicNet, rng=None) -> OmegaNet:
+def omega_from_darboux_pair(net_plus: IsothermicNet, rng) -> OmegaNet:
     """Span an Omega-net, in the standard Lie frame, by an isothermic net
-    and its isotropic Darboux transform; the form is the isothermic one,
-    gauge-normalized."""
+    and its isotropic Darboux transform, seeded from ``rng``; the form is
+    the isothermic one, gauge-normalized."""
     if (net_plus.signature.p, net_plus.signature.q) != (4, 2):
         raise ValueError("Omega-nets live in signature (4, 2)")
-    rng = np.random.default_rng(0) if rng is None else rng
     hat = darboux_transform(net_plus, np.inf, rng=rng)
     return _omega_from_pair_lifts(net_plus.grid, standard_lie_frame(), net_plus.mu, hat.mu)
 
@@ -343,8 +342,8 @@ def associates(omega: OmegaNet) -> Associates:
         raise GaugeError("associates need the (eta q, p) = 0 gauge")
     dxd = frame.coords3(etaq)
     dnd = frame.coords3(etap)
-    xd = integrate_one_form(g, dxd).values
-    nd = integrate_one_form(g, dnd).values
+    xd = integrate_one_form(g, dxd)
+    nd = integrate_one_form(g, dnd)
     pn = omega.principal()
 
     rec = (curly_wedge(Form1(g, etaq), Form0(g, omega.y)).values
@@ -494,7 +493,7 @@ _REJECTIONS = ("base point", "Cauchy step", "evolution", "net invalid",
                "orthogonality", "coefficient_dev")
 
 
-def guichard_generate(dims, seed: int = 0, skip_constraint_at: int | None = None):
+def guichard_generate(dims, seed: int, skip_constraint_at: int | None = None):
     """Generate a Guichard net in the standard Lie frame from constrained
     Cauchy data.
 
@@ -622,7 +621,7 @@ def _guichard_attempts(g: Grid, frame: LieFrame, seed: int, attempts, skip_const
     # Moutard residual of validate, so closedness is left to validate
     etap = _eta_apply(sig, g, mu, frame.p).transpose(1, 0, 2)
     xi = integrate_one_form(g, etap.reshape(g.nedges, -1), seed=xi0[done].reshape(-1),
-                            check_closed=False).values
+                            check_closed=False)
     xi = xi.reshape(g.nverts, len(done), d).transpose(1, 0, 2)
     orth, dev = special_residuals(frame, mu, xi)
     for k in range(n):
@@ -714,7 +713,7 @@ def _guichard_package(net: IsothermicNet, xi: np.ndarray, frame: LieFrame,
     etap_res = rel(float(np.abs(etap - dt).max(initial=0.0)), np.abs(dt).max(initial=0.0))
 
     dxd = frame.coords3(omega.eta_q())
-    xd = integrate_one_form(g, dxd).values
+    xd = integrate_one_form(g, dxd)
 
     quantity = ConservedQuantity(
         p0=np.tile(frame.p, (g.nverts, 1)), p1=xi.copy(), signature=sig)
@@ -825,16 +824,16 @@ def _omega_from_pair_lifts(grid: Grid, frame: LieFrame, mu_plus, mu_minus):
     return OmegaNet(grid, frame, y, t, eta, mu_plus=mu_plus, mu_minus=mu_minus)
 
 
-def darboux_legendre(omega: OmegaNet, m: float, seed=None, rng=None) -> OmegaNet:
+def darboux_legendre(omega: OmegaNet, m: float, rng, seed=None) -> OmegaNet:
     """Darboux transform of an applicable Legendre map.
 
     Transforms one enveloped isothermic congruence s+ with parameter
-    ``m`` and sets ``f_hat = s_hat+ (+) (f cap s_hat+^perp)``, which is
-    independent of the companion used to span ``f``.
+    ``m`` (from ``seed``, else from seeds drawn from ``rng``) and sets
+    ``f_hat = s_hat+ (+) (f cap s_hat+^perp)``, which is independent of
+    the companion used to span ``f``.
     """
     plus, minus = _matched_pair(omega)
-    rng = np.random.default_rng(13) if rng is None else rng
-    hat_plus = darboux_transform(plus, m, seed=seed, rng=rng)
+    hat_plus = darboux_transform(plus, m, rng, seed=seed)
     ip = omega.signature.inner
     a = ip(plus.mu, hat_plus.mu)
     b = ip(minus.mu, hat_plus.mu)
@@ -938,7 +937,7 @@ def linear_weingarten_check(pn: PrincipalNet, alpha: float, beta: float,
 
 # -- example constructions -------------------------------------------------
 
-def sphere_lattice(dims, radius: float = 1.5, center=(0.0, 0.0, 0.0)) -> PrincipalNet:
+def sphere_lattice(dims, radius: float, center=(0.0, 0.0, 0.0)) -> PrincipalNet:
     """Latitude-longitude patch of a round sphere (constant Gauss
     curvature; inward normals give positive sphere radii)."""
     g = Grid(dims)
@@ -953,7 +952,7 @@ def sphere_lattice(dims, radius: float = 1.5, center=(0.0, 0.0, 0.0)) -> Princip
     return PrincipalNet(g, x, n)
 
 
-def minimal_net(dims, seed: int = 0, magnitude: float = 0.25):
+def minimal_net(dims, seed: int, magnitude: float = 0.25):
     """Minimal principal net: the Christoffel dual of an isothermic net
     in the unit sphere, paired with that sphere net as its Gauss map."""
     from .isothermic import random_isothermic, christoffel_dual

@@ -188,7 +188,7 @@ def guichard_attempt(g, frame, rng, magnitude, skip_constraint_at):
     t, h = g.edge_tail, g.edge_head
     etap = (ip(net.mu[h], frame.p)[:, None] * net.mu[t]
             - ip(net.mu[t], frame.p)[:, None] * net.mu[h])
-    xi = integrate_one_form(g, etap, seed=xi0, check_closed=False).values
+    xi = integrate_one_form(g, etap, seed=xi0, check_closed=False)
     orth = np.abs(ip(xi, net.mu)) / np.maximum(
         np.linalg.norm(xi, axis=1) * np.linalg.norm(net.mu, axis=1), 1e-300)
     coeffs = np.stack([np.full(g.nverts, -1.0), 2.0 * ip(frame.p, xi),

@@ -166,7 +166,7 @@ def christoffel_dual(net, frame=None):
     if not res <= 1e-8:
         raise ClosednessError(f"one-form is not closed: quad residual {res:.3e} > {1e-8:.1e}",
                               where=g.locate_quad(q), residual=res)
-    xd = integrate_one_form(g, dxd, check_closed=False).values
+    xd = integrate_one_form(g, dxd, check_closed=False)
     return ChristoffelData(x=stereo_project(net.mu, frame), x_dual=xd,
                            r=-ip(net.mu, frame.q))
 
@@ -217,7 +217,7 @@ def check_osystem(fam, metric):
         ja, jb = np.triu_indices(N, k=1)
         return np.concatenate([amb[:, ia, ib], wpart[:, ja, jb]], axis=1)
 
-    rule = BilinearRule(bracket, d * N, d * N, lam2_dim(d) + lam2_dim(N))
+    rule = BilinearRule(bracket, d * N, d * N, lam2_dim(d) + lam2_dim(N), "custom")
     phi = fam.phi().reshape(g.nverts, d * N)
     dphi = Form1(g, phi[g.edge_head] - phi[g.edge_tail])
     full = wedge_one_forms(dphi, dphi, rule)

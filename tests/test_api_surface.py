@@ -1,4 +1,5 @@
-"""Every optional parameter of `src/dnet` is set by some call.
+"""Every optional parameter of `src/dnet` is set by some call, and its
+default is taken by some call.
 
 A parameter with a default that no call in `src/`, `perfbench/` or
 `demos/` passes (by keyword or by position) is a knob nobody turns: it
@@ -14,6 +15,15 @@ matched by the class name or the name of any subclass defined in
 `src/dnet`.  A call into a test reference module (`ref.validate(net)` with
 `ref` bound to `tests/*_reference.py`, or a function imported from one)
 sets nothing in `src/`.
+
+The mirror rule: a default that no call takes (each call passes the
+parameter, by position or by keyword with another value) belongs to no
+user, and the parameter should be required.  A call takes the default
+when it leaves the parameter out, leaves a starred argument that may
+stop short of it, or passes by keyword its literal default, also as one
+branch of a conditional (`f(out=None if c else o)`).  A function that no
+user calls is skipped: the rule is about its callers.  Both rules read
+`partial(f, ...)` as a call of `f` with the arguments it binds.
 
 The match is by name only, so a same-named method of two `src/` classes
 can still mask one of them: `net.validate(margin=...)` of `IsothermicNet`
@@ -118,17 +128,33 @@ def _reference_names(tree):
     return names
 
 
+def _keyword_value(node):
+    """The literal of a keyword's value; for a conditional, the list of the
+    literals of its branches."""
+    if isinstance(node, ast.IfExp):
+        return [lit for branch in (node.body, node.orelse)
+                for lit in _branches(_keyword_value(branch))]
+    return _literal(node)
+
+
+def _branches(value):
+    return value if isinstance(value, list) else [value]
+
+
 def _calls(trees):
     """callable name -> list of (keyword name -> literal value or None,
     positional count, starred from index or None), over the calls in
-    `trees` but those into a test reference module."""
+    `trees` but those into a test reference module.  `partial(f, ...)`
+    is a call of `f` with the arguments it binds."""
     calls = {}
     for tree in trees:
         refs = _reference_names(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
+            func, args = node.func, node.args
+            if getattr(func, "id", getattr(func, "attr", None)) == "partial" and args:
+                func, args = args[0], args[1:]
             if isinstance(func, ast.Name):
                 name, receiver = func.id, func.id
             elif isinstance(func, ast.Attribute):
@@ -138,10 +164,10 @@ def _calls(trees):
                 continue
             if receiver in refs:
                 continue
-            starred = next((i for i, a in enumerate(node.args)
-                            if isinstance(a, ast.Starred)), None)
-            keywords = {k.arg: _literal(k.value) for k in node.keywords if k.arg is not None}
-            calls.setdefault(name, []).append((keywords, len(node.args), starred))
+            starred = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)), None)
+            keywords = {k.arg: _keyword_value(k.value) for k in node.keywords
+                        if k.arg is not None}
+            calls.setdefault(name, []).append((keywords, len(args), starred))
     return calls
 
 
@@ -149,10 +175,25 @@ def _is_set(calls, names, param, index, default):
     for name in names:
         for keywords, npos, starred in calls.get(name, ()):
             # a keyword set to the literal default sets nothing
-            if param in keywords and (keywords[param] is None or keywords[param] != default):
+            if param in keywords and any(lit is None or lit != default
+                                         for lit in _branches(keywords[param])):
                 return True
             # a starred argument may fill every position from its own on
             if index is not None and (index < npos or starred is not None):
+                return True
+    return False
+
+
+def _is_taken(calls, names, param, index, default):
+    for name in names:
+        for keywords, npos, starred in calls.get(name, ()):
+            # a keyword set to the literal default, in some branch, takes it
+            if param in keywords:
+                if any(lit is not None and lit == default
+                       for lit in _branches(keywords[param])):
+                    return True
+            # a starred argument may leave every position from its own on
+            elif index is None or index >= (npos if starred is None else starred):
                 return True
     return False
 
@@ -165,10 +206,24 @@ def unused_parameters():
             and not _is_set(calls, names, param, index, default)]
 
 
+def untaken_defaults():
+    calls = _calls(map(_parse, CALLERS))
+    return [f"{module}:{qualname}({param}=)"
+            for module, qualname, names, param, index, default in _optional_parameters()
+            if any(calls.get(name) for name in names)
+            and not _is_taken(calls, names, param, index, default)]
+
+
 def test_every_optional_parameter_is_set_by_some_call():
     unused = unused_parameters()
     assert not unused, ("optional parameters no call sets (make each the "
                         "constant it always is):\n  " + "\n  ".join(unused))
+
+
+def test_every_default_is_taken_by_some_call():
+    untaken = untaken_defaults()
+    assert not untaken, ("defaults no call takes (make each parameter "
+                         "required):\n  " + "\n  ".join(untaken))
 
 
 def test_calls_into_reference_modules_set_nothing():
@@ -209,6 +264,27 @@ def test_a_default_passed_by_keyword_sets_nothing(monkeypatch, tmp_path, call, u
         f"planted.py:planted_walk({name}=)" for name in unused]
 
 
+@pytest.mark.parametrize("call, untaken", [
+    ("planted_walk(g, b, tol=1e-7, seed=s)", ["base", "tol", "seed"]),
+    ("partial(planted_walk, g)", []),
+    ("functools.partial(planted_walk, g, b, tol=t)", ["base", "tol"]),
+    ("planted_walk(g, b, tol=1e-8, seed=None if c else s)", ["base"]),
+    ("planted_walk(g, b, t, seed=s if c else 0 if d else None)", ["base", "tol"]),
+    ("planted_walk(g, b, *rest, seed=s)", ["base", "seed"]),
+    ("other_walk(g)", []),
+])
+def test_a_default_is_taken_by_an_omitted_or_literal_argument(monkeypatch, tmp_path, call,
+                                                              untaken):
+    source, caller = tmp_path / "planted.py", tmp_path / "caller.py"
+    source.write_text(PLANTED)
+    caller.write_text(call + "\n")
+    monkeypatch.setattr(sys.modules[__name__], "SOURCES", [*SOURCES, source])
+    monkeypatch.setattr(sys.modules[__name__], "CALLERS", [*CALLERS, caller])
+    assert [u for u in untaken_defaults() if "planted_walk" in u] == [
+        f"planted.py:planted_walk({name}=)" for name in untaken]
+
+
 if __name__ == "__main__":
     print(len(_optional_parameters()), "optional parameters")
-    print("\n".join(unused_parameters()))
+    print("set by no call:", unused_parameters())
+    print("default taken by no call:", untaken_defaults())

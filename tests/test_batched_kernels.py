@@ -24,7 +24,7 @@ RESIDUALS = ("nullity", "moutard", "label_relations", "opposite_label_margin",
 def _cauchy(dims, pq, seed):
     grid, sig = Grid(dims), Signature(*pq)
     frame = sig.standard_frame()
-    line0, line1 = random_cauchy(grid, sig, np.random.default_rng(seed), frame=frame)
+    line0, line1 = random_cauchy(grid, sig, np.random.default_rng(seed), 0.3, frame)
     return grid, sig, frame, line0, line1
 
 
@@ -52,9 +52,8 @@ def _assert_same_transports(net, t):
 @pytest.mark.parametrize("dims, pq", CASES, ids=[f"{d[0]}x{d[1]}-{p[0]}{p[1]}" for d, p in CASES])
 def test_kernels_match_per_cell_reference(dims, pq):
     grid, sig, frame, line0, line1 = _cauchy(dims, pq, seed=sum(dims) + pq[1])
-    for fr in (None, frame):
-        net = moutard_evolve(grid, sig, line0, line1, frame=fr)
-        assert np.array_equal(net.mu, ref.moutard_evolve_mu(grid, sig, line0, line1, fr))
+    net = moutard_evolve(grid, sig, line0, line1, frame=frame)
+    assert np.array_equal(net.mu, ref.moutard_evolve_mu(grid, sig, line0, line1, frame))
     _assert_same_validation(net)
     for t in (-1.0, 0.0, 0.3, 2.0):
         _assert_same_transports(net, t)
@@ -103,7 +102,7 @@ def test_evolution_error_names_degenerate_quad():
     line0 = [base, e[1] + e[5]]
     line1 = [base, e[2] + e[4]]          # orthogonal to line0[1]
     with pytest.raises(EvolutionError) as info:
-        moutard_evolve(Grid([2, 2]), sig, line0, line1)
+        moutard_evolve(Grid([2, 2]), sig, line0, line1, sig.standard_frame())
     assert info.value.where == {"kind": "quad", "corner": (0, 0)}
 
 

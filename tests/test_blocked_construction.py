@@ -45,7 +45,7 @@ def _lattice(n, seed):
 
 def _cauchy_net(dims, seed):
     grid, frame = Grid(dims), SIG.standard_frame()
-    line0, line1 = random_cauchy(grid, SIG, np.random.default_rng(seed), frame=frame)
+    line0, line1 = random_cauchy(grid, SIG, np.random.default_rng(seed), 0.3, frame)
     return moutard_evolve(grid, SIG, line0, line1, frame=frame)
 
 
@@ -118,7 +118,7 @@ def test_calapso_is_bit_identical(nets, name):
 def test_trivialization_of_an_array_is_bit_identical(nets, name):
     net = nets[name]
     gamma = flat_connection(net, 0.3)
-    assert _same(trivialize_connection(net.grid, gamma),
+    assert _same(trivialize_connection(net.grid, gamma.__getitem__),
                  ref.trivialize_connection(net.grid, gamma))
 
 

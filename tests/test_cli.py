@@ -579,6 +579,10 @@ EXIT_CODES = [
     (["gen", "weingarten", "--dims", "2x2", "--param", "rho=-6.7e153", "-o", "{out}"], 0),
     (["gen", "weingarten", "--dims", "2x2", "--param", "rho=-6.71e153", "-o", "{out}"], 2),
     (["gen", "weingarten", "--dims", "6x6", "--param", "rho=1e-300", "-o", "{out}"], 3),
+    # a fault plants only at a Cauchy step, 1..d0+d1-2: the last one reports
+    (["gen", "guichard", "--dims", "4x4", "--seed", "1", "--param", "fault=0", "-o", "{out}"], 2),
+    (["gen", "guichard", "--dims", "4x4", "--seed", "1", "--param", "fault=7", "-o", "{out}"], 2),
+    (["gen", "guichard", "--dims", "4x4", "--seed", "1", "--param", "fault=6", "-o", "{out}"], 3),
 ]
 
 

@@ -32,7 +32,7 @@ def test_random_cauchy_matches_per_step_draws(pq, dims):
     sig, grid = Signature(*pq), Grid(list(dims))
     for seed in range(5):
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        lines = random_cauchy(grid, sig, rng)
+        lines = random_cauchy(grid, sig, rng, 0.3, sig.standard_frame())
         lines_ref = ref.random_cauchy(grid, sig, rng_ref)
         assert all(np.array_equal(a, b) for a, b in zip(lines, lines_ref))
         assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -45,7 +45,7 @@ def test_random_cauchy_irregular_step_reads_one_run(pq):
     sig, grid = Signature(*pq), Grid([6, 7])
     rng, rng_ref, past = (np.random.default_rng(3) for _ in range(3))
     with pytest.raises(DegeneracyError) as new:
-        random_cauchy(grid, sig, rng, magnitude=0.0)
+        random_cauchy(grid, sig, rng, 0.0, sig.standard_frame())
     with pytest.raises(DegeneracyError) as old:
         ref.random_cauchy(grid, sig, rng_ref, magnitude=0.0)
     assert str(new.value) == str(old.value) == "could not draw a regular Cauchy step"
@@ -385,7 +385,7 @@ def test_rng_ends_just_past_the_accepted_draw(first):
     assert rng.pos == (first + 1) * run
     alone = _ScriptedStream(rows)
     alone.pos = first * run
-    lines = random_cauchy(grid, sig, alone)
+    lines = random_cauchy(grid, sig, alone, 0.3, sig.standard_frame())
     assert alone.pos == rng.pos
     assert np.array_equal(net.mu, moutard_evolve(grid, sig, *lines,
                                                  frame=sig.standard_frame()).mu)
@@ -402,7 +402,8 @@ def test_random_generators_are_deterministic(monkeypatch):
         assert first[1] == again[1]
         assert (first[0] == again[0] if isinstance(first[0], str)
                 else np.array_equal(first[0], again[0]))
-        lines, lines_again = (random_cauchy(grid, sig, np.random.default_rng(seed))
+        lines, lines_again = (random_cauchy(grid, sig, np.random.default_rng(seed), 0.3,
+                                             sig.standard_frame())
                               for _ in range(2))
         assert all(np.array_equal(a, b) for a, b in zip(lines, lines_again))
 

@@ -44,7 +44,7 @@ def test_vanishing_coefficient_quad():
             break
     assert abs(sig.inner(ml, ml)) <= 1e-10
     assert abs(sig.inner(mi, v)) <= 1e-10 * np.linalg.norm(mi) * np.linalg.norm(v)
-    mk = moutard_evolve(Grid([2, 2]), sig, [mi, mj], [mi, ml]).mu[3]
+    mk = moutard_evolve(Grid([2, 2]), sig, [mi, mj], [mi, ml], fr).mu[3]
     assert np.abs(mk - mi).max() <= 1e-9 * np.abs(mi).max()
 
 
@@ -53,7 +53,7 @@ def test_evolution_matches_quadratic_root_oracle():
     rng = np.random.default_rng(1)
     sig = Signature(3, 1)
     fr = sig.standard_frame()
-    line0, line1 = random_cauchy(Grid([2, 2]), sig, rng, frame=fr)
+    line0, line1 = random_cauchy(Grid([2, 2]), sig, rng, 0.3, fr)
     mi, mj = line0[0], line0[1]
     ml = line1[1]
     diff = ml - mj
@@ -61,7 +61,7 @@ def test_evolution_matches_quadratic_root_oracle():
     coeffs = [sig.inner(diff, diff), 2 * sig.inner(mi, diff), 0.0]
     roots = np.roots(coeffs)
     nontrivial = roots[np.argmax(np.abs(roots))]
-    mk = moutard_evolve(Grid([2, 2]), sig, line0, line1).mu[3]
+    mk = moutard_evolve(Grid([2, 2]), sig, line0, line1, fr).mu[3]
     assert np.abs(mk - (mi + nontrivial * diff)).max() <= 1e-10 * np.abs(mk).max()
 
 
@@ -112,7 +112,7 @@ def test_evolution_degeneracy_reported():
     # align corners: rebuild with the common corner at fr.o
     g = Grid([2, 2])
     with pytest.raises((EvolutionError, ValueError)):
-        moutard_evolve(g, sig, line0, line1)
+        moutard_evolve(g, sig, line0, line1, fr)
 
 
 def test_flat_connection_zero_is_identity(net42):
@@ -296,7 +296,7 @@ def test_darboux_vertical_cross_ratio(net42):
     hat = darboux_transform(net42, m, rng=rng)
     st = stack_pair(net42, hat)
     g = st.grid
-    vertical = np.flatnonzero(g.quad()[1] == 0)
+    vertical = np.flatnonzero(g.quad(slice(None))[1] == 0)
     assert len(vertical) == 5 * 6 * 2
     corners, sides = g.corners(vertical), g.sides(vertical)
     for (i, j, k, _), (e_ij, e_jk, _, _) in zip(corners, sides):

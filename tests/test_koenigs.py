@@ -9,7 +9,7 @@ from dnet.koenigs import (LineCongruence, _g_map_inverses, _g_maps, _raise_g_map
                           christoffel_ratio, extract_pair, km_pair_check,
                           koenigs_dual, moutard_lift_from_eta, pluecker_residual,
                           quad_holonomy_residual, random_moutard_net)
-from dnet.pseudo_euclidean import line_distance
+from dnet.pseudo_euclidean import Signature, line_distance
 from tests.pseudo_reference import projective_cross_ratio
 
 
@@ -218,7 +218,7 @@ def test_extract_pair_roundtrip(dual_congruence):
     cong, F, Fd = dual_congruence
     g = cong.grid
     pair = extract_pair(cong, seeds_plus=((1, 0), (1, 0)),
-                        seeds_minus=((0, 1), (0, 1)))
+                        seeds_minus=((0, 1), (0, 1)), seed=0, signature=Signature(3, 1))
     assert pair.report["passed"], pair.report
     for v in range(g.nverts):
         assert line_distance(pair.net_plus.lifts[v], F[v]) <= 1e-9
@@ -227,8 +227,8 @@ def test_extract_pair_roundtrip(dual_congruence):
 
 def test_extract_pair_two_seeds_give_two_pairs(dual_congruence):
     cong, F, Fd = dual_congruence
-    p1 = extract_pair(cong, seed=1)
-    p2 = extract_pair(cong, seed=2)
+    p1 = extract_pair(cong, seed=1, signature=Signature(3, 1))
+    p2 = extract_pair(cong, seed=2, signature=Signature(3, 1))
     assert p1.report["passed"] and p2.report["passed"]
     d = max(line_distance(p1.net_plus.lifts[v], p2.net_plus.lifts[v])
             for v in range(cong.grid.nverts))
@@ -237,7 +237,7 @@ def test_extract_pair_two_seeds_give_two_pairs(dual_congruence):
 
 def test_extract_pair_gauge_relation(dual_congruence):
     cong, F, Fd = dual_congruence
-    pair = extract_pair(cong, seed=3)
+    pair = extract_pair(cong, seed=3, signature=Signature(3, 1))
     g = cong.grid
     t, h = g.edge_tail, g.edge_head
     tau = wedge_vec(pair.mu_minus, pair.mu_plus)
@@ -256,7 +256,7 @@ def test_extract_pair_seed_on_intersection_fails(dual_congruence):
         s_line, rcond=None)
     with pytest.raises(SeedDegeneracyError):
         extract_pair(cong, seeds_plus=(coords, (1.0, 0.0)),
-                     seeds_minus=((0.0, 1.0), (0.0, 1.0)))
+                     seeds_minus=((0.0, 1.0), (0.0, 1.0)), seed=0, signature=Signature(3, 1))
 
 
 def test_christoffel_ratio_constant_scale():

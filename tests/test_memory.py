@@ -27,7 +27,7 @@ SIG = Signature(4, 2)
 
 def _net(n):
     grid, frame = Grid([n, n]), SIG.standard_frame()
-    line0, line1 = random_cauchy(grid, SIG, np.random.default_rng(2), frame=frame)
+    line0, line1 = random_cauchy(grid, SIG, np.random.default_rng(2), 0.3, frame)
     return moutard_evolve(grid, SIG, line0, line1, frame=frame)
 
 
@@ -69,7 +69,7 @@ def test_holonomy_does_not_grow_from_32_to_64():
     for n in (32, 64):
         small = _net(n)
         gamma = flat_connection(small, 0.3)
-        out, peak = _traced_peak(holonomy, small.grid, gamma)
+        out, peak = _traced_peak(holonomy, small.grid, gamma.__getitem__)
         assert out.shape == (small.grid.nquads,)
         peaks.append(peak)
     assert peaks[1] <= 1.25 * peaks[0], peaks

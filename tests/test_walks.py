@@ -56,7 +56,7 @@ def _net(name):
         return stack_pair(net, darboux_transform(net, np.inf, rng=rng))
     if name == "64x64":
         g = Grid([64, 64])
-        return moutard_evolve(g, SIG, *random_cauchy(g, SIG, rng), frame=frame)
+        return moutard_evolve(g, SIG, *random_cauchy(g, SIG, rng, 0.3, frame), frame=frame)
     return random_isothermic(Grid([int(n) for n in name.split("x")]), SIG, rng)
 
 
@@ -127,11 +127,11 @@ def test_integrate_one_form_matches_walk(name, root):
     g = _net(name).grid
     rng = np.random.default_rng(root)
     values, seed = rng.standard_normal((g.nedges, 3)), rng.standard_normal(3)
-    got = integrate_one_form(g, values, seed=seed, check_closed=False).values
+    got = integrate_one_form(g, values, seed=seed, check_closed=False)
     assert np.array_equal(got, ref.integrate_one_form(g, values, seed=seed))
     f = rng.standard_normal((g.nverts, 3))
     closed = g.edge_difference(f)
-    got = integrate_one_form(g, closed, seed=f[0]).values
+    got = integrate_one_form(g, closed, seed=f[0])
     _near(got, ref.integrate_one_form(g, closed, base=root, seed=got[root]))
 
 
@@ -140,7 +140,7 @@ def test_trivialize_connection_matches_walk(name, root):
     g = _net(name).grid
     gauge = np.eye(4) + 0.3 * np.random.default_rng(root).standard_normal((g.nverts, 4, 4))
     gamma = gauge[g.edge_head] @ np.linalg.inv(gauge[g.edge_tail])   # flat
-    T = trivialize_connection(g, gamma)
+    T = trivialize_connection(g, gamma.__getitem__)
     assert np.array_equal(T, ref.trivialize_connection(g, gamma))
     # the walk from the root is the identity there: T is T[root] times it
     _near(T, T[root] @ ref.trivialize_connection(g, gamma, base=root))
@@ -162,7 +162,7 @@ def _march_ref(net, m, seed):
 
 
 def _march(net, m, seed):
-    return darboux_transform(net, m, seed=seed).mu
+    return darboux_transform(net, m, seed=seed, rng=np.random.default_rng(0)).mu
 
 
 # The Darboux march amplifies rounding along its path (from the last
@@ -205,7 +205,7 @@ def test_darboux_normalization_failure_names_the_same_edge(monkeypatch, min_deno
     net, m = _net("3x4x5"), 1e13
     seed = scale * _darboux_seed(net, 0.5, 27)
     monkeypatch.setattr(isothermic, "_MIN_DENOM", min_denom)
-    got = _outcome(darboux_transform, net, m, seed=seed)
+    got = _outcome(darboux_transform, net, m, seed=seed, rng=np.random.default_rng(0))
     hat0 = seed / (m * float(SIG.inner(seed, net.mu[0])))
     assert got == _outcome(ref.darboux_march, net, m, hat0, 0, min_denom)
     assert got[1] == f"Darboux {what} degenerate"
@@ -305,7 +305,7 @@ def test_darboux_matches_the_parallel_section_of_the_flat_connection(pq):
     sig, m = Signature(*pq), 0.5
     net = random_isothermic(Grid([8, 8]), sig, np.random.default_rng(11))
     hat = darboux_transform(net, m, rng=np.random.default_rng(12))
-    T = trivialize_connection(net.grid, flat_connection(net, m))
+    T = trivialize_connection(net.grid, flat_connection(net, m).__getitem__)
     seed = np.broadcast_to(hat.mu[0], hat.mu.shape)
     sigma = np.linalg.solve(T, seed[..., None])[..., 0]
     oracle = sigma / (m * sig.inner(net.mu, sigma))[:, None]
