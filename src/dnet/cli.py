@@ -6,7 +6,7 @@
     dnet export -i FILE --field NAME --format obj|csv -o FILE
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error,
-3 construction degeneracy.
+3 construction degeneracy (never from verify of a loaded file).
 """
 
 from __future__ import annotations

@@ -305,7 +305,6 @@ def km_pair_check(grid: Grid, mu_plus: np.ndarray, mu_minus: np.ndarray,
         res = np.abs(eta_minus - eta_plus - dtau).max(initial=0.0)
         report["gauge_relation"] = float(rel(res, np.abs(eta_plus).max(initial=0.0)))
     is_pair = vert_worst <= tol and report.get("gauge_relation", 0.0) <= tol
-    report["passed"] = bool(is_pair)
     return is_pair, tau, report
 
 

@@ -510,21 +510,33 @@ def first_non_finite(nf: NetFile, names) -> tuple | None:
     return None
 
 
+def _all_failed(group: str, where, note: str) -> dict:
+    """Every check of ``group`` failed at ``where``, with ``note``."""
+    return {key: (np.nan, where, note) for _, key, *_ in CHECKS[group]}
+
+
 def _failed(nf: NetFile, group: str) -> dict | None:
     """Every check of ``group`` failed at the first non-finite row of its
     fields ``READS[group]``, or None when they are finite: NaN and inf pass
     no test that compares them, and an SVD of them may not return."""
     bad = first_non_finite(nf, READS[group])
-    return None if bad is None else {key: (np.nan, bad[1], f"non-finite {bad[0]}")
-                                     for _, key, *_ in CHECKS[group]}
+    return None if bad is None else _all_failed(group, bad[1], f"non-finite {bad[0]}")
 
 
 def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
     """Run every check of :data:`CHECKS` the file's nets support; list the
-    rest as skipped."""
+    rest as skipped.  A :class:`GeometryError` raised inside a group fails
+    every check of that group at the error's element, noted ``aborted:
+    <message>``, and the other groups run as they would without it."""
     tols = {**DEFAULT_TOLS, **(tols or {})}
-    rep = Report()
-    for group, grid, values in _residuals(nf):
+    rep, grid, nets = Report(), nf.grid(), {}
+    for group, residuals in _GROUPS.items():
+        try:
+            values = residuals(nf, nets)
+        except GeometryError as err:
+            values = _all_failed(group, err.where, f"aborted: {err}")
+        if values is None:
+            continue
         if isinstance(values, str):
             rep.skipped.append((f"{group}.*", values))
             continue
@@ -546,81 +558,101 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
     return rep
 
 
-def _residuals(nf: NetFile):
-    """Per group of :data:`CHECKS` in order, the grid of its net and the
-    residuals by key, or None and the reason the group is skipped.  The
-    associate-net (``guichard``) group needs a principal net and the
-    ``special`` group an ``xi`` field; without them the group gives no
-    line."""
-    net, vf = nf.isothermic_net(), nf.vertex_fields
+# Each group's residuals below take the file and the nets that earlier
+# groups built, and give the residuals by key, the reason the group is
+# skipped, or None for a group that gives no line.
+
+def _isothermic_residuals(nf: NetFile, nets: dict):
+    net = nets["isothermic"] = nf.isothermic_net()
     if net is None:
-        yield "isothermic", None, "no mu field"
-    else:
-        v = net.validate()
-        out = {**v, "moutard": (v["moutard"], v["worst_quad"], "")}
-        for t in FLATNESS_T:
-            key = f"flatness(t={t})"
-            if net.nearest_label(t)[0] < 1e-6:
-                out[key] = "t collides with a label"
-                continue
-            try:
-                value, q = iso.connection_flatness(net, t)
-            except (GeometryError, ValueError) as err:
-                out[key] = (np.inf, None, f"aborted: {err}")
-            else:
-                out[key] = (value, None if q is None else net.grid.locate_quad(q), "")
-        stored = nf.edge_fields.get("m")
-        if stored is not None:
-            # one block of edges at a time, folded with np.maximum so NaN propagates
-            worst_label = 0.0
-            for e in blocks(len(stored)):
-                m, labels = stored[e], net.labels[e]
-                both_inf = np.isinf(m) & np.isinf(labels)
-                # subtract only where defined: inf - inf would warn
-                num = np.abs(np.subtract(m, labels, out=np.zeros(labels.shape), where=~both_inf))
-                worst_label = np.maximum(worst_label, rel(num, np.where(both_inf, 1.0, np.abs(m)))
-                                         .max(initial=0.0))
-            out["stored_labels"] = float(worst_label)
-        yield "isothermic", net.grid, out
-    omega, labels = nf.omega_net(), None
+        return "no mu field"
+    v = net.validate()
+    out = {**v, "moutard": (v["moutard"], v["worst_quad"], "")}
+    for t in FLATNESS_T:
+        key = f"flatness(t={t})"
+        if net.nearest_label(t)[0] < 1e-6:
+            out[key] = "t collides with a label"
+            continue
+        try:
+            value, q = iso.connection_flatness(net, t)
+        except (GeometryError, ValueError) as err:
+            out[key] = (np.inf, None, f"aborted: {err}")
+        else:
+            out[key] = (value, None if q is None else net.grid.locate_quad(q), "")
+    stored = nf.edge_fields.get("m")
+    if stored is not None:
+        # one block of edges at a time, folded with np.maximum so NaN propagates
+        worst_label = 0.0
+        for e in blocks(len(stored)):
+            m, labels = stored[e], net.labels[e]
+            both_inf = np.isinf(m) & np.isinf(labels)
+            # subtract only where defined: inf - inf would warn
+            num = np.abs(np.subtract(m, labels, out=np.zeros(labels.shape), where=~both_inf))
+            worst_label = np.maximum(worst_label, rel(num, np.where(both_inf, 1.0, np.abs(m)))
+                                     .max(initial=0.0))
+        out["stored_labels"] = float(worst_label)
+    return out
+
+
+def _omega_residuals(nf: NetFile, nets: dict):
+    """The labels of the spanning pair go to the ``guichard`` group when
+    every omega residual is computed."""
+    omega = nf.omega_net()
     if omega is None or omega.mu_plus is None or omega.mu_minus is None:
-        yield "omega", None, ("incomplete omega fields or frame" if "mu_plus" in vf
-                              else "no congruence fields")
-    elif not omega.grid.nedges:
-        yield "omega", None, "no edges"
-    elif (failed := _failed(nf, "omega")) is not None:
-        yield "omega", omega.grid, failed
-    else:
-        v = omega.validate()
-        a = lie.associates(omega)
-        labels = lie.omega_edge_labels(omega)
-        pairing = lie.eisenhart_general(omega.principal(), a.x_dual, a.n_dual, labels)
-        yield "omega", omega.grid, {**v, **v["applicability"], **pairing,
-                                    "reconstruction": a.reconstruction, "duality": a.duality}
-    pn = nf.principal_net()
-    if pn is None:
-        yield "principal", None, "no x, n fields"
-    else:
-        yield "principal", pn.grid, _failed(nf, "principal") or pn.validate()
-        if "xdual" not in vf:
-            yield "guichard", None, "no xdual field"
-        elif (failed := _failed(nf, "guichard")) is not None:
-            yield "guichard", pn.grid, failed
-        elif "ndual" in vf:
-            yield "guichard", pn.grid, {"duality_fields": lie.check_omega(
-                pn, vf["xdual"], vf["ndual"])["duality"]}
-        else:
-            # an associate net without a separate associate Gauss map is
-            # the Guichard case (the Gauss map itself is the partner)
-            yield "guichard", pn.grid, {**lie.check_guichard(pn, vf["xdual"]), **(
-                {} if labels is None else lie.eisenhart_guichard(pn, vf["xdual"], labels))}
-    if "xi" in vf:
-        lf = nf.the_frame()
-        if net is None or not isinstance(lf, lie.LieFrame):
-            yield "special", None, "xi present but mu or frame missing"
-        elif (failed := _failed(nf, "special")) is not None:
-            yield "special", net.grid, failed
-        else:
-            orth, dev = lie.special_residuals(lf, net.mu, vf["xi"])
-            yield "special", net.grid, {"orthogonality": float(orth.max(initial=0.0)),
-                                        "coefficients": float(dev.max(initial=0.0))}
+        return ("incomplete omega fields or frame" if "mu_plus" in nf.vertex_fields
+                else "no congruence fields")
+    if not omega.grid.nedges:
+        return "no edges"
+    if (failed := _failed(nf, "omega")) is not None:
+        return failed
+    v = omega.validate()
+    a = lie.associates(omega)
+    labels = lie.omega_edge_labels(omega)
+    pairing = lie.eisenhart_general(omega.principal(), a.x_dual, a.n_dual, labels)
+    nets["labels"] = labels
+    return {**v, **v["applicability"], **pairing,
+            "reconstruction": a.reconstruction, "duality": a.duality}
+
+
+def _principal_residuals(nf: NetFile, nets: dict):
+    pn = nets["principal"] = nf.principal_net()
+    return "no x, n fields" if pn is None else _failed(nf, "principal") or pn.validate()
+
+
+def _guichard_residuals(nf: NetFile, nets: dict):
+    vf = nf.vertex_fields
+    if "principal" in nets and nets["principal"] is None:
+        return None                             # no principal net: no line
+    if "xdual" not in vf:
+        return "no xdual field"
+    # a principal net that raised in its own group raises here again
+    pn = nets.get("principal") or nf.principal_net()
+    if (failed := _failed(nf, "guichard")) is not None:
+        return failed
+    if "ndual" in vf:
+        return {"duality_fields": lie.check_omega(pn, vf["xdual"], vf["ndual"])["duality"]}
+    # an associate net without a separate associate Gauss map is the
+    # Guichard case (the Gauss map itself is the partner)
+    labels = nets.get("labels")
+    return {**lie.check_guichard(pn, vf["xdual"]), **(
+        {} if labels is None else lie.eisenhart_guichard(pn, vf["xdual"], labels))}
+
+
+def _special_residuals(nf: NetFile, nets: dict):
+    vf, net = nf.vertex_fields, nets.get("isothermic")
+    if "xi" not in vf:
+        return None
+    lf = nf.the_frame()
+    if net is None or not isinstance(lf, lie.LieFrame):
+        return "xi present but mu or frame missing"
+    if (failed := _failed(nf, "special")) is not None:
+        return failed
+    orth, dev = lie.special_residuals(lf, net.mu, vf["xi"])
+    return {"orthogonality": float(orth.max(initial=0.0)),
+            "coefficients": float(dev.max(initial=0.0))}
+
+
+# The groups of CHECKS, in report order.
+_GROUPS = {"isothermic": _isothermic_residuals, "omega": _omega_residuals,
+           "principal": _principal_residuals, "guichard": _guichard_residuals,
+           "special": _special_residuals}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dnet.cli import GEN_KINDS, main
+from dnet.forms import wedge_vec
 from dnet.grid import Grid
 from dnet.koenigs import km_pair_check
 from dnet.netfile import CHECKS, READS, NetFile, first_non_finite, run_checks
@@ -841,6 +842,97 @@ def test_a_non_finite_row_of_a_field_read_fails_at_once(read_sources, tmp_path, 
                        "-o", out) == (2, [f"usage error: {entry} needs finite {what}: {field} "
                                           f"at {place} is not finite"])
         assert not out.exists()
+
+
+def _off_gauge(fields):
+    # eta + d(c y^t) spans the same planes, off the gauge (eta q, p) = 0
+    vf, g = fields["vertex"], Grid((6, 6))
+    c = np.random.default_rng(1).standard_normal(g.nverts)
+    tau = c[:, None] * wedge_vec(np.array(vf["y"]), np.array(vf["t"]))
+    fields["form1"]["eta"] = (np.array(fields["form1"]["eta"]) + g.edge_difference(tau)).tolist()
+
+
+def _repeat_plane(fields):          # the planes at (1, 1) and (1, 2) coincide
+    vf = fields["vertex"]
+    vf["y"][8], vf["t"][8] = vf["y"][7], vf["t"][7]
+
+
+def _point_plane(fields):           # the plane at (1, 1) collapses to a line
+    fields["vertex"]["t"][7] = fields["vertex"]["y"][7]
+
+
+def _repeat_point(fields):          # the principal net's edge (1, 1)-(1, 2) vanishes
+    fields["vertex"]["x"][8] = fields["vertex"]["x"][7]
+
+
+def _bend_xdual(fields):            # x_dual at (1, 1) leaves its edges' directions
+    fields["vertex"]["xdual"][7][0] += 0.3
+
+
+# name: the READ_SOURCES file planted, the fault, the groups its error
+# stops, the error's message and its element (None: the edge farthest off
+# the gauge)
+PLANTED = {
+    "eta-off-gauge": ("omega", _off_gauge, ("omega",),
+                      "associates need the (eta q, p) = 0 gauge", None),
+    "repeated-plane": ("omega", _repeat_plane, ("omega",),
+                       "first-order regularity fails: dim f_ij < 3",
+                       {"kind": "edge", "index": 36, "tail": (1, 1), "axis": 1}),
+    "point-plane": ("omega", _point_plane, ("omega",), "intersection line degenerate",
+                    {"kind": "edge", "index": 1, "tail": (0, 1), "axis": 0}),
+    "vanishing-edge": ("guichard", _repeat_point, ("principal", "guichard"),
+                       "vanishing edge in the principal net",
+                       {"kind": "edge", "index": 36, "tail": (1, 1), "axis": 1}),
+    "xdual-not-parallel": ("pair", _bend_xdual, ("guichard",),
+                           "x_dual is not edge-parallel to x",
+                           {"kind": "edge", "index": 7, "tail": (1, 1), "axis": 0}),
+}
+
+
+def _planted(read_sources, tmp_path, source, plant):
+    doc = json.loads(read_sources[source].read_text())
+    plant(doc["fields"])
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("source, plant, groups, message, where", PLANTED.values(),
+                         ids=PLANTED)
+def test_an_error_inside_a_group_fails_only_that_group(read_sources, tmp_path, capsys, source,
+                                                       plant, groups, message, where):
+    # verify prints the whole report and exits 1: every row of a group that
+    # the error stops fails at its element, and every other row reads as
+    # in the file before the fault
+    path = _planted(read_sources, tmp_path, source, plant)
+    if where is None:
+        om = NetFile.load(str(path)).omega_net()
+        off = np.abs(om.signature.inner(om.eta_q(), om.lie_frame.p))
+        where = om.grid.locate_edge(int(np.argmax(off)))
+    code, stdout, err, warned = _outcome(capsys, "verify", "-i", path)
+    assert (code, err, warned) == (1, [], [])
+    failing = [name for group in groups for name, *_ in CHECKS[group]]
+    rows = stdout.splitlines()[2:-2]
+    assert [r.split()[0] for r in rows if r.split()[0] in failing] == failing
+    for row in rows:
+        if row.split()[0] in failing:
+            assert row.split()[1] == "nan", row
+            assert row.endswith(f"FAIL  [aborted: {message}]  worst={where}"), row
+    _, before, _, _ = _outcome(capsys, "verify", "-i", read_sources[source])
+    assert ([r for r in rows if r.split()[0] not in failing]
+            == [r for r in before.splitlines()[2:-2] if r.split()[0] not in failing])
+
+
+def test_a_transform_whose_output_check_stops_exits_1(read_sources, tmp_path, capsys):
+    # associates keeps the collapsed plane, and its output check stops there
+    path = _planted(read_sources, tmp_path, "omega", _point_plane)
+    out = tmp_path / "out.json"
+    code, stdout, err, warned = _outcome(capsys, "transform", "associates", "-i", path,
+                                         "-o", out)
+    assert (code, stdout, warned) == (1, "", []) and not out.exists()
+    assert err[-2:] == ["overall: FAIL (14 checks, 1 skipped)",
+                        "transform output failed verification; not written"], err
+    assert "FAIL  [aborted: intersection line degenerate]" in err[2], err
 
 
 # the transforms of the files of each gen kind

@@ -35,8 +35,9 @@ def max_plane_distance(om1, om2):
 def test_sphere_lattice_is_principal():
     pn = sphere_lattice([5, 6], radius=1.5)
     rep = pn.validate()
-    assert rep["passed"], rep
-    assert np.abs(pn.radius - 1.5).max() <= 1e-10
+    assert rep["unit_normal"] <= 1e-9 and rep["curvature_relation"] <= 1e-9, rep
+    assert rep["circularity"] <= 1e-8, rep
+    assert np.abs(1.0 / pn.kappa - 1.5).max() <= 1e-10     # the sphere's radius
 
 
 def test_planar_strip_has_flat_edges_and_frame_error():
@@ -150,7 +151,12 @@ def test_associates_identities(omega_net):
     assert a.duality <= 1e-9             # dxd ^~ dx + dnd ^~ dn = 0
     pn = omega_net.principal()
     rep = check_omega(pn, a.x_dual, a.n_dual)
-    assert rep["passed"], rep
+    assert rep["duality"] <= 1e-9, rep
+    # the non-degeneracy margin dxd != kappa dnd per edge
+    dxd, dnd = (omega_net.grid.edge_difference(v) for v in (a.x_dual, a.n_dual))
+    margin = (np.linalg.norm(dxd - pn.kappa[:, None] * dnd, axis=1)
+              / np.maximum(np.linalg.norm(dxd, axis=1), 1e-300))
+    assert margin.min() >= 1e-8
     # mixed-area statement A(xd, x) + A(nd, n) = 0
     from dnet.forms import mixed_area
     g = omega_net.grid
@@ -176,7 +182,7 @@ def test_associates_scale_with_eta(omega_net):
 def test_check_omega_rejects_trivial_duals(omega_net):
     pn = omega_net.principal()
     rep = check_omega(pn, pn.x, pn.n)
-    assert not rep["passed"]
+    assert rep["duality"] > 1e-9, rep
 
 
 def test_labels_match_isothermic_and_gauge_invariant(omega_net, net42):
@@ -225,14 +231,16 @@ def test_guichard_interior_conditions(guichard):
     d = guichard.diagnostics
     assert d["success"]
     assert d["orthogonality"] <= 1e-10
-    assert d["xi_p"] <= 1e-12
-    assert d["eta_p_is_dt"] <= 1e-9
+    ip, frame, g = SIG42.inner, guichard.omega.lie_frame, guichard.omega.grid
+    assert np.abs(ip(guichard.xi, frame.p) + 1.0).max() <= 1e-12      # (xi, p) = -1
+    dt = g.edge_difference(guichard.omega.t)                            # eta p = dt
+    assert np.abs(guichard.omega.eta_p() - dt).max() <= 1e-9 * max(np.abs(dt).max(), 1e-300)
 
 
 def test_guichard_omega_and_associate(guichard):
     assert guichard.omega.validate()["passed"]
     rep = check_guichard(guichard.pn, guichard.x_dual)
-    assert rep["passed"], rep
+    assert rep["associate"] <= 1e-8, rep
     a = associates(guichard.omega)
     drift = a.n_dual - a.n
     assert np.abs(drift - drift[0]).max() <= 1e-9   # associate Gauss map is n
@@ -241,15 +249,13 @@ def test_guichard_omega_and_associate(guichard):
 def test_guichard_eisenhart(guichard):
     labels = omega_edge_labels(guichard.omega)
     rep = eisenhart_guichard(guichard.pn, guichard.x_dual, labels)
-    assert rep["passed"], rep
-    assert rep["eisenhart"] <= 1e-8
+    assert rep["eisenhart"] <= 1e-8, rep
     assert rep["ratio_identity"] <= 1e-9
 
 
 def test_demoulin_radii(guichard):
     rep = demoulin_radii(guichard)
-    assert rep["passed"], rep
-    assert rep["product"] <= 1e-8
+    assert rep["product"] <= 1e-8, rep
 
 
 def test_demoulin_fails_on_non_guichard(omega_net):
@@ -257,7 +263,7 @@ def test_demoulin_fails_on_non_guichard(omega_net):
     # so the reciprocal-radius product must fail
     a = associates(omega_net)
     rep = check_guichard(omega_net.principal(), a.x_dual)
-    assert not rep["passed"]
+    assert rep["associate"] > 1e-8, rep
 
 
 def test_guichard_quantity_and_class(guichard):
@@ -506,24 +512,26 @@ def test_linear_weingarten_sphere():
     rho = 1.5
     pn = sphere_lattice([5, 6], radius=rho)
     rep = linear_weingarten_check(pn, 1.0, 0.0, -1.0 / rho ** 2)
-    assert rep["passed"]
+    assert rep["weingarten"] <= 1e-8
     # constant-K nets are self-associate up to the scale gamma / alpha
     guich = check_guichard(pn, (-1.0 / rho ** 2) * pn.x)
-    assert guich["passed"]
+    assert guich["associate"] <= 1e-8
     bad = linear_weingarten_check(pn, 0.4, 0.3, 0.2)
-    assert not bad["passed"]
+    assert bad["weingarten"] > 1e-8
 
 
 def test_minimal_net_duality():
     pn, sphere_net = minimal_net([5, 5], seed=1)
-    assert pn.validate()["passed"]
+    v = pn.validate()
+    assert v["unit_normal"] <= 1e-9 and v["curvature_relation"] <= 1e-9, v
+    assert v["circularity"] <= 1e-8, v
     g = pn.grid
     prod = curly_wedge(exterior_derivative(Form0(g, pn.x)),
                        exterior_derivative(Form0(g, pn.n))).values
     assert np.abs(prod).max() <= 1e-10 * max(1.0, np.abs(pn.x).max())
     assert np.abs((pn.n ** 2).sum(axis=1) - 1.0).max() <= 1e-11
     rep = linear_weingarten_check(pn, 0.0, 0.5, 0.0)   # H = 0
-    assert rep["passed"]
+    assert rep["weingarten"] <= 1e-8
 
 
 def test_random_lie_frame_is_admissible():
