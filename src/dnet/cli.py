@@ -219,12 +219,14 @@ def cmd_verify(args) -> int:
 
 def cmd_transform(args) -> int:
     nf = NetFile.load(args.input)
-    # NaN and inf pass no test that compares them: name them first
+    # NaN and inf pass no test that compares them, and a row whose square
+    # overflows makes them: name them first
     if (bad := first_non_finite(nf, READS[args.op])) is not None:
-        name, where = bad
+        name, where, kind = bad
         what, place = (("lifts", f"vertex {where['coords']}") if where["kind"] == "vertex" else
                        ("forms", f"edge {where['tail']} along axis {where['axis']}"))
-        raise FormatError(f"{args.op} needs finite {what}: {name} at {place} is not finite")
+        raise FormatError(f"{args.op} needs finite {what}: {name} at {place} " + (
+            "is not finite" if kind == "non-finite" else "overflows its squared norm"))
     meta = dict(nf.metadata)
     meta.update({"transform": args.op, "transform_seed": args.seed})
     rng = np.random.default_rng(args.seed)

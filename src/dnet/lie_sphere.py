@@ -245,7 +245,8 @@ class OmegaNet:
     def signature(self) -> Signature:
         return self.lie_frame.signature
 
-    def validate(self) -> dict:
+    def frame_residuals(self) -> dict:
+        """The null-plane, normalization and ``(eta q, p) = 0`` gauge residuals."""
         ip = self.signature.inner
         out = {}
         gram = np.stack([ip(self.y, self.y), ip(self.y, self.t),
@@ -258,8 +259,11 @@ class OmegaNet:
             np.abs(ip(self.t, self.lie_frame.p) + 1.0).max(initial=0.0)))
         defect, scale = _gauge_defect(self.eta_q(), self.eta, self.lie_frame)
         out["gauge"] = rel(float(defect), scale)
-        cong = self.congruence().validate()
-        out["applicability"] = cong
+        return out
+
+    def validate(self) -> dict:
+        out = self.frame_residuals()
+        out["applicability"] = cong = self.congruence().validate()
         out["passed"] = bool(out["null_planes"] <= 1e-9
                              and out["normalization"] <= 1e-9
                              and out["gauge"] <= _TOL and cong["passed"])

@@ -394,16 +394,6 @@ class NetFile:
             return None
         return lie.OmegaNet(self.grid(), lf, vf["y"], vf["t"], self.form1_fields["eta"],
                             mu_plus=vf.get("mu_plus"), mu_minus=vf.get("mu_minus"))
-
-    def principal_net(self):
-        """The principal net of ``x`` and ``n``, or None without both or
-        outside R^3."""
-        vf = self.vertex_fields
-        if not {"x", "n"} <= vf.keys() or vf["x"].shape[1] != 3 or vf["n"].shape[1] != 3:
-            return None
-        return lie.PrincipalNet(self.grid(), vf["x"], vf["n"])
-
-
 DEFAULT_TOLS = {
     "nullity": 1e-10,
     "moutard": 1e-10,
@@ -429,65 +419,151 @@ FLATNESS_T = (-1.0, 0.3, 2.0)
 
 RESIDUAL, MARGIN = "residual", "margin"
 
-# The checks of `verify` by group, in report order: name, the key of the
-# value the group computes, tolerance (a DEFAULT_TOLS key, a fixed value,
-# or (factor, key)), kind (a margin must stay above its tolerance) and
-# carrier: "quads" or "edges" for a value that is a maximum over them,
-# which on a grid without any reads 0, so the check is skipped as "no
-# quads" or "no edges" instead of passing.  A value is a number, a
-# (number, worst element, note) triple, or text: the reason the check is
-# skipped.  A key not computed gives no line.
+
+def _flatness(net, t: float):
+    """The flatness of Gamma(t) at its worst quad, or why it is skipped."""
+    if net.nearest_label(t)[0] < 1e-6:
+        return "t collides with a label"
+    try:
+        value, q = iso.connection_flatness(net, t)
+    except (GeometryError, ValueError) as err:
+        return np.inf, None, f"aborted: {err}"
+    return value, None if q is None else net.grid.locate_quad(q), ""
+
+
+def _stored_labels(nf: NetFile, net):
+    """The largest relative gap of the stored labels ``m`` to those of
+    ``mu``, or None without ``m``."""
+    stored = nf.edge_fields.get("m")
+    if stored is None:
+        return None
+    # one block of edges at a time, folded with np.maximum so NaN propagates
+    worst_label = 0.0
+    for e in blocks(len(stored)):
+        m, labels = stored[e], net.labels[e]
+        both_inf = np.isinf(m) & np.isinf(labels)
+        # subtract only where defined: inf - inf would warn
+        num = np.abs(np.subtract(m, labels, out=np.zeros(labels.shape), where=~both_inf))
+        worst_label = np.maximum(worst_label, rel(num, np.where(both_inf, 1.0, np.abs(m)))
+                                 .max(initial=0.0))
+    return float(worst_label)
+
+
+# The intermediates that the rows of `verify` read, each built at most once
+# per file, on first use: what it reads (intermediates above it, and fields
+# whose rows first_non_finite checks) and its value from the file and those:
+# a number, a (number, worst element, note) triple, the reason a row is
+# skipped, None for no line, or a dict of these by the last part of the row
+# names.  The isothermic net reads no field: its blocked kernels fold a NaN
+# or huge mu quietly.  Calls go through their modules, which tracers wrap.
+STEPS = {
+    "net": ((), lambda nf: nf.isothermic_net()),
+    "isothermic": (("net",), lambda nf, net: {
+        **(v := net.validate()), "moutard": (v["moutard"], v["worst_quad"], "")}),
+    **{f"flatness(t={t})": (("net",), lambda nf, net, t=t: _flatness(net, t))
+       for t in FLATNESS_T},
+    "stored_labels": (("net",), _stored_labels),
+    "omega": ((), lambda nf: nf.omega_net()),
+    "frame": (("omega", "y", "t", "eta"), lambda nf, om, *_: om.frame_residuals()),
+    "congruence": (("omega", "y", "t", "eta"), lambda nf, om, *_: {
+        **(c := om.congruence().validate()), "nondegeneracy": c["nondegeneracy_margin"]}),
+    "associates": (("omega", "y", "t", "eta"), lambda nf, om, *_: vars(lie.associates(om))),
+    "labels": (("omega", "mu_plus"), lambda nf, om, _: lie.omega_edge_labels(om)),
+    "pairing": (("omega", "associates", "labels"), lambda nf, om, a, labels: lie.eisenhart_general(
+        om.principal(), a["x_dual"], a["n_dual"], labels)["pairing"]),
+    "principal_net": (("x", "n"), lambda nf, x, n: lie.PrincipalNet(nf.grid(), x, n)),
+    "principal": (("principal_net",), lambda nf, pn: pn.validate()),
+    "guichard": (("principal_net", "xdual"), lambda nf, pn, xd: lie.check_guichard(pn, xd)),
+    "eisenhart_guichard": (("principal_net", "xdual", "labels"),
+                           lambda nf, pn, xd, labels: lie.eisenhart_guichard(pn, xd, labels)),
+    "duality_fields": (("principal_net", "xdual", "ndual"),
+                       lambda nf, pn, xd, nd: lie.check_omega(pn, xd, nd)["duality"]),
+    "special": (("mu", "xi"), lambda nf, mu, xi: dict(zip(
+        ("orthogonality", "coefficients"),
+        (float(r.max(initial=0.0)) for r in lie.special_residuals(nf.the_frame(), mu, xi))))),
+}
+
+# The rows of `verify` by gate (see _gates), in report order: name, tolerance
+# (a DEFAULT_TOLS key, a fixed value, or (factor, key)), kind (a margin must
+# stay above its tolerance), carrier and the intermediate it reads.  The
+# carrier "quads" or "edges" marks a maximum over them, which reads 0 on a
+# grid without any: such a row is skipped as "no quads" or "no edges".
 CHECKS = {
     "isothermic": (
-        ("isothermic.nullity", "nullity", "nullity", RESIDUAL, None),
-        ("isothermic.moutard", "moutard", "moutard", RESIDUAL, "quads"),
-        ("isothermic.label_relations", "label_relations", "label_relations", RESIDUAL,
-         "quads"),
-        ("isothermic.diagonal_margin", "diagonal_margin", "regularity_margin", MARGIN,
-         "quads"),
-        *((f"isothermic.flatness(t={t})", f"flatness(t={t})", "flatness", RESIDUAL, "quads")
+        ("isothermic.nullity", "nullity", RESIDUAL, None, "isothermic"),
+        ("isothermic.moutard", "moutard", RESIDUAL, "quads", "isothermic"),
+        ("isothermic.label_relations", "label_relations", RESIDUAL, "quads", "isothermic"),
+        ("isothermic.diagonal_margin", "regularity_margin", MARGIN, "quads", "isothermic"),
+        *((f"isothermic.flatness(t={t})", "flatness", RESIDUAL, "quads", f"flatness(t={t})")
           for t in FLATNESS_T),
-        ("isothermic.stored_labels", "stored_labels", 1e-9, RESIDUAL, "edges"),
+        ("isothermic.stored_labels", 1e-9, RESIDUAL, "edges", "stored_labels"),
     ),
     "omega": (
-        ("omega.null_planes", "null_planes", 1e-9, RESIDUAL, None),
-        ("omega.normalization", "normalization", 1e-9, RESIDUAL, None),
-        ("omega.gauge", "gauge", "gauge", RESIDUAL, None),
-        ("omega.eta_closed", "eta_closed", "eta_closed", RESIDUAL, "quads"),
-        ("omega.eta_decomposable", "eta_decomposable", "applicability", RESIDUAL, None),
-        ("omega.eta_in_lam2_f", "eta_in_lam2_f", "applicability", RESIDUAL, None),
-        ("omega.nondegeneracy", "nondegeneracy_margin", "regularity_margin", MARGIN, None),
-        ("omega.reconstruction", "reconstruction", "applicability", RESIDUAL, None),
-        ("omega.duality", "duality", "duality", RESIDUAL, "quads"),
-        ("omega.eisenhart", "pairing", "eisenhart", RESIDUAL, None),
+        ("omega.null_planes", 1e-9, RESIDUAL, None, "frame"),
+        ("omega.normalization", 1e-9, RESIDUAL, None, "frame"),
+        ("omega.gauge", "gauge", RESIDUAL, None, "frame"),
+        ("omega.eta_closed", "eta_closed", RESIDUAL, "quads", "congruence"),
+        ("omega.eta_decomposable", "applicability", RESIDUAL, None, "congruence"),
+        ("omega.eta_in_lam2_f", "applicability", RESIDUAL, None, "congruence"),
+        ("omega.nondegeneracy", "regularity_margin", MARGIN, None, "congruence"),
+        ("omega.reconstruction", "applicability", RESIDUAL, None, "associates"),
+        ("omega.duality", "duality", RESIDUAL, "quads", "associates"),
+        ("omega.eisenhart", "eisenhart", RESIDUAL, None, "pairing"),
     ),
     "principal": (
-        ("principal.unit_normal", "unit_normal", "unit_normal", RESIDUAL, None),
-        ("principal.curvature_relation", "curvature_relation", "curvature_relation",
-         RESIDUAL, "edges"),
-        ("principal.circularity", "circularity", "circularity", RESIDUAL, "quads"),
+        ("principal.unit_normal", "unit_normal", RESIDUAL, None, "principal"),
+        ("principal.curvature_relation", "curvature_relation", RESIDUAL, "edges", "principal"),
+        ("principal.circularity", "circularity", RESIDUAL, "quads", "principal"),
     ),
-    "guichard": (
-        ("guichard.associate", "associate", "associate", RESIDUAL, "quads"),
-        ("guichard.eisenhart", "eisenhart", "eisenhart", RESIDUAL, None),
-        ("guichard.ratio_identity", "ratio_identity", (10, "eisenhart"), RESIDUAL, None),
-        ("omega.duality_fields", "duality_fields", "duality", RESIDUAL, "quads"),
+    "guichard": (("guichard.associate", "associate", RESIDUAL, "quads", "guichard"),),
+    "guichard_labels": (
+        ("guichard.eisenhart", "eisenhart", RESIDUAL, None, "eisenhart_guichard"),
+        ("guichard.ratio_identity", (10, "eisenhart"), RESIDUAL, None, "eisenhart_guichard"),
     ),
+    "associate_pair": (("omega.duality_fields", "duality", RESIDUAL, "quads", "duality_fields"),),
     "special": (
-        ("special.orthogonality", "orthogonality", "orthogonality", RESIDUAL, None),
-        ("special.coefficients", "coefficients", "coefficients", RESIDUAL, None),
+        ("special.orthogonality", "orthogonality", RESIDUAL, None, "special"),
+        ("special.coefficients", "coefficients", RESIDUAL, None, "special"),
     ),
 }
 
 
-# The vertex and 1-form fields each CHECKS group and transform op reads,
-# or copies into an output whose checks read them.  The isothermic group
-# is not here: its blocked kernels fold a NaN mu quietly and name a quad.
+def _gates(nf: NetFile) -> dict:
+    """Per gate of :data:`CHECKS`, from the fields and frame the file
+    holds: "" to run its rows, the reason they are skipped, or None for no
+    line.  An associate net without a separate associate Gauss map
+    ``ndual`` is the Guichard case: the Gauss map itself is the partner."""
+    vf, lf = nf.vertex_fields, nf.the_frame()
+    omega = ("no congruence fields" if "mu_plus" not in vf
+             else "incomplete omega fields or frame"
+             if not ({"y", "t", "mu_minus"} <= vf.keys() and "eta" in nf.form1_fields
+                     and isinstance(lf, lie.LieFrame))
+             else "" if nf.grid().nedges else "no edges")
+    principal = {"x", "n"} <= vf.keys() and vf["x"].shape[1] == vf["n"].shape[1] == 3
+    guichard = None if not principal else "" if "xdual" in vf else "no xdual field"
+    pair = guichard == "" and "ndual" in vf
+    return {"isothermic": "" if "mu" in vf else "no mu field",
+            "omega": omega,
+            "principal": "" if principal else "no x, n fields",
+            "guichard": None if pair else guichard,
+            "guichard_labels": "" if guichard == omega == "" and not pair else None,
+            "associate_pair": "" if pair else None,
+            "special": None if "xi" not in vf else "" if "mu" in vf and isinstance(
+                lf, lie.LieFrame) else "xi present but mu or frame missing"}
+
+
+def _reads(name: str) -> tuple:
+    """The fields that the intermediate ``name`` reads, also through the
+    intermediates it reads; a field reads itself."""
+    return sum(map(_reads, STEPS[name][0]), ()) if name in STEPS else (name,)
+
+
+# The vertex and 1-form fields each row of `verify` reads, from STEPS, and
+# those each transform op reads, or copies into an output whose checks
+# read them.
 READS = {
-    "omega": ("y", "t", "mu_plus", "mu_minus", "eta"),
-    "principal": ("x", "n"),
-    "guichard": ("x", "n", "xdual", "ndual"),
-    "special": ("mu", "xi"),
+    **{name: tuple(dict.fromkeys(_reads(step))) for rows in CHECKS.values()
+       for name, *_, step in rows},
     **dict.fromkeys(("darboux", "calapso", "christoffel"), ("mu",)),
     "dual": ("y", "t", "eta"),
     "associates": ("y", "t", "mu_plus", "mu_minus", "eta", "mu", "xi"),
@@ -495,53 +571,71 @@ READS = {
 
 
 def first_non_finite(nf: NetFile, names) -> tuple | None:
-    """``(name, where)`` of the first row with a non-finite entry in the
-    first of the vertex and 1-form fields ``names`` of ``nf`` that has
-    one, None when every one of them in ``nf`` is finite.  ``where``
-    locates the row: a vertex of a vertex field, an edge of a 1-form."""
+    """``(name, where, what)`` of the first bad row in the first of the
+    vertex and 1-form fields ``names`` of ``nf`` that has one, None when no
+    field of them in ``nf`` has one.  A row is bad when its squared norm is
+    not finite (the form of the ``4 rho^2`` rule of ``gen weingarten``):
+    ``what`` is "non-finite" for a NaN or inf entry, "overflowing" for
+    finite entries.  ``where`` locates the row: a vertex of a vertex field,
+    an edge of a 1-form."""
     for name in names:
         for fields, locate in ((nf.vertex_fields, Grid.locate_vertex),
                                (nf.form1_fields, Grid.locate_edge)):
             if name in fields:
-                finite = np.isfinite(fields[name])      # an empty field too
-                finite = finite.all(axis=tuple(range(1, finite.ndim)))
+                with np.errstate(over="ignore"):
+                    sq = np.square(fields[name])        # an empty field too
+                    finite = np.isfinite(sq.sum(axis=tuple(range(1, sq.ndim))))
                 if not finite.all():
-                    return name, locate(nf.grid(), int(np.argmin(finite)))
+                    i = int(np.argmin(finite))
+                    return name, locate(nf.grid(), i), (
+                        "overflowing" if np.isfinite(fields[name][i]).all() else "non-finite")
     return None
 
 
-def _all_failed(group: str, where, note: str) -> dict:
-    """Every check of ``group`` failed at ``where``, with ``note``."""
-    return {key: (np.nan, where, note) for _, key, *_ in CHECKS[group]}
-
-
-def _failed(nf: NetFile, group: str) -> dict | None:
-    """Every check of ``group`` failed at the first non-finite row of its
-    fields ``READS[group]``, or None when they are finite: NaN and inf pass
-    no test that compares them, and an SVD of them may not return."""
-    bad = first_non_finite(nf, READS[group])
-    return None if bad is None else _all_failed(group, bad[1], f"non-finite {bad[0]}")
+class _Failed(Exception):
+    """An intermediate failed: its args are the element and the note of
+    the rows that read it."""
 
 
 def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
-    """Run every check of :data:`CHECKS` the file's nets support; list the
-    rest as skipped.  A :class:`GeometryError` raised inside a group fails
-    every check of that group at the error's element, noted ``aborted:
-    <message>``, and the other groups run as they would without it."""
+    """Run the rows of :data:`CHECKS` whose gate the file opens; list the
+    rest as skipped.  An intermediate of :data:`STEPS` that raises a
+    :class:`GeometryError`, or reads a field with a bad row (see
+    :func:`first_non_finite`), fails the rows that read it, also through
+    another: NaN at the error's element or that row, noted ``aborted:
+    <message>`` or ``non-finite <field>`` (``overflowing <field>``)."""
     tols = {**DEFAULT_TOLS, **(tols or {})}
-    rep, grid, nets = Report(), nf.grid(), {}
-    for group, residuals in _GROUPS.items():
-        try:
-            values = residuals(nf, nets)
-        except GeometryError as err:
-            values = _all_failed(group, err.where, f"aborted: {err}")
-        if values is None:
+    rep, grid, gates, built = Report(), nf.grid(), _gates(nf), {}
+
+    def get(name):
+        """The intermediate or field ``name``; raises :class:`_Failed`.  An
+        intermediate whose read failed is not built, and fails again."""
+        if name not in built:
+            try:
+                if name in STEPS:
+                    built[name] = STEPS[name][1](nf, *map(get, STEPS[name][0]))
+                elif (bad := first_non_finite(nf, (name,))) is not None:
+                    built[name] = _Failed(bad[1], f"{bad[2]} {name}")
+                else:
+                    built[name] = nf.vertex_fields.get(name, nf.form1_fields.get(name))
+            except GeometryError as err:
+                built[name] = _Failed(err.where, f"aborted: {err}")
+        if isinstance(built[name], _Failed):
+            raise built[name]
+        return built[name]
+
+    for gate, rows in CHECKS.items():
+        if gates[gate]:
+            rep.skipped.append((f"{gate}.*", gates[gate]))
+        if gates[gate] != "":
             continue
-        if isinstance(values, str):
-            rep.skipped.append((f"{group}.*", values))
-            continue
-        for name, key, spec, kind, carrier in CHECKS[group]:
-            value = values.get(key)
+        for name, spec, kind, carrier, step in rows:
+            try:
+                value = get(step)
+            except _Failed as err:
+                value = (np.nan, *err.args)
+            if isinstance(value, dict):
+                value = value[name.split(".", 1)[1]]
             if value is not None and carrier and not getattr(grid, f"n{carrier}"):
                 value = f"no {carrier}"
             if isinstance(value, str):
@@ -556,103 +650,3 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
                     bool(residual >= tol if margin else residual <= tol), worst,
                     note or ("margin (must stay above tolerance)" if margin else "")))
     return rep
-
-
-# Each group's residuals below take the file and the nets that earlier
-# groups built, and give the residuals by key, the reason the group is
-# skipped, or None for a group that gives no line.
-
-def _isothermic_residuals(nf: NetFile, nets: dict):
-    net = nets["isothermic"] = nf.isothermic_net()
-    if net is None:
-        return "no mu field"
-    v = net.validate()
-    out = {**v, "moutard": (v["moutard"], v["worst_quad"], "")}
-    for t in FLATNESS_T:
-        key = f"flatness(t={t})"
-        if net.nearest_label(t)[0] < 1e-6:
-            out[key] = "t collides with a label"
-            continue
-        try:
-            value, q = iso.connection_flatness(net, t)
-        except (GeometryError, ValueError) as err:
-            out[key] = (np.inf, None, f"aborted: {err}")
-        else:
-            out[key] = (value, None if q is None else net.grid.locate_quad(q), "")
-    stored = nf.edge_fields.get("m")
-    if stored is not None:
-        # one block of edges at a time, folded with np.maximum so NaN propagates
-        worst_label = 0.0
-        for e in blocks(len(stored)):
-            m, labels = stored[e], net.labels[e]
-            both_inf = np.isinf(m) & np.isinf(labels)
-            # subtract only where defined: inf - inf would warn
-            num = np.abs(np.subtract(m, labels, out=np.zeros(labels.shape), where=~both_inf))
-            worst_label = np.maximum(worst_label, rel(num, np.where(both_inf, 1.0, np.abs(m)))
-                                     .max(initial=0.0))
-        out["stored_labels"] = float(worst_label)
-    return out
-
-
-def _omega_residuals(nf: NetFile, nets: dict):
-    """The labels of the spanning pair go to the ``guichard`` group when
-    every omega residual is computed."""
-    omega = nf.omega_net()
-    if omega is None or omega.mu_plus is None or omega.mu_minus is None:
-        return ("incomplete omega fields or frame" if "mu_plus" in nf.vertex_fields
-                else "no congruence fields")
-    if not omega.grid.nedges:
-        return "no edges"
-    if (failed := _failed(nf, "omega")) is not None:
-        return failed
-    v = omega.validate()
-    a = lie.associates(omega)
-    labels = lie.omega_edge_labels(omega)
-    pairing = lie.eisenhart_general(omega.principal(), a.x_dual, a.n_dual, labels)
-    nets["labels"] = labels
-    return {**v, **v["applicability"], **pairing,
-            "reconstruction": a.reconstruction, "duality": a.duality}
-
-
-def _principal_residuals(nf: NetFile, nets: dict):
-    pn = nets["principal"] = nf.principal_net()
-    return "no x, n fields" if pn is None else _failed(nf, "principal") or pn.validate()
-
-
-def _guichard_residuals(nf: NetFile, nets: dict):
-    vf = nf.vertex_fields
-    if "principal" in nets and nets["principal"] is None:
-        return None                             # no principal net: no line
-    if "xdual" not in vf:
-        return "no xdual field"
-    # a principal net that raised in its own group raises here again
-    pn = nets.get("principal") or nf.principal_net()
-    if (failed := _failed(nf, "guichard")) is not None:
-        return failed
-    if "ndual" in vf:
-        return {"duality_fields": lie.check_omega(pn, vf["xdual"], vf["ndual"])["duality"]}
-    # an associate net without a separate associate Gauss map is the
-    # Guichard case (the Gauss map itself is the partner)
-    labels = nets.get("labels")
-    return {**lie.check_guichard(pn, vf["xdual"]), **(
-        {} if labels is None else lie.eisenhart_guichard(pn, vf["xdual"], labels))}
-
-
-def _special_residuals(nf: NetFile, nets: dict):
-    vf, net = nf.vertex_fields, nets.get("isothermic")
-    if "xi" not in vf:
-        return None
-    lf = nf.the_frame()
-    if net is None or not isinstance(lf, lie.LieFrame):
-        return "xi present but mu or frame missing"
-    if (failed := _failed(nf, "special")) is not None:
-        return failed
-    orth, dev = lie.special_residuals(lf, net.mu, vf["xi"])
-    return {"orthogonality": float(orth.max(initial=0.0)),
-            "coefficients": float(dev.max(initial=0.0))}
-
-
-# The groups of CHECKS, in report order.
-_GROUPS = {"isothermic": _isothermic_residuals, "omega": _omega_residuals,
-           "principal": _principal_residuals, "guichard": _guichard_residuals,
-           "special": _special_residuals}

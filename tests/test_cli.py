@@ -12,7 +12,7 @@ from dnet.cli import GEN_KINDS, main
 from dnet.forms import wedge_vec
 from dnet.grid import Grid
 from dnet.koenigs import km_pair_check
-from dnet.netfile import CHECKS, READS, NetFile, first_non_finite, run_checks
+from dnet.netfile import CHECKS, READS, STEPS, NetFile, first_non_finite, run_checks
 from tests import netfile_reference as ref
 
 
@@ -795,15 +795,25 @@ def test_an_empty_field_has_no_non_finite_row(edgeless_omega, tmp_path):
         assert first_non_finite(nf, READS["associates"]) is None
 
 
-# the 6x6 file of seed 1 that holds every field of each READS entry: a
-# `gen` kind, or "pair", the associates output of the omega file, which
-# holds xdual and ndual
+# the 6x6 file of seed 1 that holds every field of each transform op and
+# group of verify rows: a `gen` kind, or "pair", the associates output of
+# the omega file, which holds xdual and ndual
 READ_SOURCES = {**dict.fromkeys(("darboux", "calapso", "christoffel"), "isothermic"),
                 "dual": "omega", "omega": "omega", "principal": "minimal",
-                "associates": "guichard", "special": "guichard", "guichard": "pair"}
+                "associates": "guichard", "special": "guichard", "guichard": "pair",
+                "associate-net": "guichard"}
 OP_OPTIONS = {"darboux": ["--m", "0.5"], "calapso": ["--t", "0.4"]}
-READ_ROWS = [(entry, field, value) for entry, fields in READS.items() for field in fields
-             for value in ("nan", "inf")]
+# the groups of verify rows that the README lists, with the fields of
+# their source file that they read: the rows of `associate-net` are those
+# of `guichard` that a file without ndual has, and the omega rows read no
+# value of mu_minus, which their gate needs
+GROUPS = {"omega": ("y", "t", "mu_plus", "mu_minus", "eta"), "principal": ("x", "n"),
+          "guichard": ("x", "n", "xdual", "ndual"), "special": ("mu", "xi"),
+          "associate-net": ("x", "n", "xdual", "mu_plus")}
+READ_ROWS = [(entry, field, value)
+             for entry, fields in [*((op, READS[op]) for op in READ_SOURCES if op not in GROUPS),
+                                   *GROUPS.items()]
+             for field in fields for value in ("nan", "inf")]
 
 
 @pytest.fixture(scope="module")
@@ -817,24 +827,42 @@ def read_sources(tmp_path_factory):
     return files
 
 
+def _report_rows(stdout) -> dict:
+    """The lines of a verify report by check name, skip lines too."""
+    return {ln.split()[0]: ln for ln in stdout.splitlines()[2:-2]}
+
+
 @pytest.mark.parametrize("entry, field, value", READ_ROWS)
 def test_a_non_finite_row_of_a_field_read_fails_at_once(read_sources, tmp_path, capsys,
                                                         entry, field, value):
-    # one case per row of READS: a transform exits 2 with one line naming
-    # the row and writes nothing, and verify fails every check of the group
-    # at the row, with nothing on stderr
-    doc = json.loads(read_sources[READ_SOURCES[entry]].read_text())
+    # a transform exits 2 with one line naming the row and writes nothing;
+    # verify fails each row that reads the field at that row, and only
+    # those, with nothing on stderr: every other line is the clean file's
+    source = read_sources[READ_SOURCES[entry]]
+    doc = json.loads(source.read_text())
     rows = doc["fields"]["form1" if field == "eta" else "vertex"][field]
     rows[7] = [value] + [0] * (len(rows[7]) - 1)        # vertex or edge (1, 1)
     path, out = tmp_path / "bad.json", tmp_path / "out.json"
     path.write_text(json.dumps(doc))
-    if entry in CHECKS:
+    if entry in GROUPS:
         code, stdout, err, warned = _outcome(capsys, "verify", "-i", path)
-        assert (code, err, warned) == (1, [], [])
-        status = {ln.split()[0]: ln for ln in stdout.splitlines() if ln.split()}
-        for name, *_ in CHECKS[entry]:
-            assert f"FAIL  [non-finite {field}]  worst=" in status[name], status[name]
-            assert "(1, 1)" in status[name], status[name]
+        status, clean = _report_rows(stdout), _report_rows(_outcome(capsys, "verify", "-i",
+                                                                    source)[1])
+        failing = [name for name in status if field in READS.get(name, ())]
+        assert (code, err, warned) == (1 if failing else 0, [], [])
+        assert list(status) == list(clean)
+        own = {"guichard": "omega.duality_fields", "associate-net": "guichard."}
+        assert any(n.startswith(own.get(entry, f"{entry}.")) for n in failing) == (
+            field != "mu_minus"), failing
+        for name, line in status.items():
+            if name in failing:
+                assert line.split()[1] == "nan", line
+                assert f"FAIL  [non-finite {field}]  worst=" in line and "(1, 1)" in line, line
+            elif field == "mu" and name.startswith("isothermic."):
+                # outside the rule: the blocked kernels fold the row in quietly
+                assert "non-finite" not in line and (line == clean[name] or "FAIL" in line)
+            else:
+                assert line == clean[name]
     else:
         what, place = (("forms", "edge (1, 1) along axis 0") if field == "eta"
                        else ("lifts", "vertex (1, 1)"))
@@ -869,24 +897,33 @@ def _bend_xdual(fields):            # x_dual at (1, 1) leaves its edges' directi
     fields["vertex"]["xdual"][7][0] += 0.3
 
 
-# name: the READ_SOURCES file planted, the fault, the groups its error
-# stops, the error's message and its element (None: the edge farthest off
-# the gauge)
+EDGE_36 = {"kind": "edge", "index": 36, "tail": (1, 1), "axis": 1}
+# name: the READ_SOURCES file planted, the fault, the field it plants, and
+# each intermediate of STEPS that its error stops, with the error's message
+# and element (None: the edge farthest off the gauge)
 PLANTED = {
-    "eta-off-gauge": ("omega", _off_gauge, ("omega",),
-                      "associates need the (eta q, p) = 0 gauge", None),
-    "repeated-plane": ("omega", _repeat_plane, ("omega",),
-                       "first-order regularity fails: dim f_ij < 3",
-                       {"kind": "edge", "index": 36, "tail": (1, 1), "axis": 1}),
-    "point-plane": ("omega", _point_plane, ("omega",), "intersection line degenerate",
-                    {"kind": "edge", "index": 1, "tail": (0, 1), "axis": 0}),
-    "vanishing-edge": ("guichard", _repeat_point, ("principal", "guichard"),
-                       "vanishing edge in the principal net",
-                       {"kind": "edge", "index": 36, "tail": (1, 1), "axis": 1}),
-    "xdual-not-parallel": ("pair", _bend_xdual, ("guichard",),
-                           "x_dual is not edge-parallel to x",
-                           {"kind": "edge", "index": 7, "tail": (1, 1), "axis": 0}),
+    "eta-off-gauge": ("omega", _off_gauge, "eta", {
+        "associates": ("associates need the (eta q, p) = 0 gauge", None)}),
+    "repeated-plane": ("omega", _repeat_plane, "y", {
+        "congruence": ("first-order regularity fails: dim f_ij < 3", EDGE_36),
+        "associates": ("vanishing edge in the principal net", EDGE_36)}),
+    "point-plane": ("omega", _point_plane, "t", {
+        "congruence": ("intersection line degenerate",
+                       {"kind": "edge", "index": 1, "tail": (0, 1), "axis": 0})}),
+    "vanishing-edge": ("guichard", _repeat_point, "x", {
+        "principal_net": ("vanishing edge in the principal net", EDGE_36)}),
+    "xdual-not-parallel": ("pair", _bend_xdual, "xdual", {
+        "duality_fields": ("x_dual is not edge-parallel to x",
+                           {"kind": "edge", "index": 7, "tail": (1, 1), "axis": 0})}),
 }
+
+
+def _readers(step) -> list:
+    """The rows of verify whose intermediate reads ``step``, also through
+    another intermediate."""
+    def reads(name):
+        return name == step or any(map(reads, STEPS.get(name, ((),))[0]))
+    return [name for rows in CHECKS.values() for name, *_, own in rows if reads(own)]
 
 
 def _planted(read_sources, tmp_path, source, plant):
@@ -897,34 +934,69 @@ def _planted(read_sources, tmp_path, source, plant):
     return path
 
 
-@pytest.mark.parametrize("source, plant, groups, message, where", PLANTED.values(),
-                         ids=PLANTED)
+@pytest.mark.parametrize("source, plant, field, stops", PLANTED.values(), ids=PLANTED)
 def test_an_error_inside_a_group_fails_only_that_group(read_sources, tmp_path, capsys, source,
-                                                       plant, groups, message, where):
-    # verify prints the whole report and exits 1: every row of a group that
-    # the error stops fails at its element, and every other row reads as
-    # in the file before the fault
+                                                       plant, field, stops):
+    # verify exits 1 and prints the rows of the file before the fault: the
+    # rows that read an intermediate the error stops fail at its element,
+    # and no other.  Every other row keeps the value computed from the
+    # planted file: among them the null-plane, normalization and gauge
+    # residuals of the planted planes, and a row whose line moved reads the
+    # planted field
     path = _planted(read_sources, tmp_path, source, plant)
-    if where is None:
-        om = NetFile.load(str(path)).omega_net()
-        off = np.abs(om.signature.inner(om.eta_q(), om.lie_frame.p))
-        where = om.grid.locate_edge(int(np.argmax(off)))
+    nf = NetFile.load(str(path))
     code, stdout, err, warned = _outcome(capsys, "verify", "-i", path)
     assert (code, err, warned) == (1, [], [])
-    failing = [name for group in groups for name, *_ in CHECKS[group]]
-    rows = stdout.splitlines()[2:-2]
-    assert [r.split()[0] for r in rows if r.split()[0] in failing] == failing
-    for row in rows:
-        if row.split()[0] in failing:
-            assert row.split()[1] == "nan", row
-            assert row.endswith(f"FAIL  [aborted: {message}]  worst={where}"), row
-    _, before, _, _ = _outcome(capsys, "verify", "-i", read_sources[source])
-    assert ([r for r in rows if r.split()[0] not in failing]
-            == [r for r in before.splitlines()[2:-2] if r.split()[0] not in failing])
+    status = _report_rows(stdout)
+    before = _report_rows(_outcome(capsys, "verify", "-i", read_sources[source])[1])
+    assert list(status) == list(before)
+    failed = {}
+    for step, (message, where) in stops.items():
+        if where is None:
+            om = nf.omega_net()
+            off = np.abs(om.signature.inner(om.eta_q(), om.lie_frame.p))
+            where = om.grid.locate_edge(int(np.argmax(off)))
+        failed.update(dict.fromkeys(set(_readers(step)) & set(status),
+                                    f"FAIL  [aborted: {message}]  worst={where}"))
+    assert failed
+    planted = {name for name, line in status.items() if line != before[name]}
+    for name, line in status.items():
+        if name in failed:
+            assert line.split()[1] == "nan" and line.endswith(failed[name]), line
+        else:
+            assert line.split()[1] != "nan" and "aborted" not in line, line
+    frame = nf.omega_net().frame_residuals() if source == "omega" else {}
+    for key, value in frame.items():
+        assert status[f"omega.{key}"].split()[1] == f"{value:.3e}"
+    # the rows whose line moved read the planted field or fail
+    assert all(name in failed or field in READS[name] for name in planted), planted
+
+
+def test_the_planted_files_of_the_roadmap_report_their_rows(read_sources, tmp_path, capsys):
+    # the eta-shifted omega file keeps its frame residuals, fails its gauge
+    # row with its value, and aborts only the rows that read the associates
+    path = _planted(read_sources, tmp_path, "omega", _off_gauge)
+    code, stdout, err, warned = _outcome(capsys, "verify", "-i", path)
+    assert (code, err, warned) == (1, [], [])
+    status = _report_rows(stdout)
+    assert status["omega.null_planes"].split()[1:4] == ["1.219e-13", "1.0e-09", "PASS"]
+    assert status["omega.normalization"].split()[1:4] == ["1.110e-16", "1.0e-09", "PASS"]
+    assert status["omega.gauge"].split()[1:4] == ["6.085e-01", "1.0e-08", "FAIL"]
+    aborted = [n for n, ln in status.items()
+               if "[aborted: associates need the (eta q, p) = 0 gauge]" in ln]
+    assert aborted == ["omega.reconstruction", "omega.duality", "omega.eisenhart"]
+    assert aborted == [n for n in _readers("associates") if n in status]
+    # the Guichard file with x[8] = x[7] lists the 26 rows it has
+    path = _planted(read_sources, tmp_path, "guichard", _repeat_point)
+    code, stdout, err, warned = _outcome(capsys, "verify", "-i", path)
+    assert (code, err, warned) == (1, [], [])
+    assert stdout.splitlines()[-1] == "overall: FAIL (26 checks, 0 skipped)"
+    assert "omega.duality_fields" not in stdout
 
 
 def test_a_transform_whose_output_check_stops_exits_1(read_sources, tmp_path, capsys):
-    # associates keeps the collapsed plane, and its output check stops there
+    # associates keeps the collapsed plane, and its output check stops at
+    # the rows of the congruence
     path = _planted(read_sources, tmp_path, "omega", _point_plane)
     out = tmp_path / "out.json"
     code, stdout, err, warned = _outcome(capsys, "transform", "associates", "-i", path,
@@ -932,7 +1004,8 @@ def test_a_transform_whose_output_check_stops_exits_1(read_sources, tmp_path, ca
     assert (code, stdout, warned) == (1, "", []) and not out.exists()
     assert err[-2:] == ["overall: FAIL (14 checks, 1 skipped)",
                         "transform output failed verification; not written"], err
-    assert "FAIL  [aborted: intersection line degenerate]" in err[2], err
+    aborted = [ln.split()[0] for ln in err if "FAIL  [aborted: intersection line degenerate]" in ln]
+    assert aborted == [n for n in _readers("congruence") if n.startswith("omega.")], err
 
 
 # the transforms of the files of each gen kind
@@ -1102,18 +1175,25 @@ def test_readme_lists_every_check():
 
 
 def test_check_table_names_tolerances_and_order(tmp_path):
-    from dnet.netfile import CHECKS, DEFAULT_TOLS, MARGIN, RESIDUAL
+    from dnet.netfile import DEFAULT_TOLS, MARGIN, RESIDUAL
     rows = [row for group in CHECKS.values() for row in group]
     names = [name for name, *_ in rows]
     assert len(set(names)) == len(names)
-    for name, key, tol, kind, carrier in rows:
+    for name, tol, kind, carrier, step in rows:
         assert kind in (RESIDUAL, MARGIN)
         assert carrier in ("quads", "edges", None), name
         assert (tol in DEFAULT_TOLS if isinstance(tol, str)
                 else tol[1] in DEFAULT_TOLS if isinstance(tol, tuple)
                 else isinstance(tol, float)), name
+        assert step in STEPS, name
+    # every intermediate reads intermediates above it or fields, and some
+    # row reads it, also through another
+    order = list(STEPS)
+    for step, (reads, _) in STEPS.items():
+        assert all(order.index(r) < order.index(step) for r in reads if r in STEPS), step
+        assert any(name for name in _readers(step)), step
     # the checks whose value is a maximum over the quads or the edges
-    carried = {name: carrier for name, *_, carrier in rows if carrier}
+    carried = {name: carrier for name, _, _, carrier, _ in rows if carrier}
     assert carried == {**dict.fromkeys(QUADS + ("omega.eta_closed", "omega.duality",
                                                 "principal.circularity", "guichard.associate",
                                                 "omega.duality_fields"), "quads"),
@@ -1127,6 +1207,6 @@ def test_check_table_names_tolerances_and_order(tmp_path):
     assert ran == [n for n in names if n in ran]
     assert {n.split(".")[0] for n in ran} == {"isothermic", "omega", "principal",
                                               "guichard", "special"}
-    margins = {name for name, _, _, kind, _ in rows if kind == MARGIN}
+    margins = {name for name, _, kind, *_ in rows if kind == MARGIN}
     assert all((c.note == "margin (must stay above tolerance)") == (c.name in margins)
                for c in rep.checks)
