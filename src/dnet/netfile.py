@@ -394,6 +394,8 @@ class NetFile:
             return None
         return lie.OmegaNet(self.grid(), lf, vf["y"], vf["t"], self.form1_fields["eta"],
                             mu_plus=vf.get("mu_plus"), mu_minus=vf.get("mu_minus"))
+
+
 DEFAULT_TOLS = {
     "nullity": 1e-10,
     "moutard": 1e-10,
@@ -449,13 +451,13 @@ def _stored_labels(nf: NetFile, net):
     return float(worst_label)
 
 
-# The intermediates that the rows of `verify` read, each built at most once
-# per file, on first use: what it reads (intermediates above it, and fields
-# whose rows first_non_finite checks) and its value from the file and those:
-# a number, a (number, worst element, note) triple, the reason a row is
-# skipped, None for no line, or a dict of these by the last part of the row
-# names.  The isothermic net reads no field: its blocked kernels fold a NaN
-# or huge mu quietly.  Calls go through their modules, which tracers wrap.
+# The intermediates that the rows of `verify` read, each built at most once per
+# file, on first use: what it reads (intermediates above it, fields whose rows
+# first_non_finite checks) and its value: a number, a (number, worst element,
+# note) triple, the reason a row is skipped, None for no line, or a dict of
+# these by the last part of the row names.  The isothermic net reads no field:
+# its kernels fold a NaN or huge mu quietly.  Calls go through their modules,
+# which tracers wrap.
 STEPS = {
     "net": ((), lambda nf: nf.isothermic_net()),
     "isothermic": (("net",), lambda nf, net: {
@@ -463,12 +465,12 @@ STEPS = {
     **{f"flatness(t={t})": (("net",), lambda nf, net, t=t: _flatness(net, t))
        for t in FLATNESS_T},
     "stored_labels": (("net",), _stored_labels),
-    "omega": ((), lambda nf: nf.omega_net()),
-    "frame": (("omega", "y", "t", "eta"), lambda nf, om, *_: om.frame_residuals()),
-    "congruence": (("omega", "y", "t", "eta"), lambda nf, om, *_: {
+    "omega": (("y", "t", "mu_plus", "mu_minus", "eta"), lambda nf, *_: nf.omega_net()),
+    "frame": (("omega",), lambda nf, om: om.frame_residuals()),
+    "congruence": (("omega",), lambda nf, om: {
         **(c := om.congruence().validate()), "nondegeneracy": c["nondegeneracy_margin"]}),
-    "associates": (("omega", "y", "t", "eta"), lambda nf, om, *_: vars(lie.associates(om))),
-    "labels": (("omega", "mu_plus"), lambda nf, om, _: lie.omega_edge_labels(om)),
+    "associates": (("omega",), lambda nf, om: vars(lie.associates(om))),
+    "labels": (("omega",), lambda nf, om: lie.omega_edge_labels(om)),
     "pairing": (("omega", "associates", "labels"), lambda nf, om, a, labels: lie.eisenhart_general(
         om.principal(), a["x_dual"], a["n_dual"], labels)["pairing"]),
     "principal_net": (("x", "n"), lambda nf, x, n: lie.PrincipalNet(nf.grid(), x, n)),
@@ -558,9 +560,9 @@ def _reads(name: str) -> tuple:
     return sum(map(_reads, STEPS[name][0]), ()) if name in STEPS else (name,)
 
 
-# The vertex and 1-form fields each row of `verify` reads, from STEPS, and
-# those each transform op reads, or copies into an output whose checks
-# read them.
+# The fields each row of `verify` reads, derived from STEPS for the tests and
+# the README's table (run_checks walks STEPS itself), and those each
+# transform op reads, or copies into an output whose checks read them.
 READS = {
     **{name: tuple(dict.fromkeys(_reads(step))) for rows in CHECKS.values()
        for name, *_, step in rows},
@@ -593,8 +595,7 @@ def first_non_finite(nf: NetFile, names) -> tuple | None:
 
 
 class _Failed(Exception):
-    """An intermediate failed: its args are the element and the note of
-    the rows that read it."""
+    """An intermediate failed: its args are the element and its readers' note."""
 
 
 def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
@@ -608,8 +609,7 @@ def run_checks(nf: NetFile, tols: dict | None = None) -> Report:
     rep, grid, gates, built = Report(), nf.grid(), _gates(nf), {}
 
     def get(name):
-        """The intermediate or field ``name``; raises :class:`_Failed`.  An
-        intermediate whose read failed is not built, and fails again."""
+        """The intermediate or field ``name``; raises :class:`_Failed` each time."""
         if name not in built:
             try:
                 if name in STEPS:

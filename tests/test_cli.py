@@ -805,11 +805,10 @@ READ_SOURCES = {**dict.fromkeys(("darboux", "calapso", "christoffel"), "isotherm
 OP_OPTIONS = {"darboux": ["--m", "0.5"], "calapso": ["--t", "0.4"]}
 # the groups of verify rows that the README lists, with the fields of
 # their source file that they read: the rows of `associate-net` are those
-# of `guichard` that a file without ndual has, and the omega rows read no
-# value of mu_minus, which their gate needs
+# of `guichard` that a file without ndual has
 GROUPS = {"omega": ("y", "t", "mu_plus", "mu_minus", "eta"), "principal": ("x", "n"),
           "guichard": ("x", "n", "xdual", "ndual"), "special": ("mu", "xi"),
-          "associate-net": ("x", "n", "xdual", "mu_plus")}
+          "associate-net": ("x", "n", "xdual", "y", "t", "mu_plus", "mu_minus", "eta")}
 READ_ROWS = [(entry, field, value)
              for entry, fields in [*((op, READS[op]) for op in READ_SOURCES if op not in GROUPS),
                                    *GROUPS.items()]
@@ -852,8 +851,7 @@ def test_a_non_finite_row_of_a_field_read_fails_at_once(read_sources, tmp_path, 
         assert (code, err, warned) == (1 if failing else 0, [], [])
         assert list(status) == list(clean)
         own = {"guichard": "omega.duality_fields", "associate-net": "guichard."}
-        assert any(n.startswith(own.get(entry, f"{entry}.")) for n in failing) == (
-            field != "mu_minus"), failing
+        assert any(n.startswith(own.get(entry, f"{entry}.")) for n in failing), failing
         for name, line in status.items():
             if name in failing:
                 assert line.split()[1] == "nan", line
@@ -898,23 +896,27 @@ def _bend_xdual(fields):            # x_dual at (1, 1) leaves its edges' directi
 
 
 EDGE_36 = {"kind": "edge", "index": 36, "tail": (1, 1), "axis": 1}
-# name: the READ_SOURCES file planted, the fault, the field it plants, and
+# name: the READ_SOURCES file planted, the fault, the field it plants,
 # each intermediate of STEPS that its error stops, with the error's message
-# and element (None: the edge farthest off the gauge)
+# and element (None: the edge farthest off the gauge), and the value,
+# tolerance and verdict that some rows keep
 PLANTED = {
     "eta-off-gauge": ("omega", _off_gauge, "eta", {
-        "associates": ("associates need the (eta q, p) = 0 gauge", None)}),
+        "associates": ("associates need the (eta q, p) = 0 gauge", None)}, {
+        "omega.null_planes": ["1.219e-13", "1.0e-09", "PASS"],
+        "omega.normalization": ["1.110e-16", "1.0e-09", "PASS"],
+        "omega.gauge": ["6.085e-01", "1.0e-08", "FAIL"]}),
     "repeated-plane": ("omega", _repeat_plane, "y", {
         "congruence": ("first-order regularity fails: dim f_ij < 3", EDGE_36),
-        "associates": ("vanishing edge in the principal net", EDGE_36)}),
+        "associates": ("vanishing edge in the principal net", EDGE_36)}, {}),
     "point-plane": ("omega", _point_plane, "t", {
         "congruence": ("intersection line degenerate",
-                       {"kind": "edge", "index": 1, "tail": (0, 1), "axis": 0})}),
+                       {"kind": "edge", "index": 1, "tail": (0, 1), "axis": 0})}, {}),
     "vanishing-edge": ("guichard", _repeat_point, "x", {
-        "principal_net": ("vanishing edge in the principal net", EDGE_36)}),
+        "principal_net": ("vanishing edge in the principal net", EDGE_36)}, {}),
     "xdual-not-parallel": ("pair", _bend_xdual, "xdual", {
         "duality_fields": ("x_dual is not edge-parallel to x",
-                           {"kind": "edge", "index": 7, "tail": (1, 1), "axis": 0})}),
+                           {"kind": "edge", "index": 7, "tail": (1, 1), "axis": 0})}, {}),
 }
 
 
@@ -934,9 +936,9 @@ def _planted(read_sources, tmp_path, source, plant):
     return path
 
 
-@pytest.mark.parametrize("source, plant, field, stops", PLANTED.values(), ids=PLANTED)
+@pytest.mark.parametrize("source, plant, field, stops, pinned", PLANTED.values(), ids=PLANTED)
 def test_an_error_inside_a_group_fails_only_that_group(read_sources, tmp_path, capsys, source,
-                                                       plant, field, stops):
+                                                       plant, field, stops, pinned):
     # verify exits 1 and prints the rows of the file before the fault: the
     # rows that read an intermediate the error stops fail at its element,
     # and no other.  Every other row keeps the value computed from the
@@ -968,30 +970,10 @@ def test_an_error_inside_a_group_fails_only_that_group(read_sources, tmp_path, c
     frame = nf.omega_net().frame_residuals() if source == "omega" else {}
     for key, value in frame.items():
         assert status[f"omega.{key}"].split()[1] == f"{value:.3e}"
+    for name, row in pinned.items():
+        assert status[name].split()[1:4] == row, status[name]
     # the rows whose line moved read the planted field or fail
     assert all(name in failed or field in READS[name] for name in planted), planted
-
-
-def test_the_planted_files_of_the_roadmap_report_their_rows(read_sources, tmp_path, capsys):
-    # the eta-shifted omega file keeps its frame residuals, fails its gauge
-    # row with its value, and aborts only the rows that read the associates
-    path = _planted(read_sources, tmp_path, "omega", _off_gauge)
-    code, stdout, err, warned = _outcome(capsys, "verify", "-i", path)
-    assert (code, err, warned) == (1, [], [])
-    status = _report_rows(stdout)
-    assert status["omega.null_planes"].split()[1:4] == ["1.219e-13", "1.0e-09", "PASS"]
-    assert status["omega.normalization"].split()[1:4] == ["1.110e-16", "1.0e-09", "PASS"]
-    assert status["omega.gauge"].split()[1:4] == ["6.085e-01", "1.0e-08", "FAIL"]
-    aborted = [n for n, ln in status.items()
-               if "[aborted: associates need the (eta q, p) = 0 gauge]" in ln]
-    assert aborted == ["omega.reconstruction", "omega.duality", "omega.eisenhart"]
-    assert aborted == [n for n in _readers("associates") if n in status]
-    # the Guichard file with x[8] = x[7] lists the 26 rows it has
-    path = _planted(read_sources, tmp_path, "guichard", _repeat_point)
-    code, stdout, err, warned = _outcome(capsys, "verify", "-i", path)
-    assert (code, err, warned) == (1, [], [])
-    assert stdout.splitlines()[-1] == "overall: FAIL (26 checks, 0 skipped)"
-    assert "omega.duality_fields" not in stdout
 
 
 def test_a_transform_whose_output_check_stops_exits_1(read_sources, tmp_path, capsys):
